@@ -32,6 +32,8 @@ import numpy as np
 BRANCH_MARGIN = 1e-6
 MODULUS_TOL = 1e-12
 DEFECT_FACTOR = 10.0
+#: entries per tile of the associativity scan in ``check_cocycle``
+TILE_ENTRIES = 2 ** 15
 
 
 def _half_index(step: float, half_range: float) -> int:
@@ -67,7 +69,7 @@ class CocycleGrid:
                 raise ValueError("window mask shape mismatch")
         win = self.in_window
         bad = np.max(np.abs(np.abs(vals[win]) - 1.0)) if win.any() else 0.0
-        if bad > MODULUS_TOL:
+        if not bad <= MODULUS_TOL:                  # NaN fails too
             raise ValueError(f"values are not unimodular (worst defect {bad:.3e})")
         # normalization along the axes through 0
         row = np.abs(vals[k, :][win[k, :]] - 1.0)
@@ -101,7 +103,7 @@ class Cochain:
         if vals.shape != (2 * k + 1,):
             raise ValueError(f"values must have length {2 * k + 1}")
         self.values = vals
-        if np.max(np.abs(np.abs(vals) - 1.0)) > MODULUS_TOL:
+        if not np.max(np.abs(np.abs(vals) - 1.0)) <= MODULUS_TOL:
             raise ValueError("cochain values are not unimodular")
         if abs(vals[k] - 1.0) > MODULUS_TOL:
             raise ValueError("cochain must satisfy μ(0) = 1")
@@ -123,10 +125,20 @@ class CocycleReport:
 def check_cocycle(grid: CocycleGrid) -> CocycleReport:
     """Exhaustive associativity scan over all in-range triples.
 
-    A triple (i, j, k) is in range when every entry the identity touches
-    — (i,j), (i+j,k), (j,k), (i,j+k) — lies on the grid; triples that are
+    A triple (i, j, l) is in range when every entry the identity touches
+    — (i,j), (i+j,l), (j,l), (i,j+l) — lies on the grid; triples that are
     in range but hit a masked entry are counted as skipped. The second
     residual measures the normalization λ(0,·) = λ(·,0) = 1.
+
+    For fixed j the in-range pairs (i, l) form the square I×I with
+    I = [max(-K, -K-j), min(K, K-j)], and each factor is a plain slice of
+    the table: λ(i,j) a column, λ(j,l) a row, λ(i+j,l) and λ(i,j+l) row
+    blocks. The scan takes the rows i in tiles of TILE_ENTRIES // (2K+1)
+    (at least one) and runs every j over each tile, so the rows it reads
+    stay in cache from one j to the next. Beyond the table it holds three
+    tile buffers of max(TILE_ENTRIES, 2K+1) entries (two complex, one
+    real; a fourth, boolean, for masked grids) and no per-triple
+    temporaries.
     """
     k = grid.half_index_count
     v, win = grid.values, grid.in_window
@@ -134,32 +146,43 @@ def check_cocycle(grid: CocycleGrid) -> CocycleReport:
     col = np.abs(v[:, k][win[:, k]] - 1.0)
     norm_bad = float(max(row.max() if row.size else 0.0,
                          col.max() if col.size else 0.0))
-    idx = np.arange(-k, k + 1)
+    full = bool(win.all())
+    outside = ~win
+    size = 2 * k + 1
+    cap = max(TILE_ENTRIES, size)
+    left, right = np.empty(cap, dtype=complex), np.empty(cap, dtype=complex)
+    resid = np.empty(cap)
+    skip = np.empty(cap, dtype=bool)
     worst = 0.0
-    checked = 0
-    skipped = 0
-    for i in idx:
-        j_lo, j_hi = max(-k, -k - i), min(k, k - i)      # keep |i+j| ≤ k
-        if j_lo > j_hi:
-            continue
-        j = np.arange(j_lo, j_hi + 1)[:, None]
-        kk = idx[None, :]
-        jk = j + kk
-        valid = np.abs(jk) <= k
-        jk_c = np.clip(jk, -k, k)
-        lam_ij = v[i + k, j + k]
-        lam_ijk = v[(i + j) + k, kk + k]
-        lam_jk = v[j + k, kk + k]
-        lam_ijk2 = v[i + k, jk_c + k]
-        usable = (valid & win[i + k, j + k] & win[(i + j) + k, kk + k]
-                  & win[j + k, kk + k] & win[i + k, jk_c + k])
-        resid = np.abs(lam_ij * lam_ijk - lam_jk * lam_ijk2)
-        if usable.any():
-            worst = max(worst, float(resid[usable].max()))
-        checked += int(usable.sum())
-        skipped += int((valid & ~usable).sum())
+    total = checked = 0
+    rows = cap // size
+    for t0 in range(0, size, rows):                      # tile of rows i + K
+        for j in range(-k, k + 1):
+            lo, hi = max(-k, -k - j) + k, min(k, k - j) + k + 1     # I + K, as a slice
+            i0, i1 = max(t0, lo), min(t0 + rows, hi)
+            if i0 >= i1:
+                continue
+            shape = (i1 - i0, hi - lo)
+            n = shape[0] * shape[1]
+            total += n
+            a, b = left[:n].reshape(shape), right[:n].reshape(shape)
+            r, m = resid[:n].reshape(shape), skip[:n].reshape(shape)
+            # λ(i,j)·λ(i+j,l) − λ(j,l)·λ(i,j+l), in the operand order of the identity
+            np.multiply(v[i0:i1, j + k, None], v[i0 + j:i1 + j, lo:hi], out=a)
+            np.multiply(v[j + k, lo:hi], v[i0:i1, lo + j:hi + j], out=b)
+            np.subtract(a, b, out=a)
+            np.abs(a, out=r)
+            if not full:
+                np.logical_or(outside[i0:i1, j + k, None], outside[i0 + j:i1 + j, lo:hi], out=m)
+                np.logical_or(m, outside[j + k, lo:hi], out=m)
+                np.logical_or(m, outside[i0:i1, lo + j:hi + j], out=m)
+                np.copyto(r, 0.0, where=m)
+                checked += n - int(np.count_nonzero(m))
+            worst = max(worst, float(r.max()))
+    if full:
+        checked = total
     return CocycleReport(max_identity_residual=worst, max_normalization_residual=norm_bad,
-                         checked=checked, skipped=skipped,
+                         checked=checked, skipped=total - checked,
                          step=grid.step, half_range=grid.half_range)
 
 
@@ -192,54 +215,82 @@ class TrivializationResult:
     stage_chains: dict = field(default_factory=dict)
 
 
-def _develop(lam_lookup, k: int, unit: int) -> np.ndarray:
+def _cmul(a, b) -> np.ndarray:
+    """a·b with the real and imaginary parts rounded term by term, as scalar
+    complex arithmetic does; numpy's vector complex loops may fuse them into
+    FMAs, which would make the stage tables depend on the CPU."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _chain_at(mu: np.ndarray, i, k: int) -> np.ndarray:
+    """μ(i) over an index array; NaN where i leaves [-k, k] or μ is unreachable."""
+    return np.where(np.abs(i) <= k, mu[np.clip(i, -k, k) + k], np.nan)
+
+
+def _grid_at(grid: CocycleGrid, i, j) -> np.ndarray:
+    """λ(i, j) over broadcast index arrays; NaN off the grid or the window."""
+    k = grid.half_index_count
+    ic, jc = np.clip(i, -k, k) + k, np.clip(j, -k, k) + k
+    ok = (np.abs(i) <= k) & (np.abs(j) <= k) & grid.in_window[ic, jc]
+    return np.where(ok, grid.values[ic, jc], np.nan)
+
+
+def _lam1_at(grid: CocycleGrid, mu0: np.ndarray, unit: int, i, j) -> np.ndarray:
+    """λ¹ = ∂μ⁰·λ with the first slot reduced to [0, unit) by its periodicity."""
+    k = grid.half_index_count
+    i = i % unit
+    return _cmul(_cmul(_cmul(_chain_at(mu0, i, k), _chain_at(mu0, j, k)),
+                       np.conj(_chain_at(mu0, i + j, k))), _grid_at(grid, i, j))
+
+
+def _segments(k: int, unit: int):
+    """Index arrays (n·unit, o) for |n| ≤ k // unit, 0 ≤ o ≤ unit: row n + k // unit
+    of a table built on them holds the lookups of segment n in ``_develop``."""
+    top = k // unit
+    return unit * np.arange(-top, top + 1)[:, None], np.arange(unit + 1)[None, :]
+
+
+def _filled(row: np.ndarray) -> int:
+    """Length of the prefix of ``row`` free of NaN."""
+    bad = np.flatnonzero(np.isnan(row))
+    return int(bad[0]) if bad.size else row.size
+
+
+def _develop(table: np.ndarray, k: int, unit: int) -> np.ndarray:
     """Solve μ(n+t) = μ(n)·λ(n,t) outward from μ ≡ 1 on [0,1].
 
     ``unit`` is the number of grid steps per 1.0 in the current
-    coordinates. Entries that cannot be reached (a lookup leaves the
-    window) stay NaN and shrink the usable window.
+    coordinates and ``table`` holds λ on ``_segments(k, unit)``, NaN where
+    the lookup leaves the window. Entries past the first such lookup stay
+    NaN and shrink the usable window; those before it stay filled.
     """
     mu = np.full(2 * k + 1, np.nan + 0j, dtype=complex)
     mu[k:k + unit + 1] = 1.0
-    # positive direction
-    n = 1
-    while n * unit <= k:
+    top = k // unit
+    # positive direction: segment n fills (n·unit, n·unit + unit] from μ(n·unit)
+    for n in range(1, top + 1):
         base = n * unit
-        anchor = mu[k + base]
-        if np.isnan(anchor):
+        lam = table[top + n, 1:min(unit, k - base) + 1]
+        m = _filled(lam)
+        mu[k + base + 1:k + base + 1 + m] = _cmul(mu[k + base], lam[:m])
+        if m < unit:
             break
-        stopped = False
-        for o in range(1, unit + 1):
-            if base + o > k:
-                stopped = True
-                break
-            lam = lam_lookup(base, o)
-            if lam is None:
-                stopped = True
-                break
-            mu[k + base + o] = anchor * lam
-        if stopped:
-            break
-        n += 1
-    # negative direction
-    n = 1
-    while n * unit <= k:
+    # negative direction: segment −n fills [−n·unit, −n·unit + unit), starting
+    # from μ(−n·unit + unit)
+    for n in range(1, top + 1):
         base = -n * unit
-        lam_unit = lam_lookup(base, unit)
-        prev = mu[k + base + unit]
-        if lam_unit is None or np.isnan(prev):
+        lam = table[top - n]
+        if np.isnan(lam[unit]):
             break
-        mu[k + base] = prev * np.conj(lam_unit)
-        good = True
-        for o in range(1, unit):
-            lam = lam_lookup(base, o)
-            if lam is None:
-                good = False
-                break
-            mu[k + base + o] = mu[k + base] * lam
-        if not good:
+        mu[k + base] = mu[k + base + unit] * np.conj(lam[unit])
+        m = _filled(lam[1:unit])
+        mu[k + base + 1:k + base + 1 + m] = _cmul(mu[k + base], lam[1:1 + m])
+        if m < unit - 1:
             break
-        n += 1
     return mu
 
 
@@ -278,28 +329,14 @@ def trivialize(grid: CocycleGrid, defect_factor: float = DEFECT_FACTOR) -> Trivi
     unit = 2 ** (k_exp - m)
 
     # stage 1: develop μ⁰ against λ itself
-    mu0 = _develop(grid.lam, k, unit)
+    mu0 = _develop(_grid_at(grid, *_segments(k, unit)), k, unit)
     v0 = ~np.isnan(mu0)
 
-    def lam1(i: int, j: int) -> complex | None:
-        """∂μ⁰·λ with the first slot reduced to [0, unit) by its periodicity."""
-        i = i % unit
-        for b in (i, j, i + j):
-            if abs(b) > k or np.isnan(mu0[k + b]):
-                return None
-        lam = grid.lam(i, j)
-        if lam is None:
-            return None
-        return complex(mu0[k + i] * mu0[k + j] * np.conj(mu0[k + i + j]) * lam)
-
-    # stage 2: phase average over one period
-    table = np.empty((unit + 1, unit + 1), dtype=complex)
-    for a in range(unit + 1):
-        for b in range(unit + 1):
-            val = lam1(a, b)
-            if val is None:
-                raise ValueError("rescaled unit square leaves the window; grid too small")
-            table[a, b] = val
+    # stage 2: phase average of λ¹ over one period
+    a = np.arange(unit + 1)
+    table = _lam1_at(grid, mu0, unit, a[:, None], a[None, :])
+    if np.isnan(table).any():
+        raise ValueError("rescaled unit square leaves the window; grid too small")
     if np.min(np.abs(table + 1.0)) < BRANCH_MARGIN:
         raise ValueError("branch margin violated — refine grid")
     phases = np.angle(table)
@@ -315,17 +352,12 @@ def trivialize(grid: CocycleGrid, defect_factor: float = DEFECT_FACTOR) -> Trivi
             if -k <= idxp <= k:
                 mu1[k + idxp] = seg[o] * top ** n
 
-    def lam2(i: int, j: int) -> complex | None:
-        for b in (i, j, i + j):
-            if abs(b) > k:
-                return None
-        base = lam1(i, j)
-        if base is None:
-            return None
-        return complex(np.conj(mu1[k + i] * mu1[k + j]) * mu1[k + i + j] * base)
-
     # stage 3: halve coordinates (pure relabeling) and develop once more
+    # against λ² = conj(∂μ¹)·λ¹
     unit2 = unit // 2
+    i, j = _segments(k, unit2)
+    lam2 = _cmul(_cmul(np.conj(_cmul(_chain_at(mu1, i, k), _chain_at(mu1, j, k))),
+                       _chain_at(mu1, i + j, k)), _lam1_at(grid, mu0, unit, i, j))
     mu2 = _develop(lam2, k, unit2)
     v2 = ~np.isnan(mu2)
 

@@ -163,6 +163,22 @@ def test_strip_check_flags_wrong_temperature():
     assert rep.max_residual > 1e-4
 
 
+def test_strip_check_lower_boundary_is_independent_of_entrywise_route(monkeypatch):
+    flow = _flow((3,), scale=1.0)
+    beta = 1.4
+    omega = gibbs(flow, beta).functional
+    a = random_element(flow.algebra, RNG)
+    b = random_element(flow.algebra, RNG)
+    entrywise = InnerFlow._entrywise
+
+    def skewed(self, x, factor):               # the entrywise route runs 10% fast
+        return entrywise(self, x, lambda d: factor(1.1 * d))
+
+    monkeypatch.setattr(InnerFlow, "_entrywise", skewed)
+    rep = flow.strip_check(omega, a, b, beta)
+    assert rep.max_residual_lower > 1e-3
+
+
 def test_spectral_spread():
     alg = BlockAlgebra((3,))
     h = alg.element([np.diag([0.0, 1.0, 4.0]).astype(complex)])
