@@ -289,7 +289,7 @@ def commutant_basis(operators: Iterable, dim: int | None = None, tol: float = 1e
     eye = np.eye(n)
     rows = [np.kron(s, eye) - np.kron(eye, s.T) for s in mats]  # [x,s]=0 ⇔ (s⊗I − I⊗sᵀ)vec(x)=0
     system = np.vstack(rows)
-    _, sing, vh = np.linalg.svd(system)
+    _, sing, vh = np.linalg.svd(system, full_matrices=False)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
     null_mask = np.zeros(vh.shape[0], dtype=bool)
     null_mask[: sing.size] = sing <= tol * scale

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class DimensionGroupSpec:
             raise ValueError("matrix must preserve the positive cone (no negative entries)")
         if any(u <= 0 for u in unit):
             raise ValueError("order unit must be strictly positive")
-        if _det_exact([list(row) for row in mat]) == 0:
+        if _rank_exact(mat, r) < r:
             raise ValueError("matrix is singular")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "order_unit", unit)
@@ -87,27 +88,8 @@ class DimensionGroupSpec:
 
 # -- exact linear algebra over ℚ -------------------------------------------------
 
-def _det_exact(mat: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
-
-
-def _rank_exact(rows: list[tuple[Fraction, ...]], dim: int) -> int:
+def _rank_exact(rows, dim: int) -> int:
+    """Rank of the rows over ℚ, by Gaussian elimination in Fractions."""
     mat = [list(r) for r in rows]
     rank, col = 0, 0
     while rank < len(mat) and col < dim:
@@ -126,76 +108,72 @@ def _rank_exact(rows: list[tuple[Fraction, ...]], dim: int) -> int:
     return rank
 
 
-def _normalize_ray_exact(v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for i in ints:
-        g = math.gcd(g, abs(i))
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
-    return tuple(Fraction(i, g) for i in ints)
+# -- double description: one sweep, an exact and a float lane ---------------------
+
+def _normalize_exact(v: np.ndarray) -> np.ndarray:
+    """The ray scaled to coprime integers."""
+    lcm = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (lcm // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return v if g == 0 else np.array([Fraction(i // g) for i in ints], dtype=object)
 
 
-# -- double description, exact and float lanes -----------------------------------
+class _Lane(NamedTuple):
+    """What the exact and float sweeps do differently; the rest is shared."""
 
-def _dd_cone_exact(rows: list[tuple[Fraction, ...]], dim: int) -> list[tuple[Fraction, ...]]:
-    rays = [tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)]
-    seen_rows: list[tuple[Fraction, ...]] = []
+    zero: float             # a coordinate x counts as zero when |x| ≤ zero
+    vector: Callable        # numbers → a row or ray
+    tol: Callable           # row → a ray g lies on the row's hyperplane when |row·g| ≤ tol
+    is_zero: Callable       # ray → whether it vanishes
+    normalize: Callable     # ray → the same ray at its canonical scale
+    key: Callable           # normalized ray → its dedupe key
+    rank: Callable          # (rows, dim) → rank of the rows
+
+
+# exact: object arrays of Fractions, coprime-integer rays, every test exact
+_EXACT = _Lane(zero=0, vector=lambda xs: np.array([Fraction(x) for x in xs], dtype=object),
+               tol=lambda row: 0, is_zero=lambda ray: not any(ray),
+               normalize=_normalize_exact, key=tuple, rank=_rank_exact)
+# float: unit-norm rays, tolerances relative to the row, rays that agree to
+# 8 decimals at max-norm 1 are one
+_FLOAT = _Lane(zero=FLOAT_ZERO_TOL, vector=lambda xs: np.array(xs, dtype=float),
+               tol=lambda row: FLOAT_ZERO_TOL * max(1.0, float(np.max(np.abs(row)))),
+               is_zero=lambda ray: np.linalg.norm(ray) < FLOAT_ZERO_TOL,
+               normalize=lambda v: v / np.linalg.norm(v),
+               key=lambda ray: tuple(np.round(ray / np.max(np.abs(ray)), 8)),
+               rank=lambda rows, dim: np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+
+
+def _dd_cone(rows: list[np.ndarray], dim: int, lane: _Lane) -> list[np.ndarray]:
+    """Extreme rays of {x ≥ 0 : row·x = 0 for every row}, one row at a time.
+
+    Rays on the new hyperplane stay; each pair of rays on opposite sides
+    (values vp > 0 at g₊, vm < 0 at g₋) gives the candidate vp·g₋ − vm·g₊
+    on it. A ray survives when its tight constraints, the rows so far plus
+    the coordinates it zeroes, have rank dim − 1.
+    """
+    eye = [lane.vector(e) for e in np.eye(dim)]
+    rays = list(eye)
+    seen: list[np.ndarray] = []
     for row in rows:
-        vals = [sum(r * g for r, g in zip(row, ray)) for ray in rays]
-        zero = [ray for ray, v in zip(rays, vals) if v == 0]
-        plus = [(ray, v) for ray, v in zip(rays, vals) if v > 0]
-        minus = [(ray, v) for ray, v in zip(rays, vals) if v < 0]
-        fresh = [_normalize_ray_exact(tuple(vp * a - vm * b for a, b in zip(gm, gp)))
-                 for gp, vp in plus for gm, vm in minus]
-        seen_rows.append(row)
-        kept: dict[tuple, tuple] = {}
-        for ray in zero + fresh:
-            if all(x == 0 for x in ray) or ray in kept:
-                continue
-            tight = list(seen_rows)
-            for i, x in enumerate(ray):
-                if x == 0:
-                    tight.append(tuple(Fraction(1 if j == i else 0) for j in range(dim)))
-            if _rank_exact(tight, dim) == dim - 1:
-                kept[ray] = ray
-        rays = list(kept.values())
-        if not rays:
-            return []
-    return rays
-
-
-def _dd_cone_float(rows: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    rays = [e for e in np.eye(dim)]
-    seen_rows: list[np.ndarray] = []
-    for row in rows:
-        scale = max(1.0, float(np.max(np.abs(row))))
-        vals = [float(row @ g) for g in rays]
-        zero = [g for g, v in zip(rays, vals) if abs(v) <= FLOAT_ZERO_TOL * scale]
-        plus = [(g, v) for g, v in zip(rays, vals) if v > FLOAT_ZERO_TOL * scale]
-        minus = [(g, v) for g, v in zip(rays, vals) if v < -FLOAT_ZERO_TOL * scale]
-        fresh = []
-        for gp, vp in plus:
-            for gm, vm in minus:
-                cand = vp * gm - vm * gp
-                fresh.append(cand / np.linalg.norm(cand))
-        seen_rows.append(row)
+        tol = lane.tol(row)
+        vals = [row @ g for g in rays]
+        zero = [g for g, v in zip(rays, vals) if abs(v) <= tol]
+        plus = [(g, v) for g, v in zip(rays, vals) if v > tol]
+        minus = [(g, v) for g, v in zip(rays, vals) if v < -tol]
+        fresh = [lane.normalize(vp * gm - vm * gp) for gp, vp in plus for gm, vm in minus]
+        seen.append(row)
         kept: dict[tuple, np.ndarray] = {}
         for ray in zero + fresh:
-            if np.linalg.norm(ray) < FLOAT_ZERO_TOL:
+            if lane.is_zero(ray):
                 continue
-            ray = ray / np.linalg.norm(ray)
-            key = tuple(np.round(ray / np.max(np.abs(ray)), 8))
+            # a no-op on exact rays; float rays and their keys take their bits from it
+            ray = lane.normalize(ray)
+            key = lane.key(ray)
             if key in kept:
                 continue
-            tight = list(seen_rows)
-            for i in range(dim):
-                if abs(ray[i]) <= FLOAT_ZERO_TOL:
-                    tight.append(np.eye(dim)[i])
-            if np.linalg.matrix_rank(np.array(tight), tol=1e-9) == dim - 1:
+            tight = seen + [eye[i] for i in range(dim) if abs(ray[i]) <= lane.zero]
+            if lane.rank(tight, dim) == dim - 1:
                 kept[key] = ray
         rays = list(kept.values())
         if not rays:
@@ -234,60 +212,37 @@ def _rational_eigenvalue(spec: DimensionGroupSpec, s_float: float) -> Fraction |
             continue
         mt = [[spec.matrix[j][i] - (cand if i == j else 0) for j in range(spec.rank)]
               for i in range(spec.rank)]
-        if _det_exact(mt) == 0:
+        if _rank_exact(mt, spec.rank) < spec.rank:
             return cand
     return None
 
 
-def _fiber_rows_exact(spec: DimensionGroupSpec, s: Fraction):
+def _fiber_rows(spec: DimensionGroupSpec, s, lane: _Lane) -> list[np.ndarray]:
+    """The fiber as the cone {(c, t) ≥ 0} cut by (cᵀρ)_j = s·c_j and ⟨c, u⟩ = t."""
     r = spec.rank
-    rows = []
-    for j in range(r):
-        rows.append(tuple(spec.matrix[i][j] - (s if i == j else 0) for i in range(r))
-                    + (Fraction(0),))
-    rows.append(tuple(spec.order_unit) + (Fraction(-1),))
-    return rows
+    rows = [[spec.matrix[i][j] - (s if i == j else 0) for i in range(r)] + [0] for j in range(r)]
+    rows.append(list(spec.order_unit) + [-1])
+    return [lane.vector(row) for row in rows]
 
 
 def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
     """The polytope of normalized positive left eigenvectors at e^{-β}."""
     s_float = math.exp(-float(beta))
     s_exact = _rational_eigenvalue(spec, s_float)
-    r = spec.rank
-    if s_exact is not None:
-        rays = _dd_cone_exact(_fiber_rows_exact(spec, s_exact), r + 1)
-        verts_exact = []
-        for ray in rays:
-            t = ray[-1]
-            if t <= 0:
-                continue        # bounded polytope: only t>0 rays can appear
-            verts_exact.append(tuple(x / t for x in ray[:-1]))
-        verts_exact.sort()
+    lane, s = (_FLOAT, s_float) if s_exact is None else (_EXACT, s_exact)
+    rays = _dd_cone(_fiber_rows(spec, s, lane), spec.rank + 1, lane)
+    # bounded polytope: only rays with t > 0 can appear
+    verts = [ray[:-1] / ray[-1] for ray in rays if ray[-1] > lane.zero]
+    if s_exact is None:
+        verts.sort(key=lambda v: tuple(np.round(v, 9)))
+        fiber = SimplexFiber(beta=float(beta), vertices=verts,
+                             dimension=_affine_dim(verts), exact=False)
+    else:
+        verts_exact = sorted(tuple(v) for v in verts)
         verts = [np.array([float(x) for x in v]) for v in verts_exact]
         fiber = SimplexFiber(beta=float(beta), vertices=verts,
                              dimension=_affine_dim(verts), exact=True,
                              vertices_exact=verts_exact)
-    else:
-        m = spec.matrix_float()
-        u = spec.unit_float()
-        rows = []
-        for j in range(r):
-            row = np.zeros(r + 1)
-            row[:r] = m[:, j]
-            row[j] -= s_float
-            rows.append(row)
-        urow = np.zeros(r + 1)
-        urow[:r] = u
-        urow[r] = -1.0
-        rows.append(urow)
-        rays = _dd_cone_float(rows, r + 1)
-        verts = []
-        for ray in rays:
-            if ray[-1] > FLOAT_ZERO_TOL:
-                verts.append(ray[:-1] / ray[-1])
-        verts.sort(key=lambda v: tuple(np.round(v, 9)))
-        fiber = SimplexFiber(beta=float(beta), vertices=verts,
-                             dimension=_affine_dim(verts), exact=False)
     _check_fiber(spec, fiber, s_float)
     return fiber
 
@@ -313,8 +268,8 @@ def _check_fiber(spec: DimensionGroupSpec, fiber: SimplexFiber, s: float):
             raise AssertionError("fiber vertex is not normalized against the unit")
 
 
-def beta_spectrum(spec: DimensionGroupSpec) -> list[float]:
-    """All β = -log s over positive eigenvalues s of ρᵀ with nonempty fiber."""
+def _spectrum_fibers(spec: DimensionGroupSpec) -> list[SimplexFiber]:
+    """The nonempty fibers over positive eigenvalues s of ρᵀ, by increasing β."""
     eigs = np.linalg.eigvals(spec.matrix_float().T)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     cands = []
@@ -324,13 +279,13 @@ def beta_spectrum(spec: DimensionGroupSpec) -> list[float]:
         if any(abs(s.real - c) <= 1e-9 * scale for c in cands):
             continue
         cands.append(float(s.real))
-    betas = []
-    for s in cands:
-        b = -math.log(s) + 0.0          # avoid -0.0 for s = 1
-        fiber = fiber_simplex(spec, b)
-        if not fiber.is_empty:
-            betas.append(b)
-    return sorted(betas)
+    fibers = [fiber_simplex(spec, -math.log(s) + 0.0) for s in cands]   # + 0.0: no -0.0 at s = 1
+    return sorted((f for f in fibers if not f.is_empty), key=lambda f: f.beta)
+
+
+def beta_spectrum(spec: DimensionGroupSpec) -> list[float]:
+    """All β = -log s over positive eigenvalues s of ρᵀ with nonempty fiber."""
+    return [f.beta for f in _spectrum_fibers(spec)]
 
 
 def diagonal_fiber(spec: DimensionGroupSpec, s: Fraction) -> list[tuple[Fraction, ...]]:

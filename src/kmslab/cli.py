@@ -32,8 +32,8 @@ from .modular import (DEFAULT_T_SAMPLES, gns, modular_data, center_dimension,
 from .periodic import PeriodicFlow, cuntz_trace, gauge_kms_beta
 from .products import ItpfiSpec, MatroidSpec, SpectrumFamily, factor_type_itpfi, \
     gamma_invariant, matroid_bounded, trace_class_window
-from .bundle import (DimensionGroupSpec, PointBundleSpec, beta_spectrum,
-                     bundle_from_points, fiber_simplex, scaling_measure, verify_scaling)
+from .bundle import (DimensionGroupSpec, PointBundleSpec, _spectrum_fibers, bundle_from_points,
+                     scaling_measure, verify_scaling)
 from .cocycle import Cochain, CocycleGrid, check_cocycle, trivialize
 
 SCHEMA_VERSION = "1"
@@ -412,8 +412,8 @@ def _cmd_bundle(args) -> int:
     if "rank" in doc and doc["rank"] != len(rho):
         raise CliInputError(f"{args.dg}: declared rank {doc['rank']} != matrix size {len(rho)}")
     spec = DimensionGroupSpec(matrix=rho, order_unit=unit)
-    betas = beta_spectrum(spec)
-    fibers = [fiber_simplex(spec, b) for b in betas]
+    fibers = _spectrum_fibers(spec)
+    betas = [f.beta for f in fibers]
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["beta", "fiber_dimension", "vertex_count", "vertices"])

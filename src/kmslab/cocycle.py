@@ -335,6 +335,9 @@ def trivialize(grid: CocycleGrid, defect_factor: float = DEFECT_FACTOR) -> Trivi
     # stage 2: phase average of λ¹ over one period
     a = np.arange(unit + 1)
     table = _lam1_at(grid, mu0, unit, a[:, None], a[None, :])
+    # Cannot fire: the rescale took a unit with [0, unit]² in the window and
+    # 2·unit ≤ K, so stage 1 filled μ⁰ on [0, 2·unit] and every λ¹ on the
+    # square is defined. Kept as a guard against a future change to either.
     if np.isnan(table).any():
         raise ValueError("rescaled unit square leaves the window; grid too small")
     if np.min(np.abs(table + 1.0)) < BRANCH_MARGIN:

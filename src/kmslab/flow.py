@@ -62,7 +62,7 @@ class InnerFlow:
             w, u = np.linalg.eigh(h)
             self.eigenvalues.append(w)
             self.eigenvectors.append(u)
-            resid = np.max(np.abs(u @ np.diag(w) @ u.conj().T - h)) if h.size else 0.0
+            resid = np.max(np.abs((u * w) @ u.conj().T - h)) if h.size else 0.0
             if resid > 1e-10 * scale:
                 raise ValueError(f"eigendecomposition residual {resid:.3e} too large")
 

@@ -26,20 +26,28 @@ from .flow import IM_CAP, InnerFlow
 EXP_CAP = 700.0
 
 
-def _boltzmann(flow: InnerFlow, beta: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Shifted Boltzmann blocks e^{-β(h_i - c)} and their traces."""
-    lams = np.concatenate([w for w in flow.eigenvalues])
-    if abs(beta) * (lams.max() - lams.min()) > EXP_CAP:
-        raise ValueError(
-            f"|β|·spread = {abs(beta) * (lams.max() - lams.min()):.3g} exceeds {EXP_CAP:g}; "
-            "Boltzmann weights are not representable")
+def _shifted_boltzmann(eigenvalues, eigenvectors,
+                       beta: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Blocks e^{-β(h_i - c)} from their eigensystems, and their traces; c is
+    the lowest eigenvalue of all blocks for β ≥ 0 and the highest otherwise."""
+    lams = np.concatenate(eigenvalues)
     shift = lams.min() if beta >= 0 else lams.max()
     mats, traces = [], []
-    for w, u in zip(flow.eigenvalues, flow.eigenvectors):
+    for w, u in zip(eigenvalues, eigenvectors):
         e = np.exp(-beta * (w - shift))
         mats.append((u * e) @ u.conj().T)
         traces.append(float(e.sum()))
     return mats, np.asarray(traces)
+
+
+def _boltzmann(flow: InnerFlow, beta: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Shifted Boltzmann blocks of the flow's generator and their traces."""
+    lams = np.concatenate(flow.eigenvalues)
+    if abs(beta) * (lams.max() - lams.min()) > EXP_CAP:
+        raise ValueError(
+            f"|β|·spread = {abs(beta) * (lams.max() - lams.min()):.3g} exceeds {EXP_CAP:g}; "
+            "Boltzmann weights are not representable")
+    return _shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, beta)
 
 
 @dataclass

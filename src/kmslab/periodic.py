@@ -67,9 +67,11 @@ def gap_unit(gaps: list[float], tol: float = RELATION_TOL) -> float | None:
     return unit
 
 
-def _within_block_gaps(flow: InnerFlow, tol: float = RELATION_TOL) -> list[float]:
+def distinct_gaps(spectra, tol: float = RELATION_TOL) -> list[float]:
+    """Sorted gaps between eigenvalues of each sorted spectrum, those within
+    tol of zero dropped and the rest deduplicated within tol."""
     gaps = []
-    for w in flow.eigenvalues:
+    for w in spectra:
         scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
         for i in range(w.size):
             for j in range(i + 1, w.size):
@@ -88,7 +90,7 @@ def _within_block_gaps(flow: InnerFlow, tol: float = RELATION_TOL) -> list[float
 def minimal_period(flow: InnerFlow, tol: float = RELATION_TOL) -> float | None:
     """Smallest p > 0 with σ_{t+p} = σ_t; 0.0 for the trivial flow; None
     when the gaps are incommensurable (aperiodic flow)."""
-    gaps = _within_block_gaps(flow, tol)
+    gaps = distinct_gaps(flow.eigenvalues, tol)
     if not gaps:
         return 0.0
     unit = gap_unit(gaps, tol)

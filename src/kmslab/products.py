@@ -17,8 +17,8 @@ import numpy as np
 
 from .algebra import AlgElement, BlockAlgebra
 from .flow import InnerFlow
-from .kms import KmsState, gibbs
-from .periodic import DENOMINATOR_CAP, RELATION_TOL, gap_unit, relation_fit
+from .kms import KmsState, _shifted_boltzmann, gibbs
+from .periodic import DENOMINATOR_CAP, RELATION_TOL, distinct_gaps, gap_unit, relation_fit
 
 MAX_PRODUCT_DIM = 4096
 
@@ -44,9 +44,8 @@ class ItpfiSpec:
 
     def site_gibbs(self, beta: float) -> np.ndarray:
         w, u = np.linalg.eigh(self.site_generator)
-        e = np.exp(-beta * (w - w.min() if beta >= 0 else w - w.max()))
-        rho = (u * e) @ u.conj().T
-        return rho / e.sum()
+        (rho,), (z,) = _shifted_boltzmann([w], [u], beta)
+        return rho / z
 
 
 def product_kms_state(spec: ItpfiSpec, beta: float, sites: int) -> KmsState:
@@ -97,18 +96,7 @@ def difference_group(h, tol: float = RELATION_TOL) -> DifferenceGroupReport:
         w = np.sort(np.real(arr))
     else:
         raise ValueError("expected a matrix or a vector of eigenvalues")
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    gaps = []
-    for i in range(w.size):
-        for j in range(i + 1, w.size):
-            d = float(np.real(w[j] - w[i]))
-            if d > tol * scale:
-                gaps.append(d)
-    gaps.sort()
-    dedup: list[float] = []
-    for d in gaps:
-        if not dedup or d - dedup[-1] > tol * max(1.0, d):
-            dedup.append(d)
+    dedup = distinct_gaps([w], tol)
     if not dedup:
         return DifferenceGroupReport(kind="trivial")
     g0 = dedup[0]
@@ -201,8 +189,7 @@ class MatroidVerdict:
 def _site_ratio_term(h: np.ndarray, p: np.ndarray, beta: float) -> float:
     """a_j = Tr(e^{-βh})/Tr(e^{-βh}p) − 1 for one explicit site."""
     w, u = np.linalg.eigh(np.asarray(h, dtype=complex))
-    e = np.exp(-beta * (w - (w.min() if beta >= 0 else w.max())))
-    boltz = (u * e) @ u.conj().T
+    (boltz,), _ = _shifted_boltzmann([w], [u], beta)
     num = float(np.real(np.trace(boltz)))
     den = float(np.real(np.trace(boltz @ np.asarray(p, dtype=complex))))
     if den <= 0:

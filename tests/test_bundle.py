@@ -20,7 +20,7 @@ from kmslab import (
     scaling_measure,
     verify_scaling,
 )
-from kmslab.bundle import Atom, Interval
+from kmslab.bundle import FLOAT_ZERO_TOL, _EXACT, _FLOAT, Atom, Interval, _dd_cone
 
 F = Fraction
 
@@ -116,6 +116,198 @@ def test_empty_fiber_off_spectrum():
     f = fiber_simplex(spec, 0.5)   # e^{-1/2} is not an eigenvalue
     assert f.is_empty
     assert f.vertex_count == 0
+
+
+def test_float_lane_fiber_matches_support_rule():
+    """Denominators above 10⁶ keep e^{-β} off the exact lane; the float sweep
+    must still find every vertex e_i/u_i of the support rule."""
+    a, b, c = (F(int(f * q), q) for f, q in ((0.61803, 10 ** 7 + 19), (0.41421, 10 ** 7 + 79),
+                                             (1.31416, 10 ** 7 + 121)))
+    spec = _diag_spec([a, b, a, c, b, a], unit=[2, 1, 3, 1, 4, F(5, 2)])
+    assert [round(x, 12) for x in beta_spectrum(spec)] == \
+           sorted(round(-math.log(float(s)), 12) for s in (a, b, c))
+    for s, mult in ((a, 3), (b, 2), (c, 1)):
+        f = fiber_simplex(spec, -math.log(float(s)))
+        assert f.exact is False and f.vertices_exact is None
+        oracle = diagonal_fiber(spec, s)
+        assert f.vertex_count == len(oracle) == mult
+        assert f.dimension == mult - 1
+        for v, w in zip(f.vertices, oracle):
+            assert np.max(np.abs(v - np.array([float(x) for x in w]))) <= 1e-9
+
+
+# -- the one sweep against the two it replaced, kept verbatim as oracles ---------------
+
+def _reference_rank_exact(rows: list[tuple[F, ...]], dim: int) -> int:
+    mat = [list(r) for r in rows]
+    rank, col = 0, 0
+    while rank < len(mat) and col < dim:
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pv = mat[rank][col]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] / pv
+            if f:
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _reference_normalize_ray_exact(v: tuple[F, ...]) -> tuple[F, ...]:
+    lcm = 1
+    for x in v:
+        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    ints = [int(x * lcm) for x in v]
+    g = 0
+    for i in ints:
+        g = math.gcd(g, abs(i))
+    if g == 0:
+        return tuple(F(0) for _ in v)
+    return tuple(F(i, g) for i in ints)
+
+
+def _reference_dd_cone_exact(rows: list[tuple[F, ...]], dim: int) -> list[tuple[F, ...]]:
+    rays = [tuple(F(1 if i == j else 0) for j in range(dim)) for i in range(dim)]
+    seen_rows: list[tuple[F, ...]] = []
+    for row in rows:
+        vals = [sum(r * g for r, g in zip(row, ray)) for ray in rays]
+        zero = [ray for ray, v in zip(rays, vals) if v == 0]
+        plus = [(ray, v) for ray, v in zip(rays, vals) if v > 0]
+        minus = [(ray, v) for ray, v in zip(rays, vals) if v < 0]
+        fresh = [_reference_normalize_ray_exact(tuple(vp * a - vm * b for a, b in zip(gm, gp)))
+                 for gp, vp in plus for gm, vm in minus]
+        seen_rows.append(row)
+        kept: dict[tuple, tuple] = {}
+        for ray in zero + fresh:
+            if all(x == 0 for x in ray) or ray in kept:
+                continue
+            tight = list(seen_rows)
+            for i, x in enumerate(ray):
+                if x == 0:
+                    tight.append(tuple(F(1 if j == i else 0) for j in range(dim)))
+            if _reference_rank_exact(tight, dim) == dim - 1:
+                kept[ray] = ray
+        rays = list(kept.values())
+        if not rays:
+            return []
+    return rays
+
+
+def _reference_dd_cone_float(rows: list[np.ndarray], dim: int) -> list[np.ndarray]:
+    rays = [e for e in np.eye(dim)]
+    seen_rows: list[np.ndarray] = []
+    for row in rows:
+        scale = max(1.0, float(np.max(np.abs(row))))
+        vals = [float(row @ g) for g in rays]
+        zero = [g for g, v in zip(rays, vals) if abs(v) <= FLOAT_ZERO_TOL * scale]
+        plus = [(g, v) for g, v in zip(rays, vals) if v > FLOAT_ZERO_TOL * scale]
+        minus = [(g, v) for g, v in zip(rays, vals) if v < -FLOAT_ZERO_TOL * scale]
+        fresh = []
+        for gp, vp in plus:
+            for gm, vm in minus:
+                cand = vp * gm - vm * gp
+                fresh.append(cand / np.linalg.norm(cand))
+        seen_rows.append(row)
+        kept: dict[tuple, np.ndarray] = {}
+        for ray in zero + fresh:
+            if np.linalg.norm(ray) < FLOAT_ZERO_TOL:
+                continue
+            ray = ray / np.linalg.norm(ray)
+            key = tuple(np.round(ray / np.max(np.abs(ray)), 8))
+            if key in kept:
+                continue
+            tight = list(seen_rows)
+            for i in range(dim):
+                if abs(ray[i]) <= FLOAT_ZERO_TOL:
+                    tight.append(np.eye(dim)[i])
+            if np.linalg.matrix_rank(np.array(tight), tol=1e-9) == dim - 1:
+                kept[key] = ray
+        rays = list(kept.values())
+        if not rays:
+            return []
+    return rays
+
+
+def _assert_same_rays(rows, dim):
+    """Both lanes of the sweep give the reference sweeps' rays, in order, bit for bit."""
+    got = _dd_cone([_EXACT.vector(r) for r in rows], dim, _EXACT)
+    ref = _reference_dd_cone_exact([tuple(F(x) for x in r) for r in rows], dim)
+    assert [tuple(g) for g in got] == ref
+    frows = [np.array([float(x) for x in r]) for r in rows]
+    got = _dd_cone(frows, dim, _FLOAT)
+    ref = _reference_dd_cone_float(frows, dim)
+    assert len(got) == len(ref)
+    assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+    return len(ref)
+
+
+def _cone_rows(matrix, unit, s):
+    r = len(unit)
+    rows = [[matrix[i][j] - (s if i == j else 0) for i in range(r)] + [0] for j in range(r)]
+    return rows + [list(unit) + [-1]]
+
+
+def test_sweep_matches_reference_sweeps_on_fiber_rows():
+    rng = np.random.default_rng(2718)
+    pool = [F(1), F(1, 2), F(1, 3), F(2, 3), F(5, 4), F(3, 7)]
+    nonempty = 0
+    for trial in range(16):
+        r = int(rng.integers(2, 9))
+        diag = [pool[int(i)] for i in rng.integers(0, len(pool), size=r)]
+        m = [[diag[i] if i == j else F(0) for j in range(r)] for i in range(r)]
+        if trial % 2:                    # upper triangular: the diagonal stays the spectrum
+            for i in range(r):
+                for j in range(i + 1, r):
+                    if rng.random() < 0.3:
+                        m[i][j] = F(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        unit = [F(int(u), int(rng.integers(1, 3))) for u in rng.integers(1, 5, r)]
+        for s in sorted(set(diag))[:2] + [F(4, 5)]:      # F(4, 5) is never an eigenvalue
+            nonempty += _assert_same_rays(_cone_rows(m, unit, s), r + 1) > 0
+    assert nonempty >= 16
+
+
+def test_sweep_matches_reference_sweeps_on_degenerate_rows():
+    rng = np.random.default_rng(3141)
+    for _ in range(24):
+        dim = int(rng.integers(2, 10))
+        rows = [list(rng.integers(-2, 3, size=dim)) for _ in range(int(rng.integers(1, 4)))]
+        rows.insert(int(rng.integers(0, len(rows) + 1)), [0] * dim)        # zero row
+        rows.append(list(rows[int(rng.integers(0, len(rows)))]))           # repeated row
+        rows.append([2 * x for x in rows[int(rng.integers(0, len(rows)))]])  # multiple of one
+        _assert_same_rays(rows, dim)
+
+
+def test_fiber_simplex_vertices_match_reference_sweeps():
+    """fiber_simplex end to end: vertices equal those of the old sweeps and
+    post-processing, in both lanes."""
+    q = 10 ** 7 + 19
+    specs = [_rational_q6(),
+             _diag_spec([F(1, 2), F(1, 3), F(1, 2), F(2, 3), F(1, 3), F(1, 2), F(1, 5), F(1, 3)],
+                        unit=[1, 3, 2, 4, 1, 2, 3, 1]),
+             _diag_spec([F(6180, q), F(1, 3), F(6180, q), F(2, 7)], unit=[3, 1, 2, 2])]
+    for spec in specs:
+        r = spec.rank
+        for b in beta_spectrum(spec):
+            f = fiber_simplex(spec, b)
+            s = math.exp(-b)
+            if f.exact:
+                s_exact = F(s).limit_denominator(10 ** 6)
+                rays = _reference_dd_cone_exact(
+                    [tuple(row) for row in _cone_rows(spec.matrix, spec.order_unit, s_exact)],
+                    r + 1)
+                ref = sorted(tuple(x / ray[-1] for x in ray[:-1]) for ray in rays if ray[-1] > 0)
+                assert f.vertices_exact == ref
+            else:
+                rows = [np.array([float(x) for x in row])
+                        for row in _cone_rows(spec.matrix, spec.order_unit, s)]
+                rays = _reference_dd_cone_float(rows, r + 1)
+                ref = [ray[:-1] / ray[-1] for ray in rays if ray[-1] > FLOAT_ZERO_TOL]
+                ref.sort(key=lambda v: tuple(np.round(v, 9)))
+                assert [v.tobytes() for v in f.vertices] == [v.tobytes() for v in ref]
 
 
 def test_point_bundle_level_sets():
