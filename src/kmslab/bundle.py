@@ -89,22 +89,35 @@ class DimensionGroupSpec:
 # -- exact linear algebra over ℚ -------------------------------------------------
 
 def _rank_exact(rows, dim: int) -> int:
-    """Rank of the rows over ℚ, by Gaussian elimination in Fractions."""
-    mat = [list(r) for r in rows]
-    rank, col = 0, 0
-    while rank < len(mat) and col < dim:
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+    """Rank of the rows over ℚ: each row scaled to integers, then eliminated
+    fraction-free, every row kept primitive (its entries' gcd divided out)."""
+    mat = []
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (lcm // x.denominator) for x in row]
+        if any(ints):
+            mat.append(ints)
+    rank = 0
+    for col in range(dim):
+        piv = next((r for r in mat if r[col]), None)
         if piv is None:
-            col += 1
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][col] / pv
-            if f:
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
-        col += 1
+        p = piv[col]
+        rest = []
+        for r in mat:
+            if r is piv:
+                continue
+            c = r[col]
+            if c:
+                r = [p * a - c * b for a, b in zip(r, piv)]
+                g = math.gcd(*r)
+                if not g:
+                    continue
+                if g > 1:
+                    r = [a // g for a in r]
+            rest.append(r)
+        mat = rest
     return rank
 
 
@@ -118,6 +131,13 @@ def _normalize_exact(v: np.ndarray) -> np.ndarray:
     return v if g == 0 else np.array([Fraction(i // g) for i in ints], dtype=object)
 
 
+def _tight_rank_exact(rows, zeros: list[int], dim: int) -> int:
+    """Rank of the rows with the unit rows e_i, i in zeros: each e_i adds one
+    and clears column i, so only the other columns of the rows are eliminated."""
+    keep = [j for j in range(dim) if j not in zeros]
+    return len(zeros) + _rank_exact([row[keep] for row in rows], len(keep))
+
+
 class _Lane(NamedTuple):
     """What the exact and float sweeps do differently; the rest is shared."""
 
@@ -127,13 +147,13 @@ class _Lane(NamedTuple):
     is_zero: Callable       # ray → whether it vanishes
     normalize: Callable     # ray → the same ray at its canonical scale
     key: Callable           # normalized ray → its dedupe key
-    rank: Callable          # (rows, dim) → rank of the rows
+    rank: Callable          # (rows, zeroed coordinates i, dim) → rank of the rows and the e_i
 
 
 # exact: object arrays of Fractions, coprime-integer rays, every test exact
 _EXACT = _Lane(zero=0, vector=lambda xs: np.array([Fraction(x) for x in xs], dtype=object),
                tol=lambda row: 0, is_zero=lambda ray: not any(ray),
-               normalize=_normalize_exact, key=tuple, rank=_rank_exact)
+               normalize=_normalize_exact, key=tuple, rank=_tight_rank_exact)
 # float: unit-norm rays, tolerances relative to the row, rays that agree to
 # 8 decimals at max-norm 1 are one
 _FLOAT = _Lane(zero=FLOAT_ZERO_TOL, vector=lambda xs: np.array(xs, dtype=float),
@@ -141,7 +161,8 @@ _FLOAT = _Lane(zero=FLOAT_ZERO_TOL, vector=lambda xs: np.array(xs, dtype=float),
                is_zero=lambda ray: np.linalg.norm(ray) < FLOAT_ZERO_TOL,
                normalize=lambda v: v / np.linalg.norm(v),
                key=lambda ray: tuple(np.round(ray / np.max(np.abs(ray)), 8)),
-               rank=lambda rows, dim: np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+               rank=lambda rows, zeros, dim: np.linalg.matrix_rank(
+                   np.vstack([*rows, np.eye(dim)[zeros]]), tol=1e-9))
 
 
 def _dd_cone(rows: list[np.ndarray], dim: int, lane: _Lane) -> list[np.ndarray]:
@@ -152,8 +173,7 @@ def _dd_cone(rows: list[np.ndarray], dim: int, lane: _Lane) -> list[np.ndarray]:
     on it. A ray survives when its tight constraints, the rows so far plus
     the coordinates it zeroes, have rank dim − 1.
     """
-    eye = [lane.vector(e) for e in np.eye(dim)]
-    rays = list(eye)
+    rays = [lane.vector(e) for e in np.eye(dim)]
     seen: list[np.ndarray] = []
     for row in rows:
         tol = lane.tol(row)
@@ -172,8 +192,8 @@ def _dd_cone(rows: list[np.ndarray], dim: int, lane: _Lane) -> list[np.ndarray]:
             key = lane.key(ray)
             if key in kept:
                 continue
-            tight = seen + [eye[i] for i in range(dim) if abs(ray[i]) <= lane.zero]
-            if lane.rank(tight, dim) == dim - 1:
+            zeros = [i for i in range(dim) if abs(ray[i]) <= lane.zero]
+            if lane.rank(seen, zeros, dim) == dim - 1:
                 kept[key] = ray
         rays = list(kept.values())
         if not rays:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -45,22 +46,36 @@ class CliInputError(ValueError):
 
 # -- schema-backed JSON I/O ---------------------------------------------------------
 
-def _schema_defs(which: str) -> dict:
+@functools.lru_cache(maxsize=None)
+def _schema(which: str) -> dict:
+    """A schema file, checked against the metaschema it declares once per process."""
+    import jsonschema
+
     text = resources.files("kmslab").joinpath(f"schemas/{which}.v1.json").read_text()
-    return json.loads(text)["$defs"]
+    schema = json.loads(text)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    return schema
+
+
+@functools.lru_cache(maxsize=None)
+def _validator(which: str, kind: str):
+    """A validator for one kind: its definition, carrying every ``$defs`` entry of the
+    file. It declares no ``$schema``, so it takes the default class, 2020-12."""
+    import jsonschema
+
+    defs = _schema(which)["$defs"]
+    schema = dict(defs[kind])
+    schema["$defs"] = defs
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _validate(doc, kind: str, which: str, path: str) -> None:
     import jsonschema
 
-    defs = _schema_defs(which)
-    schema = dict(defs[kind])
-    schema["$defs"] = defs
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise CliInputError(f"{path}: field {where}: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_validator(which, kind).iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise CliInputError(f"{path}: field {where}: {error.message}") from error
 
 
 def _load(path: str, kind: str) -> dict:
@@ -265,8 +280,6 @@ def _cmd_simplex(args) -> int:
     alg, flow, beta_file = _problem(args.problem)
     if args.beta_range:
         betas = _beta_range(args.beta_range)
-        if betas.size == 0:
-            raise CliInputError("empty β sweep")
 
         def fiber(b):
             s = kms_simplex(flow, float(b))

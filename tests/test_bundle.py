@@ -20,7 +20,8 @@ from kmslab import (
     scaling_measure,
     verify_scaling,
 )
-from kmslab.bundle import FLOAT_ZERO_TOL, _EXACT, _FLOAT, Atom, Interval, _dd_cone
+from kmslab.bundle import (FLOAT_ZERO_TOL, _EXACT, _FLOAT, Atom, Interval, _dd_cone, _rank_exact,
+                           _rational_eigenvalue, _tight_rank_exact)
 
 F = Fraction
 
@@ -308,6 +309,65 @@ def test_fiber_simplex_vertices_match_reference_sweeps():
                 ref = [ray[:-1] / ray[-1] for ray in rays if ray[-1] > FLOAT_ZERO_TOL]
                 ref.sort(key=lambda v: tuple(np.round(v, 9)))
                 assert [v.tobytes() for v in f.vertices] == [v.tobytes() for v in ref]
+
+
+def test_integer_rank_matches_reference_rank():
+    """Ranks by integer elimination equal those of the Fraction elimination they
+    replaced, also with the unit rows counted apart as the sweep does."""
+    rng = np.random.default_rng(1618)
+    big = 10 ** 6 + 3
+
+    def entry():
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            return int(rng.integers(-3, 4))
+        if kind == 1:
+            return F(int(rng.integers(-5, 6)), int(rng.integers(1, 7)))
+        if kind == 2:                    # denominators above 10⁶
+            return F(int(rng.integers(-big, big)), int(rng.integers(big, 10 * big)))
+        return 0
+
+    full = deficient = 0
+    for trial in range(150):
+        dim = int(rng.integers(1, 11))
+        rows = [[entry() for _ in range(dim)] for _ in range(int(rng.integers(1, dim + 2)))]
+        if trial % 3 == 0:
+            rows.insert(int(rng.integers(0, len(rows) + 1)), [0] * dim)         # zero row
+        if trial % 3 == 1:
+            rows.append(list(rows[int(rng.integers(0, len(rows)))]))            # repeated row
+        if trial % 4 == 2:
+            k = F(int(rng.integers(1, 9)), big)                                 # scaled row
+            rows.append([k * x for x in rows[int(rng.integers(0, len(rows)))]])
+        ref = _reference_rank_exact([tuple(F(x) for x in r) for r in rows], dim)
+        assert _rank_exact(rows, dim) == ref
+        full += ref == dim
+        deficient += ref < dim and len(rows) >= dim
+        zeros = sorted(set(rng.integers(0, dim, size=int(rng.integers(0, dim + 1))).tolist()))
+        units = [tuple(F(int(i == j)) for j in range(dim)) for i in zeros]
+        arrays = [_EXACT.vector(r) for r in rows]
+        assert _tight_rank_exact(arrays, zeros, dim) == \
+            _reference_rank_exact([tuple(F(x) for x in r) for r in rows] + units, dim)
+    assert full >= 20 and deficient >= 20
+
+
+def test_singular_matrix_refused_and_rational_eigenvalue_found():
+    big = 10 ** 6 + 3
+    row = [F(1, big), F(2), F(3, 7)]
+    with pytest.raises(ValueError, match="matrix is singular"):
+        DimensionGroupSpec(matrix=[row, [F(5, 3) * x for x in row], [1, 0, F(1, big)]],
+                           order_unit=[1, 1, 1])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        DimensionGroupSpec(matrix=[[1, 0], [0, 0]], order_unit=[1, 1])
+    # x² − (5/6)x + 1/9 = (x − 2/3)(x − 1/6): rational roots of a full positive matrix
+    spec = DimensionGroupSpec(matrix=[[F(1, 2), F(1, 9)], [F(1, 2), F(1, 3)]],
+                              order_unit=[1, 1])
+    assert _rational_eigenvalue(spec, 2 / 3) == F(2, 3)
+    assert _rational_eigenvalue(spec, 1 / 6) == F(1, 6)
+    assert _rational_eigenvalue(spec, math.sqrt(0.5)) is None
+    tri = DimensionGroupSpec(matrix=[[F(5, 999983), F(1, 2)], [0, F(1, 3)]], order_unit=[1, 2])
+    assert _rational_eigenvalue(tri, 5 / 999983) == F(5, 999983)
+    assert _rational_eigenvalue(tri, 1 / 3) == F(1, 3)
+    assert _rational_eigenvalue(tri, 1 / 3 + 1e-6) is None
 
 
 def test_point_bundle_level_sets():

@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+from kmslab import cli
 from kmslab.cli import main
 
 TWO_LEVEL = {"block_dims": [2], "generator": [[[0.0, 0.0], [0.0, 1.0]]], "beta": 1.0}
@@ -340,3 +342,178 @@ def test_thread_cap_does_not_change_results(two_level, tmp_path):
         assert r.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# -- schema validation: each file checked once, every document validated ------------
+
+def _reference_schema_defs(which: str) -> dict:
+    from importlib import resources
+
+    text = resources.files("kmslab").joinpath(f"schemas/{which}.v1.json").read_text()
+    return json.loads(text)["$defs"]
+
+
+def _reference_validate(doc, kind: str, which: str, path: str) -> None:
+    """The validation route the CLI used before it cached validators, verbatim:
+    the sub-schema re-checked against the metaschema on every call."""
+    import jsonschema
+
+    defs = _reference_schema_defs(which)
+    schema = dict(defs[kind])
+    schema["$defs"] = defs
+    try:
+        jsonschema.validate(doc, schema)
+    except jsonschema.ValidationError as e:
+        where = "/".join(str(p) for p in e.absolute_path) or "(root)"
+        raise cli.CliInputError(f"{path}: field {where}: {e.message}") from e
+
+
+PAIR_PROBLEM = {"block_dims": [2, 1],
+                "generator": [[[0.0, [1.0, 0.5]], [[1.0, -0.5], 2.0]], [[0.25]]]}
+VALID_DOCS = {
+    ("inputs", "problem"): PAIR_PROBLEM,
+    ("inputs", "element"): {"block_dims": [2], "blocks": [[[1.0, [2.0, -1.0]], [0.5, -1.0]]]},
+    ("inputs", "dimension_group"): dict(Q6_DG, rank=6),
+    ("inputs", "points"): {"points": [{"label": "a", "level": 0.0},
+                                      {"label": "b", "level": 1.0}]},
+    ("inputs", "measure"): {"lam": 2.0, "beta": -1.0, "kind": "atomic", "x": 1.0, "window": 4,
+                            "lam_exact": "2", "base_exact": 1, "sets": [[1.0, 2.0]]},
+    ("inputs", "cocycle_grid"): {"step": 0.5, "half_range": 0.5,
+                                 "values": [[0.0, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, 0.0]]},
+    ("inputs", "cochain"): {"step": 0.5, "half_range": 0.5, "values": [0.0, 0.1, 0.0]},
+    ("inputs", "itpfi"): {"site_generator": [[0.0, 0.0], [0.0, [0.7, 0.0]]], "beta": 1.0},
+    ("inputs", "matroid"): {"kind": "explicit", "declared_tail": None,
+                            "sites": [{"generator": [[0.0, 0.0], [0.0, 1.0]],
+                                       "projection": [[1.0, 0.0], [0.0, 0.0]]}]},
+    ("inputs", "window_family"): {"kind": "negated", "inner": {"kind": "power", "r": 2.0}},
+    ("outputs", "gibbs"): {"schema_version": "1", "command": "gibbs", "beta": 1.0,
+                           "block_dims": [2],
+                           "blocks": [[[[0.7, 0.0], [0.0, 0.1]], [[0.0, -0.1], [0.3, 0.0]]]]},
+    ("outputs", "verify"): {"schema_version": "1", "command": "verify", "passed": True,
+                            "max_residual": 1e-16, "residual_exchange": 1e-16,
+                            "residual_half_shift": 0.0, "beta": 1.0, "tol": 1e-8,
+                            "worst_pair": [0, 1]},
+    ("outputs", "bundle"): {"schema_version": "1", "command": "bundle", "betas": [0.0, 1.25],
+                            "dimensions": [0, 2], "vertex_counts": [1, 3],
+                            "exact": [True, False]},
+    ("outputs", "cocycle_check"): {"schema_version": "1", "command": "cocycle",
+                                   "max_identity_residual": 0.0,
+                                   "max_normalization_residual": 0.0,
+                                   "checked": 27, "skipped": 0, "passed": True},
+    ("outputs", "cuntz"): {"schema_version": "1", "command": "cuntz", "m": 2,
+                           "word_a": [1, 2], "word_b": [1, 2], "value": "1/4",
+                           "gauge_beta": None},
+}
+
+
+def _malformed(doc):
+    """Malformed variants of a document, by kind of defect: a value of the wrong
+    type at any node, a field dropped, an unknown field or one item too many, and
+    a bad [re, im] pair (too short, too long, or a string part)."""
+    out = {"type": [], "missing": [], "extra": [], "pair": []}
+
+    def walk(node, rebuild):
+        out["type"].append(rebuild(5 if isinstance(node, str) else "x"))
+        if isinstance(node, dict):
+            for k in node:
+                out["missing"].append(rebuild({kk: v for kk, v in node.items() if kk != k}))
+                walk(node[k], lambda v, k=k: rebuild({**node, k: v}))
+            out["extra"].append(rebuild({**node, "bogus": 1}))
+        elif isinstance(node, list) and node:
+            out["extra"].append(rebuild(node + [node[-1]]))
+            if len(node) == 2 and all(isinstance(x, float) for x in node):
+                out["pair"] += [rebuild(node[:1]), rebuild(node + [0.0]),
+                                rebuild(["1", node[1]])]
+            for i, item in enumerate(node):
+                walk(item, lambda v, i=i: rebuild(node[:i] + [v] + node[i + 1:]))
+
+    walk(doc, lambda v: v)
+    return out
+
+
+def _outcome(fn, doc, kind, which):
+    try:
+        fn(doc, kind, which, "doc.json")
+    except Exception as e:                      # noqa: BLE001  (compared, not handled)
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("which,kind", sorted(VALID_DOCS))
+def test_validation_diagnostics_match_the_reference_route(which, kind):
+    doc = VALID_DOCS[(which, kind)]
+    assert _outcome(cli._validate, doc, kind, which) is None
+    assert _outcome(_reference_validate, doc, kind, which) is None
+    rng = np.random.default_rng(sum(map(ord, which + kind)))
+    refused = 0
+    for defect, variants in _malformed(doc).items():
+        if not variants:
+            continue
+        for i in sorted(set(rng.integers(0, len(variants), size=2).tolist())):
+            got = _outcome(cli._validate, variants[i], kind, which)
+            assert got == _outcome(_reference_validate, variants[i], kind, which), \
+                (defect, variants[i])
+            if got is not None:
+                assert got[0] is cli.CliInputError and got[1].startswith("doc.json: field ")
+                refused += 1
+    assert refused >= 3
+
+
+@pytest.fixture
+def fresh_schema_caches():
+    cli._schema.cache_clear()
+    cli._validator.cache_clear()
+    yield
+    cli._schema.cache_clear()
+    cli._validator.cache_clear()
+
+
+def test_broken_schema_file_fails_its_metaschema_check(fresh_schema_caches, monkeypatch):
+    import jsonschema
+    from importlib import resources
+
+    real = resources.files("kmslab")
+    text = real.joinpath("schemas/inputs.v1.json").read_text()
+    schema = json.loads(text)
+    schema["$defs"]["points"]["type"] = 5
+    broken = json.dumps(schema)
+
+    class Files:
+        def joinpath(self, name):
+            return (types.SimpleNamespace(read_text=lambda: broken)
+                    if name == "schemas/inputs.v1.json" else real.joinpath(name))
+
+    monkeypatch.setattr(cli, "resources", types.SimpleNamespace(files=lambda pkg: Files()))
+    # the broken def is not the one validated: the whole file is checked
+    with pytest.raises(jsonschema.SchemaError):
+        cli._validate(TWO_LEVEL, "problem", "inputs", "p.json")
+
+
+def test_each_schema_file_is_checked_once_per_process(fresh_schema_caches, monkeypatch,
+                                                      tmp_path, capsys):
+    from jsonschema import Draft202012Validator
+
+    checked = []
+    orig = Draft202012Validator.check_schema
+
+    def counting(cls, schema, *args, **kwargs):
+        checked.append(schema.get("$id", "sub-schema"))
+        return orig(schema, *args, **kwargs)
+
+    monkeypatch.setattr(Draft202012Validator, "check_schema", classmethod(counting))
+    prob = _write(tmp_path / "p.json", TWO_LEVEL)
+    dg = _write(tmp_path / "dg.json", Q6_DG)
+    fam = _write(tmp_path / "w.json", {"kind": "power", "r": 2.0})
+    bad = _write(tmp_path / "bad.json", {"block_dims": [2], "generator": "not-a-matrix"})
+    out = str(tmp_path / "o.json")
+    calls = [["gibbs", "--problem", prob, "--out", out],
+             ["verify", "--problem", prob, "--out", out],
+             ["bundle", "--dg", dg, "--out", str(tmp_path / "b.csv"), "--json", out],
+             ["window", "--family", fam, "--out", out],
+             ["cuntz", "--m", "2", "--a", "1", "--b", "1", "--out", out]] * 2
+    for argv in calls:
+        assert main(argv) == 0
+    # documents are still validated on every read, after the schema is cached
+    assert main(["gibbs", "--problem", bad, "--beta", "1", "--out", out]) == 2
+    assert "field generator" in capsys.readouterr().err
+    assert sorted(checked) == ["kmslab/inputs.v1.json", "kmslab/outputs.v1.json"]
