@@ -240,20 +240,32 @@ def is_positive(a: AlgElement, tol: float = TOL) -> bool:
     return all(_min_eig(b) >= -tol for b in a.blocks)
 
 
-def is_trace(phi: Functional, tol: float = TOL) -> bool:
-    """Trace property tested on all matrix-unit pairs.
+def _exchange_residual(d: np.ndarray, fac=None, mask=None) -> tuple[float, tuple[int, ...]]:
+    """max |δ_lm d_nk − fac_kl δ_nk d_lm| over unit pairs a = E_kl, b = E_mn with mask[k, l]
+    and mask[m, n] (fac ≡ 1, every pair by default), and the first (k, l, m, n) in C order
+    attaining it. Only n = k (|δ_lm d_kk − fac_kl d_lm|) and l = m, n ≠ k (|d_nk|) can be
+    nonzero, so one n×n slice of each per k keeps memory at O(n²)."""
+    n = d.shape[0]
+    ok = np.ones((n, n), dtype=bool) if mask is None else mask
+    eye = np.eye(n, dtype=bool)
+    l, m = np.indices((n, n))
+    best, where = 0.0, 0
+    for k in range(n):
+        rhs = d if fac is None else fac[k][:, None] * d
+        side = np.where(ok[k][:, None] & ok[:, k], np.abs(np.where(eye, d[k, k] - rhs, rhs)), 0.0)
+        col = np.where(ok[k][:, None] & ok & ~eye[k], np.abs(d[:, k]), 0.0)   # [l, n], l = m
+        vals = np.concatenate((side, col)).ravel()
+        if (top := vals.max()) > best:
+            pos = np.concatenate(((l * n + m) * n + k, (l * n + l) * n + m)).ravel()
+            best, where = float(top), k * n ** 3 + int(pos[vals == top].min())
+    return best, tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
 
-    φ(e_ij e_kl) = δ_jk d_li and φ(e_kl e_ij) = δ_li d_jk, so the test
-    reduces to a per-block tensor comparison; cross-block products vanish
-    identically and impose nothing.
-    """
-    for d, n in zip(phi.density.blocks, phi.algebra.block_dims):
-        eye = np.eye(n)
-        lhs = np.einsum("jk,li->ijkl", eye, d)
-        rhs = np.einsum("il,jk->ijkl", eye, d)
-        if np.max(np.abs(lhs - rhs)) > tol:
-            return False
-    return True
+
+def is_trace(phi: Functional, tol: float = TOL) -> bool:
+    """Trace property on all matrix-unit pairs, in closed form and O(n²) memory:
+    φ(E_kl E_mn) = δ_lm d_nk against φ(E_mn E_kl) = δ_nk d_lm, block by block,
+    since cross-block products vanish identically and impose nothing."""
+    return all(_exchange_residual(d)[0] <= tol for d in phi.density.blocks)
 
 
 def center_projections(algebra: BlockAlgebra) -> list[Projection]:

@@ -3,9 +3,9 @@
 For σ_t = Ad e^{ith} on a block algebra, the β-equilibrium functionals
 are exactly the densities Σ_i γ_i e^{-βh_i} with γ_i ≥ 0, one coefficient
 per block. That normal form drives everything here: verification works
-against the exchange identity ω(ab) = ω(b σ_{iβ}(a)), the state space is
-the simplex over the central coefficients, and corners / domination /
-lattice operations reduce to coefficient arithmetic.
+against the exchange identity ω(ab) = ω(b σ_{iβ}(a)) in closed form, the
+state space is the simplex over the central coefficients, and corners /
+domination / lattice operations reduce to coefficient arithmetic.
 
 Internally all Boltzmann factors are taken relative to a spectral shift
 (h ↦ h − c with c the extreme eigenvalue), which never changes any state
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgElement, BlockAlgebra, Functional, Projection, is_trace, random_element
+from .algebra import (AlgElement, BlockAlgebra, Functional, Projection, _exchange_residual,
+                      is_trace, random_element)
 from .flow import IM_CAP, InnerFlow
 
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
@@ -40,13 +41,16 @@ def _shifted_boltzmann(eigenvalues, eigenvectors,
     return mats, np.asarray(traces)
 
 
+def _check_exp_cap(beta: float, spread: float) -> None:
+    if abs(beta) * spread > EXP_CAP:
+        raise ValueError(f"|β|·spread = {abs(beta) * spread:.3g} exceeds {EXP_CAP:g}; "
+                         "Boltzmann weights are not representable")
+
+
 def _boltzmann(flow: InnerFlow, beta: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Shifted Boltzmann blocks of the flow's generator and their traces."""
     lams = np.concatenate(flow.eigenvalues)
-    if abs(beta) * (lams.max() - lams.min()) > EXP_CAP:
-        raise ValueError(
-            f"|β|·spread = {abs(beta) * (lams.max() - lams.min()):.3g} exceeds {EXP_CAP:g}; "
-            "Boltzmann weights are not representable")
+    _check_exp_cap(beta, lams.max() - lams.min())
     return _shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, beta)
 
 
@@ -145,23 +149,15 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
         raise ValueError("state and flow live on different algebras")
     if abs(beta) / 2.0 > IM_CAP:
         raise ValueError(f"|β|/2 exceeds the analytic strip bound {IM_CAP:g}")
+    _check_exp_cap(beta, flow.spectral_spread)      # the factors e^{-β(λ_k-λ_l)} below
 
-    # route one, vectorized per block in the eigenbasis: for units a=E_kl,
-    # b=E_mn the two sides are δ_lm·d[n,k] and e^{-β(λ_k-λ_l)}·δ_nk·d[l,m]
-    worst = None
-    worst_val = 0.0
+    # route one, per block in the eigenbasis: for units a=E_kl, b=E_mn the two
+    # sides are δ_lm·d[n,k] and e^{-β(λ_k-λ_l)}·δ_nk·d[l,m]; later blocks win ties
+    residual_exchange = 0.0
     for b, (w, dd) in enumerate(zip(flow.eigenvalues, flow.to_eigenbasis(omega.density))):
-        n = w.size
-        eye = np.eye(n)
-        fac = np.exp(-beta * (w[:, None] - w[None, :]))          # fac[k,l]
-        lhs = np.einsum("lm,nk->klmn", eye, dd)
-        rhs = np.einsum("kl,nk,lm->klmn", fac, eye, dd)
-        resid = np.abs(lhs - rhs)
-        k, l, m, nn = np.unravel_index(int(np.argmax(resid)), resid.shape)
-        if resid[k, l, m, nn] >= worst_val:
-            worst_val = float(resid[k, l, m, nn])
-            worst = ((b, int(k), int(l)), (b, int(m), int(nn)))
-    residual_exchange = worst_val
+        val, (k, l, m, nn) = _exchange_residual(dd, np.exp(-beta * (w[:, None] - w[None, :])))
+        if val >= residual_exchange:
+            residual_exchange, worst = val, ((b, k, l), (b, m, nn))
 
     rng = np.random.default_rng(seed)
     residual_half = 0.0

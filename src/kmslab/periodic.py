@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgElement, Functional
+from .algebra import AlgElement, Functional, _exchange_residual
 from .flow import InnerFlow, QuadratureError
 
 DENOMINATOR_CAP = 10 ** 6
@@ -217,12 +217,7 @@ def trace_scaling_beta(p_flow: PeriodicFlow, tau: Functional,
 
     # trace property on the invariant subalgebra, over its matrix-unit pairs
     for deg, t in zip(p_flow.degrees, tau_eig):
-        n = t.shape[0]
-        eye = np.eye(n)
-        mask0 = (deg == 0).astype(float)
-        lhs = np.einsum("lm,nj,jl,mn->jlmn", eye, t, mask0, mask0)
-        rhs = np.einsum("nj,lm,jl,mn->jlmn", eye, t, mask0, mask0)
-        resid = float(np.max(np.abs(lhs - rhs)))
+        resid, _ = _exchange_residual(t, mask=deg == 0)
         if resid > tol * scale:
             raise ValueError(f"functional is not a trace on the fixed-point algebra "
                              f"(residual {resid:.3e})")

@@ -16,6 +16,7 @@ from kmslab import (
     random_hermitian,
     random_state,
 )
+from kmslab.algebra import _exchange_residual
 
 RNG = np.random.default_rng(20260816)
 
@@ -116,6 +117,84 @@ def test_trace_predicate():
     # a generic faithful state on a nonabelian algebra is not tracial
     phi = random_state(alg, RNG)
     assert not is_trace(phi)
+
+
+def test_trace_predicate_either_side_of_tol():
+    # an off-diagonal entry e (or a diagonal gap e) is exactly the residual
+    alg = BlockAlgebra((1, 3))
+    e = 2.0 ** -20
+    off = np.eye(3, dtype=complex) / 4.0
+    off[0, 2] = off[2, 0] = e
+    gap = np.diag([0.25, 0.25, 0.25 + e]).astype(complex)
+    for blk in (off, gap):
+        phi = Functional(alg, alg.element([np.full((1, 1), 0.25), blk]), check=False)
+        assert is_trace(phi, tol=2 * e)
+        assert is_trace(phi, tol=e)
+        assert not is_trace(phi, tol=0.5 * e)
+
+
+def _reference_trace_residuals(phi):
+    """is_trace's n⁴ einsum tensors, kept as the oracle: per-block maxima."""
+    out = []
+    for d, n in zip(phi.density.blocks, phi.algebra.block_dims):
+        eye = np.eye(n)
+        lhs = np.einsum("jk,li->ijkl", eye, d)
+        rhs = np.einsum("il,jk->ijkl", eye, d)
+        out.append(np.max(np.abs(lhs - rhs)))
+    return out
+
+
+def test_trace_predicate_matches_reference_route():
+    rng = np.random.default_rng(515)
+    for dims in [(1,), (2,), (3,), (2, 3), (4, 1, 2)]:
+        alg = BlockAlgebra(dims)
+        phis = [Functional(alg, (1.0 / alg.rep_dim) * alg.identity()),
+                Functional(alg, alg.zero()),
+                random_state(alg, rng),
+                random_state(alg, rng, faithful=True),
+                Functional(alg, random_element(alg, rng), check=False)]
+        for phi in phis:
+            want = _reference_trace_residuals(phi)
+            got = [_exchange_residual(d)[0] for d in phi.density.blocks]
+            assert got == want
+            for tol in (1e-9, 0.5 * max(want), max(want)):
+                assert is_trace(phi, tol) == all(r <= tol for r in want)
+
+
+def _exchange_oracle(d, fac, mask):
+    """The full exchange tensor with a factor and a mask, and its argmax."""
+    n = d.shape[0]
+    eye = np.eye(n)
+    m = mask.astype(float)
+    lhs = np.einsum("lm,nk,kl,mn->klmn", eye, d, m, m)
+    rhs = np.einsum("kl,nk,lm,kl,mn->klmn", fac, eye, d, m, m)
+    resid = np.abs(lhs - rhs)
+    where = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    return float(resid[where]), tuple(int(i) for i in where)
+
+
+def test_exchange_residual_matches_tensor_oracle():
+    rng = np.random.default_rng(600)
+    for trial in range(400):
+        n = int(rng.integers(1, 7))
+        kind = trial % 5
+        if kind == 0:       # non-Hermitian
+            d = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        elif kind == 1:     # few distinct values: many tied maxima
+            d = rng.choice([0.0, 0.5, -0.5, 0.5j], size=(n, n)).astype(complex)
+        elif kind == 2:     # diagonal with repeats
+            d = np.diag(rng.choice([0.1, 0.25], n)).astype(complex)
+        elif kind == 3:
+            d = np.eye(n, dtype=complex) / n
+        else:
+            d = np.zeros((n, n), dtype=complex)
+        w = np.sort(rng.choice([0.0, 1.0, 2.0], n))
+        fac = np.exp(-float(rng.choice([0.0, 1.0, -1.3])) * (w[:, None] - w[None, :]))
+        mask = rng.random((n, n)) < 0.6
+        ones = np.ones((n, n), dtype=bool)
+        assert _exchange_residual(d, fac, mask) == _exchange_oracle(d, fac, mask)
+        assert _exchange_residual(d, fac) == _exchange_oracle(d, fac, ones)
+        assert _exchange_residual(d, mask=mask) == _exchange_oracle(d, np.ones((n, n)), mask)
 
 
 def test_projection_validation_and_ranks():

@@ -74,6 +74,18 @@ def test_verify_trace_fails_with_exact_defect(two_level, tmp_path, capsys):
     assert "fail" in capsys.readouterr().out.lower()
 
 
+def test_verify_refuses_beta_beyond_exp_cap(tmp_path, capsys):
+    prob = _write(tmp_path / "p.json",
+                  {"block_dims": [2], "generator": [[[0.0, 0.0], [0.0, 10.0]]]})
+    state = _write(tmp_path / "tau.json", {"blocks": [[[0.5, 0.0], [0.0, 0.5]]]})
+    out = tmp_path / "verify.json"
+    code = main(["verify", "--problem", prob, "--state", state, "--beta", "100",
+                 "--out", str(out)])
+    assert code == 2
+    assert "exceeds 700" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simplex_single_beta(tmp_path):
     prob = _write(tmp_path / "p.json",
                   {"block_dims": [2, 3],

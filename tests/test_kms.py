@@ -1,6 +1,7 @@
 """Equilibrium states: the exchange condition, the simplex, corners, the cone."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from kmslab import (
     trace_of,
     verify_kms,
 )
+from kmslab.algebra import random_state
+from kmslab.kms import EXP_CAP
 
 RNG = np.random.default_rng(1123)
 
@@ -59,6 +62,102 @@ def test_trace_fails_exchange_with_known_defect():
     assert not v.passed
     assert abs(v.max_residual - (math.e - 1.0) / 2.0) < 1e-12
     assert v.worst_pair in (((0, 0, 1), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)))
+
+
+def _reference_route_one(flow, omega, beta):
+    """verify_kms's route one as the n⁴ einsum tensors, kept as the oracle."""
+    worst = None
+    worst_val = 0.0
+    for b, (w, dd) in enumerate(zip(flow.eigenvalues, flow.to_eigenbasis(omega.density))):
+        n = w.size
+        eye = np.eye(n)
+        fac = np.exp(-beta * (w[:, None] - w[None, :]))          # fac[k,l]
+        lhs = np.einsum("lm,nk->klmn", eye, dd)
+        rhs = np.einsum("kl,nk,lm->klmn", fac, eye, dd)
+        resid = np.abs(lhs - rhs)
+        k, l, m, nn = np.unravel_index(int(np.argmax(resid)), resid.shape)
+        if resid[k, l, m, nn] >= worst_val:
+            worst_val = float(resid[k, l, m, nn])
+            worst = ((b, int(k), int(l)), (b, int(m), int(nn)))
+    return worst_val, worst
+
+
+def _diag_flow(*blocks):
+    alg = BlockAlgebra(tuple(len(w) for w in blocks))
+    return InnerFlow(alg, alg.element([np.diag(np.asarray(w, float)).astype(complex)
+                                       for w in blocks]))
+
+
+def _route_one_cases():
+    """(flow, functional, β) covering Gibbs, tracial, random, degenerate,
+    zero, non-Hermitian and multi-block tie inputs."""
+    rng = np.random.default_rng(4242)
+    cases = []
+    for dims in [(1,), (2,), (4,), (2, 3), (3, 1, 2)]:
+        flow = _random_flow(dims, rng=rng)
+        alg = flow.algebra
+        for beta in (-1.5, 0.0, 0.7, 3.0):
+            cases.append((flow, gibbs(flow, beta).functional, beta))
+            cases.append((flow, _trace_state(alg), beta))
+            cases.append((flow, random_state(alg, rng), beta))
+        cases.append((flow, Functional(alg, alg.zero()), 1.0))
+        blocks = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in dims]
+        cases.append((flow, Functional(alg, alg.element(blocks), check=False), 1.2))
+    # degenerate spectra: many pairs tie for the maximum
+    for eigs in [(0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0, 1.0, 1.0, 0.0, 0.0)]:
+        flow = _diag_flow(eigs)
+        for beta in (0.0, 1.0, -2.0):
+            cases.append((flow, _trace_state(flow.algebra), beta))
+            cases.append((flow, random_state(flow.algebra, rng), beta))
+    # the (e−1)/2 pairing; identical blocks tie and the later one must win;
+    # a later block may win outright
+    for blocks in [((0.0, 1.0),), ((0.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
+                   ((0.0, 1.0), (0.0, 2.0)), ((0.0, 2.0), (0.0, 1.0), (5.0,))]:
+        flow = _diag_flow(*blocks)
+        for beta in (1.0, -0.5):
+            cases.append((flow, _trace_state(flow.algebra), beta))
+    return cases
+
+
+def test_route_one_matches_reference_route():
+    cases = _route_one_cases()
+    for flow, omega, beta in cases:
+        want_val, want_pair = _reference_route_one(flow, omega, beta)
+        v = verify_kms(flow, omega, beta, samples=1)
+        assert (v.residual_exchange, v.worst_pair) == (want_val, want_pair), \
+            (flow.algebra.block_dims, beta)
+        assert type(v.residual_exchange) is float
+    # the tie cases really exercise the later-block rule
+    tie = _diag_flow((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+    assert verify_kms(tie, _trace_state(tie.algebra), 1.0, samples=1).worst_pair[0][0] == 2
+    zero = Functional(tie.algebra, tie.algebra.zero())
+    assert verify_kms(tie, zero, 1.0, samples=1).worst_pair == ((2, 0, 0), (2, 0, 0))
+
+
+def test_verify_refuses_beta_beyond_exp_cap():
+    # e^{β·10} overflows at β = 100; inf·0 used to turn every residual into a
+    # NaN that the maximum dropped, so the tracial state passed
+    flow = _diag_flow((0.0, 10.0))
+    with pytest.raises(ValueError, match=f"exceeds {EXP_CAP:g}"):
+        verify_kms(flow, _trace_state(flow.algebra), 100.0)
+    with pytest.raises(ValueError, match=f"exceeds {EXP_CAP:g}"):
+        verify_kms(flow, _trace_state(flow.algebra), -70.5)
+    # the cap is on the spread within a block, which is all the exchange uses
+    wide = _diag_flow((0.0, 1.0), (50.0, 51.0))
+    assert not verify_kms(wide, _trace_state(wide.algebra), 60.0, samples=1).passed
+
+
+def test_verify_memory_stays_quadratic():
+    flow = _random_flow((64,), rng=np.random.default_rng(64))
+    psi = gibbs(flow, 0.5)
+    tracemalloc.start()
+    try:
+        v = verify_kms(flow, psi, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.passed
+    assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_trace_is_equilibrium_at_beta_zero():

@@ -20,7 +20,7 @@ from kmslab import (
     relation_fit,
     trace_scaling_beta,
 )
-from kmslab.algebra import Functional
+from kmslab.algebra import Functional, _exchange_residual, random_state
 
 RNG = np.random.default_rng(271828)
 
@@ -230,6 +230,67 @@ def test_trace_scaling_beta_degenerate_cases():
     flow = pf.flow
     psi = gibbs(flow, 1.3)
     assert abs(trace_scaling_beta(pf, psi.functional) - 1.3) < 1e-10
+
+
+def test_trace_scaling_beta_refuses_non_trace_on_fixed_points():
+    # degree zero holds the corner spanned by the two zero eigenvectors,
+    # where the weights .5 and .3 differ
+    pf = PeriodicFlow(_diag_flow(0.0, 0.0, 1.0))
+    tau = Functional(pf.algebra, pf.algebra.element([np.diag([0.5, 0.3, 0.2]).astype(complex)]))
+    with pytest.raises(ValueError, match=r"not a trace on the fixed-point algebra "
+                                         r"\(residual 2\.000e-01\)"):
+        trace_scaling_beta(pf, tau)
+
+
+def _reference_fixed_point_residuals(degrees, tau_eig):
+    """trace_scaling_beta's masked n⁴ einsum tensors, kept as the oracle."""
+    out = []
+    for deg, t in zip(degrees, tau_eig):
+        n = t.shape[0]
+        eye = np.eye(n)
+        mask0 = (deg == 0).astype(float)
+        lhs = np.einsum("lm,nj,jl,mn->jlmn", eye, t, mask0, mask0)
+        rhs = np.einsum("nj,lm,jl,mn->jlmn", eye, t, mask0, mask0)
+        out.append(float(np.max(np.abs(lhs - rhs))))
+    return out
+
+
+def test_fixed_point_trace_check_matches_reference_route():
+    rng = np.random.default_rng(218)
+    flows = [_diag_flow(0.0, 0.0, 1.0), _diag_flow(0.0, 1.0, 1.0, 2.0, 0.0),
+             _diag_flow(3.0, 3.0, 3.0), _diag_flow(0.0, 2.0)]
+    alg = BlockAlgebra((3, 2))
+    flows.append(InnerFlow(alg, alg.element([np.diag([0.0, 1.0, 1.0]).astype(complex),
+                                             np.diag([2.0, 2.0]).astype(complex)])))
+    for flow in flows:
+        pf = PeriodicFlow(flow)
+        taus = [random_state(pf.algebra, rng), gibbs(flow, 0.4).functional,
+                Functional(pf.algebra, pf.algebra.identity(), check=False)]
+        for tau in taus:
+            tau_eig = flow.to_eigenbasis(tau.density)
+            want = _reference_fixed_point_residuals(pf.degrees, tau_eig)
+            got = [_exchange_residual(t, mask=deg == 0)[0] for deg, t in zip(pf.degrees, tau_eig)]
+            assert got == want
+            # the refusal fires on the first block past tol, with its residual
+            scale = max(1.0, tau.density.norm())
+            first_bad = next((r for r in want if r > 1e-8 * scale), None)
+            try:
+                trace_scaling_beta(pf, tau)
+                msg = None
+            except ValueError as e:
+                msg = str(e)
+            if first_bad is None:
+                assert msg is None or "fixed-point" not in msg
+            else:
+                assert msg == ("functional is not a trace on the fixed-point algebra "
+                               f"(residual {first_bad:.3e})")
+    # masks that no flow produces, on non-Hermitian densities
+    for _ in range(100):
+        n = int(rng.integers(1, 6))
+        deg = rng.integers(-1, 2, size=(n, n))
+        t = rng.choice([0.0, 0.3, -0.3j, 1.0], size=(n, n)).astype(complex)
+        assert [_exchange_residual(t, mask=deg == 0)[0]] == \
+            _reference_fixed_point_residuals([deg], [t])
 
 
 def test_cuntz_trace_values():
