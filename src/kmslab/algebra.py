@@ -168,10 +168,15 @@ class Functional:
         if density.algebra != algebra:
             raise ValueError("density lives in a different algebra")
         if check:
-            if not density.is_hermitian(1e-8 * max(1.0, density.norm())):
+            if not all(np.isfinite(a).all() for a in density.blocks):
+                raise ValueError("density has non-finite entries")
+            # ‖d‖₂ ≤ ‖d‖_F, so below 1 (with room for rounding) max(1, ‖d‖₂) is
+            # exactly 1 and the SVD behind ‖d‖₂ can be skipped
+            scale = 1.0 if density.fro_norm() <= 1.0 - 1e-9 else max(1.0, density.norm())
+            if not density.is_hermitian(1e-8 * scale):
                 raise ValueError("density not self-adjoint")
             lo = min(_min_eig(a) for a in density.blocks)
-            if lo < -1e-8 * max(1.0, density.norm()):
+            if lo < -1e-8 * scale:
                 raise ValueError(f"density not positive semidefinite (min eigenvalue {lo:.3e})")
         self.algebra = algebra
         self.density = density
@@ -243,8 +248,9 @@ def is_positive(a: AlgElement, tol: float = TOL) -> bool:
 def _exchange_residual(d: np.ndarray, fac=None, mask=None) -> tuple[float, tuple[int, ...]]:
     """max |δ_lm d_nk − fac_kl δ_nk d_lm| over unit pairs a = E_kl, b = E_mn with mask[k, l]
     and mask[m, n] (fac ≡ 1, every pair by default), and the first (k, l, m, n) in C order
-    attaining it. Only n = k (|δ_lm d_kk − fac_kl d_lm|) and l = m, n ≠ k (|d_nk|) can be
-    nonzero, so one n×n slice of each per k keeps memory at O(n²)."""
+    attaining it; a NaN value makes the maximum NaN. Only n = k (|δ_lm d_kk − fac_kl d_lm|)
+    and l = m, n ≠ k (|d_nk|) can be nonzero, so one n×n slice of each per k keeps memory
+    at O(n²)."""
     n = d.shape[0]
     ok = np.ones((n, n), dtype=bool) if mask is None else mask
     eye = np.eye(n, dtype=bool)
@@ -255,9 +261,13 @@ def _exchange_residual(d: np.ndarray, fac=None, mask=None) -> tuple[float, tuple
         side = np.where(ok[k][:, None] & ok[:, k], np.abs(np.where(eye, d[k, k] - rhs, rhs)), 0.0)
         col = np.where(ok[k][:, None] & ok & ~eye[k], np.abs(d[:, k]), 0.0)   # [l, n], l = m
         vals = np.concatenate((side, col)).ravel()
-        if (top := vals.max()) > best:
+        top = vals.max()                                # NaN if any entry is NaN
+        if top > best or np.isnan(top):
             pos = np.concatenate(((l * n + m) * n + k, (l * n + l) * n + m)).ravel()
-            best, where = float(top), k * n ** 3 + int(pos[vals == top].min())
+            hit = np.isnan(vals) if np.isnan(top) else vals == top
+            best, where = float(top), k * n ** 3 + int(pos[hit].min())
+            if np.isnan(top):                           # later k only come later in C order
+                break
     return best, tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
 
 

@@ -21,6 +21,19 @@ IM_CAP = 50.0
 
 GH_NODES_DEFAULT = 64
 GH_NODES_MAX = 1024
+#: nodes × block entries of one slab of Gauss–Hermite phases
+_GH_CHUNK_ENTRIES = 2 ** 16
+#: largest entry of u*u − 1 that ``InnerFlow.from_eigensystem`` accepts as unitary
+UNITARY_TOL = 1e-10
+
+
+def _check_eigensystem(h: np.ndarray, w: np.ndarray, u: np.ndarray, scale: float) -> None:
+    """Refuse an eigensystem whose (u·w)u* misses h by more than 1e-10·scale."""
+    err = (u * w) @ u.conj().T
+    err -= h
+    resid = float(np.max(np.abs(err)))
+    if not resid <= 1e-10 * scale:
+        raise ValueError(f"eigendecomposition residual {resid:.3e} too large")
 
 
 class AnalyticRangeError(ValueError):
@@ -60,11 +73,45 @@ class InnerFlow:
         self.eigenvectors: list[np.ndarray] = []
         for h in generator.blocks:
             w, u = np.linalg.eigh(h)
+            _check_eigensystem(h, w, u, scale)
             self.eigenvalues.append(w)
             self.eigenvectors.append(u)
-            resid = np.max(np.abs((u * w) @ u.conj().T - h)) if h.size else 0.0
-            if resid > 1e-10 * scale:
-                raise ValueError(f"eigendecomposition residual {resid:.3e} too large")
+
+    @classmethod
+    def from_eigensystem(cls, algebra: BlockAlgebra, generator: AlgElement,
+                         eigenvalues, eigenvectors) -> "InnerFlow":
+        """The flow of ``generator`` from a known eigensystem, one (w, u) per block.
+
+        Nothing is diagonalized: each block's eigenvalues are sorted ascending
+        (u's columns follow), u must be unitary, and (u·w)u* must reproduce the
+        block within the bound ``__init__`` applies, on the scale max(1, max|λ|).
+        """
+        if generator.algebra != algebra:
+            raise ValueError("generator lives in a different algebra")
+        if len(eigenvalues) != algebra.num_blocks or len(eigenvectors) != algebra.num_blocks:
+            raise ValueError("need one eigensystem per block")
+        pairs = []
+        for h, w, u in zip(generator.blocks, eigenvalues, eigenvectors):
+            w, u = np.asarray(w, dtype=float), np.asarray(u, dtype=complex)
+            if w.shape != h.shape[:1] or u.shape != h.shape:
+                raise ValueError(f"eigensystem of shapes {w.shape}, {u.shape} for a block "
+                                 f"of shape {h.shape}")
+            if np.any(np.diff(w) < 0):
+                order = np.argsort(w, kind="stable")
+                w, u = w[order], u[:, order]
+            pairs.append((w, u))
+        scale = max([1.0] + [float(np.max(np.abs(w))) for w, _ in pairs])
+        for h, (w, u) in zip(generator.blocks, pairs):
+            gram = u.conj().T @ u
+            gram.flat[::len(w) + 1] -= 1.0
+            if not np.max(np.abs(gram)) <= UNITARY_TOL:
+                raise ValueError("eigenvector matrix is not unitary")
+            _check_eigensystem(h, w, u, scale)
+        flow = cls.__new__(cls)
+        flow.algebra, flow.generator = algebra, generator
+        flow.eigenvalues = [w for w, _ in pairs]
+        flow.eigenvectors = [u for _, u in pairs]
+        return flow
 
     @property
     def spectral_spread(self) -> float:
@@ -110,10 +157,11 @@ class InnerFlow:
         """√(n/π) ∫ e^{-nt²} σ_t(a) dt.
 
         ``closed_form`` damps entry (j,k) by e^{-(λ_j-λ_k)²/(4n)};
-        ``quadrature`` sums σ at Gauss–Hermite nodes, doubling the rule from
-        ``nodes`` until halving it moves the answer by at most ``quad_tol``
-        (relative, Frobenius), and raises :class:`QuadratureError` if that
-        never happens below ``GH_NODES_MAX``.
+        ``quadrature`` sums σ at Gauss–Hermite nodes (as one entrywise factor
+        between a single transport to the eigenbasis and back), doubling the
+        rule from ``nodes`` until halving it moves the answer by at most
+        ``quad_tol`` (relative, Frobenius), and raises :class:`QuadratureError`
+        if that never happens below ``GH_NODES_MAX``.
         """
         return self.smooth_shifted(a, n, 0.0, method=method, nodes=nodes, quad_tol=quad_tol)
 
@@ -147,13 +195,20 @@ class InnerFlow:
 
     def _gh_sum(self, a: AlgElement, n: float, z: complex, nodes: int) -> AlgElement:
         # substituting t = z + x/√n turns the Gaussian integral into
-        # (1/√π) Σ_k w_k σ_{z + x_k/√n}(a) over Hermite nodes x_k
+        # (1/√π) Σ_k w_k σ_{z + x_k/√n}(a) over Hermite nodes x_k; each σ is
+        # entrywise in the eigenbasis, so the sum is one entrywise factor
+        # Σ_k (w_k/√π)·e^{i(z + x_k/√n)(λ_j−λ_l)} between one transport each way
         x, w = np.polynomial.hermite.hermgauss(nodes)
-        acc = self.algebra.zero()
-        root_n = np.sqrt(n)
-        for xk, wk in zip(x, w):
-            acc = acc + (wk / np.sqrt(np.pi)) * self.continue_analytic(a, z + xk / root_n)
-        return acc
+        izt = 1j * (z + x / np.sqrt(n))
+        coef = w / np.sqrt(np.pi)
+        out = []
+        for lam, blk in zip(self.eigenvalues, self.to_eigenbasis(a)):
+            diff = (lam[:, None] - lam[None, :]).ravel()
+            step = max(1, _GH_CHUNK_ENTRIES // diff.size)
+            fac = sum(coef[i:i + step] @ np.exp(np.multiply.outer(izt[i:i + step], diff))
+                      for i in range(0, len(x), step))
+            out.append(fac.reshape(blk.shape) * blk)
+        return self.from_eigenbasis(out)
 
     # -- strip boundary check --------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Infinite-tensor-product diagnostics, evaluated at desk scale.
 
 Finite powers of a single site are built literally (kron products, with a
-hard size guard); everything asymptotic — the spectral difference group,
+hard size guard), and their flows are read off the site eigensystem rather
+than diagonalized again; everything asymptotic — the spectral difference group,
 the factor type and its Γ-style invariant, boundedness of matroid-type
 site families, trace-class windows — is decided by closed-form tail
 analysis of the declared family, never by truncating a divergent sum and
@@ -48,24 +49,53 @@ class ItpfiSpec:
         return rho / z
 
 
+def _site_sum(h_site: np.ndarray, sites: int) -> np.ndarray:
+    """h⊗1⊗…⊗1 + 1⊗h⊗…⊗1 + … + 1⊗…⊗1⊗h, built term by term."""
+    m = h_site.shape[0]
+    total = np.zeros((m ** sites,) * 2, dtype=complex)
+    for j in range(sites):
+        term = np.eye(1, dtype=complex)
+        for pos in range(sites):
+            term = np.kron(term, h_site if pos == j else np.eye(m))
+        total += term
+    return total
+
+
+def _site_eigensystem(h_site: np.ndarray, sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of :func:`_site_sum`, from the site's.
+
+    The eigenvalues of a Kronecker sum are the sums w_{i_1} + … + w_{i_s} with
+    eigenvectors u_{i_1} ⊗ … ⊗ u_{i_s}. The last tensor factor is applied in
+    sorted column order, so no unsorted copy of the full matrix is made.
+    """
+    w_site, u_site = np.linalg.eigh(h_site)
+    m = w_site.size
+    w, u = np.zeros(1), np.ones((1, 1), dtype=complex)
+    for _ in range(sites - 1):
+        w, u = (w[:, None] + w_site).ravel(), np.kron(u, u_site)
+    w = (w[:, None] + w_site).ravel()
+    order = np.argsort(w, kind="stable")
+    # column c of kron(u, u_site) is u[:, c // m] ⊗ u_site[:, c % m]
+    u = u[:, order // m][:, None, :] * u_site[:, order % m][None, :, :]
+    return w[order], u.reshape(w.size, w.size)
+
+
 def product_kms_state(spec: ItpfiSpec, beta: float, sites: int) -> KmsState:
-    """Gibbs state of h⊗1⊗… + … on m^sites dimensions (guarded at 4096)."""
+    """Gibbs state of h⊗1⊗… + … on m^sites dimensions (guarded at 4096).
+
+    The generator is built literally; its eigensystem is the Kronecker sum of
+    the site eigenvalues and the tensor power of the site eigenvectors, which
+    ``InnerFlow.from_eigensystem`` checks against it instead of an ``eigh``."""
     if sites < 1:
         raise ValueError("need at least one site")
     dim = spec.site_dim ** sites
     if dim > MAX_PRODUCT_DIM:
         raise ValueError(f"product dimension {dim} exceeds the desk-scale cap "
                          f"{MAX_PRODUCT_DIM}")
-    h_site = spec.site_generator
-    m = spec.site_dim
-    total = np.zeros((dim, dim), dtype=complex)
-    for j in range(sites):
-        term = np.eye(1, dtype=complex)
-        for pos in range(sites):
-            term = np.kron(term, h_site if pos == j else np.eye(m))
-        total += term
     alg = BlockAlgebra((dim,))
-    flow = InnerFlow(alg, AlgElement(alg, [total]))
+    generator = AlgElement(alg, [_site_sum(spec.site_generator, sites)])
+    w, u = _site_eigensystem(spec.site_generator, sites)
+    flow = InnerFlow.from_eigensystem(alg, generator, [w], [u])
     return gibbs(flow, beta)
 
 

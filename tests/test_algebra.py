@@ -16,7 +16,7 @@ from kmslab import (
     random_hermitian,
     random_state,
 )
-from kmslab.algebra import _exchange_residual
+from kmslab.algebra import _exchange_residual, _min_eig
 
 RNG = np.random.default_rng(20260816)
 
@@ -98,6 +98,77 @@ def test_functional_rejects_bad_density():
     bad = alg.element([np.array([[1.0, 0.0], [0.0, -0.5]], dtype=complex)])
     with pytest.raises(ValueError, match="positive semidefinite"):
         Functional(alg, bad)
+
+
+def _reference_density_check(density):
+    """Functional's check as it was before it took its scale once, kept as the oracle."""
+    if not density.is_hermitian(1e-8 * max(1.0, density.norm())):
+        raise ValueError("density not self-adjoint")
+    lo = min(_min_eig(a) for a in density.blocks)
+    if lo < -1e-8 * max(1.0, density.norm()):
+        raise ValueError(f"density not positive semidefinite (min eigenvalue {lo:.3e})")
+
+
+def _refusal(check, density):
+    try:
+        check(density)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _density_check_cases():
+    """Mixed, pure (‖d‖_F = 1 exactly) and heavy (‖d‖₂ > 1) densities, each also
+    nudged off Hermiticity and off positivity (the last block's least eigenvalue
+    moved to −nudge) by half and twice the tolerance."""
+    rng = np.random.default_rng(1717)
+    cases = []
+    for dims in [(1,), (2,), (3, 2), (4, 1, 3)]:
+        alg = BlockAlgebra(dims)
+        mixed = random_state(alg, rng).density
+        v = rng.normal(size=dims[0]) + 1j * rng.normal(size=dims[0])
+        pure = alg.element([np.outer(v, v.conj()) / np.vdot(v, v).real if b == 0
+                            else np.zeros((n, n)) for b, n in enumerate(dims)])
+        for base in (mixed, pure, 3.0 * mixed, 40.0 * pure):
+            cases.append(base)
+            scale = max(1.0, base.norm())
+            n = dims[-1]
+            for nudge in (0.5e-8 * scale, 2e-8 * scale):
+                if n > 1:
+                    skew = np.zeros((n, n), dtype=complex)
+                    skew[0, n - 1] = nudge
+                    cases.append(base + alg.element([np.zeros((m, m)) for m in dims[:-1]]
+                                                    + [skew]))
+                w, q = np.linalg.eigh(base.blocks[-1])
+                low = -(w[0] + nudge) * np.outer(q[:, 0], q[:, 0].conj())
+                cases.append(base + alg.element([np.zeros((m, m)) for m in dims[:-1]] + [low]))
+    return cases
+
+
+def test_density_check_matches_two_scale_reference(monkeypatch):
+    svds = []
+    norm = AlgElement.norm
+    monkeypatch.setattr(AlgElement, "norm", lambda self: svds.append(1) or norm(self))
+    outcomes = set()
+    for d in _density_check_cases():
+        svds.clear()
+        got = _refusal(lambda x: Functional(x.algebra, x), d)
+        assert len(svds) == (0 if d.fro_norm() <= 1.0 - 1e-9 else 1)
+        assert got == _refusal(_reference_density_check, d)
+        outcomes.add(got.split(" (")[0] if got else got)
+    assert outcomes == {None, "density not self-adjoint", "density not positive semidefinite"}
+
+
+def test_nan_density_is_refused_by_the_check_and_fails_the_trace_test():
+    alg = BlockAlgebra((2,))
+    nan = alg.element([np.array([[np.nan, 0.0], [0.0, 0.5]])])
+    with pytest.raises(ValueError, match="non-finite"):
+        Functional(alg, nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        Functional(alg, alg.element([np.array([[np.inf, 0.0], [0.0, 0.5]])]))
+    phi = Functional(alg, nan, check=False)
+    assert not is_trace(phi, tol=1e300)
+    assert np.isnan(_exchange_residual(phi.density.blocks[0])[0])
 
 
 def test_faithful_states_have_full_support():
@@ -195,6 +266,35 @@ def test_exchange_residual_matches_tensor_oracle():
         assert _exchange_residual(d, fac, mask) == _exchange_oracle(d, fac, mask)
         assert _exchange_residual(d, fac) == _exchange_oracle(d, fac, ones)
         assert _exchange_residual(d, mask=mask) == _exchange_oracle(d, np.ones((n, n)), mask)
+
+
+def _selecting_exchange_oracle(d, fac, mask):
+    """The exchange tensor with its Kronecker deltas as selections, not factors,
+    so that 0·NaN never enters: NaN exactly on the pairs whose terms read a NaN."""
+    n = d.shape[0]
+    eye = np.eye(n, dtype=bool)
+    lhs = np.where(eye[None, :, :, None], d.T[:, None, None, :], 0.0)           # δ_lm d_nk
+    rhs = np.where(eye[:, None, None, :], (fac[:, :, None] * d[None])[..., None], 0.0)
+    keep = mask[:, :, None, None] & mask[None, None, :, :]
+    resid = np.where(keep, np.abs(lhs - rhs), 0.0)
+    where = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    return float(resid[where]), tuple(int(i) for i in where)
+
+
+def test_exchange_residual_is_nan_at_the_first_nan_pair():
+    # NaN must reach the maximum (so that `<= tol` fails) and the witness is
+    # the first NaN pair in C order, as np.argmax over the tensor reports it
+    rng = np.random.default_rng(601)
+    for trial in range(60):
+        n = int(rng.integers(1, 6))
+        d = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        d[tuple(rng.integers(0, n, size=(2, int(rng.integers(1, 3)))))] = np.nan
+        fac = np.exp(-(np.arange(n)[:, None] - np.arange(n)[None, :]) * 0.7)
+        for mask in (np.ones((n, n), dtype=bool), rng.random((n, n)) < 0.7):
+            val, where = _exchange_residual(d, fac, mask)
+            ref_val, ref_where = _selecting_exchange_oracle(d, fac, mask)
+            assert where == ref_where
+            assert val == ref_val or (np.isnan(val) and np.isnan(ref_val))
 
 
 def test_projection_validation_and_ranks():

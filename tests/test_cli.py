@@ -86,6 +86,16 @@ def test_verify_refuses_beta_beyond_exp_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_refuses_a_non_finite_state(two_level, tmp_path, capsys):
+    state = tmp_path / "nan.json"
+    state.write_text('{"blocks": [[[NaN, 0.0], [0.0, 0.5]]]}')
+    out = tmp_path / "verify.json"
+    code = main(["verify", "--problem", two_level, "--state", str(state), "--out", str(out)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simplex_single_beta(tmp_path):
     prob = _write(tmp_path / "p.json",
                   {"block_dims": [2, 3],

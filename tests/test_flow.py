@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmslab import BlockAlgebra, InnerFlow, gibbs, random_element, random_hermitian
-from kmslab.flow import AnalyticRangeError
+from kmslab.flow import GH_NODES_DEFAULT, GH_NODES_MAX, AnalyticRangeError, QuadratureError
 
 RNG = np.random.default_rng(41)
 
@@ -137,6 +139,72 @@ def test_smooth_shifted_interpolates():
     assert (cf - qd).norm() <= 1e-8 * max(1.0, cf.norm())
 
 
+def _reference_gh_sum(flow, a, n, z, nodes):
+    """InnerFlow._gh_sum as the per-node loop over continue_analytic, kept as the
+    oracle; also Σ_k (w_k/√π)·‖σ_{z + x_k/√n}(a)‖_F, the size of the terms summed,
+    which is what the rounding of either route is relative to."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    acc, size = flow.algebra.zero(), 0.0
+    root_n = np.sqrt(n)
+    for xk, wk in zip(x, w):
+        term = (wk / np.sqrt(np.pi)) * flow.continue_analytic(a, z + xk / root_n)
+        acc, size = acc + term, size + term.fro_norm()
+    return acc, size
+
+
+def _reference_quadrature(flow, a, n, z, nodes, quad_tol=1e-8):
+    """smooth_shifted's doubling rule over the reference sum: (result, size, nodes),
+    with result None where the rule gives up."""
+    k = max(2, int(nodes))
+    while True:
+        full, size = _reference_gh_sum(flow, a, n, z, k)
+        half, _ = _reference_gh_sum(flow, a, n, z, max(2, k // 2))
+        if (full - half).fro_norm() / max(full.fro_norm(), 1e-300) <= quad_tol:
+            return full, size, k
+        if k >= GH_NODES_MAX:
+            return None, size, k
+        k = min(GH_NODES_MAX, 2 * k)
+
+
+def _assert_quadrature_matches(flow, a, n, z, nodes):
+    want, size, want_k = _reference_quadrature(flow, a, n, z, nodes)
+    used = []
+    gh_sum = flow._gh_sum
+    flow._gh_sum = lambda *args: used.append(args[-1]) or gh_sum(*args)
+    try:
+        got = flow.smooth_shifted(a, n, z, method="quadrature", nodes=nodes)
+    except QuadratureError:
+        got = None
+    assert used[-2] == want_k                       # the last full rule is the one returned
+    if want is None:
+        assert got is None
+    else:
+        assert (got - want).fro_norm() <= 1e-13 * size
+
+
+def test_gh_sum_matches_reference_loop():
+    rng = np.random.default_rng(808)
+    for dims, scale in [((1,), 1.0), ((3,), 2.0), ((2, 5), 1.0), ((4, 1, 3), 3.0), ((17,), 0.5)]:
+        flow = _flow(dims, scale=scale, rng=rng)
+        a = random_element(flow.algebra, rng)
+        for n, z, nodes in [(1.0, 0.0, 64), (4.0, 0.4 + 0.6j, 64), (0.3, -1.0 - 2.0j, 8),
+                            (16.0, 0.0, 2), (2.0, 1.5j, 256)]:
+            got = flow._gh_sum(a, n, z, nodes)
+            want, size = _reference_gh_sum(flow, a, n, z, nodes)
+            assert (got - want).fro_norm() <= 1e-13 * size
+            _assert_quadrature_matches(flow, a, n, z, nodes)
+
+
+@given(dims=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       scale=st.floats(0.1, 3.0), n=st.floats(0.25, 16.0),
+       z=st.complex_numbers(max_magnitude=2.0), nodes=st.sampled_from([2, 8, GH_NODES_DEFAULT]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_property_quadrature_matches_reference_loop(dims, scale, n, z, nodes, seed):
+    rng = np.random.default_rng(seed)
+    flow = _flow(tuple(dims), scale=scale, rng=rng)
+    _assert_quadrature_matches(flow, random_element(flow.algebra, rng), n, z, nodes)
+
+
 def test_smooth_rejects_bad_index():
     flow = _flow((2,))
     a = random_element(flow.algebra, RNG)
@@ -184,3 +252,49 @@ def test_spectral_spread():
     h = alg.element([np.diag([0.0, 1.0, 4.0]).astype(complex)])
     flow = InnerFlow(alg, h)
     assert abs(flow.spectral_spread - 4.0) < 1e-12
+
+
+def test_from_eigensystem_sorts_and_matches_eigh():
+    rng = np.random.default_rng(909)
+    flow = _flow((3, 1, 4), rng=rng)
+    # hand the eigensystem over in descending order: it comes back ascending,
+    # with u's columns following
+    rev = InnerFlow.from_eigensystem(flow.algebra, flow.generator,
+                                     [w[::-1] for w in flow.eigenvalues],
+                                     [u[:, ::-1] for u in flow.eigenvectors])
+    for w, u, w2, u2 in zip(flow.eigenvalues, flow.eigenvectors, rev.eigenvalues,
+                            rev.eigenvectors):
+        assert np.array_equal(w, w2) and np.array_equal(u, u2)
+    assert rev.spectral_spread == flow.spectral_spread
+    a = random_element(flow.algebra, rng)
+    assert (rev.evolve(a, 0.7) - flow.evolve(a, 0.7)).norm() == 0.0
+
+
+def test_from_eigensystem_refusals():
+    rng = np.random.default_rng(910)
+    flow = _flow((3, 2), rng=rng)
+    alg, h = flow.algebra, flow.generator
+    w, u = flow.eigenvalues, flow.eigenvectors
+    with pytest.raises(ValueError, match="not unitary"):
+        # (2u)(w/4)(2u)* is still h, so only the unitarity guard can see this
+        InnerFlow.from_eigensystem(alg, h, [x / 4 for x in w], [2 * y for y in u])
+    with pytest.raises(ValueError, match="residual"):
+        InnerFlow.from_eigensystem(alg, h, [w[0] + 1e-6, w[1]], u)
+    with pytest.raises(ValueError, match="one eigensystem per block"):
+        InnerFlow.from_eigensystem(alg, h, w[:1], u[:1])
+    with pytest.raises(ValueError, match="shapes"):
+        InnerFlow.from_eigensystem(alg, h, [w[1], w[0]], [u[1], u[0]])
+    with pytest.raises(ValueError, match="different algebra"):
+        InnerFlow.from_eigensystem(BlockAlgebra((2, 3)), h, w, u)
+
+
+def test_from_eigensystem_residual_bound_scales_with_the_spectrum():
+    # the bound is 1e-10·max(1, max|λ|), read off the eigenvalues: moving one
+    # eigenvalue by δ moves (u·w)u* by at most δ per entry, and by δ on the diagonal here
+    alg = BlockAlgebra((3,))
+    w = np.array([-2e4, 1.0, 3e4])
+    h = alg.element([np.diag(w).astype(complex)])
+    u = np.eye(3, dtype=complex)
+    InnerFlow.from_eigensystem(alg, h, [w + [0.0, 0.0, 0.9e-10 * 3e4]], [u])
+    with pytest.raises(ValueError, match="residual"):
+        InnerFlow.from_eigensystem(alg, h, [w + [0.0, 0.0, 1.1e-10 * 3e4]], [u])

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmslab import (
     BlockAlgebra,
@@ -21,12 +23,14 @@ from kmslab import (
     kms_simplex,
     lattice_join,
     lattice_meet,
+    random_element,
     random_hermitian,
     restrict_to_corner,
     support_compression,
     trace_of,
     verify_kms,
 )
+from kmslab import kms
 from kmslab.algebra import random_state
 from kmslab.kms import EXP_CAP
 
@@ -132,6 +136,98 @@ def test_route_one_matches_reference_route():
     assert verify_kms(tie, _trace_state(tie.algebra), 1.0, samples=1).worst_pair[0][0] == 2
     zero = Functional(tie.algebra, tie.algebra.zero())
     assert verify_kms(tie, zero, 1.0, samples=1).worst_pair == ((2, 0, 0), (2, 0, 0))
+
+
+def _reference_route_two(flow, omega, beta, samples=100, seed=7):
+    """verify_kms's route two as the per-sample loop over AlgElements, kept as the oracle."""
+    rng = np.random.default_rng(seed)
+    residual_half = 0.0
+    for _ in range(samples):
+        a = random_element(flow.algebra, rng)
+        a = (1.0 / max(a.fro_norm(), 1e-30)) * a
+        g = flow.continue_analytic(a, -0.5j * beta)
+        lhs = omega(a.adjoint() @ a)
+        rhs = omega(g @ g.adjoint())
+        residual_half = max(residual_half, abs(lhs - rhs))
+    return residual_half
+
+
+def _assert_route_two_matches(flow, omega, beta, samples=100, tol=1e-8):
+    want = _reference_route_two(flow, omega, beta, samples)
+    v = verify_kms(flow, omega, beta, tol=tol, samples=samples)
+    # both routes round entries of size up to e^{|β|·spread/2}, so that is how
+    # far apart two correct routes' rounding may put them
+    cond = math.exp(0.5 * abs(beta) * flow.spectral_spread)
+    assert abs(v.residual_half_shift - want) <= 1e-12 * max(1.0, want) * cond, \
+        (flow.algebra.block_dims, beta, v.residual_half_shift, want)
+    assert v.passed == (max(v.residual_exchange, want) <= tol)
+    assert type(v.residual_half_shift) is float and type(v.max_residual) is float
+
+
+def test_route_two_matches_reference_loop():
+    for flow, omega, beta in _route_one_cases():
+        _assert_route_two_matches(flow, omega, beta, samples=30)
+
+
+def test_route_two_draws_the_same_samples_in_any_chunking(monkeypatch):
+    # (16,) and (3, 20) take several chunks at the default size; one sample
+    # per chunk and one chunk for all must see the very same samples
+    rng = np.random.default_rng(77)
+    for dims in [(16,), (3, 20)]:
+        flow = _random_flow(dims, rng=rng)
+        states = [gibbs(flow, -1.1).functional, random_state(flow.algebra, rng)]
+        for entries in (kms._HALF_SHIFT_CHUNK_ENTRIES, 1, 2 ** 40):
+            monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
+            for omega in states:
+                _assert_route_two_matches(flow, omega, -1.1)
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def _equilibrium_problems(draw):
+    """1–4 blocks of size ≤ 8, β of either sign, and a Gibbs, tracial or random
+    state, on generic or degenerate spectra."""
+    dims = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
+    beta = draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["gibbs", "tracial", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alg = BlockAlgebra(dims)
+    if draw(st.booleans()):         # degenerate: eigenvalues from {0, 1, 2}
+        blocks = []
+        for n in dims:
+            q = _unitary(rng, n)
+            blocks.append((q * rng.choice([0.0, 1.0, 2.0], n)) @ q.conj().T)
+        flow = InnerFlow(alg, alg.element(blocks))
+    else:
+        flow = InnerFlow(alg, random_hermitian(alg, rng, scale=draw(st.floats(0.1, 3.0))))
+    omega = {"gibbs": lambda: gibbs(flow, beta).functional,
+             "tracial": lambda: _trace_state(alg),
+             "random": lambda: random_state(alg, rng)}[kind]()
+    return flow, omega, beta
+
+
+@given(_equilibrium_problems())
+def test_property_route_two_matches_reference_loop(problem):
+    _assert_route_two_matches(*problem)
+
+
+def test_nan_density_fails_verification():
+    # a NaN entry used to vanish in `>` and Python's max, and this passed
+    flow = _diag_flow((0.0, 1.0))
+    nan = Functional(flow.algebra, flow.algebra.element([np.array([[np.nan, 0.0], [0.0, 0.5]])]),
+                     check=False)
+    v = verify_kms(flow, nan, 1.0)
+    assert not v.passed
+    assert np.isnan(v.max_residual)
+    assert np.isnan(v.residual_exchange) and np.isnan(v.residual_half_shift)
+    # either route's NaN alone reaches the verdict
+    only_one = verify_kms(flow, nan, 1.0, samples=0)
+    assert only_one.residual_half_shift == 0.0 and not only_one.passed
+    assert np.isnan(kms._half_shift_residual(flow, flow.to_eigenbasis(nan.density), 1.0, 5, 7))
 
 
 def test_verify_refuses_beta_beyond_exp_cap():

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmslab import (
+    AlgElement,
+    BlockAlgebra,
+    InnerFlow,
     ItpfiSpec,
     MatroidSpec,
     SpectrumFamily,
@@ -16,8 +21,10 @@ from kmslab import (
     matroid_bounded,
     product_kms_state,
     trace_class_window,
+    gibbs,
     verify_kms,
 )
+from kmslab.periodic import minimal_period
 
 
 def test_product_state_is_equilibrium():
@@ -31,6 +38,65 @@ def test_product_dimension_guard():
     spec = ItpfiSpec(np.diag([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="desk-scale"):
         product_kms_state(spec, 1.0, sites=9)
+
+
+def _reference_product_flow(spec, sites):
+    """product_kms_state's flow as it was: the generator built term by term and
+    diagonalized densely. Kept as the oracle."""
+    h_site = spec.site_generator
+    m = spec.site_dim
+    dim = m ** sites
+    total = np.zeros((dim, dim), dtype=complex)
+    for j in range(sites):
+        term = np.eye(1, dtype=complex)
+        for pos in range(sites):
+            term = np.kron(term, h_site if pos == j else np.eye(m))
+        total += term
+    alg = BlockAlgebra((dim,))
+    return InnerFlow(alg, AlgElement(alg, [total]))
+
+
+def _assert_product_matches_dense(spec, beta, sites):
+    psi = product_kms_state(spec, beta, sites)
+    dense = _reference_product_flow(spec, sites)
+    want = gibbs(dense, beta)
+    assert np.max(np.abs(psi.density.blocks[0] - want.density.blocks[0])) <= 1e-12
+    assert np.max(np.abs(psi.flow.generator.blocks[0] - dense.generator.blocks[0])) == 0.0
+    assert np.all(np.diff(psi.flow.eigenvalues[0]) >= 0)
+    assert np.max(np.abs(psi.flow.eigenvalues[0] - dense.eigenvalues[0])) <= 1e-12 * max(
+        1.0, float(np.max(np.abs(dense.eigenvalues[0]))))
+    return psi.flow, dense
+
+
+def test_product_flow_matches_the_dense_flow():
+    for h, beta, sites in [(np.diag([0.0, math.log(2.0)]), 1.0, 5),
+                           (np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]]), -2.0, 7),
+                           (np.diag([0.0, 1.0, math.sqrt(2.0)]), 0.5, 4),
+                           (np.diag([1.0, 1.0, 3.0]), 1.5, 5)]:
+        flow, dense = _assert_product_matches_dense(ItpfiSpec(h), beta, sites)
+        assert abs(flow.spectral_spread - dense.spectral_spread) <= 1e-12 * dense.spectral_spread
+        p, q = minimal_period(flow), minimal_period(dense)
+        assert (p is None and q is None) or math.isclose(p, q, rel_tol=1e-12)
+
+
+def test_product_state_diagonalizes_only_the_site(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(np.shape(a))
+                        or eigh(a, *args, **kw))
+    spec = ItpfiSpec(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    psi = product_kms_state(spec, 0.8, 8)
+    assert shapes == [(2, 2)]
+    assert psi.density.blocks[0].shape == (256, 256)
+
+
+@given(site=st.integers(2, 3), sites=st.integers(1, 6), beta=st.floats(-3.0, 3.0),
+       degenerate=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_product_state_matches_dense_route(site, sites, beta, degenerate, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(site, site)) + 1j * rng.normal(size=(site, site)))
+    w = rng.choice([0.0, 1.0], site) if degenerate else rng.uniform(-1.0, 1.0, site)
+    _assert_product_matches_dense(ItpfiSpec((q * w) @ q.conj().T), beta, sites)
 
 
 def test_difference_group_classification():
