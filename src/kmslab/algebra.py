@@ -65,16 +65,13 @@ class BlockAlgebra:
 
     def basis(self) -> list["AlgElement"]:
         """Matrix units e_ij of every block, in block/row-major order."""
-        return [e for e, _ in self.indexed_basis()]
-
-    def indexed_basis(self) -> list[tuple["AlgElement", tuple[int, int, int]]]:
         out = []
         for b, n in enumerate(self.block_dims):
             for i in range(n):
                 for j in range(n):
                     blocks = [np.zeros((d, d), dtype=complex) for d in self.block_dims]
                     blocks[b][i, j] = 1.0
-                    out.append((AlgElement(self, blocks), (b, i, j)))
+                    out.append(AlgElement(self, blocks))
         return out
 
 

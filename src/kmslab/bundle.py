@@ -37,10 +37,11 @@ FLOAT_ZERO_TOL = 1e-11
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     if isinstance(x, float):
         fr = Fraction(x).limit_denominator(10 ** 9)
         if abs(float(fr) - x) > 1e-12 * max(1.0, abs(x)):

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import __version__
 from .algebra import BlockAlgebra, Functional
 from .flow import InnerFlow
 from .kms import gibbs, kms_simplex, verify_kms
-from .modular import (DEFAULT_T_SAMPLES, gns, modular_data, center_dimension,
+from .modular import (gns, modular_data, center_dimension,
                       commutant_gap, verify_modular_flow)
 from .periodic import PeriodicFlow, cuntz_trace, gauge_kms_beta
 from .products import ItpfiSpec, MatroidSpec, SpectrumFamily, factor_type_itpfi, \
@@ -113,16 +112,6 @@ def _matrix(rows) -> np.ndarray:
 
 def _emit_matrix(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
-
-
-def _rational(v):
-    """Strings "p/q" and integers become exact Fractions; floats pass
-    through so the library's own exactness validation decides."""
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    return v
 
 
 def _problem(path: str) -> tuple[BlockAlgebra, InnerFlow, float | None]:
@@ -420,8 +409,7 @@ def _cmd_window(args) -> int:
 
 def _cmd_bundle(args) -> int:
     doc = _load(args.dg, "dimension_group")
-    rho = [[_rational(v) for v in row] for row in doc["rho"]]
-    unit = [_rational(v) for v in doc["unit"]]
+    rho, unit = doc["rho"], doc["unit"]
     if "rank" in doc and doc["rank"] != len(rho):
         raise CliInputError(f"{args.dg}: declared rank {doc['rank']} != matrix size {len(rho)}")
     spec = DimensionGroupSpec(matrix=rho, order_unit=unit)
@@ -469,7 +457,7 @@ def _cmd_measure(args) -> int:
     kwargs = {}
     for key in ("lam_exact", "base_exact", "x_exact"):
         if key in doc:
-            kwargs[key] = _rational(doc[key])
+            kwargs[key] = doc[key]
     mu = scaling_measure(doc["lam"], doc["beta"], kind=doc["kind"],
                          x=doc.get("x", 1.0), window=doc.get("window", 8), **kwargs)
     lam = float(doc["lam"])
@@ -670,10 +658,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError) as e:             # CliInputError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

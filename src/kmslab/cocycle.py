@@ -108,9 +108,6 @@ class Cochain:
         if abs(vals[k] - 1.0) > MODULUS_TOL:
             raise ValueError("cochain must satisfy μ(0) = 1")
 
-    def mu(self, i: int) -> complex:
-        return complex(self.values[i + self.half_index_count])
-
 
 @dataclass
 class CocycleReport:
@@ -376,15 +373,11 @@ def trivialize(grid: CocycleGrid, defect_factor: float = DEFECT_FACTOR) -> Trivi
     chain = Cochain(step=delta, half_range=kf * delta, values=mu_win)
 
     # final residual over pairs staying inside the window
-    ii = np.arange(-kf, kf + 1)
-    s = ii[:, None] + ii[None, :]
-    ok = np.abs(s) <= kf
-    sc = np.clip(s, -kf, kf)
-    bdry = mu_win[ii + kf][:, None] * mu_win[ii + kf][None, :] * np.conj(mu_win[sc + kf])
+    bdry = coboundary_of(chain)
     lam_tab = grid.values[k - kf:k + kf + 1, k - kf:k + kf + 1]
     lam_ok = grid.in_window[k - kf:k + kf + 1, k - kf:k + kf + 1]
-    usable = ok & lam_ok
-    resid = float(np.max(np.abs(lam_tab - bdry)[usable])) if usable.any() else float("nan")
+    usable = bdry.in_window & lam_ok
+    resid = float(np.max(np.abs(lam_tab - bdry.values)[usable])) if usable.any() else float("nan")
     skipped_pairs = int((~usable).sum()) + int((2 * k + 1) ** 2 - (2 * kf + 1) ** 2)
 
     return TrivializationResult(

@@ -20,7 +20,8 @@ from .algebra import TOL, AlgElement, BlockAlgebra, Functional
 IM_CAP = 50.0
 
 GH_NODES_DEFAULT = 64
-GH_NODES_MAX = 1024
+#: numpy's ``hermgauss`` returns NaN weights from 512 nodes on
+GH_NODES_MAX = 256
 #: nodes × block entries of one slab of Gauss–Hermite phases
 _GH_CHUNK_ENTRIES = 2 ** 16
 #: largest entry of u*u − 1 that ``InnerFlow.from_eigensystem`` accepts as unitary
@@ -142,6 +143,12 @@ class InnerFlow:
         t = float(t)
         return self._entrywise(a, lambda d: np.exp(1j * t * d))
 
+    def unitary(self, t: float) -> AlgElement:
+        """e^{ith} as dense blocks (u·e^{itw})u* built from the eigensystem."""
+        t = float(t)
+        return AlgElement(self.algebra, [(u * np.exp(1j * t * w)) @ u.conj().T
+                                         for w, u in zip(self.eigenvalues, self.eigenvectors)])
+
     def continue_analytic(self, a: AlgElement, z: complex) -> AlgElement:
         """σ_z(a) for complex z; exact on matrices, guarded by IM_CAP."""
         z = complex(z)
@@ -216,19 +223,16 @@ class InnerFlow:
                     beta: float, t_samples=(-2.0, -0.75, 0.0, 0.75, 2.0)) -> StripCheckReport:
         """Compare f(z) = ω(b σ_z(a)) against its stated boundary values.
 
-        The references use σ_t(a) = U a U* with the dense unitaries
-        U = e^{ith} = (u·e^{itw}) u* built from the eigensystem, not the
-        entrywise route that ``continue_analytic`` takes: on Im z = 0 the
-        reference is ω(b σ_t(a)), on Im z = β it is ω(σ_t(a) b). Both
+        The references use σ_t(a) = U a U* with the dense U = ``unitary(t)``,
+        not the entrywise route that ``continue_analytic`` takes: on Im z = 0
+        the reference is ω(b σ_t(a)), on Im z = β it is ω(σ_t(a) b). Both
         residual maxima are reported.
         """
         ts = [float(t) for t in t_samples]
         lower = upper = 0.0
         for t in ts:
-            units = [(u * np.exp(1j * t * w)) @ u.conj().T
-                     for w, u in zip(self.eigenvalues, self.eigenvectors)]
-            a_t = AlgElement(self.algebra, [x @ blk @ x.conj().T
-                                            for x, blk in zip(units, a.blocks)])
+            x = self.unitary(t)
+            a_t = x @ a @ x.adjoint()
             f_low = omega(b @ self.continue_analytic(a, t))
             lower = max(lower, abs(f_low - omega(b @ a_t)))
             f_up = omega(b @ self.continue_analytic(a, t + 1j * beta))

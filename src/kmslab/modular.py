@@ -11,6 +11,10 @@ Two routes to the modular operator coexist on purpose:
   directly.
 
 They are compared — never merged — in the test-suite.
+
+In Λ coordinates π(A) = ⊕ M_n ⊗ 1, so π(A)′ = ⊕ 1 ⊗ M_n in closed form; the
+commutant, center and modular-flow checks use this structure, refuse N above
+``MAX_GNS_DIM``, and have the generic ``algebra.commutant_basis`` as oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgElement, BlockAlgebra, Functional, Projection, commutant_basis
+from .algebra import AlgElement, BlockAlgebra, Functional, Projection
 from .flow import InnerFlow
 from .kms import KmsState
 
@@ -183,43 +187,66 @@ class ModularFlowReport:
 
 DEFAULT_T_SAMPLES = (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7)
 
+#: largest GNS dimension the unit-image checks take (≈ 4 s, 300 MB for ``kmslab modular``)
+MAX_GNS_DIM = 144
+
+
+def _unit_images(g: GnsTriple, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left·π(e)·right for every matrix unit e, as an (N, N, N) stack in basis order:
+    π(E_kl) = E_kl ⊗ 1 on its block, so this is Σ_r left[:, (k,r)]·right[(l,r), :]."""
+    big = g.dim
+    if big > MAX_GNS_DIM:
+        raise ValueError(f"GNS dimension {big} exceeds the desk-scale cap {MAX_GNS_DIM}")
+    out = np.empty((big, big, big), dtype=complex)
+    for n, off in zip(g.algebra.block_dims, g._offsets):
+        sl = slice(off, off + n * n)
+        cols = left[:, sl].reshape(big, n, n).transpose(1, 0, 2)[:, None]
+        np.matmul(cols, right[sl].reshape(1, n, n, big), out=out[sl].reshape(n, n, big, big))
+    return out
+
+
+def _off_commutant(g: GnsTriple, x: np.ndarray) -> np.ndarray:
+    """x minus its Hilbert–Schmidt projection onto π(A)′ = ⊕ 1 ⊗ M_n, which drops the
+    cross-block parts and keeps Y = Tr₁(x_bb)/n down the n×n diagonal of each block b."""
+    off_part = x.copy()
+    for n, off in zip(g.algebra.block_dims, g._offsets):
+        diag = [slice(off + i * n, off + (i + 1) * n) for i in range(n)]
+        part = sum(x[..., d, d] for d in diag) / n
+        for d in diag:
+            off_part[..., d, d] -= part
+    return off_part
+
 
 def verify_modular_flow(flow: InnerFlow, psi: KmsState,
                         t_samples=DEFAULT_T_SAMPLES, tol: float = 1e-8) -> ModularFlowReport:
-    """Check Δ^{it} π(a) Δ^{-it} = π(σ_{-βt}(a)) on a basis, for several t."""
+    """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) = W π(e) W*, W = π(e^{-iβth}), on the units."""
     g = gns(flow.algebra, psi.functional)
     md = modular_data(g)
-    worst = 0.0
-    basis = flow.algebra.basis()
+    resid = [0.0]
     for t in t_samples:
-        u = md.flow_unitary(t)
-        uinv = md.flow_unitary(-t)
-        for a in basis:
-            lhs = u @ g.rep(a) @ uinv
-            rhs = g.rep(flow.evolve(a, -psi.beta * float(t)))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        w = g.rep(flow.unitary(-psi.beta * float(t)))
+        diff = _unit_images(g, md.flow_unitary(t), md.flow_unitary(-t))
+        diff -= _unit_images(g, w, w.conj().T)
+        resid.append(np.max(np.abs(diff)))
+    worst = float(np.max(resid))                 # keeps a NaN
     return ModularFlowReport(passed=bool(worst <= tol), max_residual=worst,
                              beta=psi.beta, samples=tuple(float(t) for t in t_samples))
 
 
-def _orthonormal_span(mats: list[np.ndarray], tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal projector onto span{vec(m)} via SVD rank truncation."""
-    stack = np.column_stack([m.reshape(-1) for m in mats])
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    keep = s > tol * (s[0] if s.size else 1.0)
-    basis = u[:, keep]
-    return basis @ basis.conj().T
-
-
 def commutant_gap(g: GnsTriple, md: ModularData) -> tuple[int, int, float]:
-    """(dim π(A), dim π(A)′, projector gap between J π(A) J and π(A)′)."""
-    reps = [g.rep(e) for e in g.algebra.basis()]
-    comm = commutant_basis(reps, dim=g.dim)
-    jimages = [md.conjugate_operator(x) for x in reps]
-    p_comm = _orthonormal_span(comm)
-    p_j = _orthonormal_span(jimages)
-    gap = float(np.linalg.norm(p_comm - p_j, 2))
-    return len(reps), len(comm), gap
+    """(dim π(A), dim J π(A) J, gap between J π(A) J and π(A)′ = ⊕ 1 ⊗ M_n).
+
+    The gap is ‖P′ − P_J‖₂, the sine of the largest principal angle, read as ‖(1 − P′)Q‖₂
+    over an orthonormal basis Q of J π(A) J (SVD, 1e-10 relative rank cut); 1.0 when the
+    dimensions differ."""
+    images = _unit_images(g, md.conj_kernel, md.conj_kernel.conj())
+    _, s, vh = np.linalg.svd(images.reshape(g.dim, -1), full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
+    if rank != g.dim:
+        return g.dim, rank, 1.0
+    off = _off_commutant(g, vh.reshape(-1, g.dim, g.dim)).reshape(rank, -1)
+    # ‖off‖₂ from the Gram matrix, whose top eigenvalue keeps full relative accuracy
+    return g.dim, rank, float(np.sqrt(np.linalg.eigvalsh(off @ off.conj().T)[-1]))
 
 
 def verify_commutant_theorem(g: GnsTriple, md: ModularData, tol: float = 1e-8) -> bool:
@@ -229,17 +256,13 @@ def verify_commutant_theorem(g: GnsTriple, md: ModularData, tol: float = 1e-8) -
 
 
 def center_dimension(g: GnsTriple) -> int:
-    """dim(π(A) ∩ π(A)′); 1 means the GNS von Neumann algebra is a factor."""
-    reps = [g.rep(e) for e in g.algebra.basis()]
-    k = len(reps)
-    rows = []
-    for bl in reps:
-        cols = [(bk @ bl - bl @ bk).reshape(-1) for bk in reps]
-        rows.append(np.column_stack(cols))
-    system = np.vstack(rows)
-    s = np.linalg.svd(system, compute_uv=False)
+    """dim(π(A) ∩ π(A)′), the nullity of c ↦ Σ c_e·(π(e) off π(A)′) under a 1e-9
+    relative rank cut; 1 means the GNS von Neumann algebra is a factor."""
+    eye = np.eye(g.dim)
+    off = _off_commutant(g, _unit_images(g, eye, eye)).reshape(g.dim, -1)
+    s = np.linalg.svd(off, compute_uv=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
-    return k - int(np.sum(s > 1e-9 * scale))
+    return g.dim - int(np.sum(s > 1e-9 * scale))
 
 
 def intertwining_unitary(p: Projection, q: Projection) -> AlgElement:

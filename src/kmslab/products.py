@@ -43,11 +43,6 @@ class ItpfiSpec:
     def site_dim(self) -> int:
         return self.site_generator.shape[0]
 
-    def site_gibbs(self, beta: float) -> np.ndarray:
-        w, u = np.linalg.eigh(self.site_generator)
-        (rho,), (z,) = _shifted_boltzmann([w], [u], beta)
-        return rho / z
-
 
 def _site_sum(h_site: np.ndarray, sites: int) -> np.ndarray:
     """h⊗1⊗…⊗1 + 1⊗h⊗…⊗1 + … + 1⊗…⊗1⊗h, built term by term."""

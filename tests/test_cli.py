@@ -236,6 +236,16 @@ def test_point_bundle_members(tmp_path):
     assert sorted(doc["members"]) == ["b", "c"]
 
 
+def test_zero_denominator_rational_is_an_input_error(tmp_path, capsys):
+    dg = _write(tmp_path / "dg.json", {"rho": [["1/0"]], "unit": [1]})
+    assert main(["bundle", "--dg", dg, "--out", str(tmp_path / "b.csv")]) == 2
+    assert "'1/0' has a zero denominator" in capsys.readouterr().err
+    meas = _write(tmp_path / "mu.json", {"lam": 2.0, "beta": -1.0, "kind": "atomic",
+                                         "lam_exact": "2/0"})
+    assert main(["measure", "--measure", meas, "--out", str(tmp_path / "m.json")]) == 2
+    assert "'2/0' has a zero denominator" in capsys.readouterr().err
+
+
 def test_measure_check(tmp_path):
     meas = _write(tmp_path / "mu.json",
                   {"lam": 2.0, "beta": -1.0, "kind": "density"})

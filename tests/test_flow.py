@@ -1,5 +1,8 @@
 """One-parameter inner flows: group law, analytic continuation, smoothing."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -210,6 +213,26 @@ def test_smooth_rejects_bad_index():
     a = random_element(flow.algebra, RNG)
     with pytest.raises(ValueError, match="positive"):
         flow.smooth(a, 0.0)
+
+
+def test_unitary_conjugation_is_the_flow():
+    flow = _flow((2, 3))
+    a = random_element(flow.algebra, RNG)
+    for t in (-1.3, 0.0, 0.4):
+        x = flow.unitary(t)
+        assert (x @ x.adjoint() - flow.algebra.identity()).norm() < 1e-12
+        assert (x @ a @ x.adjoint() - flow.evolve(a, t)).norm() < 1e-12
+
+
+def test_quadrature_gives_up_with_a_finite_estimate():
+    # needs more nodes than the cap; hermgauss above 256 nodes returns NaN weights
+    alg = BlockAlgebra((2,))
+    flow = InnerFlow(alg, alg.element([np.diag([0.0, 400.0]).astype(complex)]))
+    a = alg.element([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
+    with pytest.raises(QuadratureError, match=f"{GH_NODES_MAX} nodes") as err:
+        flow.smooth(a, 0.01, method="quadrature")
+    est = float(re.search(r"estimate (\S+) >", str(err.value)).group(1))
+    assert math.isfinite(est)
 
 
 def test_strip_check_accepts_equilibrium():

@@ -1,13 +1,20 @@
 """GNS construction, the modular operator by two routes, and the commutant."""
 
+import dataclasses
+import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import kmslab
 from kmslab import (
     BlockAlgebra,
     InnerFlow,
+    KmsState,
     Projection,
     center_dimension,
     commutant_gap,
@@ -23,7 +30,12 @@ from kmslab import (
     verify_kms,
     verify_modular_flow,
 )
+from kmslab import algebra, modular
+from kmslab.algebra import commutant_basis
+from kmslab.cli import main
 from kmslab.kms import support_compression
+from kmslab.modular import (DEFAULT_T_SAMPLES, MAX_GNS_DIM, GnsTriple, ModularFlowReport,
+                            _off_commutant, _unit_images)
 
 RNG = np.random.default_rng(6021)
 
@@ -176,3 +188,200 @@ def test_intertwining_needs_matching_ranks():
     q = Projection(alg.element([np.diag([1.0, 1.0, 0.0]).astype(complex)]))
     with pytest.raises(ValueError):
         intertwining_unitary(p, q)
+
+
+# -- the generic routes, kept verbatim as oracles for the closed-form commutant ---------
+
+def _reference_verify_modular_flow(flow, psi, t_samples=DEFAULT_T_SAMPLES, tol=1e-8):
+    """Check Δ^{it} π(a) Δ^{-it} = π(σ_{-βt}(a)) on a basis, for several t."""
+    g = gns(flow.algebra, psi.functional)
+    md = modular_data(g)
+    worst = 0.0
+    basis = flow.algebra.basis()
+    for t in t_samples:
+        u = md.flow_unitary(t)
+        uinv = md.flow_unitary(-t)
+        for a in basis:
+            lhs = u @ g.rep(a) @ uinv
+            rhs = g.rep(flow.evolve(a, -psi.beta * float(t)))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return ModularFlowReport(passed=bool(worst <= tol), max_residual=worst,
+                             beta=psi.beta, samples=tuple(float(t) for t in t_samples))
+
+
+def _reference_orthonormal_span(mats, tol=1e-10):
+    """Orthonormal projector onto span{vec(m)} via SVD rank truncation."""
+    stack = np.column_stack([m.reshape(-1) for m in mats])
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    keep = s > tol * (s[0] if s.size else 1.0)
+    basis = u[:, keep]
+    return basis @ basis.conj().T
+
+
+def _reference_commutant_gap(g, md):
+    """(dim π(A), dim π(A)′, projector gap between J π(A) J and π(A)′)."""
+    reps = [g.rep(e) for e in g.algebra.basis()]
+    comm = commutant_basis(reps, dim=g.dim)
+    jimages = [md.conjugate_operator(x) for x in reps]
+    p_comm = _reference_orthonormal_span(comm)
+    p_j = _reference_orthonormal_span(jimages)
+    gap = float(np.linalg.norm(p_comm - p_j, 2))
+    return len(reps), len(comm), gap
+
+
+def _reference_center_dimension(g):
+    """dim(π(A) ∩ π(A)′); 1 means the GNS von Neumann algebra is a factor."""
+    reps = [g.rep(e) for e in g.algebra.basis()]
+    k = len(reps)
+    rows = []
+    for bl in reps:
+        cols = [(bk @ bl - bl @ bk).reshape(-1) for bk in reps]
+        rows.append(np.column_stack(cols))
+    system = np.vstack(rows)
+    s = np.linalg.svd(system, compute_uv=False)
+    scale = s[0] if s.size and s[0] > 0 else 1.0
+    return k - int(np.sum(s > 1e-9 * scale))
+
+
+def _assert_checks_match_reference(flow, psi, g):
+    md = modular_data(g)
+    got, want = commutant_gap(g, md), _reference_commutant_gap(g, md)
+    assert got[:2] == want[:2]
+    assert abs(got[2] - want[2]) <= 1e-12
+    assert verify_commutant_theorem(g, md) == (want[0] == want[1] and want[2] <= 1e-8)
+    assert center_dimension(g) == _reference_center_dimension(g)
+    rep, ref = verify_modular_flow(flow, psi), _reference_verify_modular_flow(flow, psi)
+    assert rep.passed == ref.passed
+    assert abs(rep.max_residual - ref.max_residual) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (2, 3), (1, 1, 2), (3, 1), (4,), (2, 2, 1, 1),
+                                  (4, 1), (3, 3), (4, 1, 1)])
+@pytest.mark.parametrize("beta", [1.1, -0.7])
+def test_closed_form_checks_match_reference_routes(dims, beta):
+    flow, psi, g = _gibbs_setup(dims, beta, rng=np.random.default_rng(7000 + sum(dims)))
+    _assert_checks_match_reference(flow, psi, g)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 1, 1)])
+def test_commutant_basis_is_the_closed_form_commutant(dims):
+    _, _, g = _gibbs_setup(dims, beta=0.9)
+    comm = commutant_basis([g.rep(e) for e in g.algebra.basis()], dim=g.dim)
+    assert len(comm) == g.dim
+    off = _off_commutant(g, np.array(comm))
+    assert np.max(np.abs(off)) <= 1e-12
+    # and the unit images are the densified representation
+    eye = np.eye(g.dim)
+    reps = np.array([g.rep(e) for e in g.algebra.basis()])
+    assert np.array_equal(_unit_images(g, eye, eye), reps)
+
+
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4)
+       .filter(lambda d: sum(n * n for n in d) <= 13),
+       beta=st.floats(0.2, 2.0), sign=st.sampled_from([-1.0, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_property_closed_form_checks_match_reference_routes(dims, beta, sign, seed):
+    flow, psi, g = _gibbs_setup(tuple(dims), sign * beta, rng=np.random.default_rng(seed))
+    _assert_checks_match_reference(flow, psi, g)
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 3), (1, 1, 2), (3, 1)])
+@pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.1])
+def test_commutant_check_fails_for_a_rotated_conjugation(dims, eps):
+    rng = np.random.default_rng(7100 + sum(dims))
+    _, _, g = _gibbs_setup(dims, beta=1.1, rng=rng)
+    md = modular_data(g)
+    x = rng.normal(size=(g.dim, g.dim)) + 1j * rng.normal(size=(g.dim, g.dim))
+    w, v = np.linalg.eigh(x + x.conj().T)
+    rotated = dataclasses.replace(
+        md, conj_kernel=(v * np.exp(1j * eps * w)) @ v.conj().T @ md.conj_kernel)
+    dim_rep, dim_comm, gap = commutant_gap(g, rotated)
+    want = _reference_commutant_gap(g, rotated)
+    assert (dim_rep, dim_comm) == want[:2] == (g.dim, g.dim)
+    assert gap > 1e-8
+    assert abs(gap - want[2]) <= 1e-9 * want[2]
+    assert not verify_commutant_theorem(g, rotated)
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 3)])
+def test_commutant_gap_of_a_rank_deficient_conjugation(dims):
+    _, _, g = _gibbs_setup(dims, beta=1.1)
+    md = modular_data(g)
+    kernel = md.conj_kernel.copy()
+    kernel[:, 2:] = 0.0
+    bad = dataclasses.replace(md, conj_kernel=kernel)
+    dim_rep, dim_comm, gap = commutant_gap(g, bad)
+    assert (dim_rep, dim_comm, gap) == (g.dim, 2, 1.0)
+    assert abs(_reference_commutant_gap(g, bad)[2] - 1.0) <= 1e-12
+    assert not verify_commutant_theorem(g, bad)
+
+
+def test_modular_flow_residual_keeps_nan(monkeypatch):
+    flow, psi, g = _gibbs_setup((2,), beta=1.0)
+    nan_at = DEFAULT_T_SAMPLES[2]
+    unitary = modular.ModularData.flow_unitary
+    monkeypatch.setattr(modular.ModularData, "flow_unitary",
+                        lambda self, t: unitary(self, t) * (np.nan if t == nan_at else 1.0))
+    rep = verify_modular_flow(flow, psi)
+    assert math.isnan(rep.max_residual) and not rep.passed
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 3), (3, 1)])
+def test_modular_flow_check_fails_at_the_wrong_beta(dims):
+    flow, psi, _ = _gibbs_setup(dims, beta=1.3, rng=np.random.default_rng(7200 + sum(dims)))
+    wrong = KmsState(functional=psi.functional, beta=0.8, flow=flow)
+    rep, ref = verify_modular_flow(flow, wrong), _reference_verify_modular_flow(flow, wrong)
+    assert not rep.passed and not ref.passed
+    assert abs(rep.max_residual - ref.max_residual) <= 1e-12 * ref.max_residual
+
+
+def test_checks_never_densify_per_unit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic route called")
+
+    rep_calls = []
+    rep = GnsTriple.rep
+    monkeypatch.setattr(algebra, "commutant_basis", refuse)
+    monkeypatch.setattr(kmslab, "commutant_basis", refuse)
+    monkeypatch.setattr(InnerFlow, "evolve", refuse)
+    monkeypatch.setattr(GnsTriple, "rep", lambda self, a: rep_calls.append(a) or rep(self, a))
+    assert not hasattr(modular, "commutant_basis")
+    flow, psi, g = _gibbs_setup((2, 3), beta=1.1)
+    md = modular_data(g)
+    assert verify_commutant_theorem(g, md)
+    assert center_dimension(g) == 2
+    assert verify_modular_flow(flow, psi).passed
+    assert len(rep_calls) == len(DEFAULT_T_SAMPLES)     # one π(e^{ish}) per sample time
+
+
+def test_commutant_gap_at_n32_is_fast():
+    _, _, g = _gibbs_setup((4, 4), beta=1.0)
+    md = modular_data(g)
+    start = time.perf_counter()
+    dim_rep, dim_comm, gap = commutant_gap(g, md)
+    assert time.perf_counter() - start < 0.5
+    assert dim_rep == dim_comm == 32 and gap < 1e-8
+
+
+def test_gns_dimension_cap_boundary(tmp_path, capsys):
+    n = math.isqrt(MAX_GNS_DIM)
+    assert n * n == MAX_GNS_DIM
+    at_cap = gns(BlockAlgebra((n,)), random_state(BlockAlgebra((n,)), RNG))
+    assert center_dimension(at_cap) == 1
+    over = BlockAlgebra((n, 1))
+    flow = InnerFlow(over, random_hermitian(over, RNG))
+    psi = gibbs(flow, 1.0)
+    g = gns(over, psi.functional)
+    md = modular_data(g, method="closed_form")
+    for check in (lambda: commutant_gap(g, md), lambda: center_dimension(g),
+                  lambda: verify_modular_flow(flow, psi)):
+        with pytest.raises(ValueError, match=f"GNS dimension {MAX_GNS_DIM + 1} exceeds .* "
+                                             f"cap {MAX_GNS_DIM}"):
+            check()
+    blocks = [[[[float(z.real), float(z.imag)] for z in row] for row in h]
+              for h in flow.generator.blocks]
+    prob = tmp_path / "big.json"
+    prob.write_text(json.dumps({"block_dims": [n, 1], "generator": blocks, "beta": 1.0}))
+    code = main(["modular", "--problem", str(prob), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert f"cap {MAX_GNS_DIM}" in capsys.readouterr().err
