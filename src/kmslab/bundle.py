@@ -9,9 +9,9 @@ enumerated by a double-description sweep: start from the orthant's
 extreme rays, intersect one equality at a time combining opposite-sign
 ray pairs, and keep exactly the rays whose tight constraints have rank
 dim−1. When e^{-β} is (certifiably) a rational eigenvalue the whole sweep
-runs in exact fractions and the vertices come out exact; otherwise it
-runs in floats with relative tolerances. Diagonal specifications admit a
-one-line support rule, kept separate as the cross-check.
+runs in integers (primitive rows, coprime rays) and the vertices come out
+as exact fractions; otherwise it runs in floats with relative tolerances.
+Diagonal specifications admit a one-line support rule, the cross-check.
 
 The same file holds the degenerate one-point bundles (Dirac simplices on
 level sets), self-similar measures on the half-line with their scaling
@@ -87,56 +87,47 @@ class DimensionGroupSpec:
         return np.array([float(u) for u in self.order_unit])
 
 
-# -- exact linear algebra over ℚ -------------------------------------------------
+# -- exact linear algebra: rationals become integers once --------------------------
 
-def _rank_exact(rows, dim: int) -> int:
-    """Rank of the rows over ℚ: each row scaled to integers, then eliminated
-    fraction-free, every row kept primitive (its entries' gcd divided out)."""
-    mat = []
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (lcm // x.denominator) for x in row]
-        if any(ints):
-            mat.append(ints)
-    rank = 0
+def _primitive(v: np.ndarray) -> np.ndarray:
+    """An integer object array divided by its entries' gcd, as is when that is 0 or 1."""
+    g = math.gcd(*v)
+    return v // g if g > 1 else v
+
+
+def _integer_row(xs) -> np.ndarray:
+    """A rational row (ints, Fractions or exact floats) scaled by the lcm of its
+    denominators: a primitive integer row on the same hyperplane."""
+    ratios = [x.as_integer_ratio() if isinstance(x, float)
+              else (int(x.numerator), int(x.denominator)) for x in xs]
+    lcm = math.lcm(*(d for _, d in ratios))
+    return _primitive(np.array([n * (lcm // d) for n, d in ratios], dtype=object))
+
+
+def _integer_rank(rows, dim: int) -> int:
+    """Rank of integer rows over ℚ: fraction-free elimination, combined rows made primitive."""
+    mat, rank = list(rows), 0
     for col in range(dim):
         piv = next((r for r in mat if r[col]), None)
-        if piv is None:
-            continue
-        rank += 1
-        p = piv[col]
-        rest = []
-        for r in mat:
-            if r is piv:
-                continue
-            c = r[col]
-            if c:
-                r = [p * a - c * b for a, b in zip(r, piv)]
-                g = math.gcd(*r)
-                if not g:
-                    continue
-                if g > 1:
-                    r = [a // g for a in r]
-            rest.append(r)
-        mat = rest
+        if piv is not None:
+            rank += 1
+            p = piv[col]
+            mat = [_primitive(p * r - r[col] * piv) if r[col] else r for r in mat if r is not piv]
     return rank
+
+
+def _rank_exact(rows, dim: int) -> int:
+    """Rank of rational rows over ℚ."""
+    return _integer_rank([_integer_row(r) for r in rows], dim)
 
 
 # -- double description: one sweep, an exact and a float lane ---------------------
 
-def _normalize_exact(v: np.ndarray) -> np.ndarray:
-    """The ray scaled to coprime integers."""
-    lcm = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (lcm // x.denominator) for x in v]
-    g = math.gcd(*ints)
-    return v if g == 0 else np.array([Fraction(i // g) for i in ints], dtype=object)
-
-
 def _tight_rank_exact(rows, zeros: list[int], dim: int) -> int:
-    """Rank of the rows with the unit rows e_i, i in zeros: each e_i adds one
+    """Rank of the integer rows with the unit rows e_i, i in zeros: each e_i adds one
     and clears column i, so only the other columns of the rows are eliminated."""
     keep = [j for j in range(dim) if j not in zeros]
-    return len(zeros) + _rank_exact([row[keep] for row in rows], len(keep))
+    return len(zeros) + _integer_rank([row[keep] for row in rows], len(keep))
 
 
 class _Lane(NamedTuple):
@@ -151,10 +142,10 @@ class _Lane(NamedTuple):
     rank: Callable          # (rows, zeroed coordinates i, dim) → rank of the rows and the e_i
 
 
-# exact: object arrays of Fractions, coprime-integer rays, every test exact
-_EXACT = _Lane(zero=0, vector=lambda xs: np.array([Fraction(x) for x in xs], dtype=object),
-               tol=lambda row: 0, is_zero=lambda ray: not any(ray),
-               normalize=_normalize_exact, key=tuple, rank=_tight_rank_exact)
+# exact: Python ints in object arrays, primitive rows and coprime rays, every test exact
+_EXACT = _Lane(zero=0, vector=_integer_row, tol=lambda row: 0,
+               is_zero=lambda ray: not any(ray), normalize=_primitive, key=tuple,
+               rank=_tight_rank_exact)
 # float: unit-norm rays, tolerances relative to the row, rays that agree to
 # 8 decimals at max-norm 1 are one
 _FLOAT = _Lane(zero=FLOAT_ZERO_TOL, vector=lambda xs: np.array(xs, dtype=float),
@@ -251,15 +242,16 @@ def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
     s_float = math.exp(-float(beta))
     s_exact = _rational_eigenvalue(spec, s_float)
     lane, s = (_FLOAT, s_float) if s_exact is None else (_EXACT, s_exact)
-    rays = _dd_cone(_fiber_rows(spec, s, lane), spec.rank + 1, lane)
     # bounded polytope: only rays with t > 0 can appear
-    verts = [ray[:-1] / ray[-1] for ray in rays if ray[-1] > lane.zero]
+    rays = [ray for ray in _dd_cone(_fiber_rows(spec, s, lane), spec.rank + 1, lane)
+            if ray[-1] > lane.zero]
     if s_exact is None:
+        verts = [ray[:-1] / ray[-1] for ray in rays]
         verts.sort(key=lambda v: tuple(np.round(v, 9)))
         fiber = SimplexFiber(beta=float(beta), vertices=verts,
                              dimension=_affine_dim(verts), exact=False)
     else:
-        verts_exact = sorted(tuple(v) for v in verts)
+        verts_exact = sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in rays)
         verts = [np.array([float(x) for x in v]) for v in verts_exact]
         fiber = SimplexFiber(beta=float(beta), vertices=verts,
                              dimension=_affine_dim(verts), exact=True,

@@ -27,7 +27,7 @@ from . import __version__
 from .algebra import BlockAlgebra, Functional
 from .flow import InnerFlow
 from .kms import gibbs, kms_simplex, verify_kms
-from .modular import (gns, modular_data, center_dimension,
+from .modular import (_check_gns_dim, gns, modular_data, center_dimension,
                       commutant_gap, verify_modular_flow)
 from .periodic import PeriodicFlow, cuntz_trace, gauge_kms_beta
 from .products import ItpfiSpec, MatroidSpec, SpectrumFamily, factor_type_itpfi, \
@@ -37,6 +37,8 @@ from .bundle import (DimensionGroupSpec, PointBundleSpec, _spectrum_fibers, bund
 from .cocycle import Cochain, CocycleGrid, check_cocycle, trivialize
 
 SCHEMA_VERSION = "1"
+#: most --beta-range steps one sweep takes (about 9 s at block dims (16, 16))
+MAX_SWEEP_STEPS = 100_000
 
 
 class CliInputError(ValueError):
@@ -149,6 +151,8 @@ def _beta_range(text: str) -> np.ndarray:
         raise CliInputError(f"--beta-range wants lo:hi:steps, got {text!r}")
     if n < 1:
         raise CliInputError("--beta-range needs at least one step")
+    if n > MAX_SWEEP_STEPS:
+        raise CliInputError(f"--beta-range asks for {n} steps, above the cap {MAX_SWEEP_STEPS}")
     # half-open [lo, hi): n equal steps, hi itself excluded
     return lo + (hi - lo) * np.arange(n) / n
 
@@ -300,6 +304,7 @@ def _cmd_modular(args) -> int:
     beta = _need_beta(args.beta, beta_file, args.problem)
     state = gibbs(flow, beta)
     triple = gns(alg, state.functional)
+    _check_gns_dim(triple)
     md_polar = modular_data(triple, method="polar")
     md_closed = modular_data(triple, method="closed_form")
     route_gap = float(np.max(np.abs(md_polar.delta - md_closed.delta)))

@@ -41,6 +41,15 @@ class AnalyticRangeError(ValueError):
     """|Im z| exceeds the supported strip."""
 
 
+def _check_strip(z: complex) -> complex:
+    """z as a complex number, refused outside the strip |Im z| ≤ IM_CAP."""
+    z = complex(z)
+    if abs(z.imag) > IM_CAP:
+        raise AnalyticRangeError(
+            f"|Im z| = {abs(z.imag):.3g} exceeds the supported strip |Im z| ≤ {IM_CAP:g}")
+    return z
+
+
 class QuadratureError(RuntimeError):
     """Gauss–Hermite sum failed its self-consistency estimate."""
 
@@ -151,10 +160,7 @@ class InnerFlow:
 
     def continue_analytic(self, a: AlgElement, z: complex) -> AlgElement:
         """σ_z(a) for complex z; exact on matrices, guarded by IM_CAP."""
-        z = complex(z)
-        if abs(z.imag) > IM_CAP:
-            raise AnalyticRangeError(
-                f"|Im z| = {abs(z.imag):.3g} exceeds the supported strip |Im z| ≤ {IM_CAP:g}")
+        z = _check_strip(z)
         return self._entrywise(a, lambda d: np.exp(1j * z * d))
 
     # -- Gaussian smoothing, two independent routes ---------------------------
@@ -178,10 +184,7 @@ class InnerFlow:
         n = float(n)
         if n <= 0:
             raise ValueError("smoothing index must be positive")
-        z = complex(z)
-        if abs(z.imag) > IM_CAP:
-            raise AnalyticRangeError(
-                f"|Im z| = {abs(z.imag):.3g} exceeds the supported strip |Im z| ≤ {IM_CAP:g}")
+        z = _check_strip(z)
         if method == "closed_form":
             return self._entrywise(a, lambda d: np.exp(1j * z * d) * np.exp(-d * d / (4.0 * n)))
         if method == "quadrature":

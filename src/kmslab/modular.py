@@ -191,12 +191,17 @@ DEFAULT_T_SAMPLES = (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7)
 MAX_GNS_DIM = 144
 
 
+def _check_gns_dim(g: GnsTriple) -> None:
+    """Refuse N above MAX_GNS_DIM before any O(N³) work is done on it."""
+    if g.dim > MAX_GNS_DIM:
+        raise ValueError(f"GNS dimension {g.dim} exceeds the desk-scale cap {MAX_GNS_DIM}")
+
+
 def _unit_images(g: GnsTriple, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left·π(e)·right for every matrix unit e, as an (N, N, N) stack in basis order:
     π(E_kl) = E_kl ⊗ 1 on its block, so this is Σ_r left[:, (k,r)]·right[(l,r), :]."""
+    _check_gns_dim(g)
     big = g.dim
-    if big > MAX_GNS_DIM:
-        raise ValueError(f"GNS dimension {big} exceeds the desk-scale cap {MAX_GNS_DIM}")
     out = np.empty((big, big, big), dtype=complex)
     for n, off in zip(g.algebra.block_dims, g._offsets):
         sl = slice(off, off + n * n)
@@ -221,6 +226,7 @@ def verify_modular_flow(flow: InnerFlow, psi: KmsState,
                         t_samples=DEFAULT_T_SAMPLES, tol: float = 1e-8) -> ModularFlowReport:
     """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) = W π(e) W*, W = π(e^{-iβth}), on the units."""
     g = gns(flow.algebra, psi.functional)
+    _check_gns_dim(g)
     md = modular_data(g)
     resid = [0.0]
     for t in t_samples:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmslab import (
     BlockAlgebra,
@@ -20,8 +22,8 @@ from kmslab import (
     scaling_measure,
     verify_scaling,
 )
-from kmslab.bundle import (FLOAT_ZERO_TOL, _EXACT, _FLOAT, Atom, Interval, _dd_cone, _rank_exact,
-                           _rational_eigenvalue, _tight_rank_exact)
+from kmslab.bundle import (FLOAT_ZERO_TOL, _EXACT, _FLOAT, Atom, Interval, _dd_cone, _fiber_rows,
+                           _rank_exact, _rational_eigenvalue, _tight_rank_exact)
 
 F = Fraction
 
@@ -348,6 +350,90 @@ def test_integer_rank_matches_reference_rank():
         assert _tight_rank_exact(arrays, zeros, dim) == \
             _reference_rank_exact([tuple(F(x) for x in r) for r in rows] + units, dim)
     assert full >= 20 and deficient >= 20
+
+
+# -- properties: the sweep against its oracles, and the exact lane's number format ------
+
+BIG = 10 ** 6
+_ENTRY = st.one_of(st.just(0), st.integers(-3, 3),
+                   st.builds(F, st.integers(-5, 5), st.integers(1, 6)),
+                   st.builds(F, st.integers(-10 * BIG, 10 * BIG), st.integers(BIG + 1, 10 * BIG)))
+
+
+@st.composite
+def _degenerate_rows(draw):
+    """Rational rows in dim ≤ 9, denominators up to 10⁷, with zero, repeated and
+    scaled rows slipped in."""
+    dim = draw(st.integers(2, 9))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "scale"]), max_size=3)):
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 10 * BIG)))
+        new = {"zero": [0] * dim, "repeat": list(src), "scale": [k * x for x in src]}[kind]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, dim
+
+
+@given(_degenerate_rows())
+def test_property_exact_sweep_matches_reference_sweep(case):
+    rows, dim = case
+    got = _dd_cone([_EXACT.vector(r) for r in rows], dim, _EXACT)
+    assert [tuple(g) for g in got] == _reference_dd_cone_exact(
+        [tuple(F(x) for x in r) for r in rows], dim)
+
+
+_POOL = [F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(3, 7), F(5, 4), F(3, 2)]
+
+
+@st.composite
+def _diagonal_specs(draw, upper=False):
+    """Rank ≤ 8 specs with diagonal values from a small pool and units 1–4; with
+    ``upper``, some entries above the diagonal too, which keeps the diagonal the spectrum."""
+    r = draw(st.integers(1, 8))
+    diag = draw(st.lists(st.sampled_from(_POOL), min_size=r, max_size=r))
+    m = [[diag[i] if i == j else F(0) for j in range(r)] for i in range(r)]
+    if upper:
+        for i in range(r):
+            for j in range(i + 1, r):
+                m[i][j] = draw(st.sampled_from([F(0), F(0), F(1, 2), F(1), F(2, 3)]))
+    unit = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    return DimensionGroupSpec(matrix=m, order_unit=unit), sorted(set(diag))
+
+
+@given(_diagonal_specs())
+def test_property_sweep_matches_support_rule(case):
+    spec, values = case
+    for s in values:
+        f = fiber_simplex(spec, -math.log(float(s)))
+        assert f.exact
+        assert f.vertices_exact == diagonal_fiber(spec, s)
+
+
+@given(_diagonal_specs(upper=True))
+def test_property_exact_lane_matches_float_lane(case):
+    spec, values = case
+    key = lambda v: tuple(np.round(v, 9))              # noqa: E731
+    for s in values:
+        f = fiber_simplex(spec, -math.log(float(s)))
+        assert f.exact
+        rays = _dd_cone(_fiber_rows(spec, float(s), _FLOAT), spec.rank + 1, _FLOAT)
+        floats = sorted((ray[:-1] / ray[-1] for ray in rays if ray[-1] > FLOAT_ZERO_TOL), key=key)
+        assert len(floats) == f.vertex_count
+        for v, w in zip(floats, sorted(f.vertices, key=key)):
+            assert np.max(np.abs(v - w)) <= 1e-9
+
+
+def test_exact_lane_holds_ints_and_gives_fraction_vertices():
+    """Exact rays are Python ints and exact vertices Fractions; an int leaking into
+    vertices_exact would compare equal to its Fraction, so the types are pinned here."""
+    spec = _diag_spec([F(1, 2), F(1, 3), F(1, 2), F(2, 3), F(1, 3), F(1, 2), F(1, 5), F(1, 3)],
+                      unit=[1, 3, 2, 4, 1, 2, 3, 1])
+    for s in (F(1, 2), F(1, 3), F(1, 5)):
+        rays = _dd_cone(_fiber_rows(spec, s, _EXACT), spec.rank + 1, _EXACT)
+        assert rays and all(type(x) is int for ray in rays for x in ray)
+        f = fiber_simplex(spec, -math.log(float(s)))
+        assert f.vertices_exact and all(type(x) is F for v in f.vertices_exact for x in v)
+    assert all(type(x) is int for ray in _dd_cone([], 3, _EXACT) for x in ray)
 
 
 def test_singular_matrix_refused_and_rational_eigenvalue_found():

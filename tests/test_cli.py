@@ -125,6 +125,21 @@ def test_empty_sweep_is_an_input_error(two_level, tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_sweep_step_cap(two_level, tmp_path, capsys, monkeypatch):
+    """--beta-range takes MAX_SWEEP_STEPS steps and refuses one more before any fiber runs."""
+    cap = cli.MAX_SWEEP_STEPS
+    betas = cli._beta_range(f"0:1:{cap}")
+    assert len(betas) == cap and betas[0] == 0.0 and betas[-1] < 1.0
+    swept = []
+    monkeypatch.setattr(cli, "kms_simplex", lambda flow, beta: swept.append(beta))
+    out = tmp_path / "x.csv"
+    code = main(["simplex", "--problem", two_level, f"--beta-range=0:1:{cap + 1}",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"cap {cap}" in capsys.readouterr().err
+    assert swept == [] and not out.exists()
+
+
 def test_modular_routes_and_theorems(two_level, tmp_path):
     out = tmp_path / "modular.json"
     assert main(["modular", "--problem", two_level, "--out", str(out)]) == 0

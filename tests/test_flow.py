@@ -76,6 +76,18 @@ def test_analytic_range_cap():
         flow.continue_analytic(a, 1e9j)
 
 
+def test_strip_guard_is_one_refusal_for_both_methods():
+    """continue_analytic and smooth_shifted (either route) refuse |Im z| > 50 alike."""
+    flow = _flow((2,))
+    a = random_element(flow.algebra, RNG)
+    msg = re.escape("|Im z| = 51 exceeds the supported strip |Im z| ≤ 50")
+    for call in (lambda: flow.continue_analytic(a, 51j),
+                 lambda: flow.smooth_shifted(a, 1.0, 51j),
+                 lambda: flow.smooth_shifted(a, 1.0, 51j, method="quadrature")):
+        with pytest.raises(AnalyticRangeError, match=msg):
+            call()
+
+
 def test_smoothing_routes_agree():
     """Gaussian smoothing by closed form and by quadrature must coincide."""
     for trial in range(5):

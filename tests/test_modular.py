@@ -385,3 +385,29 @@ def test_gns_dimension_cap_boundary(tmp_path, capsys):
     code = main(["modular", "--problem", str(prob), "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert f"cap {MAX_GNS_DIM}" in capsys.readouterr().err
+
+
+def test_gns_cap_is_checked_before_any_modular_route(tmp_path, capsys, monkeypatch):
+    """At N = 145 neither kmslab modular nor verify_modular_flow runs modular_data."""
+    calls = []
+
+    def counted(g, method="polar"):
+        calls.append(method)
+        return modular_data(g, method)
+
+    monkeypatch.setattr(modular, "modular_data", counted)
+    monkeypatch.setattr(kmslab.cli, "modular_data", counted)
+    over = BlockAlgebra((12, 1))
+    flow = InnerFlow(over, random_hermitian(over, RNG))
+    psi = gibbs(flow, 1.0)
+    with pytest.raises(ValueError, match=f"GNS dimension 145 exceeds .* cap {MAX_GNS_DIM}"):
+        verify_modular_flow(flow, psi)
+    blocks = [[[[float(z.real), float(z.imag)] for z in row] for row in h]
+              for h in flow.generator.blocks]
+    prob = tmp_path / "big.json"
+    prob.write_text(json.dumps({"block_dims": [12, 1], "generator": blocks, "beta": 1.0}))
+    code = main(["modular", "--problem", str(prob), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert f"GNS dimension 145 exceeds the desk-scale cap {MAX_GNS_DIM}" in \
+        capsys.readouterr().err
+    assert calls == []
