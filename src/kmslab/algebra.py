@@ -15,6 +15,7 @@ import numpy as np
 
 #: default tolerance for every predicate in the package, overridable per call
 TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,16 @@ class AlgElement:
     # -- metrics and predicates ----------------------------------------------
 
     def norm(self) -> float:
-        """Operator norm (largest singular value over the blocks)."""
-        return max(float(np.linalg.norm(a, 2)) if a.size else 0.0 for a in self.blocks)
+        """Operator norm (largest singular value over the blocks); an all-zero
+        block needs no SVD."""
+        return max(float(np.linalg.norm(a, 2)) if np.count_nonzero(a) else 0.0
+                   for a in self.blocks)
+
+    def tol_scale(self) -> float:
+        """max(1, ‖a‖₂), the scale of the package's relative tolerances. Since
+        ‖a‖₂ ≤ ‖a‖_F, below 1 (with room for rounding) it is exactly 1 and the
+        SVD behind ‖a‖₂ is skipped."""
+        return 1.0 if self.fro_norm() <= 1.0 - 1e-9 else max(1.0, self.norm())
 
     def fro_norm(self) -> float:
         return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in self.blocks)))
@@ -167,13 +176,11 @@ class Functional:
         if check:
             if not all(np.isfinite(a).all() for a in density.blocks):
                 raise ValueError("density has non-finite entries")
-            # ‖d‖₂ ≤ ‖d‖_F, so below 1 (with room for rounding) max(1, ‖d‖₂) is
-            # exactly 1 and the SVD behind ‖d‖₂ can be skipped
-            scale = 1.0 if density.fro_norm() <= 1.0 - 1e-9 else max(1.0, density.norm())
+            scale = density.tol_scale()
             if not density.is_hermitian(1e-8 * scale):
                 raise ValueError("density not self-adjoint")
-            lo = min(_min_eig(a) for a in density.blocks)
-            if lo < -1e-8 * scale:
+            if not all(_psd_within(a, 1e-8 * scale) for a in density.blocks):
+                lo = min(_min_eig(a) for a in density.blocks)
                 raise ValueError(f"density not positive semidefinite (min eigenvalue {lo:.3e})")
         self.algebra = algebra
         self.density = density
@@ -235,11 +242,36 @@ def _min_eig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
 
 
+def _psd_within(a: np.ndarray, tol: float) -> bool:
+    """λ_min of a's Hermitian part H is ≥ −tol.
+
+    A Cholesky factorization R*R of H + (tol/2)·1 settles it without the
+    spectrum: once it completes, R*R = H + (tol/2)·1 + E with
+    ‖E‖₂ ≤ γ_{n+1}·‖|R*||R|‖_F ≤ γ_{n+1}·‖R‖_F² (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., Thm 10.3), so λ_min(H) ≥ −3tol/4 when
+    that bound is at most tol/4. Otherwise the eigenvalue test
+    ``_min_eig(a) ≥ −tol`` decides; a non-finite R fails the bound."""
+    n = a.shape[0]
+    if n == 0:
+        return True
+    herm = (a + a.conj().T) / 2.0
+    herm.flat[::n + 1] += tol / 2.0
+    try:
+        r = np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return bool(_min_eig(a) >= -tol)
+    # γ_{n+1} ≈ (n+1)·eps/2 taken 4 times over, for complex arithmetic
+    backward = 2 * (n + 1) * _EPS * np.vdot(r, r).real
+    return bool(backward <= tol / 4.0 or _min_eig(a) >= -tol)
+
+
 def is_positive(a: AlgElement, tol: float = TOL) -> bool:
-    """Positivity by spectral test. Non-Hermitian input is an error, not False."""
+    """Positivity up to ``tol``: λ_min ≥ −tol in every block, shown by a shifted
+    Cholesky factorization and, where that fails, by the eigenvalue test (see
+    :func:`_psd_within`). Non-Hermitian input is an error, not False."""
     if not a.is_hermitian(tol * max(1.0, a.norm())):
         raise ValueError("not self-adjoint")
-    return all(_min_eig(b) >= -tol for b in a.blocks)
+    return all(_psd_within(b, tol) for b in a.blocks)
 
 
 def _exchange_residual(d: np.ndarray, fac=None, mask=None) -> tuple[float, tuple[int, ...]]:

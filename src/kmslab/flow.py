@@ -9,6 +9,7 @@ tests; neither is derived from the other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,14 @@ GH_NODES_MAX = 256
 _GH_CHUNK_ENTRIES = 2 ** 16
 #: largest entry of u*u − 1 that ``InnerFlow.from_eigensystem`` accepts as unitary
 UNITARY_TOL = 1e-10
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``hermgauss(nodes)``, computed once per node count and shared read-only."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _check_eigensystem(h: np.ndarray, w: np.ndarray, u: np.ndarray, scale: float) -> None:
@@ -208,7 +217,7 @@ class InnerFlow:
         # (1/√π) Σ_k w_k σ_{z + x_k/√n}(a) over Hermite nodes x_k; each σ is
         # entrywise in the eigenbasis, so the sum is one entrywise factor
         # Σ_k (w_k/√π)·e^{i(z + x_k/√n)(λ_j−λ_l)} between one transport each way
-        x, w = np.polynomial.hermite.hermgauss(nodes)
+        x, w = _gauss_hermite(nodes)
         izt = 1j * (z + x / np.sqrt(n))
         coef = w / np.sqrt(np.pi)
         out = []

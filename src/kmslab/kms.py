@@ -223,7 +223,7 @@ def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | No
         if flow is None or beta is None:
             raise ValueError("plain functionals need an explicit flow and β")
     mats, traces = _boltzmann(flow, beta)
-    scale = max(1.0, phi.density.norm())
+    scale = phi.density.tol_scale()
     gam = np.empty(len(mats))
     for i, (m, d) in enumerate(zip(mats, phi.density.blocks)):
         gam[i] = float(np.real(np.trace(d))) / traces[i]
@@ -300,7 +300,7 @@ def trace_of(psi: KmsState) -> Functional:
 
 def from_trace(tau: Functional, flow: InnerFlow, beta: float) -> KmsState:
     """Inverse of :func:`trace_of` up to normalization; τ must be tracial."""
-    if not is_trace(tau, 1e-8 * max(1.0, tau.density.norm())):
+    if not is_trace(tau, 1e-8 * tau.density.tol_scale()):
         raise ValueError("input functional is not a trace")
     dims = flow.algebra.block_dims
     t = np.array([float(np.real(np.trace(d))) / n for d, n in zip(tau.density.blocks, dims)])
@@ -436,7 +436,7 @@ def dominated_decomposition(phi, psi, tol: float = 1e-9) -> AlgElement:
     """For φ ≤ ψ in the equilibrium cone, the central 0 ≤ c ≤ 1 with
     density(φ) = c · density(ψ). Raises with a witness when φ ≰ ψ."""
     phi, psi = _cone_pair(phi, psi)
-    scale = max(1.0, psi.functional.density.norm())
+    scale = psi.functional.density.tol_scale()
     for i, (dp, dq) in enumerate(zip(phi.functional.density.blocks,
                                      psi.functional.density.blocks)):
         w, u = np.linalg.eigh(dq - dp)

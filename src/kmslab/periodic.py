@@ -213,7 +213,7 @@ def trace_scaling_beta(p_flow: PeriodicFlow, tau: Functional,
     if tau.algebra != p_flow.algebra:
         raise ValueError("functional lives in a different algebra")
     tau_eig = p_flow.flow.to_eigenbasis(tau.density)
-    scale = max(1.0, tau.density.norm())
+    scale = tau.density.tol_scale()
 
     # trace property on the invariant subalgebra, over its matrix-unit pairs
     for deg, t in zip(p_flow.degrees, tau_eig):

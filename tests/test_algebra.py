@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmslab import (
     AlgElement,
@@ -16,7 +18,8 @@ from kmslab import (
     random_hermitian,
     random_state,
 )
-from kmslab.algebra import _exchange_residual, _min_eig
+from kmslab import algebra
+from kmslab.algebra import TOL, _exchange_residual, _min_eig
 
 RNG = np.random.default_rng(20260816)
 
@@ -157,6 +160,90 @@ def test_density_check_matches_two_scale_reference(monkeypatch):
         assert got == _refusal(_reference_density_check, d)
         outcomes.add(got.split(" (")[0] if got else got)
     assert outcomes == {None, "density not self-adjoint", "density not positive semidefinite"}
+
+
+def _reference_is_positive(a, tol=TOL):
+    """is_positive as it was, by the eigenvalue test alone; kept as the oracle."""
+    if not a.is_hermitian(tol * max(1.0, a.norm())):
+        raise ValueError("not self-adjoint")
+    return all(_min_eig(b) >= -tol for b in a.blocks)
+
+
+#: the planted least eigenvalues, in units of −tol
+PLANTED = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+
+
+def _assert_positivity_matches(dims, planted, nudge, top, deficiency, relative, seed):
+    """Hermitian blocks with eigenvalues in [0, top] (the largest at top, the first
+    ``deficiency`` exactly 0; top = 0 gives zero blocks), then one block's least
+    eigenvalue planted at −planted·nudge·tol, with tol = 1e-8·scale (Functional's)
+    or is_positive's default. Both verdicts, and Functional's message, must be the
+    eigenvalue test's."""
+    rng = np.random.default_rng(seed)
+    spectra = []
+    for n in dims:
+        w = rng.uniform(0.0, top, n)
+        w[-1] = top
+        w[:deficiency] = 0.0
+        spectra.append(w)
+    tol = 1e-8 * max(1.0, top) if relative else TOL
+    spectra[rng.integers(len(dims))][0] = -planted * nudge * tol
+    blocks = []
+    for w in spectra:
+        n = w.size
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        d = (q * w) @ q.conj().T
+        blocks.append((d + d.conj().T) / 2.0)
+    x = BlockAlgebra(tuple(dims)).element(blocks)
+    assert is_positive(x, tol) == _reference_is_positive(x, tol)
+    assert _refusal(lambda d: Functional(d.algebra, d), x) == _refusal(_reference_density_check, x)
+
+
+def test_positivity_matches_the_eigenvalue_test_at_every_planted_eigenvalue():
+    seed = 0
+    for planted in PLANTED:
+        for nudge in (1.0 - 1e-6, 1.0 + 1e-6):
+            for relative in (True, False):
+                for dims, top, deficiency in [((5,), 1.0, 0), ((64, 3), 40.0, 0), ((2, 16), 0.3, 8)]:
+                    seed += 1
+                    _assert_positivity_matches(dims, planted, nudge, top, deficiency, relative, seed)
+
+
+@given(dims=st.lists(st.integers(1, 64), min_size=1, max_size=3), planted=st.sampled_from(PLANTED),
+       nudge=st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6]), top=st.sampled_from([0.0, 0.3, 1.0, 40.0]),
+       deficiency=st.integers(0, 64), relative=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_positivity_matches_the_eigenvalue_test(dims, planted, nudge, top, deficiency,
+                                                         relative, seed):
+    _assert_positivity_matches(dims, planted, nudge, top, deficiency, relative, seed)
+
+
+def test_eigenvalue_test_runs_only_where_cholesky_cannot_settle(monkeypatch):
+    calls = []
+    min_eig = algebra._min_eig
+    monkeypatch.setattr(algebra, "_min_eig", lambda a: calls.append(a.shape[0]) or min_eig(a))
+    alg = BlockAlgebra((64, 2))
+    rng = np.random.default_rng(4)
+    assert is_positive(random_state(alg, rng).density) and calls == []
+    # Cholesky completes, but its error bound 2(n+1)·eps·‖R‖_F² exceeds tol/4
+    assert is_positive(1e7 * alg.identity()) and calls == [64, 2]
+    calls.clear()
+    bad = alg.element([np.eye(64), np.diag([1.0, -2e-9])])
+    assert not is_positive(bad) and calls == [2]
+    calls.clear()
+    with pytest.raises(ValueError, match=r"min eigenvalue -1\.000e-07"):
+        Functional(alg, 1e-1 * alg.element([np.eye(64), np.diag([1.0, -1e-6])]))
+    assert calls == [2, 64, 2]
+
+
+def test_tol_scale_is_one_or_the_operator_norm():
+    rng = np.random.default_rng(99)
+    for dims in [(1,), (3,), (2, 4)]:
+        alg = BlockAlgebra(dims)
+        assert alg.zero().tol_scale() == 1.0 and alg.zero().norm() == 0.0
+        for fro in (0.3, 1.0 - 2e-9, 1.0 - 5e-10, 1.0, 1.7, 40.0):
+            a = random_element(alg, rng)
+            a = (fro / a.fro_norm()) * a
+            assert a.tol_scale() == max(1.0, a.norm())
 
 
 def test_nan_density_is_refused_by_the_check_and_fails_the_trace_test():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kmslab import (
+    AlgElement,
     BlockAlgebra,
     DimensionGroupSpec,
     InnerFlow,
@@ -479,6 +480,23 @@ def test_finite_dimensional_bundle_certificate():
     assert cert.vertex_counts == [2] * 21
     assert cert.lipschitz_bound >= cert.max_step_deviation
     assert len(fibers) == 21
+
+
+def _reference_norm(self):
+    """AlgElement.norm as it was: an SVD of every nonempty block, zero or not."""
+    return max(float(np.linalg.norm(a, 2)) if a.size else 0.0 for a in self.blocks)
+
+
+def test_bundle_certificate_matches_the_svd_of_every_block(monkeypatch):
+    rng = np.random.default_rng(2323)
+    alg = BlockAlgebra((32, 8, 2))
+    flow = InnerFlow(alg, random_hermitian(alg, rng, scale=2.0))
+    grid = np.linspace(-1.5, 2.0, 9)
+    _, got = kms_bundle_fd(flow, grid)
+    monkeypatch.setattr(AlgElement, "norm", _reference_norm)
+    _, want = kms_bundle_fd(flow, grid)
+    assert got == want
+    assert got.ok and got.max_step_deviation > 0.0
 
 
 # -- self-similar measures ---------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kmslab import BlockAlgebra, InnerFlow, gibbs, random_element, random_hermitian
-from kmslab.flow import GH_NODES_DEFAULT, GH_NODES_MAX, AnalyticRangeError, QuadratureError
+from kmslab.flow import (GH_NODES_DEFAULT, GH_NODES_MAX, AnalyticRangeError, QuadratureError,
+                         _gauss_hermite)
 
 RNG = np.random.default_rng(41)
 
@@ -218,6 +219,34 @@ def test_property_quadrature_matches_reference_loop(dims, scale, n, z, nodes, se
     rng = np.random.default_rng(seed)
     flow = _flow(tuple(dims), scale=scale, rng=rng)
     _assert_quadrature_matches(flow, random_element(flow.algebra, rng), n, z, nodes)
+
+
+def test_quadrature_computes_each_gauss_hermite_rule_once(monkeypatch):
+    calls = []
+    hermgauss = np.polynomial.hermite.hermgauss
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                        lambda k: calls.append(k) or hermgauss(k))
+    _gauss_hermite.cache_clear()
+    rng = np.random.default_rng(606)
+    flow = _flow((3, 2), scale=2.0, rng=rng)
+    a = random_element(flow.algebra, rng)
+    used = []
+    gh_sum = flow._gh_sum
+    flow._gh_sum = lambda *args: used.append(args[-1]) or gh_sum(*args)
+    for n, nodes in [(1.0, 64), (2.5, 64), (0.3, 64), (1.0, 8), (4.0, 8)] * 2:
+        flow.smooth(a, n, method="quadrature", nodes=nodes)
+    assert sorted(calls) == sorted(set(used)) and len(set(used)) >= 3
+
+
+def test_cached_gauss_hermite_rules_are_exact_and_read_only():
+    for k in (2, 8, 32, GH_NODES_DEFAULT, GH_NODES_MAX):
+        x, w = _gauss_hermite(k)
+        fx, fw = np.polynomial.hermite.hermgauss(k)
+        assert x.tobytes() == fx.tobytes() and w.tobytes() == fw.tobytes()
+        assert _gauss_hermite(k)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 def test_smooth_rejects_bad_index():

@@ -25,6 +25,7 @@ from kmslab import (
     verify_kms,
 )
 from kmslab.periodic import minimal_period
+from kmslab.products import _site_sum
 
 
 def test_product_state_is_equilibrium():
@@ -40,11 +41,9 @@ def test_product_dimension_guard():
         product_kms_state(spec, 1.0, sites=9)
 
 
-def _reference_product_flow(spec, sites):
-    """product_kms_state's flow as it was: the generator built term by term and
-    diagonalized densely. Kept as the oracle."""
-    h_site = spec.site_generator
-    m = spec.site_dim
+def _reference_site_sum(h_site, sites):
+    """The product generator as it was built: term by term, as Kronecker products."""
+    m = h_site.shape[0]
     dim = m ** sites
     total = np.zeros((dim, dim), dtype=complex)
     for j in range(sites):
@@ -52,8 +51,49 @@ def _reference_product_flow(spec, sites):
         for pos in range(sites):
             term = np.kron(term, h_site if pos == j else np.eye(m))
         total += term
-    alg = BlockAlgebra((dim,))
+    return total
+
+
+def _reference_product_flow(spec, sites):
+    """product_kms_state's flow as it was: the generator built term by term and
+    diagonalized densely. Kept as the oracle."""
+    total = _reference_site_sum(spec.site_generator, sites)
+    alg = BlockAlgebra((total.shape[0],))
     return InnerFlow(alg, AlgElement(alg, [total]))
+
+
+def _site_generators(m, rng):
+    """Diagonal (with exact zeros), degenerate and complex Hermitian sites of size m."""
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    diag = np.diag(np.where(np.arange(m) % 2 == 0, 0.0, rng.uniform(-2.0, 2.0, m)))
+    degenerate = (q * np.where(np.arange(m) < m // 2, -0.5, 1.25)) @ q.conj().T
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return [diag, degenerate, g + g.conj().T]
+
+
+def test_site_sum_equals_the_kronecker_loop():
+    # 4 with 6 sites (dim 4096) is left out: the loop's Kronecker terms need ~0.8 GB
+    rng = np.random.default_rng(3131)
+    for m in (2, 3, 4):
+        for h in _site_generators(m, rng):
+            h = ItpfiSpec(h).site_generator
+            for sites in range(1, 7):
+                if m ** sites > 1024:
+                    continue
+                got = _site_sum(h, sites)
+                assert got.shape == (m ** sites,) * 2
+                assert np.array_equal(got, _reference_site_sum(h, sites))
+
+
+def test_valid_product_state_runs_no_eigenvalue_test(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kw: calls.append(1)
+                        or eigvalsh(*args, **kw))
+    spec = ItpfiSpec(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    psi = product_kms_state(spec, 0.8, 8)
+    assert calls == []
+    assert psi.density.blocks[0].shape == (256, 256)
 
 
 def _assert_product_matches_dense(spec, beta, sites):
