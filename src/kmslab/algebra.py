@@ -94,6 +94,17 @@ class AlgElement:
         self.algebra = algebra
         self.blocks = tuple(mats)
 
+    @classmethod
+    def _adopt(cls, algebra: BlockAlgebra, blocks: Sequence[np.ndarray]) -> "AlgElement":
+        """The element with these blocks, taken over as they are: for fresh complex
+        arrays of the right shapes that no one else holds. They are made read-only,
+        but neither copied nor checked."""
+        for m in blocks:
+            m.flags.writeable = False
+        el = cls.__new__(cls)
+        el.algebra, el.blocks = algebra, tuple(blocks)
+        return el
+
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same(self, other: "AlgElement"):
@@ -245,24 +256,24 @@ def _min_eig(a: np.ndarray) -> float:
 def _psd_within(a: np.ndarray, tol: float) -> bool:
     """λ_min of a's Hermitian part H is ≥ −tol.
 
-    A Cholesky factorization R*R of H + (tol/2)·1 settles it without the
-    spectrum: once it completes, R*R = H + (tol/2)·1 + E with
-    ‖E‖₂ ≤ γ_{n+1}·‖|R*||R|‖_F ≤ γ_{n+1}·‖R‖_F² (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, 2nd ed., Thm 10.3), so λ_min(H) ≥ −3tol/4 when
-    that bound is at most tol/4. Otherwise the eigenvalue test
-    ``_min_eig(a) ≥ −tol`` decides; a non-finite R fails the bound."""
+    A Cholesky factorization R*R of 2H + tol·1 = a + a* + tol·1 (twice H shifted
+    by tol/2, with no rounding in the doubling) settles it without the spectrum:
+    once it completes, R*R = 2H + tol·1 + E with ‖E‖₂ ≤ γ_{n+1}·‖|R*||R|‖_F ≤
+    γ_{n+1}·‖R‖_F² (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., Thm 10.3), so λ_min(H) ≥ −3tol/4 when that bound is at most tol/2.
+    Otherwise the eigenvalue test ``_min_eig(a) ≥ −tol`` decides; a non-finite R
+    fails the bound."""
     n = a.shape[0]
     if n == 0:
         return True
-    herm = (a + a.conj().T) / 2.0
-    herm.flat[::n + 1] += tol / 2.0
+    twice = np.add(a, a.conj().T, order="C")
+    twice.ravel()[::n + 1] += tol                   # a view: twice is C-contiguous
     try:
-        r = np.linalg.cholesky(herm)
+        r = np.linalg.cholesky(twice)
     except np.linalg.LinAlgError:
         return bool(_min_eig(a) >= -tol)
     # γ_{n+1} ≈ (n+1)·eps/2 taken 4 times over, for complex arithmetic
-    backward = 2 * (n + 1) * _EPS * np.vdot(r, r).real
-    return bool(backward <= tol / 4.0 or _min_eig(a) >= -tol)
+    return bool(2 * (n + 1) * _EPS * np.vdot(r, r).real <= tol / 2.0 or _min_eig(a) >= -tol)
 
 
 def is_positive(a: AlgElement, tol: float = TOL) -> bool:

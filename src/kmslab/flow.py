@@ -25,8 +25,6 @@ GH_NODES_DEFAULT = 64
 GH_NODES_MAX = 256
 #: nodes × block entries of one slab of Gauss–Hermite phases
 _GH_CHUNK_ENTRIES = 2 ** 16
-#: largest entry of u*u − 1 that ``InnerFlow.from_eigensystem`` accepts as unitary
-UNITARY_TOL = 1e-10
 
 
 @functools.lru_cache(maxsize=32)
@@ -35,15 +33,6 @@ def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.hermite.hermgauss(nodes)
     x.flags.writeable = w.flags.writeable = False
     return x, w
-
-
-def _check_eigensystem(h: np.ndarray, w: np.ndarray, u: np.ndarray, scale: float) -> None:
-    """Refuse an eigensystem whose (u·w)u* misses h by more than 1e-10·scale."""
-    err = (u * w) @ u.conj().T
-    err -= h
-    resid = float(np.max(np.abs(err)))
-    if not resid <= 1e-10 * scale:
-        raise ValueError(f"eigendecomposition residual {resid:.3e} too large")
 
 
 class AnalyticRangeError(ValueError):
@@ -92,44 +81,23 @@ class InnerFlow:
         self.eigenvectors: list[np.ndarray] = []
         for h in generator.blocks:
             w, u = np.linalg.eigh(h)
-            _check_eigensystem(h, w, u, scale)
+            err = (u * w) @ u.conj().T
+            err -= h
+            resid = float(np.max(np.abs(err)))
+            if not resid <= 1e-10 * scale:
+                raise ValueError(f"eigendecomposition residual {resid:.3e} too large")
             self.eigenvalues.append(w)
             self.eigenvectors.append(u)
 
     @classmethod
-    def from_eigensystem(cls, algebra: BlockAlgebra, generator: AlgElement,
-                         eigenvalues, eigenvectors) -> "InnerFlow":
-        """The flow of ``generator`` from a known eigensystem, one (w, u) per block.
-
-        Nothing is diagonalized: each block's eigenvalues are sorted ascending
-        (u's columns follow), u must be unitary, and (u·w)u* must reproduce the
-        block within the bound ``__init__`` applies, on the scale max(1, max|λ|).
-        """
-        if generator.algebra != algebra:
-            raise ValueError("generator lives in a different algebra")
-        if len(eigenvalues) != algebra.num_blocks or len(eigenvectors) != algebra.num_blocks:
-            raise ValueError("need one eigensystem per block")
-        pairs = []
-        for h, w, u in zip(generator.blocks, eigenvalues, eigenvectors):
-            w, u = np.asarray(w, dtype=float), np.asarray(u, dtype=complex)
-            if w.shape != h.shape[:1] or u.shape != h.shape:
-                raise ValueError(f"eigensystem of shapes {w.shape}, {u.shape} for a block "
-                                 f"of shape {h.shape}")
-            if np.any(np.diff(w) < 0):
-                order = np.argsort(w, kind="stable")
-                w, u = w[order], u[:, order]
-            pairs.append((w, u))
-        scale = max([1.0] + [float(np.max(np.abs(w))) for w, _ in pairs])
-        for h, (w, u) in zip(generator.blocks, pairs):
-            gram = u.conj().T @ u
-            gram.flat[::len(w) + 1] -= 1.0
-            if not np.max(np.abs(gram)) <= UNITARY_TOL:
-                raise ValueError("eigenvector matrix is not unitary")
-            _check_eigensystem(h, w, u, scale)
+    def _certified(cls, algebra: BlockAlgebra, generator: AlgElement,
+                   eigenvalues: list[np.ndarray], eigenvectors: list[np.ndarray]) -> "InnerFlow":
+        """The flow of ``generator`` with an eigensystem its caller has certified: one
+        (w, u) per block, w ascending, installed as given. Nothing is diagonalized or
+        checked here; the caller answers for the bounds ``__init__`` applies."""
         flow = cls.__new__(cls)
         flow.algebra, flow.generator = algebra, generator
-        flow.eigenvalues = [w for w, _ in pairs]
-        flow.eigenvectors = [u for _, u in pairs]
+        flow.eigenvalues, flow.eigenvectors = eigenvalues, eigenvectors
         return flow
 
     @property
@@ -183,7 +151,8 @@ class InnerFlow:
         between a single transport to the eigenbasis and back), doubling the
         rule from ``nodes`` until halving it moves the answer by at most
         ``quad_tol`` (relative, Frobenius), and raises :class:`QuadratureError`
-        if that never happens below ``GH_NODES_MAX``.
+        if that never happens below ``GH_NODES_MAX``. A ``nodes`` outside
+        [2, ``GH_NODES_MAX``] is refused with ``ValueError`` before any rule is built.
         """
         return self.smooth_shifted(a, n, 0.0, method=method, nodes=nodes, quad_tol=quad_tol)
 
@@ -193,11 +162,13 @@ class InnerFlow:
         n = float(n)
         if n <= 0:
             raise ValueError("smoothing index must be positive")
+        k = int(nodes)
+        if not 2 <= k <= GH_NODES_MAX:
+            raise ValueError(f"Gauss–Hermite rule of {k} nodes is outside [2, {GH_NODES_MAX}]")
         z = _check_strip(z)
         if method == "closed_form":
             return self._entrywise(a, lambda d: np.exp(1j * z * d) * np.exp(-d * d / (4.0 * n)))
         if method == "quadrature":
-            k = max(2, int(nodes))
             while True:
                 full = self._gh_sum(a, n, z, k)
                 half = self._gh_sum(a, n, z, max(2, k // 2))

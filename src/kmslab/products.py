@@ -1,8 +1,11 @@
 """Infinite-tensor-product diagnostics, evaluated at desk scale.
 
-Finite powers of a single site are built in full (the generator added leg by
-leg into one matrix, with a hard size guard), and their flows are read off the
-site eigensystem rather than diagonalized again; everything asymptotic — the
+Finite powers of a single site are certified from the site: its eigensystem is
+checked once, and bounds propagated to the s-fold power stand in for checks on
+the full arrays, so nothing of the product's size is multiplied or factorized.
+The generator is added leg by leg into one matrix (with a hard size guard), the
+flow is read off the site eigensystem, and the Gibbs density is the Kronecker
+power of the site's (Araki–Woods); everything asymptotic — the
 spectral difference group, the factor type and its Γ-style invariant,
 boundedness of matroid-type site families, trace-class windows — is decided by
 closed-form tail analysis of the declared family, never by truncating a
@@ -16,12 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgElement, BlockAlgebra
+from .algebra import _EPS, AlgElement, BlockAlgebra, Functional
 from .flow import InnerFlow
-from .kms import KmsState, _shifted_boltzmann, gibbs
+from .kms import KmsState, _check_exp_cap, _shifted_boltzmann, gibbs
 from .periodic import DENOMINATOR_CAP, RELATION_TOL, distinct_gaps, gap_unit, relation_fit
 
 MAX_PRODUCT_DIM = 4096
+#: bound on ‖U*U − 1‖₂ that a product's eigenvector matrix U must meet
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,43 +68,121 @@ def _site_sum(h_site: np.ndarray, sites: int) -> np.ndarray:
     return total
 
 
-def _site_eigensystem(h_site: np.ndarray, sites: int) -> tuple[np.ndarray, np.ndarray]:
+def _power_eigensystem(w_site: np.ndarray, u_site: np.ndarray,
+                       sites: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of :func:`_site_sum`, from the site's.
 
-    The eigenvalues of a Kronecker sum are the sums w_{i_1} + … + w_{i_s} with
-    eigenvectors u_{i_1} ⊗ … ⊗ u_{i_s}. The last tensor factor is applied in
-    sorted column order, so no unsorted copy of the full matrix is made.
+    Write a product index as the base-m number (c_0 … c_{s−1}), c_0 most
+    significant. Eigenvalue c of a Kronecker sum is w_{c_0} + … + w_{c_{s−1}},
+    summed in leg order, and entry (I, c) of u^{⊗s} is u_{I_0 c_0}·…·u_{I_{s−1} c_{s−1}},
+    multiplied in leg order. The sums are sorted first; then leg j's factor is one
+    gather of u's columns by digit j of the sorted column indices, so u^{⊗s} is
+    built in its final order, with no unsorted copy.
     """
-    w_site, u_site = np.linalg.eigh(h_site)
     m = w_site.size
-    w, u = np.zeros(1), np.ones((1, 1), dtype=complex)
-    for _ in range(sites - 1):
-        w, u = (w[:, None] + w_site).ravel(), np.kron(u, u_site)
-    w = (w[:, None] + w_site).ravel()
+    w = np.zeros(1)
+    for _ in range(sites):
+        w = (w[:, None] + w_site).ravel()
     order = np.argsort(w, kind="stable")
-    # column c of kron(u, u_site) is u[:, c // m] ⊗ u_site[:, c % m]
-    u = u[:, order // m][:, None, :] * u_site[:, order % m][None, :, :]
-    return w[order], u.reshape(w.size, w.size)
+    u = np.ones((1, w.size), dtype=complex)
+    for j in range(sites):
+        digit = order // m ** (sites - 1 - j) % m
+        u = (u[:, None, :] * u_site[:, digit][None, :, :]).reshape(-1, w.size)
+    return w[order], u
+
+
+def _kron_power(rho: np.ndarray, sites: int) -> np.ndarray:
+    """rho⊗…⊗rho (``sites`` factors), one leg at a time: entry ((I, i), (J, j)) of
+    each step is out[I, J]·rho[i, j], written straight into the result's layout
+    (``np.kron`` would transpose a copy)."""
+    m = rho.shape[0]
+    out = np.ones((1, 1), dtype=complex)
+    for _ in range(sites):
+        n = out.shape[0]
+        out = (out[:, None, :, None] * rho[None, :, None, :]).reshape(n * m, n * m)
+    return out
+
+
+def _gamma(k: int) -> float:
+    """γ_k = k·eps/(1 − k·eps), the relative error of k roundings (Higham, §3.1)."""
+    return k * _EPS / (1.0 - k * _EPS)
+
+
+def _certify_power(h: np.ndarray, w: np.ndarray, u: np.ndarray, sites: int) -> None:
+    """Refuse a site eigensystem (w, u) of h unless its s-fold power, as
+    :func:`_power_eigensystem` and :func:`_site_sum` build it, is unitary to
+    ``UNITARY_TOL`` and reproduces the product generator to 1e-10·max(1, max|λ|),
+    where max|λ| = s·max|w| over the product spectrum.
+
+    Both bounds are in the operator norm, from the site alone. With
+    ε = ‖u*u − 1‖₂ (also ‖uu* − 1‖₂, u being square), r = ‖(u·w)u* − h‖₂ and
+    U = u^{⊗s}, W, H the exact products:
+
+    * ‖U*U − 1‖₂ = ‖(1 + (u*u − 1))^{⊗s} − 1‖₂ ≤ (1+ε)^s − 1;
+    * leg j of UWU* − H is (uu*)^{⊗j} ⊗ (uwu*) ⊗ (uu*)^{⊗(s−1−j)} − 1 ⊗ h ⊗ 1, of
+      norm at most (1+ε)^{s−1}·r + ((1+ε)^{s−1} − 1)·‖h‖₂; s legs give s times that.
+
+    Rounding is allowed for on top. Each entry of the built U is s − 1 complex
+    products (relative error √2·γ₂ each, Higham Lemma 3.5) away from U's, so
+    ‖Ũ − U‖₂ ≤ ((1 + √2·γ₂)^{s−1} − 1)·‖|u|‖₂^s = δ and, as ‖U‖₂² ≤ (1+ε)^s,
+    ‖Ũ*Ũ − 1‖₂ ≤ ((1+ε)^{s/2} + δ)² − 1 =: g and ‖ŨWŨ* − UWU*‖₂ ≤ ‖W‖₂·(g − (1+ε)^s + 1).
+    The eigenvalues and the generator's diagonal are sums of s site entries, within
+    γ_{s−1}·s·max|w| and γ_{s−1}·s·max|h_ii| of W's and H's. Operator norms bound
+    every entry, so these tests are at least as strict as comparing the full
+    arrays entry by entry.
+    """
+    m = w.size
+    gram = u.conj().T @ u
+    gram.flat[::m + 1] -= 1.0
+    eps = float(np.linalg.norm(gram, 2))
+    r = float(np.linalg.norm((u * w) @ u.conj().T - h, 2))
+    delta = ((1.0 + math.sqrt(2.0) * _gamma(2)) ** (sites - 1) - 1.0) * float(
+        np.linalg.norm(np.abs(u), 2)) ** sites
+    exact = (1.0 + eps) ** sites - 1.0
+    gram_bound = ((1.0 + eps) ** (sites / 2) + delta) ** 2 - 1.0
+    if not gram_bound <= UNITARY_TOL:
+        raise ValueError(f"eigenvector matrix is not unitary: ‖U*U − 1‖₂ ≤ {gram_bound:.3e} "
+                         f"at {sites} sites exceeds {UNITARY_TOL:g}")
+    grow = (1.0 + eps) ** (sites - 1)
+    w_max, rounded = float(np.max(np.abs(w))), _gamma(sites - 1) * sites
+    resid = (sites * (grow * r + (grow - 1.0) * float(np.linalg.norm(h, 2)))
+             + sites * w_max * (gram_bound - exact)
+             + (1.0 + gram_bound) * rounded * w_max
+             + rounded * float(np.max(np.abs(np.diagonal(h)))))
+    bound = 1e-10 * max(1.0, sites * w_max)
+    if not resid <= bound:
+        raise ValueError(f"eigendecomposition residual bound {resid:.3e} at {sites} sites "
+                         f"exceeds {bound:.3e}")
 
 
 def product_kms_state(spec: ItpfiSpec, beta: float, sites: int) -> KmsState:
     """Gibbs state of h⊗1⊗… + … on m^sites dimensions (guarded at 4096).
 
-    The generator is built in full by :func:`_site_sum`; its eigensystem is the
-    Kronecker sum of the site eigenvalues and the tensor power of the site
-    eigenvectors, which ``InnerFlow.from_eigensystem`` checks against it instead
-    of an ``eigh``."""
+    Certified from the site, with nothing of size dim×dim multiplied or
+    factorized. The site eigensystem is the only ``eigh``; :func:`_certify_power`
+    bounds its s-fold power against the checks ``InnerFlow`` applies to an
+    eigensystem. The generator is built in full by :func:`_site_sum`, its flow
+    installed from :func:`_power_eigensystem`, and the density is ρ^{⊗s}, the
+    Kronecker power of the site's Gibbs density ρ, which passes ``Functional``'s
+    full check on the site: a Kronecker product of positive semidefinite blocks
+    is positive semidefinite. ``KmsState`` checks the trace."""
     if sites < 1:
         raise ValueError("need at least one site")
-    dim = spec.site_dim ** sites
+    h, m = spec.site_generator, spec.site_dim
+    dim = m ** sites
     if dim > MAX_PRODUCT_DIM:
         raise ValueError(f"product dimension {dim} exceeds the desk-scale cap "
                          f"{MAX_PRODUCT_DIM}")
-    alg = BlockAlgebra((dim,))
-    generator = AlgElement(alg, [_site_sum(spec.site_generator, sites)])
-    w, u = _site_eigensystem(spec.site_generator, sites)
-    flow = InnerFlow.from_eigensystem(alg, generator, [w], [u])
-    return gibbs(flow, beta)
+    w_site, u_site = np.linalg.eigh(h)
+    _certify_power(h, w_site, u_site, sites)
+    _check_exp_cap(beta, sites * float(w_site[-1] - w_site[0]))     # the product's spread
+    site_alg, alg = BlockAlgebra((m,)), BlockAlgebra((dim,))
+    site = gibbs(InnerFlow._certified(site_alg, AlgElement(site_alg, [h]), [w_site], [u_site]),
+                 beta)
+    w, u = _power_eigensystem(w_site, u_site, sites)
+    flow = InnerFlow._certified(alg, AlgElement._adopt(alg, [_site_sum(h, sites)]), [w], [u])
+    density = AlgElement._adopt(alg, [_kron_power(site.density.blocks[0], sites)])
+    return KmsState(Functional(alg, density, check=False), float(beta), flow)
 
 
 # -- the difference group of the site spectrum ----------------------------------

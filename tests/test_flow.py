@@ -238,6 +238,21 @@ def test_quadrature_computes_each_gauss_hermite_rule_once(monkeypatch):
     assert sorted(calls) == sorted(set(used)) and len(set(used)) >= 3
 
 
+def test_quadrature_refuses_node_counts_outside_the_rule_range(monkeypatch):
+    # hermgauss(512) takes over a second and returns NaN weights; the refusal must come
+    # first, leaving the rule cache as it was
+    flow = _flow((2,))
+    a = random_element(flow.algebra, RNG)
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                        lambda k: pytest.fail(f"hermgauss({k}) ran"))
+    before = _gauss_hermite.cache_info().currsize
+    for nodes in (0, 1, GH_NODES_MAX + 1, 512):
+        for method in ("quadrature", "closed_form"):
+            with pytest.raises(ValueError, match=f"{nodes} nodes is outside"):
+                flow.smooth_shifted(a, 1.0, 0.2j, method=method, nodes=nodes)
+    assert _gauss_hermite.cache_info().currsize == before
+
+
 def test_cached_gauss_hermite_rules_are_exact_and_read_only():
     for k in (2, 8, 32, GH_NODES_DEFAULT, GH_NODES_MAX):
         x, w = _gauss_hermite(k)
@@ -316,49 +331,3 @@ def test_spectral_spread():
     h = alg.element([np.diag([0.0, 1.0, 4.0]).astype(complex)])
     flow = InnerFlow(alg, h)
     assert abs(flow.spectral_spread - 4.0) < 1e-12
-
-
-def test_from_eigensystem_sorts_and_matches_eigh():
-    rng = np.random.default_rng(909)
-    flow = _flow((3, 1, 4), rng=rng)
-    # hand the eigensystem over in descending order: it comes back ascending,
-    # with u's columns following
-    rev = InnerFlow.from_eigensystem(flow.algebra, flow.generator,
-                                     [w[::-1] for w in flow.eigenvalues],
-                                     [u[:, ::-1] for u in flow.eigenvectors])
-    for w, u, w2, u2 in zip(flow.eigenvalues, flow.eigenvectors, rev.eigenvalues,
-                            rev.eigenvectors):
-        assert np.array_equal(w, w2) and np.array_equal(u, u2)
-    assert rev.spectral_spread == flow.spectral_spread
-    a = random_element(flow.algebra, rng)
-    assert (rev.evolve(a, 0.7) - flow.evolve(a, 0.7)).norm() == 0.0
-
-
-def test_from_eigensystem_refusals():
-    rng = np.random.default_rng(910)
-    flow = _flow((3, 2), rng=rng)
-    alg, h = flow.algebra, flow.generator
-    w, u = flow.eigenvalues, flow.eigenvectors
-    with pytest.raises(ValueError, match="not unitary"):
-        # (2u)(w/4)(2u)* is still h, so only the unitarity guard can see this
-        InnerFlow.from_eigensystem(alg, h, [x / 4 for x in w], [2 * y for y in u])
-    with pytest.raises(ValueError, match="residual"):
-        InnerFlow.from_eigensystem(alg, h, [w[0] + 1e-6, w[1]], u)
-    with pytest.raises(ValueError, match="one eigensystem per block"):
-        InnerFlow.from_eigensystem(alg, h, w[:1], u[:1])
-    with pytest.raises(ValueError, match="shapes"):
-        InnerFlow.from_eigensystem(alg, h, [w[1], w[0]], [u[1], u[0]])
-    with pytest.raises(ValueError, match="different algebra"):
-        InnerFlow.from_eigensystem(BlockAlgebra((2, 3)), h, w, u)
-
-
-def test_from_eigensystem_residual_bound_scales_with_the_spectrum():
-    # the bound is 1e-10·max(1, max|λ|), read off the eigenvalues: moving one
-    # eigenvalue by δ moves (u·w)u* by at most δ per entry, and by δ on the diagonal here
-    alg = BlockAlgebra((3,))
-    w = np.array([-2e4, 1.0, 3e4])
-    h = alg.element([np.diag(w).astype(complex)])
-    u = np.eye(3, dtype=complex)
-    InnerFlow.from_eigensystem(alg, h, [w + [0.0, 0.0, 0.9e-10 * 3e4]], [u])
-    with pytest.raises(ValueError, match="residual"):
-        InnerFlow.from_eigensystem(alg, h, [w + [0.0, 0.0, 1.1e-10 * 3e4]], [u])

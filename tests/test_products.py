@@ -1,6 +1,7 @@
 """Infinite-product invariants, site-family boundedness, trace-class windows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from kmslab import (
     verify_kms,
 )
 from kmslab.periodic import minimal_period
-from kmslab.products import _site_sum
+from kmslab.products import UNITARY_TOL, _site_sum
 
 
 def test_product_state_is_equilibrium():
@@ -96,8 +97,20 @@ def test_valid_product_state_runs_no_eigenvalue_test(monkeypatch):
     assert psi.density.blocks[0].shape == (256, 256)
 
 
+def _assert_dense_certificate(flow):
+    """The product eigensystem checked on the full arrays, as the certificate's
+    oracle: u unitary to UNITARY_TOL and (u·w)u* within 1e-10·max(1, max|λ|) of the
+    generator, entry by entry."""
+    (h,), (w,), (u,) = flow.generator.blocks, flow.eigenvalues, flow.eigenvectors
+    gram = u.conj().T @ u - np.eye(w.size)
+    assert np.max(np.abs(gram)) <= UNITARY_TOL
+    scale = max(1.0, float(np.max(np.abs(w))))
+    assert np.max(np.abs((u * w) @ u.conj().T - h)) <= 1e-10 * scale
+
+
 def _assert_product_matches_dense(spec, beta, sites):
     psi = product_kms_state(spec, beta, sites)
+    _assert_dense_certificate(psi.flow)
     dense = _reference_product_flow(spec, sites)
     want = gibbs(dense, beta)
     assert np.max(np.abs(psi.density.blocks[0] - want.density.blocks[0])) <= 1e-12
@@ -110,8 +123,8 @@ def _assert_product_matches_dense(spec, beta, sites):
 
 def test_product_flow_matches_the_dense_flow():
     for h, beta, sites in [(np.diag([0.0, math.log(2.0)]), 1.0, 5),
-                           (np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]]), -2.0, 7),
-                           (np.diag([0.0, 1.0, math.sqrt(2.0)]), 0.5, 4),
+                           (np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]]), -2.0, 8),
+                           (np.diag([0.0, 1.0, math.sqrt(2.0)]), 0.5, 5),
                            (np.diag([1.0, 1.0, 3.0]), 1.5, 5)]:
         flow, dense = _assert_product_matches_dense(ItpfiSpec(h), beta, sites)
         assert abs(flow.spectral_spread - dense.spectral_spread) <= 1e-12 * dense.spectral_spread
@@ -128,6 +141,78 @@ def test_product_state_diagonalizes_only_the_site(monkeypatch):
     psi = product_kms_state(spec, 0.8, 8)
     assert shapes == [(2, 2)]
     assert psi.density.blocks[0].shape == (256, 256)
+
+
+def test_product_state_factorizes_only_the_site(monkeypatch):
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a, *args, **kw: shapes.append(np.shape(a))
+                        or cholesky(a, *args, **kw))
+    spec = ItpfiSpec(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    psi = product_kms_state(spec, 0.8, 8)
+    assert shapes == [(2, 2)]
+    assert psi.density.blocks[0].shape == (256, 256)
+
+
+def test_product_state_peaks_below_five_dense_arrays():
+    spec = ItpfiSpec(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    dim = 2 ** 10
+    tracemalloc.start()
+    try:
+        psi = product_kms_state(spec, 0.8, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.density.blocks[0].shape == (dim, dim)
+    assert peak <= 5 * 16 * dim * dim
+
+
+def _patch_site_eigh(monkeypatch, edit):
+    """Make product_kms_state's site ``eigh`` hand back edit(w, u)."""
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: edit(*eigh(a)))
+
+
+def test_product_certificate_refusals(monkeypatch):
+    spec = ItpfiSpec(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]]))
+    for edit, match in [(lambda w, u: (w, (1.0 + 1e-9) * u), "not unitary"),
+                        # (2u)(w/4)(2u)* is still h: only the unitarity bound can see this
+                        (lambda w, u: (w / 4.0, 2.0 * u), "not unitary"),
+                        (lambda w, u: (w + [1e-6, 0.0], u), "residual")]:
+        with monkeypatch.context() as mp:
+            _patch_site_eigh(mp, edit)
+            for sites in (1, 4):
+                with pytest.raises(ValueError, match=match):
+                    product_kms_state(spec, 0.5, sites)
+
+
+def test_product_certificate_grows_with_the_number_of_sites(monkeypatch):
+    # a site eigensystem within the bounds at one site fails them at more: the
+    # propagated bounds are (1+ε)^s − 1 and about s·r, on the scale max(1, s·max|w|) = 1
+    spec = ItpfiSpec(np.diag([0.0, 0.05]))
+    for edit, match, refused in [(lambda w, u: (w, (1.0 + 1e-11) * u), "not unitary", 6),
+                                 (lambda w, u: (w + [0.0, 0.3e-10], u), "residual", 4)]:
+        with monkeypatch.context() as mp:
+            _patch_site_eigh(mp, edit)
+            product_kms_state(spec, 0.5, 1)
+            product_kms_state(spec, 0.5, refused - 2)
+            with pytest.raises(ValueError, match=match):
+                product_kms_state(spec, 0.5, refused)
+
+
+def test_product_residual_bound_scales_with_the_spectrum(monkeypatch):
+    # the bound is 1e-10·max(1, max|λ|) with max|λ| = s·max|w|: moving one site eigenvalue
+    # by δ moves each leg's (u·w)u* by δ, and s legs by s·δ
+    spec = ItpfiSpec(np.diag([-2e4, 1.0, 3e4]))
+    for sites in (1, 3):
+        for factor, ok in [(0.9, True), (1.1, False)]:
+            with monkeypatch.context() as mp:
+                _patch_site_eigh(mp, lambda w, u: (w + [0.0, 0.0, factor * 1e-10 * 3e4], u))
+                if ok:
+                    product_kms_state(spec, 0.0, sites)
+                else:
+                    with pytest.raises(ValueError, match="residual"):
+                        product_kms_state(spec, 0.0, sites)
 
 
 @given(site=st.integers(2, 3), sites=st.integers(1, 6), beta=st.floats(-3.0, 3.0),
