@@ -42,6 +42,7 @@ from .kms import (
     lattice_join,
     lattice_meet,
     restrict_to_corner,
+    simplex_sweep,
     support_compression,
     trace_of,
     verify_kms,

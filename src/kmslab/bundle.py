@@ -20,6 +20,7 @@ check, and the brute finite-dimensional bundle certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .flow import InnerFlow
-from .kms import KmsSimplex, kms_simplex
+from .kms import KmsSimplex, _boltzmann_stack, _simplex_at
 
 MAX_RANK = 12
 FLOAT_ZERO_TOL = 1e-11
@@ -85,6 +86,16 @@ class DimensionGroupSpec:
 
     def unit_float(self) -> np.ndarray:
         return np.array([float(u) for u in self.order_unit])
+
+    @functools.cached_property
+    def _scaled_transpose(self) -> tuple[int, np.ndarray]:
+        """L, the lcm of ρ's denominators, and [L·ρᵀ | 0]: Python ints in an
+        r × (r + 1) object array, row j being L times column j of ρ."""
+        lcm = math.lcm(*(x.denominator for row in self.matrix for x in row))
+        r = self.rank
+        cols = [[self.matrix[i][j].numerator * (lcm // self.matrix[i][j].denominator)
+                 for i in range(r)] + [0] for j in range(r)]
+        return lcm, np.array(cols, dtype=object)
 
 
 # -- exact linear algebra: rationals become integers once --------------------------
@@ -214,6 +225,15 @@ class SimplexFiber:
         return len(self.vertices)
 
 
+def _eigen_rows(spec: DimensionGroupSpec, s: Fraction) -> list[np.ndarray]:
+    """The primitive integer rows of [ρᵀ − s·1 | 0], made as q·[Lρᵀ | 0] − p·L·1
+    for s = p/q from the spec's integer scaling: no Fraction arithmetic."""
+    lcm, scaled = spec._scaled_transpose
+    mat = s.denominator * scaled
+    mat[np.diag_indices(spec.rank)] -= s.numerator * lcm
+    return [_primitive(row) for row in mat]
+
+
 def _rational_eigenvalue(spec: DimensionGroupSpec, s_float: float) -> Fraction | None:
     """Promote a float eigenvalue candidate to an exact rational root of
     det(ρᵀ − s) when that holds exactly."""
@@ -222,19 +242,21 @@ def _rational_eigenvalue(spec: DimensionGroupSpec, s_float: float) -> Fraction |
     for cand in {Fraction(s_float).limit_denominator(cap) for cap in (10 ** 3, 10 ** 6)}:
         if abs(float(cand) - s_float) > 1e-9 * max(1.0, s_float):
             continue
-        mt = [[spec.matrix[j][i] - (cand if i == j else 0) for j in range(spec.rank)]
-              for i in range(spec.rank)]
-        if _rank_exact(mt, spec.rank) < spec.rank:
+        # the rows' last column is 0, so the rank over the first r is the rank of ρᵀ − s
+        if _integer_rank(_eigen_rows(spec, cand), spec.rank) < spec.rank:
             return cand
     return None
 
 
 def _fiber_rows(spec: DimensionGroupSpec, s, lane: _Lane) -> list[np.ndarray]:
-    """The fiber as the cone {(c, t) ≥ 0} cut by (cᵀρ)_j = s·c_j and ⟨c, u⟩ = t."""
-    r = spec.rank
-    rows = [[spec.matrix[i][j] - (s if i == j else 0) for i in range(r)] + [0] for j in range(r)]
-    rows.append(list(spec.order_unit) + [-1])
-    return [lane.vector(row) for row in rows]
+    """The fiber as the cone {(c, t) ≥ 0} cut by (cᵀρ)_j = s·c_j and ⟨c, u⟩ = t;
+    on the exact lane s is a Fraction and the rows primitive integer rows."""
+    if lane is _EXACT:
+        rows = _eigen_rows(spec, s)
+    else:
+        r = spec.rank
+        rows = list(np.hstack([spec.matrix_float().T - s * np.eye(r), np.zeros((r, 1))]))
+    return rows + [lane.vector(list(spec.order_unit) + [-1])]
 
 
 def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
@@ -559,20 +581,26 @@ class BundleCertificate:
 def kms_bundle_fd(flow: InnerFlow, beta_grid) -> tuple[list[KmsSimplex], BundleCertificate]:
     """Equilibrium simplices over a β grid plus a properness certificate:
     every fiber nonempty with the expected vertex count, and vertex
-    densities moving no faster than the mean-value bound 2‖h‖ allows."""
+    densities moving no faster than the mean-value bound 2‖h‖ allows.
+
+    The whole grid comes from one stack of Boltzmann blocks. Vertex i at β
+    differs from vertex i at the next β in block i only, so each block's step
+    deviations are one batched spectral norm over its stack of differences.
+    """
     betas = [float(b) for b in beta_grid]
     if len(betas) < 2:
         raise ValueError("need at least two grid points")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("grid must be strictly increasing")
-    simplices = [kms_simplex(flow, b) for b in betas]
+    mats, traces = _boltzmann_stack(flow, betas)
+    verts = [m / t[:, None, None] for m, t in zip(mats, traces.T)]
+    simplices = [_simplex_at(flow, b, [v[s] for v in verts]) for s, b in enumerate(betas)]
     bound = 2.0 * flow.generator.norm()
     worst = 0.0
-    for s1, s2, b1, b2 in zip(simplices, simplices[1:], betas, betas[1:]):
-        step = b2 - b1
-        for v1, v2 in zip(s1.vertices, s2.vertices):
-            dist = (v1.density - v2.density).norm()
-            worst = max(worst, dist / (bound * step)) if bound > 0 else worst
+    if bound > 0:
+        steps = np.diff(betas)[:, None]
+        dists = np.stack([np.linalg.norm(v[:-1] - v[1:], 2, axis=(1, 2)) for v in verts], axis=1)
+        worst = float(np.max(dists / (bound * steps)))     # NaN propagates
     counts = [len(s.vertices) for s in simplices]
     expected = flow.algebra.num_blocks
     ok = all(c == expected for c in counts) and worst <= 1.0 + 1e-9

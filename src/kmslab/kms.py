@@ -15,6 +15,7 @@ compared against other vectors produced under the same convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,35 +26,61 @@ from .flow import IM_CAP, InnerFlow
 
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
 EXP_CAP = 700.0
-#: normal draws per chunk of ``verify_kms``'s route-two samples (memory stays O(chunk + n²))
+#: entries per chunk of ``verify_kms``'s route-two normal draws and of
+#: ``simplex_sweep``'s Boltzmann stacks (memory stays O(chunk + n²))
 _HALF_SHIFT_CHUNK_ENTRIES = 2 ** 15
 
 
 def _shifted_boltzmann(eigenvalues, eigenvectors,
-                       beta: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Blocks e^{-β(h_i - c)} from their eigensystems, and their traces; c is
-    the lowest eigenvalue of all blocks for β ≥ 0 and the highest otherwise."""
+                       betas) -> tuple[list[np.ndarray], np.ndarray]:
+    """Boltzmann stacks over a vector of S inverse temperatures: per block the
+    (S, n, n) stack e^{-β_s(h_i - c_s)}, one stacked GEMM, and the (S, B) traces.
+    c_s is the lowest eigenvalue of all blocks for β_s ≥ 0 and the highest
+    otherwise; each slice equals the n × n product (u·e_s)u* bit for bit."""
+    betas = np.asarray(betas, dtype=float)
     lams = np.concatenate(eigenvalues)
-    shift = lams.min() if beta >= 0 else lams.max()
-    mats, traces = [], []
-    for w, u in zip(eigenvalues, eigenvectors):
-        e = np.exp(-beta * (w - shift))
-        mats.append((u * e) @ u.conj().T)
-        traces.append(float(e.sum()))
-    return mats, np.asarray(traces)
+    shift = np.where(betas >= 0, lams.min(), lams.max())[:, None]
+    mats, traces = [], np.empty((len(betas), len(eigenvalues)))
+    for i, (w, u) in enumerate(zip(eigenvalues, eigenvectors)):
+        e = np.exp(-betas[:, None] * (w - shift))
+        mats.append((u * e[:, None, :]) @ u.conj().T)
+        traces[:, i] = e.sum(axis=1)
+    return mats, traces
 
 
 def _check_exp_cap(beta: float, spread: float) -> None:
+    """Refuse a β that is not finite or whose Boltzmann weights over a spectrum
+    of this spread are not representable."""
+    if not math.isfinite(beta):
+        raise ValueError(f"β = {beta} is not finite")
     if abs(beta) * spread > EXP_CAP:
         raise ValueError(f"|β|·spread = {abs(beta) * spread:.3g} exceeds {EXP_CAP:g}; "
                          "Boltzmann weights are not representable")
 
 
-def _boltzmann(flow: InnerFlow, beta: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Shifted Boltzmann blocks of the flow's generator and their traces."""
+def _whole_spread(flow: InnerFlow) -> float:
+    """max λ − min λ over all blocks, the spread the shifted weights span."""
     lams = np.concatenate(flow.eigenvalues)
-    _check_exp_cap(beta, lams.max() - lams.min())
-    return _shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, beta)
+    return lams.max() - lams.min()
+
+
+def _boltzmann_stack(flow: InnerFlow, betas) -> tuple[list[np.ndarray], np.ndarray]:
+    """Shifted Boltzmann stacks of the flow's generator over β, and their traces,
+    after :func:`_check_exp_cap` has refused the first β, in order, that fails it."""
+    betas = np.asarray(betas, dtype=float)
+    spread = _whole_spread(flow)
+    finite = np.isfinite(betas)
+    bad = ~finite | (np.abs(np.where(finite, betas, 0.0)) * spread > EXP_CAP)
+    if bad.any():
+        _check_exp_cap(float(betas[bad.argmax()]), spread)
+    return _shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, betas)
+
+
+def _boltzmann(flow: InnerFlow, beta: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Shifted Boltzmann blocks of the flow's generator at one β, and their traces."""
+    _check_exp_cap(beta, _whole_spread(flow))
+    mats, traces = _shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, [beta])
+    return [m[0] for m in mats], traces[0]
 
 
 @dataclass
@@ -269,16 +296,46 @@ class KmsSimplex:
         return gam * traces
 
 
+def _simplex_at(flow: InnerFlow, beta: float, normalized: list[np.ndarray]) -> KmsSimplex:
+    """The simplex whose vertex i carries block i of the normalized Boltzmann
+    blocks e^{-β(h_i - c)}/Tr e^{-β(h_i - c)} and is zero elsewhere."""
+    verts = []
+    for i, d in enumerate(normalized):
+        blocks = [d if j == i else np.zeros_like(m) for j, m in enumerate(normalized)]
+        f = Functional(flow.algebra, AlgElement(flow.algebra, blocks), check=False)
+        verts.append(KmsState(f, beta, flow))
+    return KmsSimplex(flow=flow, beta=beta, vertices=verts)
+
+
 def kms_simplex(flow: InnerFlow, beta: float) -> KmsSimplex:
     """Vertices: the per-block Gibbs states (all coefficients on one block)."""
     beta = float(beta)
     mats, traces = _boltzmann(flow, beta)
-    verts = []
-    for i in range(flow.algebra.num_blocks):
-        blocks = [m / traces[i] if j == i else np.zeros_like(m) for j, m in enumerate(mats)]
-        f = Functional(flow.algebra, AlgElement(flow.algebra, blocks), check=False)
-        verts.append(KmsState(f, beta, flow))
-    return KmsSimplex(flow=flow, beta=beta, vertices=verts)
+    return _simplex_at(flow, beta, [m / t for m, t in zip(mats, traces)])
+
+
+def simplex_sweep(flow: InnerFlow, betas) -> np.ndarray:
+    """(dimension, vertex count) of the β-equilibrium simplex at each β, in the
+    given order, as an (S, 2) integer array; no per-β object is built.
+
+    It makes :func:`kms_simplex`'s checks: the first β in order that is not
+    finite or passes ``EXP_CAP`` is refused, and so is the first vertex (by β,
+    then by block) whose normalized block fails :class:`KmsState`'s mass test.
+    β is taken in chunks of at most ``_HALF_SHIFT_CHUNK_ENTRIES`` density
+    entries, so memory stays O(chunk) however long the sweep.
+    """
+    betas = np.asarray(betas, dtype=float)
+    per_chunk = max(1, _HALF_SHIFT_CHUNK_ENTRIES // flow.algebra.coord_dim)
+    for start in range(0, len(betas), per_chunk):
+        mats, traces = _boltzmann_stack(flow, betas[start:start + per_chunk])
+        # the trace of each normalized block m/t, from its diagonal alone
+        mass = np.stack([(np.diagonal(m, axis1=1, axis2=2) / t[:, None]).sum(axis=1).real
+                         for m, t in zip(mats, traces.T)], axis=1)
+        bad = ~(np.abs(mass - 1.0) <= 1e-8)
+        if bad.any():
+            raise ValueError(f"not normalized (mass {mass.flat[bad.argmax()]:.6g})")
+    blocks = flow.algebra.num_blocks
+    return np.tile((blocks - 1, blocks), (len(betas), 1))
 
 
 # -- the bijection with traces ------------------------------------------------

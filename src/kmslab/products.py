@@ -305,7 +305,8 @@ class MatroidVerdict:
 def _site_ratio_term(h: np.ndarray, p: np.ndarray, beta: float) -> float:
     """a_j = Tr(e^{-βh})/Tr(e^{-βh}p) − 1 for one explicit site."""
     w, u = np.linalg.eigh(np.asarray(h, dtype=complex))
-    (boltz,), _ = _shifted_boltzmann([w], [u], beta)
+    (stack,), _ = _shifted_boltzmann([w], [u], [beta])
+    boltz = stack[0]
     num = float(np.real(np.trace(boltz)))
     den = float(np.real(np.trace(boltz @ np.asarray(p, dtype=complex))))
     if den <= 0:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kmslab import (
     AlgElement,
     BlockAlgebra,
+    BundleCertificate,
     DimensionGroupSpec,
     InnerFlow,
     PointBundleSpec,
@@ -19,6 +20,7 @@ from kmslab import (
     diagonal_fiber,
     fiber_simplex,
     kms_bundle_fd,
+    kms_simplex,
     random_hermitian,
     scaling_measure,
     verify_scaling,
@@ -424,6 +426,37 @@ def test_property_exact_lane_matches_float_lane(case):
             assert np.max(np.abs(v - w)) <= 1e-9
 
 
+def _reference_rational_eigenvalue(spec, s_float):
+    """The eigenvalue promotion before ρ was scaled to integers: ρᵀ − s in Fractions."""
+    if s_float <= 0:
+        return None
+    for cand in {F(s_float).limit_denominator(cap) for cap in (10 ** 3, 10 ** 6)}:
+        if abs(float(cand) - s_float) > 1e-9 * max(1.0, s_float):
+            continue
+        mt = [[spec.matrix[j][i] - (cand if i == j else 0) for j in range(spec.rank)]
+              for i in range(spec.rank)]
+        if _reference_rank_exact(mt, spec.rank) < spec.rank:
+            return cand
+    return None
+
+
+@given(_diagonal_specs(upper=True), st.sampled_from(_POOL + [F(4, 5), F(7, 3)]))
+def test_property_fiber_rows_match_the_fraction_rows(case, s):
+    """Rows made from the spec's integer scaling equal the Fraction-built rows they
+    replaced: the same primitive Python-int rows on the exact lane, the same floats
+    on the float lane; and the eigenvalue promotion agrees."""
+    spec, _ = case
+    got = _fiber_rows(spec, s, _EXACT)
+    assert all(type(x) is int for row in got for x in row)
+    assert [list(g) for g in got] == [list(_EXACT.vector(r))
+                                      for r in _cone_rows(spec.matrix, spec.order_unit, s)]
+    got = _fiber_rows(spec, float(s), _FLOAT)
+    want = [np.array(r, dtype=float) for r in _cone_rows(spec.matrix, spec.order_unit, float(s))]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    for s_float in (float(s), float(s) * (1 + 1e-7), math.sqrt(float(s))):
+        assert _rational_eigenvalue(spec, s_float) == _reference_rational_eigenvalue(spec, s_float)
+
+
 def test_exact_lane_holds_ints_and_gives_fraction_vertices():
     """Exact rays are Python ints and exact vertices Fractions; an int leaking into
     vertices_exact would compare equal to its Fraction, so the types are pinned here."""
@@ -480,6 +513,49 @@ def test_finite_dimensional_bundle_certificate():
     assert cert.vertex_counts == [2] * 21
     assert cert.lipschitz_bound >= cert.max_step_deviation
     assert len(fibers) == 21
+
+
+def _reference_kms_bundle_fd(flow, beta_grid):
+    """kms_bundle_fd before it ran on one Boltzmann stack, verbatim: one
+    kms_simplex per grid point and one AlgElement.norm() SVD per vertex pair."""
+    betas = [float(b) for b in beta_grid]
+    if len(betas) < 2:
+        raise ValueError("need at least two grid points")
+    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError("grid must be strictly increasing")
+    simplices = [kms_simplex(flow, b) for b in betas]
+    bound = 2.0 * flow.generator.norm()
+    worst = 0.0
+    for s1, s2, b1, b2 in zip(simplices, simplices[1:], betas, betas[1:]):
+        step = b2 - b1
+        for v1, v2 in zip(s1.vertices, s2.vertices):
+            dist = (v1.density - v2.density).norm()
+            worst = max(worst, dist / (bound * step)) if bound > 0 else worst
+    counts = [len(s.vertices) for s in simplices]
+    expected = flow.algebra.num_blocks
+    ok = all(c == expected for c in counts) and worst <= 1.0 + 1e-9
+    return simplices, BundleCertificate(all_nonempty=all(c > 0 for c in counts),
+                                        vertex_counts=counts, lipschitz_bound=bound,
+                                        max_step_deviation=worst, ok=ok)
+
+
+@pytest.mark.parametrize("dims,scale,grid", [
+    ((2, 2), 1.0, np.linspace(-2.0, 2.0, 21)),
+    ((1, 3, 2), 3.0, [-4.0, -1.0, 0.0, 0.5, 3.0]),
+    ((1, 1, 1, 1), 0.5, np.linspace(0.0, 1.0, 4)),
+    ((32, 8, 2), 2.0, np.linspace(-1.5, 2.0, 9)),
+    ((3,), 0.0, [0.0, 1.0, 2.0]),                          # h = 0: the bound is 0
+])
+def test_bundle_certificate_equals_the_loop_route(dims, scale, grid):
+    alg = BlockAlgebra(dims)
+    flow = InnerFlow(alg, random_hermitian(alg, np.random.default_rng(len(dims)), scale=scale))
+    got_fibers, got = kms_bundle_fd(flow, grid)
+    want_fibers, want = _reference_kms_bundle_fd(flow, grid)
+    assert got == want
+    assert [s.beta for s in got_fibers] == [s.beta for s in want_fibers]
+    for s, w in zip(got_fibers, want_fibers):
+        for v, u in zip(s.vertices, w.vertices):
+            assert all(np.array_equal(a, b) for a, b in zip(v.density.blocks, u.density.blocks))
 
 
 def _reference_norm(self):

@@ -1,16 +1,21 @@
 """Command-line surface: exit codes, schemas, determinism, diagnostics."""
 
+import csv
 import json
 import math
 import subprocess
 import sys
+import threading
+import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from kmslab import cli
+from kmslab import cli, kms
 from kmslab.cli import main
+from kmslab.kms import kms_simplex
 
 TWO_LEVEL = {"block_dims": [2], "generator": [[[0.0, 0.0], [0.0, 1.0]]], "beta": 1.0}
 Q6_DG = {
@@ -96,6 +101,44 @@ def test_verify_refuses_a_non_finite_state(two_level, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_refuses_a_non_finite_beta(tmp_path, capsys):
+    """It used to run, fail with NaN residuals (exit 1) and write bare NaN tokens."""
+    prob = _write(tmp_path / "p.json",
+                  {"block_dims": [2], "generator": [[[0.0, 0.0], [0.0, 10.0]]]})
+    state = _write(tmp_path / "tau.json", {"blocks": [[[0.5, 0.0], [0.0, 0.5]]]})
+    out = tmp_path / "verify.json"
+    code = main(["verify", "--problem", prob, "--state", state, "--beta", "nan",
+                 "--out", str(out)])
+    assert code == 2
+    assert "--beta must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,diagnostic", [
+    (["gibbs", "--beta", "nan"], "--beta must be finite, got nan"),
+    (["gibbs", "--beta=-inf"], "--beta must be finite, got -inf"),
+    (["simplex", "--beta-range=nan:1:5"], "--beta-range needs finite bounds"),
+    (["simplex", "--beta-range=0:nan:5"], "--beta-range needs finite bounds"),
+    (["simplex", "--beta-range=inf:1:5"], "--beta-range needs finite bounds"),
+    (["simplex", "--beta-range=-1e308:1e308:5"], "--beta-range needs finite bounds"),
+])
+def test_non_finite_beta_flags_are_input_errors(two_level, tmp_path, capsys, argv, diagnostic):
+    out = tmp_path / "out"
+    code = main([*argv, "--problem", two_level, "--out", str(out)])
+    assert code == 2
+    assert diagnostic in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_beta_field_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text('{"block_dims": [2], "generator": [[[0, 0], [0, 1]]], "beta": NaN}')
+    out = tmp_path / "gibbs.json"
+    assert main(["gibbs", "--problem", str(path), "--out", str(out)]) == 2
+    assert f"{path}: field beta must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simplex_single_beta(tmp_path):
     prob = _write(tmp_path / "p.json",
                   {"block_dims": [2, 3],
@@ -138,6 +181,119 @@ def test_sweep_step_cap(two_level, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert f"cap {cap}" in capsys.readouterr().err
     assert swept == [] and not out.exists()
+
+
+def _reference_cmd_simplex_sweep(args) -> int:
+    """`simplex --beta-range` as it was before the sweep was batched, verbatim: one
+    kms_simplex per β on a thread pool, the rows sorted afterwards."""
+    alg, flow, beta_file = cli._problem(args.problem)
+    betas = cli._beta_range(args.beta_range)
+
+    def fiber(b):
+        s = kms_simplex(flow, float(b))
+        return float(b), s.dimension, len(s.vertices)
+
+    with ThreadPoolExecutor(max_workers=cli._thread_cap()) as pool:
+        rows = sorted(pool.map(fiber, betas))
+    with open(args.out, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["beta", "dimension", "vertex_count"])
+        w.writerows(rows)
+    if args.plot:
+        cli.emit_plot(args.plot, [r[0] for r in rows],
+                      {"dimension": [r[1] for r in rows],
+                       "vertex_count": [r[2] for r in rows]})
+    return 0
+
+
+def _hermitian_problem(path, dims, seed, degenerate=False):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n in dims:
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = 0.7 * np.eye(n) if degenerate else (a + a.conj().T) / 2
+        blocks.append([[[float(z.real), float(z.imag)] for z in row] for row in h])
+    return _write(path, {"block_dims": list(dims), "generator": blocks})
+
+
+def _sweep_both_routes(monkeypatch, capsys, tmp_path, prob, beta_range):
+    """Exit code, stderr and output bytes of the sweep by the batched and the
+    reference route."""
+    outcomes = []
+    for tag, cmd in (("new", cli._cmd_simplex), ("ref", _reference_cmd_simplex_sweep)):
+        monkeypatch.setattr(cli, "_cmd_simplex", cmd)
+        out, plot = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.svg"
+        code = main(["simplex", "--problem", prob, f"--beta-range={beta_range}",
+                     "--plot", str(plot), "--out", str(out)])
+        files = [p.read_bytes() if p.exists() else None for p in (out, plot)]
+        outcomes.append((code, capsys.readouterr(), files))
+    return outcomes
+
+
+@pytest.mark.parametrize("beta_range", ["-1:2:13", "2:-1:7", "0.5:3:1", "-0:-1:4"])
+@pytest.mark.parametrize("dims,degenerate", [((2,), False), ((2, 3), False), ((1, 2, 1), False),
+                                             ((2, 1, 3, 1), False), ((2, 2), True)])
+def test_sweep_matches_the_thread_pool_route(monkeypatch, capsys, tmp_path, dims, degenerate,
+                                             beta_range):
+    prob = _hermitian_problem(tmp_path / "p.json", dims, len(dims), degenerate)
+    new, ref = _sweep_both_routes(monkeypatch, capsys, tmp_path, prob, beta_range)
+    assert new == ref
+    code, _, (table, _) = new
+    betas = [float(row.split(b",")[0]) for row in table.splitlines()[1:]]
+    assert code == 0 and betas == sorted(betas)
+
+
+@pytest.mark.parametrize("beta_range", ["60:80:10", "80:60:10", "-60:-80:10"])
+def test_sweep_refuses_past_the_cap_like_the_thread_pool_route(monkeypatch, capsys, tmp_path,
+                                                               beta_range):
+    """Spread 10: the sweeps reach |β| = 70 partway; the first β past it is refused."""
+    prob = _write(tmp_path / "p.json", {"block_dims": [2, 1],
+                                        "generator": [[[0.0, 0.0], [0.0, 10.0]], [[4.0]]]})
+    new, ref = _sweep_both_routes(monkeypatch, capsys, tmp_path, prob, beta_range)
+    assert new == ref
+    code, streams, files = new
+    assert code == 2 and "exceeds 700" in streams.err and files == [None, None]
+
+
+def test_sweep_mass_test_fires_like_the_thread_pool_route(monkeypatch, capsys, tmp_path):
+    prob = _hermitian_problem(tmp_path / "p.json", (2, 3), 7)
+    real = kms._shifted_boltzmann
+
+    def leaky(eigenvalues, eigenvectors, betas):
+        mats, traces = real(eigenvalues, eigenvectors, betas)
+        mats[1][np.asarray(betas) == 0.5] *= 1.25
+        return mats, traces
+
+    monkeypatch.setattr(kms, "_shifted_boltzmann", leaky)
+    new, ref = _sweep_both_routes(monkeypatch, capsys, tmp_path, prob, "0:1:4")
+    assert new == ref
+    code, streams, _ = new
+    assert code == 2 and "not normalized (mass 1.25)" in streams.err
+
+
+def test_sweep_starts_no_thread(two_level, tmp_path, monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"the sweep started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["simplex", "--problem", two_level, "--beta-range=-1:2:200",
+                 "--plot", str(tmp_path / "s.svg"), "--out", str(tmp_path / "s.csv")]) == 0
+
+
+def test_longest_sweep_memory(tmp_path):
+    """MAX_SWEEP_STEPS steps at block dims (16, 16): the stacks go chunk by chunk, so
+    the peak is the rows, not one simplex per β."""
+    prob = _hermitian_problem(tmp_path / "p.json", (16, 16), 16)
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        assert main(["simplex", "--problem", prob,
+                     f"--beta-range=-1:1:{cli.MAX_SWEEP_STEPS}", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
+    assert out.read_text().count("\n") == cli.MAX_SWEEP_STEPS + 1
 
 
 def test_modular_routes_and_theorems(two_level, tmp_path):

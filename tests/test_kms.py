@@ -26,6 +26,7 @@ from kmslab import (
     random_element,
     random_hermitian,
     restrict_to_corner,
+    simplex_sweep,
     support_compression,
     trace_of,
     verify_kms,
@@ -243,6 +244,22 @@ def test_verify_refuses_beta_beyond_exp_cap():
     assert not verify_kms(wide, _trace_state(wide.algebra), 60.0, samples=1).passed
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_is_refused(beta):
+    """A non-finite β is bad input: e^{-βh} at β = NaN used to give a NaN density
+    (and a verdict computed from it) instead of an error."""
+    flow = _diag_flow((0.0, 1.0), (0.5,))
+    with pytest.raises(ValueError, match="is not finite"):
+        gibbs(flow, beta)
+    with pytest.raises(ValueError, match="is not finite|strip bound"):     # ±inf: the strip
+        verify_kms(flow, _trace_state(flow.algebra), beta)
+    with pytest.raises(ValueError, match="is not finite"):
+        simplex_sweep(flow, [0.5, beta])
+    # a spread of 0 makes |β|·spread NaN at β = ±inf, which is refused too
+    with pytest.raises(ValueError, match="is not finite"):
+        gibbs(_diag_flow((2.0,)), beta)
+
+
 def test_verify_memory_stays_quadratic():
     flow = _random_flow((64,), rng=np.random.default_rng(64))
     psi = gibbs(flow, 0.5)
@@ -449,3 +466,93 @@ def test_lattice_operations():
         assert is_positive(diff, tol=1e-10)
     # the normalized join is again an equilibrium state
     assert verify_kms(flow, join.normalize(), beta, tol=1e-9).passed
+
+
+# -- Boltzmann stacks over a β vector ------------------------------------------
+
+def _reference_shifted_boltzmann(eigenvalues, eigenvectors, beta: float):
+    """The one-β route the stacks replaced, verbatim: one GEMM per block."""
+    lams = np.concatenate(eigenvalues)
+    shift = lams.min() if beta >= 0 else lams.max()
+    mats, traces = [], []
+    for w, u in zip(eigenvalues, eigenvectors):
+        e = np.exp(-beta * (w - shift))
+        mats.append((u * e) @ u.conj().T)
+        traces.append(float(e.sum()))
+    return mats, np.asarray(traces)
+
+
+@pytest.mark.parametrize("dims,steps", [((1,), 500), ((2, 3), 500), ((1, 2, 3, 4), 200),
+                                        ((16, 16), 100), ((64,), 20)])
+def test_boltzmann_stack_equals_the_one_beta_route(dims, steps):
+    rng = np.random.default_rng(sum(dims) + steps)
+    flow = _random_flow(dims, scale=2.0, rng=rng)
+    betas = np.concatenate([[0.0, -0.0, 1.0, -1.0], rng.uniform(-4.0, 4.0, steps - 4)])
+    mats, traces = kms._shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, betas)
+    assert [m.shape for m in mats] == [(steps, n, n) for n in dims]
+    assert traces.shape == (steps, len(dims))
+    for s, beta in enumerate(betas):
+        want, want_traces = _reference_shifted_boltzmann(flow.eigenvalues, flow.eigenvectors,
+                                                         float(beta))
+        assert all(np.array_equal(m[s], w) for m, w in zip(mats, want))
+        assert np.array_equal(traces[s], want_traces)
+
+
+@pytest.mark.parametrize("dims", [(1,), (3,), (2, 1, 4), (8, 8)])
+def test_gibbs_and_simplex_densities_equal_the_one_beta_route(dims):
+    flow = _random_flow(dims, rng=np.random.default_rng(len(dims)))
+    for beta in (-2.5, 0.0, 0.7):
+        mats, traces = _reference_shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, beta)
+        z = traces.sum()
+        got = gibbs(flow, beta).density.blocks
+        assert all(np.array_equal(g, m / z) for g, m in zip(got, mats))
+        for i, v in enumerate(kms_simplex(flow, beta).vertices):
+            want = [m / traces[i] if j == i else np.zeros_like(m) for j, m in enumerate(mats)]
+            assert all(np.array_equal(g, w) for g, w in zip(v.density.blocks, want))
+
+
+def test_simplex_sweep_counts_vertices_in_any_chunking(monkeypatch):
+    flow = _random_flow((3, 1, 2), rng=np.random.default_rng(31))
+    betas = np.linspace(2.0, -2.0, 37)
+    got = simplex_sweep(flow, betas)
+    assert got.tolist() == [[2, 3]] * 37
+    for entries in (1, 14, 15, 100):       # coord_dim is 14: chunks of 1, 1, 1 and 7 β
+        monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
+        assert np.array_equal(simplex_sweep(flow, betas), got)
+    assert simplex_sweep(flow, []).shape == (0, 2)
+
+
+def test_simplex_sweep_refuses_the_first_beta_past_the_cap():
+    flow = _diag_flow((0.0, 10.0), (3.0,))
+    betas = [0.0, 50.0, -69.0, -71.0, 75.0]             # spread 10: -71 is the first past 700
+    with pytest.raises(ValueError) as sweep_error:
+        simplex_sweep(flow, betas)
+    with pytest.raises(ValueError) as one_error:
+        kms_simplex(flow, -71.0)
+    assert str(sweep_error.value) == str(one_error.value)
+    assert f"= 710 exceeds {EXP_CAP:g}" in str(sweep_error.value)
+
+
+@pytest.mark.parametrize("entries", [1, 2 ** 15])
+def test_simplex_sweep_mass_test_fires_on_the_first_bad_vertex(monkeypatch, entries):
+    """Stacks patched so that block 1 at β = 0.5 and block 0 at β = 1.5 lose mass:
+    the sweep raises KmsState's message for the first of them in sweep order."""
+    flow = _random_flow((2, 3), rng=np.random.default_rng(5))
+    real = kms._shifted_boltzmann
+
+    def leaky(eigenvalues, eigenvectors, betas):
+        mats, traces = real(eigenvalues, eigenvectors, betas)
+        betas = np.asarray(betas, dtype=float)
+        mats[1][betas == 0.5] *= 1.25
+        mats[0][betas == 1.5] *= 0.5
+        return mats, traces
+
+    monkeypatch.setattr(kms, "_shifted_boltzmann", leaky)
+    monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
+    with pytest.raises(ValueError, match=r"not normalized \(mass 1\.25\)"):
+        simplex_sweep(flow, [0.0, 0.25, 0.5, 1.0, 1.5])
+    with pytest.raises(ValueError, match=r"not normalized \(mass 0\.5\)"):
+        simplex_sweep(flow, [2.0, 1.5, 0.5])
+    with pytest.raises(ValueError, match=r"not normalized \(mass 1\.25\)"):
+        kms_simplex(flow, 0.5)
+    assert simplex_sweep(flow, [0.0, 1.0]).tolist() == [[1, 2], [1, 2]]
