@@ -8,6 +8,11 @@ round-trip float formatting, so values survive a parse/serialize cycle
 bit-for-bit. Outputs are byte-deterministic for fixed inputs and seed; a
 ``--beta-range`` sweep runs in one thread as stacked array operations, and
 its rows are sorted by β before emission.
+
+Every document read or written is validated against its schema kind. A
+predicate compiled once per process from the kind's definition accepts the
+document; it accepts only what ``jsonschema`` accepts, and what it refuses
+goes to ``jsonschema``, which decides and writes every diagnostic.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
+import re
 import sys
 from importlib import resources
 
@@ -58,22 +65,173 @@ def _schema(which: str) -> dict:
     return schema
 
 
+# The exact Python types a compiled predicate takes as each JSON type: a subset of
+# what jsonschema takes (it also counts numpy scalars as numbers and 2.0 as an integer).
+_EXACT = {"number": frozenset({int, float}), "integer": frozenset({int}),
+          "string": frozenset({str}), "boolean": frozenset({bool}),
+          "null": frozenset({type(None)}), "array": frozenset({list}),
+          "object": frozenset({dict})}
+_IS = {name: (lambda x, exact=exact: type(x) in exact) for name, exact in _EXACT.items()}
+_EXACT_OF = {_IS[name]: exact for name, exact in _EXACT.items()}
+# keywords that look only at one JSON type, and what jsonschema counts as that type
+# (bool is a numbers.Number, so a bool checked against a bound is refused, never passed)
+_APPLIES_TO = {"array": list, "object": dict, "number": numbers.Number, "string": str}
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_KEYWORDS = frozenset({"type", "$ref", "items", "minItems", "maxItems", "required",
+                       "properties", "additionalProperties", "allOf", "anyOf", "enum",
+                       "const", "minimum", "exclusiveMinimum", "pattern"})
+
+
+def _every(checks: list):
+    """All of ``checks``; one check is returned as it is."""
+    if len(checks) == 1:
+        return checks[0]
+
+    def every(x):
+        for check in checks:
+            if not check(x):
+                return False
+        return True
+    return every
+
+
+def _values(values: list):
+    """``enum``/``const``: equal value of the same type (jsonschema has True ≠ 1).
+    An array or object value never matches, so jsonschema decides those."""
+    keys = {(type(v), v) for v in values if type(v) in _SCALARS}
+    return lambda x: type(x) in _SCALARS and (type(x), x) in keys
+
+
+def _compile(defs: dict, kind: str):
+    """A predicate for ``defs[kind]`` that accepts only documents jsonschema accepts.
+
+    It may refuse documents jsonschema accepts (an integer given as 2.0, numpy
+    scalars, NaN against a bound); the caller then asks jsonschema. A keyword
+    outside ``_KEYWORDS``, or a form of one that is not compiled, raises
+    ``NotImplementedError`` here, so no check is ever dropped silently.
+    """
+    done: dict = {}
+
+    def ref(target: str):
+        name = target.removeprefix("#/$defs/")
+        if name == target or name not in defs:
+            raise NotImplementedError(f"$ref {target!r} is not an entry of the file's $defs")
+        if name not in done:
+            done[name] = None                       # under compilation
+            done[name] = node(defs[name])
+        if done[name] is None:                      # a recursive reference
+            return lambda x: done[name](x)
+        return done[name]
+
+    def node(schema: dict):
+        unknown = sorted(schema.keys() - _KEYWORDS)
+        if unknown:
+            raise NotImplementedError(f"schema keyword(s) {unknown} have no compiled check")
+        checks, only = [], None
+        if "type" in schema:
+            names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+            only = names[0] if len(names) == 1 else None
+            exact = frozenset().union(*(_EXACT[t] for t in names))
+            checks.append(_IS[only] if only else lambda x: type(x) in exact)
+        groups = {"array": [], "object": [], "number": [], "string": []}
+
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if lo > 0 or hi < math.inf:
+            groups["array"].append(lambda x: lo <= len(x) <= hi)
+        if "items" in schema:
+            if not isinstance(schema["items"], dict):
+                raise NotImplementedError("only a schema is compiled as items")
+            item = node(schema["items"])
+            if item in _EXACT_OF:                   # a bare type: one C-level pass
+                types = _EXACT_OF[item]
+                groups["array"].append(lambda x: types.issuperset(map(type, x)))
+            else:
+                groups["array"].append(lambda x: all(map(item, x)))
+
+        required = tuple(schema.get("required", ()))
+        props = {k: node(v) for k, v in schema.get("properties", {}).items()}
+        if schema.get("additionalProperties", False) is not False:
+            raise NotImplementedError("only additionalProperties: false is compiled")
+        closed = "additionalProperties" in schema
+        if required or props or closed:
+            def fields(x):
+                for k in required:
+                    if k not in x:
+                        return False
+                for k, v in x.items():
+                    check = props.get(k)
+                    if check is None:
+                        if closed:
+                            return False
+                    elif not check(v):
+                        return False
+                return True
+            groups["object"].append(fields)
+
+        if "minimum" in schema:
+            least = schema["minimum"]
+            groups["number"].append(lambda x: x >= least)
+        if "exclusiveMinimum" in schema:
+            below = schema["exclusiveMinimum"]
+            groups["number"].append(lambda x: x > below)
+        if "pattern" in schema:
+            search = re.compile(schema["pattern"]).search
+            groups["string"].append(lambda x: search(x) is not None)
+
+        for applies, group in groups.items():
+            if not group:
+                continue
+            check = _every(group)
+            if only is not None and _EXACT[only] <= _EXACT[applies]:
+                checks.append(check)                # the type check above guards it
+            else:
+                checks.append(lambda x, check=check, exact=_EXACT[applies],
+                              maybe=_APPLIES_TO[applies]:
+                              check(x) if type(x) in exact else not isinstance(x, maybe))
+        if "enum" in schema:
+            checks.append(_values(schema["enum"]))
+        if "const" in schema:
+            checks.append(_values([schema["const"]]))
+        if "allOf" in schema:
+            checks.append(_every([node(s) for s in schema["allOf"]]))
+        if "anyOf" in schema:
+            options = [node(s) for s in schema["anyOf"]]
+
+            def some(x):
+                for option in options:
+                    if option(x):
+                        return True
+                return False
+            checks.append(some)
+        if "$ref" in schema:
+            checks.append(ref(schema["$ref"]))
+        return _every(checks) if checks else (lambda x: True)
+
+    return ref(f"#/$defs/{kind}")
+
+
 @functools.lru_cache(maxsize=None)
 def _validator(which: str, kind: str):
-    """A validator for one kind: its definition, carrying every ``$defs`` entry of the
-    file. It declares no ``$schema``, so it takes the default class, 2020-12."""
+    """The compiled predicate and the jsonschema validator of one kind. The validator
+    checks its definition, carrying every ``$defs`` entry of the file; it declares no
+    ``$schema``, so it takes the default class, 2020-12."""
     import jsonschema
 
     defs = _schema(which)["$defs"]
     schema = dict(defs[kind])
     schema["$defs"] = defs
-    return jsonschema.validators.validator_for(schema)(schema)
+    return _compile(defs, kind), jsonschema.validators.validator_for(schema)(schema)
 
 
 def _validate(doc, kind: str, which: str, path: str) -> None:
+    """Accept what the compiled predicate accepts; jsonschema decides the rest and
+    writes every diagnostic."""
+    accepts, validator = _validator(which, kind)
+    if accepts(doc):
+        return
     import jsonschema
 
-    error = jsonschema.exceptions.best_match(_validator(which, kind).iter_errors(doc))
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "(root)"
         raise CliInputError(f"{path}: field {where}: {error.message}") from error
@@ -135,16 +293,19 @@ def _element(path: str, alg: BlockAlgebra):
     return alg.element(mats)
 
 
-def _need_beta(beta_flag, beta_file, path) -> float:
-    if beta_flag is not None:
-        beta, where = float(beta_flag), "--beta"
-    elif beta_file is not None:
-        beta, where = float(beta_file), f"{path}: field beta"
-    else:
-        raise CliInputError(f"no β given: pass --beta or put a beta field in {path}")
+def _finite_beta(value, where: str) -> float:
+    beta = float(value)
     if not math.isfinite(beta):
         raise CliInputError(f"{where} must be finite, got {beta!r}")
     return beta
+
+
+def _need_beta(beta_flag, beta_file, path) -> float:
+    if beta_flag is not None:
+        return _finite_beta(beta_flag, "--beta")
+    if beta_file is not None:
+        return _finite_beta(beta_file, f"{path}: field beta")
+    raise CliInputError(f"no β given: pass --beta or put a beta field in {path}")
 
 
 def _beta_range(text: str) -> np.ndarray:
@@ -354,7 +515,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_factor_type(args) -> int:
     doc = _load(args.itpfi, "itpfi")
     spec = ItpfiSpec(_matrix(doc["site_generator"]))
-    report = factor_type_itpfi(spec, float(doc["beta"]))
+    report = factor_type_itpfi(spec, _finite_beta(doc["beta"], f"{args.itpfi}: field beta"))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "factor-type", "tag": report.tag,
         "lambda_value": report.lambda_value, "kappa": report.kappa,
@@ -368,7 +529,7 @@ def _cmd_factor_type(args) -> int:
 def _cmd_gamma(args) -> int:
     doc = _load(args.itpfi, "itpfi")
     spec = ItpfiSpec(_matrix(doc["site_generator"]))
-    report = gamma_invariant(spec, float(doc["beta"]))
+    report = gamma_invariant(spec, _finite_beta(doc["beta"], f"{args.itpfi}: field beta"))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "gamma",
         "kind": report.kind, "generator": report.generator,
@@ -382,7 +543,8 @@ def _cmd_matroid(args) -> int:
              for s in doc.get("sites", [])]
     spec = MatroidSpec(kind=doc["kind"], sites=sites,
                        declared_tail=doc.get("declared_tail"))
-    verdict = matroid_bounded(spec, args.beta, prefix_terms=args.terms)
+    verdict = matroid_bounded(spec, _finite_beta(args.beta, "--beta"),
+                             prefix_terms=args.terms)
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "matroid",
         "verdict": verdict.kind, "reason": verdict.reason,
@@ -561,7 +723,10 @@ def _cmd_cuntz(args) -> int:
 
 # -- parser -------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. It holds no handler: ``main`` looks the
+    handler up by command name on each call."""
     parser = argparse.ArgumentParser(
         prog="kmslab",
         description="Equilibrium states, modular data, and simplex bundles "
@@ -570,17 +735,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"kmslab {__version__} (schemas v{SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
+    add = sub.add_parser
 
-    p = add("gibbs", _cmd_gibbs, help="Gibbs state of a problem file")
+    p = add("gibbs", help="Gibbs state of a problem file")
     p.add_argument("--problem", required=True)
     p.add_argument("--beta", type=float)
     p.add_argument("--out", required=True)
 
-    p = add("verify", _cmd_verify, help="two-route equilibrium check (exit 1 on failure)")
+    p = add("verify", help="two-route equilibrium check (exit 1 on failure)")
     p.add_argument("--problem", required=True)
     p.add_argument("--state", help="density to test (default: the Gibbs state)")
     p.add_argument("--beta", type=float)
@@ -588,72 +750,72 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = add("simplex", _cmd_simplex, help="equilibrium simplex at one β or over a sweep")
+    p = add("simplex", help="equilibrium simplex at one β or over a sweep")
     p.add_argument("--problem", required=True)
     p.add_argument("--beta", type=float)
     p.add_argument("--beta-range", help="lo:hi:steps, half-open [lo, hi)")
     p.add_argument("--plot", help="SVG path (sweeps only)")
     p.add_argument("--out", required=True)
 
-    p = add("modular", _cmd_modular, help="modular operator by two routes + theorems")
+    p = add("modular", help="modular operator by two routes + theorems")
     p.add_argument("--problem", required=True)
     p.add_argument("--beta", type=float)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", required=True)
 
-    p = add("fejer", _cmd_fejer, help="Cesàro mean of an element under a periodic flow")
+    p = add("fejer", help="Cesàro mean of an element under a periodic flow")
     p.add_argument("--problem", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = add("decompose", _cmd_decompose, help="spectral component norms to CSV")
+    p = add("decompose", help="spectral component norms to CSV")
     p.add_argument("--problem", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("factor-type", _cmd_factor_type, help="product-factor type of a site family")
+    p = add("factor-type", help="product-factor type of a site family")
     p.add_argument("--itpfi", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("gamma", _cmd_gamma, help="Connes Γ invariant of a site family")
+    p = add("gamma", help="Connes Γ invariant of a site family")
     p.add_argument("--itpfi", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("matroid", _cmd_matroid, help="boundedness verdict for a corner family")
+    p = add("matroid", help="boundedness verdict for a corner family")
     p.add_argument("--family", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--terms", type=int, default=24)
     p.add_argument("--out", required=True)
 
-    p = add("window", _cmd_window, help="trace-class β window of a spectrum family")
+    p = add("window", help="trace-class β window of a spectrum family")
     p.add_argument("--family", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("bundle", _cmd_bundle, help="fiber sweep of a dimension-group spec")
+    p = add("bundle", help="fiber sweep of a dimension-group spec")
     p.add_argument("--dg", required=True)
     p.add_argument("--out", required=True, help="CSV path")
     p.add_argument("--json", help="optional JSON summary path")
     p.add_argument("--plot", help="optional SVG path")
 
-    p = add("point-bundle", _cmd_point_bundle, help="Dirac simplex over a finite level map")
+    p = add("point-bundle", help="Dirac simplex over a finite level map")
     p.add_argument("--points", required=True)
     p.add_argument("--level", type=float, required=True)
     p.add_argument("--out", required=True)
 
-    p = add("measure", _cmd_measure, help="self-similar measure + scaling check")
+    p = add("measure", help="self-similar measure + scaling check")
     p.add_argument("--measure", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", required=True)
 
-    p = add("cocycle", _cmd_cocycle, help="check or trivialize a phase 2-cocycle grid")
+    p = add("cocycle", help="check or trivialize a phase 2-cocycle grid")
     p.add_argument("action", choices=["check", "trivialize"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", help="cochain output (trivialize)")
     p.add_argument("--report", help="JSON report path")
     p.add_argument("--tol", type=float, help="residual bound turning the run into a verdict")
 
-    p = add("cuntz", _cmd_cuntz, help="exact word trace and gauge β")
+    p = add("cuntz", help="exact word trace and gauge β")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", dest="word_a", default="", help="comma-separated letters")
     p.add_argument("--b", dest="word_b", default="", help="comma-separated letters")
@@ -665,8 +827,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except (ValueError, OSError) as e:             # CliInputError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

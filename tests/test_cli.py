@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, schemas, determinism, diagnostics."""
 
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -12,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmslab import cli, kms
 from kmslab.cli import main
@@ -135,6 +138,28 @@ def test_non_finite_beta_field_is_an_input_error(tmp_path, capsys):
     path.write_text('{"block_dims": [2], "generator": [[[0, 0], [0, 1]]], "beta": NaN}')
     out = tmp_path / "gibbs.json"
     assert main(["gibbs", "--problem", str(path), "--out", str(out)]) == 2
+    assert f"{path}: field beta must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["nan", "-inf"])
+def test_matroid_refuses_a_non_finite_beta(tmp_path, capsys, beta):
+    """It used to give the verdict "unbounded" (exit 0) and write a bare NaN."""
+    fam = _write(tmp_path / "fam.json", {"kind": "seven_adic"})
+    out = tmp_path / "m.json"
+    code = main(["matroid", "--family", fam, f"--beta={beta}", "--out", str(out)])
+    assert code == 2
+    assert f"--beta must be finite, got {beta}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["factor-type", "gamma"])
+def test_itpfi_commands_refuse_a_non_finite_beta_field(tmp_path, capsys, command):
+    """They used to exit 0 and write a bare NaN (`lambda_value`, `generator`)."""
+    path = tmp_path / "site.json"
+    path.write_text('{"site_generator": [[0, 0], [0, 0.693]], "beta": NaN}')
+    out = tmp_path / "o.json"
+    assert main([command, "--itpfi", str(path), "--out", str(out)]) == 2
     assert f"{path}: field beta must be finite, got nan" in capsys.readouterr().err
     assert not out.exists()
 
@@ -720,3 +745,352 @@ def test_each_schema_file_is_checked_once_per_process(fresh_schema_caches, monke
     assert main(["gibbs", "--problem", bad, "--beta", "1", "--out", out]) == 2
     assert "field generator" in capsys.readouterr().err
     assert sorted(checked) == ["kmslab/inputs.v1.json", "kmslab/outputs.v1.json"]
+
+
+# -- compiled schema predicates: sound, defined for every kind, and taken ------------
+
+def _all_kinds():
+    return [(which, kind) for which in ("inputs", "outputs")
+            for kind in _reference_schema_defs(which)]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(which: str, kind: str):
+    """jsonschema alone, on the definition as the file gives it."""
+    import jsonschema
+
+    defs = _reference_schema_defs(which)
+    schema = dict(defs[kind])
+    schema["$defs"] = defs
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _accepts(which: str, kind: str):
+    return cli._validator(which, kind)[0]
+
+
+# valid documents of the kinds that neither VALID_DOCS nor a CLI run covers
+PART_DOCS = {
+    ("inputs", "entry"): [0.5, [1.0, -2]],
+    ("inputs", "matrix"): [[[1.0, [0.0, 1.0]], [[0.0, -1.0], 2]]],
+    ("inputs", "blocks"): [[[[1.0]], [[0.0, 1.0], [1.0, 0.0]]]],
+    ("inputs", "rational"): ["-3/7", 2, 0.25],
+    ("outputs", "pair"): [[0.5, -1.0]],
+    ("outputs", "matrix"): [[[[0.5, 0.0]]], []],
+    ("outputs", "blocks"): [[[[[1.0, 0.0]]]]],
+    ("outputs", "base"): [{"schema_version": "1", "command": "x", "more": [1, "a"]}],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_documents(tmp_path_factory):
+    """Every JSON document that one run of each JSON-writing command reads or writes,
+    as (which, kind, doc), and the documents jsonschema was asked about meanwhile."""
+    import contextlib
+    import io
+    from jsonschema import Draft202012Validator
+
+    d = tmp_path_factory.mktemp("cli_documents")
+    step, half = 0.25, 1.0
+    phi = lambda x: 0.9 * np.sin(1.1 * x)          # noqa: E731
+    xs = step * np.arange(-4, 5)
+    grid = _grid_doc(step, half, np.exp(1j * (phi(xs)[:, None] + phi(xs)[None, :]
+                                              - phi(xs[:, None] + xs[None, :]))))
+    inputs = {"p.json": ("problem", dict(PAIR_PROBLEM, beta=0.7)),
+              "two.json": ("problem", TWO_LEVEL),
+              "e.json": ("element", {"blocks": [[[0.0, 1.0], [0.0, 0.0]]]}),
+              "site.json": ("itpfi", {"site_generator": [[0.0, 0.0], [0.0, math.log(2.0)]],
+                                      "beta": 1.0}),
+              "fam.json": ("matroid", {"kind": "seven_adic"}),
+              "w.json": ("window_family", {"kind": "negated",
+                                           "inner": {"kind": "power", "r": 2.0}}),
+              "dg.json": ("dimension_group", Q6_DG),
+              "pts.json": ("points", {"points": [{"label": "a", "level": 0.0},
+                                                 {"label": "b", "level": 1.0}]}),
+              "mu.json": ("measure", {"lam": 2.0, "beta": -1.0, "kind": "density"}),
+              "grid.json": ("cocycle_grid", grid)}
+    for name, (_, doc) in inputs.items():
+        _write(d / name, doc)
+    p = lambda name: str(d / name)                 # noqa: E731
+    runs = [(["gibbs", "--problem", p("p.json"), "--out", p("gibbs.out")], "gibbs"),
+            (["verify", "--problem", p("two.json"), "--out", p("verify.out")], "verify"),
+            (["simplex", "--problem", p("p.json"), "--out", p("simplex.out")], "simplex"),
+            (["modular", "--problem", p("two.json"), "--out", p("modular.out")], "modular"),
+            (["fejer", "--problem", p("two.json"), "--element", p("e.json"), "--order", "3",
+              "--out", p("fejer.out")], "fejer"),
+            (["factor-type", "--itpfi", p("site.json"), "--out", p("factor_type.out")],
+             "factor_type"),
+            (["gamma", "--itpfi", p("site.json"), "--out", p("gamma.out")], "gamma"),
+            (["matroid", "--family", p("fam.json"), "--beta", "2", "--out", p("matroid.out")],
+             "matroid"),
+            (["window", "--family", p("w.json"), "--out", p("window.out")], "window"),
+            (["bundle", "--dg", p("dg.json"), "--out", p("b.csv"), "--json", p("bundle.out")],
+             "bundle"),
+            (["point-bundle", "--points", p("pts.json"), "--level", "1",
+              "--out", p("point_bundle.out")], "point_bundle"),
+            (["measure", "--measure", p("mu.json"), "--out", p("measure.out")], "measure"),
+            (["cocycle", "check", "--in", p("grid.json"), "--report", p("cocycle_check.out")],
+             "cocycle_check"),
+            (["cocycle", "trivialize", "--in", p("grid.json"), "--out", p("cochain.out"),
+              "--report", p("cocycle_report.out")], "cocycle_report"),
+            (["cuntz", "--m", "2", "--a", "1,2", "--b", "1,2", "--rho", "1.5",
+              "--out", p("cuntz.out")], "cuntz")]
+    for which in ("inputs", "outputs"):
+        cli._schema(which)                  # its metaschema check runs iter_errors too
+    asked = []
+    real = Draft202012Validator.iter_errors
+
+    def spy(self, instance, *args, **kwargs):
+        asked.append(instance)
+        return real(self, instance, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Draft202012Validator, "iter_errors", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv, _ in runs]
+    assert codes == [0] * len(runs)
+    docs = [("inputs", kind, doc) for kind, doc in inputs.values()]
+    docs += [("outputs", kind, json.loads((d / f"{kind}.out").read_text()))
+             for kind in [kind for _, kind in runs] + ["cochain"]]
+    return docs, asked
+
+
+def _base_docs(cli_docs):
+    docs = {key: [doc] for key, doc in VALID_DOCS.items()}
+    for key, extra in PART_DOCS.items():
+        docs.setdefault(key, []).extend(extra)
+    for which, kind, doc in cli_docs:
+        if doc not in docs.setdefault((which, kind), []):
+            docs[(which, kind)].append(doc)
+    return docs
+
+
+def test_every_schema_definition_compiles(cli_documents):
+    for which, kind in _all_kinds():
+        assert callable(_accepts(which, kind))
+    # every kind has documents for the soundness properties below to vary
+    assert sorted(_base_docs(cli_documents[0])) == sorted(_all_kinds())
+
+
+def test_compiled_predicates_accept_every_valid_document(cli_documents):
+    for (which, kind), docs in _base_docs(cli_documents[0]).items():
+        for doc in docs:
+            assert _accepts(which, kind)(doc), (which, kind, doc)
+            assert _oracle(which, kind).is_valid(doc), (which, kind, doc)
+
+
+def test_the_cli_never_asks_jsonschema_about_a_valid_document(cli_documents):
+    """Every file the commands read or write went by the compiled predicate alone."""
+    docs, asked = cli_documents
+    assert len(docs) == 26
+    assert asked == []
+
+
+def _paths(node, path=(), ends_only=False):
+    """Every node's path; with ``ends_only``, only the first and last item of a list."""
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, path + (k,), ends_only)
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            if not ends_only or i in (0, len(node) - 1):
+                yield from _paths(v, path + (i,), ends_only)
+
+
+_DROP = object()
+
+
+def _put(node, path, value):
+    """A copy of ``node`` with ``value`` at ``path`` (a new key or index appends;
+    ``_DROP`` deletes)."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(node, dict):
+        out = dict(node)
+        child = out.get(head)
+    else:
+        out = list(node)
+        if head == len(out):
+            out.append(None)
+        child = out[head]
+    new = _put(child, rest, value)
+    if new is _DROP:
+        del out[head]
+    else:
+        out[head] = new
+    return out
+
+
+# values that sit on the edges of the type rules: bools against numbers, 1 against
+# 1.0, NaN and infinities against bounds, numpy scalars, wrong pair lengths
+TRICKY = [True, False, None, 0, 1, 1.0, 2.0, -1, -0.0, 0.5, math.nan, math.inf, -math.inf,
+          "1", "", "x", "2/3", "seven_adic", "density", "power", [], [1.0], [1.0, 2.0],
+          [1.0, 2.0, 3.0], [True, 1.0], {}, {"bogus": 1}, np.float64(1.0), np.int64(1),
+          np.bool_(True)]
+
+
+def _sound(which, kind, doc) -> bool:
+    """Whether the predicate accepted ``doc``; asserts jsonschema accepts it then."""
+    if not _accepts(which, kind)(doc):
+        return False
+    assert _oracle(which, kind).is_valid(doc), (which, kind, doc)
+    return True
+
+
+@pytest.mark.parametrize("which,kind", _all_kinds())
+def test_compiled_predicate_is_sound_at_every_node(cli_documents, which, kind):
+    """Each malformed variant, and each node of each valid document (the end items of
+    each list) replaced by each tricky value: whatever the predicate accepts,
+    jsonschema accepts."""
+    accepted = refused = 0
+    for doc in _base_docs(cli_documents[0])[(which, kind)]:
+        variants = [v for vs in _malformed(doc).values() for v in vs]
+        variants += [_put(doc, path, value) for path in _paths(doc, ends_only=True)
+                     for value in TRICKY]
+        for variant in variants:
+            if _sound(which, kind, variant):
+                accepted += 1
+            else:
+                refused += 1
+    assert accepted >= 1 and refused >= 1
+
+
+def _property_names():
+    names = {"bogus"}
+    for which in ("inputs", "outputs"):
+        for schema in _reference_schema_defs(which).values():
+            names.update(schema.get("properties", {}))
+    return sorted(names)
+
+
+_JSON_TREES = st.recursive(
+    st.sampled_from(TRICKY) | st.floats() | st.integers(-2, 2),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_property_names()), kids, max_size=4),
+    max_leaves=10)
+
+
+@st.composite
+def _mutant(draw, docs):
+    """A valid document with one to three nodes replaced, dropped or added."""
+    doc = draw(st.sampled_from(docs))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        op = draw(st.sampled_from(["replace", "add", "drop"]))
+        node = doc
+        for key in path:
+            node = node[key]
+        if op == "add" and isinstance(node, (dict, list)):
+            key = draw(st.sampled_from(_property_names())) if isinstance(node, dict) \
+                else len(node)
+            doc = _put(doc, path + (key,), draw(_JSON_TREES))
+        elif op == "drop" and path:
+            doc = _put(doc, path, _DROP)
+        else:
+            doc = _put(doc, path, draw(_JSON_TREES))
+    return doc
+
+
+@pytest.mark.parametrize("which,kind", _all_kinds())
+@given(data=st.data())
+def test_property_compiled_predicate_is_sound(cli_documents, which, kind, data):
+    docs = _base_docs(cli_documents[0])[(which, kind)]
+    variants = [v for doc in docs for vs in _malformed(doc).values() for v in vs]
+    doc = data.draw(st.sampled_from(variants) | _mutant(docs) | _JSON_TREES)
+    _sound(which, kind, doc)
+
+
+def _patched_schema_files(monkeypatch, which, edit):
+    from importlib import resources
+
+    real = resources.files("kmslab")
+    schema = json.loads(real.joinpath(f"schemas/{which}.v1.json").read_text())
+    edit(schema["$defs"])
+    text = json.dumps(schema)
+
+    class Files:
+        def joinpath(self, name):
+            return (types.SimpleNamespace(read_text=lambda: text)
+                    if name == f"schemas/{which}.v1.json" else real.joinpath(name))
+
+    monkeypatch.setattr(cli, "resources", types.SimpleNamespace(files=lambda pkg: Files()))
+
+
+@pytest.mark.parametrize("keyword,edit", [
+    pytest.param("maximum", lambda defs: defs["problem"]["properties"]["beta"].update(
+        maximum=10), id="maximum"),
+    pytest.param("prefixItems", lambda defs: defs["matrix"].update(
+        prefixItems=[{"type": "array"}]), id="prefixItems"),
+    pytest.param("additionalProperties", lambda defs: defs["blocks"].update(
+        additionalProperties={"type": "number"}), id="additionalProperties-schema"),
+])
+def test_unsupported_schema_keyword_raises_on_first_use(fresh_schema_caches, monkeypatch,
+                                                        keyword, edit):
+    """The patched file passes its metaschema check, and jsonschema would validate the
+    document; the predicate refuses to be built without the keyword's check."""
+    _patched_schema_files(monkeypatch, "inputs", edit)
+    with pytest.raises(NotImplementedError, match=keyword):
+        cli._validate(TWO_LEVEL, "problem", "inputs", "p.json")
+    from jsonschema import Draft202012Validator
+
+    defs = cli._schema("inputs")["$defs"]
+    assert Draft202012Validator(dict(defs["problem"], **{"$defs": defs})).is_valid(TWO_LEVEL)
+
+
+# -- the parser is built once: in-process calls behave as fresh processes ------------
+
+def test_cached_parser_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    import os
+    from pathlib import Path
+
+    step, half = 2.0 ** -3, 1.0
+    k = int(half / step)
+    vals = np.ones((2 * k + 1, 2 * k + 1), dtype=complex)
+    vals[k + 2, k + 3] = -1.0
+    inputs = {"p.json": TWO_LEVEL, "fam.json": {"kind": "seven_adic"},
+              "grid.json": _grid_doc(step, half, np.ones_like(vals)),
+              "bad_grid.json": _grid_doc(step, half, vals)}
+    calls = [["verify", "--problem", "p.json", "--tol", "1e-3", "--seed", "5",
+              "--out", "v1.json"],
+             ["verify", "--problem", "p.json", "--out", "v2.json"],
+             ["gibbs", "--problem", "p.json"],                  # argparse: no --out
+             ["--version"],
+             ["cocycle", "check", "--in", "bad_grid.json", "--report", "c.json",
+              "--tol", "1e-6"],
+             ["cocycle", "trivialize", "--in", "grid.json", "--out", "mu.json",
+              "--report", "t.json", "--tol", "1e-6"],
+             ["matroid", "--family", "fam.json", "--beta", "nan", "--out", "m.json"]]
+    runs = {}
+    for route in ("in_process", "fresh"):
+        d = tmp_path / route
+        d.mkdir()
+        for name, doc in inputs.items():
+            _write(d / name, doc)
+    monkeypatch.chdir(tmp_path / "in_process")
+    cli._build_parser()
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        streams = capsys.readouterr()
+        in_process.append((code, streams.out, streams.err))
+    assert cli._build_parser.cache_info().misses <= 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    fresh = []
+    for argv in calls:
+        r = subprocess.run([sys.executable, "-m", "kmslab.cli", *argv], cwd=tmp_path / "fresh",
+                           env=env, capture_output=True, text=True)
+        fresh.append((r.returncode, r.stdout, r.stderr))
+    assert in_process == fresh
+    assert [c for c, _, _ in fresh] == [0, 0, 2, 0, 1, 0, 2]
+    files = {route: {p.name: p.read_bytes() for p in sorted((tmp_path / route).iterdir())}
+             for route in ("in_process", "fresh")}
+    assert files["in_process"] == files["fresh"]
+    assert json.loads(files["fresh"]["v1.json"])["tol"] == 1e-3
+    assert json.loads(files["fresh"]["v2.json"])["tol"] == 1e-8
