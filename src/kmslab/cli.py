@@ -56,13 +56,10 @@ class CliInputError(ValueError):
 
 @functools.lru_cache(maxsize=None)
 def _schema(which: str) -> dict:
-    """A schema file, checked against the metaschema it declares once per process."""
-    import jsonschema
-
+    """A schema file, read once per process. Its check against the metaschema it
+    declares is a Tier-1 test, not a cost of every process."""
     text = resources.files("kmslab").joinpath(f"schemas/{which}.v1.json").read_text()
-    schema = json.loads(text)
-    jsonschema.validators.validator_for(schema).check_schema(schema)
-    return schema
+    return json.loads(text)
 
 
 # The exact Python types a compiled predicate takes as each JSON type: a subset of
@@ -211,27 +208,32 @@ def _compile(defs: dict, kind: str):
 
 
 @functools.lru_cache(maxsize=None)
+def _predicate(which: str, kind: str):
+    """The compiled predicate of one kind."""
+    return _compile(_schema(which)["$defs"], kind)
+
+
+@functools.lru_cache(maxsize=None)
 def _validator(which: str, kind: str):
-    """The compiled predicate and the jsonschema validator of one kind. The validator
-    checks its definition, carrying every ``$defs`` entry of the file; it declares no
-    ``$schema``, so it takes the default class, 2020-12."""
+    """The jsonschema validator of one kind, imported and built only once a document
+    is refused. It checks the kind's definition, carrying every ``$defs`` entry of the
+    file; it declares no ``$schema``, so it takes the default class, 2020-12."""
     import jsonschema
 
     defs = _schema(which)["$defs"]
     schema = dict(defs[kind])
     schema["$defs"] = defs
-    return _compile(defs, kind), jsonschema.validators.validator_for(schema)(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _validate(doc, kind: str, which: str, path: str) -> None:
     """Accept what the compiled predicate accepts; jsonschema decides the rest and
     writes every diagnostic."""
-    accepts, validator = _validator(which, kind)
-    if accepts(doc):
+    if _predicate(which, kind)(doc):
         return
     import jsonschema
 
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    error = jsonschema.exceptions.best_match(_validator(which, kind).iter_errors(doc))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "(root)"
         raise CliInputError(f"{path}: field {where}: {error.message}") from error
@@ -538,6 +540,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_matroid(args) -> int:
+    if args.terms < 1:
+        raise CliInputError(f"--terms must be at least 1, got {args.terms}")
     doc = _load(args.family, "matroid")
     sites = [(_matrix(s["generator"]), _matrix(s["projection"]))
              for s in doc.get("sites", [])]
@@ -613,11 +617,12 @@ def _cmd_bundle(args) -> int:
 def _cmd_point_bundle(args) -> int:
     doc = _load(args.points, "points")
     spec = PointBundleSpec.from_pairs([(p["label"], p["level"]) for p in doc["points"]])
-    fiber = bundle_from_points(spec, args.level)
+    level = _finite_beta(args.level, "--level")
+    fiber = bundle_from_points(spec, level)
     members = [spec.labels[int(np.argmax(v))] for v in fiber.vertices]
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "point-bundle",
-        "level": float(args.level), "dimension": fiber.dimension,
+        "level": level, "dimension": fiber.dimension,
         "vertex_count": fiber.vertex_count, "members": members,
     }, kind="point_bundle")
     return 0
@@ -711,7 +716,8 @@ def _word(text: str) -> tuple[int, ...]:
 def _cmd_cuntz(args) -> int:
     a, b = _word(args.word_a), _word(args.word_b)
     value = cuntz_trace(args.m, a, b)
-    beta = gauge_kms_beta(args.m, args.rho) if args.rho is not None else None
+    beta = (gauge_kms_beta(args.m, _finite_beta(args.rho, "--rho"))
+            if args.rho is not None else None)
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "cuntz", "m": args.m,
         "word_a": list(a), "word_b": list(b), "value": str(value),

@@ -169,9 +169,11 @@ class InnerFlow:
         if method == "closed_form":
             return self._entrywise(a, lambda d: np.exp(1j * z * d) * np.exp(-d * d / (4.0 * n)))
         if method == "quadrature":
+            half = None
             while True:
                 full = self._gh_sum(a, n, z, k)
-                half = self._gh_sum(a, n, z, max(2, k // 2))
+                if half is None:
+                    half = self._gh_sum(a, n, z, max(2, k // 2))
                 denom = max(full.fro_norm(), 1e-300)
                 est = (full - half).fro_norm() / denom
                 if est <= quad_tol:
@@ -180,7 +182,10 @@ class InnerFlow:
                     raise QuadratureError(
                         f"Gauss–Hermite rule with {k} nodes has not converged "
                         f"(achieved error estimate {est:.3e} > {quad_tol:.3e})")
-                k = min(GH_NODES_MAX, 2 * k)
+                k_next = min(GH_NODES_MAX, 2 * k)
+                # the doubled rule's half is the rule just summed, unless the cap clamped it
+                half = full if max(2, k_next // 2) == k else None
+                k = k_next
         raise ValueError(f"unknown method {method!r}")
 
     def _gh_sum(self, a: AlgElement, n: float, z: complex, nodes: int) -> AlgElement:

@@ -57,10 +57,7 @@ class GnsTriple:
 
     def rep(self, a: AlgElement) -> np.ndarray:
         """Left multiplication in Λ-coordinates: blockdiag of a_i ⊗ I."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for blk, n, off in zip(a.blocks, self.algebra.block_dims, self._offsets):
-            out[off:off + n * n, off:off + n * n] = np.kron(blk, np.eye(n))
-        return out
+        return _block_kron(self, a.blocks, eye_first=False)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         """⟨u, v⟩, linear in u. Equals state(b* a) for u = Λ(a), v = Λ(b)."""
@@ -70,22 +67,38 @@ class GnsTriple:
         return self.lambda_map(self.algebra.identity())
 
     def basis_matrix(self) -> np.ndarray:
-        """Columns Λ(e_k) over the matrix-unit basis; invertible by faithfulness."""
-        cols = [self.lambda_map(e) for e in self.algebra.basis()]
-        return np.column_stack(cols)
+        """Columns Λ(e_k) over the matrix-unit basis; invertible by faithfulness.
+        Λ(E_kl) = vec(E_kl·s) has entry s[l, j] at (k, j), so this is ⊕ 1 ⊗ sᵀ."""
+        return _block_kron(self, [s.T for s in self.sqrt_blocks], eye_first=True)
 
     def adjoint_permutation(self) -> np.ndarray:
         """Real P with coords(a*) = P · conj(coords(a)): the blockwise transpose."""
+        perm = np.concatenate([off + np.arange(n * n).reshape(n, n).T.ravel()
+                               for n, off in zip(self.algebra.block_dims, self._offsets)])
         p = np.zeros((self.dim, self.dim))
-        for n, off in zip(self.algebra.block_dims, self._offsets):
-            for i in range(n):
-                for j in range(n):
-                    p[off + j * n + i, off + i * n + j] = 1.0
+        p[perm, np.arange(self.dim)] = 1.0
         return p
 
 
 def gns(algebra: BlockAlgebra, omega: Functional) -> GnsTriple:
     return GnsTriple(algebra, omega)
+
+
+def _block_kron(g: GnsTriple, mats, eye_first: bool) -> np.ndarray:
+    """⊕ 1 ⊗ m_b (``eye_first``) or ⊕ m_b ⊗ 1 over the blocks, as an (..., N, N) array
+    over the leading axes of the m_b. Entries are copied into place, not multiplied."""
+    lead = mats[0].shape[:-2]
+    out = np.zeros(lead + (g.dim, g.dim), dtype=complex)
+    for m, n, off in zip(mats, g.algebra.block_dims, g._offsets):
+        sl = slice(off, off + n * n)
+        # the block as [(i, p), (k, r)]; the identity factor pins one index pair equal
+        block = out[..., sl, sl].reshape(lead + (n, n, n, n))
+        p = np.arange(n)
+        if eye_first:
+            block[..., p, :, p, :] = m
+        else:
+            block[..., :, p, :, p] = m
+    return out
 
 
 @dataclass
@@ -105,10 +118,15 @@ class ModularData:
         self._evals = w
         self._evecs = v
 
+    def delta_powers(self, zs) -> np.ndarray:
+        """Δ^z for every z in ``zs`` (complex allowed) through the spectral decomposition,
+        as one (S, N, N) stacked product."""
+        pw = np.power(self._evals.astype(complex), np.asarray(zs, dtype=complex)[:, None])
+        return (self._evecs * pw[:, None, :]) @ self._evecs.conj().T
+
     def delta_power(self, z: complex) -> np.ndarray:
         """Δ^z through the spectral decomposition (z may be complex)."""
-        pw = np.power(self._evals.astype(complex), z)
-        return (self._evecs * pw) @ self._evecs.conj().T
+        return self.delta_powers([z])[0]
 
     def flow_unitary(self, t: float) -> np.ndarray:
         return self.delta_power(1j * float(t))
@@ -189,6 +207,9 @@ DEFAULT_T_SAMPLES = (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7)
 
 #: largest GNS dimension the unit-image checks take (≈ 4 s, 300 MB for ``kmslab modular``)
 MAX_GNS_DIM = 144
+#: unit-image entries (N³ per sample time) in one chunk of ``verify_modular_flow``: all
+#: six default samples fit at N ≤ 13, and a chunk holds one sample at N = MAX_GNS_DIM
+_FLOW_CHUNK_ENTRIES = 2 ** 20
 
 
 def _check_gns_dim(g: GnsTriple) -> None:
@@ -198,15 +219,18 @@ def _check_gns_dim(g: GnsTriple) -> None:
 
 
 def _unit_images(g: GnsTriple, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left·π(e)·right for every matrix unit e, as an (N, N, N) stack in basis order:
-    π(E_kl) = E_kl ⊗ 1 on its block, so this is Σ_r left[:, (k,r)]·right[(l,r), :]."""
+    """left·π(e)·right for every matrix unit e, as a (..., N, N, N) stack in basis order
+    over the leading axes that left and right share: π(E_kl) = E_kl ⊗ 1 on its block,
+    so this is Σ_r left[..., :, (k,r)]·right[..., (l,r), :]."""
     _check_gns_dim(g)
     big = g.dim
-    out = np.empty((big, big, big), dtype=complex)
+    lead = left.shape[:-2]
+    out = np.empty(lead + (big, big, big), dtype=complex)
     for n, off in zip(g.algebra.block_dims, g._offsets):
         sl = slice(off, off + n * n)
-        cols = left[:, sl].reshape(big, n, n).transpose(1, 0, 2)[:, None]
-        np.matmul(cols, right[sl].reshape(1, n, n, big), out=out[sl].reshape(n, n, big, big))
+        cols = left[..., sl].reshape(lead + (big, n, n)).swapaxes(-3, -2)[..., None, :, :]
+        np.matmul(cols, right[..., sl, :].reshape(lead + (1, n, n, big)),
+                  out=out[..., sl, :, :].reshape(lead + (n, n, big, big)))
     return out
 
 
@@ -224,19 +248,30 @@ def _off_commutant(g: GnsTriple, x: np.ndarray) -> np.ndarray:
 
 def verify_modular_flow(flow: InnerFlow, psi: KmsState,
                         t_samples=DEFAULT_T_SAMPLES, tol: float = 1e-8) -> ModularFlowReport:
-    """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) = W π(e) W*, W = π(e^{-iβth}), on the units."""
+    """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) = W π(e) W*, W = π(e^{-iβth}), on the units.
+
+    The sample times go through as stacks, at most ``_FLOW_CHUNK_ENTRIES`` // N³ of them
+    per chunk: Δ^{±it} from one stacked power, and π(W) block by block from the flow's
+    eigensystem, so the unit images of a chunk take one batched product per block."""
     g = gns(flow.algebra, psi.functional)
     _check_gns_dim(g)
     md = modular_data(g)
-    resid = [0.0]
-    for t in t_samples:
-        w = g.rep(flow.unitary(-psi.beta * float(t)))
-        diff = _unit_images(g, md.flow_unitary(t), md.flow_unitary(-t))
-        diff -= _unit_images(g, w, w.conj().T)
-        resid.append(np.max(np.abs(diff)))
-    worst = float(np.max(resid))                 # keeps a NaN
+    ts = [float(t) for t in t_samples]
+    per_chunk = max(1, _FLOW_CHUNK_ENTRIES // g.dim ** 3)
+    worst = 0.0
+    for start in range(0, len(ts), per_chunk):
+        chunk = ts[start:start + per_chunk]
+        powers = md.delta_powers([1j * t for t in chunk] + [1j * -t for t in chunk])
+        diff = _unit_images(g, powers[:len(chunk)], powers[len(chunk):])
+        del powers                        # two N³ stacks are the peak at N = MAX_GNS_DIM
+        s = np.array([-psi.beta * t for t in chunk])[:, None]
+        w = _block_kron(g, [(u * np.exp(1j * s * lam)[:, None, :]) @ u.conj().T
+                            for lam, u in zip(flow.eigenvalues, flow.eigenvectors)],
+                        eye_first=False)
+        diff -= _unit_images(g, w, w.conj().swapaxes(-1, -2))
+        worst = float(np.max((worst, np.max(np.abs(diff)))))     # keeps a NaN
     return ModularFlowReport(passed=bool(worst <= tol), max_residual=worst,
-                             beta=psi.beta, samples=tuple(float(t) for t in t_samples))
+                             beta=psi.beta, samples=tuple(ts))
 
 
 def commutant_gap(g: GnsTriple, md: ModularData) -> tuple[int, int, float]:

@@ -153,6 +153,32 @@ def test_matroid_refuses_a_non_finite_beta(tmp_path, capsys, beta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--rho", "nan"), ("--rho", "-inf"),
+                                        ("--level", "nan"), ("--level", "inf")])
+def test_cuntz_and_point_bundle_refuse_non_finite_flags(tmp_path, capsys, flag, value):
+    """They used to exit 0 and write a bare NaN (`gauge_beta`, `level`)."""
+    pts = _write(tmp_path / "pts.json", {"points": [{"label": "a", "level": 0.0}]})
+    out = tmp_path / "o.json"
+    argv = (["cuntz", "--m", "2", "--a", "1", "--b", "1"] if flag == "--rho"
+            else ["point-bundle", "--points", pts])
+    assert main(argv + [f"{flag}={value}", "--out", str(out)]) == 2
+    assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_matroid_refuses_a_term_count_below_one(tmp_path, capsys, terms):
+    """It used to exit 0 and write the count as given, with an empty product."""
+    fam = _write(tmp_path / "fam.json", {"kind": "seven_adic"})
+    out = tmp_path / "m.json"
+    code = main(["matroid", "--family", fam, "--beta", "2", f"--terms={terms}",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"--terms must be at least 1, got {terms}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["matroid", "--family", fam, "--beta", "2", "--terms=1", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command", ["factor-type", "gamma"])
 def test_itpfi_commands_refuse_a_non_finite_beta_field(tmp_path, capsys, command):
     """They used to exit 0 and write a bare NaN (`lambda_value`, `generator`)."""
@@ -689,46 +715,44 @@ def test_validation_diagnostics_match_the_reference_route(which, kind):
 
 @pytest.fixture
 def fresh_schema_caches():
-    cli._schema.cache_clear()
-    cli._validator.cache_clear()
+    caches = (cli._schema, cli._predicate, cli._validator)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    cli._schema.cache_clear()
-    cli._validator.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
-def test_broken_schema_file_fails_its_metaschema_check(fresh_schema_caches, monkeypatch):
+def _check_schema(schema):
     import jsonschema
-    from importlib import resources
 
-    real = resources.files("kmslab")
-    text = real.joinpath("schemas/inputs.v1.json").read_text()
-    schema = json.loads(text)
-    schema["$defs"]["points"]["type"] = 5
-    broken = json.dumps(schema)
-
-    class Files:
-        def joinpath(self, name):
-            return (types.SimpleNamespace(read_text=lambda: broken)
-                    if name == "schemas/inputs.v1.json" else real.joinpath(name))
-
-    monkeypatch.setattr(cli, "resources", types.SimpleNamespace(files=lambda pkg: Files()))
-    # the broken def is not the one validated: the whole file is checked
-    with pytest.raises(jsonschema.SchemaError):
-        cli._validate(TWO_LEVEL, "problem", "inputs", "p.json")
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-def test_each_schema_file_is_checked_once_per_process(fresh_schema_caches, monkeypatch,
-                                                      tmp_path, capsys):
+def test_broken_schema_file_fails_its_metaschema_check(fresh_schema_caches):
+    """Each published schema file passes the metaschema it declares, and the same check
+    refuses a copy with one broken definition."""
+    import copy
+
+    import jsonschema
+
+    for which, kind in [("inputs", "points"), ("outputs", "blocks")]:
+        schema = cli._schema(which)
+        _check_schema(schema)
+        broken = copy.deepcopy(schema)
+        broken["$defs"][kind]["type"] = 5
+        with pytest.raises(jsonschema.SchemaError):
+            _check_schema(broken)
+
+
+def test_the_cli_never_runs_the_metaschema_check(fresh_schema_caches, monkeypatch,
+                                                 tmp_path, capsys):
     from jsonschema import Draft202012Validator
 
-    checked = []
-    orig = Draft202012Validator.check_schema
+    def refuse(*args, **kwargs):
+        raise AssertionError("metaschema check run")
 
-    def counting(cls, schema, *args, **kwargs):
-        checked.append(schema.get("$id", "sub-schema"))
-        return orig(schema, *args, **kwargs)
-
-    monkeypatch.setattr(Draft202012Validator, "check_schema", classmethod(counting))
+    monkeypatch.setattr(Draft202012Validator, "check_schema", refuse)
     prob = _write(tmp_path / "p.json", TWO_LEVEL)
     dg = _write(tmp_path / "dg.json", Q6_DG)
     fam = _write(tmp_path / "w.json", {"kind": "power", "r": 2.0})
@@ -741,10 +765,30 @@ def test_each_schema_file_is_checked_once_per_process(fresh_schema_caches, monke
              ["cuntz", "--m", "2", "--a", "1", "--b", "1", "--out", out]] * 2
     for argv in calls:
         assert main(argv) == 0
-    # documents are still validated on every read, after the schema is cached
+    # documents are still validated on every read, and a refusal still has its diagnostic
     assert main(["gibbs", "--problem", bad, "--beta", "1", "--out", out]) == 2
     assert "field generator" in capsys.readouterr().err
-    assert sorted(checked) == ["kmslab/inputs.v1.json", "kmslab/outputs.v1.json"]
+
+
+def test_jsonschema_is_imported_only_to_write_a_diagnostic(tmp_path):
+    import os
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    prob = _write(tmp_path / "p.json", TWO_LEVEL)
+    bad = _write(tmp_path / "bad.json", {"block_dims": [2], "generator": "not-a-matrix"})
+    script = ("import sys; from kmslab.cli import main; "
+              "code = main(sys.argv[1:]); print(code, 'jsonschema' in sys.modules)")
+    out = str(tmp_path / "o.json")
+    seen = []
+    for problem in (prob, bad):
+        r = subprocess.run([sys.executable, "-c", script, "gibbs", "--problem", problem,
+                            "--beta", "1", "--out", out], env=env, capture_output=True,
+                           text=True)
+        seen.append(r.stdout.split())
+    assert seen == [["0", "False"], ["2", "True"]]
 
 
 # -- compiled schema predicates: sound, defined for every kind, and taken ------------
@@ -766,7 +810,7 @@ def _oracle(which: str, kind: str):
 
 
 def _accepts(which: str, kind: str):
-    return cli._validator(which, kind)[0]
+    return cli._predicate(which, kind)
 
 
 # valid documents of the kinds that neither VALID_DOCS nor a CLI run covers
@@ -835,8 +879,6 @@ def cli_documents(tmp_path_factory):
               "--report", p("cocycle_report.out")], "cocycle_report"),
             (["cuntz", "--m", "2", "--a", "1,2", "--b", "1,2", "--rho", "1.5",
               "--out", p("cuntz.out")], "cuntz")]
-    for which in ("inputs", "outputs"):
-        cli._schema(which)                  # its metaschema check runs iter_errors too
     asked = []
     real = Draft202012Validator.iter_errors
 

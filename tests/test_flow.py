@@ -191,7 +191,7 @@ def _assert_quadrature_matches(flow, a, n, z, nodes):
         got = flow.smooth_shifted(a, n, z, method="quadrature", nodes=nodes)
     except QuadratureError:
         got = None
-    assert used[-2] == want_k                       # the last full rule is the one returned
+    assert max(used) == want_k                      # the largest rule is the one returned
     if want is None:
         assert got is None
     else:
@@ -236,6 +236,23 @@ def test_quadrature_computes_each_gauss_hermite_rule_once(monkeypatch):
     for n, nodes in [(1.0, 64), (2.5, 64), (0.3, 64), (1.0, 8), (4.0, 8)] * 2:
         flow.smooth(a, n, method="quadrature", nodes=nodes)
     assert sorted(calls) == sorted(set(used)) and len(set(used)) >= 3
+
+
+@pytest.mark.parametrize("n,nodes,calls", [(0.5, 64, [64, 32, 128]),
+                                            (0.1, 200, [200, 100, 256, 128])])
+def test_doubled_rule_reuses_the_previous_rule_as_its_half(n, nodes, calls):
+    """64 → 128 nodes sums three rules, not four; a doubling clamped at GH_NODES_MAX
+    (200 → 256) has a new half. The result is the largest rule's sum as it stands."""
+    alg = BlockAlgebra((3,))
+    flow = InnerFlow(alg, alg.element([np.diag([0.0, 3.0, 7.0]).astype(complex)]))
+    a = alg.element([np.ones((3, 3), dtype=complex)])
+    want = flow._gh_sum(a, n, 0.0, max(calls))
+    used = []
+    gh_sum = flow._gh_sum
+    flow._gh_sum = lambda *args: used.append(args[-1]) or gh_sum(*args)
+    got = flow.smooth(a, n, method="quadrature", nodes=nodes)
+    assert used == calls
+    assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
 
 
 def test_quadrature_refuses_node_counts_outside_the_rule_range(monkeypatch):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from kmslab.algebra import commutant_basis
 from kmslab.cli import main
 from kmslab.kms import support_compression
 from kmslab.modular import (DEFAULT_T_SAMPLES, MAX_GNS_DIM, GnsTriple, ModularFlowReport,
-                            _off_commutant, _unit_images)
+                            _check_gns_dim, _off_commutant, _unit_images)
 
 RNG = np.random.default_rng(6021)
 
@@ -209,6 +210,47 @@ def _reference_verify_modular_flow(flow, psi, t_samples=DEFAULT_T_SAMPLES, tol=1
                              beta=psi.beta, samples=tuple(float(t) for t in t_samples))
 
 
+def _per_t_verify_modular_flow(flow: InnerFlow, psi: KmsState,
+                               t_samples=DEFAULT_T_SAMPLES, tol: float = 1e-8) -> ModularFlowReport:
+    """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) = W π(e) W*, W = π(e^{-iβth}), on the units."""
+    g = gns(flow.algebra, psi.functional)
+    _check_gns_dim(g)
+    md = modular_data(g)
+    resid = [0.0]
+    for t in t_samples:
+        w = g.rep(flow.unitary(-psi.beta * float(t)))
+        diff = _unit_images(g, md.flow_unitary(t), md.flow_unitary(-t))
+        diff -= _unit_images(g, w, w.conj().T)
+        resid.append(np.max(np.abs(diff)))
+    worst = float(np.max(resid))                 # keeps a NaN
+    return ModularFlowReport(passed=bool(worst <= tol), max_residual=worst,
+                             beta=psi.beta, samples=tuple(float(t) for t in t_samples))
+
+
+def _reference_rep(g, a):
+    """Left multiplication in Λ-coordinates: blockdiag of a_i ⊗ I."""
+    out = np.zeros((g.dim, g.dim), dtype=complex)
+    for blk, n, off in zip(a.blocks, g.algebra.block_dims, g._offsets):
+        out[off:off + n * n, off:off + n * n] = np.kron(blk, np.eye(n))
+    return out
+
+
+def _reference_basis_matrix(g):
+    """Columns Λ(e_k) over the matrix-unit basis; invertible by faithfulness."""
+    cols = [g.lambda_map(e) for e in g.algebra.basis()]
+    return np.column_stack(cols)
+
+
+def _reference_adjoint_permutation(g):
+    """Real P with coords(a*) = P · conj(coords(a)): the blockwise transpose."""
+    p = np.zeros((g.dim, g.dim))
+    for n, off in zip(g.algebra.block_dims, g._offsets):
+        for i in range(n):
+            for j in range(n):
+                p[off + j * n + i, off + i * n + j] = 1.0
+    return p
+
+
 def _reference_orthonormal_span(mats, tol=1e-10):
     """Orthonormal projector onto span{vec(m)} via SVD rank truncation."""
     stack = np.column_stack([m.reshape(-1) for m in mats])
@@ -318,12 +360,60 @@ def test_commutant_gap_of_a_rank_deficient_conjugation(dims):
 
 def test_modular_flow_residual_keeps_nan(monkeypatch):
     flow, psi, g = _gibbs_setup((2,), beta=1.0)
-    nan_at = DEFAULT_T_SAMPLES[2]
-    unitary = modular.ModularData.flow_unitary
-    monkeypatch.setattr(modular.ModularData, "flow_unitary",
-                        lambda self, t: unitary(self, t) * (np.nan if t == nan_at else 1.0))
-    rep = verify_modular_flow(flow, psi)
-    assert math.isnan(rep.max_residual) and not rep.passed
+    nan_at = 1j * DEFAULT_T_SAMPLES[2]
+    powers = modular.ModularData.delta_powers
+
+    def poisoned(self, zs):
+        out = powers(self, zs)
+        out[[z == nan_at for z in zs]] *= np.nan
+        return out
+
+    monkeypatch.setattr(modular.ModularData, "delta_powers", poisoned)
+    for chunk_entries in (1, modular._FLOW_CHUNK_ENTRIES):      # later chunks keep it too
+        monkeypatch.setattr(modular, "_FLOW_CHUNK_ENTRIES", chunk_entries)
+        rep = verify_modular_flow(flow, psi)
+        assert math.isnan(rep.max_residual) and not rep.passed
+
+
+FLOW_SHAPES = [(1, 1), (2, 2), (2, 2, 2), (3,), (3, 2), (2, 1, 1, 1), (1,), (4, 1)]
+
+
+@pytest.mark.parametrize("chunk_entries", [1, modular._FLOW_CHUNK_ENTRIES, 2 ** 40])
+@pytest.mark.parametrize("dims", FLOW_SHAPES)
+def test_stacked_flow_check_is_the_per_t_loop(monkeypatch, dims, chunk_entries):
+    rng = np.random.default_rng(7300 + sum(dims) + len(dims))
+    flow, psi, _ = _gibbs_setup(dims, beta=float(rng.uniform(-2, 2)), rng=rng)
+    wrong = KmsState(functional=psi.functional, beta=psi.beta + 0.3, flow=flow)
+    monkeypatch.setattr(modular, "_FLOW_CHUNK_ENTRIES", chunk_entries)
+    for state, ts in [(psi, DEFAULT_T_SAMPLES), (psi, tuple(rng.uniform(-3, 3, 5))),
+                      (wrong, DEFAULT_T_SAMPLES), (psi, ())]:
+        rep, ref = verify_modular_flow(flow, state, ts), _per_t_verify_modular_flow(flow, state, ts)
+        assert rep == ref                        # the same residual, bit for bit
+
+
+def test_flow_check_at_the_cap_holds_one_sample_time_per_chunk():
+    n = math.isqrt(MAX_GNS_DIM)
+    flow, psi, g = _gibbs_setup((n,), beta=0.7, rng=np.random.default_rng(7500), scale=0.5)
+    tracemalloc.start()
+    try:
+        rep = verify_modular_flow(flow, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 1.05 * 2 * g.dim ** 3 * 16          # two complex N³ unit-image stacks
+
+
+@pytest.mark.parametrize("dims", FLOW_SHAPES + [(3, 3), (4, 1, 1)])
+def test_gns_matrices_are_the_per_unit_constructions(dims):
+    alg = BlockAlgebra(dims)
+    rng = np.random.default_rng(7400 + sum(dims))
+    g = gns(alg, random_state(alg, rng))
+    a = random_element(alg, rng)
+    for got, want in [(g.basis_matrix(), _reference_basis_matrix(g)),
+                      (g.adjoint_permutation(), _reference_adjoint_permutation(g)),
+                      (g.rep(a), _reference_rep(g, a))]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dims", [(2,), (2, 3), (3, 1)])
@@ -344,6 +434,8 @@ def test_checks_never_densify_per_unit(monkeypatch):
     monkeypatch.setattr(algebra, "commutant_basis", refuse)
     monkeypatch.setattr(kmslab, "commutant_basis", refuse)
     monkeypatch.setattr(InnerFlow, "evolve", refuse)
+    monkeypatch.setattr(InnerFlow, "unitary", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
     monkeypatch.setattr(GnsTriple, "rep", lambda self, a: rep_calls.append(a) or rep(self, a))
     assert not hasattr(modular, "commutant_basis")
     flow, psi, g = _gibbs_setup((2, 3), beta=1.1)
@@ -351,7 +443,7 @@ def test_checks_never_densify_per_unit(monkeypatch):
     assert verify_commutant_theorem(g, md)
     assert center_dimension(g) == 2
     assert verify_modular_flow(flow, psi).passed
-    assert len(rep_calls) == len(DEFAULT_T_SAMPLES)     # one π(e^{ish}) per sample time
+    assert rep_calls == []                  # π(e^{-iβth}) is built from the eigensystem
 
 
 def test_commutant_gap_at_n32_is_fast():
