@@ -291,7 +291,7 @@ def _develop(table: np.ndarray, k: int, unit: int) -> np.ndarray:
     return mu
 
 
-def trivialize(grid: CocycleGrid, defect_factor: float = DEFECT_FACTOR) -> TrivializationResult:
+def trivialize(grid: CocycleGrid) -> TrivializationResult:
     """Produce μ with ∂μ ≈ λ; see the module docstring for the stages."""
     delta = grid.step
     k = grid.half_index_count
@@ -301,7 +301,7 @@ def trivialize(grid: CocycleGrid, defect_factor: float = DEFECT_FACTOR) -> Trivi
         raise ValueError("step must be a power of 1/2 for the halving stage")
 
     pre = check_cocycle(grid)
-    allowed = defect_factor * delta
+    allowed = DEFECT_FACTOR * delta
     if pre.max_identity_residual > allowed:
         raise ValueError(f"cocycle identity fails: residual {pre.max_identity_residual:.3e} "
                          f"exceeds the allowed defect {allowed:.3e}")

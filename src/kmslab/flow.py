@@ -173,7 +173,7 @@ class InnerFlow:
             while True:
                 full = self._gh_sum(a, n, z, k)
                 if half is None:
-                    half = self._gh_sum(a, n, z, max(2, k // 2))
+                    half = self._gh_sum(a, n, z, k // 2)
                 denom = max(full.fro_norm(), 1e-300)
                 est = (full - half).fro_norm() / denom
                 if est <= quad_tol:
@@ -184,7 +184,7 @@ class InnerFlow:
                         f"(achieved error estimate {est:.3e} > {quad_tol:.3e})")
                 k_next = min(GH_NODES_MAX, 2 * k)
                 # the doubled rule's half is the rule just summed, unless the cap clamped it
-                half = full if max(2, k_next // 2) == k else None
+                half = full if k_next // 2 == k else None
                 k = k_next
         raise ValueError(f"unknown method {method!r}")
 

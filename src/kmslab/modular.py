@@ -13,8 +13,8 @@ Two routes to the modular operator coexist on purpose:
 They are compared — never merged — in the test-suite.
 
 In Λ coordinates π(A) = ⊕ M_n ⊗ 1, so π(A)′ = ⊕ 1 ⊗ M_n in closed form; the
-commutant, center and modular-flow checks use this structure, refuse N above
-``MAX_GNS_DIM``, and have the generic ``algebra.commutant_basis`` as oracle.
+commutant, center and modular-flow checks use this structure, meet no N above
+``MAX_GNS_DIM`` (the triple refuses it), and have ``algebra.commutant_basis`` as oracle.
 """
 
 from __future__ import annotations
@@ -27,23 +27,27 @@ from .algebra import AlgElement, BlockAlgebra, Functional, Projection
 from .flow import InnerFlow
 from .kms import KmsState
 
+#: largest GNS dimension a triple is built at (≈ 4 s, 300 MB for ``kmslab modular``)
+MAX_GNS_DIM = 144
+
 
 class GnsTriple:
-    """Hilbert space ℂ^N (N = Σ n_i²), representation, and cyclic vector."""
+    """Hilbert space ℂ^N (N = Σ n_i²), representation, and cyclic vector. Each density
+    block's one ``eigh`` is kept in ``density_eigs``: faithfulness, d^{1/2} and d⁻¹ read it."""
 
     def __init__(self, algebra: BlockAlgebra, state: Functional):
         if state.algebra != algebra:
             raise ValueError("state lives in a different algebra")
-        if not state.is_faithful(1e-12):
+        self.dim = algebra.coord_dim
+        if self.dim > MAX_GNS_DIM:
+            raise ValueError(f"GNS dimension {self.dim} exceeds the desk-scale cap {MAX_GNS_DIM}")
+        self.density_eigs = [np.linalg.eigh(d) for d in state.density.blocks]
+        if not all(w[0] > 1e-12 for w, _ in self.density_eigs):
             raise ValueError("density not strictly positive; the GNS inner product "
                              "would be degenerate (compress to the support first)")
         self.algebra = algebra
         self.state = state
-        self.dim = algebra.coord_dim
-        self.sqrt_blocks = []
-        for d in state.density.blocks:
-            w, u = np.linalg.eigh(d)
-            self.sqrt_blocks.append((u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T)
+        self.sqrt_blocks = [(u * np.sqrt(w)) @ u.conj().T for w, u in self.density_eigs]
         offs, off = [], 0
         for n in algebra.block_dims:
             offs.append(off)
@@ -182,8 +186,8 @@ def _modular_closed_form(g: GnsTriple) -> ModularData:
     """Δ acts on m ∈ H by d·m·d⁻¹ and J by m ↦ m*; no polar step involved."""
     n = g.dim
     delta = np.zeros((n, n), dtype=complex)
-    for d, nb, off in zip(g.state.density.blocks, g.algebra.block_dims, g._offsets):
-        w, u = np.linalg.eigh(d)
+    for d, (w, u), nb, off in zip(g.state.density.blocks, g.density_eigs,
+                                  g.algebra.block_dims, g._offsets):
         dinv = (u / w) @ u.conj().T
         delta[off:off + nb * nb, off:off + nb * nb] = np.kron(d, dinv.T)
     return ModularData(delta=delta, conj_kernel=g.adjoint_permutation().astype(complex),
@@ -205,24 +209,15 @@ class ModularFlowReport:
 
 DEFAULT_T_SAMPLES = (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7)
 
-#: largest GNS dimension the unit-image checks take (≈ 4 s, 300 MB for ``kmslab modular``)
-MAX_GNS_DIM = 144
 #: unit-image entries (N³ per sample time) in one chunk of ``verify_modular_flow``: all
 #: six default samples fit at N ≤ 13, and a chunk holds one sample at N = MAX_GNS_DIM
 _FLOW_CHUNK_ENTRIES = 2 ** 20
-
-
-def _check_gns_dim(g: GnsTriple) -> None:
-    """Refuse N above MAX_GNS_DIM before any O(N³) work is done on it."""
-    if g.dim > MAX_GNS_DIM:
-        raise ValueError(f"GNS dimension {g.dim} exceeds the desk-scale cap {MAX_GNS_DIM}")
 
 
 def _unit_images(g: GnsTriple, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left·π(e)·right for every matrix unit e, as a (..., N, N, N) stack in basis order
     over the leading axes that left and right share: π(E_kl) = E_kl ⊗ 1 on its block,
     so this is Σ_r left[..., :, (k,r)]·right[..., (l,r), :]."""
-    _check_gns_dim(g)
     big = g.dim
     lead = left.shape[:-2]
     out = np.empty(lead + (big, big, big), dtype=complex)
@@ -248,15 +243,21 @@ def _off_commutant(g: GnsTriple, x: np.ndarray) -> np.ndarray:
 
 def verify_modular_flow(flow: InnerFlow, psi: KmsState,
                         t_samples=DEFAULT_T_SAMPLES, tol: float = 1e-8) -> ModularFlowReport:
-    """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) = W π(e) W*, W = π(e^{-iβth}), on the units.
+    """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) = W π(e) W*, W = π(e^{-iβth}), on the units."""
+    g = gns(flow.algebra, psi.functional)
+    ts = tuple(float(t) for t in t_samples)
+    worst = _flow_residual(g, modular_data(g), flow, psi.beta, ts)
+    return ModularFlowReport(passed=bool(worst <= tol), max_residual=worst,
+                             beta=psi.beta, samples=ts)
+
+
+def _flow_residual(g: GnsTriple, md: ModularData, flow: InnerFlow, beta: float,
+                   ts: tuple[float, ...]) -> float:
+    """max |Δ^{it} π(e) Δ^{-it} − W π(e) W*| over the units e and the sample times ts.
 
     The sample times go through as stacks, at most ``_FLOW_CHUNK_ENTRIES`` // N³ of them
     per chunk: Δ^{±it} from one stacked power, and π(W) block by block from the flow's
     eigensystem, so the unit images of a chunk take one batched product per block."""
-    g = gns(flow.algebra, psi.functional)
-    _check_gns_dim(g)
-    md = modular_data(g)
-    ts = [float(t) for t in t_samples]
     per_chunk = max(1, _FLOW_CHUNK_ENTRIES // g.dim ** 3)
     worst = 0.0
     for start in range(0, len(ts), per_chunk):
@@ -264,14 +265,13 @@ def verify_modular_flow(flow: InnerFlow, psi: KmsState,
         powers = md.delta_powers([1j * t for t in chunk] + [1j * -t for t in chunk])
         diff = _unit_images(g, powers[:len(chunk)], powers[len(chunk):])
         del powers                        # two N³ stacks are the peak at N = MAX_GNS_DIM
-        s = np.array([-psi.beta * t for t in chunk])[:, None]
+        s = np.array([-beta * t for t in chunk])[:, None]
         w = _block_kron(g, [(u * np.exp(1j * s * lam)[:, None, :]) @ u.conj().T
                             for lam, u in zip(flow.eigenvalues, flow.eigenvectors)],
                         eye_first=False)
         diff -= _unit_images(g, w, w.conj().swapaxes(-1, -2))
         worst = float(np.max((worst, np.max(np.abs(diff)))))     # keeps a NaN
-    return ModularFlowReport(passed=bool(worst <= tol), max_residual=worst,
-                             beta=psi.beta, samples=tuple(ts))
+    return worst
 
 
 def commutant_gap(g: GnsTriple, md: ModularData) -> tuple[int, int, float]:

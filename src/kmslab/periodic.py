@@ -28,10 +28,9 @@ DENOMINATOR_CAP = 10 ** 6
 RELATION_TOL = 1e-9
 
 
-def relation_fit(r: float, tol: float = RELATION_TOL,
-                  cap: int = DENOMINATOR_CAP) -> Fraction | None:
-    """Best fraction p/q, q ≤ cap, accepted only if |q·r − p| ≤ tol."""
-    fr = Fraction(r).limit_denominator(cap)
+def relation_fit(r: float, tol: float = RELATION_TOL) -> Fraction | None:
+    """Best fraction p/q, q ≤ DENOMINATOR_CAP, accepted only if |q·r − p| ≤ tol."""
+    fr = Fraction(r).limit_denominator(DENOMINATOR_CAP)
     if abs(fr.denominator * r - fr.numerator) <= tol:
         return fr
     return None

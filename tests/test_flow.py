@@ -174,7 +174,7 @@ def _reference_quadrature(flow, a, n, z, nodes, quad_tol=1e-8):
     k = max(2, int(nodes))
     while True:
         full, size = _reference_gh_sum(flow, a, n, z, k)
-        half, _ = _reference_gh_sum(flow, a, n, z, max(2, k // 2))
+        half, _ = _reference_gh_sum(flow, a, n, z, k // 2)
         if (full - half).fro_norm() / max(full.fro_norm(), 1e-300) <= quad_tol:
             return full, size, k
         if k >= GH_NODES_MAX:
@@ -253,6 +253,18 @@ def test_doubled_rule_reuses_the_previous_rule_as_its_half(n, nodes, calls):
     got = flow.smooth(a, n, method="quadrature", nodes=nodes)
     assert used == calls
     assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 4])
+def test_few_node_quadrature_meets_the_closed_form(nodes):
+    """A rule of 2 or 3 nodes is checked against 1 node, never against itself, so the
+    doubling runs on until the sum is right."""
+    alg = BlockAlgebra((3,))
+    flow = InnerFlow(alg, alg.element([np.diag([0.0, 3.0, 7.0]).astype(complex)]))
+    a = alg.element([np.ones((3, 3), dtype=complex)])
+    want = flow.smooth(a, 0.5)
+    got = flow.smooth(a, 0.5, method="quadrature", nodes=nodes)
+    assert (got - want).fro_norm() <= 1e-7 * want.fro_norm()
 
 
 def test_quadrature_refuses_node_counts_outside_the_rule_range(monkeypatch):

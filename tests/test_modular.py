@@ -36,7 +36,7 @@ from kmslab.algebra import commutant_basis
 from kmslab.cli import main
 from kmslab.kms import support_compression
 from kmslab.modular import (DEFAULT_T_SAMPLES, MAX_GNS_DIM, GnsTriple, ModularFlowReport,
-                            _check_gns_dim, _off_commutant, _unit_images)
+                            _off_commutant, _unit_images)
 
 RNG = np.random.default_rng(6021)
 
@@ -214,7 +214,6 @@ def _per_t_verify_modular_flow(flow: InnerFlow, psi: KmsState,
                                t_samples=DEFAULT_T_SAMPLES, tol: float = 1e-8) -> ModularFlowReport:
     """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) = W π(e) W*, W = π(e^{-iβth}), on the units."""
     g = gns(flow.algebra, psi.functional)
-    _check_gns_dim(g)
     md = modular_data(g)
     resid = [0.0]
     for t in t_samples:
@@ -455,6 +454,14 @@ def test_commutant_gap_at_n32_is_fast():
     assert dim_rep == dim_comm == 32 and gap < 1e-8
 
 
+def _write_problem(path, flow, beta):
+    blocks = [[[[float(z.real), float(z.imag)] for z in row] for row in h]
+              for h in flow.generator.blocks]
+    path.write_text(json.dumps({"block_dims": list(flow.algebra.block_dims),
+                                "generator": blocks, "beta": beta}))
+    return str(path)
+
+
 def test_gns_dimension_cap_boundary(tmp_path, capsys):
     n = math.isqrt(MAX_GNS_DIM)
     assert n * n == MAX_GNS_DIM
@@ -463,20 +470,65 @@ def test_gns_dimension_cap_boundary(tmp_path, capsys):
     over = BlockAlgebra((n, 1))
     flow = InnerFlow(over, random_hermitian(over, RNG))
     psi = gibbs(flow, 1.0)
-    g = gns(over, psi.functional)
-    md = modular_data(g, method="closed_form")
-    for check in (lambda: commutant_gap(g, md), lambda: center_dimension(g),
-                  lambda: verify_modular_flow(flow, psi)):
+    for check in (lambda: gns(over, psi.functional), lambda: verify_modular_flow(flow, psi)):
         with pytest.raises(ValueError, match=f"GNS dimension {MAX_GNS_DIM + 1} exceeds .* "
                                              f"cap {MAX_GNS_DIM}"):
             check()
-    blocks = [[[[float(z.real), float(z.imag)] for z in row] for row in h]
-              for h in flow.generator.blocks]
-    prob = tmp_path / "big.json"
-    prob.write_text(json.dumps({"block_dims": [n, 1], "generator": blocks, "beta": 1.0}))
-    code = main(["modular", "--problem", str(prob), "--out", str(tmp_path / "m.json")])
+    prob = _write_problem(tmp_path / "big.json", flow, 1.0)
+    code = main(["modular", "--problem", prob, "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert f"cap {MAX_GNS_DIM}" in capsys.readouterr().err
+
+
+def test_gns_refuses_over_the_cap_before_any_eigendecomposition(monkeypatch):
+    over = BlockAlgebra((12, 1))
+    psi = gibbs(InnerFlow(over, random_hermitian(over, RNG)), 1.0)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
+    with pytest.raises(ValueError, match=f"GNS dimension 145 exceeds .* cap {MAX_GNS_DIM}"):
+        gns(over, psi.functional)
+    assert calls == []
+
+
+def test_triple_diagonalizes_each_density_block_once(monkeypatch):
+    alg = BlockAlgebra((3, 2, 1))
+    phi = random_state(alg, RNG)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    g = gns(alg, phi)
+    modular_data(g, method="closed_form")
+    assert calls == [(3, 3), (2, 2), (1, 1), (g.dim, g.dim)]   # the last is ModularData's Δ
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 1), (3, 2), (2, 2, 2), (12,)])
+def test_cli_modular_builds_one_triple(tmp_path, monkeypatch, dims):
+    """One kmslab modular run builds one triple and one ModularData per route, and its
+    flow residual is verify_modular_flow's, bit for bit."""
+    rng = np.random.default_rng(7600 + sum(dims))
+    alg = BlockAlgebra(dims)
+    flow = InnerFlow(alg, random_hermitian(alg, rng, scale=0.5))
+    prob = _write_problem(tmp_path / "p.json", flow, 0.7)
+    calls = []
+
+    def counted_gns(alg, omega):
+        calls.append("gns")
+        return gns(alg, omega)
+
+    def counted_md(g, method="polar"):
+        calls.append(method)
+        return modular_data(g, method)
+
+    with monkeypatch.context() as m:
+        for mod in (modular, kmslab.cli):
+            m.setattr(mod, "gns", counted_gns)
+            m.setattr(mod, "modular_data", counted_md)
+        out = tmp_path / "m.json"
+        assert main(["modular", "--problem", prob, "--out", str(out)]) == 0
+    assert sorted(calls) == ["closed_form", "gns", "polar"]
+    rep = verify_modular_flow(flow, gibbs(flow, 0.7))
+    assert json.loads(out.read_text())["flow_residual"] == rep.max_residual
 
 
 def test_gns_cap_is_checked_before_any_modular_route(tmp_path, capsys, monkeypatch):
