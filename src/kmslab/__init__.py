@@ -12,6 +12,7 @@ from .algebra import (
     AlgElement,
     BlockAlgebra,
     Functional,
+    InternalFault,
     Projection,
     center_projections,
     commutant_basis,

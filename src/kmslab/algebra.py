@@ -18,6 +18,11 @@ TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
+class InternalFault(RuntimeError):
+    """A computation broke an invariant that holds for every valid input: a fault of
+    the library, not of its input (CLI exit 3)."""
+
+
 @dataclass(frozen=True)
 class BlockAlgebra:
     """A direct sum of full matrix algebras, identified by its block sizes."""

@@ -3,11 +3,14 @@
 Exit codes: 0 — success or a passing verdict; 1 — a verification that ran
 to completion and failed; 2 — malformed input (JSON syntax, schema
 violation, or a mathematical precondition), with a diagnostic naming the
-offending file and field. All numeric JSON output uses Python's shortest
-round-trip float formatting, so values survive a parse/serialize cycle
-bit-for-bit. Outputs are byte-deterministic for fixed inputs and seed; a
-``--beta-range`` sweep runs in one thread as stacked array operations, and
-its rows are sorted by β before emission.
+offending file and field; 3 — an internal fault (``InternalFault``,
+``LinAlgError``, ``QuadratureError``, a failed assertion or exhausted
+memory), reported as ``error: internal fault: …``, never posing as 1 or 2.
+All numeric JSON output uses Python's shortest round-trip float formatting,
+so values survive a parse/serialize cycle bit-for-bit. Outputs are
+byte-deterministic for fixed inputs and seed; a ``--beta-range`` sweep runs
+in one thread as stacked array operations, and its rows are sorted by β
+before emission.
 
 Every document read or written is validated against its schema kind. A
 predicate compiled once per process from the kind's definition accepts the
@@ -31,8 +34,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .algebra import BlockAlgebra, Functional
-from .flow import InnerFlow
+from .algebra import BlockAlgebra, Functional, InternalFault
+from .flow import InnerFlow, QuadratureError
 from .kms import gibbs, kms_simplex, simplex_sweep, verify_kms
 from .modular import (DEFAULT_T_SAMPLES, _flow_residual, gns, modular_data,
                       center_dimension, commutant_gap)
@@ -693,6 +696,8 @@ def _cmd_cocycle(args) -> int:
             "pairs_skipped": result.pairs_skipped,
             "rescale_exponent": result.rescale_exponent,
             "final_half_range": result.chain.half_range,
+            "precheck_route": result.precheck.route,
+            "precheck_bound": result.precheck.max_identity_residual,
         }
         if args.tol is not None:
             payload["passed"] = passed
@@ -835,6 +840,11 @@ def main(argv=None) -> int:
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
+    # LinAlgError is a ValueError, so the faults are caught first
+    except (InternalFault, np.linalg.LinAlgError, QuadratureError, AssertionError,
+            MemoryError) as e:
+        print(f"error: internal fault: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as e:             # CliInputError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

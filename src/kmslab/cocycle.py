@@ -16,10 +16,16 @@ declared defect). ``trivialize`` produces a 1-cochain μ with coboundary
 
 Unwinding gives μ = conj(μ⁰)·μ¹·conj(μ²) at the original grid indices.
 The usable window shrinks by roughly one rescaled unit per development
-stage; pairs that fall outside are counted, never silently dropped. A
-unimodularity or associativity failure beyond the allowed defect is an
-error before any stage runs — a near-(-1) value of λ¹ as well, since the
-principal phase branch would be meaningless there.
+stage; pairs that fall outside are counted, never silently dropped.
+
+A unimodularity failure is an error when the grid is built. The
+associativity identity is checked after the stages, on the μ they return:
+when μ spans the whole grid and the window is full or the ``coboundary_of``
+mask, an O(K²) certificate bounds every in-range triple's residual (see
+``trivialize``); otherwise the exhaustive O(K³) scan ``check_cocycle`` runs.
+A failure beyond the allowed defect is an error on either route, and it
+takes precedence over a stage's own error — a near-(-1) value of λ¹, for
+one, since the principal phase branch would be meaningless there.
 """
 
 from __future__ import annotations
@@ -34,6 +40,15 @@ MODULUS_TOL = 1e-12
 DEFECT_FACTOR = 10.0
 #: entries per tile of the associativity scan in ``check_cocycle``
 TILE_ENTRIES = 2 ** 15
+#: unit roundoff of IEEE double precision
+_U = 2.0 ** -53
+
+
+def _axis_defect(values: np.ndarray, win: np.ndarray, k: int) -> float:
+    """max |λ − 1| over the in-window entries of the axes λ(0,·) and λ(·,0)."""
+    row = np.abs(values[k, :][win[k, :]] - 1.0)
+    col = np.abs(values[:, k][win[:, k]] - 1.0)
+    return float(max(row.max() if row.size else 0.0, col.max() if col.size else 0.0))
 
 
 def _half_index(step: float, half_range: float) -> int:
@@ -71,10 +86,7 @@ class CocycleGrid:
         bad = np.max(np.abs(np.abs(vals[win]) - 1.0)) if win.any() else 0.0
         if not bad <= MODULUS_TOL:                  # NaN fails too
             raise ValueError(f"values are not unimodular (worst defect {bad:.3e})")
-        # normalization along the axes through 0
-        row = np.abs(vals[k, :][win[k, :]] - 1.0)
-        col = np.abs(vals[:, k][win[:, k]] - 1.0)
-        norm_bad = max(row.max() if row.size else 0.0, col.max() if col.size else 0.0)
+        norm_bad = _axis_defect(vals, win, k)
         if norm_bad > MODULUS_TOL:
             raise ValueError(f"cocycle not normalized: λ(·,0) or λ(0,·) differs "
                              f"from 1 by {norm_bad:.3e}")
@@ -111,12 +123,16 @@ class Cochain:
 
 @dataclass
 class CocycleReport:
+    """Associativity check of a grid. On the ``"scan"`` route the identity residual is
+    the measured maximum; on ``"certificate"`` it is an upper bound (``trivialize``)."""
+
     max_identity_residual: float
     max_normalization_residual: float
     checked: int
     skipped: int
     step: float
     half_range: float
+    route: str = "scan"
 
 
 def check_cocycle(grid: CocycleGrid) -> CocycleReport:
@@ -139,10 +155,7 @@ def check_cocycle(grid: CocycleGrid) -> CocycleReport:
     """
     k = grid.half_index_count
     v, win = grid.values, grid.in_window
-    row = np.abs(v[k, :][win[k, :]] - 1.0)
-    col = np.abs(v[:, k][win[:, k]] - 1.0)
-    norm_bad = float(max(row.max() if row.size else 0.0,
-                         col.max() if col.size else 0.0))
+    norm_bad = _axis_defect(v, win, k)
     full = bool(win.all())
     outside = ~win
     size = 2 * k + 1
@@ -291,20 +304,98 @@ def _develop(table: np.ndarray, k: int, unit: int) -> np.ndarray:
     return mu
 
 
-def trivialize(grid: CocycleGrid) -> TrivializationResult:
-    """Produce μ with ∂μ ≈ λ; see the module docstring for the stages."""
-    delta = grid.step
+def _in_range_triples(k: int) -> int:
+    """Triples the scan visits on [-K, K]: Σ_j (2K+1−|j|)² = (2K+1)² + 2·Σ_{m=K+1}^{2K} m²."""
+    def squares(n):
+        return n * (n + 1) * (2 * n + 1) // 6
+    return (2 * k + 1) ** 2 + 2 * (squares(2 * k) - squares(k))
+
+
+def _extended(mu: np.ndarray, lam: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """μ on [-k, k] extended to μ̃ on [-2k, 2k] by μ̃(±(k+ρ)) = μ(±k)·μ(±ρ)·conj λ(±k, ±ρ),
+    ρ = 1..k, which makes ∂μ̃(±k, ±ρ) = λ(±k, ±ρ); a masked λ is taken as 1. The new
+    entries are renormalized like μ. Any unimodular extension serves the certificate."""
+    k = (mu.size - 1) // 2
+    up = mu[2 * k] * mu[k + 1:] * np.conj(np.where(ok[2 * k, k + 1:], lam[2 * k, k + 1:], 1.0))
+    down = mu[0] * mu[:k] * np.conj(np.where(ok[0, :k], lam[0, :k], 1.0))
+    return np.concatenate([down / np.abs(down), mu, up / np.abs(up)])
+
+
+def _certificate(grid: CocycleGrid, r: float, full: bool) -> CocycleReport:
+    """The precheck certified from r = max |λ − ∂μ̃| over the in-window pairs.
+
+    Let ν = μ̃/|μ̃| exactly; ∂ν is an exact cocycle. For a triple the scan checks, all
+    four pairs are in window, so with A..D the ∂ν values (AB = CD, |·| = 1) and
+    |λ| ≤ 1 + τ (τ = ``MODULUS_TOL``) its residual is
+    |ab − cd| ≤ |a||b − B| + |a − A| + |c||d − D| + |c − C| ≤ (4 + 2τ)·r', with r' the
+    exact max |λ − ∂ν|. Rounding, with u = 2⁻⁵³ and a complex product off by at most
+    √2·γ₂·|x||y| (Higham, Lemma 3.5; less with FMA):
+
+    * μ and μ̃ are stored as z/|z|, within 4u of ν, so the exact product
+      μ̃(s)μ̃(t)conj μ̃(s+t) is within (1+4u)³ − 1 ≤ 13u of ∂ν, and its two rounded
+      products add 2√2·γ₂(1+4u)³ ≤ 6u;
+    * the difference from λ and its modulus are rounded, so r' ≤ (1+4u)·r + 19u;
+    * the scan's own value of a residual E is at most (1+4u)·E + 6u.
+
+    So the scan reads at most (4 + 2τ)(1+4u)²·r + 83u, which 4(1+τ)·r + 96u covers with
+    room for rounding the bound itself. The counts are the scan's, in closed form: on a
+    full window every in-range triple; on the mask {|s+t| ≤ K} the triples whose partial
+    sums 0, i, i+j, i+j+l span at most K, Σ_{d≤K} #{range exactly d} = (K+1)⁴ − K⁴.
+    """
     k = grid.half_index_count
+    total = _in_range_triples(k)
+    checked = total if full else (k + 1) ** 4 - k ** 4
+    return CocycleReport(
+        max_identity_residual=4.0 * (1.0 + MODULUS_TOL) * r + 96.0 * _U,
+        max_normalization_residual=_axis_defect(grid.values, grid.in_window, k),
+        checked=checked, skipped=total - checked,
+        step=grid.step, half_range=grid.half_range, route="certificate")
+
+
+def trivialize(grid: CocycleGrid) -> TrivializationResult:
+    """Produce μ with ∂μ ≈ λ; see the module docstring for the stages.
+
+    The associativity precheck comes after the stages. It is certified in O(K²), with
+    ``precheck.route == "certificate"``, when all of these hold:
+
+    * the window is full, or exactly the ``coboundary_of`` mask {|s+t| ≤ K};
+    * μ spans the whole grid (``stage_windows["final_half_index"] == K``);
+    * the bound 4·r + c·u of :func:`_certificate` is at most ``DEFECT_FACTOR``·δ.
+
+    Otherwise ``check_cocycle`` scans every triple: a residual above
+    ``DEFECT_FACTOR``·δ is refused, then a stage's error is raised, and else the
+    scan's report is the precheck. Either way a grid is refused exactly when the
+    scan-first order refuses it, with the same message.
+    """
+    delta = grid.step
     log_inv = math.log2(1.0 / delta)
     k_exp = round(log_inv)
     if abs(log_inv - k_exp) > 1e-9 or k_exp < 1:
         raise ValueError("step must be a power of 1/2 for the halving stage")
 
-    pre = check_cocycle(grid)
     allowed = DEFECT_FACTOR * delta
+    try:
+        result = _stages(grid, k_exp)
+    except ValueError as err:
+        result, failure = None, err
+    else:
+        if result.precheck is not None and result.precheck.max_identity_residual <= allowed:
+            return result
+    pre = check_cocycle(grid)
     if pre.max_identity_residual > allowed:
         raise ValueError(f"cocycle identity fails: residual {pre.max_identity_residual:.3e} "
                          f"exceeds the allowed defect {allowed:.3e}")
+    if result is None:
+        raise failure
+    result.precheck = pre
+    return result
+
+
+def _stages(grid: CocycleGrid, k_exp: int) -> TrivializationResult:
+    """The stages of ``trivialize`` on a grid of step 2^-k_exp; the precheck is the
+    certificate where its window conditions hold, else None."""
+    delta = grid.step
+    k = grid.half_index_count
 
     # rescale: largest ε = 2^-m with |λ-1| ≤ 2^-1/2 on [0, ε]², leaving an
     # even number of grid steps per rescaled unit
@@ -372,18 +463,31 @@ def trivialize(grid: CocycleGrid) -> TrivializationResult:
     mu_win = mu_win / np.abs(mu_win)             # renormalize fp drift in modulus
     chain = Cochain(step=delta, half_range=kf * delta, values=mu_win)
 
-    # final residual over pairs staying inside the window
-    bdry = coboundary_of(chain)
+    # final residual over pairs staying inside the window. The same table holds
+    # λ − ∂μ̃ on every other pair, through the extension μ̃ of μ to [-2kf, 2kf]: with
+    # kf = K its maximum over the in-window pairs is the certificate's r.
     lam_tab = grid.values[k - kf:k + kf + 1, k - kf:k + kf + 1]
     lam_ok = grid.in_window[k - kf:k + kf + 1, k - kf:k + kf + 1]
-    usable = bdry.in_window & lam_ok
-    resid = float(np.max(np.abs(lam_tab - bdry.values)[usable])) if usable.any() else float("nan")
+    idx = np.arange(2 * kf + 1)
+    sums = idx[:, None] + idx[None, :]               # s + t + 2kf, μ̃'s index of s + t
+    diff = mu_win[:, None] * mu_win[None, :] * np.conj(_extended(mu_win, lam_tab, lam_ok)[sums])
+    np.subtract(lam_tab, diff, out=diff)
+    diff = np.abs(diff)
+    near = np.abs(sums - 2 * kf) <= kf
+    usable = near & lam_ok
+    resid = float(np.max(diff[usable])) if usable.any() else float("nan")
     skipped_pairs = int((~usable).sum()) + int((2 * k + 1) ** 2 - (2 * kf + 1) ** 2)
+
+    precheck = None
+    if kf == k:
+        full = bool(lam_ok.all())
+        if full or np.array_equal(lam_ok, near):
+            precheck = _certificate(grid, float(np.max(diff[lam_ok])), full)
 
     return TrivializationResult(
         chain=chain, achieved_residual=resid,
         pairs_checked=int(usable.sum()), pairs_skipped=skipped_pairs,
-        rescale_exponent=m, precheck=pre,
+        rescale_exponent=m, precheck=precheck,
         stage_windows={"mu0_valid": int(v0.sum()), "mu2_valid": int(v2.sum()),
                        "final_half_index": kf, "unit": unit},
         stage_chains={"mu0": mu0, "mu1": mu1, "mu2": mu2})

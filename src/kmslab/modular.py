@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgElement, BlockAlgebra, Functional, Projection
+from .algebra import AlgElement, BlockAlgebra, Functional, InternalFault, Projection
 from .flow import InnerFlow
 from .kms import KmsState
 
@@ -168,7 +168,7 @@ def modular_data(g: GnsTriple, method: str = "polar") -> ModularData:
 
     w, v = np.linalg.eigh(delta_real)
     if w[0] <= 0:
-        raise ValueError("polar route produced a non-positive quadratic form")
+        raise InternalFault("polar route produced a non-positive quadratic form")
     inv_sqrt = (v / np.sqrt(w)) @ v.T
     j_real = s_real @ inv_sqrt
 

@@ -1136,3 +1136,88 @@ def test_cached_parser_calls_match_fresh_processes(tmp_path, monkeypatch, capsys
     assert files["in_process"] == files["fresh"]
     assert json.loads(files["fresh"]["v1.json"])["tol"] == 1e-3
     assert json.loads(files["fresh"]["v2.json"])["tol"] == 1e-8
+
+
+# -- exit code 3: internal faults ------------------------------------------------------
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+def _grid_file(tmp_path, half=1.0):
+    step = 2.0 ** -4
+    k = int(round(half / step))
+    x = step * np.arange(-k, k + 1)
+    return _write(tmp_path / "grid.json", _grid_doc(step, half, np.exp(-0.4j * np.outer(x, x))))
+
+
+def _eigh_with_a_negative_real_form(monkeypatch):
+    """np.linalg.eigh, except that a real symmetric input, the polar route's
+    realified quadratic form, gets a negative least eigenvalue."""
+    eigh = np.linalg.eigh
+
+    def patched(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        if np.isrealobj(a):
+            w = w.copy()
+            w[0] = -1.0
+        return w, v
+    monkeypatch.setattr(np.linalg, "eigh", patched)
+
+
+FAULTS = {
+    # fault: (how it is planted, the subcommand's argv)
+    "InternalFault": (_eigh_with_a_negative_real_form,
+                      lambda p, tmp: ["modular", "--problem", p, "--out", str(tmp / "o.json")]),
+    "LinAlgError": (lambda mp: mp.setattr(cli, "gibbs", _raise(np.linalg.LinAlgError("singular"))),
+                    lambda p, tmp: ["gibbs", "--problem", p, "--out", str(tmp / "o.json")]),
+    "QuadratureError": (lambda mp: mp.setattr(cli.PeriodicFlow, "fejer_mean",
+                                              _raise(cli.QuadratureError("no convergence"))),
+                        lambda p, tmp: ["fejer", "--problem", p, "--element",
+                                        _write(tmp / "e.json", {"blocks": [[[0.0, 1.0], [0.0, 0.0]]]}),
+                                        "--order", "3", "--out", str(tmp / "o.json")]),
+    "AssertionError": (lambda mp: mp.setattr(cli, "check_cocycle", _raise(AssertionError("scan"))),
+                       lambda p, tmp: ["cocycle", "check", "--in", _grid_file(tmp)]),
+    "MemoryError": (lambda mp: mp.setattr(cli, "trivialize", _raise(MemoryError())),
+                    lambda p, tmp: ["cocycle", "trivialize", "--in", _grid_file(tmp)]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_internal_faults_exit_3(fault, two_level, tmp_path, monkeypatch, capsys):
+    plant, argv = FAULTS[fault]
+    plant(monkeypatch)
+    assert main(argv(two_level, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: internal fault: {fault}")
+    if fault == "InternalFault":                   # raised by the polar route itself
+        assert "non-positive quadratic form" in err
+
+
+def test_a_precondition_still_exits_2(two_level, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gibbs", _raise(ValueError("bad beta")))
+    assert main(["gibbs", "--problem", two_level, "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == "error: bad beta\n"
+
+
+# -- the route of trivialize's precheck ---------------------------------------------------
+
+@pytest.mark.parametrize("half,route", [(1.0, "certificate"), (1.25, "scan")])
+def test_cocycle_report_names_the_precheck_route(half, route, tmp_path):
+    # K = 20 at half-range 1.25 is no multiple of the rescaled unit 8, so the
+    # trivializer's window shrinks and the precheck falls back to the scan
+    rep = tmp_path / "triv.json"
+    assert main(["cocycle", "trivialize", "--in", _grid_file(tmp_path, half),
+                 "--report", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    assert doc["precheck_route"] == route
+    check = tmp_path / "check.json"
+    assert main(["cocycle", "check", "--in", str(tmp_path / "grid.json"),
+                 "--report", str(check)]) == 0
+    scan = json.loads(check.read_text())["max_identity_residual"]
+    if route == "scan":
+        assert doc["precheck_bound"] == scan
+    else:
+        assert scan <= doc["precheck_bound"] <= 1e-13

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kmslab.cocycle as cocycle_module
 from kmslab import (
@@ -441,3 +443,153 @@ def test_tabulated_stages_match_closure_route_bitwise(make):
     for name, ref in (("mu0", mu0), ("mu1", mu1), ("mu2", mu2)):
         assert res.stage_chains[name].tobytes() == ref.tobytes(), name
     assert res.chain.values.tobytes() == chain.tobytes()
+
+
+# -- the certified precheck ---------------------------------------------------------
+
+def _full_coboundary(step, half, freqs, amps, shifts):
+    """φ(s) + φ(t) − φ(s+t) on the whole grid, for φ a sum of sines with φ(0) = 0."""
+    x = _indices(step, half)
+
+    def phi(t):
+        return sum(a * (np.sin(f * t + s) - np.sin(s)) for a, f, s in zip(amps, freqs, shifts))
+
+    return CocycleGrid(step, half, np.exp(1j * (phi(x)[:, None] + phi(x)[None, :]
+                                                 - phi(x[:, None] + x[None, :]))))
+
+
+def _with_defect(grid, eps, g):
+    """λ·e^{iε·g} with g zero on the axes, so the grid stays normalized."""
+    k = grid.half_index_count
+    g = g.copy()
+    g[k, :] = g[:, k] = 0.0
+    return CocycleGrid(grid.step, grid.half_range, grid.values * np.exp(1j * eps * g),
+                       grid.in_window)
+
+
+@st.composite
+def _certified_grids(draw):
+    """Grids whose trivializer spans the whole grid: integer half-range, so K is a
+    multiple of every rescaled unit. Smooth coboundaries on a full window and on the
+    ``coboundary_of`` mask, the bilinear family, and a bilinear grid times e^{iε·g}
+    with a smooth g, |g| ≤ 1, and ε ≤ DEFECT_FACTOR·δ/8."""
+    family = draw(st.sampled_from(["full", "masked", "bilinear", "defect"]))
+    step = 2.0 ** -draw(st.integers(3, 5))
+    half = float(draw(st.integers(1, 2)))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    if family == "full":
+        return family, _full_coboundary(step, half, rng.uniform(0.2, 1.4, 3),
+                                        rng.uniform(-0.5, 0.5, 3), rng.uniform(0, 2 * np.pi, 3))
+    if family == "masked":
+        return family, coboundary_of(_smooth_chain(step, half, seed))
+    grid = bilinear_cocycle(draw(st.floats(0.1, 0.7)), step, half)
+    if family == "bilinear":
+        return family, grid
+    eps = draw(st.floats(0.0, 1.0)) * cocycle_module.DEFECT_FACTOR * step / 8
+    x = _indices(step, half)
+    a, b = rng.uniform(0.2, 1.5, 2)
+    g = np.sin(a * x[:, None] + rng.uniform(0, 2 * np.pi)) * np.sin(b * x[None, :])
+    return family, _with_defect(grid, eps, g)
+
+
+@given(_certified_grids())
+def test_property_certificate_bound_covers_the_scan(drawn):
+    family, grid = drawn
+    res = trivialize(grid)
+    scan = check_cocycle(grid)
+    assert res.precheck.route == "certificate", family
+    assert res.precheck.max_identity_residual >= scan.max_identity_residual
+    assert (res.precheck.checked, res.precheck.skipped) == (scan.checked, scan.skipped)
+    assert res.precheck.max_normalization_residual == scan.max_normalization_residual
+
+
+def _off_stage_defects(grid, eps, signs):
+    """``grid`` times e^{iε·sign} on the pairs of ``signs``; each pair lies off the
+    λ entries the stages read (first index a multiple of 4, second in [0, 8]), so
+    the trivializer's μ, and with it ∂μ̃, is that of ``grid``."""
+    k = grid.half_index_count
+    g = np.zeros(grid.values.shape)
+    for (s, t), sign in signs.items():
+        g[k + s, k + t] = sign
+    return _with_defect(grid, eps, g)
+
+
+# A triple (i, j, l) = (-3, 5, -7) whose four pairs carry errors that add:
+# λ(i,j)λ(i+j,l) − λ(j,l)λ(i,j+l) = e^{2iε} − e^{-2iε}, nearly 4·r.
+FOUR_AT_ONE = {(-3, 5): 1, (2, -7): 1, (5, -7): -1, (-3, -2): -1}
+# One pair with s + t = 19 > K = 16, seen by the scan as (i+j, l) of (7, 3, 9).
+PAST_THE_SUM = {(10, 9): 1}
+
+
+@pytest.mark.parametrize("signs", [FOUR_AT_ONE, PAST_THE_SUM], ids=["four-at-one", "past-the-sum"])
+def test_certificate_bound_covers_the_worst_triple(signs):
+    step, half = 2.0 ** -4, 1.0
+    eps = cocycle_module.DEFECT_FACTOR * step / 8
+    grid = _off_stage_defects(bilinear_cocycle(0.4, step, half), eps, signs)
+    res = trivialize(grid)
+    scan = check_cocycle(grid)
+    assert res.stage_windows["unit"] == 8
+    assert res.precheck.route == "certificate"
+    assert res.precheck.max_identity_residual >= scan.max_identity_residual
+    if signs is FOUR_AT_ONE:                       # the bound is tight to within 1%
+        assert scan.max_identity_residual >= 0.99 * res.precheck.max_identity_residual
+
+
+def _holed(grid, pair):
+    """``grid`` with one more masked pair."""
+    k = grid.half_index_count
+    win = grid.in_window.copy()
+    win[k + pair[0], k + pair[1]] = False
+    return CocycleGrid(grid.step, grid.half_range, grid.values, win)
+
+
+ROUTE_CASES = {
+    # name: (grid, route, final window spans the grid, the grid is refused)
+    "full": (lambda: bilinear_cocycle(0.4, 2.0 ** -4, 1.0), "certificate", True, False),
+    "coboundary-mask": (lambda: coboundary_of(_smooth_chain(2.0 ** -4, 1.0, seed=3)),
+                        "certificate", True, False),
+    "other-mask": (lambda: _holed(bilinear_cocycle(0.4, 2.0 ** -4, 1.0), (-3, -2)),
+                   "scan", True, False),
+    "masked-and-holed": (lambda: _holed(coboundary_of(_smooth_chain(2.0 ** -4, 1.0, seed=3)),
+                                        (-3, -2)), "scan", True, False),
+    # K = 20 is no multiple of the unit 8: μ⁰ stops at -16
+    "shrunken-window": (lambda: bilinear_cocycle(0.4, 2.0 ** -4, 1.25), "scan", False, False),
+    # one pair off by e^{iε}, ε = DEFECT_FACTOR·δ/2: the bound ≈ 4ε fails, the scan's ε passes
+    "bound-fails": (lambda: _off_stage_defects(bilinear_cocycle(0.4, 2.0 ** -4, 1.0),
+                                               cocycle_module.DEFECT_FACTOR * 2.0 ** -4 / 2,
+                                               {(-3, -2): 1}), "scan", True, False),
+    "refused": (lambda: _off_stage_defects(bilinear_cocycle(0.4, 2.0 ** -4, 1.0), 2.0,
+                                           {(-3, -2): 1}), "scan", True, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_CASES))
+def test_certificate_route_taken_exactly_when_its_conditions_hold(name, monkeypatch):
+    make, route, spans, refused = ROUTE_CASES[name]
+    grid = make()
+    scans = []
+    monkeypatch.setattr(cocycle_module, "check_cocycle",
+                        lambda g: scans.append(g) or check_cocycle(g))
+    if refused:
+        with pytest.raises(ValueError, match="identity fails"):
+            trivialize(grid)
+        assert len(scans) == 1
+        return
+    res = trivialize(grid)
+    assert res.precheck.route == route
+    assert (res.stage_windows["final_half_index"] == grid.half_index_count) == spans
+    assert len(scans) == (route == "scan")
+    if route == "scan":
+        assert res.precheck == check_cocycle(grid)
+
+
+@pytest.mark.parametrize("k", range(1, 25))
+def test_certificate_counts_match_the_scan(k):
+    step = ORACLE_STEP
+    full = bilinear_cocycle(0.3, step, k * step)
+    masked = coboundary_of(_smooth_chain(step, k * step, seed=k))
+    for grid, is_full in ((full, True), (masked, False)):
+        cert = cocycle_module._certificate(grid, 0.0, is_full)
+        scan = check_cocycle(grid)
+        assert (cert.checked, cert.skipped) == (scan.checked, scan.skipped)
