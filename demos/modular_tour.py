@@ -37,8 +37,8 @@ def flow_identity_demo(seed=3):
     beta = 1.7
     psi = gibbs(flow, beta)
     rep = verify_modular_flow(flow, psi)
-    print(f"modular flow = dynamics at speed -beta: residual {rep.max_residual:.2e} "
-          f"over {len(rep.samples)} sample times")
+    print(f"modular flow = dynamics at speed -beta: residual at most "
+          f"{rep.max_residual:.2e} for |t| <= {max(abs(t) for t in rep.samples)}")
 
     g = gns(alg, psi.functional)
     md = modular_data(g)

@@ -5,12 +5,13 @@ The GNS space of a faithful density d is the algebra itself with
 Two routes to the modular operator coexist on purpose:
 
 * ``polar`` builds the conjugation S from its defining property
-  S Λ(a) = Λ(a*), realifies it (S is antilinear), and takes the honest
-  polar decomposition S = J Δ^{1/2};
-* ``closed_form`` writes down Δ = left(d)·right(d⁻¹) and J = adjoint
-  directly.
+  S Λ(a) = Λ(a*), realifies it (S is antilinear), and reads J and log Δ off
+  the SVD of S = J Δ^{1/2};
+* ``closed_form`` writes down log Δ = log d ⊗ 1 − 1 ⊗ (log d)ᵀ through its
+  eigensystem and J = adjoint directly.
 
-They are compared — never merged — in the test-suite.
+Both hold log Δ as one eigensystem, so Δ^z keeps relative accuracy at every
+eigenvalue. They are compared — never merged — in the test-suite.
 
 In Λ coordinates π(A) = ⊕ M_n ⊗ 1, so π(A)′ = ⊕ 1 ⊗ M_n in closed form; the
 commutant, center and modular-flow checks use this structure, meet no N above
@@ -27,7 +28,7 @@ from .algebra import AlgElement, BlockAlgebra, Functional, InternalFault, Projec
 from .flow import InnerFlow
 from .kms import KmsState
 
-#: largest GNS dimension a triple is built at (≈ 4 s, 300 MB for ``kmslab modular``)
+#: largest GNS dimension a triple is built at (≈ 2 s, 250 MB for ``kmslab modular``)
 MAX_GNS_DIM = 144
 
 
@@ -89,48 +90,48 @@ def gns(algebra: BlockAlgebra, omega: Functional) -> GnsTriple:
 
 
 def _block_kron(g: GnsTriple, mats, eye_first: bool) -> np.ndarray:
-    """⊕ 1 ⊗ m_b (``eye_first``) or ⊕ m_b ⊗ 1 over the blocks, as an (..., N, N) array
-    over the leading axes of the m_b. Entries are copied into place, not multiplied."""
-    lead = mats[0].shape[:-2]
-    out = np.zeros(lead + (g.dim, g.dim), dtype=complex)
+    """⊕ 1 ⊗ m_b (``eye_first``) or ⊕ m_b ⊗ 1 over the blocks, as an (N, N) array.
+    Entries are copied into place, not multiplied."""
+    out = np.zeros((g.dim, g.dim), dtype=complex)
     for m, n, off in zip(mats, g.algebra.block_dims, g._offsets):
         sl = slice(off, off + n * n)
         # the block as [(i, p), (k, r)]; the identity factor pins one index pair equal
-        block = out[..., sl, sl].reshape(lead + (n, n, n, n))
+        block = out[sl, sl].reshape(n, n, n, n)
         p = np.arange(n)
         if eye_first:
-            block[..., p, :, p, :] = m
+            block[p, :, p, :] = m
         else:
-            block[..., :, p, :, p] = m
+            block[:, p, :, p] = m
     return out
 
 
 @dataclass
 class ModularData:
-    """Modular operator Δ and conjugation J (as J v = conj_kernel · conj v)."""
+    """The eigensystem log Δ = V·diag(λ)·V* (``log_eigenvalues`` λ, ``log_eigenvectors`` V)
+    and J (as J v = conj_kernel · conj v). Δ, Δ^z and log Δ are formed from it on demand."""
 
-    delta: np.ndarray
+    log_eigenvalues: np.ndarray
+    log_eigenvectors: np.ndarray
     conj_kernel: np.ndarray
     method: str
     linear_structure_residual: float
     antilinear_structure_residual: float
 
-    def __post_init__(self):
-        w, v = np.linalg.eigh(self.delta)
-        if w[0] <= 0:
-            raise ValueError(f"modular operator not positive (min eigenvalue {w[0]:.3e})")
-        self._evals = w
-        self._evecs = v
+    def _spectral(self, values: np.ndarray) -> np.ndarray:
+        v = self.log_eigenvectors
+        return (v * values) @ v.conj().T
 
-    def delta_powers(self, zs) -> np.ndarray:
-        """Δ^z for every z in ``zs`` (complex allowed) through the spectral decomposition,
-        as one (S, N, N) stacked product."""
-        pw = np.power(self._evals.astype(complex), np.asarray(zs, dtype=complex)[:, None])
-        return (self._evecs * pw[:, None, :]) @ self._evecs.conj().T
+    @property
+    def log_delta(self) -> np.ndarray:
+        return self._spectral(self.log_eigenvalues)
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.delta_power(1.0)
 
     def delta_power(self, z: complex) -> np.ndarray:
-        """Δ^z through the spectral decomposition (z may be complex)."""
-        return self.delta_powers([z])[0]
+        """Δ^z = V·e^{zλ}·V* (z may be complex)."""
+        return self._spectral(np.exp(complex(z) * self.log_eigenvalues))
 
     def flow_unitary(self, t: float) -> np.ndarray:
         return self.delta_power(1j * float(t))
@@ -152,45 +153,49 @@ def modular_data(g: GnsTriple, method: str = "polar") -> ModularData:
     n = g.dim
     L = g.basis_matrix()
     P = g.adjoint_permutation()
-    # S Λ(a) = Λ(a*) pins the antilinear kernel: S v = M_s · conj(v)
-    m_s = L @ P @ np.conj(np.linalg.inv(L))
+    # S Λ(a) = Λ(a*) pins the antilinear kernel: S v = M_s · conj(v), M_s = L P conj(L)⁻¹
+    m_s = np.linalg.solve(L.conj().T, (L @ P).T).T
 
     # realify ℂ^N ≅ ℝ^{2N}; an antilinear map v ↦ M conj(v) becomes
     # [[Re M, Im M], [Im M, -Re M]]
     s_real = np.block([[m_s.real, m_s.imag], [m_s.imag, -m_s.real]])
-    delta_real = s_real.T @ s_real
+    # S = U Σ Vᵀ = J Δ^{1/2} gives J = U Vᵀ and log Δ = V (2 log Σ) Vᵀ straight from
+    # the SVD; SᵀS = Δ would square the condition number
+    u, sv, vt = np.linalg.svd(s_real)
+    if not (np.all(np.isfinite(sv)) and sv[-1] > 0):
+        raise InternalFault(f"polar route: S has a non-positive or non-finite singular "
+                            f"value ({sv[-1]:.3e})")
+    log_real = (vt.T * (2.0 * np.log(sv))) @ vt
 
-    a = delta_real[:n, :n]
-    b = delta_real[n:, :n]
-    lin_resid = max(float(np.max(np.abs(delta_real[:n, n:] + b))),
-                    float(np.max(np.abs(delta_real[n:, n:] - a))))
-    delta = a + 1j * b
+    a = log_real[:n, :n]
+    b = log_real[n:, :n]
+    lin_resid = max(float(np.max(np.abs(log_real[:n, n:] + b))),
+                    float(np.max(np.abs(log_real[n:, n:] - a))))
+    lam, vecs = np.linalg.eigh(a + 1j * b)
 
-    w, v = np.linalg.eigh(delta_real)
-    if w[0] <= 0:
-        raise InternalFault("polar route produced a non-positive quadratic form")
-    inv_sqrt = (v / np.sqrt(w)) @ v.T
-    j_real = s_real @ inv_sqrt
-
+    j_real = u @ vt
     ja = j_real[:n, :n]
     jb = j_real[:n, n:]
     anti_resid = max(float(np.max(np.abs(j_real[n:, :n] - jb))),
                      float(np.max(np.abs(j_real[n:, n:] + ja))))
-    m_j = ja + 1j * jb
-    return ModularData(delta=delta, conj_kernel=m_j, method="polar",
-                       linear_structure_residual=lin_resid,
+    return ModularData(log_eigenvalues=lam, log_eigenvectors=vecs, conj_kernel=ja + 1j * jb,
+                       method="polar", linear_structure_residual=lin_resid,
                        antilinear_structure_residual=anti_resid)
 
 
 def _modular_closed_form(g: GnsTriple) -> ModularData:
-    """Δ acts on m ∈ H by d·m·d⁻¹ and J by m ↦ m*; no polar step involved."""
-    n = g.dim
-    delta = np.zeros((n, n), dtype=complex)
-    for d, (w, u), nb, off in zip(g.state.density.blocks, g.density_eigs,
-                                  g.algebra.block_dims, g._offsets):
-        dinv = (u / w) @ u.conj().T
-        delta[off:off + nb * nb, off:off + nb * nb] = np.kron(d, dinv.T)
-    return ModularData(delta=delta, conj_kernel=g.adjoint_permutation().astype(complex),
+    """log Δ acts on m ∈ H by log d·m − m·log d and J by m ↦ m*; no polar step involved.
+    Per block log Δ = log d ⊗ 1 − 1 ⊗ (log d)ᵀ, whose eigenvectors are u_k ⊗ ū_r with
+    eigenvalues log w_k − log w_r, read off the triple's density eigensystems."""
+    lam = np.empty(g.dim)
+    vecs = np.zeros((g.dim, g.dim), dtype=complex)
+    for (w, u), n, off in zip(g.density_eigs, g.algebra.block_dims, g._offsets):
+        sl = slice(off, off + n * n)
+        log_w = np.log(w)
+        lam[sl] = (log_w[:, None] - log_w[None, :]).ravel()
+        vecs[sl, sl] = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(n * n, n * n)
+    return ModularData(log_eigenvalues=lam, log_eigenvectors=vecs,
+                       conj_kernel=g.adjoint_permutation().astype(complex),
                        method="closed_form",
                        linear_structure_residual=0.0, antilinear_structure_residual=0.0)
 
@@ -209,23 +214,17 @@ class ModularFlowReport:
 
 DEFAULT_T_SAMPLES = (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7)
 
-#: unit-image entries (N³ per sample time) in one chunk of ``verify_modular_flow``: all
-#: six default samples fit at N ≤ 13, and a chunk holds one sample at N = MAX_GNS_DIM
-_FLOW_CHUNK_ENTRIES = 2 ** 20
-
 
 def _unit_images(g: GnsTriple, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left·π(e)·right for every matrix unit e, as a (..., N, N, N) stack in basis order
-    over the leading axes that left and right share: π(E_kl) = E_kl ⊗ 1 on its block,
-    so this is Σ_r left[..., :, (k,r)]·right[..., (l,r), :]."""
+    """left·π(e)·right for every matrix unit e, as an (N, N, N) stack in basis order:
+    π(E_kl) = E_kl ⊗ 1 on its block, so this is Σ_r left[:, (k,r)]·right[(l,r), :]."""
     big = g.dim
-    lead = left.shape[:-2]
-    out = np.empty(lead + (big, big, big), dtype=complex)
+    out = np.empty((big, big, big), dtype=complex)
     for n, off in zip(g.algebra.block_dims, g._offsets):
         sl = slice(off, off + n * n)
-        cols = left[..., sl].reshape(lead + (big, n, n)).swapaxes(-3, -2)[..., None, :, :]
-        np.matmul(cols, right[..., sl, :].reshape(lead + (1, n, n, big)),
-                  out=out[..., sl, :, :].reshape(lead + (n, n, big, big)))
+        cols = left[:, sl].reshape(big, n, n).swapaxes(0, 1)[:, None, :, :]
+        np.matmul(cols, right[sl, :].reshape(1, n, n, big),
+                  out=out[sl].reshape(n, n, big, big))
     return out
 
 
@@ -243,7 +242,8 @@ def _off_commutant(g: GnsTriple, x: np.ndarray) -> np.ndarray:
 
 def verify_modular_flow(flow: InnerFlow, psi: KmsState,
                         t_samples=DEFAULT_T_SAMPLES, tol: float = 1e-8) -> ModularFlowReport:
-    """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) = W π(e) W*, W = π(e^{-iβth}), on the units."""
+    """Check Δ^{it} π(e) Δ^{-it} = π(σ_{-βt}(e)) on the units e at the sample times t.
+    ``max_residual`` is ``_flow_residual``'s bound on the largest entrywise residual."""
     g = gns(flow.algebra, psi.functional)
     ts = tuple(float(t) for t in t_samples)
     worst = _flow_residual(g, modular_data(g), flow, psi.beta, ts)
@@ -253,25 +253,20 @@ def verify_modular_flow(flow: InnerFlow, psi: KmsState,
 
 def _flow_residual(g: GnsTriple, md: ModularData, flow: InnerFlow, beta: float,
                    ts: tuple[float, ...]) -> float:
-    """max |Δ^{it} π(e) Δ^{-it} − W π(e) W*| over the units e and the sample times ts.
+    """2·max|t|·‖R‖₂ over the sample times ts (0 for none), R = Y off π(A)′ for the
+    generator Y = log Δ + β·π(h).
 
-    The sample times go through as stacks, at most ``_FLOW_CHUNK_ENTRIES`` // N³ of them
-    per chunk: Δ^{±it} from one stacked power, and π(W) block by block from the flow's
-    eigensystem, so the unit images of a chunk take one batched product per block."""
-    per_chunk = max(1, _FLOW_CHUNK_ENTRIES // g.dim ** 3)
-    worst = 0.0
-    for start in range(0, len(ts), per_chunk):
-        chunk = ts[start:start + per_chunk]
-        powers = md.delta_powers([1j * t for t in chunk] + [1j * -t for t in chunk])
-        diff = _unit_images(g, powers[:len(chunk)], powers[len(chunk):])
-        del powers                        # two N³ stacks are the peak at N = MAX_GNS_DIM
-        s = np.array([-beta * t for t in chunk])[:, None]
-        w = _block_kron(g, [(u * np.exp(1j * s * lam)[:, None, :]) @ u.conj().T
-                            for lam, u in zip(flow.eigenvalues, flow.eigenvectors)],
-                        eye_first=False)
-        diff -= _unit_images(g, w, w.conj().swapaxes(-1, -2))
-        worst = float(np.max((worst, np.max(np.abs(diff)))))     # keeps a NaN
-    return worst
+    Split Y = Y′ + R with Y′ ∈ π(A)′. Y′ commutes with π(h) and π(A), so e^{it(Y′ − βπ(h))}
+    conjugates π(e) to W π(e) W*, W = π(e^{-iβth}), and Duhamel puts Δ^{it} = e^{it·log Δ} within
+    |t|·‖R‖₂ of it. Hence every entry of Δ^{it} π(e) Δ^{-it} − π(σ_{-βt}(e)) is at most
+    2|t|·‖R‖₂ (‖π(e)‖ = 1 for a unit), and R = 0 exactly when the theorem holds for all t.
+    A non-finite R gives NaN."""
+    if not ts:
+        return 0.0
+    y = md.log_delta + beta * _block_kron(g, flow.generator.blocks, eye_first=False)
+    r = _off_commutant(g, y)
+    norm = float(np.linalg.norm(r, 2)) if np.all(np.isfinite(r)) else np.nan
+    return 2.0 * max(abs(t) for t in ts) * norm
 
 
 def commutant_gap(g: GnsTriple, md: ModularData) -> tuple[int, int, float]:

@@ -1153,23 +1153,22 @@ def _grid_file(tmp_path, half=1.0):
     return _write(tmp_path / "grid.json", _grid_doc(step, half, np.exp(-0.4j * np.outer(x, x))))
 
 
-def _eigh_with_a_negative_real_form(monkeypatch):
-    """np.linalg.eigh, except that a real symmetric input, the polar route's
-    realified quadratic form, gets a negative least eigenvalue."""
-    eigh = np.linalg.eigh
+def _svd_with_a_zero_singular_value(monkeypatch):
+    """np.linalg.svd, except that the least singular value, that of the polar
+    route's realified S, comes back as zero."""
+    svd = np.linalg.svd
 
     def patched(a, *args, **kwargs):
-        w, v = eigh(a, *args, **kwargs)
-        if np.isrealobj(a):
-            w = w.copy()
-            w[0] = -1.0
-        return w, v
-    monkeypatch.setattr(np.linalg, "eigh", patched)
+        u, s, vt = svd(a, *args, **kwargs)
+        s = s.copy()
+        s[-1] = 0.0
+        return u, s, vt
+    monkeypatch.setattr(np.linalg, "svd", patched)
 
 
 FAULTS = {
     # fault: (how it is planted, the subcommand's argv)
-    "InternalFault": (_eigh_with_a_negative_real_form,
+    "InternalFault": (_svd_with_a_zero_singular_value,
                       lambda p, tmp: ["modular", "--problem", p, "--out", str(tmp / "o.json")]),
     "LinAlgError": (lambda mp: mp.setattr(cli, "gibbs", _raise(np.linalg.LinAlgError("singular"))),
                     lambda p, tmp: ["gibbs", "--problem", p, "--out", str(tmp / "o.json")]),
@@ -1193,7 +1192,7 @@ def test_internal_faults_exit_3(fault, two_level, tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err.startswith(f"error: internal fault: {fault}")
     if fault == "InternalFault":                   # raised by the polar route itself
-        assert "non-positive quadratic form" in err
+        assert "non-positive or non-finite singular value" in err
 
 
 def test_a_precondition_still_exits_2(two_level, tmp_path, monkeypatch, capsys):
