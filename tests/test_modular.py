@@ -388,18 +388,24 @@ def _assert_bound_covers_the_per_t_loop(flow, state, ts):
 FLOW_SHAPES = [(1, 1), (2, 2), (2, 2, 2), (3,), (3, 2), (2, 1, 1, 1), (1,), (4, 1)]
 
 
+@pytest.mark.parametrize("t_divisor", [1, 2 ** 20, 2 ** 40])
 @pytest.mark.parametrize("dims", FLOW_SHAPES)
-def test_flow_bound_covers_the_per_t_loop(dims):
+def test_stacked_flow_check_is_the_per_t_loop(dims, t_divisor):
+    """The generator bound covers the per-t loop at the sample times divided by t_divisor.
+    The bound is linear in max|t|, so a power-of-two divisor scales it exactly."""
     rng = np.random.default_rng(7300 + sum(dims) + len(dims))
     flow, psi, _ = _gibbs_setup(dims, beta=float(rng.uniform(-2, 2)), rng=rng)
     wrong = KmsState(functional=psi.functional, beta=psi.beta + 0.3, flow=flow)
-    for state, ts in [(psi, DEFAULT_T_SAMPLES), (psi, tuple(rng.uniform(-3, 3, 5))),
-                      (wrong, DEFAULT_T_SAMPLES), (psi, ())]:
-        _assert_bound_covers_the_per_t_loop(flow, state, ts)
-    assert verify_modular_flow(flow, psi, ()).max_residual == 0.0
+    cases = [(flow, psi, DEFAULT_T_SAMPLES), (flow, psi, tuple(rng.uniform(-3, 3, 5))),
+             (flow, wrong, DEFAULT_T_SAMPLES), (flow, psi, ())]
     other = InnerFlow(flow.algebra, random_hermitian(flow.algebra, rng))     # a wrong flow
-    _, ref = _assert_bound_covers_the_per_t_loop(other, psi, DEFAULT_T_SAMPLES)
-    assert ref.passed == (max(dims) == 1)            # only an abelian algebra cannot tell
+    cases.append((other, psi, DEFAULT_T_SAMPLES))
+    for f, state, ts in cases:
+        rep, ref = _assert_bound_covers_the_per_t_loop(f, state, tuple(t / t_divisor for t in ts))
+        assert rep.max_residual == verify_modular_flow(f, state, ts).max_residual / t_divisor
+    assert verify_modular_flow(flow, psi, ()).max_residual == 0.0
+    if t_divisor == 1:
+        assert ref.passed == (max(dims) == 1)        # only an abelian algebra cannot tell
 
 
 @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4)
