@@ -480,7 +480,7 @@ def _cmd_modular(args) -> int:
     route_gap = float(np.max(np.abs(md_polar.log_delta - md_closed.log_delta)))
     flow_residual = _flow_residual(triple, md_polar, flow, state.beta, DEFAULT_T_SAMPLES)
     dim_alg, dim_comm, gap = commutant_gap(triple, md_polar)
-    passed = flow_residual <= args.tol and gap <= 1e-8 and route_gap <= args.tol
+    passed = flow_residual <= args.tol and gap <= args.tol and route_gap <= args.tol
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "modular", "passed": passed,
         "delta_eigenvalues": sorted(np.exp(md_polar.log_eigenvalues).tolist()),
@@ -771,7 +771,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("modular", help="modular operator by two routes + theorems")
     p.add_argument("--problem", required=True)
     p.add_argument("--beta", type=float)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help="bound on all three checks' outputs")
     p.add_argument("--out", required=True)
 
     p = add("fejer", help="Cesàro mean of an element under a periodic flow")

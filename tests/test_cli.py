@@ -357,6 +357,18 @@ def test_modular_routes_and_theorems(two_level, tmp_path):
     assert doc["center_dimension"] == 1
 
 
+def test_modular_tol_bounds_the_commutant_gap(two_level, tmp_path, monkeypatch):
+    """--tol governs the commutant gap as it governs the flow residual and the route gap."""
+    monkeypatch.setattr(cli, "commutant_gap", lambda g, md: (g.dim, g.dim, 1e-9))
+    out = tmp_path / "modular.json"
+    assert main(["modular", "--problem", two_level, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["flow_residual"] < 1e-12 and doc["route_gap"] < 1e-12
+    assert doc["commutant_gap"] == 1e-9
+    assert main(["modular", "--problem", two_level, "--tol", "1e-10", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["passed"] is False
+
+
 def test_fejer_weights(two_level, tmp_path):
     elem = _write(tmp_path / "e.json", {"blocks": [[[0.0, 1.0], [0.0, 0.0]]]})
     out = tmp_path / "fejer.json"

@@ -286,6 +286,48 @@ def _reference_center_dimension(g):
     return k - int(np.sum(s > 1e-9 * scale))
 
 
+def _svd_commutant_gap(g, md):
+    """(dim π(A), dim J π(A) J, gap between J π(A) J and π(A)′ = ⊕ 1 ⊗ M_n).
+
+    The gap is ‖P′ − P_J‖₂, the sine of the largest principal angle, read as ‖(1 − P′)Q‖₂
+    over an orthonormal basis Q of J π(A) J (SVD, 1e-10 relative rank cut); 1.0 when the
+    dimensions differ."""
+    images = _unit_images(g, md.conj_kernel, md.conj_kernel.conj())
+    _, s, vh = np.linalg.svd(images.reshape(g.dim, -1), full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
+    if rank != g.dim:
+        return g.dim, rank, 1.0
+    off = _off_commutant(g, vh.reshape(-1, g.dim, g.dim)).reshape(rank, -1)
+    # ‖off‖₂ from the Gram matrix, whose top eigenvalue keeps full relative accuracy
+    return g.dim, rank, float(np.sqrt(np.linalg.eigvalsh(off @ off.conj().T)[-1]))
+
+
+def _svd_center_dimension(g):
+    """dim(π(A) ∩ π(A)′), the nullity of c ↦ Σ c_e·(π(e) off π(A)′) under a 1e-9
+    relative rank cut; 1 means the GNS von Neumann algebra is a factor."""
+    eye = np.eye(g.dim)
+    off = _off_commutant(g, _unit_images(g, eye, eye)).reshape(g.dim, -1)
+    s = np.linalg.svd(off, compute_uv=False)
+    scale = s[0] if s.size and s[0] > 0 else 1.0
+    return g.dim - int(np.sum(s > 1e-9 * scale))
+
+
+def _twisted(md, rng, z):
+    """md with J's kernel multiplied by e^{zX}, X a random Hermitian matrix: a rotation (J
+    stays antiunitary) for imaginary z, a stretch for real z."""
+    dim = len(md.conj_kernel)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w, v = np.linalg.eigh(x + x.conj().T)
+    return dataclasses.replace(md, conj_kernel=(v * np.exp(z * w)) @ v.conj().T @ md.conj_kernel)
+
+
+def _assert_gap_is_the_svd_gap(g, md):
+    got, want = commutant_gap(g, md), _svd_commutant_gap(g, md)
+    assert got[:2] == want[:2]
+    assert abs(got[2] - want[2]) <= 1e-12 + 1e-9 * want[2]
+    return got
+
+
 def _assert_checks_match_reference(flow, psi, g):
     md = modular_data(g)
     got, want = commutant_gap(g, md), _reference_commutant_gap(g, md)
@@ -333,11 +375,7 @@ def test_property_closed_form_checks_match_reference_routes(dims, beta, sign, se
 def test_commutant_check_fails_for_a_rotated_conjugation(dims, eps):
     rng = np.random.default_rng(7100 + sum(dims))
     _, _, g = _gibbs_setup(dims, beta=1.1, rng=rng)
-    md = modular_data(g)
-    x = rng.normal(size=(g.dim, g.dim)) + 1j * rng.normal(size=(g.dim, g.dim))
-    w, v = np.linalg.eigh(x + x.conj().T)
-    rotated = dataclasses.replace(
-        md, conj_kernel=(v * np.exp(1j * eps * w)) @ v.conj().T @ md.conj_kernel)
+    rotated = _twisted(modular_data(g), rng, 1j * eps)
     dim_rep, dim_comm, gap = commutant_gap(g, rotated)
     want = _reference_commutant_gap(g, rotated)
     assert (dim_rep, dim_comm) == want[:2] == (g.dim, g.dim)
@@ -354,9 +392,64 @@ def test_commutant_gap_of_a_rank_deficient_conjugation(dims):
     kernel[:, 2:] = 0.0
     bad = dataclasses.replace(md, conj_kernel=kernel)
     dim_rep, dim_comm, gap = commutant_gap(g, bad)
-    assert (dim_rep, dim_comm, gap) == (g.dim, 2, 1.0)
+    assert (dim_rep, dim_comm, gap) == (g.dim, 2, 1.0) == _svd_commutant_gap(g, bad)
     assert abs(_reference_commutant_gap(g, bad)[2] - 1.0) <= 1e-12
     assert not verify_commutant_theorem(g, bad)
+
+
+@given(dims=st.lists(st.integers(1, 6), min_size=1, max_size=4)
+       .filter(lambda d: sum(n * n for n in d) <= 36),
+       beta=st.floats(-2.0, 2.0), eps=st.floats(1e-6, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_gram_checks_match_the_svd_routes(dims, beta, eps, seed):
+    """An antiunitary J makes the unit images' Gram G = 1, so the Gram bound is the SVD
+    route's gap, for the modular J and for J rotated by e^{iεX}."""
+    rng = np.random.default_rng(seed)
+    _, _, g = _gibbs_setup(tuple(dims), beta, rng=rng)
+    md = modular_data(g)
+    assert center_dimension(g) == _svd_center_dimension(g) == len(dims)
+    assert _assert_gap_is_the_svd_gap(g, md)[2] <= 1e-8
+    _assert_gap_is_the_svd_gap(g, _twisted(md, rng, 1j * eps))
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 3), (3, 1)])
+def test_commutant_gap_bounds_the_gap_of_a_non_isometric_conjugation(dims):
+    """Scaling J by c makes G = c⁴·1 and leaves the gap, so the bound is still the gap.
+    A stretch e^{zX} makes 1 ≠ G, with cond(G) ≤ cond(K)⁴; the bound then lies between the
+    gap and cond(K)² times it, and here strictly above the gap."""
+    rng = np.random.default_rng(7150 + sum(dims))
+    _, _, g = _gibbs_setup(dims, beta=1.1, rng=rng)
+    rotated = _twisted(modular_data(g), rng, 1e-3j)
+    for c in (0.5, 2.0):
+        scaled = dataclasses.replace(rotated, conj_kernel=c * rotated.conj_kernel)
+        assert _assert_gap_is_the_svd_gap(g, scaled)[:2] == (g.dim, g.dim)
+    stretched = _twisted(rotated, rng, 1e-3)
+    got, want = commutant_gap(g, stretched), _svd_commutant_gap(g, stretched)
+    assert got[:2] == want[:2] == (g.dim, g.dim)
+    assert want[2] * (1 - 1e-9) <= got[2] <= np.linalg.cond(stretched.conj_kernel) ** 2 * want[2]
+    assert got[2] > want[2] * (1 + 1e-6)
+
+
+def test_commutant_gap_reads_an_ill_conditioned_conjugation_as_rank_deficient():
+    """Kernel columns scaled by 1e-3 leave G with condition above 1e10, past what its
+    eigenvalues resolve: the gap reads 1.0, which is conservative, while the SVD route's 1e-10
+    singular-value cut still sees full rank."""
+    _, _, g = _gibbs_setup((2, 3), beta=1.1, rng=np.random.default_rng(7160))
+    md = modular_data(g)
+    kernel = md.conj_kernel.copy()
+    kernel[:, 2:] *= 1e-3
+    bad = dataclasses.replace(md, conj_kernel=kernel)
+    dim_rep, dim_comm, gap = commutant_gap(g, bad)
+    assert dim_comm < g.dim and gap == 1.0 and not verify_commutant_theorem(g, bad)
+    assert _svd_commutant_gap(g, bad)[1] == g.dim
+
+
+def test_commutant_gap_raises_on_a_non_finite_conjugation():
+    _, _, g = _gibbs_setup((2, 3), beta=1.1, rng=np.random.default_rng(7170))
+    md = modular_data(g)
+    kernel = md.conj_kernel.copy()
+    kernel[4, 7] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        commutant_gap(g, dataclasses.replace(md, conj_kernel=kernel))
 
 
 def test_modular_flow_residual_keeps_nan(monkeypatch):
@@ -511,6 +604,44 @@ def test_checks_never_densify_per_unit(monkeypatch):
     assert center_dimension(g) == 2
     assert verify_modular_flow(flow, psi).passed
     assert rep_calls == []                  # π(e^{-iβth}) is built from the eigensystem
+
+
+def test_commutant_and_center_take_no_svd(monkeypatch):
+    _, _, g = _gibbs_setup((2, 3), beta=1.1)
+    md = modular_data(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert commutant_gap(g, md)[:2] == (g.dim, g.dim)
+    assert center_dimension(g) == 2
+
+
+def _baseline_block():
+    """The N = MAX_GNS_DIM Gibbs state at β = 1 with spectral spread 12.5."""
+    return _gibbs_setup((12,), 1.0, rng=np.random.default_rng(0), scale=4.9)
+
+
+def test_commutant_gap_at_the_cap_peaks_at_two_image_stacks():
+    _, _, g = _baseline_block()
+    md = modular_data(g)
+    tracemalloc.start()
+    try:
+        dim_rep, dim_comm, gap = commutant_gap(g, md)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim_rep == dim_comm == MAX_GNS_DIM and gap <= 1e-8
+    # the unit images q and then their off-commutant copy, each with its conjugate for
+    # the Gram product: two (N, N²) arrays at a time, in complex entries
+    assert peak <= 2.5 * g.dim ** 3 * 16
+
+
+def test_gram_checks_match_the_svd_routes_at_the_cap():
+    _, _, g = _baseline_block()
+    assert _assert_gap_is_the_svd_gap(g, modular_data(g))[:2] == (MAX_GNS_DIM, MAX_GNS_DIM)
+    assert center_dimension(g) == _svd_center_dimension(g) == 1
 
 
 def test_commutant_gap_at_n32_is_fast():
