@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import InternalFault
+
 BRANCH_MARGIN = 1e-6
 MODULUS_TOL = 1e-12
 DEFECT_FACTOR = 10.0
@@ -365,7 +367,8 @@ def trivialize(grid: CocycleGrid) -> TrivializationResult:
     Otherwise ``check_cocycle`` scans every triple: a residual above
     ``DEFECT_FACTOR``·δ is refused, then a stage's error is raised, and else the
     scan's report is the precheck. Either way a grid is refused exactly when the
-    scan-first order refuses it, with the same message.
+    scan-first order refuses it, with the same message. An ``InternalFault`` from
+    the stages is no refusal and propagates at once.
     """
     delta = grid.step
     log_inv = math.log2(1.0 / delta)
@@ -423,11 +426,12 @@ def _stages(grid: CocycleGrid, k_exp: int) -> TrivializationResult:
     # stage 2: phase average of λ¹ over one period
     a = np.arange(unit + 1)
     table = _lam1_at(grid, mu0, unit, a[:, None], a[None, :])
-    # Cannot fire: the rescale took a unit with [0, unit]² in the window and
-    # 2·unit ≤ K, so stage 1 filled μ⁰ on [0, 2·unit] and every λ¹ on the
-    # square is defined. Kept as a guard against a future change to either.
+    # The rescale took a unit with [0, unit]² in the window and 2·unit ≤ K, so
+    # stage 1 filled μ⁰ on [0, 2·unit] and every λ¹ on the square is defined;
+    # a NaN here is a fault of the stages, not of the grid.
     if np.isnan(table).any():
-        raise ValueError("rescaled unit square leaves the window; grid too small")
+        raise InternalFault("rescaled unit square leaves the window after the rescale "
+                            "admitted it")
     if np.min(np.abs(table + 1.0)) < BRANCH_MARGIN:
         raise ValueError("branch margin violated — refine grid")
     phases = np.angle(table)

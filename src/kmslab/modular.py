@@ -5,8 +5,9 @@ The GNS space of a faithful density d is the algebra itself with
 Two routes to the modular operator coexist on purpose:
 
 * ``polar`` builds the conjugation S from its defining property
-  S Λ(a) = Λ(a*), realifies it (S is antilinear), and reads J and log Δ off
-  the SVD of S = J Δ^{1/2};
+  S Λ(a) = Λ(a*) as S v = M_s·conj(v), and reads J and log Δ off the one
+  complex SVD M_s = U Σ V*: S = J Δ^{1/2} with J v = U V*·conj(v) and
+  log Δ = conj(V)·2 log Σ·Vᵀ;
 * ``closed_form`` writes down log Δ = log d ⊗ 1 − 1 ⊗ (log d)ᵀ through its
   eigensystem and J = adjoint directly.
 
@@ -107,14 +108,13 @@ def _block_kron(g: GnsTriple, mats, eye_first: bool) -> np.ndarray:
 @dataclass
 class ModularData:
     """The eigensystem log Δ = V·diag(λ)·V* (``log_eigenvalues`` λ, ``log_eigenvectors`` V)
-    and J (as J v = conj_kernel · conj v). Δ, Δ^z and log Δ are formed from it on demand."""
+    and J (as J v = conj_kernel · conj v). Δ, Δ^z and log Δ are formed from it on demand.
+    The polar route's λ are 2 log σ in descending order, the closed form's are unsorted."""
 
     log_eigenvalues: np.ndarray
     log_eigenvectors: np.ndarray
     conj_kernel: np.ndarray
     method: str
-    linear_structure_residual: float
-    antilinear_structure_residual: float
 
     def _spectral(self, values: np.ndarray) -> np.ndarray:
         v = self.log_eigenvectors
@@ -149,37 +149,19 @@ def modular_data(g: GnsTriple, method: str = "polar") -> ModularData:
     if method != "polar":
         raise ValueError(f"unknown method {method!r}")
 
-    n = g.dim
     L = g.basis_matrix()
     P = g.adjoint_permutation()
     # S Λ(a) = Λ(a*) pins the antilinear kernel: S v = M_s · conj(v), M_s = L P conj(L)⁻¹
     m_s = np.linalg.solve(L.conj().T, (L @ P).T).T
 
-    # realify ℂ^N ≅ ℝ^{2N}; an antilinear map v ↦ M conj(v) becomes
-    # [[Re M, Im M], [Im M, -Re M]]
-    s_real = np.block([[m_s.real, m_s.imag], [m_s.imag, -m_s.real]])
-    # S = U Σ Vᵀ = J Δ^{1/2} gives J = U Vᵀ and log Δ = V (2 log Σ) Vᵀ straight from
-    # the SVD; SᵀS = Δ would square the condition number
-    u, sv, vt = np.linalg.svd(s_real)
+    # S v = M_s conj(v) with M_s = U Σ V* gives S = J Δ^{1/2}: J v = U V* conj(v) and
+    # Δ = S*S = conj(V) Σ² Vᵀ, straight from the SVD; S*S itself would square the condition
+    u, sv, vh = np.linalg.svd(m_s)
     if not (np.all(np.isfinite(sv)) and sv[-1] > 0):
         raise InternalFault(f"polar route: S has a non-positive or non-finite singular "
                             f"value ({sv[-1]:.3e})")
-    log_real = (vt.T * (2.0 * np.log(sv))) @ vt
-
-    a = log_real[:n, :n]
-    b = log_real[n:, :n]
-    lin_resid = max(float(np.max(np.abs(log_real[:n, n:] + b))),
-                    float(np.max(np.abs(log_real[n:, n:] - a))))
-    lam, vecs = np.linalg.eigh(a + 1j * b)
-
-    j_real = u @ vt
-    ja = j_real[:n, :n]
-    jb = j_real[:n, n:]
-    anti_resid = max(float(np.max(np.abs(j_real[n:, :n] - jb))),
-                     float(np.max(np.abs(j_real[n:, n:] + ja))))
-    return ModularData(log_eigenvalues=lam, log_eigenvectors=vecs, conj_kernel=ja + 1j * jb,
-                       method="polar", linear_structure_residual=lin_resid,
-                       antilinear_structure_residual=anti_resid)
+    return ModularData(log_eigenvalues=2.0 * np.log(sv), log_eigenvectors=vh.T,
+                       conj_kernel=u @ vh, method="polar")
 
 
 def _modular_closed_form(g: GnsTriple) -> ModularData:
@@ -195,8 +177,7 @@ def _modular_closed_form(g: GnsTriple) -> ModularData:
         vecs[sl, sl] = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(n * n, n * n)
     return ModularData(log_eigenvalues=lam, log_eigenvectors=vecs,
                        conj_kernel=g.adjoint_permutation().astype(complex),
-                       method="closed_form",
-                       linear_structure_residual=0.0, antilinear_structure_residual=0.0)
+                       method="closed_form")
 
 
 @dataclass

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmslab import cli, kms
+from kmslab import cli, cocycle, kms
+from kmslab.algebra import InternalFault
 from kmslab.cli import main
 from kmslab.kms import kms_simplex
 
@@ -1167,7 +1168,7 @@ def _grid_file(tmp_path, half=1.0):
 
 def _svd_with_a_zero_singular_value(monkeypatch):
     """np.linalg.svd, except that the least singular value, that of the polar
-    route's realified S, comes back as zero."""
+    route's kernel M_s of S, comes back as zero."""
     svd = np.linalg.svd
 
     def patched(a, *args, **kwargs):
@@ -1211,6 +1212,19 @@ def test_a_precondition_still_exits_2(two_level, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "gibbs", _raise(ValueError("bad beta")))
     assert main(["gibbs", "--problem", two_level, "--out", str(tmp_path / "o.json")]) == 2
     assert capsys.readouterr().err == "error: bad beta\n"
+
+
+def test_trivialize_window_guard_is_an_internal_fault(tmp_path, monkeypatch, capsys):
+    """A μ⁰ that leaves the rescaled unit square undefined breaks the stages' own
+    invariant, so it is a fault (exit 3), not a refusal of the grid (exit 2)."""
+    monkeypatch.setattr(cocycle, "_develop",
+                        lambda table, k, unit: np.full(2 * k + 1, np.nan + 0j))
+    grid = cocycle.bilinear_cocycle(0.4, 2.0 ** -4, 1.0)
+    with pytest.raises(InternalFault, match="rescaled unit square leaves the window"):
+        cocycle.trivialize(grid)
+    assert main(["cocycle", "trivialize", "--in", _grid_file(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: internal fault: InternalFault: "
+                                              "rescaled unit square")
 
 
 # -- the route of trivialize's precheck ---------------------------------------------------

@@ -32,11 +32,11 @@ from kmslab import (
     verify_modular_flow,
 )
 from kmslab import algebra, modular
-from kmslab.algebra import commutant_basis
+from kmslab.algebra import InternalFault, commutant_basis
 from kmslab.cli import main
 from kmslab.kms import support_compression
-from kmslab.modular import (DEFAULT_T_SAMPLES, MAX_GNS_DIM, GnsTriple, ModularFlowReport,
-                            _off_commutant, _unit_images)
+from kmslab.modular import (DEFAULT_T_SAMPLES, MAX_GNS_DIM, GnsTriple, ModularData,
+                            ModularFlowReport, _off_commutant, _unit_images)
 
 FLOW_TOL = 1e-8          # verify_modular_flow's default tolerance
 
@@ -226,6 +226,37 @@ def _per_t_verify_modular_flow(flow: InnerFlow, psi: KmsState,
     worst = float(np.max(resid))                 # keeps a NaN
     return ModularFlowReport(passed=bool(worst <= tol), max_residual=worst,
                              beta=psi.beta, samples=tuple(float(t) for t in t_samples))
+
+
+def _realified_polar(g):
+    """The polar route through the SVD of the realified S and an ``eigh`` of the
+    complexified log Δ, kept as an oracle for the complex SVD of S's kernel."""
+    n = g.dim
+    L = g.basis_matrix()
+    P = g.adjoint_permutation()
+    # S Λ(a) = Λ(a*) pins the antilinear kernel: S v = M_s · conj(v), M_s = L P conj(L)⁻¹
+    m_s = np.linalg.solve(L.conj().T, (L @ P).T).T
+
+    # realify ℂ^N ≅ ℝ^{2N}; an antilinear map v ↦ M conj(v) becomes
+    # [[Re M, Im M], [Im M, -Re M]]
+    s_real = np.block([[m_s.real, m_s.imag], [m_s.imag, -m_s.real]])
+    # S = U Σ Vᵀ = J Δ^{1/2} gives J = U Vᵀ and log Δ = V (2 log Σ) Vᵀ straight from
+    # the SVD; SᵀS = Δ would square the condition number
+    u, sv, vt = np.linalg.svd(s_real)
+    if not (np.all(np.isfinite(sv)) and sv[-1] > 0):
+        raise InternalFault(f"polar route: S has a non-positive or non-finite singular "
+                            f"value ({sv[-1]:.3e})")
+    log_real = (vt.T * (2.0 * np.log(sv))) @ vt
+
+    a = log_real[:n, :n]
+    b = log_real[n:, :n]
+    lam, vecs = np.linalg.eigh(a + 1j * b)
+
+    j_real = u @ vt
+    ja = j_real[:n, :n]
+    jb = j_real[:n, n:]
+    return ModularData(log_eigenvalues=lam, log_eigenvectors=vecs, conj_kernel=ja + 1j * jb,
+                       method="polar")
 
 
 def _reference_rep(g, a):
@@ -522,7 +553,8 @@ def test_property_polar_log_delta_is_the_closed_form(dims, spread_beta, sign, se
     """|β|·spread up to 25 puts Δ's eigenvalues across e^{±25}. The spread is taken over
     all blocks, so every density weight stays above e^{-25}/13. The SVD resolves each
     singular value of S to ε·‖S‖, so log Δ's error grows like ε·cond(S)² = ε·e^{|β|·spread};
-    600 random cases reached at most 0.41 of that."""
+    600 random cases reached at most 0.41 of that. J, the polar factor, moves by only about
+    ε·cond(S). The realified route is held to the same tolerance."""
     alg = BlockAlgebra(tuple(dims))
     flow = InnerFlow(alg, random_hermitian(alg, np.random.default_rng(seed)))
     beta = sign * spread_beta / max(np.ptp(np.concatenate(flow.eigenvalues)), 1e-3)
@@ -531,6 +563,10 @@ def test_property_polar_log_delta_is_the_closed_form(dims, spread_beta, sign, se
     tol = 1e-12 + np.finfo(float).eps * math.exp(spread_beta)
     assert np.max(np.abs(pol.log_delta - cf.log_delta)) <= tol
     assert np.max(np.abs(np.sort(pol.log_eigenvalues) - np.sort(cf.log_eigenvalues))) <= tol
+    assert np.max(np.abs(pol.conj_kernel - cf.conj_kernel)) <= tol
+    real = _realified_polar(g)
+    assert np.max(np.abs(pol.log_delta - real.log_delta)) <= tol
+    assert np.max(np.abs(pol.conj_kernel - real.conj_kernel)) <= tol
 
 
 def test_baseline_block_passes_kmslab_modular(tmp_path):
@@ -558,10 +594,10 @@ def test_flow_check_at_the_cap_peaks_at_o_n_squared():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    # the peak is the polar route forming J, in complex-sized N² entries: L, P and M_s
-    # (2.5), the realified S, U, Vᵀ and log Δ (2 each), V (1), and J realified and then
-    # complexified (2 each) make 15.5; the flow check itself holds a few N × N arrays
-    assert peak <= 16 * g.dim ** 2 * 16
+    # in complex-sized N² entries: the polar route holds L, M_s, U, Vh and J (1 each) and
+    # the real P (0.5), 5.5 at most; the flow check after it holds log Δ (1), the
+    # generator term and the off-commutant residual, a few N × N arrays
+    assert peak <= 8 * g.dim ** 2 * 16
 
 
 @pytest.mark.parametrize("dims", FLOW_SHAPES + [(3, 3), (4, 1, 1)])
@@ -616,6 +652,28 @@ def test_commutant_and_center_take_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     assert commutant_gap(g, md)[:2] == (g.dim, g.dim)
     assert center_dimension(g) == 2
+
+
+def test_polar_route_is_one_complex_svd_of_s_kernel(monkeypatch):
+    """No realified S and no eigh of log Δ: one SVD of the (N, N) complex kernel M_s."""
+    _, _, g = _gibbs_setup((2, 3), beta=1.1)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape, a.dtype))
+        return svd(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    md = modular_data(g)
+    assert calls == [((g.dim, g.dim), np.dtype(complex))]
+    assert md.method == "polar"
+    assert {f.name for f in dataclasses.fields(ModularData)} == {
+        "log_eigenvalues", "log_eigenvectors", "conj_kernel", "method"}
 
 
 def _baseline_block():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmslab import (
     BlockAlgebra,
@@ -144,6 +146,28 @@ def test_component_routes_agree():
             cf = pf.spectral_component(a, k, method="closed_form")
             qd = pf.spectral_component(a, k, method="quadrature")
             assert (cf - qd).norm() < 1e-8
+
+
+@given(spectra=st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+                        min_size=1, max_size=3),
+       k=st.integers(-7, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_component_routes_agree(spectra, k, seed):
+    """Integer gaps in a random eigenbasis; k ranges past the largest degree (6), so
+    unoccupied degrees, whose component is 0, are drawn along with occupied ones."""
+    rng = np.random.default_rng(seed)
+    alg = BlockAlgebra(tuple(len(w) for w in spectra))
+    blocks = []
+    for w in spectra:
+        z = rng.standard_normal((len(w), len(w))) + 1j * rng.standard_normal((len(w), len(w)))
+        u, _ = np.linalg.qr(z)
+        blocks.append((u * np.asarray(w, dtype=float)) @ u.conj().T)
+    pf = PeriodicFlow(InnerFlow(alg, alg.element(blocks)))
+    a = random_element(alg, rng)
+    cf = pf.spectral_component(a, k, method="closed_form")
+    qd = pf.spectral_component(a, k, method="quadrature")
+    assert (cf - qd).norm() < 1e-8
+    if k not in pf.occupied_degrees():
+        assert cf.norm() == 0.0
 
 
 # -- Fejér kernel and means ----------------------------------------------------
