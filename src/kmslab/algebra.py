@@ -16,6 +16,7 @@ import numpy as np
 #: default tolerance for every predicate in the package, overridable per call
 TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))      # math.exp overflows above it
 
 
 class InternalFault(RuntimeError):

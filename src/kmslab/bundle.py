@@ -28,8 +28,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .algebra import _LOG_FLOAT_MAX
 from .flow import InnerFlow
-from .kms import KmsSimplex, _boltzmann_stack, _simplex_at
+from .kms import KmsSimplex, _boltzmann, _simplex_at
 
 MAX_RANK = 12
 FLOAT_ZERO_TOL = 1e-11
@@ -454,23 +455,24 @@ class ScalingMeasure:
             raise ValueError("density t^α is not integrable at 0 for α ≤ -1")
         if abs(al + 1.0) < 1e-14:
             return math.log(c / a)
-        return (c ** (al + 1.0) - a ** (al + 1.0)) / (al + 1.0)
+        try:
+            mass = (c ** (al + 1.0) - a ** (al + 1.0)) / (al + 1.0)
+        except OverflowError:
+            mass = math.inf
+        if not math.isfinite(mass):
+            raise ValueError(f"sets: the t^α mass of [{a:g}, {c:g}] is beyond the float range")
+        return mass
 
     def _exact_mode(self) -> bool:
         return (self.lam_exact is not None and self.base_exact is not None
                 and self.x_exact is not None)
 
     def _atom_positions(self):
-        if self._exact_mode():
-            return {k: self.x_exact * self.lam_exact ** (-k)
-                    for k in range(-self.window, self.window + 1)}
-        return {k: self.x * self.lam ** (-k)
-                for k in range(-self.window, self.window + 1)}
+        x, lam = (self.x_exact, self.lam_exact) if self._exact_mode() else (self.x, self.lam)
+        return {k: x * lam ** (-k) for k in range(-self.window, self.window + 1)}
 
     def _weight(self, k: int):
-        if self._exact_mode():
-            return self.base_exact ** k
-        return math.exp(k * self.beta)
+        return self.base_exact ** k if self._exact_mode() else math.exp(k * self.beta)
 
     def _coverage(self) -> tuple[float, float]:
         lo = self.x * self.lam ** (-self.window)
@@ -517,6 +519,8 @@ def scaling_measure(lam: float, beta: float, kind: str = "density", x: float = 1
         if beta > 0:
             raise ValueError("no density on (0, ∞) satisfies the scaling relation "
                              "at β > 0; the only candidates concentrate at 0")
+        if -beta > _LOG_FLOAT_MAX:
+            raise ValueError(f"beta = {beta:g}: the scaling factor e^-β is beyond the float range")
         return ScalingMeasure(kind="density", lam=lam, beta=beta)
     if kind == "atomic":
         if x <= 0:
@@ -525,9 +529,15 @@ def scaling_measure(lam: float, beta: float, kind: str = "density", x: float = 1
             raise ValueError("window must be ≥ 0")
         if beta == 0.0:
             return ScalingMeasure(kind="dirac0", lam=lam, beta=0.0)
-        le = _as_fraction(lam_exact) if lam_exact is not None else None
-        be = _as_fraction(base_exact) if base_exact is not None else None
-        xe = _as_fraction(x_exact) if x_exact is not None else None
+        log_lam = math.log(lam)
+        if max(window * log_lam, math.log(x) + (window + 0.5) * log_lam) >= _LOG_FLOAT_MAX:
+            raise ValueError(f"window {window} at lam = {lam:g}: the atoms x·λ^k and their "
+                             "coverage are beyond the float range")
+        if max(window, 1) * abs(beta) > _LOG_FLOAT_MAX:
+            raise ValueError(f"beta = {beta:g} over window {window}: the atom weights e^(kβ) "
+                             "are beyond the float range")
+        le, be, xe = (None if v is None else _as_fraction(v)
+                      for v in (lam_exact, base_exact, x_exact))
         if le is not None and abs(float(le) - lam) > 1e-12 * lam:
             raise ValueError("lam_exact disagrees with lam")
         if be is not None and abs(float(be) - math.exp(beta)) > 1e-12 * math.exp(beta):
@@ -592,7 +602,7 @@ def kms_bundle_fd(flow: InnerFlow, beta_grid) -> tuple[list[KmsSimplex], BundleC
         raise ValueError("need at least two grid points")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("grid must be strictly increasing")
-    mats, traces = _boltzmann_stack(flow, betas)
+    mats, traces = _boltzmann(flow, betas)
     verts = [m / t[:, None, None] for m, t in zip(mats, traces.T)]
     simplices = [_simplex_at(flow, b, [v[s] for v in verts]) for s, b in enumerate(betas)]
     bound = 2.0 * flow.generator.norm()

@@ -3,9 +3,10 @@
 Exit codes: 0 — success or a passing verdict; 1 — a verification that ran
 to completion and failed; 2 — malformed input (JSON syntax, schema
 violation, or a mathematical precondition), with a diagnostic naming the
-offending file and field; 3 — an internal fault (``InternalFault``,
-``LinAlgError``, ``QuadratureError``, a failed assertion or exhausted
-memory), reported as ``error: internal fault: …``, never posing as 1 or 2.
+offending file and field; 3 — an internal fault: a ``LinAlgError`` or any
+exception that is neither a ``ValueError`` nor an ``OSError`` (``InternalFault``,
+``OverflowError``, a failed assertion, …), reported as ``error: internal
+fault: …``, never posing as 1 or 2.
 All numeric JSON output uses Python's shortest round-trip float formatting,
 so values survive a parse/serialize cycle bit-for-bit. Outputs are
 byte-deterministic for fixed inputs and seed; a ``--beta-range`` sweep runs
@@ -34,8 +35,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .algebra import BlockAlgebra, Functional, InternalFault
-from .flow import InnerFlow, QuadratureError
+from .algebra import BlockAlgebra, Functional
+from .flow import InnerFlow
 from .kms import gibbs, kms_simplex, simplex_sweep, verify_kms
 from .modular import (DEFAULT_T_SAMPLES, _flow_residual, gns, modular_data,
                       center_dimension, commutant_gap)
@@ -550,8 +551,11 @@ def _cmd_matroid(args) -> int:
              for s in doc.get("sites", [])]
     spec = MatroidSpec(kind=doc["kind"], sites=sites,
                        declared_tail=doc.get("declared_tail"))
-    verdict = matroid_bounded(spec, _finite_beta(args.beta, "--beta"),
-                             prefix_terms=args.terms)
+    beta = _finite_beta(args.beta, "--beta")
+    verdict = matroid_bounded(spec, beta, prefix_terms=args.terms)
+    if not math.isfinite(verdict.log_partial_product):
+        raise CliInputError(f"the log partial product over {verdict.terms} terms at β = {beta!r} "
+                            "is beyond the float range; lower --terms or --beta")
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "matroid",
         "verdict": verdict.kind, "reason": verdict.reason,
@@ -841,15 +845,12 @@ def main(argv=None) -> int:
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    # LinAlgError is a ValueError, so the faults are caught first
-    except (InternalFault, np.linalg.LinAlgError, QuadratureError, AssertionError,
-            MemoryError) as e:
+    except Exception as e:        # bad input is a ValueError or OSError, but no LinAlgError
+        if isinstance(e, (ValueError, OSError)) and not isinstance(e, np.linalg.LinAlgError):
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         print(f"error: internal fault: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as e:             # CliInputError is a ValueError
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

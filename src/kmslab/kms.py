@@ -7,10 +7,10 @@ against the exchange identity ω(ab) = ω(b σ_{iβ}(a)) in closed form, the
 state space is the simplex over the central coefficients, and corners /
 domination / lattice operations reduce to coefficient arithmetic.
 
-Internally all Boltzmann factors are taken relative to a spectral shift
-(h ↦ h − c with c the extreme eigenvalue), which never changes any state
-but keeps e^{-βh} from overflowing; coefficient vectors are only ever
-compared against other vectors produced under the same convention.
+Every Boltzmann factor comes from one route, ``_boltzmann``, at one β or along a
+vector of them: e^{-β(h − c)} with c the extreme eigenvalue of all blocks, a shift
+that never changes a state but keeps the factors from overflowing. Coefficient
+vectors are only compared with vectors made under the same shift.
 """
 
 from __future__ import annotations
@@ -31,23 +31,6 @@ EXP_CAP = 700.0
 _HALF_SHIFT_CHUNK_ENTRIES = 2 ** 15
 
 
-def _shifted_boltzmann(eigenvalues, eigenvectors,
-                       betas) -> tuple[list[np.ndarray], np.ndarray]:
-    """Boltzmann stacks over a vector of S inverse temperatures: per block the
-    (S, n, n) stack e^{-β_s(h_i - c_s)}, one stacked GEMM, and the (S, B) traces.
-    c_s is the lowest eigenvalue of all blocks for β_s ≥ 0 and the highest
-    otherwise; each slice equals the n × n product (u·e_s)u* bit for bit."""
-    betas = np.asarray(betas, dtype=float)
-    lams = np.concatenate(eigenvalues)
-    shift = np.where(betas >= 0, lams.min(), lams.max())[:, None]
-    mats, traces = [], np.empty((len(betas), len(eigenvalues)))
-    for i, (w, u) in enumerate(zip(eigenvalues, eigenvectors)):
-        e = np.exp(-betas[:, None] * (w - shift))
-        mats.append((u * e[:, None, :]) @ u.conj().T)
-        traces[:, i] = e.sum(axis=1)
-    return mats, traces
-
-
 def _check_exp_cap(beta: float, spread: float) -> None:
     """Refuse a β that is not finite or whose Boltzmann weights over a spectrum
     of this spread are not representable."""
@@ -58,29 +41,26 @@ def _check_exp_cap(beta: float, spread: float) -> None:
                          "Boltzmann weights are not representable")
 
 
-def _whole_spread(flow: InnerFlow) -> float:
-    """max λ − min λ over all blocks, the spread the shifted weights span."""
-    lams = np.concatenate(flow.eigenvalues)
-    return lams.max() - lams.min()
-
-
-def _boltzmann_stack(flow: InnerFlow, betas) -> tuple[list[np.ndarray], np.ndarray]:
-    """Shifted Boltzmann stacks of the flow's generator over β, and their traces,
-    after :func:`_check_exp_cap` has refused the first β, in order, that fails it."""
-    betas = np.asarray(betas, dtype=float)
-    spread = _whole_spread(flow)
-    finite = np.isfinite(betas)
-    bad = ~finite | (np.abs(np.where(finite, betas, 0.0)) * spread > EXP_CAP)
-    if bad.any():
-        _check_exp_cap(float(betas[bad.argmax()]), spread)
-    return _shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, betas)
-
-
-def _boltzmann(flow: InnerFlow, beta: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Shifted Boltzmann blocks of the flow's generator at one β, and their traces."""
-    _check_exp_cap(beta, _whole_spread(flow))
-    mats, traces = _shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, [beta])
-    return [m[0] for m in mats], traces[0]
+def _boltzmann(flow: InnerFlow, beta) -> tuple[list[np.ndarray], np.ndarray]:
+    """The shifted Boltzmann blocks e^{-β(h_i - c)} and their traces: n × n blocks and
+    B traces for a float β, (S, n, n) stacks and (S, B) traces for S values, slice s
+    equal bit for bit to the call at β_s. c is the lowest eigenvalue of all blocks
+    for β ≥ 0 and the highest otherwise; the first β, in order, that is not finite
+    or passes ``EXP_CAP`` over their spread is refused by :func:`_check_exp_cap`."""
+    betas = np.asarray(beta, dtype=float)
+    low, high = min(w[0] for w in flow.eigenvalues), max(w[-1] for w in flow.eigenvalues)
+    spread = float(high - low)                          # each block's w ascends
+    # false for a NaN or an ∞ among the β too (∞·0 is NaN)
+    if betas.size and not float(np.abs(betas).max()) * spread <= EXP_CAP:
+        _check_exp_cap(next(b for b in betas.ravel().tolist() if not abs(b) * spread <= EXP_CAP),
+                       spread)
+    shift = np.where(betas >= 0, low, high)[..., None]
+    mats, traces = [], np.empty(betas.shape + (len(flow.eigenvalues),))
+    for i, (w, u) in enumerate(zip(flow.eigenvalues, flow.eigenvectors)):
+        e = np.exp(-betas[..., None] * (w - shift))
+        mats.append((u * e[..., None, :]) @ u.conj().T)
+        traces[..., i] = e.sum(axis=-1)
+    return mats, traces
 
 
 @dataclass
@@ -262,8 +242,15 @@ def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | No
     return gam
 
 
-def _from_coefficients(flow: InnerFlow, beta: float, gam: np.ndarray) -> Functional:
-    mats, _ = _boltzmann(flow, beta)
+def _from_coefficients(flow: InnerFlow, beta: float, gam: np.ndarray,
+                       normalize: bool = False) -> Functional:
+    """Σ_i γ_i e^{-β(h_i - c)}, γ first scaled to mass one if ``normalize``."""
+    mats, traces = _boltzmann(flow, beta)
+    if normalize:
+        mass = float(np.dot(gam, traces))
+        if mass <= 0:
+            raise ValueError("trace vanishes identically")
+        gam = gam / mass
     return Functional(flow.algebra, AlgElement(flow.algebra, [g * m for g, m in zip(gam, mats)]),
                       check=False)
 
@@ -327,7 +314,7 @@ def simplex_sweep(flow: InnerFlow, betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=float)
     per_chunk = max(1, _HALF_SHIFT_CHUNK_ENTRIES // flow.algebra.coord_dim)
     for start in range(0, len(betas), per_chunk):
-        mats, traces = _boltzmann_stack(flow, betas[start:start + per_chunk])
+        mats, traces = _boltzmann(flow, betas[start:start + per_chunk])
         # the trace of each normalized block m/t, from its diagonal alone
         mass = np.stack([(np.diagonal(m, axis1=1, axis2=2) / t[:, None]).sum(axis=1).real
                          for m, t in zip(mats, traces.T)], axis=1)
@@ -363,11 +350,7 @@ def from_trace(tau: Functional, flow: InnerFlow, beta: float) -> KmsState:
     t = np.array([float(np.real(np.trace(d))) / n for d, n in zip(tau.density.blocks, dims)])
     if np.any(t < -1e-12):
         raise ValueError("trace has a negative block weight")
-    _, traces = _boltzmann(flow, beta)
-    denom = float(np.dot(t, traces))
-    if denom <= 0:
-        raise ValueError("trace vanishes identically")
-    return KmsState(_from_coefficients(flow, beta, t / denom), float(beta), flow)
+    return KmsState(_from_coefficients(flow, beta, t, normalize=True), float(beta), flow)
 
 
 # -- corners -------------------------------------------------------------------
@@ -447,12 +430,9 @@ def extend_from_corner(phi: Functional | KmsState, flow: InnerFlow, beta: float,
         raise ValueError(f"corner functional has dims {phi.algebra.block_dims}, "
                          f"expected {alg_c.block_dims}")
     c_corner = coefficients_of(phi, flow_c, beta)   # raises if φ is not equilibrium
-    _, traces = _boltzmann(flow, beta)
     gam = np.zeros(flow.algebra.num_blocks)
-    for idx, i in enumerate(parents):
-        gam[i] = c_corner[idx]
-    denom = float(np.dot(gam, traces))
-    return KmsState(_from_coefficients(flow, beta, gam / denom), float(beta), flow)
+    gam[list(parents)] = c_corner
+    return KmsState(_from_coefficients(flow, beta, gam, normalize=True), float(beta), flow)
 
 
 def support_compression(psi: KmsState, tol: float = 1e-12) -> tuple[KmsState, tuple[int, ...]]:

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _EPS, AlgElement, BlockAlgebra, Functional
+from .algebra import _EPS, _LOG_FLOAT_MAX, AlgElement, BlockAlgebra, Functional, Projection
 from .flow import InnerFlow
-from .kms import KmsState, _check_exp_cap, _shifted_boltzmann, gibbs
+from .kms import KmsState, _boltzmann, _check_exp_cap, gibbs
 from .periodic import DENOMINATOR_CAP, RELATION_TOL, distinct_gaps, gap_unit, relation_fit
 
 MAX_PRODUCT_DIM = 4096
@@ -303,23 +303,29 @@ class MatroidVerdict:
 
 
 def _site_ratio_term(h: np.ndarray, p: np.ndarray, beta: float) -> float:
-    """a_j = Tr(e^{-βh})/Tr(e^{-βh}p) − 1 for one explicit site."""
-    w, u = np.linalg.eigh(np.asarray(h, dtype=complex))
-    (stack,), _ = _shifted_boltzmann([w], [u], [beta])
-    boltz = stack[0]
+    """a_j = Tr(e^{-βh})/Tr(e^{-βh}p) − 1 for one site, h checked as a flow, p as a projection."""
+    site = BlockAlgebra((len(h),))
+    proj = Projection(AlgElement(site, [p])).element.blocks[0]
+    (boltz,), _ = _boltzmann(InnerFlow(site, AlgElement(site, [h])), beta)
     num = float(np.real(np.trace(boltz)))
-    den = float(np.real(np.trace(boltz @ np.asarray(p, dtype=complex))))
+    den = float(np.real(np.trace(boltz @ proj)))
     if den <= 0:
         raise ValueError("site projection has vanishing Boltzmann weight")
     return num / den - 1.0
 
 
 def _seven_adic_level_log_sum(beta: float, levels: int) -> float:
-    # level l contributes 6·7^(l-1) sites with a = 1/(1+e^{β(l-1)})
+    """Σ_l 6·7^(l-1)·log(1 + a_l), a_l = 1/(1+e^{β(l-1)}) on each of level l's 6·7^(l-1)
+    sites, or inf; a level whose 6·7^(l-1) or e^{β(l-1)} is no float is summed from its log."""
     total = 0.0
-    for level in range(1, levels + 1):
-        a = 1.0 / (1.0 + math.exp(beta * (level - 1)))
-        total += 6.0 * 7.0 ** (level - 1) * math.log1p(a)
+    for k in range(levels):
+        if k < 364 and beta * k < _LOG_FLOAT_MAX:         # 6·7^k and e^{βk} are floats
+            total += 6.0 * 7.0 ** k * math.log1p(1.0 / (1.0 + math.exp(beta * k)))
+            continue
+        log_a = -float(np.logaddexp(0.0, beta * k))      # log log1p(a) is log a below e^-37
+        log_term = (math.log(6.0) + k * math.log(7.0)
+                    + (log_a if log_a < -37.0 else math.log(math.log1p(math.exp(log_a)))))
+        total += math.exp(log_term) if log_term < _LOG_FLOAT_MAX else math.inf
     return total
 
 
@@ -328,8 +334,8 @@ def _factorial_log_sum(beta: float, terms: int) -> float:
     for j in range(2, terms + 2):
         log_fact = math.lgamma(j + 1)
         log_a = beta * log_fact - (log_fact + math.log1p(-math.exp(-log_fact)))
-        total += np.logaddexp(0.0, log_a)        # log(1 + a_j), overflow-safe
-    return float(total)
+        total += float(np.logaddexp(0.0, log_a))        # log(1 + a_j), overflow-safe
+    return total
 
 
 def matroid_bounded(spec: MatroidSpec, beta: float, prefix_terms: int = 24) -> MatroidVerdict:
@@ -342,7 +348,7 @@ def matroid_bounded(spec: MatroidSpec, beta: float, prefix_terms: int = 24) -> M
     """
     beta = float(beta)
     if spec.kind == "seven_adic":
-        ratio = 7.0 * math.exp(-beta)
+        ratio = 7.0 * math.exp(min(-beta, _LOG_FLOAT_MAX))     # inf past the float range
         log_partial = _seven_adic_level_log_sum(beta, prefix_terms)
         if ratio < 1.0 - 1e-12:
             return MatroidVerdict("bounded", log_partial, prefix_terms,

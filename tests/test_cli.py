@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from kmslab import cli, cocycle, kms
 from kmslab.algebra import InternalFault
 from kmslab.cli import main
+from kmslab.flow import QuadratureError
 from kmslab.kms import kms_simplex
 
 TWO_LEVEL = {"block_dims": [2], "generator": [[[0.0, 0.0], [0.0, 1.0]]], "beta": 1.0}
@@ -309,14 +310,14 @@ def test_sweep_refuses_past_the_cap_like_the_thread_pool_route(monkeypatch, caps
 
 def test_sweep_mass_test_fires_like_the_thread_pool_route(monkeypatch, capsys, tmp_path):
     prob = _hermitian_problem(tmp_path / "p.json", (2, 3), 7)
-    real = kms._shifted_boltzmann
+    real = kms._boltzmann
 
-    def leaky(eigenvalues, eigenvectors, betas):
-        mats, traces = real(eigenvalues, eigenvectors, betas)
-        mats[1][np.asarray(betas) == 0.5] *= 1.25
+    def leaky(flow, beta):
+        mats, traces = real(flow, beta)
+        mats[1][np.asarray(beta) == 0.5] *= 1.25
         return mats, traces
 
-    monkeypatch.setattr(kms, "_shifted_boltzmann", leaky)
+    monkeypatch.setattr(kms, "_boltzmann", leaky)
     new, ref = _sweep_both_routes(monkeypatch, capsys, tmp_path, prob, "0:1:4")
     assert new == ref
     code, streams, _ = new
@@ -420,6 +421,65 @@ def test_matroid_verdicts(tmp_path):
         assert json.loads(out.read_text())["verdict"] == verdict
 
 
+@pytest.mark.parametrize("generator,projection,message", [
+    ([[0, 5], [0, 1]], [[1, 0], [0, 0]], "generator must be self-adjoint"),
+    ([[0, 0], [0, 1]], [[3, 0], [0, -1]], "p² ≠ p"),
+    ([[0, 0], [0, 10]], [[1, 0], [0, 0]], "|β|·spread = 710 exceeds 700"),
+])
+def test_matroid_explicit_site_is_checked_like_a_flow(tmp_path, capsys, generator, projection,
+                                                      message):
+    """An explicit site's generator, projection and Boltzmann weights get the checks of
+    any flow, corner and Gibbs state. Each used to give a verdict (exit 0): eigh read
+    only the lower triangle and p was never checked."""
+    fam = _write(tmp_path / "fam.json", {"kind": "explicit", "sites": [
+        {"generator": generator, "projection": projection}]})
+    out = tmp_path / "m.json"
+    assert main(["matroid", "--family", fam, "--beta", "71", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _mp_level_sum(kind, beta, terms):
+    """log Π(1 + a_j) of a named family, summed in 40-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        if kind == "seven_adic":
+            return float(mpmath.fsum(6 * mpmath.mpf(7) ** k * mpmath.log1p(1 / (1 + mpmath.exp(b * k)))
+                                     for k in range(terms)))
+        return float(mpmath.fsum(mpmath.log1p(mpmath.factorial(j) ** (b - 1) / (1 - 1 / mpmath.factorial(j)))
+                                 for j in range(2, terms + 2)))
+
+
+@pytest.mark.parametrize("kind,beta,terms", [("seven_adic", "3", 400), ("seven_adic", "0.5", 400),
+                                             ("seven_adic", "1e300", 24), ("factorial", "-1e307", 24),
+                                             ("factorial", "0.5", 24)])
+def test_matroid_level_sums_past_the_float_range_of_a_term(tmp_path, kind, beta, terms):
+    """7^(l-1) and e^{β(l-1)} leave the float range here; the sums did not (the first
+    three used to exit 1 with an OverflowError)."""
+    fam = _write(tmp_path / "fam.json", {"kind": kind})
+    out = tmp_path / "m.json"
+    assert main(["matroid", "--family", fam, f"--beta={beta}", f"--terms={terms}",
+                 "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["log_partial_product"]
+    want = _mp_level_sum(kind, beta, terms)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("kind,beta,terms", [("seven_adic", "0.5", 600), ("seven_adic", "-1e300", 400),
+                                             ("factorial", "1e307", 24)])
+def test_matroid_refuses_a_sum_past_the_float_range(tmp_path, capsys, kind, beta, terms):
+    """They used to exit 1 with an OverflowError or write "Infinity" with exit 0."""
+    fam = _write(tmp_path / "fam.json", {"kind": kind})
+    out = tmp_path / "m.json"
+    assert main(["matroid", "--family", fam, f"--beta={beta}", f"--terms={terms}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "beyond the float range; lower --terms or --beta" in err and f"{terms} terms" in err
+    assert not out.exists()
+
+
 def test_window_command(tmp_path):
     fam = _write(tmp_path / "w.json", {"kind": "power_log", "r": 2.0})
     out = tmp_path / "win.json"
@@ -489,6 +549,23 @@ def test_measure_check(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["max_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"lam": 1e10, "beta": 1, "kind": "atomic", "window": 40}, "window 40"),
+    ({"lam": 2, "beta": 800, "kind": "atomic", "window": 8}, "beta = 800"),
+    ({"lam": 2, "beta": -800, "kind": "density"}, "beta = -800"),
+    ({"lam": 2, "beta": -5, "kind": "density", "sets": [[1e-300, 1e300]]}, "sets: "),
+])
+def test_measure_refuses_values_past_the_float_range(tmp_path, capsys, doc, field):
+    """λ^window, e^{kβ}, e^{-β} and c^{α+1} past the float range: each used to exit 1
+    with an OverflowError."""
+    meas = _write(tmp_path / "mu.json", doc)
+    out = tmp_path / "m.json"
+    assert main(["measure", "--measure", meas, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "beyond the float range" in err
+    assert not out.exists()
 
 
 def _grid_doc(step, half, values):
@@ -1186,7 +1263,7 @@ FAULTS = {
     "LinAlgError": (lambda mp: mp.setattr(cli, "gibbs", _raise(np.linalg.LinAlgError("singular"))),
                     lambda p, tmp: ["gibbs", "--problem", p, "--out", str(tmp / "o.json")]),
     "QuadratureError": (lambda mp: mp.setattr(cli.PeriodicFlow, "fejer_mean",
-                                              _raise(cli.QuadratureError("no convergence"))),
+                                              _raise(QuadratureError("no convergence"))),
                         lambda p, tmp: ["fejer", "--problem", p, "--element",
                                         _write(tmp / "e.json", {"blocks": [[[0.0, 1.0], [0.0, 0.0]]]}),
                                         "--order", "3", "--out", str(tmp / "o.json")]),
@@ -1195,6 +1272,16 @@ FAULTS = {
     "MemoryError": (lambda mp: mp.setattr(cli, "trivialize", _raise(MemoryError())),
                     lambda p, tmp: ["cocycle", "trivialize", "--in", _grid_file(tmp)]),
 }
+
+
+@pytest.mark.parametrize("exc", [OverflowError("math range error"), ZeroDivisionError("x"),
+                                 TypeError("x"), KeyError("x")])
+def test_any_other_exception_is_an_internal_fault(two_level, tmp_path, monkeypatch, capsys, exc):
+    """Neither a ValueError nor an OSError: exit 3 and one line, not a traceback
+    (exit 1, posing as a check that ran and failed)."""
+    monkeypatch.setattr(cli, "gibbs", _raise(exc))
+    assert main(["gibbs", "--problem", two_level, "--out", str(tmp_path / "o.json")]) == 3
+    assert capsys.readouterr().err == f"error: internal fault: {type(exc).__name__}: {exc}\n"
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))

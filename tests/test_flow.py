@@ -221,6 +221,24 @@ def test_property_quadrature_matches_reference_loop(dims, scale, n, z, nodes, se
     _assert_quadrature_matches(flow, random_element(flow.algebra, rng), n, z, nodes)
 
 
+@given(dims=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       scale=st.floats(0.1, 3.0), n=st.floats(0.25, 16.0),
+       re=st.floats(-3.0, 3.0), im=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_quadrature_matches_the_closed_form(dims, scale, n, re, im, seed):
+    """Both smoothing routes agree to the rule's tolerance where the rule converges:
+    every gap satisfies |λ_j − λ_k|/√n ≤ 8 (n is raised to that where a draw has
+    not), and |Im z| ≤ 1. There the Gauss–Hermite rule integrates e^{iωx} for
+    |ω| ≤ 8 to about 1e-12 at 128 nodes, below the 256-node cap, and the terms summed
+    exceed the result by at most e^{|Im z|·gap}."""
+    rng = np.random.default_rng(seed)
+    flow = _flow(tuple(dims), scale=scale, rng=rng)
+    n = max(n, (flow.spectral_spread / 8.0) ** 2)
+    a, z = random_element(flow.algebra, rng), complex(re, im)
+    cf = flow.smooth_shifted(a, n, z, method="closed_form")
+    qd = flow.smooth_shifted(a, n, z, method="quadrature")
+    assert (cf - qd).fro_norm() <= 1e-8 * cf.fro_norm()
+
+
 def test_quadrature_computes_each_gauss_hermite_rule_once(monkeypatch):
     calls = []
     hermgauss = np.polynomial.hermite.hermgauss

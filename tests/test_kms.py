@@ -471,7 +471,7 @@ def test_lattice_operations():
 # -- Boltzmann stacks over a β vector ------------------------------------------
 
 def _reference_shifted_boltzmann(eigenvalues, eigenvectors, beta: float):
-    """The one-β route the stacks replaced, verbatim: one GEMM per block."""
+    """The one-β route with no stacking: one 2-D GEMM per block."""
     lams = np.concatenate(eigenvalues)
     shift = lams.min() if beta >= 0 else lams.max()
     mats, traces = [], []
@@ -488,14 +488,16 @@ def test_boltzmann_stack_equals_the_one_beta_route(dims, steps):
     rng = np.random.default_rng(sum(dims) + steps)
     flow = _random_flow(dims, scale=2.0, rng=rng)
     betas = np.concatenate([[0.0, -0.0, 1.0, -1.0], rng.uniform(-4.0, 4.0, steps - 4)])
-    mats, traces = kms._shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, betas)
+    mats, traces = kms._boltzmann(flow, betas)
     assert [m.shape for m in mats] == [(steps, n, n) for n in dims]
     assert traces.shape == (steps, len(dims))
     for s, beta in enumerate(betas):
+        one, one_traces = kms._boltzmann(flow, float(beta))
         want, want_traces = _reference_shifted_boltzmann(flow.eigenvalues, flow.eigenvectors,
                                                          float(beta))
-        assert all(np.array_equal(m[s], w) for m, w in zip(mats, want))
-        assert np.array_equal(traces[s], want_traces)
+        assert all(np.array_equal(m[s], o) and np.array_equal(o, w)
+                   for m, o, w in zip(mats, one, want))
+        assert np.array_equal(traces[s], one_traces) and np.array_equal(one_traces, want_traces)
 
 
 @pytest.mark.parametrize("dims", [(1,), (3,), (2, 1, 4), (8, 8)])
@@ -538,16 +540,16 @@ def test_simplex_sweep_mass_test_fires_on_the_first_bad_vertex(monkeypatch, entr
     """Stacks patched so that block 1 at β = 0.5 and block 0 at β = 1.5 lose mass:
     the sweep raises KmsState's message for the first of them in sweep order."""
     flow = _random_flow((2, 3), rng=np.random.default_rng(5))
-    real = kms._shifted_boltzmann
+    real = kms._boltzmann
 
-    def leaky(eigenvalues, eigenvectors, betas):
-        mats, traces = real(eigenvalues, eigenvectors, betas)
-        betas = np.asarray(betas, dtype=float)
+    def leaky(flow, beta):
+        mats, traces = real(flow, beta)
+        betas = np.asarray(beta, dtype=float)
         mats[1][betas == 0.5] *= 1.25
         mats[0][betas == 1.5] *= 0.5
         return mats, traces
 
-    monkeypatch.setattr(kms, "_shifted_boltzmann", leaky)
+    monkeypatch.setattr(kms, "_boltzmann", leaky)
     monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
     with pytest.raises(ValueError, match=r"not normalized \(mass 1\.25\)"):
         simplex_sweep(flow, [0.0, 0.25, 0.5, 1.0, 1.5])
