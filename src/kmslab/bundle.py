@@ -262,6 +262,8 @@ def _fiber_rows(spec: DimensionGroupSpec, s, lane: _Lane) -> list[np.ndarray]:
 
 def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
     """The polytope of normalized positive left eigenvectors at e^{-β}."""
+    if -float(beta) > _LOG_FLOAT_MAX:
+        raise ValueError(f"beta = {float(beta):g}: the eigenvalue e^-β is beyond the float range")
     s_float = math.exp(-float(beta))
     s_exact = _rational_eigenvalue(spec, s_float)
     lane, s = (_FLOAT, s_float) if s_exact is None else (_EXACT, s_exact)
@@ -538,10 +540,13 @@ def scaling_measure(lam: float, beta: float, kind: str = "density", x: float = 1
                              "are beyond the float range")
         le, be, xe = (None if v is None else _as_fraction(v)
                       for v in (lam_exact, base_exact, x_exact))
-        if le is not None and abs(float(le) - lam) > 1e-12 * lam:
-            raise ValueError("lam_exact disagrees with lam")
-        if be is not None and abs(float(be) - math.exp(beta)) > 1e-12 * math.exp(beta):
-            raise ValueError("base_exact disagrees with e^β")
+        # compared in logs to a relative 1e-12, so no exact value is turned into a float
+        for name, exact, log_value, what in (("lam_exact", le, log_lam, "lam"),
+                                             ("base_exact", be, beta, "e^β"),
+                                             ("x_exact", xe, math.log(x), "x")):
+            if exact is not None and not (exact > 0 and abs(
+                    math.log(exact.numerator) - math.log(exact.denominator) - log_value) <= 1e-12):
+                raise ValueError(f"{name} disagrees with {what}")
         return ScalingMeasure(kind="atomic", lam=lam, beta=beta, x=float(x),
                               window=int(window), lam_exact=le, base_exact=be, x_exact=xe)
     raise ValueError(f"unknown kind {kind!r}")

@@ -552,7 +552,10 @@ def _cmd_matroid(args) -> int:
     spec = MatroidSpec(kind=doc["kind"], sites=sites,
                        declared_tail=doc.get("declared_tail"))
     beta = _finite_beta(args.beta, "--beta")
-    verdict = matroid_bounded(spec, beta, prefix_terms=args.terms)
+    try:
+        verdict = matroid_bounded(spec, beta, prefix_terms=args.terms)
+    except ValueError as e:     # an explicit site's refusal; a LinAlgError stays a fault
+        raise type(e)(f"{args.family}: {e}") from e
     if not math.isfinite(verdict.log_partial_product):
         raise CliInputError(f"the log partial product over {verdict.terms} terms at β = {beta!r} "
                             "is beyond the float range; lower --terms or --beta")

@@ -6,17 +6,17 @@ are those integers; the component of degree k is the entrywise mask onto
 gap = k·2π/p, with an independent quadrature route through the flow
 itself (a rectangle rule, exact for trigonometric polynomials).
 
-Commensurability of the gaps is decided by integer-relation fitting: a
-ratio r counts as rational only when some p/q with q ≤ 10⁶ satisfies
-|q·r − p| ≤ tol. Plain closest-fraction rounding would declare √2
-rational at double precision; the relation residual q·r − p is what
-separates noise (≲ q·ε) from a genuinely irrational ratio (≳ 1/q).
+Commensurability is one decision, :func:`gap_group`, which the product
+factors' difference group shares: do the distinct gaps generate κ·ℤ? A ratio
+r counts as rational when some p/q, q ≤ DENOMINATOR_CAP = 10⁶, has
+|q·r − p| ≤ RELATION_TOL = 1e-9. Closest-fraction rounding alone would call √2
+rational; the residual q·r − p separates noise (≲ q·ε) from irrationality
+(≳ 1/q). A gap d is m units when |d − m·unit| ≤ RELATION_TOL·max(1, |m|).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,82 +28,79 @@ DENOMINATOR_CAP = 10 ** 6
 RELATION_TOL = 1e-9
 
 
-def relation_fit(r: float, tol: float = RELATION_TOL) -> Fraction | None:
-    """Best fraction p/q, q ≤ DENOMINATOR_CAP, accepted only if |q·r − p| ≤ tol."""
+def relation_fit(r: float) -> Fraction | None:
+    """Best fraction p/q, q ≤ DENOMINATOR_CAP, accepted only if |q·r − p| ≤ RELATION_TOL."""
     fr = Fraction(r).limit_denominator(DENOMINATOR_CAP)
-    if abs(fr.denominator * r - fr.numerator) <= tol:
+    if abs(fr.denominator * r - fr.numerator) <= RELATION_TOL:
         return fr
     return None
 
 
-def gap_unit(gaps: list[float], tol: float = RELATION_TOL) -> float | None:
-    """Positive generator of the group generated by the gaps, or None.
+def _multiples(gaps, unit: float) -> np.ndarray | None:
+    """m = round(gaps/unit), or None if some |gap − m·unit| > RELATION_TOL·max(1, |m|)."""
+    gaps = np.asarray(gaps)
+    m = np.rint(gaps / unit)
+    if (np.abs(gaps - m * unit) > RELATION_TOL * np.maximum(1.0, np.abs(m))).any():
+        return None
+    return m
 
-    All gaps are measured against the smallest one; the generator is
-    g0 · gcd(numerators)/lcm(denominators) over the fitted ratios.
+
+def gap_group(gaps: list[float]) -> tuple[float | None, tuple[float, float] | None]:
+    """(κ, None) when the gaps generate κ·ℤ, κ = 0.0 for no gaps, or (None, witness).
+
+    κ is g0·gcd(numerators)/lcm(denominators) over the ratios to the smallest
+    gap g0. The witness is g0 and the first gap whose ratio does not fit, or
+    g0 and the last gap when every ratio fits but some gap is not a multiple of κ.
     """
     if not gaps:
-        return 0.0
+        return 0.0, None
     g0 = min(gaps)
     fracs = []
     for d in gaps:
-        fr = relation_fit(d / g0, tol)
+        fr = relation_fit(d / g0)
         if fr is None:
-            return None
+            return None, (g0, d)
         fracs.append(fr)
-    lcm = 1
-    for fr in fracs:
-        lcm = lcm * fr.denominator // math.gcd(lcm, fr.denominator)
-    nums = [fr.numerator * (lcm // fr.denominator) for fr in fracs]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, n)
-    unit = g0 * g / lcm
-    for d in gaps:  # safety net; the fit should already guarantee this
-        m = round(d / unit)
-        if abs(d - m * unit) > tol * max(1.0, abs(m)):
-            return None
-    return unit
+    lcm = math.lcm(*(fr.denominator for fr in fracs))
+    unit = g0 * math.gcd(*(fr.numerator * (lcm // fr.denominator) for fr in fracs)) / lcm
+    if _multiples(gaps, unit) is None:  # a ratio fits to RELATION_TOL/q, its gap to g0 times that
+        return None, (g0, gaps[-1])
+    return unit, None
 
 
-def distinct_gaps(spectra, tol: float = RELATION_TOL) -> list[float]:
-    """Sorted gaps between eigenvalues of each sorted spectrum, those within
-    tol of zero dropped and the rest deduplicated within tol."""
+def gap_unit(gaps: list[float]) -> float | None:
+    """Positive generator of the group generated by the gaps, or None."""
+    return gap_group(gaps)[0]
+
+
+def distinct_gaps(spectra) -> list[float]:
+    """Sorted gaps within each spectrum, those ≤ RELATION_TOL·max(1, max|w|) dropped
+    as zero and the rest deduplicated within RELATION_TOL·max(1, gap)."""
     gaps = []
     for w in spectra:
-        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-        for i in range(w.size):
-            for j in range(i + 1, w.size):
-                d = abs(float(w[j] - w[i]))
-                if d > tol * scale:
-                    gaps.append(d)
-    # dedupe within tolerance to keep the fitting set small
-    gaps.sort()
+        d = np.abs(w[:, None] - w).ravel()      # each pair twice; the set below keeps one
+        scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
+        gaps.extend(d[d > RELATION_TOL * scale].tolist())
     out: list[float] = []
-    for d in gaps:
-        if not out or d - out[-1] > tol * max(1.0, d):
+    for d in sorted(set(gaps)):
+        if not out or d - out[-1] > RELATION_TOL * max(1.0, d):
             out.append(d)
     return out
 
 
-def minimal_period(flow: InnerFlow, tol: float = RELATION_TOL) -> float | None:
+def minimal_period(flow: InnerFlow) -> float | None:
     """Smallest p > 0 with σ_{t+p} = σ_t; 0.0 for the trivial flow; None
     when the gaps are incommensurable (aperiodic flow)."""
-    gaps = distinct_gaps(flow.eigenvalues, tol)
-    if not gaps:
-        return 0.0
-    unit = gap_unit(gaps, tol)
-    if unit is None:
-        return None
-    return 2.0 * math.pi / unit
+    unit, _ = gap_group(distinct_gaps(flow.eigenvalues))
+    return 2.0 * math.pi / unit if unit else unit
 
 
 class PeriodicFlow:
     """An inner flow together with a period and the resulting degree tables."""
 
-    def __init__(self, flow: InnerFlow, period: float | None = None, tol: float = RELATION_TOL):
+    def __init__(self, flow: InnerFlow, period: float | None = None):
         if period is None:
-            period = minimal_period(flow, tol)
+            period = minimal_period(flow)
             if period is None:
                 raise ValueError("flow is aperiodic: eigenvalue gaps are incommensurable")
         period = float(period)
@@ -111,21 +108,17 @@ class PeriodicFlow:
             raise ValueError("period must be nonnegative")
         self.flow = flow
         self.period = period
-        self.degrees: list[np.ndarray] = []
         if period == 0.0:
+            if distinct_gaps(flow.eigenvalues):
+                raise ValueError("only a scalar flow has the designated period 0")
             self.base_frequency = 0.0
-            for w in flow.eigenvalues:
-                d = w[:, None] - w[None, :]
-                if np.max(np.abs(d)) > tol * max(1.0, float(np.max(np.abs(w)))):
-                    raise ValueError("only a scalar flow has the designated period 0")
-                self.degrees.append(np.zeros_like(d, dtype=int))
+            self.degrees = [np.zeros((w.size, w.size), dtype=int) for w in flow.eigenvalues]
             return
-        w0 = 2.0 * math.pi / period
-        self.base_frequency = w0
+        self.base_frequency = 2.0 * math.pi / period
+        self.degrees: list[np.ndarray] = []
         for w in flow.eigenvalues:
-            d = w[:, None] - w[None, :]
-            m = np.round(d / w0)
-            if np.max(np.abs(d - m * w0)) > tol * np.maximum(1.0, np.max(np.abs(m))):
+            m = _multiples(w[:, None] - w[None, :], self.base_frequency)
+            if m is None:
                 raise ValueError(f"generator gaps are not multiples of 2π/{period:g}; "
                                  "flow is not periodic with this period")
             self.degrees.append(m.astype(int))

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import _EPS, _LOG_FLOAT_MAX, AlgElement, BlockAlgebra, Functional, Projection
 from .flow import InnerFlow
 from .kms import KmsState, _boltzmann, _check_exp_cap, gibbs
-from .periodic import DENOMINATOR_CAP, RELATION_TOL, distinct_gaps, gap_unit, relation_fit
+from .periodic import distinct_gaps, gap_group
 
 MAX_PRODUCT_DIM = 4096
 #: bound on ‖U*U − 1‖₂ that a product's eigenvector matrix U must meet
@@ -194,16 +194,13 @@ class DifferenceGroupReport:
     kind: str                           # "trivial" | "cyclic" | "dense"
     kappa: float | None = None          # positive generator when cyclic
     witness: tuple[float, float] | None = None   # incommensurable gap pair
-    tolerance: float = RELATION_TOL
-    denominator_cap: int = DENOMINATOR_CAP
 
 
-def difference_group(h, tol: float = RELATION_TOL) -> DifferenceGroupReport:
+def difference_group(h) -> DifferenceGroupReport:
     """Classify the subgroup of ℝ generated by the eigenvalue differences.
 
     Accepts a Hermitian matrix or a 1-d array of eigenvalues. ``dense``
-    comes with a witness pair whose ratio admits no integer relation
-    within the denominator cap.
+    comes with :func:`periodic.gap_group`'s witness pair of gaps.
     """
     arr = np.asarray(h, dtype=complex)
     if arr.ndim == 2:
@@ -212,18 +209,9 @@ def difference_group(h, tol: float = RELATION_TOL) -> DifferenceGroupReport:
         w = np.sort(np.real(arr))
     else:
         raise ValueError("expected a matrix or a vector of eigenvalues")
-    dedup = distinct_gaps([w], tol)
-    if not dedup:
-        return DifferenceGroupReport(kind="trivial")
-    g0 = dedup[0]
-    for d in dedup[1:]:
-        if relation_fit(d / g0, tol) is None:
-            return DifferenceGroupReport(kind="dense", witness=(g0, d))
-    unit = gap_unit(dedup, tol)
-    if unit is None:
-        # ratios fit individually but no common unit under the cap
-        return DifferenceGroupReport(kind="dense", witness=(dedup[0], dedup[-1]))
-    return DifferenceGroupReport(kind="cyclic", kappa=unit)
+    kappa, witness = gap_group(distinct_gaps([w]))
+    kind = "dense" if kappa is None else "cyclic" if kappa else "trivial"
+    return DifferenceGroupReport(kind=kind, kappa=kappa or None, witness=witness)
 
 
 @dataclass
@@ -367,8 +355,11 @@ def matroid_bounded(spec: MatroidSpec, beta: float, prefix_terms: int = 24) -> M
                               "the terms do not tend to 0")
     # explicit prefix
     log_partial = 0.0
-    for h, p in spec.sites:
-        log_partial += math.log1p(_site_ratio_term(h, p, beta))
+    for j, (h, p) in enumerate(spec.sites):
+        try:
+            log_partial += math.log1p(_site_ratio_term(h, p, beta))
+        except ValueError as e:             # the same class, so a LinAlgError stays a fault
+            raise type(e)(f"sites[{j}]: {e}") from e
     if spec.declared_tail is not None:
         tail = matroid_bounded(MatroidSpec(kind=spec.declared_tail), beta, prefix_terms)
         return MatroidVerdict(tail.kind, log_partial + tail.log_partial_product,

@@ -124,6 +124,13 @@ def test_empty_fiber_off_spectrum():
     assert f.vertex_count == 0
 
 
+def test_fiber_simplex_refuses_a_beta_past_the_float_range():
+    """e^{-β} overflows below β ≈ −709.78; that used to escape as an OverflowError."""
+    with pytest.raises(ValueError, match=r"beta = -800: the eigenvalue e\^-β is beyond"):
+        fiber_simplex(_diag_spec([1, F(1, 2)]), -800.0)
+    assert fiber_simplex(_diag_spec([1, F(1, 2)]), -709.0).is_empty
+
+
 def test_float_lane_fiber_matches_support_rule():
     """Denominators above 10⁶ keep e^{-β} off the exact lane; the float sweep
     must still find every vertex e_i/u_i of the support rule."""

@@ -439,6 +439,22 @@ def test_matroid_explicit_site_is_checked_like_a_flow(tmp_path, capsys, generato
     assert not out.exists()
 
 
+@pytest.mark.parametrize("site,message", [
+    ({"generator": [[0, 5], [0, 1]], "projection": [[1, 0], [0, 0]]},
+     "sites[1]: generator must be self-adjoint"),
+    ({"generator": [[0, 0], [0, 1]], "projection": [[3, 0], [0, -1]]}, "sites[1]: p² ≠ p"),
+], ids=["generator", "projection"])
+def test_matroid_names_the_file_and_the_site(tmp_path, capsys, site, message):
+    """A refused explicit site is named with the file and its index, as the module
+    docstring promises; the bare check's message used to be all of it."""
+    good = {"generator": [[0, 0], [0, 1]], "projection": [[1, 0], [0, 0]]}
+    fam = _write(tmp_path / "fam.json", {"kind": "explicit", "sites": [good, site]})
+    out = tmp_path / "m.json"
+    assert main(["matroid", "--family", fam, "--beta", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {fam}: {message}")
+    assert not out.exists()
+
+
 def _mp_level_sum(kind, beta, terms):
     """log Π(1 + a_j) of a named family, summed in 40-digit arithmetic."""
     import mpmath
@@ -549,6 +565,25 @@ def test_measure_check(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["max_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"lam": 2, "beta": -1, "kind": "atomic", "window": 8, "lam_exact": "2",
+      "base_exact": "1" + "0" * 330, "x_exact": "1"}, "base_exact disagrees with e^β"),
+    ({"lam": 2, "beta": -1, "kind": "atomic", "window": 8, "lam_exact": "1" + "0" * 400},
+     "lam_exact disagrees with lam"),
+    ({"lam": 2, "beta": math.log(2.0), "kind": "atomic", "window": 8, "x": 1.0,
+      "lam_exact": "2", "base_exact": "2", "x_exact": "3"}, "x_exact disagrees with x"),
+], ids=["base_exact", "lam_exact", "x_exact"])
+def test_measure_refuses_an_exact_field_that_disagrees(tmp_path, capsys, doc, message):
+    """Each exact field is compared with its float in logs, so a huge one is refused
+    rather than overflowing (the first two exited 3), and x_exact is compared at all
+    (the third was accepted, with the exact atom at 3 and the float one at 1)."""
+    meas = _write(tmp_path / "mu.json", doc)
+    out = tmp_path / "m.json"
+    assert main(["measure", "--measure", meas, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc,field", [

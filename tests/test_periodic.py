@@ -13,6 +13,7 @@ from kmslab import (
     InnerFlow,
     PeriodicFlow,
     cuntz_trace,
+    difference_group,
     fejer_kernel,
     gap_unit,
     gauge_kms_beta,
@@ -23,6 +24,7 @@ from kmslab import (
     trace_scaling_beta,
 )
 from kmslab.algebra import Functional, _exchange_residual, random_state
+from kmslab.periodic import RELATION_TOL
 
 RNG = np.random.default_rng(271828)
 
@@ -69,6 +71,35 @@ def test_relation_fit_and_gap_unit():
     assert abs(gap_unit([1.0, 2.0, 3.0]) - 1.0) < 1e-12
     assert abs(gap_unit([1.5, 2.5]) - 0.5) < 1e-12
     assert gap_unit([1.0, math.sqrt(2.0)]) is None
+
+
+@given(kind=st.sampled_from(["lattice", "irrational", "constant"]),
+       unit=st.floats(0.01, 100.0), ks=st.lists(st.integers(-12, 12), min_size=2, max_size=6),
+       which=st.integers(0, 4), factor=st.sampled_from([math.sqrt(2.0), math.pi]))
+def test_property_one_gap_decision(kind, unit, ks, which, factor):
+    """A random unit times small integers, the same with one gap stretched by √2 or π,
+    and a constant spectrum: the difference group and the period come from one
+    decision, and PeriodicFlow builds on every period that decision finds."""
+    w = unit * np.sort(np.asarray(ks, dtype=float))
+    if kind == "irrational":
+        steps = np.diff(w)
+        steps[which % steps.size] *= factor
+        w = np.concatenate(([w[0]], w[0] + np.cumsum(steps)))
+    elif kind == "constant":
+        w = np.full(len(ks), unit)
+    h = np.diag(w).astype(complex)
+    alg = BlockAlgebra((len(ks),))
+    flow = InnerFlow(alg, alg.element([h]))
+    group, period = difference_group(h), minimal_period(flow)
+    assert (group.kind == "dense") == (period is None)
+    assert (group.kind == "trivial") == (period == 0.0)
+    if group.kind == "cyclic":
+        assert abs(group.kappa * period - 2.0 * math.pi) <= 1e-12 * 2.0 * math.pi
+    if period is not None:
+        pf = PeriodicFlow(flow)
+        d = flow.eigenvalues[0][:, None] - flow.eigenvalues[0][None, :]
+        m = pf.degrees[0]
+        assert np.all(np.abs(d - m * pf.base_frequency) <= RELATION_TOL * np.maximum(1, np.abs(m)))
 
 
 # -- degree decomposition ------------------------------------------------------
