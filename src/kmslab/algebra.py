@@ -293,28 +293,54 @@ def is_positive(a: AlgElement, tol: float = TOL) -> bool:
 
 def _exchange_residual(d: np.ndarray, fac=None, mask=None) -> tuple[float, tuple[int, ...]]:
     """max |δ_lm d_nk − fac_kl δ_nk d_lm| over unit pairs a = E_kl, b = E_mn with mask[k, l]
-    and mask[m, n] (fac ≡ 1, every pair by default), and the first (k, l, m, n) in C order
-    attaining it; a NaN value makes the maximum NaN. Only n = k (|δ_lm d_kk − fac_kl d_lm|)
-    and l = m, n ≠ k (|d_nk|) can be nonzero, so one n×n slice of each per k keeps memory
-    at O(n²)."""
+    and mask[m, n] (fac ≡ 1, every pair by default; a given fac is positive and finite), and
+    the first (k, l, m, n) in C order attaining it; a NaN value makes the maximum NaN.
+
+    Only three kinds of pair can be nonzero, and each kind is one n×n sheet in closed form:
+    (k, l, l, k) gives |d_kk − fac_kl d_ll|; (k, l, l, n), n ≠ k, gives |d_nk| wherever some l
+    links k to n through the mask; (k, l, m, k), l ≠ m, gives |fac_kl d_lm|, which is largest
+    at the largest fac_kl over the k the mask allows, since rounding is monotone. The first k
+    that attains the maximum is read off the sheets; only the tied (l, m) of the third kind
+    need a check across k. The pair within that k comes from the n×n slice of a = E_k·.
+    Memory stays O(n²), except that a mask together with a factor takes an n³ array."""
     n = d.shape[0]
     ok = np.ones((n, n), dtype=bool) if mask is None else mask
-    eye = np.eye(n, dtype=bool)
+    off = ~np.eye(n, dtype=bool)
+    if mask is None:
+        reach = ok
+    else:                                   # reach[a, b]: some k with ok[a, k] and ok[k, b]
+        okf = ok.astype(float)
+        reach = okf @ okf > 0.5
+    dg = d.diagonal()
+    if fac is None:
+        top = d
+    elif mask is None:
+        top = fac.max(axis=0)[:, None] * d
+    else:
+        top = np.where(ok.T[:, :, None] & ok.T, fac.T[:, :, None], 0.0).max(axis=1) * d
+    # the three kinds, indexed [k, l], [k, n] and [l, m]
+    sheets = np.where(np.array((ok & ok.T, reach & off, reach.T & off)),
+                      np.abs(np.array((dg[:, None] - (dg if fac is None else fac * dg), d.T, top))),
+                      0.0)
+    best = sheets.max()                     # NaN if any value is NaN
+    if best == 0:
+        return 0.0, (0, 0, 0, 0)
+    hit = np.isnan if np.isnan(best) else (lambda v: v == best)
+    hits = hit(sheets)
+    rows = hits[:2].any(axis=(0, 2))
+    ls, ms = np.nonzero(hits[2])
+    for j in range(0, ls.size, n):          # n tied pairs at a time keeps memory O(n²)
+        l, m = ls[j:j + n], ms[j:j + n]
+        vals = np.abs(d[l, m] if fac is None else fac[:, l] * d[l, m])
+        rows |= hit(np.where(ok[:, l] & ok[m].T, vals, 0.0)).any(axis=1)
+    k = int(rows.argmax())
+    rhs = d if fac is None else fac[k][:, None] * d
+    side = np.where(ok[k][:, None] & ok[:, k], np.abs(np.where(off, rhs, d[k, k] - rhs)), 0.0)
+    col = np.where(ok[k][:, None] & ok & off[k], np.abs(d[:, k]), 0.0)    # [l, n], l = m
     l, m = np.indices((n, n))
-    best, where = 0.0, 0
-    for k in range(n):
-        rhs = d if fac is None else fac[k][:, None] * d
-        side = np.where(ok[k][:, None] & ok[:, k], np.abs(np.where(eye, d[k, k] - rhs, rhs)), 0.0)
-        col = np.where(ok[k][:, None] & ok & ~eye[k], np.abs(d[:, k]), 0.0)   # [l, n], l = m
-        vals = np.concatenate((side, col)).ravel()
-        top = vals.max()                                # NaN if any entry is NaN
-        if top > best or np.isnan(top):
-            pos = np.concatenate(((l * n + m) * n + k, (l * n + l) * n + m)).ravel()
-            hit = np.isnan(vals) if np.isnan(top) else vals == top
-            best, where = float(top), k * n ** 3 + int(pos[hit].min())
-            if np.isnan(top):                           # later k only come later in C order
-                break
-    return best, tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
+    pos = np.concatenate(((l * n + m) * n + k, (l * n + l) * n + m))
+    where = k * n ** 3 + int(pos[hit(np.concatenate((side, col)))].min())
+    return float(best), tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
 
 
 def is_trace(phi: Functional, tol: float = TOL) -> bool:

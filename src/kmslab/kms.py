@@ -146,12 +146,14 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
 
     Route one tests the exchange identity ω(ab) = ω(b σ_{iβ}(a)) on every
     pair of eigenbasis matrix units (the identity is sesquilinear, so a
-    basis suffices); route two tests ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*)
-    on ``samples`` seeded random elements, stacked in chunks and evaluated
-    in the eigenbasis (see :func:`_half_shift_residual`). The verdict passes
-    only when the larger of the two maxima is within ``tol``; a NaN in
-    either maximum makes it NaN and fails. The worst matrix-unit pair is
-    reported as a witness.
+    basis suffices), in closed form: O(n²) memory and no loop over the units
+    (see :func:`~kmslab.algebra._exchange_residual`). Route two tests
+    ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) on ``samples`` seeded random
+    elements, stacked in chunks, as one basis map and two Gram forms per
+    block (see :func:`_half_shift_residual`). The verdict passes only when
+    the larger of the two maxima is within ``tol``; a NaN in either maximum
+    makes it NaN and fails. The worst matrix-unit pair is reported as a
+    witness.
     """
     beta = float(beta)
     if isinstance(omega, (KmsState, KmsWeight)):
@@ -187,11 +189,18 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
     The samples are those of ``random_element`` drawn one after another from
     ``default_rng(seed)`` and scaled to unit Frobenius norm: an (S, 2N) stack of
     normals holds, per sample and block, n² real parts then n² imaginary parts.
-    A chunk of samples goes to the eigenbasis in two GEMMs per block, as the
-    n × (S·n) row â = [u*a_1u | … | u*a_Su]. There σ_{-iβ/2} scales entry (j, l)
-    by e^{β(λ_j−λ_l)/2}, giving b, and the two sides are Tr(â D̂ â*) and
-    Tr(b* D̂ b): one GEMM and one conjugate-weighted sum each.
+    With e = e^{β(λ−c)/2}, c the block's mid-spectrum, σ_{-iβ/2}(a) is
+    u·diag(e)·u*·X·u* for the basis map X = a·u·diag(1/e). So with
+    D′ = diag(e)·D̂·diag(e) and P = u·D′·u*, made once per call, the two sides are
+    ⟨X, X·D′⟩ and ⟨Xᵀ, Xᵀ·Pᵀ⟩: per chunk of samples and block, three GEMMs, one
+    transpose copy and three ``vecdot`` reductions. The scaling 1/(2n) of the
+    draws is applied to the per-sample sums, and memory stays O(chunk + n²).
     """
+    forms = []
+    for w, u, dd in zip(flow.eigenvalues, flow.eigenvectors, density):
+        e = np.exp(0.5 * beta * (w - 0.5 * (w[0] + w[-1])))
+        dp = e[:, None] * dd * e
+        forms.append((u / e, dp, (u @ dp @ u.conj().T).T))
     width = 2 * flow.algebra.coord_dim
     rng = np.random.default_rng(seed)
     residual = 0.0
@@ -200,17 +209,17 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
         s = min(per_chunk, samples - start)
         draws = rng.standard_normal((s, width))
         diff, norm2, off = np.zeros(s, dtype=complex), np.zeros(s), 0
-        for n, w, u, dd in zip(flow.algebra.block_dims, flow.eigenvalues, flow.eigenvectors,
-                               density):
-            z = draws[:, off:off + 2 * n * n].reshape(s, 2, n, n) / np.sqrt(2 * n)
+        for n, (ue, dp, pt) in zip(flow.algebra.block_dims, forms):
+            z = draws[:, off:off + 2 * n * n]
             off += 2 * n * n
-            norm2 += np.sum(z * z, axis=(1, 2, 3))
-            au = ((z[:, 0] + 1j * z[:, 1]).reshape(s * n, n) @ u).reshape(s, n, n)
-            hat = (u.conj().T @ au.transpose(1, 0, 2).reshape(n, s * n)).reshape(n, s, n)
-            b = np.exp(0.5 * beta * (w[:, None] - w[None, :]))[:, None, :] * hat
-            lhs = hat.conj() * (hat.reshape(n * s, n) @ dd).reshape(n, s, n)
-            rhs = b.conj() * (dd @ b.reshape(n, s * n)).reshape(n, s, n)
-            diff += np.sum(lhs - rhs, axis=(0, 2))
+            a = np.empty((s, n * n), dtype=complex)
+            a.real, a.imag = z[:, :n * n], z[:, n * n:]
+            x = a.reshape(s * n, n) @ ue
+            xt = x.reshape(s, n, n).transpose(0, 2, 1).reshape(s * n, n)       # a copy
+            lhs = np.vecdot(x.reshape(s, n * n), (x @ dp).reshape(s, n * n))
+            rhs = np.vecdot(xt.reshape(s, n * n), (xt @ pt).reshape(s, n * n))
+            diff += (lhs - rhs) / (2 * n)
+            norm2 += np.vecdot(z, z) / (2 * n)
         scaled = np.abs(diff) / np.maximum(norm2, 1e-60)       # a scaled to ‖a‖_F = 1
         residual = float(np.max((residual, scaled.max())))      # NaN propagates
     return residual

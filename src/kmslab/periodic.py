@@ -11,7 +11,10 @@ factors' difference group shares: do the distinct gaps generate κ·ℤ? A ratio
 r counts as rational when some p/q, q ≤ DENOMINATOR_CAP = 10⁶, has
 |q·r − p| ≤ RELATION_TOL = 1e-9. Closest-fraction rounding alone would call √2
 rational; the residual q·r − p separates noise (≲ q·ε) from irrationality
-(≳ 1/q). A gap d is m units when |d − m·unit| ≤ RELATION_TOL·max(1, |m|).
+(≳ 1/q). A gap d is m units when |d − m·unit| ≤ RELATION_TOL·max(s, |m|), where
+s = max(1, max|w|) for gaps within a spectrum w, whose eigenvalues carry rounding of that
+size, and s = 1 for bare gaps. At m = 0 this is the one zero-gap rule, which
+:func:`distinct_gaps` applies as well.
 """
 
 from __future__ import annotations
@@ -36,11 +39,16 @@ def relation_fit(r: float) -> Fraction | None:
     return None
 
 
-def _multiples(gaps, unit: float) -> np.ndarray | None:
-    """m = round(gaps/unit), or None if some |gap − m·unit| > RELATION_TOL·max(1, |m|)."""
+def _gap_scale(w) -> float:
+    """s = max(1, max|w|), the scale of the spectrum w's gaps."""
+    return max(1.0, float(np.max(np.abs(w), initial=0.0)))
+
+
+def _multiples(gaps, unit: float, scale: float = 1.0) -> np.ndarray | None:
+    """m = round(gaps/unit), or None if some |gap − m·unit| > RELATION_TOL·max(scale, |m|)."""
     gaps = np.asarray(gaps)
     m = np.rint(gaps / unit)
-    if (np.abs(gaps - m * unit) > RELATION_TOL * np.maximum(1.0, np.abs(m))).any():
+    if (np.abs(gaps - m * unit) > RELATION_TOL * np.maximum(scale, np.abs(m))).any():
         return None
     return m
 
@@ -79,8 +87,7 @@ def distinct_gaps(spectra) -> list[float]:
     gaps = []
     for w in spectra:
         d = np.abs(w[:, None] - w).ravel()      # each pair twice; the set below keeps one
-        scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
-        gaps.extend(d[d > RELATION_TOL * scale].tolist())
+        gaps.extend(d[d > RELATION_TOL * _gap_scale(w)].tolist())
     out: list[float] = []
     for d in sorted(set(gaps)):
         if not out or d - out[-1] > RELATION_TOL * max(1.0, d):
@@ -117,7 +124,7 @@ class PeriodicFlow:
         self.base_frequency = 2.0 * math.pi / period
         self.degrees: list[np.ndarray] = []
         for w in flow.eigenvalues:
-            m = _multiples(w[:, None] - w[None, :], self.base_frequency)
+            m = _multiples(w[:, None] - w[None, :], self.base_frequency, _gap_scale(w))
             if m is None:
                 raise ValueError(f"generator gaps are not multiples of 2π/{period:g}; "
                                  "flow is not periodic with this period")

@@ -384,6 +384,53 @@ def test_exchange_residual_is_nan_at_the_first_nan_pair():
             assert val == ref_val or (np.isnan(val) and np.isnan(ref_val))
 
 
+@st.composite
+def _exchange_inputs(draw):
+    """A density block, Boltzmann factors or none, and a mask or none: rounded entries
+    (ties), zero, tracial, non-Hermitian, NaN and random-state densities over degenerate
+    or generic spectra, with a random mask or the degree-zero mask of a periodic flow."""
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["rounded", "zero", "tracial", "non-hermitian", "nan", "state"]))
+    if kind == "rounded":
+        d = (rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))) / 4.0
+    elif kind == "zero":
+        d = np.zeros((n, n), dtype=complex)
+    elif kind == "tracial":
+        d = np.eye(n, dtype=complex) / n
+    elif kind == "state":
+        d = random_state(BlockAlgebra((n,)), rng).density.blocks[0]
+    else:
+        d = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if kind == "nan":
+            d[tuple(rng.integers(0, n, size=(2, draw(st.integers(1, 3)))))] = np.nan
+    degenerate = draw(st.booleans())
+    w = np.sort(rng.choice([0.0, 1.0, 2.0], n) if degenerate else rng.normal(size=n))
+    beta = draw(st.sampled_from([0.0, 0.7, -1.3, 3.0]))
+    fac = np.exp(-beta * (w[:, None] - w)) if draw(st.booleans()) else None
+    mask = draw(st.sampled_from([None, "random", "periodic"]))
+    if mask == "random":
+        mask = rng.random((n, n)) < 0.6
+    elif mask == "periodic":     # the integer spectrum's degree-zero units, as trace_scaling_beta
+        mask = w[:, None] == w
+    return d, fac, mask
+
+
+@given(_exchange_inputs())
+def test_property_exchange_residual_matches_the_tensor_oracles(inputs):
+    d, fac, mask = inputs
+    n = d.shape[0]
+    full_fac = np.ones((n, n)) if fac is None else fac
+    full_mask = np.ones((n, n), dtype=bool) if mask is None else mask
+    val, where = _exchange_residual(d, fac, mask)
+    ref_val, ref_where = _selecting_exchange_oracle(d, full_fac, full_mask)
+    assert where == ref_where
+    assert val == ref_val or (np.isnan(val) and np.isnan(ref_val))
+    if not np.isnan(d).any():
+        assert (val, where) == _exchange_oracle(d, full_fac, full_mask)
+    assert type(val) is float
+
+
 def test_projection_validation_and_ranks():
     alg = BlockAlgebra((2, 3))
     e = alg.element([np.diag([1.0, 0.0]).astype(complex), np.diag([1.0, 1.0, 0.0]).astype(complex)])

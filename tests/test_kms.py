@@ -216,6 +216,53 @@ def test_property_route_two_matches_reference_loop(problem):
     _assert_route_two_matches(*problem)
 
 
+@given(_equilibrium_problems(), st.sampled_from(["as drawn", "zero", "non-hermitian", "rounded"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_property_route_one_matches_reference_route(problem, swap, seed):
+    """Route one's residual and worst pair against the n⁴ tensors, on the drawn state or
+    on a zero, non-Hermitian or rounded (tied) density in its place."""
+    flow, omega, beta = problem
+    alg, rng = flow.algebra, np.random.default_rng(seed)
+    dims = alg.block_dims
+    if swap == "zero":
+        omega = Functional(alg, alg.zero())
+    elif swap == "non-hermitian":
+        blocks = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in dims]
+        omega = Functional(alg, alg.element(blocks), check=False)
+    elif swap == "rounded":
+        blocks = [(rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))) / 4.0
+                  for n in dims]
+        omega = Functional(alg, alg.element(blocks), check=False)
+    v = verify_kms(flow, omega, beta, samples=1)
+    assert (v.residual_exchange, v.worst_pair) == _reference_route_one(flow, omega, beta)
+
+
+@pytest.mark.parametrize("dims, beta", [((2,), 1.0), ((6,), -1.0), ((3, 2), 2.0),
+                                        ((6, 1), -3.0)])
+def test_route_two_near_the_exp_cap(dims, beta):
+    """|β|·spread = 690: the tracial state's residual, near e^690, stays finite and
+    agrees with the per-sample loop, on a diagonal and on a generic generator, and a
+    Gibbs state on the diagonal one (whose eigenbasis is exact) still passes."""
+    rng = np.random.default_rng(sum(dims))
+    alg = BlockAlgebra(dims)
+    # the first block spans [−1, 1]: every other block lies inside it
+    eigs = [np.sort(np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, dims[0] - 2))))]
+    eigs += [np.sort(rng.uniform(-1.0, 1.0, n)) for n in dims[1:]]
+    scale = 690.0 / (2.0 * abs(beta))
+    diag = InnerFlow(alg, alg.element([np.diag(scale * w).astype(complex) for w in eigs]))
+    q = [_unitary(rng, n) for n in dims]
+    generic = InnerFlow(alg, alg.element([(u * (scale * w)) @ u.conj().T for u, w in zip(q, eigs)]))
+    for flow in (diag, generic):
+        assert abs(abs(beta) * flow.spectral_spread - 690.0) < 1e-9
+        want = _reference_route_two(flow, _trace_state(alg), beta, samples=30)
+        v = verify_kms(flow, _trace_state(alg), beta, samples=30)
+        assert math.isfinite(v.residual_half_shift) and not v.passed
+        # the bound of _assert_route_two_matches, divided through: its product overflows
+        cond = math.exp(0.5 * abs(beta) * flow.spectral_spread)
+        assert abs(v.residual_half_shift - want) / max(1.0, want) <= 1e-12 * cond
+    assert verify_kms(diag, gibbs(diag, beta), beta, samples=30).passed
+
+
 def test_nan_density_fails_verification():
     # a NaN entry used to vanish in `>` and Python's max, and this passed
     flow = _diag_flow((0.0, 1.0))

@@ -65,6 +65,16 @@ def test_declared_period_is_checked():
         PeriodicFlow(flow, period=3.0)
 
 
+def test_periodic_flow_takes_the_period_that_minimal_period_finds():
+    # −100 and −100 + 5e−8 lie within the spectrum's zero-gap threshold 1e−9·100, so
+    # 200 − 5e−8 and 200 are one gap: degree 0 and degree ±1 must hold at that scale
+    flow = _diag_flow(-100.0, -100.0 + 5e-8, 100.0)
+    pf = PeriodicFlow(flow)
+    assert pf.period == minimal_period(flow)
+    assert pf.degrees[0].tolist() == [[0, 0, -1], [0, 0, -1], [1, 1, 0]]
+    assert PeriodicFlow(flow, period=2.0 * math.pi).max_degree == 200
+
+
 def test_relation_fit_and_gap_unit():
     assert relation_fit(0.75) == Fraction(3, 4)
     assert relation_fit(math.sqrt(2.0)) is None
