@@ -64,7 +64,6 @@ from .periodic import (
     PeriodicFlow,
     cuntz_trace,
     fejer_kernel,
-    gap_unit,
     gauge_kms_beta,
     minimal_period,
     relation_fit,

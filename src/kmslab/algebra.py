@@ -216,8 +216,8 @@ class Functional:
     def is_state(self, tol: float = TOL) -> bool:
         return abs(self.total_mass - 1.0) <= tol
 
-    def is_faithful(self, tol: float = 1e-12) -> bool:
-        return all(_min_eig(d) > tol for d in self.density.blocks)
+    def is_faithful(self) -> bool:
+        return all(_min_eig(d) > 1e-12 for d in self.density.blocks)
 
     def scaled(self, c: float) -> "Functional":
         return Functional(self.algebra, c * self.density, check=False)
@@ -234,7 +234,7 @@ class Projection:
 
     def __post_init__(self):
         p = self.element
-        scale = max(1.0, p.norm())
+        scale = p.tol_scale()
         if not p.is_hermitian(1e-8 * scale):
             raise ValueError("projection not self-adjoint")
         resid = max(np.max(np.abs(a @ a - a)) if a.size else 0.0 for a in p.blocks)
@@ -286,42 +286,28 @@ def is_positive(a: AlgElement, tol: float = TOL) -> bool:
     """Positivity up to ``tol``: λ_min ≥ −tol in every block, shown by a shifted
     Cholesky factorization and, where that fails, by the eigenvalue test (see
     :func:`_psd_within`). Non-Hermitian input is an error, not False."""
-    if not a.is_hermitian(tol * max(1.0, a.norm())):
+    if not a.is_hermitian(tol * a.tol_scale()):
         raise ValueError("not self-adjoint")
     return all(_psd_within(b, tol) for b in a.blocks)
 
 
-def _exchange_residual(d: np.ndarray, fac=None, mask=None) -> tuple[float, tuple[int, ...]]:
-    """max |δ_lm d_nk − fac_kl δ_nk d_lm| over unit pairs a = E_kl, b = E_mn with mask[k, l]
-    and mask[m, n] (fac ≡ 1, every pair by default; a given fac is positive and finite), and
-    the first (k, l, m, n) in C order attaining it; a NaN value makes the maximum NaN.
+def _exchange_residual(d: np.ndarray, fac: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """max |δ_lm d_nk − fac_kl δ_nk d_lm| over all unit pairs a = E_kl, b = E_mn, for a
+    positive finite factor fac, and the first (k, l, m, n) in C order attaining it; a NaN
+    value makes the maximum NaN. This is ``verify_kms``'s route one on one eigenbasis block.
 
     Only three kinds of pair can be nonzero, and each kind is one n×n sheet in closed form:
-    (k, l, l, k) gives |d_kk − fac_kl d_ll|; (k, l, l, n), n ≠ k, gives |d_nk| wherever some l
-    links k to n through the mask; (k, l, m, k), l ≠ m, gives |fac_kl d_lm|, which is largest
-    at the largest fac_kl over the k the mask allows, since rounding is monotone. The first k
-    that attains the maximum is read off the sheets; only the tied (l, m) of the third kind
-    need a check across k. The pair within that k comes from the n×n slice of a = E_k·.
-    Memory stays O(n²), except that a mask together with a factor takes an n³ array."""
+    (k, l, l, k) gives |d_kk − fac_kl d_ll|; (k, l, l, n), n ≠ k, gives |d_nk|; (k, l, m, k),
+    l ≠ m, gives |fac_kl d_lm|, which is largest at F_l = max_k fac_kl, since rounding is
+    monotone. The first k that attains the maximum is read off the sheets; only the tied
+    (l, m) of the third kind need a check across k. The pair within that k comes from the
+    n×n slice of a = E_k·. Memory stays O(n²)."""
     n = d.shape[0]
-    ok = np.ones((n, n), dtype=bool) if mask is None else mask
     off = ~np.eye(n, dtype=bool)
-    if mask is None:
-        reach = ok
-    else:                                   # reach[a, b]: some k with ok[a, k] and ok[k, b]
-        okf = ok.astype(float)
-        reach = okf @ okf > 0.5
     dg = d.diagonal()
-    if fac is None:
-        top = d
-    elif mask is None:
-        top = fac.max(axis=0)[:, None] * d
-    else:
-        top = np.where(ok.T[:, :, None] & ok.T, fac.T[:, :, None], 0.0).max(axis=1) * d
     # the three kinds, indexed [k, l], [k, n] and [l, m]
-    sheets = np.where(np.array((ok & ok.T, reach & off, reach.T & off)),
-                      np.abs(np.array((dg[:, None] - (dg if fac is None else fac * dg), d.T, top))),
-                      0.0)
+    sheets = np.abs(np.array((dg[:, None] - fac * dg, d.T, fac.max(axis=0)[:, None] * d)))
+    sheets[1:, ~off] = 0.0
     best = sheets.max()                     # NaN if any value is NaN
     if best == 0:
         return 0.0, (0, 0, 0, 0)
@@ -331,23 +317,36 @@ def _exchange_residual(d: np.ndarray, fac=None, mask=None) -> tuple[float, tuple
     ls, ms = np.nonzero(hits[2])
     for j in range(0, ls.size, n):          # n tied pairs at a time keeps memory O(n²)
         l, m = ls[j:j + n], ms[j:j + n]
-        vals = np.abs(d[l, m] if fac is None else fac[:, l] * d[l, m])
-        rows |= hit(np.where(ok[:, l] & ok[m].T, vals, 0.0)).any(axis=1)
+        rows |= hit(np.abs(fac[:, l] * d[l, m])).any(axis=1)
     k = int(rows.argmax())
-    rhs = d if fac is None else fac[k][:, None] * d
-    side = np.where(ok[k][:, None] & ok[:, k], np.abs(np.where(off, rhs, d[k, k] - rhs)), 0.0)
-    col = np.where(ok[k][:, None] & ok & off[k], np.abs(d[:, k]), 0.0)    # [l, n], l = m
+    rhs = fac[k][:, None] * d
+    side = np.abs(np.where(off, rhs, d[k, k] - rhs))              # [l, m]: pair (k, l, m, k)
+    col = np.where(off[k], np.abs(d[:, k]), 0.0)                   # [n]: first pair (k, 0, 0, n)
     l, m = np.indices((n, n))
-    pos = np.concatenate(((l * n + m) * n + k, (l * n + l) * n + m))
-    where = k * n ** 3 + int(pos[hit(np.concatenate((side, col)))].min())
+    pos = np.concatenate((((l * n + m) * n + k).ravel(), np.arange(n)))
+    where = k * n ** 3 + int(pos[hit(np.concatenate((side.ravel(), col)))].min())
     return float(best), tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
 
 
+def _trace_residual(d: np.ndarray, same: np.ndarray | None = None) -> float:
+    """The trace property's residual on one block: the maximum of |d_kk − d_ll| and of
+    |d_kl|, k ≠ l, over the (k, l) with same[k, l] (all of them by default); NaN propagates.
+
+    Over the unit pairs a = E_kl, b = E_mn of the subalgebra spanned by the E_kl with
+    same[k, l], φ(ab) − φ(ba) = δ_lm d_nk − δ_nk d_lm takes exactly these values when same
+    is an equivalence relation, as it is for the whole block and for a periodic flow's
+    degree-zero units: a nonzero pair lies inside one class."""
+    dg = d.diagonal()
+    sheets = np.abs(np.array((dg[:, None] - dg, d)))     # [k, l]: d_kk − d_ll, then d_kl
+    np.fill_diagonal(sheets[1], 0.0)                      # a diagonal NaN still reaches sheet 0
+    return float((sheets if same is None else np.where(same, sheets, 0.0)).max())
+
+
 def is_trace(phi: Functional, tol: float = TOL) -> bool:
-    """Trace property on all matrix-unit pairs, in closed form and O(n²) memory:
-    φ(E_kl E_mn) = δ_lm d_nk against φ(E_mn E_kl) = δ_nk d_lm, block by block,
-    since cross-block products vanish identically and impose nothing."""
-    return all(_exchange_residual(d)[0] <= tol for d in phi.density.blocks)
+    """Trace property on all matrix-unit pairs, in closed form (see
+    :func:`_trace_residual`), block by block, since cross-block products vanish
+    identically and impose nothing."""
+    return all(_trace_residual(d) <= tol for d in phi.density.blocks)
 
 
 def center_projections(algebra: BlockAlgebra) -> list[Projection]:
@@ -406,14 +405,12 @@ def random_hermitian(algebra: BlockAlgebra, rng: np.random.Generator, scale: flo
     return 0.5 * (a + a.adjoint())
 
 
-def random_state(algebra: BlockAlgebra, rng: np.random.Generator, faithful: bool = True) -> Functional:
-    """A random density; faithful by default (eigenvalues bounded away from 0)."""
+def random_state(algebra: BlockAlgebra, rng: np.random.Generator) -> Functional:
+    """A random faithful density (eigenvalues bounded away from 0)."""
     blocks = []
     for n in algebra.block_dims:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         d = g @ g.conj().T
-        if faithful:
-            d = d + 0.1 * np.trace(d).real / n * np.eye(n)
-        blocks.append(d)
+        blocks.append(d + 0.1 * np.trace(d).real / n * np.eye(n))
     raw = AlgElement(algebra, blocks)
     return Functional(algebra, (1.0 / np.real(raw.trace())) * raw)

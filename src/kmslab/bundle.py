@@ -367,11 +367,11 @@ class PointBundleSpec:
         return cls(labels=tuple(labels), levels=tuple(levels))
 
 
-def bundle_from_points(spec: PointBundleSpec, t: float, tol: float = 1e-9) -> SimplexFiber:
-    """Fiber at t: the probability simplex on the level set {f = t},
-    with Dirac masses (indicator vectors) as vertices."""
+def bundle_from_points(spec: PointBundleSpec, t: float) -> SimplexFiber:
+    """Fiber at t: the probability simplex on the level set {f = t} (within
+    1e-9·max(1, |t|)), with Dirac masses (indicator vectors) as vertices."""
     n = len(spec.labels)
-    sel = [i for i, lv in enumerate(spec.levels) if abs(lv - float(t)) <= tol * max(1.0, abs(t))]
+    sel = [i for i, lv in enumerate(spec.levels) if abs(lv - float(t)) <= 1e-9 * max(1.0, abs(t))]
     verts_exact = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in sel]
     verts = [np.array([float(x) for x in v]) for v in verts_exact]
     return SimplexFiber(beta=float(t), vertices=verts, dimension=len(sel) - 1,

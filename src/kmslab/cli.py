@@ -346,7 +346,7 @@ def _thread_cap() -> int:
 
 # -- deterministic SVG --------------------------------------------------------------
 
-def emit_plot(path: str, xs, series: dict, marks=None, x_label: str = "beta") -> None:
+def emit_plot(path: str, xs, series: dict, marks=None) -> None:
     """Hand-rolled static SVG scatter/line plot; byte-identical across runs.
 
     ``series`` maps a label to a list of y-values over ``xs``; ``marks``
@@ -393,7 +393,7 @@ def emit_plot(path: str, xs, series: dict, marks=None, x_label: str = "beta") ->
         parts.append(f'<text x="{f(ml - 8)}" y="{f(sy(yt) + 4)}" font-size="11" '
                      f'text-anchor="end">{yt:.6g}</text>')
     parts.append(f'<text x="{f((ml + width - mr) / 2)}" y="{f(height - 8)}" font-size="12" '
-                 f'text-anchor="middle">{x_label}</text>')
+                 f'text-anchor="middle">beta</text>')
     for mark in (marks or []):
         parts.append(f'<line x1="{f(sx(mark))}" y1="{f(mt)}" x2="{f(sx(mark))}" '
                      f'y2="{f(height - mb)}" stroke="#888888" stroke-dasharray="4 3"/>')

@@ -438,14 +438,11 @@ def _stages(grid: CocycleGrid, k_exp: int) -> TrivializationResult:
     dprime = 1.0 / unit
     alpha = dprime * (0.5 * phases[0, :] + phases[1:-1, :].sum(axis=0) + 0.5 * phases[-1, :])
 
-    mu1 = np.full(2 * k + 1, np.nan + 0j, dtype=complex)
+    # μ¹(n·unit + o) = seg[o]·seg[-1]^n, each power taken once as a scalar
     seg = np.exp(1j * alpha)                     # μ¹ on [0, 1]
-    top = seg[-1]
-    for n in range(-(k // unit) - 1, k // unit + 2):
-        for o in range(unit):
-            idxp = n * unit + o
-            if -k <= idxp <= k:
-                mu1[k + idxp] = seg[o] * top ** n
+    n, o = np.divmod(np.arange(-k, k + 1), unit)
+    powers = np.array([seg[-1] ** p for p in range(int(n[0]), int(n[-1]) + 1)])
+    mu1 = _cmul(seg[o], powers[n - n[0]])
 
     # stage 3: halve coordinates (pure relabeling) and develop once more
     # against λ² = conj(∂μ¹)·λ¹

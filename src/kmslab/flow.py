@@ -25,6 +25,8 @@ GH_NODES_DEFAULT = 64
 GH_NODES_MAX = 256
 #: nodes × block entries of one slab of Gauss–Hermite phases
 _GH_CHUNK_ENTRIES = 2 ** 16
+#: relative (Frobenius) convergence tolerance of every quadrature route
+QUAD_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=32)
@@ -69,11 +71,11 @@ class StripCheckReport:
 class InnerFlow:
     """The flow σ_t = Ad e^{ith} attached to a self-adjoint generator h."""
 
-    def __init__(self, algebra: BlockAlgebra, generator: AlgElement, tol: float = TOL):
+    def __init__(self, algebra: BlockAlgebra, generator: AlgElement):
         if generator.algebra != algebra:
             raise ValueError("generator lives in a different algebra")
-        scale = max(1.0, generator.norm())
-        if not generator.is_hermitian(tol * scale):
+        scale = generator.tol_scale()
+        if not generator.is_hermitian(TOL * scale):
             raise ValueError("generator must be self-adjoint")
         self.algebra = algebra
         self.generator = generator
@@ -143,21 +145,21 @@ class InnerFlow:
     # -- Gaussian smoothing, two independent routes ---------------------------
 
     def smooth(self, a: AlgElement, n: float, method: str = "closed_form",
-               nodes: int = GH_NODES_DEFAULT, quad_tol: float = 1e-8) -> AlgElement:
+               nodes: int = GH_NODES_DEFAULT) -> AlgElement:
         """√(n/π) ∫ e^{-nt²} σ_t(a) dt.
 
         ``closed_form`` damps entry (j,k) by e^{-(λ_j-λ_k)²/(4n)};
         ``quadrature`` sums σ at Gauss–Hermite nodes (as one entrywise factor
         between a single transport to the eigenbasis and back), doubling the
         rule from ``nodes`` until halving it moves the answer by at most
-        ``quad_tol`` (relative, Frobenius), and raises :class:`QuadratureError`
+        ``QUAD_TOL`` (relative, Frobenius), and raises :class:`QuadratureError`
         if that never happens below ``GH_NODES_MAX``. A ``nodes`` outside
         [2, ``GH_NODES_MAX``] is refused with ``ValueError`` before any rule is built.
         """
-        return self.smooth_shifted(a, n, 0.0, method=method, nodes=nodes, quad_tol=quad_tol)
+        return self.smooth_shifted(a, n, 0.0, method=method, nodes=nodes)
 
     def smooth_shifted(self, a: AlgElement, n: float, z: complex, method: str = "closed_form",
-                       nodes: int = GH_NODES_DEFAULT, quad_tol: float = 1e-8) -> AlgElement:
+                       nodes: int = GH_NODES_DEFAULT) -> AlgElement:
         """σ_z applied to the n-smoothing of a; entire in z."""
         n = float(n)
         if n <= 0:
@@ -176,12 +178,12 @@ class InnerFlow:
                     half = self._gh_sum(a, n, z, k // 2)
                 denom = max(full.fro_norm(), 1e-300)
                 est = (full - half).fro_norm() / denom
-                if est <= quad_tol:
+                if est <= QUAD_TOL:
                     return full
                 if k >= GH_NODES_MAX:
                     raise QuadratureError(
                         f"Gauss–Hermite rule with {k} nodes has not converged "
-                        f"(achieved error estimate {est:.3e} > {quad_tol:.3e})")
+                        f"(achieved error estimate {est:.3e} > {QUAD_TOL:.3e})")
                 k_next = min(GH_NODES_MAX, 2 * k)
                 # the doubled rule's half is the rule just summed, unless the cap clamped it
                 half = full if k_next // 2 == k else None
@@ -208,15 +210,16 @@ class InnerFlow:
     # -- strip boundary check --------------------------------------------------
 
     def strip_check(self, omega: Functional, a: AlgElement, b: AlgElement,
-                    beta: float, t_samples=(-2.0, -0.75, 0.0, 0.75, 2.0)) -> StripCheckReport:
-        """Compare f(z) = ω(b σ_z(a)) against its stated boundary values.
+                    beta: float) -> StripCheckReport:
+        """Compare f(z) = ω(b σ_z(a)) against its stated boundary values at
+        Re z ∈ {−2, −0.75, 0, 0.75, 2}.
 
         The references use σ_t(a) = U a U* with the dense U = ``unitary(t)``,
         not the entrywise route that ``continue_analytic`` takes: on Im z = 0
         the reference is ω(b σ_t(a)), on Im z = β it is ω(σ_t(a) b). Both
         residual maxima are reported.
         """
-        ts = [float(t) for t in t_samples]
+        ts = (-2.0, -0.75, 0.0, 0.75, 2.0)
         lower = upper = 0.0
         for t in ts:
             x = self.unitary(t)

@@ -226,11 +226,11 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
 
 
 def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | None = None,
-                    beta: float | None = None, tol: float = 1e-8) -> np.ndarray:
+                    beta: float | None = None) -> np.ndarray:
     """Central coefficients γ with density = Σ γ_i e^{-β(h_i - c)}.
 
-    Raises if the density is not of that form — i.e. the functional is not
-    in the β-equilibrium cone of the flow.
+    Raises if some block is farther than 1e-8·max(1, ‖density‖) (entrywise) from
+    that form — i.e. the functional is not in the β-equilibrium cone of the flow.
     """
     if isinstance(obj, (KmsState, KmsWeight)):
         flow, beta, phi = obj.flow, obj.beta, obj.functional
@@ -244,7 +244,7 @@ def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | No
     for i, (m, d) in enumerate(zip(mats, phi.density.blocks)):
         gam[i] = float(np.real(np.trace(d))) / traces[i]
         resid = np.max(np.abs(d - gam[i] * m))
-        if resid > tol * scale:
+        if resid > 1e-8 * scale:
             raise ValueError(
                 f"block {i}: density is not proportional to e^(-βh) "
                 f"(residual {resid:.3e}); functional is outside the equilibrium cone")
@@ -366,13 +366,10 @@ def from_trace(tau: Functional, flow: InnerFlow, beta: float) -> KmsState:
 
 @dataclass
 class CornerRestriction:
-    """A state cut down to pAp, with the data needed to undo the cut."""
+    """A state cut down to pAp, with its lost normalization."""
 
-    corner_algebra: BlockAlgebra
     state: KmsState
-    weight: float                       # ψ(p), the lost normalization
-    isometries: list                    # per parent block: n_i×r_i matrix or None
-    parent_blocks: tuple[int, ...]      # corner block → parent block index
+    weight: float                       # ψ(p)
     full: bool                          # p meets every block
 
 
@@ -381,7 +378,7 @@ def _corner_structure(flow: InnerFlow, p: Projection):
     h = flow.generator
     comm = max(np.max(np.abs(hb @ pb - pb @ hb)) if hb.size else 0.0
                for hb, pb in zip(h.blocks, p.element.blocks))
-    if comm > 1e-9 * max(1.0, h.norm()):
+    if comm > 1e-9 * h.tol_scale():
         raise ValueError(f"projection does not commute with the generator "
                          f"(residual {comm:.3e}); the corner flow is undefined")
     isometries, corner_dims, parents, h_blocks = [], [], [], []
@@ -416,9 +413,7 @@ def restrict_to_corner(psi: KmsState, p: Projection) -> CornerRestriction:
         d_blocks.append(v.conj().T @ psi.density.blocks[i] @ v / weight)
     f = Functional(alg_c, AlgElement(alg_c, d_blocks))
     state_c = KmsState(f, psi.beta, flow_c)
-    return CornerRestriction(corner_algebra=alg_c, state=state_c, weight=weight,
-                             isometries=isometries, parent_blocks=parents,
-                             full=p.is_full())
+    return CornerRestriction(state=state_c, weight=weight, full=p.is_full())
 
 
 def extend_from_corner(phi: Functional | KmsState, flow: InnerFlow, beta: float,
@@ -444,15 +439,15 @@ def extend_from_corner(phi: Functional | KmsState, flow: InnerFlow, beta: float,
     return KmsState(_from_coefficients(flow, beta, gam, normalize=True), float(beta), flow)
 
 
-def support_compression(psi: KmsState, tol: float = 1e-12) -> tuple[KmsState, tuple[int, ...]]:
-    """Drop the blocks ψ does not charge; the result is faithful.
+def support_compression(psi: KmsState) -> tuple[KmsState, tuple[int, ...]]:
+    """Drop the blocks ψ does not charge (mass at most 1e-12); the result is faithful.
 
     Needed before GNS-type constructions: a simplex vertex lives on a
     single block and is only faithful there. Returns the compressed state
     together with the indices of the kept blocks.
     """
     masses = [float(np.real(np.trace(d))) for d in psi.density.blocks]
-    keep = tuple(i for i, m in enumerate(masses) if m > tol)
+    keep = tuple(i for i, m in enumerate(masses) if m > 1e-12)
     if len(keep) == psi.flow.algebra.num_blocks:
         return psi, keep
     if not keep:
@@ -473,20 +468,21 @@ def _cone_pair(phi, psi):
     if phi.flow.algebra != psi.flow.algebra or abs(phi.beta - psi.beta) > 1e-12:
         raise ValueError("cone elements belong to different flows or different β")
     hdiff = (phi.flow.generator - psi.flow.generator).norm()
-    if hdiff > 1e-10 * max(1.0, phi.flow.generator.norm()):
+    if hdiff > 1e-10 * phi.flow.generator.tol_scale():
         raise ValueError("cone elements belong to different flows")
     return phi, psi
 
 
-def dominated_decomposition(phi, psi, tol: float = 1e-9) -> AlgElement:
+def dominated_decomposition(phi, psi) -> AlgElement:
     """For φ ≤ ψ in the equilibrium cone, the central 0 ≤ c ≤ 1 with
-    density(φ) = c · density(ψ). Raises with a witness when φ ≰ ψ."""
+    density(φ) = c · density(ψ). Raises with a witness when φ ≰ ψ, that is when
+    some block of ψ − φ has an eigenvalue below −1e-9·max(1, ‖ψ‖)."""
     phi, psi = _cone_pair(phi, psi)
     scale = psi.functional.density.tol_scale()
     for i, (dp, dq) in enumerate(zip(phi.functional.density.blocks,
                                      psi.functional.density.blocks)):
         w, u = np.linalg.eigh(dq - dp)
-        if w[0] < -tol * scale:
+        if w[0] < -1e-9 * scale:
             raise ValueError(f"φ is not dominated by ψ: block {i} has "
                              f"eigenvalue {w[0]:.3e} in direction {np.round(u[:, 0], 4)}")
     g_phi, g_psi = phi.coefficients(), psi.coefficients()

@@ -269,10 +269,10 @@ def commutant_gap(g: GnsTriple, md: ModularData) -> tuple[int, int, float]:
     return g.dim, rank, min(1.0, float(np.sqrt(np.linalg.eigvalsh(q @ q.conj().T)[-1] / lam[0])))
 
 
-def verify_commutant_theorem(g: GnsTriple, md: ModularData, tol: float = 1e-8) -> bool:
-    """Does J π(A) J equal the commutant π(A)′ as a linear subspace?"""
+def verify_commutant_theorem(g: GnsTriple, md: ModularData) -> bool:
+    """Does J π(A) J equal the commutant π(A)′ as a linear subspace (gap ≤ 1e-8)?"""
     dim_rep, dim_comm, gap = commutant_gap(g, md)
-    return bool(dim_rep == dim_comm and gap <= tol)
+    return bool(dim_rep == dim_comm and gap <= 1e-8)
 
 
 def center_dimension(g: GnsTriple) -> int:

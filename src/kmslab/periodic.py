@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgElement, Functional, _exchange_residual
-from .flow import InnerFlow, QuadratureError
+from .algebra import AlgElement, Functional, _trace_residual
+from .flow import QUAD_TOL, InnerFlow, QuadratureError
 
 DENOMINATOR_CAP = 10 ** 6
 RELATION_TOL = 1e-9
@@ -74,11 +74,6 @@ def gap_group(gaps: list[float]) -> tuple[float | None, tuple[float, float] | No
     if _multiples(gaps, unit) is None:  # a ratio fits to RELATION_TOL/q, its gap to g0 times that
         return None, (g0, gaps[-1])
     return unit, None
-
-
-def gap_unit(gaps: list[float]) -> float | None:
-    """Positive generator of the group generated by the gaps, or None."""
-    return gap_group(gaps)[0]
 
 
 def distinct_gaps(spectra) -> list[float]:
@@ -146,8 +141,7 @@ class PeriodicFlow:
 
     # -- degree components, two routes ---------------------------------------
 
-    def spectral_component(self, a: AlgElement, k: int, method: str = "closed_form",
-                           quad_tol: float = 1e-8) -> AlgElement:
+    def spectral_component(self, a: AlgElement, k: int, method: str = "closed_form") -> AlgElement:
         """Q_k(a), the part of a that the flow multiplies by e^{ik·2πt/p}."""
         k = int(k)
         if method == "closed_form":
@@ -159,7 +153,7 @@ class PeriodicFlow:
             first = self._fourier_sum(a, k, m)
             second = self._fourier_sum(a, k, 2 * m + 1)
             est = (first - second).fro_norm() / max(second.fro_norm(), a.fro_norm(), 1e-300)
-            if est > quad_tol:
+            if est > QUAD_TOL:
                 raise QuadratureError(f"rectangle rule with {m} points has not converged "
                                       f"(achieved error estimate {est:.3e})")
             return second
@@ -201,23 +195,25 @@ def fejer_kernel(order: int, x) -> np.ndarray | float:
 
 # -- the inverse problem: reading β off a scaled trace --------------------------
 
-def trace_scaling_beta(p_flow: PeriodicFlow, tau: Functional,
-                       tol: float = 1e-8) -> float | None:
+def trace_scaling_beta(p_flow: PeriodicFlow, tau: Functional) -> float | None:
     """The β with τ(x*x) = e^{βkω₀}·τ(xx*) on every degree-k element, if any.
 
-    τ must restrict to a trace on the fixed-point algebra (checked).
-    Returns None when no single β fits all degrees; 0.0 when only degree
-    zero is present (τ is then a genuine trace).
+    τ must restrict to a trace on the fixed-point algebra, the span of the
+    degree-zero units (checked by :func:`~kmslab.algebra._trace_residual`, since
+    the degree table is additive and degree zero an equivalence relation). A
+    diagonal entry of τ at most 1e-8·max(1, ‖τ‖) on a unit of nonzero degree is
+    refused, naming the degree of the first such unit in (block, j, l) order.
+    Returns None when no single β fits all degrees within 1e-8 (relative);
+    0.0 when only degree zero is present (τ is then a genuine trace).
     """
     if tau.algebra != p_flow.algebra:
         raise ValueError("functional lives in a different algebra")
     tau_eig = p_flow.flow.to_eigenbasis(tau.density)
-    scale = tau.density.tol_scale()
+    floor = 1e-8 * tau.density.tol_scale()
 
-    # trace property on the invariant subalgebra, over its matrix-unit pairs
     for deg, t in zip(p_flow.degrees, tau_eig):
-        resid, _ = _exchange_residual(t, mask=deg == 0)
-        if resid > tol * scale:
+        resid = _trace_residual(t, deg == 0)
+        if resid > floor:
             raise ValueError(f"functional is not a trace on the fixed-point algebra "
                              f"(residual {resid:.3e})")
 
@@ -225,21 +221,18 @@ def trace_scaling_beta(p_flow: PeriodicFlow, tau: Functional,
     candidates: list[float] = []
     for deg, t in zip(p_flow.degrees, tau_eig):
         diag = np.real(np.diag(t))
-        n = t.shape[0]
-        for j in range(n):
-            for l in range(n):
-                k = int(deg[j, l])
-                if k == 0:
-                    continue
-                num, den = float(diag[l]), float(diag[j])
-                if den <= tol * scale or num <= tol * scale:
-                    raise ValueError(f"degenerate functional: vanishes on a degree-{k} "
-                                     "unit, so the scaling ratio is undefined")
-                candidates.append(math.log(num / den) / (k * w0))
+        j, l = np.nonzero(deg)                  # the units of nonzero degree, in C order
+        ks, nums, dens = deg[j, l], diag[l], diag[j]
+        bad = (dens <= floor) | (nums <= floor)
+        if bad.any():
+            raise ValueError(f"degenerate functional: vanishes on a degree-{ks[bad.argmax()]} "
+                             "unit, so the scaling ratio is undefined")
+        candidates += [math.log(num / den) / (k * w0)
+                       for num, den, k in zip(nums.tolist(), dens.tolist(), ks.tolist())]
     if not candidates:
         return 0.0
     beta = candidates[0]
-    if any(abs(b - beta) > tol * max(1.0, abs(beta)) for b in candidates[1:]):
+    if any(abs(b - beta) > 1e-8 * max(1.0, abs(beta)) for b in candidates[1:]):
         return None
     return beta
 

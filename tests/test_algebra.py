@@ -19,7 +19,7 @@ from kmslab import (
     random_state,
 )
 from kmslab import algebra
-from kmslab.algebra import TOL, _exchange_residual, _min_eig
+from kmslab.algebra import TOL, _exchange_residual, _min_eig, _trace_residual
 
 RNG = np.random.default_rng(20260816)
 
@@ -255,13 +255,13 @@ def test_nan_density_is_refused_by_the_check_and_fails_the_trace_test():
         Functional(alg, alg.element([np.array([[np.inf, 0.0], [0.0, 0.5]])]))
     phi = Functional(alg, nan, check=False)
     assert not is_trace(phi, tol=1e300)
-    assert np.isnan(_exchange_residual(phi.density.blocks[0])[0])
+    assert np.isnan(_trace_residual(phi.density.blocks[0]))
 
 
 def test_faithful_states_have_full_support():
     alg = BlockAlgebra((3, 2))
     for _ in range(5):
-        phi = random_state(alg, RNG, faithful=True)
+        phi = random_state(alg, RNG)
         assert phi.is_faithful()
         evs = np.concatenate([np.linalg.eigvalsh(blk) for blk in phi.density.blocks])
         assert evs.min() > 0
@@ -309,11 +309,11 @@ def test_trace_predicate_matches_reference_route():
         phis = [Functional(alg, (1.0 / alg.rep_dim) * alg.identity()),
                 Functional(alg, alg.zero()),
                 random_state(alg, rng),
-                random_state(alg, rng, faithful=True),
+                random_state(alg, rng),
                 Functional(alg, random_element(alg, rng), check=False)]
         for phi in phis:
             want = _reference_trace_residuals(phi)
-            got = [_exchange_residual(d)[0] for d in phi.density.blocks]
+            got = [_trace_residual(d) for d in phi.density.blocks]
             assert got == want
             for tol in (1e-9, 0.5 * max(want), max(want)):
                 assert is_trace(phi, tol) == all(r <= tol for r in want)
@@ -348,11 +348,12 @@ def test_exchange_residual_matches_tensor_oracle():
             d = np.zeros((n, n), dtype=complex)
         w = np.sort(rng.choice([0.0, 1.0, 2.0], n))
         fac = np.exp(-float(rng.choice([0.0, 1.0, -1.3])) * (w[:, None] - w[None, :]))
-        mask = rng.random((n, n)) < 0.6
+        labels = rng.integers(0, 3, n)
+        same = labels[:, None] == labels            # an equivalence relation
         ones = np.ones((n, n), dtype=bool)
-        assert _exchange_residual(d, fac, mask) == _exchange_oracle(d, fac, mask)
         assert _exchange_residual(d, fac) == _exchange_oracle(d, fac, ones)
-        assert _exchange_residual(d, mask=mask) == _exchange_oracle(d, np.ones((n, n)), mask)
+        assert _trace_residual(d) == _exchange_oracle(d, np.ones((n, n)), ones)[0]
+        assert _trace_residual(d, same) == _exchange_oracle(d, np.ones((n, n)), same)[0]
 
 
 def _selecting_exchange_oracle(d, fac, mask):
@@ -377,18 +378,25 @@ def test_exchange_residual_is_nan_at_the_first_nan_pair():
         d = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         d[tuple(rng.integers(0, n, size=(2, int(rng.integers(1, 3)))))] = np.nan
         fac = np.exp(-(np.arange(n)[:, None] - np.arange(n)[None, :]) * 0.7)
-        for mask in (np.ones((n, n), dtype=bool), rng.random((n, n)) < 0.7):
-            val, where = _exchange_residual(d, fac, mask)
-            ref_val, ref_where = _selecting_exchange_oracle(d, fac, mask)
-            assert where == ref_where
+        ones = np.ones((n, n), dtype=bool)
+        val, where = _exchange_residual(d, fac)
+        ref_val, ref_where = _selecting_exchange_oracle(d, fac, ones)
+        assert where == ref_where
+        assert val == ref_val or (np.isnan(val) and np.isnan(ref_val))
+        # the trace residual is NaN exactly when a pair inside the relation reads a NaN
+        labels = rng.integers(0, 2, n)
+        for same in (ones, labels[:, None] == labels):
+            val = _trace_residual(d, same)
+            ref_val, _ = _selecting_exchange_oracle(d, np.ones((n, n)), same)
             assert val == ref_val or (np.isnan(val) and np.isnan(ref_val))
 
 
 @st.composite
 def _exchange_inputs(draw):
-    """A density block, Boltzmann factors or none, and a mask or none: rounded entries
-    (ties), zero, tracial, non-Hermitian, NaN and random-state densities over degenerate
-    or generic spectra, with a random mask or the degree-zero mask of a periodic flow."""
+    """A density block, its Boltzmann factors and an equivalence relation or none: rounded
+    entries (ties), zero, tracial, non-Hermitian, NaN and random-state densities over
+    degenerate or generic spectra, with random classes or the degree-zero units of a
+    periodic flow."""
     n = draw(st.integers(1, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["rounded", "zero", "tracial", "non-hermitian", "nan", "state"]))
@@ -407,27 +415,36 @@ def _exchange_inputs(draw):
     degenerate = draw(st.booleans())
     w = np.sort(rng.choice([0.0, 1.0, 2.0], n) if degenerate else rng.normal(size=n))
     beta = draw(st.sampled_from([0.0, 0.7, -1.3, 3.0]))
-    fac = np.exp(-beta * (w[:, None] - w)) if draw(st.booleans()) else None
-    mask = draw(st.sampled_from([None, "random", "periodic"]))
-    if mask == "random":
-        mask = rng.random((n, n)) < 0.6
-    elif mask == "periodic":     # the integer spectrum's degree-zero units, as trace_scaling_beta
-        mask = w[:, None] == w
-    return d, fac, mask
+    fac = np.exp(-beta * (w[:, None] - w))
+    same = draw(st.sampled_from([None, "classes", "periodic"]))
+    if same == "classes":
+        labels = rng.integers(0, 3, n)
+        same = labels[:, None] == labels
+    elif same == "periodic":     # the integer spectrum's degree-zero units, as trace_scaling_beta
+        same = w[:, None] == w
+    return d, fac, same
 
 
 @given(_exchange_inputs())
 def test_property_exchange_residual_matches_the_tensor_oracles(inputs):
-    d, fac, mask = inputs
+    """verify_kms's exchange residual and witness, and the trace residual on the whole
+    block or on an equivalence relation, against the n⁴ exchange tensors."""
+    d, fac, same = inputs
     n = d.shape[0]
-    full_fac = np.ones((n, n)) if fac is None else fac
-    full_mask = np.ones((n, n), dtype=bool) if mask is None else mask
-    val, where = _exchange_residual(d, fac, mask)
-    ref_val, ref_where = _selecting_exchange_oracle(d, full_fac, full_mask)
+    ones = np.ones((n, n), dtype=bool)
+    val, where = _exchange_residual(d, fac)
+    ref_val, ref_where = _selecting_exchange_oracle(d, fac, ones)
     assert where == ref_where
     assert val == ref_val or (np.isnan(val) and np.isnan(ref_val))
     if not np.isnan(d).any():
-        assert (val, where) == _exchange_oracle(d, full_fac, full_mask)
+        assert (val, where) == _exchange_oracle(d, fac, ones)
+    assert type(val) is float
+    mask = ones if same is None else same
+    val = _trace_residual(d, same)
+    ref_val, _ = _selecting_exchange_oracle(d, np.ones((n, n)), mask)
+    assert val == ref_val or (np.isnan(val) and np.isnan(ref_val))
+    if not np.isnan(d).any():
+        assert val == _exchange_oracle(d, np.ones((n, n)), mask)[0]
     assert type(val) is float
 
 

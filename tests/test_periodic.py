@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kmslab import (
@@ -15,7 +15,6 @@ from kmslab import (
     cuntz_trace,
     difference_group,
     fejer_kernel,
-    gap_unit,
     gauge_kms_beta,
     gibbs,
     minimal_period,
@@ -23,8 +22,8 @@ from kmslab import (
     relation_fit,
     trace_scaling_beta,
 )
-from kmslab.algebra import Functional, _exchange_residual, random_state
-from kmslab.periodic import RELATION_TOL
+from kmslab.algebra import Functional, _trace_residual, random_state
+from kmslab.periodic import RELATION_TOL, gap_group
 
 RNG = np.random.default_rng(271828)
 
@@ -78,9 +77,9 @@ def test_periodic_flow_takes_the_period_that_minimal_period_finds():
 def test_relation_fit_and_gap_unit():
     assert relation_fit(0.75) == Fraction(3, 4)
     assert relation_fit(math.sqrt(2.0)) is None
-    assert abs(gap_unit([1.0, 2.0, 3.0]) - 1.0) < 1e-12
-    assert abs(gap_unit([1.5, 2.5]) - 0.5) < 1e-12
-    assert gap_unit([1.0, math.sqrt(2.0)]) is None
+    assert abs(gap_group([1.0, 2.0, 3.0])[0] - 1.0) < 1e-12
+    assert abs(gap_group([1.5, 2.5])[0] - 0.5) < 1e-12
+    assert gap_group([1.0, math.sqrt(2.0)])[0] is None
 
 
 @given(kind=st.sampled_from(["lattice", "irrational", "constant"]),
@@ -334,7 +333,7 @@ def test_fixed_point_trace_check_matches_reference_route():
         for tau in taus:
             tau_eig = flow.to_eigenbasis(tau.density)
             want = _reference_fixed_point_residuals(pf.degrees, tau_eig)
-            got = [_exchange_residual(t, mask=deg == 0)[0] for deg, t in zip(pf.degrees, tau_eig)]
+            got = [_trace_residual(t, deg == 0) for deg, t in zip(pf.degrees, tau_eig)]
             assert got == want
             # the refusal fires on the first block past tol, with its residual
             scale = max(1.0, tau.density.norm())
@@ -349,13 +348,59 @@ def test_fixed_point_trace_check_matches_reference_route():
             else:
                 assert msg == ("functional is not a trace on the fixed-point algebra "
                                f"(residual {first_bad:.3e})")
-    # masks that no flow produces, on non-Hermitian densities
+    # additive degree tables c_j − c_l, as every PeriodicFlow has, on non-Hermitian densities
     for _ in range(100):
         n = int(rng.integers(1, 6))
-        deg = rng.integers(-1, 2, size=(n, n))
+        c = rng.integers(-1, 2, size=n)
+        deg = c[:, None] - c
         t = rng.choice([0.0, 0.3, -0.3j, 1.0], size=(n, n)).astype(complex)
-        assert [_exchange_residual(t, mask=deg == 0)[0]] == \
-            _reference_fixed_point_residuals([deg], [t])
+        assert [_trace_residual(t, deg == 0)] == _reference_fixed_point_residuals([deg], [t])
+
+
+@given(kind=st.sampled_from(["lattice", "pi-stretched", "near-degenerate"]),
+       spectra=st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+                        min_size=1, max_size=3),
+       unit=st.floats(0.05, 20.0), multiple=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_degree_tables_are_additive(kind, spectra, unit, multiple, seed):
+    """deg[j, l] + deg[l, m] = deg[j, m] in every block, at the minimal period and at a
+    multiple of it, so that degree zero is an equivalence relation: the premise of
+    trace_scaling_beta's trace check. The spectra are integer lattices in a random
+    eigenbasis, the same stretched by π, or with a copy of the first eigenvalue moved
+    by half the zero-gap threshold."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for ks in spectra:
+        w = (math.pi if kind == "pi-stretched" else 1.0) * unit * np.asarray(ks, dtype=float)
+        if kind == "near-degenerate":
+            w = np.append(w, w[0] + 0.5 * RELATION_TOL * max(1.0, float(np.max(np.abs(w)))))
+        z = rng.standard_normal((w.size, w.size)) + 1j * rng.standard_normal((w.size, w.size))
+        u, _ = np.linalg.qr(z)
+        blocks.append((u * w) @ u.conj().T)
+    alg = BlockAlgebra(tuple(len(b) for b in blocks))
+    flow = InnerFlow(alg, alg.element(blocks))
+    period = minimal_period(flow)
+    # a scalar flow has only the zero table; a displaced copy can make the gaps
+    # incommensurable at RELATION_TOL, and then no PeriodicFlow exists
+    assume(period is not None and period != 0.0)
+    for pf in (PeriodicFlow(flow), PeriodicFlow(flow, period=multiple * period)):
+        for deg in pf.degrees:
+            assert np.all(deg[:, :, None] + deg[None, :, :] == deg[:, None, :])
+
+
+def test_trace_scaling_beta_names_the_first_degenerate_unit():
+    # block 1 has degrees w_j − w_l over (0, 1, 3); in (block, j, l) order the first unit
+    # with a vanishing diagonal entry is (1, 0, 2), of degree −3, ahead of degrees −2, 3, 2
+    alg = BlockAlgebra((2, 3))
+    flow = InnerFlow(alg, alg.element([np.diag([0.0, 1.0]).astype(complex),
+                                       np.diag([0.0, 1.0, 3.0]).astype(complex)]))
+    pf = PeriodicFlow(flow)
+    for weights, k in (((0.3, 0.2, 0.0), -3), ((0.0, 0.2, 0.3), -1)):
+        dens = [np.diag([0.25, 0.25]).astype(complex), np.diag(weights).astype(complex)]
+        tau = Functional(alg, alg.element(dens))
+        with pytest.raises(ValueError) as err:
+            trace_scaling_beta(pf, tau)
+        assert str(err.value) == (f"degenerate functional: vanishes on a degree-{k} unit, "
+                                  "so the scaling ratio is undefined")
 
 
 def test_cuntz_trace_values():
