@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import _LOG_FLOAT_MAX
+from .algebra import _LOG_FLOAT_MAX, InternalFault
 from .flow import InnerFlow
 from .kms import KmsSimplex, _boltzmann, _simplex_at
 
@@ -50,6 +50,11 @@ def _as_fraction(x) -> Fraction:
             raise ValueError(f"{x!r} is not recognizably rational; pass a Fraction or string")
         return fr
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,14 @@ class DimensionGroupSpec:
     def rank(self) -> int:
         return len(self.matrix)
 
+    @functools.cached_property
     def matrix_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix])
+        """ρ in floats, made once and read-only."""
+        return _read_only(np.array([[float(x) for x in row] for row in self.matrix]))
 
+    @functools.cached_property
     def unit_float(self) -> np.ndarray:
-        return np.array([float(u) for u in self.order_unit])
+        return _read_only(np.array([float(u) for u in self.order_unit]))
 
     @functools.cached_property
     def _scaled_transpose(self) -> tuple[int, np.ndarray]:
@@ -146,27 +154,30 @@ class _Lane(NamedTuple):
     """What the exact and float sweeps do differently; the rest is shared."""
 
     zero: float             # a coordinate x counts as zero when |x| ≤ zero
+    dtype: type             # of the orthant's unit rays
     vector: Callable        # numbers → a row or ray
     tol: Callable           # row → a ray g lies on the row's hyperplane when |row·g| ≤ tol
     is_zero: Callable       # ray → whether it vanishes
     normalize: Callable     # ray → the same ray at its canonical scale
     key: Callable           # normalized ray → its dedupe key
     rank: Callable          # (rows, zeroed coordinates i, dim) → rank of the rows and the e_i
+    keeps_survivors: bool   # rays on the new hyperplane stay without a rank test
 
 
 # exact: Python ints in object arrays, primitive rows and coprime rays, every test exact
-_EXACT = _Lane(zero=0, vector=_integer_row, tol=lambda row: 0,
+_EXACT = _Lane(zero=0, dtype=object, vector=_integer_row, tol=lambda row: 0,
                is_zero=lambda ray: not any(ray), normalize=_primitive, key=tuple,
-               rank=_tight_rank_exact)
+               rank=_tight_rank_exact, keeps_survivors=True)
 # float: unit-norm rays, tolerances relative to the row, rays that agree to
 # 8 decimals at max-norm 1 are one
-_FLOAT = _Lane(zero=FLOAT_ZERO_TOL, vector=lambda xs: np.array(xs, dtype=float),
+_FLOAT = _Lane(zero=FLOAT_ZERO_TOL, dtype=float, vector=lambda xs: np.array(xs, dtype=float),
                tol=lambda row: FLOAT_ZERO_TOL * max(1.0, float(np.max(np.abs(row)))),
                is_zero=lambda ray: np.linalg.norm(ray) < FLOAT_ZERO_TOL,
                normalize=lambda v: v / np.linalg.norm(v),
                key=lambda ray: tuple(np.round(ray / np.max(np.abs(ray)), 8)),
                rank=lambda rows, zeros, dim: np.linalg.matrix_rank(
-                   np.vstack([*rows, np.eye(dim)[zeros]]), tol=1e-9))
+                   np.vstack([*rows, np.eye(dim)[zeros]]), tol=1e-9),
+               keeps_survivors=False)
 
 
 def _dd_cone(rows: list[np.ndarray], dim: int, lane: _Lane) -> list[np.ndarray]:
@@ -174,10 +185,14 @@ def _dd_cone(rows: list[np.ndarray], dim: int, lane: _Lane) -> list[np.ndarray]:
 
     Rays on the new hyperplane stay; each pair of rays on opposite sides
     (values vp > 0 at g₊, vm < 0 at g₋) gives the candidate vp·g₋ − vm·g₊
-    on it. A ray survives when its tight constraints, the rows so far plus
-    the coordinates it zeroes, have rank dim − 1.
+    on it. A candidate survives when its tight constraints, the rows so far
+    plus the coordinates it zeroes, have rank dim − 1. On the exact lane a
+    ray kept at the last row with value exactly 0 on this one is kept without
+    that test: an extreme ray of C on H is extreme in C ∩ H (Motzkin et al.
+    1953), so its rank stays dim − 1. The float lane tests it again, since a
+    ray its relative zero test puts on H can fail its absolute rank tolerance.
     """
-    rays = [lane.vector(e) for e in np.eye(dim)]
+    rays = list(np.eye(dim, dtype=lane.dtype))
     seen: list[np.ndarray] = []
     for row in rows:
         tol = lane.tol(row)
@@ -187,8 +202,8 @@ def _dd_cone(rows: list[np.ndarray], dim: int, lane: _Lane) -> list[np.ndarray]:
         minus = [(g, v) for g, v in zip(rays, vals) if v < -tol]
         fresh = [lane.normalize(vp * gm - vm * gp) for gp, vp in plus for gm, vm in minus]
         seen.append(row)
-        kept: dict[tuple, np.ndarray] = {}
-        for ray in zero + fresh:
+        kept = {lane.key(g): g for g in zero} if lane.keeps_survivors else {}
+        for ray in fresh if lane.keeps_survivors else zero + fresh:
             if lane.is_zero(ray):
                 continue
             # a no-op on exact rays; float rays and their keys take their bits from it
@@ -256,7 +271,7 @@ def _fiber_rows(spec: DimensionGroupSpec, s, lane: _Lane) -> list[np.ndarray]:
         rows = _eigen_rows(spec, s)
     else:
         r = spec.rank
-        rows = list(np.hstack([spec.matrix_float().T - s * np.eye(r), np.zeros((r, 1))]))
+        rows = list(np.hstack([spec.matrix_float.T - s * np.eye(r), np.zeros((r, 1))]))
     return rows + [lane.vector(list(spec.order_unit) + [-1])]
 
 
@@ -295,20 +310,19 @@ def _affine_dim(verts: list[np.ndarray]) -> int:
 
 
 def _check_fiber(spec: DimensionGroupSpec, fiber: SimplexFiber, s: float):
-    m = spec.matrix_float()
-    u = spec.unit_float()
+    m, u = spec.matrix_float, spec.unit_float
     for v in fiber.vertices:
         if np.any(v < -1e-10):
-            raise AssertionError("fiber vertex leaves the positive cone")
+            raise InternalFault("fiber vertex leaves the positive cone")
         if np.max(np.abs(v @ m - s * v)) > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
-            raise AssertionError("fiber vertex is not a left eigenvector")
+            raise InternalFault("fiber vertex is not a left eigenvector")
         if abs(float(v @ u) - 1.0) > 1e-9:
-            raise AssertionError("fiber vertex is not normalized against the unit")
+            raise InternalFault("fiber vertex is not normalized against the unit")
 
 
 def _spectrum_fibers(spec: DimensionGroupSpec) -> list[SimplexFiber]:
     """The nonempty fibers over positive eigenvalues s of ρᵀ, by increasing β."""
-    eigs = np.linalg.eigvals(spec.matrix_float().T)
+    eigs = np.linalg.eigvals(spec.matrix_float.T)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     cands = []
     for s in eigs:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmslab import (
@@ -25,8 +25,8 @@ from kmslab import (
     scaling_measure,
     verify_scaling,
 )
-from kmslab.bundle import (FLOAT_ZERO_TOL, _EXACT, _FLOAT, Atom, Interval, _dd_cone, _fiber_rows,
-                           _rank_exact, _rational_eigenvalue, _tight_rank_exact)
+from kmslab.bundle import (FLOAT_ZERO_TOL, MAX_RANK, _EXACT, _FLOAT, Atom, Interval, _dd_cone,
+                           _fiber_rows, _rank_exact, _rational_eigenvalue, _tight_rank_exact)
 
 F = Fraction
 
@@ -396,10 +396,11 @@ _POOL = [F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(3, 7), F(5, 4), F(3, 2)]
 
 
 @st.composite
-def _diagonal_specs(draw, upper=False):
-    """Rank ≤ 8 specs with diagonal values from a small pool and units 1–4; with
-    ``upper``, some entries above the diagonal too, which keeps the diagonal the spectrum."""
-    r = draw(st.integers(1, 8))
+def _diagonal_specs(draw, upper=False, ranks=(1, 8)):
+    """Specs of rank in ``ranks`` with diagonal values from a small pool and units 1–4;
+    with ``upper``, some entries above the diagonal too, which keeps the diagonal the
+    spectrum."""
+    r = draw(st.integers(*ranks))
     diag = draw(st.lists(st.sampled_from(_POOL), min_size=r, max_size=r))
     m = [[diag[i] if i == j else F(0) for j in range(r)] for i in range(r)]
     if upper:
@@ -431,6 +432,72 @@ def test_property_exact_lane_matches_float_lane(case):
         assert len(floats) == f.vertex_count
         for v, w in zip(floats, sorted(f.vertices, key=key)):
             assert np.max(np.abs(v - w)) <= 1e-9
+
+
+def _assert_fiber_rays_match_reference(spec, s):
+    rows = _fiber_rows(spec, s, _EXACT)
+    got = _dd_cone(rows, spec.rank + 1, _EXACT)
+    assert [tuple(g) for g in got] == _reference_dd_cone_exact(
+        [tuple(F(x) for x in row) for row in rows], spec.rank + 1)
+
+
+# the reference sweep takes about half a second per spec at ranks 9–12
+@settings(max_examples=4)
+@given(_diagonal_specs(ranks=(9, MAX_RANK)))
+def test_property_sweep_at_the_rank_cap_matches_support_rule(case):
+    spec, values = case
+    for s in values:
+        assert fiber_simplex(spec, -math.log(float(s))).vertices_exact == diagonal_fiber(spec, s)
+        _assert_fiber_rays_match_reference(spec, s)
+
+
+@settings(max_examples=4)
+@given(_diagonal_specs(upper=True, ranks=(9, MAX_RANK)))
+def test_property_upper_triangular_sweep_at_the_rank_cap_matches_reference(case):
+    spec, values = case
+    for s in values:
+        _assert_fiber_rays_match_reference(spec, s)
+
+
+def test_exact_sweep_rank_tests_only_the_fresh_candidates():
+    """An exact ray kept at one row and on the next row's hyperplane stays untested,
+    so the rank runs once per candidate vp·g₋ − vm·g₊, counted here from the
+    reference sweep's rays before each row."""
+    spec = _diag_spec([F(1, 3), F(1, 2), F(2, 3), F(1, 2), F(3, 7), F(1, 3), F(2, 3), F(1, 3)],
+                      unit=[1, 3, 2, 4, 1, 2, 3, 1])
+    dim = spec.rank + 1
+    for s in (F(1, 3), F(1, 2), F(2, 3), F(3, 7)):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _tight_rank_exact(*args)
+
+        rows = _fiber_rows(spec, s, _EXACT)
+        fracs = [tuple(F(x) for x in row) for row in rows]
+        got = _dd_cone(rows, dim, _EXACT._replace(rank=counting))
+        assert [tuple(g) for g in got] == _reference_dd_cone_exact(fracs, dim)
+        fresh = on_plane = 0
+        for k, row in enumerate(fracs):
+            vals = [sum(a * b for a, b in zip(row, g))
+                    for g in _reference_dd_cone_exact(fracs[:k], dim)]
+            fresh += sum(v > 0 for v in vals) * sum(v < 0 for v in vals)
+            on_plane += sum(v == 0 for v in vals)
+        assert on_plane > fresh > 0
+        assert len(calls) == fresh
+
+
+def test_float_sweep_rank_tests_the_rays_on_the_new_hyperplane():
+    """The float lane's zero test is relative and its rank tolerance absolute: here
+    a ray within the zero tolerance of the second row fails the rank test, so the
+    float sweep must test such rays again."""
+    r1 = 1000.0 * np.array([-3.0, -9.0, 0.0, 6.0])
+    rows = [r1, 1000.0 * r1 + np.array([1e-6, 0.0, 0.0, 0.0])]
+    got = _dd_cone(rows, 4, _FLOAT)
+    ref = _reference_dd_cone_float(rows, 4)
+    assert len(got) == len(ref) == 2
+    assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+    assert len(_dd_cone(rows, 4, _FLOAT._replace(keeps_survivors=True))) == 3
 
 
 def _reference_rational_eigenvalue(spec, s_float):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmslab import cli, cocycle, kms
+from kmslab import bundle, cli, cocycle, kms
 from kmslab.algebra import InternalFault
 from kmslab.cli import main
 from kmslab.flow import QuadratureError
@@ -1347,6 +1347,24 @@ def test_trivialize_window_guard_is_an_internal_fault(tmp_path, monkeypatch, cap
     assert main(["cocycle", "trivialize", "--in", _grid_file(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("error: internal fault: InternalFault: "
                                               "rescaled unit square")
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (lambda ray: np.append(-ray[:-1], ray[-1]), "leaves the positive cone"),
+    (lambda ray: np.append(ray[:-1] + ray[-1], ray[-1]), "is not a left eigenvector"),
+    (lambda ray: np.append(ray[:-1], 2 * ray[-1]), "is not normalized against the unit"),
+], ids=["cone", "eigenvector", "unit"])
+def test_a_bad_fiber_vertex_is_an_internal_fault(spoil, message, tmp_path, monkeypatch, capsys):
+    """fiber_simplex's post-checks hold for every valid spec: a vertex failing one
+    is a fault of the library (exit 3), not of the input. Each case spoils the
+    sweep's rays so that only its own check fails first."""
+    dd_cone = bundle._dd_cone
+    monkeypatch.setattr(bundle, "_dd_cone",
+                        lambda *args: [spoil(ray) for ray in dd_cone(*args)])
+    dg = _write(tmp_path / "dg.json", Q6_DG)
+    assert main(["bundle", "--dg", dg, "--out", str(tmp_path / "b.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: internal fault: InternalFault: fiber vertex {message}\n"
 
 
 # -- the route of trivialize's precheck ---------------------------------------------------
