@@ -3,15 +3,26 @@
 For a dimension-group style specification (a cone-preserving rational
 matrix ρ with an order unit u) the fiber over β is the polytope
 
-    { c ≥ 0 : cᵀρ = e^{-β} cᵀ, ⟨c, u⟩ = 1 },
+    { c ≥ 0 : ρᵀc = s·c, ⟨c, u⟩ = 1 },    s = e^{-β},
 
-enumerated by a double-description sweep: start from the orthant's
-extreme rays, intersect one equality at a time combining opposite-sign
-ray pairs, and keep exactly the rays whose tight constraints have rank
-dim−1. When e^{-β} is (certifiably) a rational eigenvalue the whole sweep
-runs in integers (primitive rows, coprime rays) and the vertices come out
-as exact fractions; otherwise it runs in floats with relative tolerances.
-Diagonal specifications admit a one-line support rule, the cross-check.
+read off the class graph of ρᵀ (i → j when ρ_ji > 0) by the Frobenius–Victory
+theorem (Victory 1985; Schneider 1986). With S_α the indices that have access
+to the class α, α gives a vertex exactly when the null space of (ρᵀ − s·1) on
+S_α is one-dimensional and spanned by some c > 0; the vertex is c (0 off S_α)
+over ⟨c, u⟩, and these are all the vertices. Why:
+
+* rows outside S_α vanish on c, since ρᵀ_ij > 0 with j in S_α puts i in S_α;
+  so c is an eigenvector of ρᵀ;
+* c > 0 on a class γ ≠ α with access to α makes γ strictly subinvariant
+  (ρᵀ_γγ c_γ ≤ s·c_γ, strictly where γ leaves itself), so its radius is below
+  s, while α, which reaches nothing else in S_α, has radius s;
+* for such a (distinguished) α, s is a simple eigenvalue of ρᵀ on S_α, so the
+  null space is one-dimensional and holds α's positive eigenvector.
+
+When e^{-β} is (certifiably) a rational eigenvalue the null vectors come from
+fraction-free integer elimination and the vertices are exact fractions;
+otherwise from an SVD with a relative singular-value cut. Diagonal
+specifications admit a one-line support rule, the cross-check.
 
 The same file holds the degenerate one-point bundles (Dirac simplices on
 level sets), self-similar measures on the half-line with their scaling
@@ -24,7 +35,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,13 +108,24 @@ class DimensionGroupSpec:
 
     @functools.cached_property
     def _scaled_transpose(self) -> tuple[int, np.ndarray]:
-        """L, the lcm of ρ's denominators, and [L·ρᵀ | 0]: Python ints in an
-        r × (r + 1) object array, row j being L times column j of ρ."""
+        """L, the lcm of ρ's denominators, and L·ρᵀ: Python ints in an object array."""
         lcm = math.lcm(*(x.denominator for row in self.matrix for x in row))
         r = self.rank
         cols = [[self.matrix[i][j].numerator * (lcm // self.matrix[i][j].denominator)
-                 for i in range(r)] + [0] for j in range(r)]
+                 for i in range(r)] for j in range(r)]
         return lcm, np.array(cols, dtype=object)
+
+    @functools.cached_property
+    def _access_sets(self) -> tuple[tuple[int, ...], ...]:
+        """S_α for each class α of ρᵀ's graph (i → j when ρ_ji > 0): the indices with
+        access to α, by a boolean transitive closure. Squaring k times reaches paths
+        of length up to 2^k, and none needs more than r − 1."""
+        r = self.rank
+        reach = np.array([[x > 0 for x in row] for row in self.matrix]).T | np.eye(r, dtype=bool)
+        for _ in range((r - 1).bit_length()):
+            reach = reach @ reach
+        # S_a = S_b exactly when a and b share a class
+        return tuple(sorted({tuple(np.flatnonzero(reach[:, a]).tolist()) for a in range(r)}))
 
 
 # -- exact linear algebra: rationals become integers once --------------------------
@@ -124,100 +145,39 @@ def _integer_row(xs) -> np.ndarray:
     return _primitive(np.array([n * (lcm // d) for n, d in ratios], dtype=object))
 
 
-def _integer_rank(rows, dim: int) -> int:
-    """Rank of integer rows over ℚ: fraction-free elimination, combined rows made primitive."""
-    mat, rank = list(rows), 0
+def _echelon(rows, dim: int) -> list[tuple[int, np.ndarray]]:
+    """Fraction-free elimination of integer rows over ℚ, combined rows made primitive:
+    the pivot rows with their pivot columns, each row zero left of its column.
+    Their number is the rank."""
+    mat, pivots = list(rows), []
     for col in range(dim):
         piv = next((r for r in mat if r[col]), None)
         if piv is not None:
-            rank += 1
+            pivots.append((col, piv))
             p = piv[col]
             mat = [_primitive(p * r - r[col] * piv) if r[col] else r for r in mat if r is not piv]
-    return rank
+    return pivots
+
+
+def _integer_null(rows, dim: int) -> np.ndarray | None:
+    """A primitive integer vector spanning the kernel of integer rows when that is
+    one-dimensional, by back substitution through their echelon form; else None."""
+    pivots = _echelon(rows, dim)
+    if len(pivots) != dim - 1:
+        return None
+    x = np.zeros(dim, dtype=object)
+    x[(set(range(dim)) - {col for col, _ in pivots}).pop()] = 1
+    for col, row in reversed(pivots):
+        num, den = -(row @ x), row[col]
+        g = math.gcd(num, den)
+        x *= den // g
+        x[col] = num // g
+    return _primitive(x)
 
 
 def _rank_exact(rows, dim: int) -> int:
     """Rank of rational rows over ℚ."""
-    return _integer_rank([_integer_row(r) for r in rows], dim)
-
-
-# -- double description: one sweep, an exact and a float lane ---------------------
-
-def _tight_rank_exact(rows, zeros: list[int], dim: int) -> int:
-    """Rank of the integer rows with the unit rows e_i, i in zeros: each e_i adds one
-    and clears column i, so only the other columns of the rows are eliminated."""
-    keep = [j for j in range(dim) if j not in zeros]
-    return len(zeros) + _integer_rank([row[keep] for row in rows], len(keep))
-
-
-class _Lane(NamedTuple):
-    """What the exact and float sweeps do differently; the rest is shared."""
-
-    zero: float             # a coordinate x counts as zero when |x| ≤ zero
-    dtype: type             # of the orthant's unit rays
-    vector: Callable        # numbers → a row or ray
-    tol: Callable           # row → a ray g lies on the row's hyperplane when |row·g| ≤ tol
-    is_zero: Callable       # ray → whether it vanishes
-    normalize: Callable     # ray → the same ray at its canonical scale
-    key: Callable           # normalized ray → its dedupe key
-    rank: Callable          # (rows, zeroed coordinates i, dim) → rank of the rows and the e_i
-    keeps_survivors: bool   # rays on the new hyperplane stay without a rank test
-
-
-# exact: Python ints in object arrays, primitive rows and coprime rays, every test exact
-_EXACT = _Lane(zero=0, dtype=object, vector=_integer_row, tol=lambda row: 0,
-               is_zero=lambda ray: not any(ray), normalize=_primitive, key=tuple,
-               rank=_tight_rank_exact, keeps_survivors=True)
-# float: unit-norm rays, tolerances relative to the row, rays that agree to
-# 8 decimals at max-norm 1 are one
-_FLOAT = _Lane(zero=FLOAT_ZERO_TOL, dtype=float, vector=lambda xs: np.array(xs, dtype=float),
-               tol=lambda row: FLOAT_ZERO_TOL * max(1.0, float(np.max(np.abs(row)))),
-               is_zero=lambda ray: np.linalg.norm(ray) < FLOAT_ZERO_TOL,
-               normalize=lambda v: v / np.linalg.norm(v),
-               key=lambda ray: tuple(np.round(ray / np.max(np.abs(ray)), 8)),
-               rank=lambda rows, zeros, dim: np.linalg.matrix_rank(
-                   np.vstack([*rows, np.eye(dim)[zeros]]), tol=1e-9),
-               keeps_survivors=False)
-
-
-def _dd_cone(rows: list[np.ndarray], dim: int, lane: _Lane) -> list[np.ndarray]:
-    """Extreme rays of {x ≥ 0 : row·x = 0 for every row}, one row at a time.
-
-    Rays on the new hyperplane stay; each pair of rays on opposite sides
-    (values vp > 0 at g₊, vm < 0 at g₋) gives the candidate vp·g₋ − vm·g₊
-    on it. A candidate survives when its tight constraints, the rows so far
-    plus the coordinates it zeroes, have rank dim − 1. On the exact lane a
-    ray kept at the last row with value exactly 0 on this one is kept without
-    that test: an extreme ray of C on H is extreme in C ∩ H (Motzkin et al.
-    1953), so its rank stays dim − 1. The float lane tests it again, since a
-    ray its relative zero test puts on H can fail its absolute rank tolerance.
-    """
-    rays = list(np.eye(dim, dtype=lane.dtype))
-    seen: list[np.ndarray] = []
-    for row in rows:
-        tol = lane.tol(row)
-        vals = [row @ g for g in rays]
-        zero = [g for g, v in zip(rays, vals) if abs(v) <= tol]
-        plus = [(g, v) for g, v in zip(rays, vals) if v > tol]
-        minus = [(g, v) for g, v in zip(rays, vals) if v < -tol]
-        fresh = [lane.normalize(vp * gm - vm * gp) for gp, vp in plus for gm, vm in minus]
-        seen.append(row)
-        kept = {lane.key(g): g for g in zero} if lane.keeps_survivors else {}
-        for ray in fresh if lane.keeps_survivors else zero + fresh:
-            if lane.is_zero(ray):
-                continue
-            # a no-op on exact rays; float rays and their keys take their bits from it
-            ray = lane.normalize(ray)
-            key = lane.key(ray)
-            if key in kept:
-                continue
-            zeros = [i for i in range(dim) if abs(ray[i]) <= lane.zero]
-            if lane.rank(seen, zeros, dim) == dim - 1:
-                kept[key] = ray
-        rays = list(kept.values())
-        if not rays:
-            return []
-    return rays
+    return len(_echelon([_integer_row(r) for r in rows], dim))
 
 
 # -- fibers and the β-spectrum ----------------------------------------------------
@@ -241,12 +201,13 @@ class SimplexFiber:
         return len(self.vertices)
 
 
-def _eigen_rows(spec: DimensionGroupSpec, s: Fraction) -> list[np.ndarray]:
-    """The primitive integer rows of [ρᵀ − s·1 | 0], made as q·[Lρᵀ | 0] − p·L·1
-    for s = p/q from the spec's integer scaling: no Fraction arithmetic."""
+def _eigen_rows(spec: DimensionGroupSpec, s: Fraction, support) -> list[np.ndarray]:
+    """The primitive integer rows of ρᵀ − s·1 on the indices in support, made as
+    q·Lρᵀ − p·L·1 for s = p/q from the spec's integer scaling: no Fraction arithmetic."""
     lcm, scaled = spec._scaled_transpose
-    mat = s.denominator * scaled
-    mat[np.diag_indices(spec.rank)] -= s.numerator * lcm
+    idx = np.asarray(support)
+    mat = s.denominator * scaled[idx[:, None], idx]
+    mat.flat[::len(idx) + 1] -= s.numerator * lcm
     return [_primitive(row) for row in mat]
 
 
@@ -255,43 +216,58 @@ def _rational_eigenvalue(spec: DimensionGroupSpec, s_float: float) -> Fraction |
     det(ρᵀ − s) when that holds exactly."""
     if s_float <= 0:
         return None
+    r = spec.rank
     for cand in {Fraction(s_float).limit_denominator(cap) for cap in (10 ** 3, 10 ** 6)}:
         if abs(float(cand) - s_float) > 1e-9 * max(1.0, s_float):
             continue
-        # the rows' last column is 0, so the rank over the first r is the rank of ρᵀ − s
-        if _integer_rank(_eigen_rows(spec, cand), spec.rank) < spec.rank:
+        if len(_echelon(_eigen_rows(spec, cand, range(r)), r)) < r:
             return cand
     return None
 
 
-def _fiber_rows(spec: DimensionGroupSpec, s, lane: _Lane) -> list[np.ndarray]:
-    """The fiber as the cone {(c, t) ≥ 0} cut by (cᵀρ)_j = s·c_j and ⟨c, u⟩ = t;
-    on the exact lane s is a Fraction and the rows primitive integer rows."""
-    if lane is _EXACT:
-        rows = _eigen_rows(spec, s)
+def _class_vertex(spec: DimensionGroupSpec, support: tuple[int, ...], s) -> np.ndarray | None:
+    """The vertex that the class with access set ``support`` gives at s, or None:
+    c > 0 spanning the null space of ρᵀ − s·1 on ``support``, 0 elsewhere, over ⟨c, u⟩.
+
+    For a Fraction s, c is the primitive integer null vector and the vertex holds
+    Fractions. For a float s, singular values ≤ 1e-9·max(1, max|M|) of the block M
+    count as null, c is the last right singular vector, and that unit vector is
+    positive when every entry exceeds ``FLOAT_ZERO_TOL``."""
+    idx = np.asarray(support)
+    if isinstance(s, Fraction):
+        c = _integer_null(_eigen_rows(spec, s, idx), len(idx))
+        floor, v, unit = 0, np.full(spec.rank, Fraction(0)), np.array(spec.order_unit)
     else:
-        r = spec.rank
-        rows = list(np.hstack([spec.matrix_float.T - s * np.eye(r), np.zeros((r, 1))]))
-    return rows + [lane.vector(list(spec.order_unit) + [-1])]
+        m = spec.matrix_float.T[idx[:, None], idx] - s * np.eye(len(idx))
+        _, sv, vt = np.linalg.svd(m)
+        null = np.count_nonzero(sv <= 1e-9 * max(1.0, float(np.max(np.abs(m)))))
+        c = vt[-1] if null == 1 else None
+        floor, v, unit = FLOAT_ZERO_TOL, np.zeros(spec.rank), spec.unit_float
+    if c is None:
+        return None
+    c = -c if c[0] < 0 else c
+    if not np.all(c > floor):
+        return None
+    v[idx] = c / (c @ unit[idx])
+    return v
 
 
 def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
-    """The polytope of normalized positive left eigenvectors at e^{-β}."""
+    """The polytope of normalized positive left eigenvectors at e^{-β}: one vertex
+    for each class of ρᵀ's graph that gives one (see the module docstring)."""
     if -float(beta) > _LOG_FLOAT_MAX:
         raise ValueError(f"beta = {float(beta):g}: the eigenvalue e^-β is beyond the float range")
     s_float = math.exp(-float(beta))
     s_exact = _rational_eigenvalue(spec, s_float)
-    lane, s = (_FLOAT, s_float) if s_exact is None else (_EXACT, s_exact)
-    # bounded polytope: only rays with t > 0 can appear
-    rays = [ray for ray in _dd_cone(_fiber_rows(spec, s, lane), spec.rank + 1, lane)
-            if ray[-1] > lane.zero]
+    s = s_float if s_exact is None else s_exact
+    verts = [v for v in (_class_vertex(spec, sup, s) for sup in spec._access_sets)
+             if v is not None]
     if s_exact is None:
-        verts = [ray[:-1] / ray[-1] for ray in rays]
         verts.sort(key=lambda v: tuple(np.round(v, 9)))
         fiber = SimplexFiber(beta=float(beta), vertices=verts,
                              dimension=_affine_dim(verts), exact=False)
     else:
-        verts_exact = sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in rays)
+        verts_exact = sorted(tuple(v) for v in verts)
         verts = [np.array([float(x) for x in v]) for v in verts_exact]
         fiber = SimplexFiber(beta=float(beta), vertices=verts,
                              dimension=_affine_dim(verts), exact=True,
@@ -343,7 +319,7 @@ def beta_spectrum(spec: DimensionGroupSpec) -> list[float]:
 def diagonal_fiber(spec: DimensionGroupSpec, s: Fraction) -> list[tuple[Fraction, ...]]:
     """Support rule for diagonal specifications: the fiber at a diagonal
     value s is the simplex on {i : ρ_ii = s}, vertices e_i/u_i. Exact, and
-    entirely independent of the double-description sweep."""
+    independent of the class graph and its null spaces."""
     r = spec.rank
     for i in range(r):
         for j in range(r):

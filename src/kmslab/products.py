@@ -200,7 +200,8 @@ def difference_group(h) -> DifferenceGroupReport:
     """Classify the subgroup of ℝ generated by the eigenvalue differences.
 
     Accepts a Hermitian matrix or a 1-d array of eigenvalues. ``dense``
-    comes with :func:`periodic.gap_group`'s witness pair of gaps.
+    comes with :func:`periodic.gap_group`'s witness pair of gaps. A spectrum
+    whose widest gap is no float is refused.
     """
     arr = np.asarray(h, dtype=complex)
     if arr.ndim == 2:
@@ -209,6 +210,9 @@ def difference_group(h) -> DifferenceGroupReport:
         w = np.sort(np.real(arr))
     else:
         raise ValueError("expected a matrix or a vector of eigenvalues")
+    if w.size and not math.isfinite(float(w[-1]) - float(w[0])):
+        raise ValueError(f"the eigenvalue gap {float(w[-1]):g} − ({float(w[0]):g}) "
+                         "is beyond the float range")
     kappa, witness = gap_group(distinct_gaps([w]))
     kind = "dense" if kappa is None else "cyclic" if kappa else "trivial"
     return DifferenceGroupReport(kind=kind, kappa=kappa or None, witness=witness)
@@ -227,7 +231,8 @@ def factor_type_itpfi(spec: ItpfiSpec, beta: float) -> FactorTypeReport:
 
     Cyclic difference group with generator κ gives III_λ with
     λ = e^{-|β|κ}; a dense group gives III_1; β = 0 and flowless sites
-    fall outside the λ-classification and are tagged as such.
+    fall outside the λ-classification and are tagged as such. A |β|κ past
+    log(float max), where λ would underflow, is refused.
     """
     report = difference_group(spec.site_generator)
     if report.kind == "trivial":
@@ -236,7 +241,11 @@ def factor_type_itpfi(spec: ItpfiSpec, beta: float) -> FactorTypeReport:
         return FactorTypeReport(tag="beta_zero", group=report)
     if report.kind == "dense":
         return FactorTypeReport(tag="III_1", lambda_value=1.0, group=report)
-    lam = math.exp(-abs(beta) * report.kappa)
+    exponent = abs(beta) * report.kappa
+    if exponent > _LOG_FLOAT_MAX:
+        raise ValueError(f"|β|κ = {exponent:g} exceeds {_LOG_FLOAT_MAX:.6g}: "
+                         "λ = e^-|β|κ underflows the float range")
+    lam = math.exp(-exponent)
     return FactorTypeReport(tag="III_lambda", lambda_value=lam,
                             kappa=report.kappa, group=report)
 
@@ -249,13 +258,16 @@ class GammaReport:
 
 def gamma_invariant(spec: ItpfiSpec, beta: float) -> GammaReport:
     """The closed subgroup of ℝ attached to the product factor: {0},
-    (|β|κ)·ℤ, or all of ℝ."""
+    (|β|κ)·ℤ, or all of ℝ; a |β|κ that is no float is refused."""
     report = difference_group(spec.site_generator)
     if report.kind == "trivial" or beta == 0.0:
         return GammaReport(kind="zero")
     if report.kind == "dense":
         return GammaReport(kind="full_line")
-    return GammaReport(kind="cyclic", generator=abs(beta) * report.kappa)
+    generator = abs(beta) * report.kappa
+    if not math.isfinite(generator):
+        raise ValueError(f"|β|κ = {abs(beta):g}·{report.kappa:g} is beyond the float range")
+    return GammaReport(kind="cyclic", generator=generator)
 
 
 # -- matroid-type site families: boundedness of Σ (trace ratio − 1) -------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kmslab import (
@@ -25,8 +25,8 @@ from kmslab import (
     scaling_measure,
     verify_scaling,
 )
-from kmslab.bundle import (FLOAT_ZERO_TOL, MAX_RANK, _EXACT, _FLOAT, Atom, Interval, _dd_cone,
-                           _fiber_rows, _rank_exact, _rational_eigenvalue, _tight_rank_exact)
+from kmslab.bundle import (FLOAT_ZERO_TOL, MAX_RANK, Atom, Interval, _class_vertex, _eigen_rows,
+                           _integer_null, _integer_row, _rank_exact, _rational_eigenvalue)
 
 F = Fraction
 
@@ -74,7 +74,7 @@ def test_fiber_vertices_are_exact_eigenvectors():
 
 
 def test_double_description_matches_support_rule():
-    """Sweep vs. the independent diagonal-support oracle on random diagonal specs."""
+    """fiber_simplex vs. the independent diagonal-support oracle on random diagonal specs."""
     rng = np.random.default_rng(404)
     for _ in range(10):
         r = int(rng.integers(2, 6))
@@ -132,7 +132,7 @@ def test_fiber_simplex_refuses_a_beta_past_the_float_range():
 
 
 def test_float_lane_fiber_matches_support_rule():
-    """Denominators above 10⁶ keep e^{-β} off the exact lane; the float sweep
+    """Denominators above 10⁶ keep e^{-β} off the exact lane; the float lane
     must still find every vertex e_i/u_i of the support rule."""
     a, b, c = (F(int(f * q), q) for f, q in ((0.61803, 10 ** 7 + 19), (0.41421, 10 ** 7 + 79),
                                              (1.31416, 10 ** 7 + 121)))
@@ -149,7 +149,7 @@ def test_float_lane_fiber_matches_support_rule():
             assert np.max(np.abs(v - np.array([float(x) for x in w]))) <= 1e-9
 
 
-# -- the one sweep against the two it replaced, kept verbatim as oracles ---------------
+# -- fiber_simplex against the double-description sweeps it replaced, kept as oracles ----
 
 def _reference_rank_exact(rows: list[tuple[F, ...]], dim: int) -> int:
     mat = [list(r) for r in rows]
@@ -245,87 +245,59 @@ def _reference_dd_cone_float(rows: list[np.ndarray], dim: int) -> list[np.ndarra
     return rays
 
 
-def _assert_same_rays(rows, dim):
-    """Both lanes of the sweep give the reference sweeps' rays, in order, bit for bit."""
-    got = _dd_cone([_EXACT.vector(r) for r in rows], dim, _EXACT)
-    ref = _reference_dd_cone_exact([tuple(F(x) for x in r) for r in rows], dim)
-    assert [tuple(g) for g in got] == ref
-    frows = [np.array([float(x) for x in r]) for r in rows]
-    got = _dd_cone(frows, dim, _FLOAT)
-    ref = _reference_dd_cone_float(frows, dim)
-    assert len(got) == len(ref)
-    assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
-    return len(ref)
-
-
 def _cone_rows(matrix, unit, s):
     r = len(unit)
     rows = [[matrix[i][j] - (s if i == j else 0) for i in range(r)] + [0] for j in range(r)]
     return rows + [list(unit) + [-1]]
 
 
-def test_sweep_matches_reference_sweeps_on_fiber_rows():
-    rng = np.random.default_rng(2718)
-    pool = [F(1), F(1, 2), F(1, 3), F(2, 3), F(5, 4), F(3, 7)]
-    nonempty = 0
-    for trial in range(16):
-        r = int(rng.integers(2, 9))
-        diag = [pool[int(i)] for i in rng.integers(0, len(pool), size=r)]
-        m = [[diag[i] if i == j else F(0) for j in range(r)] for i in range(r)]
-        if trial % 2:                    # upper triangular: the diagonal stays the spectrum
-            for i in range(r):
-                for j in range(i + 1, r):
-                    if rng.random() < 0.3:
-                        m[i][j] = F(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-        unit = [F(int(u), int(rng.integers(1, 3))) for u in rng.integers(1, 5, r)]
-        for s in sorted(set(diag))[:2] + [F(4, 5)]:      # F(4, 5) is never an eigenvalue
-            nonempty += _assert_same_rays(_cone_rows(m, unit, s), r + 1) > 0
-    assert nonempty >= 16
+def _reference_fiber(spec, s):
+    """The fiber at s by the reference sweeps and the old post-processing: exact
+    sorted vertices for a Fraction s, float vertices in fiber_simplex's order else."""
+    rows, dim = _cone_rows(spec.matrix, spec.order_unit, s), spec.rank + 1
+    if isinstance(s, F):
+        rays = _reference_dd_cone_exact([tuple(F(x) for x in row) for row in rows], dim)
+        return sorted(tuple(x / ray[-1] for x in ray[:-1]) for ray in rays if ray[-1] > 0)
+    rays = _reference_dd_cone_float([np.array([float(x) for x in row]) for row in rows], dim)
+    ref = [ray[:-1] / ray[-1] for ray in rays if ray[-1] > FLOAT_ZERO_TOL]
+    return sorted(ref, key=lambda v: tuple(np.round(v, 9)))
 
 
-def test_sweep_matches_reference_sweeps_on_degenerate_rows():
-    rng = np.random.default_rng(3141)
-    for _ in range(24):
-        dim = int(rng.integers(2, 10))
-        rows = [list(rng.integers(-2, 3, size=dim)) for _ in range(int(rng.integers(1, 4)))]
-        rows.insert(int(rng.integers(0, len(rows) + 1)), [0] * dim)        # zero row
-        rows.append(list(rows[int(rng.integers(0, len(rows)))]))           # repeated row
-        rows.append([2 * x for x in rows[int(rng.integers(0, len(rows)))]])  # multiple of one
-        _assert_same_rays(rows, dim)
+def _float_lane(spec, s: float):
+    """fiber_simplex's float-lane vertices at s, whichever lane fiber_simplex would take."""
+    verts = [v for v in (_class_vertex(spec, sup, s) for sup in spec._access_sets)
+             if v is not None]
+    return sorted(verts, key=lambda v: tuple(np.round(v, 9)))
+
+
+def _assert_close_vertices(got, want):
+    """Equal in number and each within 1e-12 of the reference, relative to its max-norm."""
+    assert len(got) == len(want)
+    for v, w in zip(got, want):
+        assert np.max(np.abs(v - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_fiber_simplex_vertices_match_reference_sweeps():
-    """fiber_simplex end to end: vertices equal those of the old sweeps and
-    post-processing, in both lanes."""
+    """fiber_simplex end to end against the old sweeps and post-processing: exact
+    vertices equal as Fractions, float vertices equal in number and within 1e-12."""
     q = 10 ** 7 + 19
     specs = [_rational_q6(),
              _diag_spec([F(1, 2), F(1, 3), F(1, 2), F(2, 3), F(1, 3), F(1, 2), F(1, 5), F(1, 3)],
                         unit=[1, 3, 2, 4, 1, 2, 3, 1]),
              _diag_spec([F(6180, q), F(1, 3), F(6180, q), F(2, 7)], unit=[3, 1, 2, 2])]
     for spec in specs:
-        r = spec.rank
         for b in beta_spectrum(spec):
             f = fiber_simplex(spec, b)
             s = math.exp(-b)
             if f.exact:
-                s_exact = F(s).limit_denominator(10 ** 6)
-                rays = _reference_dd_cone_exact(
-                    [tuple(row) for row in _cone_rows(spec.matrix, spec.order_unit, s_exact)],
-                    r + 1)
-                ref = sorted(tuple(x / ray[-1] for x in ray[:-1]) for ray in rays if ray[-1] > 0)
-                assert f.vertices_exact == ref
+                assert f.vertices_exact == _reference_fiber(spec, F(s).limit_denominator(10 ** 6))
             else:
-                rows = [np.array([float(x) for x in row])
-                        for row in _cone_rows(spec.matrix, spec.order_unit, s)]
-                rays = _reference_dd_cone_float(rows, r + 1)
-                ref = [ray[:-1] / ray[-1] for ray in rays if ray[-1] > FLOAT_ZERO_TOL]
-                ref.sort(key=lambda v: tuple(np.round(v, 9)))
-                assert [v.tobytes() for v in f.vertices] == [v.tobytes() for v in ref]
+                _assert_close_vertices(f.vertices, _reference_fiber(spec, s))
 
 
 def test_integer_rank_matches_reference_rank():
     """Ranks by integer elimination equal those of the Fraction elimination they
-    replaced, also with the unit rows counted apart as the sweep does."""
+    replaced, and the null vector it gives is there exactly at nullity 1."""
     rng = np.random.default_rng(1618)
     big = 10 ** 6 + 3
 
@@ -339,7 +311,7 @@ def test_integer_rank_matches_reference_rank():
             return F(int(rng.integers(-big, big)), int(rng.integers(big, 10 * big)))
         return 0
 
-    full = deficient = 0
+    full = deficient = corank_one = 0
     for trial in range(150):
         dim = int(rng.integers(1, 11))
         rows = [[entry() for _ in range(dim)] for _ in range(int(rng.integers(1, dim + 2)))]
@@ -354,15 +326,22 @@ def test_integer_rank_matches_reference_rank():
         assert _rank_exact(rows, dim) == ref
         full += ref == dim
         deficient += ref < dim and len(rows) >= dim
-        zeros = sorted(set(rng.integers(0, dim, size=int(rng.integers(0, dim + 1))).tolist()))
-        units = [tuple(F(int(i == j)) for j in range(dim)) for i in zeros]
-        arrays = [_EXACT.vector(r) for r in rows]
-        assert _tight_rank_exact(arrays, zeros, dim) == \
-            _reference_rank_exact([tuple(F(x) for x in r) for r in rows] + units, dim)
-    assert full >= 20 and deficient >= 20
+        corank_one += _assert_null_vector(rows, dim, ref)
+    assert full >= 20 and deficient >= 20 and corank_one >= 20
 
 
-# -- properties: the sweep against its oracles, and the exact lane's number format ------
+def _assert_null_vector(rows, dim, rank) -> bool:
+    """_integer_null gives a vector exactly when the nullity dim − rank is 1, and then
+    a primitive integer one in the kernel of the rational rows."""
+    c = _integer_null([_integer_row(r) for r in rows], dim)
+    assert (c is not None) == (dim - rank == 1)
+    if c is not None:
+        assert all(type(x) is int for x in c) and math.gcd(*c) == 1
+        assert all(sum(F(a) * b for a, b in zip(r, c)) == 0 for r in rows)
+    return c is not None
+
+
+# -- properties: fibers against their oracles, and the exact lane's number format --------
 
 BIG = 10 ** 6
 _ENTRY = st.one_of(st.just(0), st.integers(-3, 3),
@@ -372,10 +351,11 @@ _ENTRY = st.one_of(st.just(0), st.integers(-3, 3),
 
 @st.composite
 def _degenerate_rows(draw):
-    """Rational rows in dim ≤ 9, denominators up to 10⁷, with zero, repeated and
-    scaled rows slipped in."""
+    """Rational rows in dim ≤ 9, dim − 2 to dim of them so that nullity 1 is common,
+    denominators up to 10⁷, with zero, repeated and scaled rows slipped in."""
     dim = draw(st.integers(2, 9))
-    rows = draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim),
+                         min_size=max(1, dim - 2), max_size=dim))
     for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "scale"]), max_size=3)):
         src = rows[draw(st.integers(0, len(rows) - 1))]
         k = draw(st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 10 * BIG)))
@@ -385,11 +365,9 @@ def _degenerate_rows(draw):
 
 
 @given(_degenerate_rows())
-def test_property_exact_sweep_matches_reference_sweep(case):
+def test_property_null_vector_matches_reference_rank(case):
     rows, dim = case
-    got = _dd_cone([_EXACT.vector(r) for r in rows], dim, _EXACT)
-    assert [tuple(g) for g in got] == _reference_dd_cone_exact(
-        [tuple(F(x) for x in r) for r in rows], dim)
+    _assert_null_vector(rows, dim, _reference_rank_exact([tuple(F(x) for x in r) for r in rows], dim))
 
 
 _POOL = [F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(3, 7), F(5, 4), F(3, 2)]
@@ -427,18 +405,10 @@ def test_property_exact_lane_matches_float_lane(case):
     for s in values:
         f = fiber_simplex(spec, -math.log(float(s)))
         assert f.exact
-        rays = _dd_cone(_fiber_rows(spec, float(s), _FLOAT), spec.rank + 1, _FLOAT)
-        floats = sorted((ray[:-1] / ray[-1] for ray in rays if ray[-1] > FLOAT_ZERO_TOL), key=key)
+        floats = _float_lane(spec, float(s))
         assert len(floats) == f.vertex_count
         for v, w in zip(floats, sorted(f.vertices, key=key)):
             assert np.max(np.abs(v - w)) <= 1e-9
-
-
-def _assert_fiber_rays_match_reference(spec, s):
-    rows = _fiber_rows(spec, s, _EXACT)
-    got = _dd_cone(rows, spec.rank + 1, _EXACT)
-    assert [tuple(g) for g in got] == _reference_dd_cone_exact(
-        [tuple(F(x) for x in row) for row in rows], spec.rank + 1)
 
 
 # the reference sweep takes about half a second per spec at ranks 9–12
@@ -447,8 +417,8 @@ def _assert_fiber_rays_match_reference(spec, s):
 def test_property_sweep_at_the_rank_cap_matches_support_rule(case):
     spec, values = case
     for s in values:
-        assert fiber_simplex(spec, -math.log(float(s))).vertices_exact == diagonal_fiber(spec, s)
-        _assert_fiber_rays_match_reference(spec, s)
+        got = fiber_simplex(spec, -math.log(float(s))).vertices_exact
+        assert got == diagonal_fiber(spec, s) == _reference_fiber(spec, s)
 
 
 @settings(max_examples=4)
@@ -456,48 +426,83 @@ def test_property_sweep_at_the_rank_cap_matches_support_rule(case):
 def test_property_upper_triangular_sweep_at_the_rank_cap_matches_reference(case):
     spec, values = case
     for s in values:
-        _assert_fiber_rays_match_reference(spec, s)
+        assert fiber_simplex(spec, -math.log(float(s))).vertices_exact == _reference_fiber(spec, s)
 
 
-def test_exact_sweep_rank_tests_only_the_fresh_candidates():
-    """An exact ray kept at one row and on the next row's hyperplane stays untested,
-    so the rank runs once per candidate vp·g₋ − vm·g₊, counted here from the
-    reference sweep's rays before each row."""
-    spec = _diag_spec([F(1, 3), F(1, 2), F(2, 3), F(1, 2), F(3, 7), F(1, 3), F(2, 3), F(1, 3)],
-                      unit=[1, 3, 2, 4, 1, 2, 3, 1])
-    dim = spec.rank + 1
-    for s in (F(1, 3), F(1, 2), F(2, 3), F(3, 7)):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _tight_rank_exact(*args)
-
-        rows = _fiber_rows(spec, s, _EXACT)
-        fracs = [tuple(F(x) for x in row) for row in rows]
-        got = _dd_cone(rows, dim, _EXACT._replace(rank=counting))
-        assert [tuple(g) for g in got] == _reference_dd_cone_exact(fracs, dim)
-        fresh = on_plane = 0
-        for k, row in enumerate(fracs):
-            vals = [sum(a * b for a, b in zip(row, g))
-                    for g in _reference_dd_cone_exact(fracs[:k], dim)]
-            fresh += sum(v > 0 for v in vals) * sum(v < 0 for v in vals)
-            on_plane += sum(v == 0 for v in vals)
-        assert on_plane > fresh > 0
-        assert len(calls) == fresh
+_VALUES = [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 2), F(2)]
 
 
-def test_float_sweep_rank_tests_the_rays_on_the_new_hyperplane():
-    """The float lane's zero test is relative and its rank tolerance absolute: here
-    a ray within the zero tolerance of the second row fails the rank test, so the
-    float sweep must test such rays again."""
-    r1 = 1000.0 * np.array([-3.0, -9.0, 0.0, 6.0])
-    rows = [r1, 1000.0 * r1 + np.array([1e-6, 0.0, 0.0, 0.0])]
-    got = _dd_cone(rows, 4, _FLOAT)
-    ref = _reference_dd_cone_float(rows, 4)
-    assert len(got) == len(ref) == 2
-    assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
-    assert len(_dd_cone(rows, 4, _FLOAT._replace(keeps_survivors=True))) == 3
+@st.composite
+def _general_specs(draw):
+    """Specs of rank 1–8 with entries anywhere: nonzero on a drawn permutation, so ρ is
+    seldom singular, and elsewhere zero with a drawn weight. Zero diagonal entries,
+    classes of several indices and access between classes all occur."""
+    r = draw(st.integers(1, 8))
+    perm = draw(st.permutations(range(r)))
+    entry = st.sampled_from([F(0)] * draw(st.integers(1, 8)) + _VALUES)
+    m = [[draw(st.sampled_from(_VALUES) if j == perm[i] else entry) for j in range(r)]
+         for i in range(r)]
+    assume(_rank_exact(m, r) == r)
+    unit = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    return DimensionGroupSpec(matrix=m, order_unit=unit)
+
+
+def _positive_eigenvalues(spec):
+    """The candidates s at which beta_spectrum looks for a fiber."""
+    eigs = np.linalg.eigvals(spec.matrix_float.T)
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    cands = []
+    for s in eigs:
+        if abs(s.imag) <= 1e-9 * scale and s.real > 1e-12 and \
+                all(abs(s.real - c) > 1e-9 * scale for c in cands):
+            cands.append(float(s.real))
+    return cands
+
+
+@given(_general_specs())
+def test_property_fibers_of_general_specs_match_reference_sweeps(spec):
+    """Both lanes against the reference sweeps at every candidate eigenvalue: exact
+    fibers equal as Fractions, float fibers in number and within 1e-12; and the
+    β-spectrum is that of the nonempty reference fibers."""
+    want = []
+    for s in _positive_eigenvalues(spec):
+        f = fiber_simplex(spec, -math.log(s) + 0.0)
+        s_exact = _reference_rational_eigenvalue(spec, s)
+        assert f.exact == (s_exact is not None)
+        if f.exact:
+            assert f.vertices_exact == _reference_fiber(spec, s_exact)
+        else:
+            _assert_close_vertices(f.vertices, _reference_fiber(spec, s))
+        ref = _reference_fiber(spec, s)
+        _assert_close_vertices(_float_lane(spec, s), ref)
+        if ref:
+            want.append(-math.log(s) + 0.0)
+    assert beta_spectrum(spec) == sorted(want)
+
+
+def test_equal_radii_with_access_give_one_vertex():
+    """ρ = [[1, 0], [1, 1]]: ρᵀ's classes {0} and {1} both have radius 1, and 0 has
+    access to 1, so only {0} is distinguished: one vertex, at β = 0, in both lanes."""
+    spec = DimensionGroupSpec(matrix=[[1, 0], [1, 1]], order_unit=[1, 1])
+    assert spec._access_sets == ((0,), (0, 1))
+    assert beta_spectrum(spec) == [0.0]
+    f = fiber_simplex(spec, 0.0)
+    assert f.exact and f.vertices_exact == [(F(1), F(0))] == _reference_fiber(spec, F(1))
+    _assert_close_vertices(_float_lane(spec, 1.0), _reference_fiber(spec, 1.0))
+
+
+def test_irrational_radius_is_found_on_the_float_lane():
+    """ρ = [[1, 1], [1, 0]] is one irreducible class of radius φ, the golden ratio: no
+    rational eigenvalue, so the float lane finds the one vertex, (φ, 1)/(φ + 2) for the
+    unit (1, 2)."""
+    spec = DimensionGroupSpec(matrix=[[1, 1], [1, 0]], order_unit=[1, 2])
+    phi = (1 + math.sqrt(5)) / 2
+    (beta,) = beta_spectrum(spec)
+    assert abs(beta + math.log(phi)) <= 1e-15
+    f = fiber_simplex(spec, beta)
+    assert not f.exact and f.vertex_count == 1 and f.dimension == 0
+    _assert_close_vertices(f.vertices, _reference_fiber(spec, math.exp(-beta)))
+    assert np.max(np.abs(f.vertices[0] - np.array([phi, 1.0]) / (phi + 2))) <= 1e-15
 
 
 def _reference_rational_eigenvalue(spec, s_float):
@@ -516,32 +521,33 @@ def _reference_rational_eigenvalue(spec, s_float):
 
 @given(_diagonal_specs(upper=True), st.sampled_from(_POOL + [F(4, 5), F(7, 3)]))
 def test_property_fiber_rows_match_the_fraction_rows(case, s):
-    """Rows made from the spec's integer scaling equal the Fraction-built rows they
-    replaced: the same primitive Python-int rows on the exact lane, the same floats
-    on the float lane; and the eigenvalue promotion agrees."""
+    """Rows made from the spec's integer scaling equal the Fraction-built rows of
+    ρᵀ − s·1 they replaced, made primitive, on all indices and on each class's access
+    set; and the eigenvalue promotion agrees."""
     spec, _ = case
-    got = _fiber_rows(spec, s, _EXACT)
-    assert all(type(x) is int for row in got for x in row)
-    assert [list(g) for g in got] == [list(_EXACT.vector(r))
-                                      for r in _cone_rows(spec.matrix, spec.order_unit, s)]
-    got = _fiber_rows(spec, float(s), _FLOAT)
-    want = [np.array(r, dtype=float) for r in _cone_rows(spec.matrix, spec.order_unit, float(s))]
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    r = spec.rank
+    fracs = [[spec.matrix[j][i] - (s if i == j else 0) for j in range(r)] for i in range(r)]
+    for sup in (range(r), *spec._access_sets):
+        got = _eigen_rows(spec, s, sup)
+        assert all(type(x) is int for row in got for x in row)
+        assert [list(g) for g in got] == [list(_integer_row([fracs[i][j] for j in sup]))
+                                          for i in sup]
     for s_float in (float(s), float(s) * (1 + 1e-7), math.sqrt(float(s))):
         assert _rational_eigenvalue(spec, s_float) == _reference_rational_eigenvalue(spec, s_float)
 
 
 def test_exact_lane_holds_ints_and_gives_fraction_vertices():
-    """Exact rays are Python ints and exact vertices Fractions; an int leaking into
-    vertices_exact would compare equal to its Fraction, so the types are pinned here."""
+    """Exact null vectors are Python ints and exact vertices Fractions; an int leaking
+    into vertices_exact would compare equal to its Fraction, so the types are pinned here."""
     spec = _diag_spec([F(1, 2), F(1, 3), F(1, 2), F(2, 3), F(1, 3), F(1, 2), F(1, 5), F(1, 3)],
                       unit=[1, 3, 2, 4, 1, 2, 3, 1])
     for s in (F(1, 2), F(1, 3), F(1, 5)):
-        rays = _dd_cone(_fiber_rows(spec, s, _EXACT), spec.rank + 1, _EXACT)
+        rays = [_integer_null(_eigen_rows(spec, s, sup), len(sup)) for sup in spec._access_sets]
+        rays = [c for c in rays if c is not None]
         assert rays and all(type(x) is int for ray in rays for x in ray)
         f = fiber_simplex(spec, -math.log(float(s)))
         assert f.vertices_exact and all(type(x) is F for v in f.vertices_exact for x in v)
-    assert all(type(x) is int for ray in _dd_cone([], 3, _EXACT) for x in ray)
+    assert all(type(x) is int for x in _integer_null([], 1))
 
 
 def test_singular_matrix_refused_and_rational_eigenvalue_found():

@@ -192,6 +192,27 @@ def test_itpfi_commands_refuse_a_non_finite_beta_field(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,generator,beta,message", [
+    ("factor-type", [[0, 0], [0, 1]], 1000, "|β|κ = 1000 exceeds 709.783"),
+    ("factor-type", [[0, 0], [0, 1]], 745, "|β|κ = 745 exceeds 709.783"),
+    ("gamma", [[0.5, 0], [0, 1.7e308]], 1e9, "|β|κ = 1e+09·1.7e+308 is beyond the float range"),
+    ("factor-type", [[-1.7e308, 0], [0, 1.7e308]], 1,
+     "the eigenvalue gap 1.7e+308 − (-1.7e+308) is beyond the float range"),
+    ("gamma", [[-1.7e308, 0], [0, 1.7e308]], 1,
+     "the eigenvalue gap 1.7e+308 − (-1.7e+308) is beyond the float range"),
+], ids=["lambda-zero", "lambda-subnormal", "generator-inf", "gap-overflow", "gamma-gap-overflow"])
+def test_itpfi_commands_refuse_results_past_the_float_range(tmp_path, capsys, command,
+                                                           generator, beta, message):
+    """These used to exit 0 with λ = 0 or 4.9e-324, write a bare Infinity, or leak a
+    numpy overflow warning before a NaN conversion error."""
+    itpfi = _write(tmp_path / "site.json", {"site_generator": generator, "beta": beta})
+    out = tmp_path / "o.json"
+    assert main([command, "--itpfi", itpfi, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_simplex_single_beta(tmp_path):
     prob = _write(tmp_path / "p.json",
                   {"block_dims": [2, 3],
@@ -1350,17 +1371,17 @@ def test_trivialize_window_guard_is_an_internal_fault(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("spoil,message", [
-    (lambda ray: np.append(-ray[:-1], ray[-1]), "leaves the positive cone"),
-    (lambda ray: np.append(ray[:-1] + ray[-1], ray[-1]), "is not a left eigenvector"),
-    (lambda ray: np.append(ray[:-1], 2 * ray[-1]), "is not normalized against the unit"),
+    (lambda v: -v, "leaves the positive cone"),
+    (lambda v: v + 1, "is not a left eigenvector"),
+    (lambda v: v / 2, "is not normalized against the unit"),
 ], ids=["cone", "eigenvector", "unit"])
 def test_a_bad_fiber_vertex_is_an_internal_fault(spoil, message, tmp_path, monkeypatch, capsys):
     """fiber_simplex's post-checks hold for every valid spec: a vertex failing one
     is a fault of the library (exit 3), not of the input. Each case spoils the
-    sweep's rays so that only its own check fails first."""
-    dd_cone = bundle._dd_cone
-    monkeypatch.setattr(bundle, "_dd_cone",
-                        lambda *args: [spoil(ray) for ray in dd_cone(*args)])
+    per-class vertices so that only its own check fails first."""
+    class_vertex = bundle._class_vertex
+    monkeypatch.setattr(bundle, "_class_vertex",
+                        lambda *args: None if (v := class_vertex(*args)) is None else spoil(v))
     dg = _write(tmp_path / "dg.json", Q6_DG)
     assert main(["bundle", "--dg", dg, "--out", str(tmp_path / "b.csv")]) == 3
     err = capsys.readouterr().err
