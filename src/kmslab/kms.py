@@ -16,6 +16,8 @@ vectors are only compared with vectors made under the same shift.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +28,16 @@ from .flow import IM_CAP, InnerFlow
 
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
 EXP_CAP = 700.0
-#: entries per chunk of ``verify_kms``'s route-two normal draws and of
-#: ``simplex_sweep``'s Boltzmann stacks (memory stays O(chunk + n²))
+#: entries per chunk of ``verify_kms``'s route-two samples and of ``simplex_sweep``'s
+#: Boltzmann stacks (memory stays O(chunk + n²), plus the kept normal prefixes below)
 _HALF_SHIFT_CHUNK_ENTRIES = 2 ** 15
+#: route two keeps, for at most ``_NORMAL_PREFIX_SEEDS`` integer seeds, the longest
+#: prefix of ``default_rng(seed)``'s normal stream a call has needed, up to
+#: ``_NORMAL_PREFIX_CAP`` doubles (2 MiB); a call that needs more draws in chunks
+_NORMAL_PREFIX_CAP = 2 ** 18
+_NORMAL_PREFIX_SEEDS = 4
+_normal_prefixes: dict[int, np.ndarray] = {}       # seed → prefix, least recently used first
+_normal_prefixes_lock = threading.Lock()
 
 
 def _check_exp_cap(beta: float, spread: float) -> None:
@@ -148,13 +157,17 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
     pair of eigenbasis matrix units (the identity is sesquilinear, so a
     basis suffices), in closed form: O(n²) memory and no loop over the units
     (see :func:`~kmslab.algebra._exchange_residual`). Route two tests
-    ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) on ``samples`` seeded random
+    ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) on ``samples`` ≥ 0 seeded random
     elements, stacked in chunks, as one basis map and two Gram forms per
-    block (see :func:`_half_shift_residual`). The verdict passes only when
+    block (see :func:`_half_shift_residual`); for a small enough algebra and
+    an integer seed the samples are read from a normal prefix kept per seed,
+    and equal a fresh draw bit for bit. The verdict passes only when
     the larger of the two maxima is within ``tol``; a NaN in either maximum
     makes it NaN and fails. The worst matrix-unit pair is reported as a
     witness.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     beta = float(beta)
     if isinstance(omega, (KmsState, KmsWeight)):
         omega = omega.functional
@@ -189,12 +202,15 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
     The samples are those of ``random_element`` drawn one after another from
     ``default_rng(seed)`` and scaled to unit Frobenius norm: an (S, 2N) stack of
     normals holds, per sample and block, n² real parts then n² imaginary parts.
+    When :func:`_seeded_normals` keeps that stack, the chunks are views of it;
+    otherwise each chunk is drawn from a fresh generator in turn.
     With e = e^{β(λ−c)/2}, c the block's mid-spectrum, σ_{-iβ/2}(a) is
     u·diag(e)·u*·X·u* for the basis map X = a·u·diag(1/e). So with
     D′ = diag(e)·D̂·diag(e) and P = u·D′·u*, made once per call, the two sides are
     ⟨X, X·D′⟩ and ⟨Xᵀ, Xᵀ·Pᵀ⟩: per chunk of samples and block, three GEMMs, one
     transpose copy and three ``vecdot`` reductions. The scaling 1/(2n) of the
-    draws is applied to the per-sample sums, and memory stays O(chunk + n²).
+    draws is applied to the per-sample sums, and memory stays O(chunk + n²), plus
+    at most ``_NORMAL_PREFIX_SEEDS`` kept prefixes of ``_NORMAL_PREFIX_CAP`` doubles.
     """
     forms = []
     for w, u, dd in zip(flow.eigenvalues, flow.eigenvectors, density):
@@ -202,12 +218,16 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
         dp = e[:, None] * dd * e
         forms.append((u / e, dp, (u @ dp @ u.conj().T).T))
     width = 2 * flow.algebra.coord_dim
-    rng = np.random.default_rng(seed)
+    stored = _seeded_normals(seed, samples * width)
+    if stored is None:
+        rng = np.random.default_rng(seed)
+    else:
+        stored = stored.reshape(samples, width)
     residual = 0.0
     per_chunk = max(1, _HALF_SHIFT_CHUNK_ENTRIES // width)
     for start in range(0, samples, per_chunk):
         s = min(per_chunk, samples - start)
-        draws = rng.standard_normal((s, width))
+        draws = rng.standard_normal((s, width)) if stored is None else stored[start:start + s]
         diff, norm2, off = np.zeros(s, dtype=complex), np.zeros(s), 0
         for n, (ue, dp, pt) in zip(flow.algebra.block_dims, forms):
             z = draws[:, off:off + 2 * n * n]
@@ -223,6 +243,31 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
         scaled = np.abs(diff) / np.maximum(norm2, 1e-60)       # a scaled to ‖a‖_F = 1
         residual = float(np.max((residual, scaled.max())))      # NaN propagates
     return residual
+
+
+def _seeded_normals(seed, count: int) -> np.ndarray | None:
+    """The first ``count`` normals of ``default_rng(seed)``, as a read-only view of the
+    prefix kept for the seed, or None unless the seed is a non-negative integer and
+    0 < count ≤ ``_NORMAL_PREFIX_CAP``.
+
+    The stream does not depend on how it is split into draws, so the view equals a
+    fresh draw bit for bit. A prefix too short is replaced by a longer one from a
+    fresh generator, never extended in place, so no generator is shared between
+    threads; past ``_NORMAL_PREFIX_SEEDS`` seeds the least recently used is dropped.
+    """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0
+            and 0 < count <= _NORMAL_PREFIX_CAP):
+        return None
+    key = operator.index(seed)
+    with _normal_prefixes_lock:
+        prefix = _normal_prefixes.pop(key, None)
+        if prefix is None or prefix.size < count:
+            prefix = np.random.default_rng(key).standard_normal(count)
+            prefix.flags.writeable = False
+        _normal_prefixes[key] = prefix
+        while len(_normal_prefixes) > _NORMAL_PREFIX_SEEDS:
+            del _normal_prefixes[next(iter(_normal_prefixes))]
+    return prefix[:count]
 
 
 def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | None = None,

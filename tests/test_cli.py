@@ -106,6 +106,23 @@ def test_verify_refuses_a_non_finite_state(two_level, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_seeds_with_and_without_kept_normals(two_level, tmp_path, monkeypatch, capsys):
+    """A cold and a warm store of route two's normal prefixes write the same bytes, and
+    a negative seed is refused as bad input, as default_rng refuses it."""
+    monkeypatch.setattr(kms, "_normal_prefixes", {})
+    outs = [tmp_path / f"v{i}.json" for i in range(2)]
+    for out in outs:
+        assert main(["verify", "--problem", two_level, "--seed", "3", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert list(kms._normal_prefixes) == [3]
+    capsys.readouterr()
+    out = tmp_path / "bad.json"
+    assert main(["verify", "--problem", two_level, "--seed=-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "non-negative" in err[0]
+    assert not out.exists()
+
+
 def test_verify_refuses_a_non_finite_beta(tmp_path, capsys):
     """It used to run, fail with NaN residuals (exit 1) and write bare NaN tokens."""
     prob = _write(tmp_path / "p.json",
