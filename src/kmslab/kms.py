@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +28,13 @@ from .flow import IM_CAP, InnerFlow
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
 EXP_CAP = 700.0
 #: entries per chunk of ``verify_kms``'s route-two samples and of ``simplex_sweep``'s
-#: Boltzmann stacks (memory stays O(chunk + n²), plus the kept normal prefixes below)
+#: Boltzmann stacks (memory stays O(chunk + n²), plus the kept normal prefix below)
 _HALF_SHIFT_CHUNK_ENTRIES = 2 ** 15
-#: route two keeps, for at most ``_NORMAL_PREFIX_SEEDS`` integer seeds, the longest
-#: prefix of ``default_rng(seed)``'s normal stream a call has needed, up to
+#: route two keeps, for the last integer seed it read, the longest prefix of
+#: ``default_rng(seed)``'s normal stream a call has needed, up to
 #: ``_NORMAL_PREFIX_CAP`` doubles (2 MiB); a call that needs more draws in chunks
 _NORMAL_PREFIX_CAP = 2 ** 18
-_NORMAL_PREFIX_SEEDS = 4
-_normal_prefixes: dict[int, np.ndarray] = {}       # seed → prefix, least recently used first
-_normal_prefixes_lock = threading.Lock()
+_normal_prefix: tuple[int, np.ndarray] | None = None      # (seed, read-only prefix)
 
 
 def _check_exp_cap(beta: float, spread: float) -> None:
@@ -160,8 +157,8 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
     ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) on ``samples`` ≥ 0 seeded random
     elements, stacked in chunks, as one basis map and two Gram forms per
     block (see :func:`_half_shift_residual`); for a small enough algebra and
-    an integer seed the samples are read from a normal prefix kept per seed,
-    and equal a fresh draw bit for bit. The verdict passes only when
+    an integer seed the samples are read from a normal prefix kept for the
+    last such seed, and equal a fresh draw bit for bit. The verdict passes only when
     the larger of the two maxima is within ``tol``; a NaN in either maximum
     makes it NaN and fails. The worst matrix-unit pair is reported as a
     witness.
@@ -210,7 +207,7 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
     ⟨X, X·D′⟩ and ⟨Xᵀ, Xᵀ·Pᵀ⟩: per chunk of samples and block, three GEMMs, one
     transpose copy and three ``vecdot`` reductions. The scaling 1/(2n) of the
     draws is applied to the per-sample sums, and memory stays O(chunk + n²), plus
-    at most ``_NORMAL_PREFIX_SEEDS`` kept prefixes of ``_NORMAL_PREFIX_CAP`` doubles.
+    one kept prefix of at most ``_NORMAL_PREFIX_CAP`` doubles.
     """
     forms = []
     for w, u, dd in zip(flow.eigenvalues, flow.eigenvectors, density):
@@ -247,27 +244,25 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
 
 def _seeded_normals(seed, count: int) -> np.ndarray | None:
     """The first ``count`` normals of ``default_rng(seed)``, as a read-only view of the
-    prefix kept for the seed, or None unless the seed is a non-negative integer and
+    kept prefix, or None unless the seed is a non-negative integer and
     0 < count ≤ ``_NORMAL_PREFIX_CAP``.
 
     The stream does not depend on how it is split into draws, so the view equals a
-    fresh draw bit for bit. A prefix too short is replaced by a longer one from a
-    fresh generator, never extended in place, so no generator is shared between
-    threads; past ``_NORMAL_PREFIX_SEEDS`` seeds the least recently used is dropped.
+    fresh draw bit for bit. The one kept prefix is replaced, as a whole (seed, prefix)
+    pair drawn from a fresh generator, when the seed changes or a call needs more;
+    it is never extended in place, so threads share no generator and need no lock.
     """
+    global _normal_prefix
     if not (isinstance(seed, (int, np.integer)) and seed >= 0
             and 0 < count <= _NORMAL_PREFIX_CAP):
         return None
     key = operator.index(seed)
-    with _normal_prefixes_lock:
-        prefix = _normal_prefixes.pop(key, None)
-        if prefix is None or prefix.size < count:
-            prefix = np.random.default_rng(key).standard_normal(count)
-            prefix.flags.writeable = False
-        _normal_prefixes[key] = prefix
-        while len(_normal_prefixes) > _NORMAL_PREFIX_SEEDS:
-            del _normal_prefixes[next(iter(_normal_prefixes))]
-    return prefix[:count]
+    kept = _normal_prefix
+    if kept is None or kept[0] != key or kept[1].size < count:
+        prefix = np.random.default_rng(key).standard_normal(count)
+        prefix.flags.writeable = False
+        kept = _normal_prefix = (key, prefix)
+    return kept[1][:count]
 
 
 def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | None = None,

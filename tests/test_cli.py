@@ -107,14 +107,14 @@ def test_verify_refuses_a_non_finite_state(two_level, tmp_path, capsys):
 
 
 def test_verify_seeds_with_and_without_kept_normals(two_level, tmp_path, monkeypatch, capsys):
-    """A cold and a warm store of route two's normal prefixes write the same bytes, and
+    """A cold and a warm kept prefix of route two's normals write the same bytes, and
     a negative seed is refused as bad input, as default_rng refuses it."""
-    monkeypatch.setattr(kms, "_normal_prefixes", {})
+    monkeypatch.setattr(kms, "_normal_prefix", None)
     outs = [tmp_path / f"v{i}.json" for i in range(2)]
     for out in outs:
         assert main(["verify", "--problem", two_level, "--seed", "3", "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    assert list(kms._normal_prefixes) == [3]
+    assert kms._normal_prefix[0] == 3
     capsys.readouterr()
     out = tmp_path / "bad.json"
     assert main(["verify", "--problem", two_level, "--seed=-1", "--out", str(out)]) == 2

@@ -173,11 +173,9 @@ def test_route_two_matches_reference_loop():
 
 
 @pytest.fixture
-def prefixes(monkeypatch):
-    """An empty store of route two's kept normal prefixes, for this test alone."""
-    store = {}
-    monkeypatch.setattr(kms, "_normal_prefixes", store)
-    return store
+def no_kept_prefix(monkeypatch):
+    """Route two's kept normal prefix emptied for this test, and put back after it."""
+    monkeypatch.setattr(kms, "_normal_prefix", None)
 
 
 def _spy_generators(monkeypatch):
@@ -188,69 +186,81 @@ def _spy_generators(monkeypatch):
     return seeds
 
 
-def test_route_two_draws_the_same_samples_in_any_chunking(monkeypatch, prefixes):
+def test_route_two_draws_the_same_samples_in_any_chunking(monkeypatch, no_kept_prefix):
     # (16,) and (3, 20) take several chunks at the default size; one sample
-    # per chunk and one chunk for all must see the very same samples
+    # per chunk and one chunk for all must see the very same samples, drawn
+    # chunk by chunk (cap 0) or read from the kept prefix
     rng = np.random.default_rng(77)
-    flows = {dims: _random_flow(dims, rng=rng) for dims in [(4,), (16,), (3, 20)]}
-    chunk = kms._HALF_SHIFT_CHUNK_ENTRIES
+    chunk, cap = kms._HALF_SHIFT_CHUNK_ENTRIES, kms._NORMAL_PREFIX_CAP
+    flows = {}
     for dims in [(16,), (3, 20)]:
-        flow = flows[dims]
+        flow = flows[dims] = _random_flow(dims, rng=rng)
         states = [gibbs(flow, -1.1).functional, random_state(flow.algebra, rng)]
-        for entries in (chunk, 1, 2 ** 40):
-            monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
-            for omega in states:
-                _assert_route_two_matches(flow, omega, -1.1)
+        for kept in (0, cap):
+            monkeypatch.setattr(kms, "_NORMAL_PREFIX_CAP", kept)
+            kms._normal_prefix = None
+            for entries in (chunk, 1, 2 ** 40):
+                monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
+                for omega in states:
+                    _assert_route_two_matches(flow, omega, -1.1)
+                    assert (kms._normal_prefix is None) == (kept == 0)
     monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", chunk)
-    # and so must the kept prefixes, bit for bit, for two seeds interleaved: the
-    # store cold, warm from a wider or a narrower call, or off (cap 0)
+    # the kept prefix gives them bit for bit: cold, warm from a wider or a narrower
+    # call, and for two seeds interleaved, against no store at all (cap 0)
+    flows = {(4,): _random_flow((4,), rng=rng), **flows}        # narrowest first
     states = {dims: random_state(flow.algebra, rng) for dims, flow in flows.items()}
-    calls = [(dims, seed) for dims in flows for seed in (7, 11)]
 
     def residuals(order):
         return {(dims, seed): verify_kms(flows[dims], states[dims], -1.1,
                                          seed=seed).residual_half_shift.hex()
                 for dims, seed in order}
 
-    cap = kms._NORMAL_PREFIX_CAP
+    interleaved = [(dims, seed) for dims in flows for seed in (7, 11)]
     monkeypatch.setattr(kms, "_NORMAL_PREFIX_CAP", 0)
-    prefixes.clear()
-    fresh = residuals(calls)
-    assert not prefixes
+    kms._normal_prefix = None
+    fresh = residuals(interleaved)
+    assert kms._normal_prefix is None
     monkeypatch.setattr(kms, "_NORMAL_PREFIX_CAP", cap)
-    assert residuals(calls) == fresh                    # cold, then warm from narrower
-    assert sorted(prefixes) == [7, 11]
-    assert not any(p.flags.writeable for p in prefixes.values())
     drawn = _spy_generators(monkeypatch)
-    assert residuals(calls[::-1]) == fresh              # warm from wider or the same
-    assert drawn == []
-    prefixes.clear()
-    assert residuals(calls[::-1]) == fresh              # cold, then warm from wider
-    assert drawn == [11, 7]
+    assert residuals(interleaved) == fresh              # cold at every change of seed
+    assert drawn == [7, 11] * 3
+    seed, prefix = kms._normal_prefix
+    assert seed == 11 and prefix.size == 100 * 2 * flows[(3, 20)].algebra.coord_dim
+    with pytest.raises(ValueError, match="read-only"):
+        prefix[0] = 0.0
+    drawn.clear()
+    widest_first = [(dims, 11) for dims in reversed(flows)]
+    assert residuals(widest_first) == {k: fresh[k] for k in widest_first}
+    assert drawn == []                                  # warm from wider or the same
+    kms._normal_prefix = None
+    narrowest_first = [(dims, 7) for dims in flows]
+    assert residuals(narrowest_first) == {k: fresh[k] for k in narrowest_first}
+    assert drawn == [7, 7, 7]                           # warm from narrower: redrawn
 
 
-def test_kept_prefix_is_a_read_only_fresh_draw(prefixes):
+def test_kept_prefix_is_a_read_only_fresh_draw(no_kept_prefix):
     want = np.random.default_rng(7).standard_normal(1000)
     for count in (10, 1000, 3, 1000):
         got = kms._seeded_normals(7, count)
         assert got.tobytes() == want[:count].tobytes()
         with pytest.raises(ValueError, match="read-only"):
             got[0] = 0.0
-    assert prefixes[7].size == 1000
+    kept = kms._normal_prefix
+    assert kept[0] == 7 and kept[1].size == 1000
     for refused in ((7, 0), (7, kms._NORMAL_PREFIX_CAP + 1), (-1, 10), (None, 10),
                     ([1, 2], 10), (7.0, 10)):
         assert kms._seeded_normals(*refused) is None
-    assert list(prefixes) == [7]
+    assert kms._normal_prefix is kept
 
 
-def test_route_two_seeds_keep_their_meaning(monkeypatch, prefixes):
+def test_route_two_seeds_keep_their_meaning(monkeypatch, no_kept_prefix):
     flow = _random_flow((3, 2), rng=np.random.default_rng(78))
     omega = random_state(flow.algebra, np.random.default_rng(79))
     drawn = _spy_generators(monkeypatch)
-    # a numpy integer is its int: one entry, drawn once
+    # a numpy integer is its int: one prefix, drawn once
     plain = verify_kms(flow, omega, 0.8, seed=7)
     assert verify_kms(flow, omega, 0.8, seed=np.int64(7)) == plain
-    assert list(prefixes) == [7] and drawn == [7]
+    assert kms._normal_prefix[0] == 7 and drawn == [7]
     # no seed is fresh entropy on every call, and nothing is kept for it
     first, second = (verify_kms(flow, omega, 0.8, seed=None) for _ in range(2))
     assert first.residual_half_shift != second.residual_half_shift
@@ -258,14 +268,13 @@ def test_route_two_seeds_keep_their_meaning(monkeypatch, prefixes):
     v = verify_kms(flow, omega, 0.8, seed=[1, 2])
     want = _reference_route_two(flow, omega, 0.8, seed=[1, 2])
     assert abs(v.residual_half_shift - want) <= 1e-12 * max(1.0, want)
-    assert list(prefixes) == [7]
+    assert kms._normal_prefix[0] == 7
     # a negative seed is refused by default_rng, as before
     with pytest.raises(ValueError, match="non-negative"):
         verify_kms(flow, omega, 0.8, seed=-1)
-    # past _NORMAL_PREFIX_SEEDS seeds the least recently used is dropped
-    for seed in (1, 2, 3, 7, 4):
-        verify_kms(flow, omega, 0.8, seed=seed)
-    assert list(prefixes) == [2, 3, 7, 4]
+    # another integer seed takes the one kept prefix over
+    verify_kms(flow, omega, 0.8, seed=3)
+    assert kms._normal_prefix[0] == 3
 
 
 def test_verify_refuses_negative_samples(monkeypatch):
@@ -278,9 +287,9 @@ def test_verify_refuses_negative_samples(monkeypatch):
     assert verify_kms(flow, gibbs(flow, 1.0), 1.0, samples=0).residual_half_shift == 0.0
 
 
-def test_route_two_threads_see_the_serial_samples(monkeypatch, prefixes):
-    """Threads sharing the store, over widths on both sides of the cap and more seeds
-    than it keeps, get the residuals of a serial run without it."""
+def test_route_two_threads_see_the_serial_samples(monkeypatch, no_kept_prefix):
+    """Threads sharing the kept prefix, over widths on both sides of the cap and
+    several seeds, get the residuals of a serial run without it."""
     rng = np.random.default_rng(80)
     flows = [_random_flow(dims, rng=rng) for dims in [(2,), (8,), (16,), (3, 20), (40,)]]
     assert 100 * 2 * flows[-1].algebra.coord_dim > kms._NORMAL_PREFIX_CAP
@@ -299,11 +308,12 @@ def test_route_two_threads_see_the_serial_samples(monkeypatch, prefixes):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            prefixes.clear()
+            kms._normal_prefix = None
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(half_shift, job) for job in jobs]
                 assert [f.result(timeout=60) for f in futures] == serial
-            assert len(prefixes) <= kms._NORMAL_PREFIX_SEEDS
+            seed, prefix = kms._normal_prefix
+            assert seed in (7, 11, 0, 3, 5) and not prefix.flags.writeable
     finally:
         sys.setswitchinterval(interval)
 
@@ -432,7 +442,7 @@ def test_non_finite_beta_is_refused(beta):
         gibbs(_diag_flow((2.0,)), beta)
 
 
-def test_verify_memory_stays_quadratic(prefixes):
+def test_verify_memory_stays_quadratic(no_kept_prefix):
     flow = _random_flow((64,), rng=np.random.default_rng(64))
     psi = gibbs(flow, 0.5)
     tracemalloc.start()
@@ -444,7 +454,7 @@ def test_verify_memory_stays_quadratic(prefixes):
     assert v.passed
     assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
     # 100 samples of 2·64² draws are past the cap: drawn in chunks, none kept
-    assert not prefixes
+    assert kms._normal_prefix is None
 
 
 def test_trace_is_equilibrium_at_beta_zero():
