@@ -19,6 +19,11 @@ over ⟨c, u⟩, and these are all the vertices. Why:
 * for such a (distinguished) α, s is a simple eigenvalue of ρᵀ on S_α, so the
   null space is one-dimensional and holds α's positive eigenvector.
 
+Two distinguished classes α ≠ α′ at one s have α outside S_α′ (else α would be
+subinvariant too), so each vertex is the only one nonzero on its own class: the
+vertices are affinely independent and the fiber is a simplex of dimension one less
+than their number.
+
 When e^{-β} is (certifiably) a rational eigenvalue the null vectors come from
 fraction-free integer elimination and the vertices are exact fractions;
 otherwise from an SVD with a relative singular-value cut. Diagonal
@@ -262,27 +267,16 @@ def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
     s = s_float if s_exact is None else s_exact
     verts = [v for v in (_class_vertex(spec, sup, s) for sup in spec._access_sets)
              if v is not None]
+    verts_exact = None
     if s_exact is None:
         verts.sort(key=lambda v: tuple(np.round(v, 9)))
-        fiber = SimplexFiber(beta=float(beta), vertices=verts,
-                             dimension=_affine_dim(verts), exact=False)
     else:
         verts_exact = sorted(tuple(v) for v in verts)
         verts = [np.array([float(x) for x in v]) for v in verts_exact]
-        fiber = SimplexFiber(beta=float(beta), vertices=verts,
-                             dimension=_affine_dim(verts), exact=True,
-                             vertices_exact=verts_exact)
+    fiber = SimplexFiber(beta=float(beta), vertices=verts, dimension=len(verts) - 1,
+                         exact=s_exact is not None, vertices_exact=verts_exact)
     _check_fiber(spec, fiber, s_float)
     return fiber
-
-
-def _affine_dim(verts: list[np.ndarray]) -> int:
-    if not verts:
-        return -1
-    if len(verts) == 1:
-        return 0
-    diffs = np.array([v - verts[0] for v in verts[1:]])
-    return int(np.linalg.matrix_rank(diffs, tol=1e-9))
 
 
 def _check_fiber(spec: DimensionGroupSpec, fiber: SimplexFiber, s: float):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import (AlgElement, BlockAlgebra, Functional, Projection, _exchange_residual,
                       is_trace)
-from .flow import IM_CAP, InnerFlow
+from .flow import InnerFlow
 
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
 EXP_CAP = 700.0
@@ -170,8 +170,6 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
         omega = omega.functional
     if omega.algebra != flow.algebra:
         raise ValueError("state and flow live on different algebras")
-    if abs(beta) / 2.0 > IM_CAP:
-        raise ValueError(f"|β|/2 exceeds the analytic strip bound {IM_CAP:g}")
     _check_exp_cap(beta, flow.spectral_spread)      # the factors e^{-β(λ_k-λ_l)} below
 
     # route one, per block in the eigenbasis: for units a=E_kl, b=E_mn the two

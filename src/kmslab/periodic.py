@@ -6,15 +6,17 @@ are those integers; the component of degree k is the entrywise mask onto
 gap = k·2π/p, with an independent quadrature route through the flow
 itself (a rectangle rule, exact for trigonometric polynomials).
 
-Commensurability is one decision, :func:`gap_group`, which the product
-factors' difference group shares: do the distinct gaps generate κ·ℤ? A ratio
-r counts as rational when some p/q, q ≤ DENOMINATOR_CAP = 10⁶, has
-|q·r − p| ≤ RELATION_TOL = 1e-9. Closest-fraction rounding alone would call √2
-rational; the residual q·r − p separates noise (≲ q·ε) from irrationality
-(≳ 1/q). A gap d is m units when |d − m·unit| ≤ RELATION_TOL·max(s, |m|), where
-s = max(1, max|w|) for gaps within a spectrum w, whose eigenvalues carry rounding of that
-size, and s = 1 for bare gaps. At m = 0 this is the one zero-gap rule, which
-:func:`distinct_gaps` applies as well.
+Every gap comes from one clustering of each block's ascending spectrum w into
+levels: a level starts at the least eigenvalue not yet placed and holds every
+eigenvalue within RELATION_TOL·s of that start, s = max(1, max|w|), so no gap is zero.
+Commensurability is one decision, :func:`gap_group`, which the product factors'
+difference group shares: do the gaps between level starts generate κ·ℤ? A ratio r
+counts as rational when some p/q, q ≤ DENOMINATOR_CAP = 10⁶, has |q·r − p| ≤
+RELATION_TOL = 1e-9; closest-fraction rounding alone would call √2 rational, while the
+residual separates noise (≲ q·ε) from irrationality (≳ 1/q). A level is m units above
+the block's first when its start lies within RELATION_TOL·max(s, |m|) of m·unit, and a
+pair's degree is the difference of its levels' m: degree tables are additive and degree
+zero is an equivalence relation.
 """
 
 from __future__ import annotations
@@ -39,36 +41,48 @@ def relation_fit(r: float) -> Fraction | None:
     return None
 
 
-def _gap_scale(w) -> float:
-    """s = max(1, max|w|), the scale of the spectrum w's gaps."""
-    return max(1.0, float(np.max(np.abs(w), initial=0.0)))
+def _levels(w) -> tuple[list[float], list[int], float]:
+    """The levels of the ascending spectrum w: their starts, each eigenvalue's level and
+    s = max(1, max|w|). A level starts at the least eigenvalue not yet placed and holds
+    every eigenvalue within RELATION_TOL·s of that start."""
+    w = w.tolist()
+    scale = max(1.0, -w[0], w[-1]) if w else 1.0
+    starts, level = [], []
+    for x in w:
+        if not starts or x - starts[-1] > RELATION_TOL * scale:
+            starts.append(x)
+        level.append(len(starts) - 1)
+    return starts, level, scale
 
 
-def _multiples(gaps, unit: float, scale: float = 1.0) -> np.ndarray | None:
-    """m = round(gaps/unit), or None if some |gap − m·unit| > RELATION_TOL·max(scale, |m|)."""
-    gaps = np.asarray(gaps)
-    m = np.rint(gaps / unit)
-    if (np.abs(gaps - m * unit) > RELATION_TOL * np.maximum(scale, np.abs(m))).any():
-        return None
-    return m
+def _multiples(gaps, unit: float, scale: float = 1.0) -> list[int] | None:
+    """m = round(gap/unit) per gap, or None unless every |gap − m·unit| is at most
+    RELATION_TOL·max(scale, |m|)."""
+    ms = [round(d / unit) if math.isfinite(d / unit) else 0 for d in gaps]
+    if all(abs(d - m * unit) <= RELATION_TOL * max(scale, abs(m)) for d, m in zip(gaps, ms)):
+        return ms
+    return None
 
 
 def gap_group(gaps: list[float]) -> tuple[float | None, tuple[float, float] | None]:
     """(κ, None) when the gaps generate κ·ℤ, κ = 0.0 for no gaps, or (None, witness).
 
     κ is g0·gcd(numerators)/lcm(denominators) over the ratios to the smallest
-    gap g0. The witness is g0 and the first gap whose ratio does not fit, or
-    g0 and the last gap when every ratio fits but some gap is not a multiple of κ.
+    gap g0. In an ascending list a gap within RELATION_TOL·max(1, gap) of the last
+    fitted one is not fitted, only tested as a multiple of κ with every other gap. The
+    witness is g0 and the first gap whose ratio does not fit, or g0 and the last gap
+    when every ratio fits but some gap is not a multiple of κ.
     """
     if not gaps:
         return 0.0, None
-    g0 = min(gaps)
-    fracs = []
+    g0, last, fracs = min(gaps), -math.inf, []
     for d in gaps:
-        fr = relation_fit(d / g0)
-        if fr is None:
-            return None, (g0, d)
-        fracs.append(fr)
+        if d - last > RELATION_TOL * max(1.0, d):
+            fr = relation_fit(d / g0)
+            if fr is None:
+                return None, (g0, d)
+            fracs.append(fr)
+            last = d
     lcm = math.lcm(*(fr.denominator for fr in fracs))
     unit = g0 * math.gcd(*(fr.numerator * (lcm // fr.denominator) for fr in fracs)) / lcm
     if _multiples(gaps, unit) is None:  # a ratio fits to RELATION_TOL/q, its gap to g0 times that
@@ -77,17 +91,10 @@ def gap_group(gaps: list[float]) -> tuple[float | None, tuple[float, float] | No
 
 
 def distinct_gaps(spectra) -> list[float]:
-    """Sorted gaps within each spectrum, those ≤ RELATION_TOL·max(1, max|w|) dropped
-    as zero and the rest deduplicated within RELATION_TOL·max(1, gap)."""
-    gaps = []
-    for w in spectra:
-        d = np.abs(w[:, None] - w).ravel()      # each pair twice; the set below keeps one
-        gaps.extend(d[d > RELATION_TOL * _gap_scale(w)].tolist())
-    out: list[float] = []
-    for d in sorted(set(gaps)):
-        if not out or d - out[-1] > RELATION_TOL * max(1.0, d):
-            out.append(d)
-    return out
+    """The sorted distinct gaps between level starts (see :func:`_levels`) within each
+    ascending spectrum."""
+    return sorted({b - a for starts, _, _ in map(_levels, spectra)
+                   for i, a in enumerate(starts) for b in starts[i + 1:]})
 
 
 def minimal_period(flow: InnerFlow) -> float | None:
@@ -98,32 +105,31 @@ def minimal_period(flow: InnerFlow) -> float | None:
 
 
 class PeriodicFlow:
-    """An inner flow together with a period and the resulting degree tables."""
+    """An inner flow together with a period and the resulting degree tables: each
+    eigenvalue's level gets one integer m, and deg[j, l] = m_j − m_l."""
 
     def __init__(self, flow: InnerFlow, period: float | None = None):
         if period is None:
-            period = minimal_period(flow)
-            if period is None:
+            unit, _ = gap_group(distinct_gaps(flow.eigenvalues))
+            if unit is None:
                 raise ValueError("flow is aperiodic: eigenvalue gaps are incommensurable")
-        period = float(period)
-        if period < 0:
-            raise ValueError("period must be nonnegative")
-        self.flow = flow
-        self.period = period
-        if period == 0.0:
-            if distinct_gaps(flow.eigenvalues):
-                raise ValueError("only a scalar flow has the designated period 0")
-            self.base_frequency = 0.0
-            self.degrees = [np.zeros((w.size, w.size), dtype=int) for w in flow.eigenvalues]
-            return
-        self.base_frequency = 2.0 * math.pi / period
+            period = 2.0 * math.pi / unit if unit else 0.0
+        else:
+            period = float(period)
+            if not 0.0 <= period < math.inf:
+                raise ValueError("period must be finite and nonnegative")
+            unit = 2.0 * math.pi / period if period else 0.0
+        self.flow, self.period, self.base_frequency = flow, period, unit
         self.degrees: list[np.ndarray] = []
-        for w in flow.eigenvalues:
-            m = _multiples(w[:, None] - w[None, :], self.base_frequency, _gap_scale(w))
+        for starts, level, scale in map(_levels, flow.eigenvalues):
+            if len(starts) > 1 and not unit:
+                raise ValueError("only a scalar flow has the designated period 0")
+            m = _multiples([x - starts[0] for x in starts[1:]], unit, scale) if unit else []
             if m is None:
                 raise ValueError(f"generator gaps are not multiples of 2π/{period:g}; "
                                  "flow is not periodic with this period")
-            self.degrees.append(m.astype(int))
+            m = np.array([0, *m])[level]
+            self.degrees.append(m[:, None] - m)
 
     @property
     def max_degree(self) -> int:

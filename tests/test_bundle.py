@@ -42,6 +42,15 @@ def _rational_q6():
     return _diag_spec([1, F(1, 7), F(1, 7), F(1, 3), F(1, 3), F(1, 3)])
 
 
+def _rank_dimension(f):
+    """The fiber's affine dimension by the rank of its vertex differences, the rule
+    fiber_simplex used before it read the dimension off the vertex count."""
+    if len(f.vertices) < 2:
+        return len(f.vertices) - 1
+    diffs = np.array([v - f.vertices[0] for v in f.vertices[1:]])
+    return int(np.linalg.matrix_rank(diffs, tol=1e-9))
+
+
 def test_rational_rank6_spectrum():
     spec = _rational_q6()
     betas = beta_spectrum(spec)
@@ -56,7 +65,7 @@ def test_rational_rank6_fiber_shapes():
     shapes = []
     for b in sorted(beta_spectrum(spec)):
         f = fiber_simplex(spec, b)
-        assert f.exact
+        assert f.exact and f.dimension == _rank_dimension(f)
         shapes.append((f.dimension, f.vertex_count))
     assert shapes == [(0, 1), (2, 3), (1, 2)]
 
@@ -121,7 +130,7 @@ def test_empty_fiber_off_spectrum():
     spec = _rational_q6()
     f = fiber_simplex(spec, 0.5)   # e^{-1/2} is not an eigenvalue
     assert f.is_empty
-    assert f.vertex_count == 0
+    assert f.vertex_count == 0 and f.dimension == _rank_dimension(f) == -1
 
 
 def test_fiber_simplex_refuses_a_beta_past_the_float_range():
@@ -144,7 +153,7 @@ def test_float_lane_fiber_matches_support_rule():
         assert f.exact is False and f.vertices_exact is None
         oracle = diagonal_fiber(spec, s)
         assert f.vertex_count == len(oracle) == mult
-        assert f.dimension == mult - 1
+        assert f.dimension == mult - 1 == _rank_dimension(f)
         for v, w in zip(f.vertices, oracle):
             assert np.max(np.abs(v - np.array([float(x) for x in w]))) <= 1e-9
 
@@ -288,6 +297,7 @@ def test_fiber_simplex_vertices_match_reference_sweeps():
     for spec in specs:
         for b in beta_spectrum(spec):
             f = fiber_simplex(spec, b)
+            assert f.dimension == _rank_dimension(f)
             s = math.exp(-b)
             if f.exact:
                 assert f.vertices_exact == _reference_fiber(spec, F(s).limit_denominator(10 ** 6))
@@ -394,7 +404,7 @@ def test_property_sweep_matches_support_rule(case):
     spec, values = case
     for s in values:
         f = fiber_simplex(spec, -math.log(float(s)))
-        assert f.exact
+        assert f.exact and f.dimension == _rank_dimension(f)
         assert f.vertices_exact == diagonal_fiber(spec, s)
 
 
@@ -467,6 +477,7 @@ def test_property_fibers_of_general_specs_match_reference_sweeps(spec):
     want = []
     for s in _positive_eigenvalues(spec):
         f = fiber_simplex(spec, -math.log(s) + 0.0)
+        assert f.dimension == _rank_dimension(f)
         s_exact = _reference_rational_eigenvalue(spec, s)
         assert f.exact == (s_exact is not None)
         if f.exact:

@@ -96,6 +96,17 @@ def test_verify_refuses_beta_beyond_exp_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_passes_a_gibbs_state_past_half_the_strip_cap(tmp_path, capsys):
+    """|β|/2 = 75 is past flow.IM_CAP, which neither verify route reads any more."""
+    prob = _write(tmp_path / "p.json", {"block_dims": [2], "beta": 150.0,
+                                        "generator": [[[0.0, 0.0], [0.0, 1.0]]]})
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--problem", prob, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is True and doc["max_residual"] <= 1e-12
+    assert "pass" in capsys.readouterr().out.lower()
+
+
 def test_verify_refuses_a_non_finite_state(two_level, tmp_path, capsys):
     state = tmp_path / "nan.json"
     state.write_text('{"blocks": [[[NaN, 0.0], [0.0, 0.5]]]}')
@@ -432,6 +443,29 @@ def test_decompose_csv(two_level, tmp_path):
     # e01 lowers the energy by 1, e10 raises it
     assert abs(float(rows[0][1]) - 2.0) < 1e-12
     assert abs(float(rows[2][1]) - 0.5) < 1e-12
+
+
+def test_decompose_and_fejer_read_a_near_copy_as_one_level(tmp_path):
+    """On diag(−2, −1, −1 + 1e−9) the two upper eigenvalues are one level, so the flow
+    has period 2π; both commands used to exit 2 with "flow is aperiodic"."""
+    prob = _write(tmp_path / "p.json", {"block_dims": [3], "generator": [
+        [[-2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0 + 1e-9]]]})
+    a = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+    elem = _write(tmp_path / "e.json", {"blocks": [a]})
+    out = tmp_path / "deg.csv"
+    assert main(["decompose", "--problem", prob, "--element", elem, "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+    want = {-1: 2 ** 2 + 3 ** 2, 0: 1 + 5 ** 2 + 6 ** 2 + 8 ** 2 + 9 ** 2, 1: 4 ** 2 + 7 ** 2}
+    assert [int(r[0]) for r in rows] == sorted(want)
+    for k, norm in rows:
+        assert abs(float(norm) - math.sqrt(want[int(k)])) < 1e-12
+    out = tmp_path / "fejer.json"
+    assert main(["fejer", "--problem", prob, "--element", elem, "--order", "1",
+                 "--out", str(out)]) == 0
+    m = np.array([[complex(re, im) for re, im in row]
+                  for row in json.loads(out.read_text())["blocks"][0]])
+    weights = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 1.0], [0.5, 1.0, 1.0]])
+    assert np.max(np.abs(m - weights * np.array(a))) < 1e-12
 
 
 def test_factor_type_and_gamma(tmp_path):

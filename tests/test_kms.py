@@ -426,6 +426,18 @@ def test_verify_refuses_beta_beyond_exp_cap():
     assert not verify_kms(wide, _trace_state(wide.algebra), 60.0, samples=1).passed
 
 
+def test_verify_runs_past_half_the_strip_cap():
+    """Neither route continues σ analytically, so |β|/2 above flow.IM_CAP = 50 is no
+    refusal: EXP_CAP bounds every factor the routes form. β = ±150 on diag(0, 1)
+    used to raise "exceeds the analytic strip bound" although gibbs built the state."""
+    flow = _diag_flow((0.0, 1.0))
+    for beta in (150.0, -150.0):
+        v = verify_kms(flow, gibbs(flow, beta), beta)
+        assert v.passed and v.max_residual <= 1e-12
+    v = verify_kms(flow, _trace_state(flow.algebra), 150.0)
+    assert not v.passed and math.isfinite(v.max_residual)
+
+
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
 def test_non_finite_beta_is_refused(beta):
     """A non-finite β is bad input: e^{-βh} at β = NaN used to give a NaN density

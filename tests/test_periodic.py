@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kmslab import (
@@ -62,16 +62,45 @@ def test_declared_period_is_checked():
     PeriodicFlow(flow, period=4.0 * math.pi)      # a multiple is still a period
     with pytest.raises(ValueError):
         PeriodicFlow(flow, period=3.0)
+    for period in (-1.0, math.inf, math.nan):   # ∞ and NaN used to give garbage degrees
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            PeriodicFlow(flow, period=period)
 
 
 def test_periodic_flow_takes_the_period_that_minimal_period_finds():
-    # −100 and −100 + 5e−8 lie within the spectrum's zero-gap threshold 1e−9·100, so
-    # 200 − 5e−8 and 200 are one gap: degree 0 and degree ±1 must hold at that scale
+    # −100 and −100 + 5e−8 lie within 1e−9·100 of each other, so they are one level and
+    # 200 is the only gap: degree 0 and degree ±1 must hold at that scale
     flow = _diag_flow(-100.0, -100.0 + 5e-8, 100.0)
     pf = PeriodicFlow(flow)
     assert pf.period == minimal_period(flow)
     assert pf.degrees[0].tolist() == [[0, 0, -1], [0, 0, -1], [1, 1, 0]]
     assert PeriodicFlow(flow, period=2.0 * math.pi).max_degree == 200
+
+
+def test_a_near_copy_joins_its_level():
+    """−1 + 1e−9 lies within 1e−9·2 of −1: one level, so the only gap is 1. This used
+    to be aperiodic, its gaps 1 and 1 + 1e−9 incommensurable, while PeriodicFlow(flow, 2π)
+    built with the degrees below."""
+    w = np.array([-2.0, -1.0, -1.0 + 1e-9])
+    flow = _diag_flow(*w)
+    assert minimal_period(flow) == 2.0 * math.pi
+    group = difference_group(w)
+    assert group.kind == "cyclic" and group.kappa == 1.0
+    want = [[0, -1, -1], [1, 0, 0], [1, 0, 0]]
+    assert PeriodicFlow(flow).degrees[0].tolist() == want
+    assert PeriodicFlow(flow, period=2.0 * math.pi).degrees[0].tolist() == want
+
+
+def test_a_fitted_gap_does_not_stand_in_for_a_near_copy_of_it():
+    """500 + 4e−7 lies within 1e−9·500 of the gap 500, but it is 5 + 4e−9 units of
+    100, no multiple at RELATION_TOL. The gap list used to hold it as 500, so the
+    period 2π/100 was found and PeriodicFlow then refused it."""
+    alg = BlockAlgebra((3, 2))
+    flow = InnerFlow(alg, alg.element([np.diag([0.0, 100.0, 500.0]).astype(complex),
+                                       np.diag([-250.0, 250.0 + 4e-7]).astype(complex)]))
+    assert minimal_period(flow) is None
+    with pytest.raises(ValueError, match="aperiodic"):
+        PeriodicFlow(flow)
 
 
 def test_relation_fit_and_gap_unit():
@@ -366,7 +395,7 @@ def test_property_degree_tables_are_additive(kind, spectra, unit, multiple, seed
     multiple of it, so that degree zero is an equivalence relation: the premise of
     trace_scaling_beta's trace check. The spectra are integer lattices in a random
     eigenbasis, the same stretched by π, or with a copy of the first eigenvalue moved
-    by half the zero-gap threshold."""
+    up by half of RELATION_TOL·max(1, max|w|), so that it joins the first level."""
     rng = np.random.default_rng(seed)
     blocks = []
     for ks in spectra:
@@ -379,12 +408,58 @@ def test_property_degree_tables_are_additive(kind, spectra, unit, multiple, seed
     alg = BlockAlgebra(tuple(len(b) for b in blocks))
     flow = InnerFlow(alg, alg.element(blocks))
     period = minimal_period(flow)
-    # a scalar flow has only the zero table; a displaced copy can make the gaps
-    # incommensurable at RELATION_TOL, and then no PeriodicFlow exists
-    assume(period is not None and period != 0.0)
+    assert period is not None           # a displaced copy joins its level
     for pf in (PeriodicFlow(flow), PeriodicFlow(flow, period=multiple * period)):
         for deg in pf.degrees:
             assert np.all(deg[:, :, None] + deg[None, :, :] == deg[:, None, :])
+
+
+@given(spectra=st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+                                  st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 0.5)),
+                                           max_size=3)),
+                        min_size=1, max_size=3),
+       unit=st.floats(0.05, 20.0), multiple=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_near_copies_keep_the_lattice_period(spectra, unit, multiple, seed):
+    """Integer lattices times one unit in several blocks, each with near-copies: an
+    eigenvalue repeated up to half of tol = RELATION_TOL·max(1, max|w|) above itself,
+    in a random eigenbasis. minimal_period finds p = 2π/(unit·g), g the gcd of the
+    lattice gaps; PeriodicFlow builds at p and k·p with the pairwise rounded degrees,
+    0 on every pair of one level; and one more block with the gap π·unit·g makes the
+    flow aperiodic and both constructions refuse it."""
+    rng = np.random.default_rng(seed)
+    blocks, g = [], 0
+    for ks, copies in spectra:
+        w = unit * np.asarray(ks, dtype=float)
+        tol = RELATION_TOL * max(1.0, float(np.max(np.abs(w))))
+        w = np.append(w, [w[i % w.size] + frac * tol for i, frac in copies])
+        g = math.gcd(g, *(k - ks[0] for k in ks))
+        z = rng.standard_normal((w.size, w.size)) + 1j * rng.standard_normal((w.size, w.size))
+        u, _ = np.linalg.qr(z)
+        blocks.append((u * w) @ u.conj().T)
+    alg = BlockAlgebra(tuple(len(b) for b in blocks))
+    flow = InnerFlow(alg, alg.element(blocks))
+    period = minimal_period(flow)
+    if g == 0:
+        assert period == 0.0
+    else:
+        p = 2.0 * math.pi / (unit * g)
+        assert abs(period - p) <= 1e-12 * p
+    for pf in (PeriodicFlow(flow), PeriodicFlow(flow, period=multiple * period)):
+        for w, deg in zip(flow.eigenvalues, pf.degrees):
+            d = w[:, None] - w[None, :]
+            same = np.abs(d) < 0.5 * unit
+            assert np.all(deg[same] == 0)
+            if pf.base_frequency:
+                assert np.array_equal(deg, np.rint(d / pf.base_frequency))
+    if g:
+        wide = BlockAlgebra(tuple(len(b) for b in blocks) + (2,))
+        stretched = InnerFlow(wide, wide.element(
+            [*blocks, np.diag([0.0, math.pi * unit * g]).astype(complex)]))
+        assert minimal_period(stretched) is None
+        with pytest.raises(ValueError, match="aperiodic"):
+            PeriodicFlow(stretched)
+        with pytest.raises(ValueError, match="not periodic with this period"):
+            PeriodicFlow(stretched, period=period)
 
 
 def test_trace_scaling_beta_names_the_first_degenerate_unit():
