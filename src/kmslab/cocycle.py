@@ -19,13 +19,16 @@ The usable window shrinks by roughly one rescaled unit per development
 stage; pairs that fall outside are counted, never silently dropped.
 
 A unimodularity failure is an error when the grid is built. The
-associativity identity is checked after the stages, on the μ they return:
-when μ spans the whole grid and the window is full or the ``coboundary_of``
-mask, an O(K²) certificate bounds every in-range triple's residual (see
-``trivialize``); otherwise the exhaustive O(K³) scan ``check_cocycle`` runs.
-A failure beyond the allowed defect is an error on either route, and it
-takes precedence over a stage's own error — a near-(-1) value of λ¹, for
-one, since the principal phase branch would be meaningless there.
+associativity identity is checked after the stages, on the μ they return.
+When μ spans the whole grid and the window is full or the ``coboundary_of``
+mask, the errors |λ − ∂μ̃| of a triple's four pairs bound its residual, so an
+O(K²) certificate covers every in-range triple at once; where that bound is
+too loose, only the triples that read a pair beyond its reach are evaluated,
+and a refusal is read off them (see ``trivialize``). Otherwise the exhaustive
+O(K³) scan ``check_cocycle`` runs. A failure beyond the allowed defect is an
+error on every route, and it takes precedence over a stage's own error — a
+near-(-1) value of λ¹, for one, since the principal phase branch would be
+meaningless there.
 """
 
 from __future__ import annotations
@@ -323,15 +326,34 @@ def _extended(mu: np.ndarray, lam: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.concatenate([down / np.abs(down), mu, up / np.abs(up)])
 
 
+def _bound(r: float) -> float:
+    """The most the scan reads on a triple whose four pairs each have |λ − ∂μ̃| ≤ r,
+    as derived in ``_certificate``; it rounds monotonically in r."""
+    return 4.0 * (1.0 + MODULUS_TOL) * r + 96.0 * _U
+
+
+def _radius(allowed: float) -> float:
+    """The largest float θ with ``_bound(θ) ≤ allowed``: a triple whose four pairs are
+    each within θ is within the allowed defect. θ < 0 when not even exact pairs are."""
+    theta = (allowed - 96.0 * _U) / (4.0 * (1.0 + MODULUS_TOL))
+    while _bound(theta) > allowed:
+        theta = math.nextafter(theta, -math.inf)
+    while _bound(math.nextafter(theta, math.inf)) <= allowed:
+        theta = math.nextafter(theta, math.inf)
+    return theta
+
+
 def _certificate(grid: CocycleGrid, r: float, full: bool) -> CocycleReport:
     """The precheck certified from r = max |λ − ∂μ̃| over the in-window pairs.
 
-    Let ν = μ̃/|μ̃| exactly; ∂ν is an exact cocycle. For a triple the scan checks, all
-    four pairs are in window, so with A..D the ∂ν values (AB = CD, |·| = 1) and
+    The bound holds triple by triple: a triple whose four pairs each have
+    |λ − ∂μ̃| ≤ r reads at most ``_bound(r)`` in the scan, whatever the other pairs
+    hold. Let ν = μ̃/|μ̃| exactly; ∂ν is an exact cocycle. For a triple the scan checks,
+    all four pairs are in window, so with A..D the ∂ν values (AB = CD, |·| = 1) and
     |λ| ≤ 1 + τ (τ = ``MODULUS_TOL``) its residual is
     |ab − cd| ≤ |a||b − B| + |a − A| + |c||d − D| + |c − C| ≤ (4 + 2τ)·r', with r' the
-    exact max |λ − ∂ν|. Rounding, with u = 2⁻⁵³ and a complex product off by at most
-    √2·γ₂·|x||y| (Higham, Lemma 3.5; less with FMA):
+    exact max |λ − ∂ν| over its four pairs. Rounding, with u = 2⁻⁵³ and a complex
+    product off by at most √2·γ₂·|x||y| (Higham, Lemma 3.5; less with FMA):
 
     * μ and μ̃ are stored as z/|z|, within 4u of ν, so the exact product
       μ̃(s)μ̃(t)conj μ̃(s+t) is within (1+4u)³ − 1 ≤ 13u of ∂ν, and its two rounded
@@ -340,35 +362,132 @@ def _certificate(grid: CocycleGrid, r: float, full: bool) -> CocycleReport:
     * the scan's own value of a residual E is at most (1+4u)·E + 6u.
 
     So the scan reads at most (4 + 2τ)(1+4u)²·r + 83u, which 4(1+τ)·r + 96u covers with
-    room for rounding the bound itself. The counts are the scan's, in closed form: on a
-    full window every in-range triple; on the mask {|s+t| ≤ K} the triples whose partial
-    sums 0, i, i+j, i+j+l span at most K, Σ_{d≤K} #{range exactly d} = (K+1)⁴ − K⁴.
+    room for rounding the bound itself. With r the maximum over all in-window pairs it
+    covers every triple. The counts are the scan's, in closed form: on a full window
+    every in-range triple; on the mask {|s+t| ≤ K} the triples whose partial sums
+    0, i, i+j, i+j+l span at most K, Σ_{d≤K} #{range exactly d} = (K+1)⁴ − K⁴.
     """
     k = grid.half_index_count
     total = _in_range_triples(k)
     checked = total if full else (k + 1) ** 4 - k ** 4
     return CocycleReport(
-        max_identity_residual=4.0 * (1.0 + MODULUS_TOL) * r + 96.0 * _U,
+        max_identity_residual=_bound(r),
         max_normalization_residual=_axis_defect(grid.values, grid.in_window, k),
         checked=checked, skipped=total - checked,
         step=grid.step, half_range=grid.half_range, route="certificate")
 
 
+def _pairs(i, j, l):
+    """The pairs the identity of (i, j, l) reads, in the scan's operand order:
+    λ(i,j)·λ(i+j,l) − λ(j,l)·λ(i,j+l)."""
+    return (i, j), (i + j, l), (j, l), (i, j + l)
+
+
+def _range_forms(i, j, l):
+    """The indices a triple keeps within [-K, K] to be in range."""
+    return i, j, l, i + j, j + l
+
+
+def _touched_triples(bad: np.ndarray, k: int):
+    """The in-range triples (i, j, l) that read a pair of ``bad``, a (2K+1)² mask.
+
+    Each role of a bad pair gives a line of triples, cut to an interval of f by
+    |i|, |j|, |l|, |i+j|, |j+l| ≤ K. Returns (count, chunks): ``count`` sums those
+    intervals over the bad pairs and the roles, at least the number of triples;
+    ``chunks`` yields, for at most max(TILE_ENTRIES/4, 2K+1) candidates at a time, the
+    flat indices (s+K)(2K+1) + t+K of their four pairs, in the order of ``_pairs``,
+    and a mask of the candidates to keep: every triple is kept once, under the first
+    of its pairs that is bad. A candidate's temporaries, four indices and four values,
+    take about four times the bytes of a scan entry's, hence the quarter tile.
+    """
+    n = 2 * k + 1
+    a, b = np.nonzero(bad)
+    a, b = a - k, b - k
+    bad = bad.ravel()
+    zero = np.zeros_like(a)
+    # (a, b) read in role r of ``_pairs`` fixes the triples base + f·step, f ∈ ℤ
+    roles = (((a, b, zero), (0, 0, 1)), ((a, zero, b), (-1, 1, 0)),
+             ((zero, a, b), (1, 0, 0)), ((a, zero, b), (0, 1, -1)))
+    lines = []
+    for base, step in roles:
+        lo, hi = np.full(a.size, -k), np.full(a.size, k)
+        # each bound |c + d·f| ≤ K, d ∈ {-1, 0, 1}, reads -K ≤ d·c + f ≤ K or |c| ≤ K
+        for c, d in zip(_range_forms(*base), _range_forms(*step)):
+            if d:
+                lo, hi = np.maximum(lo, -k - d * c), np.minimum(hi, k - d * c)
+            else:
+                hi = np.where(np.abs(c) <= k, hi, lo - 1)
+        flat = [(s + k) * n + t + k for s, t in _pairs(*base)]
+        slopes = [ds * n + dt for ds, dt in _pairs(*step)]
+        lines.append((lo, np.maximum(hi - lo + 1, 0), flat, slopes))
+
+    def chunks():
+        per = max(1, TILE_ENTRIES // (4 * n))
+        for role, (lo, length, flat, slopes) in enumerate(lines):
+            for p in range(0, a.size, per):
+                sl = slice(p, p + per)
+                m = length[sl]
+                f = np.repeat(lo[sl] - (np.cumsum(m) - m), m) + np.arange(int(m.sum()))
+                pairs = [np.repeat(q[sl], m) + d * f for q, d in zip(flat, slopes)]
+                first = np.ones(f.size, dtype=bool)
+                for q in pairs[:role]:
+                    first &= ~bad[q]
+                yield pairs, first
+
+    return sum(int(length.sum()) for _, length, _, _ in lines), chunks()
+
+
+def _touched_maximum(grid: CocycleGrid, bad: np.ndarray) -> float | None:
+    """The scan's maximum residual over the triples that read a pair of ``bad``, each
+    evaluated as the scan does; masked triples are skipped. None when the incidences
+    ``_touched_triples`` counts are not fewer than the scan's triples."""
+    k = grid.half_index_count
+    count, chunks = _touched_triples(bad, k)
+    if count >= _in_range_triples(k):
+        return None
+    v, win = grid.values.ravel(), grid.in_window.ravel()
+    full = bool(win.all())
+    worst = 0.0
+    for (p0, p1, p2, p3), keep in chunks:
+        if not full:
+            keep &= win[p0] & win[p1] & win[p2] & win[p3]
+        r = np.abs(np.multiply(v[p0], v[p1]) - np.multiply(v[p2], v[p3]))[keep]
+        if r.size:
+            worst = max(worst, float(r.max()))
+    return worst
+
+
+def _identity_failure(residual: float, allowed: float) -> ValueError:
+    return ValueError(f"cocycle identity fails: residual {residual:.3e} "
+                      f"exceeds the allowed defect {allowed:.3e}")
+
+
 def trivialize(grid: CocycleGrid) -> TrivializationResult:
     """Produce μ with ∂μ ≈ λ; see the module docstring for the stages.
 
-    The associativity precheck comes after the stages. It is certified in O(K²), with
-    ``precheck.route == "certificate"``, when all of these hold:
+    The associativity precheck comes after the stages. Its certificate window holds
+    when the window is full, or exactly the ``coboundary_of`` mask {|s+t| ≤ K}, and μ
+    spans the whole grid (``stage_windows["final_half_index"] == K``). Then the errors
+    |λ − ∂μ̃| are known on every pair, and one of three routes decides:
 
-    * the window is full, or exactly the ``coboundary_of`` mask {|s+t| ≤ K};
-    * μ spans the whole grid (``stage_windows["final_half_index"] == K``);
-    * the bound 4·r + c·u of :func:`_certificate` is at most ``DEFECT_FACTOR``·δ.
+    * certificate: the bound 4·r + c·u of :func:`_certificate`, r the largest error,
+      is at most the allowed defect ``DEFECT_FACTOR``·δ, and the precheck is certified
+      in O(K²), with ``precheck.route == "certificate"``;
+    * local refusal: any triple whose four pairs each have error ≤ θ, the largest θ
+      whose bound is within the allowed defect, is within it too. So only the triples
+      reading a bad pair (error > θ) can fail, and they are evaluated as the scan
+      evaluates them; if their maximum M exceeds the allowed defect, M is the scan's
+      maximum and the grid is refused with it;
+    * scan: otherwise, and whenever the certificate window fails or the stages raise,
+      ``check_cocycle`` scans every triple: a residual above the allowed defect is
+      refused, then a stage's error is raised, and else the scan's report is the
+      precheck. The local check gives way to the scan when the (triple, bad pair)
+      incidences it would visit are not fewer than the scan's triples, and when M is
+      within the allowed defect, so an accepted grid reports the measured maximum.
 
-    Otherwise ``check_cocycle`` scans every triple: a residual above
-    ``DEFECT_FACTOR``·δ is refused, then a stage's error is raised, and else the
-    scan's report is the precheck. Either way a grid is refused exactly when the
-    scan-first order refuses it, with the same message. An ``InternalFault`` from
-    the stages is no refusal and propagates at once.
+    Every route refuses a grid exactly when the scan-first order refuses it, with the
+    same message. An ``InternalFault`` from the stages is no refusal and propagates
+    at once.
     """
     delta = grid.step
     log_inv = math.log2(1.0 / delta)
@@ -378,25 +497,30 @@ def trivialize(grid: CocycleGrid) -> TrivializationResult:
 
     allowed = DEFECT_FACTOR * delta
     try:
-        result = _stages(grid, k_exp)
+        result, errors = _stages(grid, k_exp)
     except ValueError as err:
         result, failure = None, err
     else:
-        if result.precheck is not None and result.precheck.max_identity_residual <= allowed:
-            return result
+        if result.precheck is not None:
+            if result.precheck.max_identity_residual <= allowed:
+                return result
+            worst = _touched_maximum(grid, (errors > _radius(allowed)) & grid.in_window)
+            if worst is not None and worst > allowed:
+                raise _identity_failure(worst, allowed)
     pre = check_cocycle(grid)
     if pre.max_identity_residual > allowed:
-        raise ValueError(f"cocycle identity fails: residual {pre.max_identity_residual:.3e} "
-                         f"exceeds the allowed defect {allowed:.3e}")
+        raise _identity_failure(pre.max_identity_residual, allowed)
     if result is None:
         raise failure
     result.precheck = pre
     return result
 
 
-def _stages(grid: CocycleGrid, k_exp: int) -> TrivializationResult:
-    """The stages of ``trivialize`` on a grid of step 2^-k_exp; the precheck is the
-    certificate where its window conditions hold, else None."""
+def _stages(grid: CocycleGrid, k_exp: int):
+    """The stages of ``trivialize`` on a grid of step 2^-k_exp, as (result, errors).
+    Where the certificate's window conditions hold, the precheck is the certificate
+    and ``errors`` the table |λ − ∂μ̃| on [-K, K]² (meaningless on masked pairs);
+    elsewhere both are None."""
     delta = grid.step
     k = grid.half_index_count
 
@@ -479,11 +603,11 @@ def _stages(grid: CocycleGrid, k_exp: int) -> TrivializationResult:
     resid = float(np.max(diff[usable])) if usable.any() else float("nan")
     skipped_pairs = int((~usable).sum()) + int((2 * k + 1) ** 2 - (2 * kf + 1) ** 2)
 
-    precheck = None
+    precheck = errors = None
     if kf == k:
         full = bool(lam_ok.all())
         if full or np.array_equal(lam_ok, near):
-            precheck = _certificate(grid, float(np.max(diff[lam_ok])), full)
+            precheck, errors = _certificate(grid, float(np.max(diff[lam_ok])), full), diff
 
     return TrivializationResult(
         chain=chain, achieved_residual=resid,
@@ -491,7 +615,7 @@ def _stages(grid: CocycleGrid, k_exp: int) -> TrivializationResult:
         rescale_exponent=m, precheck=precheck,
         stage_windows={"mu0_valid": int(v0.sum()), "mu2_valid": int(v2.sum()),
                        "final_half_index": kf, "unit": unit},
-        stage_chains={"mu0": mu0, "mu1": mu1, "mu2": mu2})
+        stage_chains={"mu0": mu0, "mu1": mu1, "mu2": mu2}), errors
 
 
 # -- ready-made families and comparison helpers ------------------------------------

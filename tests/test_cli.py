@@ -1458,3 +1458,40 @@ def test_cocycle_report_names_the_precheck_route(half, route, tmp_path):
         assert doc["precheck_bound"] == scan
     else:
         assert scan <= doc["precheck_bound"] <= 1e-13
+
+
+def _perturbed_grid_file(tmp_path, step, seed):
+    """A seeded smooth coboundary on [-1, 1] with one off-axis pair kicked by 1.5-3 rad.
+    The kicked pair has a negative second index, which no trivializer stage reads."""
+    rng = np.random.default_rng(seed)
+    k = int(round(1.0 / step))
+    x = step * np.arange(-k, k + 1)
+    amp, freq, shift = rng.uniform(0.05, 0.15, 3), rng.uniform(0.3, 1.0, 3), rng.uniform(0, 6, 3)
+
+    def phi(t):
+        return sum(a * (np.sin(f * t + s) - np.sin(s)) for a, f, s in zip(amp, freq, shift))
+
+    phases = phi(x)[:, None] + phi(x)[None, :] - phi(x[:, None] + x[None, :])
+    i = int(rng.integers(1, k // 2 + 1)) * int(rng.choice([-1, 1]))
+    j = -int(rng.integers(1, k // 2 + 1))
+    phases[k + i, k + j] += rng.uniform(1.5, 3.0)
+    return _write(tmp_path / "grid.json", {"step": step, "half_range": 1.0,
+                                           "values": phases.tolist()})
+
+
+def test_refused_grid_exits_2_with_the_scans_residual(tmp_path, capsys):
+    path = _perturbed_grid_file(tmp_path, 2.0 ** -6, seed=7)
+    assert main(["cocycle", "trivialize", "--in", path]) == 2
+    out, err = capsys.readouterr()
+    grid = cli._grid_from_doc(json.loads((tmp_path / "grid.json").read_text()))
+    residual = cocycle.check_cocycle(grid).max_identity_residual
+    allowed = cocycle.DEFECT_FACTOR * grid.step
+    assert (out, err) == ("", f"error: cocycle identity fails: residual {residual:.3e} "
+                              f"exceeds the allowed defect {allowed:.3e}\n")
+
+
+def test_refused_grid_at_k256_skips_the_scan(tmp_path, monkeypatch, capsys):
+    path = _perturbed_grid_file(tmp_path, 2.0 ** -8, seed=8)
+    monkeypatch.setattr(cocycle, "check_cocycle", _raise(AssertionError("scan ran")))
+    assert main(["cocycle", "trivialize", "--in", path]) == 2
+    assert capsys.readouterr().err.startswith("error: cocycle identity fails: residual ")

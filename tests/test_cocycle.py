@@ -544,8 +544,18 @@ def _holed(grid, pair):
     return CocycleGrid(grid.step, grid.half_range, grid.values, win)
 
 
+def _kicked(grid, pairs, eps):
+    """``grid`` times e^{iε} on ``pairs``, which may be read by the stages."""
+    k = grid.half_index_count
+    vals = grid.values.copy()
+    for s, t in pairs:
+        vals[k + s, k + t] *= np.exp(1j * eps)
+    return CocycleGrid(grid.step, grid.half_range, vals, grid.in_window)
+
+
 ROUTE_CASES = {
-    # name: (grid, route, final window spans the grid, the grid is refused)
+    # name: (grid, route, final window spans the grid, the grid is refused); a refused
+    # grid's route is "local" when no scan runs
     "full": (lambda: bilinear_cocycle(0.4, 2.0 ** -4, 1.0), "certificate", True, False),
     "coboundary-mask": (lambda: coboundary_of(_smooth_chain(2.0 ** -4, 1.0, seed=3)),
                         "certificate", True, False),
@@ -560,7 +570,23 @@ ROUTE_CASES = {
                                                cocycle_module.DEFECT_FACTOR * 2.0 ** -4 / 2,
                                                {(-3, -2): 1}), "scan", True, False),
     "refused": (lambda: _off_stage_defects(bilinear_cocycle(0.4, 2.0 ** -4, 1.0), 2.0,
-                                           {(-3, -2): 1}), "scan", True, True),
+                                           {(-3, -2): 1}), "local", True, True),
+    # λ(8, 3) is read by stage 1 (unit 4): μ moves, and 196 pairs lose the bound
+    "refused-stage-read": (lambda: _kicked(bilinear_cocycle(0.4, 2.0 ** -5, 1.0), [(8, 3)], 2.0),
+                           "local", True, True),
+    "refused-under-mask": (lambda: _kicked(coboundary_of(_smooth_chain(2.0 ** -4, 1.0, seed=3)),
+                                           [(5, -9)], 2.0), "local", True, True),
+    # four pairs off by 0.3 of the allowed defect, each beyond θ, add up at one triple
+    "refused-four-at-one": (lambda: _off_stage_defects(
+        bilinear_cocycle(0.4, 2.0 ** -4, 1.0), 0.3 * cocycle_module.DEFECT_FACTOR * 2.0 ** -4,
+        FOUR_AT_ONE), "local", True, True),
+    "refused-past-the-sum": (lambda: _off_stage_defects(bilinear_cocycle(0.4, 2.0 ** -4, 1.0),
+                                                        2.0, PAST_THE_SUM), "local", True, True),
+    # every off-axis pair with t < 0 kicked: more (triple, bad pair) incidences than
+    # the scan has triples, so the cost rule takes the scan
+    "refused-by-the-scan": (lambda: _kicked(bilinear_cocycle(0.4, 2.0 ** -4, 1.0),
+                                            [(s, t) for s in range(-16, 17) for t in range(-16, 0)
+                                             if s], 2.0), "scan", True, True),
 }
 
 
@@ -572,9 +598,10 @@ def test_certificate_route_taken_exactly_when_its_conditions_hold(name, monkeypa
     monkeypatch.setattr(cocycle_module, "check_cocycle",
                         lambda g: scans.append(g) or check_cocycle(g))
     if refused:
-        with pytest.raises(ValueError, match="identity fails"):
+        with pytest.raises(ValueError, match="identity fails") as err:
             trivialize(grid)
-        assert len(scans) == 1
+        assert str(err.value) == _reference_scan_first(grid)[0]
+        assert len(scans) == (route == "scan")
         return
     res = trivialize(grid)
     assert res.precheck.route == route
@@ -593,3 +620,93 @@ def test_certificate_counts_match_the_scan(k):
         cert = cocycle_module._certificate(grid, 0.0, is_full)
         scan = check_cocycle(grid)
         assert (cert.checked, cert.skipped) == (scan.checked, scan.skipped)
+
+
+# -- refusals read off the pairs the certificate cannot vouch for ----------------------
+
+def _reference_scan_first(grid):
+    """``trivialize`` in the scan-first order: ``check_cocycle`` over every triple, then
+    the stages. Returns (message, result): the refusal's message and None, or None and
+    the result, whose precheck is the certificate where it holds and else the scan."""
+    allowed = cocycle_module.DEFECT_FACTOR * grid.step
+    scan = check_cocycle(grid)
+    if scan.max_identity_residual > allowed:
+        return (f"cocycle identity fails: residual {scan.max_identity_residual:.3e} "
+                f"exceeds the allowed defect {allowed:.3e}"), None
+    try:
+        result, _ = cocycle_module._stages(grid, round(math.log2(1.0 / grid.step)))
+    except ValueError as err:
+        return str(err), None
+    if result.precheck is None or result.precheck.max_identity_residual > allowed:
+        result.precheck = scan
+    return None, result
+
+
+def _assert_same_result(got, ref):
+    for name in ("achieved_residual", "pairs_checked", "pairs_skipped", "rescale_exponent",
+                 "precheck", "stage_windows"):
+        assert getattr(got, name) == getattr(ref, name), name
+    assert (got.chain.step, got.chain.half_range) == (ref.chain.step, ref.chain.half_range)
+    assert got.chain.values.tobytes() == ref.chain.values.tobytes()
+    assert got.stage_chains.keys() == ref.stage_chains.keys()
+    for name, chain in ref.stage_chains.items():
+        assert got.stage_chains[name].tobytes() == chain.tobytes(), name
+
+
+@st.composite
+def _kicked_grids(draw):
+    """A ``_certified_grids`` grid with 1-4 off-axis pairs, anywhere, stage-read ones
+    and masked ones included, each times e^{iε}, |ε| from half the allowed defect to 3."""
+    family, grid = draw(_certified_grids())
+    k = grid.half_index_count
+    allowed = cocycle_module.DEFECT_FACTOR * grid.step
+    index = st.integers(-k, k).filter(bool)
+    kicks = draw(st.lists(st.tuples(index, index, st.floats(0.5 * allowed, 3.0),
+                                    st.sampled_from([-1.0, 1.0])), min_size=1, max_size=4))
+    vals = grid.values.copy()
+    for s, t, eps, sign in kicks:
+        vals[k + s, k + t] *= np.exp(1j * sign * eps)
+    return family, CocycleGrid(grid.step, grid.half_range, vals, grid.in_window)
+
+
+@given(_kicked_grids())
+def test_property_refusals_match_the_scan_first_order(drawn):
+    family, grid = drawn
+    message, ref = _reference_scan_first(grid)
+    try:
+        got = trivialize(grid)
+    except ValueError as err:
+        assert str(err) == message, family
+        return
+    assert message is None, family
+    _assert_same_result(got, ref)
+
+
+def _brute_touched(bad, k):
+    return {(i, j, l) for i in range(-k, k + 1) for j in range(-k, k + 1)
+            for l in range(-k, k + 1)
+            if abs(i + j) <= k and abs(j + l) <= k
+            and any(bad[s + k, t + k] for s, t in cocycle_module._pairs(i, j, l))}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_touched_triples_match_brute_force(k, seed):
+    rng = np.random.default_rng(100 * k + seed)
+    n = 2 * k + 1
+    bad = rng.random((n, n)) < [0.0, 0.05, 0.2, 0.5][seed]
+    # corner pairs: |a| = K, and |a + b| > K
+    bad[[0, n - 1, n - 1], [rng.integers(n), n - 1, rng.integers(k + 1, n)]] = True
+    count, chunks = cocycle_module._touched_triples(bad, k)
+    got = []
+    for pairs, keep in chunks:
+        flat = [q[keep] for q in pairs]
+        i, j = (x - k for x in np.divmod(flat[0], n))
+        l = flat[2] % n - k
+        for q, (s, t) in zip(flat, cocycle_module._pairs(i, j, l)):
+            assert np.array_equal(q, (s + k) * n + t + k)
+        got += zip(i.tolist(), j.tolist(), l.tolist())
+    ref = _brute_touched(bad, k)
+    assert len(got) == len(set(got))
+    assert set(got) == ref
+    assert count >= len(ref)
