@@ -103,8 +103,8 @@ class AlgElement:
     @classmethod
     def _adopt(cls, algebra: BlockAlgebra, blocks: Sequence[np.ndarray]) -> "AlgElement":
         """The element with these blocks, taken over as they are: for fresh complex
-        arrays of the right shapes that no one else holds. They are made read-only,
-        but neither copied nor checked."""
+        arrays of the right shapes that no one else holds, or read-only arrays that
+        elements may share. They are made read-only, but neither copied nor checked."""
         for m in blocks:
             m.flags.writeable = False
         el = cls.__new__(cls)

@@ -45,6 +45,10 @@ MODULUS_TOL = 1e-12
 DEFECT_FACTOR = 10.0
 #: entries per tile of the associativity scan in ``check_cocycle``
 TILE_ENTRIES = 2 ** 15
+#: what one candidate triple of the local refusal weighs against a scan triple: it
+#: gathers four indices and four values, about four times a scan entry's temporaries,
+#: and takes at least four times its time
+_CANDIDATE_COST = 4
 #: unit roundoff of IEEE double precision
 _U = 2.0 ** -53
 
@@ -394,11 +398,10 @@ def _touched_triples(bad: np.ndarray, k: int):
     Each role of a bad pair gives a line of triples, cut to an interval of f by
     |i|, |j|, |l|, |i+j|, |j+l| ≤ K. Returns (count, chunks): ``count`` sums those
     intervals over the bad pairs and the roles, at least the number of triples;
-    ``chunks`` yields, for at most max(TILE_ENTRIES/4, 2K+1) candidates at a time, the
-    flat indices (s+K)(2K+1) + t+K of their four pairs, in the order of ``_pairs``,
-    and a mask of the candidates to keep: every triple is kept once, under the first
-    of its pairs that is bad. A candidate's temporaries, four indices and four values,
-    take about four times the bytes of a scan entry's, hence the quarter tile.
+    ``chunks`` yields, for at most max(TILE_ENTRIES/``_CANDIDATE_COST``, 2K+1)
+    candidates at a time, the flat indices (s+K)(2K+1) + t+K of their four pairs, in
+    the order of ``_pairs``, and a mask of the candidates to keep: every triple is
+    kept once, under the first of its pairs that is bad.
     """
     n = 2 * k + 1
     a, b = np.nonzero(bad)
@@ -422,7 +425,7 @@ def _touched_triples(bad: np.ndarray, k: int):
         lines.append((lo, np.maximum(hi - lo + 1, 0), flat, slopes))
 
     def chunks():
-        per = max(1, TILE_ENTRIES // (4 * n))
+        per = max(1, TILE_ENTRIES // (_CANDIDATE_COST * n))
         for role, (lo, length, flat, slopes) in enumerate(lines):
             for p in range(0, a.size, per):
                 sl = slice(p, p + per)
@@ -440,10 +443,11 @@ def _touched_triples(bad: np.ndarray, k: int):
 def _touched_maximum(grid: CocycleGrid, bad: np.ndarray) -> float | None:
     """The scan's maximum residual over the triples that read a pair of ``bad``, each
     evaluated as the scan does; masked triples are skipped. None when the incidences
-    ``_touched_triples`` counts are not fewer than the scan's triples."""
+    ``_touched_triples`` counts, each weighed at ``_CANDIDATE_COST`` scan triples, are
+    not fewer than the scan's triples."""
     k = grid.half_index_count
     count, chunks = _touched_triples(bad, k)
-    if count >= _in_range_triples(k):
+    if _CANDIDATE_COST * count >= _in_range_triples(k):
         return None
     v, win = grid.values.ravel(), grid.in_window.ravel()
     full = bool(win.all())
@@ -482,8 +486,9 @@ def trivialize(grid: CocycleGrid) -> TrivializationResult:
       ``check_cocycle`` scans every triple: a residual above the allowed defect is
       refused, then a stage's error is raised, and else the scan's report is the
       precheck. The local check gives way to the scan when the (triple, bad pair)
-      incidences it would visit are not fewer than the scan's triples, and when M is
-      within the allowed defect, so an accepted grid reports the measured maximum.
+      incidences it would visit, at ``_CANDIDATE_COST`` scan triples each, are not
+      fewer than the scan's triples, and when M is within the allowed defect, so an
+      accepted grid reports the measured maximum.
 
     Every route refuses a grid exactly when the scan-first order refuses it, with the
     same message. An ``InternalFault`` from the stages is no refusal and propagates

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TOL, AlgElement, BlockAlgebra, Functional
+from .algebra import TOL, AlgElement, BlockAlgebra, Functional, InternalFault
 
 #: refuse analytic continuation beyond this strip half-width; the entry
 #: factors reach e^{|Im z|·spread} and silently clamping would corrupt results
@@ -23,7 +23,7 @@ IM_CAP = 50.0
 GH_NODES_DEFAULT = 64
 #: numpy's ``hermgauss`` returns NaN weights from 512 nodes on
 GH_NODES_MAX = 256
-#: nodes × block entries of one slab of Gauss–Hermite phases
+#: positive nodes × distinct gaps of one slab of the Gauss–Hermite cosine sum
 _GH_CHUNK_ENTRIES = 2 ** 16
 #: relative (Frobenius) convergence tolerance of every quadrature route
 QUAD_TOL = 1e-8
@@ -31,10 +31,22 @@ QUAD_TOL = 1e-8
 
 @functools.lru_cache(maxsize=32)
 def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``hermgauss(nodes)``, computed once per node count and shared read-only."""
+    """``hermgauss(nodes)``, computed once per node count and shared read-only.
+
+    The quadrature pairs node x with −x, so the rule must be exactly symmetric
+    (Golub & Welsch): ascending nodes with x_k = −x_{K−1−k}, the upper half
+    positive, and w_k = w_{K−1−k}. A rule that is not is an ``InternalFault``."""
     x, w = np.polynomial.hermite.hermgauss(nodes)
+    if not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            and (x[(nodes + 1) // 2:] > 0).all()):
+        raise InternalFault(f"Gauss–Hermite rule of {nodes} nodes is not symmetric")
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _fro_norm(blocks) -> float:
+    """The Frobenius norm of a list of blocks, as ``AlgElement.fro_norm`` takes it."""
+    return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
 
 
 class AnalyticRangeError(ValueError):
@@ -149,18 +161,29 @@ class InnerFlow:
         """√(n/π) ∫ e^{-nt²} σ_t(a) dt.
 
         ``closed_form`` damps entry (j,k) by e^{-(λ_j-λ_k)²/(4n)};
-        ``quadrature`` sums σ at Gauss–Hermite nodes (as one entrywise factor
-        between a single transport to the eigenbasis and back), doubling the
-        rule from ``nodes`` until halving it moves the answer by at most
-        ``QUAD_TOL`` (relative, Frobenius), and raises :class:`QuadratureError`
-        if that never happens below ``GH_NODES_MAX``. A ``nodes`` outside
-        [2, ``GH_NODES_MAX``] is refused with ``ValueError`` before any rule is built.
+        ``quadrature`` sums σ at Gauss–Hermite nodes, doubling the rule from
+        ``nodes`` until halving it moves the answer by at most ``QUAD_TOL``
+        (relative, Frobenius), and raises :class:`QuadratureError` if that never
+        happens below ``GH_NODES_MAX``. Every rule is one entrywise factor in the
+        eigenbasis, where a is transported once per call; the rule returned is
+        transported back. A ``nodes`` outside [2, ``GH_NODES_MAX``] is refused with
+        ``ValueError`` before any rule is built.
         """
         return self.smooth_shifted(a, n, 0.0, method=method, nodes=nodes)
 
     def smooth_shifted(self, a: AlgElement, n: float, z: complex, method: str = "closed_form",
                        nodes: int = GH_NODES_DEFAULT) -> AlgElement:
-        """σ_z applied to the n-smoothing of a; entire in z."""
+        """σ_z applied to the n-smoothing of a; entire in z.
+
+        Substituting t = z + x/√n turns the quadrature route's integral into
+        (1/√π) Σ_k w_k σ_{z + x_k/√n}(a) over the Hermite nodes x_k. In the eigenbasis
+        that multiplies entry (j,l) by e^{iz(λ_j−λ_l)}·g(λ_j−λ_l), where pairing the
+        symmetric nodes ±x_k makes g(d) = Σ_{x_k>0} (2w_k/√π)·cos(x_k d/√n), plus
+        w/√π of the zero node of an odd rule, real and even. The phase is applied
+        once per call, g is evaluated on each block's distinct gaps only, and the
+        half-rule estimate is judged on the eigenbasis blocks: Frobenius norms are
+        unitarily invariant.
+        """
         n = float(n)
         if n <= 0:
             raise ValueError("smoothing index must be positive")
@@ -171,15 +194,16 @@ class InnerFlow:
         if method == "closed_form":
             return self._entrywise(a, lambda d: np.exp(1j * z * d) * np.exp(-d * d / (4.0 * n)))
         if method == "quadrature":
+            eig = self._gh_eigenbasis(a, n, z)
             half = None
             while True:
-                full = self._gh_sum(a, n, z, k)
+                full = self._gh_blocks(eig, k)
                 if half is None:
-                    half = self._gh_sum(a, n, z, k // 2)
-                denom = max(full.fro_norm(), 1e-300)
-                est = (full - half).fro_norm() / denom
+                    half = self._gh_blocks(eig, k // 2)
+                denom = max(_fro_norm(full), 1e-300)
+                est = _fro_norm([f - h for f, h in zip(full, half)]) / denom
                 if est <= QUAD_TOL:
-                    return full
+                    return self.from_eigenbasis(full)
                 if k >= GH_NODES_MAX:
                     raise QuadratureError(
                         f"Gauss–Hermite rule with {k} nodes has not converged "
@@ -190,22 +214,37 @@ class InnerFlow:
                 k = k_next
         raise ValueError(f"unknown method {method!r}")
 
-    def _gh_sum(self, a: AlgElement, n: float, z: complex, nodes: int) -> AlgElement:
-        # substituting t = z + x/√n turns the Gaussian integral into
-        # (1/√π) Σ_k w_k σ_{z + x_k/√n}(a) over Hermite nodes x_k; each σ is
-        # entrywise in the eigenbasis, so the sum is one entrywise factor
-        # Σ_k (w_k/√π)·e^{i(z + x_k/√n)(λ_j−λ_l)} between one transport each way
-        x, w = _gauss_hermite(nodes)
-        izt = 1j * (z + x / np.sqrt(n))
-        coef = w / np.sqrt(np.pi)
-        out = []
+    def _gh_eigenbasis(self, a: AlgElement, n: float, z: complex) -> list[tuple]:
+        """What every rule of one quadrature call shares, per block: a in the eigenbasis
+        times the phase e^{iz(λ_j−λ_l)}, the mask of its strict upper triangle, and the
+        gaps λ_l − λ_j there over √n, which are ≥ 0 because each block's w ascends."""
+        eig = []
         for lam, blk in zip(self.eigenvalues, self.to_eigenbasis(a)):
-            diff = (lam[:, None] - lam[None, :]).ravel()
-            step = max(1, _GH_CHUNK_ENTRIES // diff.size)
-            fac = sum(coef[i:i + step] @ np.exp(np.multiply.outer(izt[i:i + step], diff))
-                      for i in range(0, len(x), step))
-            out.append(fac.reshape(blk.shape) * blk)
-        return self.from_eigenbasis(out)
+            row = np.arange(lam.size)
+            upper = row[:, None] < row
+            diff = lam[:, None] - lam[None, :]
+            eig.append((np.exp(1j * z * diff) * blk, upper, -diff[upper] / np.sqrt(n)))
+        return eig
+
+    @staticmethod
+    def _gh_blocks(eig, nodes: int) -> list[np.ndarray]:
+        """The ``nodes``-point rule in the eigenbasis: each block of ``_gh_eigenbasis``
+        times g(|λ_j − λ_l|) entrywise, g summed over the positive nodes in slabs of at
+        most ``_GH_CHUNK_ENTRIES`` and mirrored from the upper triangle."""
+        x, w = _gauss_hermite(nodes)
+        pos = x[(nodes + 1) // 2:]
+        coef = 2.0 * w[(nodes + 1) // 2:] / np.sqrt(np.pi)
+        mid = float(w[nodes // 2]) / np.sqrt(np.pi) if nodes % 2 else 0.0
+        out = []
+        for blk, upper, gaps in eig:
+            step = max(1, _GH_CHUNK_ENTRIES // max(1, gaps.size))     # a 1×1 block has none
+            g = sum((coef[i:i + step] @ np.cos(np.multiply.outer(pos[i:i + step], gaps))
+                     for i in range(0, pos.size, step)), mid)
+            fac = np.full(blk.shape, mid + float(coef.sum()))          # g(0) on the diagonal
+            fac[upper] = g
+            fac.T[upper] = g
+            out.append(fac * blk)
+        return out
 
     # -- strip boundary check --------------------------------------------------
 

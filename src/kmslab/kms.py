@@ -332,11 +332,15 @@ class KmsSimplex:
 
 def _simplex_at(flow: InnerFlow, beta: float, normalized: list[np.ndarray]) -> KmsSimplex:
     """The simplex whose vertex i carries block i of the normalized Boltzmann
-    blocks e^{-β(h_i - c)}/Tr e^{-β(h_i - c)} and is zero elsewhere."""
+    blocks e^{-β(h_i - c)}/Tr e^{-β(h_i - c)} and is zero elsewhere.
+
+    Vertex i adopts its block, complex as ``_boltzmann`` makes it, as given; every
+    other block is one read-only zero block per shape, shared by all the vertices."""
+    zeros = {shape: np.zeros(shape, dtype=complex) for shape in {d.shape for d in normalized}}
     verts = []
     for i, d in enumerate(normalized):
-        blocks = [d if j == i else np.zeros_like(m) for j, m in enumerate(normalized)]
-        f = Functional(flow.algebra, AlgElement(flow.algebra, blocks), check=False)
+        blocks = [d if j == i else zeros[m.shape] for j, m in enumerate(normalized)]
+        f = Functional(flow.algebra, AlgElement._adopt(flow.algebra, blocks), check=False)
         verts.append(KmsState(f, beta, flow))
     return KmsSimplex(flow=flow, beta=beta, vertices=verts)
 

@@ -611,6 +611,32 @@ def test_certificate_route_taken_exactly_when_its_conditions_hold(name, monkeypa
         assert res.precheck == check_cocycle(grid)
 
 
+def test_cost_rule_weighs_a_candidate_at_four_scan_triples(monkeypatch):
+    """Odd s, t in [-15, -6] kicked: the (triple, bad pair) incidences lie between a
+    quarter and all of the scan's triples. Evaluating a candidate costs more than
+    scanning four triples, so the grid goes to exactly one scan, refused with the
+    scan's message."""
+    grid = _kicked(bilinear_cocycle(0.4, 2.0 ** -4, 1.0),
+                   [(s, t) for s in range(-15, 16, 2) for t in range(-15, -5)], 2.0)
+    counts, scans = [], []
+    touched = cocycle_module._touched_triples
+
+    def counted(bad, k):
+        out = touched(bad, k)
+        counts.append(out[0])
+        return out
+
+    monkeypatch.setattr(cocycle_module, "_touched_triples", counted)
+    monkeypatch.setattr(cocycle_module, "check_cocycle",
+                        lambda g: scans.append(g) or check_cocycle(g))
+    with pytest.raises(ValueError, match="identity fails") as err:
+        trivialize(grid)
+    total = cocycle_module._in_range_triples(grid.half_index_count)
+    assert len(counts) == 1 and total / 4 <= counts[0] < total
+    assert len(scans) == 1
+    assert str(err.value) == _reference_scan_first(grid)[0]
+
+
 @pytest.mark.parametrize("k", range(1, 25))
 def test_certificate_counts_match_the_scan(k):
     step = ORACLE_STEP

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmslab import BlockAlgebra, InnerFlow, gibbs, random_element, random_hermitian
-from kmslab.flow import (GH_NODES_DEFAULT, GH_NODES_MAX, AnalyticRangeError, QuadratureError,
-                         _gauss_hermite)
+from kmslab import (BlockAlgebra, InnerFlow, InternalFault, gibbs, random_element,
+                    random_hermitian)
+from kmslab.flow import (_GH_CHUNK_ENTRIES, GH_NODES_DEFAULT, GH_NODES_MAX, AnalyticRangeError,
+                         QuadratureError, _gauss_hermite)
 
 RNG = np.random.default_rng(41)
 
@@ -155,8 +156,21 @@ def test_smooth_shifted_interpolates():
     assert (cf - qd).norm() <= 1e-8 * max(1.0, cf.norm())
 
 
+def _rule(flow, a, n, z, nodes):
+    """One Gauss–Hermite rule of the quadrature route, transported back."""
+    return flow.from_eigenbasis(flow._gh_blocks(flow._gh_eigenbasis(a, n, z), nodes))
+
+
+def _spy_rules(flow):
+    """The node counts of the rules ``flow``'s quadrature sums, in order."""
+    used = []
+    gh_blocks = flow._gh_blocks
+    flow._gh_blocks = lambda *args: used.append(args[-1]) or gh_blocks(*args)
+    return used
+
+
 def _reference_gh_sum(flow, a, n, z, nodes):
-    """InnerFlow._gh_sum as the per-node loop over continue_analytic, kept as the
+    """One Gauss–Hermite rule as the per-node loop over continue_analytic, kept as the
     oracle; also Σ_k (w_k/√π)·‖σ_{z + x_k/√n}(a)‖_F, the size of the terms summed,
     which is what the rounding of either route is relative to."""
     x, w = np.polynomial.hermite.hermgauss(nodes)
@@ -184,9 +198,7 @@ def _reference_quadrature(flow, a, n, z, nodes, quad_tol=1e-8):
 
 def _assert_quadrature_matches(flow, a, n, z, nodes):
     want, size, want_k = _reference_quadrature(flow, a, n, z, nodes)
-    used = []
-    gh_sum = flow._gh_sum
-    flow._gh_sum = lambda *args: used.append(args[-1]) or gh_sum(*args)
+    used = _spy_rules(flow)
     try:
         got = flow.smooth_shifted(a, n, z, method="quadrature", nodes=nodes)
     except QuadratureError:
@@ -205,7 +217,36 @@ def test_gh_sum_matches_reference_loop():
         a = random_element(flow.algebra, rng)
         for n, z, nodes in [(1.0, 0.0, 64), (4.0, 0.4 + 0.6j, 64), (0.3, -1.0 - 2.0j, 8),
                             (16.0, 0.0, 2), (2.0, 1.5j, 256)]:
-            got = flow._gh_sum(a, n, z, nodes)
+            got = _rule(flow, a, n, z, nodes)
+            want, size = _reference_gh_sum(flow, a, n, z, nodes)
+            assert (got - want).fro_norm() <= 1e-13 * size
+            _assert_quadrature_matches(flow, a, n, z, nodes)
+
+
+@pytest.mark.parametrize("dims,spectrum,rules", [
+    ((1, 1, 1), None, (2, 3, 64)),
+    ((1, 3), None, (3, 8, 64)),
+    ((2, 5), None, (3, 5)),
+    ((4,), [0.0, 1.0, 1.0, 2.5], (5, 64)),
+    ((GH_NODES_DEFAULT + 16,), None, (GH_NODES_DEFAULT, GH_NODES_MAX)),
+], ids=["all-1x1", "1-and-3", "odd-rules", "repeated-eigenvalue", "slabs"])
+def test_rules_match_reference_loop_on_edge_spectra(dims, spectrum, rules):
+    """Blocks with no gaps, odd rules with a zero node, a zero gap above the diagonal,
+    and an 80×80 block whose gaps times the positive nodes take two slabs at 64 nodes
+    and seven at 256, where the second slab's weights start at about 4e-5."""
+    rng = np.random.default_rng(909)
+    if spectrum is None:
+        flow = _flow(dims, scale=1.0, rng=rng)
+    else:
+        alg = BlockAlgebra(dims)
+        flow = InnerFlow(alg, alg.element([np.diag(spectrum).astype(complex)]))
+    if dims == (GH_NODES_DEFAULT + 16,):
+        m = dims[0]
+        assert _GH_CHUNK_ENTRIES < GH_NODES_DEFAULT // 2 * (m * (m - 1) // 2) <= 2 * _GH_CHUNK_ENTRIES
+    a = random_element(flow.algebra, rng)
+    for nodes in rules:
+        for n, z in [(1.0, 0.0), (4.0, 0.4 + 0.6j), (0.3, -1.0 - 2.0j)]:
+            got = _rule(flow, a, n, z, nodes)
             want, size = _reference_gh_sum(flow, a, n, z, nodes)
             assert (got - want).fro_norm() <= 1e-13 * size
             _assert_quadrature_matches(flow, a, n, z, nodes)
@@ -248,9 +289,7 @@ def test_quadrature_computes_each_gauss_hermite_rule_once(monkeypatch):
     rng = np.random.default_rng(606)
     flow = _flow((3, 2), scale=2.0, rng=rng)
     a = random_element(flow.algebra, rng)
-    used = []
-    gh_sum = flow._gh_sum
-    flow._gh_sum = lambda *args: used.append(args[-1]) or gh_sum(*args)
+    used = _spy_rules(flow)
     for n, nodes in [(1.0, 64), (2.5, 64), (0.3, 64), (1.0, 8), (4.0, 8)] * 2:
         flow.smooth(a, n, method="quadrature", nodes=nodes)
     assert sorted(calls) == sorted(set(used)) and len(set(used)) >= 3
@@ -264,10 +303,8 @@ def test_doubled_rule_reuses_the_previous_rule_as_its_half(n, nodes, calls):
     alg = BlockAlgebra((3,))
     flow = InnerFlow(alg, alg.element([np.diag([0.0, 3.0, 7.0]).astype(complex)]))
     a = alg.element([np.ones((3, 3), dtype=complex)])
-    want = flow._gh_sum(a, n, 0.0, max(calls))
-    used = []
-    gh_sum = flow._gh_sum
-    flow._gh_sum = lambda *args: used.append(args[-1]) or gh_sum(*args)
+    want = _rule(flow, a, n, 0.0, max(calls))
+    used = _spy_rules(flow)
     got = flow.smooth(a, n, method="quadrature", nodes=nodes)
     assert used == calls
     assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
@@ -309,6 +346,26 @@ def test_cached_gauss_hermite_rules_are_exact_and_read_only():
         for arr in (x, w):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+
+def test_an_asymmetric_gauss_hermite_rule_is_an_internal_fault(monkeypatch):
+    """The quadrature pairs node x with −x; a rule one ulp off that is refused."""
+    hermgauss = np.polynomial.hermite.hermgauss
+
+    def skewed(k):
+        x, w = hermgauss(k)
+        x[-1] = np.nextafter(x[-1], np.inf)
+        return x, w
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", skewed)
+    flow = _flow((3,))
+    a = random_element(flow.algebra, RNG)
+    _gauss_hermite.cache_clear()
+    try:
+        with pytest.raises(InternalFault, match="8 nodes is not symmetric"):
+            flow.smooth(a, 1.0, method="quadrature", nodes=8)
+    finally:
+        _gauss_hermite.cache_clear()
 
 
 def test_smooth_rejects_bad_index():

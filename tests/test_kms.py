@@ -514,6 +514,18 @@ def test_simplex_vertex_count_matches_center():
             assert sum(masses) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_simplex_vertices_share_one_read_only_zero_block_per_shape():
+    flow = _random_flow((2, 3, 2), rng=np.random.default_rng(78))
+    s = kms_simplex(flow, 0.8)
+    zeros = {}
+    for i, v in enumerate(s.vertices):
+        for j, b in enumerate(v.density.blocks):
+            assert not b.flags.writeable
+            if j != i:
+                assert not b.any() and zeros.setdefault(b.shape, b) is b
+    assert len(zeros) == 2
+
+
 def test_simplex_mixtures_verify_and_invert():
     rng = np.random.default_rng(9)
     flow = _random_flow((2, 3, 2), rng=rng)
