@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import InternalFault
 
@@ -92,7 +93,9 @@ class CocycleGrid:
             if self.in_window.shape != vals.shape:
                 raise ValueError("window mask shape mismatch")
         win = self.in_window
-        bad = np.max(np.abs(np.abs(vals[win]) - 1.0)) if win.any() else 0.0
+        dev = np.abs(vals)
+        np.subtract(dev, 1.0, out=dev)
+        bad = np.max(np.abs(dev, out=dev), where=win, initial=0.0)
         if not bad <= MODULUS_TOL:                  # NaN fails too
             raise ValueError(f"values are not unimodular (worst defect {bad:.3e})")
         norm_bad = _axis_defect(vals, win, k)
@@ -158,9 +161,9 @@ def check_cocycle(grid: CocycleGrid) -> CocycleReport:
     blocks. The scan takes the rows i in tiles of TILE_ENTRIES // (2K+1)
     (at least one) and runs every j over each tile, so the rows it reads
     stay in cache from one j to the next. Beyond the table it holds three
-    tile buffers of max(TILE_ENTRIES, 2K+1) entries (two complex, one
-    real; a fourth, boolean, for masked grids) and no per-triple
-    temporaries.
+    tile buffers of max(TILE_ENTRIES, 2K+1) entries, at most (2K+1)² (two
+    complex, one real; a fourth, boolean, for masked grids) and no
+    per-triple temporaries.
     """
     k = grid.half_index_count
     v, win = grid.values, grid.in_window
@@ -168,7 +171,7 @@ def check_cocycle(grid: CocycleGrid) -> CocycleReport:
     full = bool(win.all())
     outside = ~win
     size = 2 * k + 1
-    cap = max(TILE_ENTRIES, size)
+    cap = min(max(TILE_ENTRIES, size), size * size)
     left, right = np.empty(cap, dtype=complex), np.empty(cap, dtype=complex)
     resid = np.empty(cap)
     skip = np.empty(cap, dtype=bool)
@@ -237,23 +240,25 @@ class TrivializationResult:
 def _cmul(a, b) -> np.ndarray:
     """a·b with the real and imaginary parts rounded term by term, as scalar
     complex arithmetic does; numpy's vector complex loops may fuse them into
-    FMAs, which would make the stage tables depend on the CPU."""
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
+    FMAs, which would make the stage tables depend on the CPU. Both factors
+    are numpy arrays or scalars."""
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
 def _chain_at(mu: np.ndarray, i, k: int) -> np.ndarray:
     """μ(i) over an index array; NaN where i leaves [-k, k] or μ is unreachable."""
-    return np.where(np.abs(i) <= k, mu[np.clip(i, -k, k) + k], np.nan)
+    return np.where(np.abs(i) <= k, mu[np.minimum(np.maximum(i, -k), k) + k], np.nan)
 
 
 def _grid_at(grid: CocycleGrid, i, j) -> np.ndarray:
     """λ(i, j) over broadcast index arrays; NaN off the grid or the window."""
     k = grid.half_index_count
-    ic, jc = np.clip(i, -k, k) + k, np.clip(j, -k, k) + k
+    ic = np.minimum(np.maximum(i, -k), k) + k
+    jc = np.minimum(np.maximum(j, -k), k) + k
     ok = (np.abs(i) <= k) & (np.abs(j) <= k) & grid.in_window[ic, jc]
     return np.where(ok, grid.values[ic, jc], np.nan)
 
@@ -525,7 +530,11 @@ def _stages(grid: CocycleGrid, k_exp: int):
     """The stages of ``trivialize`` on a grid of step 2^-k_exp, as (result, errors).
     Where the certificate's window conditions hold, the precheck is the certificate
     and ``errors`` the table |λ − ∂μ̃| on [-K, K]² (meaningless on masked pairs);
-    elsewhere both are None."""
+    elsewhere both are None.
+
+    The final table reads conj μ̃(s + t) through a Hankel view whose rows are
+    windows of conj μ̃, so it takes O(K²) time with two (2K+1)²-sized arrays, one
+    complex and one real, besides boolean masks."""
     delta = grid.step
     k = grid.half_index_count
 
@@ -598,25 +607,28 @@ def _stages(grid: CocycleGrid, k_exp: int):
     # kf = K its maximum over the in-window pairs is the certificate's r.
     lam_tab = grid.values[k - kf:k + kf + 1, k - kf:k + kf + 1]
     lam_ok = grid.in_window[k - kf:k + kf + 1, k - kf:k + kf + 1]
-    idx = np.arange(2 * kf + 1)
-    sums = idx[:, None] + idx[None, :]               # s + t + 2kf, μ̃'s index of s + t
-    diff = mu_win[:, None] * mu_win[None, :] * np.conj(_extended(mu_win, lam_tab, lam_ok)[sums])
+    # row s + kf of this Hankel view is conj μ̃ on [s - kf, s + kf]: column t + kf reads
+    # conj μ̃(s + t)
+    conj_sum = sliding_window_view(np.conj(_extended(mu_win, lam_tab, lam_ok)), 2 * kf + 1)
+    diff = mu_win[:, None] * mu_win[None, :]
+    np.multiply(diff, conj_sum, out=diff)
     np.subtract(lam_tab, diff, out=diff)
     diff = np.abs(diff)
-    near = np.abs(sums - 2 * kf) <= kf
+    # |s + t| ≤ kf is a function of s + t too: the same view of one band
+    near = sliding_window_view(np.abs(np.arange(-2 * kf, 2 * kf + 1)) <= kf, 2 * kf + 1)
     usable = near & lam_ok
-    resid = float(np.max(diff[usable])) if usable.any() else float("nan")
-    skipped_pairs = int((~usable).sum()) + int((2 * k + 1) ** 2 - (2 * kf + 1) ** 2)
+    checked = int(np.count_nonzero(usable))
+    resid = float(np.max(diff, where=usable, initial=-np.inf)) if checked else float("nan")
 
     precheck = errors = None
-    if kf == k:
-        full = bool(lam_ok.all())
-        if full or np.array_equal(lam_ok, near):
-            precheck, errors = _certificate(grid, float(np.max(diff[lam_ok])), full), diff
+    full = bool(lam_ok.all())
+    if kf == k and (full or np.array_equal(lam_ok, near)):
+        r = float(np.max(diff)) if full else resid          # else lam_ok is near
+        precheck, errors = _certificate(grid, r, full), diff
 
     return TrivializationResult(
         chain=chain, achieved_residual=resid,
-        pairs_checked=int(usable.sum()), pairs_skipped=skipped_pairs,
+        pairs_checked=checked, pairs_skipped=(2 * k + 1) ** 2 - checked,
         rescale_exponent=m, precheck=precheck,
         stage_windows={"mu0_valid": int(v0.sum()), "mu2_valid": int(v2.sum()),
                        "final_half_index": kf, "unit": unit},

@@ -77,7 +77,9 @@ def _power_eigensystem(w_site: np.ndarray, u_site: np.ndarray,
     summed in leg order, and entry (I, c) of u^{⊗s} is u_{I_0 c_0}·…·u_{I_{s−1} c_{s−1}},
     multiplied in leg order. The sums are sorted first; then leg j's factor is one
     gather of u's columns by digit j of the sorted column indices, so u^{⊗s} is
-    built in its final order, with no unsorted copy.
+    built in its final order, with no unsorted copy. ``np.take`` returns that
+    gather in C order (``u[:, digit]`` would not), so every leg multiplies rows
+    that are contiguous in memory.
     """
     m = w_site.size
     w = np.zeros(1)
@@ -87,19 +89,24 @@ def _power_eigensystem(w_site: np.ndarray, u_site: np.ndarray,
     u = np.ones((1, w.size), dtype=complex)
     for j in range(sites):
         digit = order // m ** (sites - 1 - j) % m
-        u = (u[:, None, :] * u_site[:, digit][None, :, :]).reshape(-1, w.size)
+        u = (u[:, None, :] * np.take(u_site, digit, axis=1)[None, :, :]).reshape(-1, w.size)
     return w[order], u
 
 
 def _kron_power(rho: np.ndarray, sites: int) -> np.ndarray:
     """rho⊗…⊗rho (``sites`` factors), one leg at a time: entry ((I, i), (J, j)) of
     each step is out[I, J]·rho[i, j], written straight into the result's layout
-    (``np.kron`` would transpose a copy)."""
+    (``np.kron`` would transpose a copy), one slice (·, i, ·, j) per entry of rho, so
+    each multiply runs over all of ``out`` rather than over a row of rho."""
     m = rho.shape[0]
     out = np.ones((1, 1), dtype=complex)
     for _ in range(sites):
         n = out.shape[0]
-        out = (out[:, None, :, None] * rho[None, :, None, :]).reshape(n * m, n * m)
+        res = np.empty((n, m, n, m), dtype=complex)
+        for i in range(m):
+            for j in range(m):
+                np.multiply(out, rho[i, j], out=res[:, i, :, j])
+        out = res.reshape(n * m, n * m)
     return out
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 import kmslab.cocycle as cocycle_module
@@ -706,6 +706,90 @@ def test_property_refusals_match_the_scan_first_order(drawn):
         return
     assert message is None, family
     _assert_same_result(got, ref)
+
+
+# -- the final residual table -----------------------------------------------------------
+
+def _reference_final_table(grid, mu_win):
+    """``_stages``' final residual table as it was first built: a (2kf+1)² index table
+    of s + t, a gather of μ̃ through it, and boolean gathers for the maxima. Returns
+    (achieved residual, pairs checked, pairs skipped, the certificate's r or None,
+    errors or None). Kept as the oracle of the Hankel-view table."""
+    k = grid.half_index_count
+    kf = (mu_win.size - 1) // 2
+    lam_tab = grid.values[k - kf:k + kf + 1, k - kf:k + kf + 1]
+    lam_ok = grid.in_window[k - kf:k + kf + 1, k - kf:k + kf + 1]
+    idx = np.arange(2 * kf + 1)
+    sums = idx[:, None] + idx[None, :]
+    ext = cocycle_module._extended(mu_win, lam_tab, lam_ok)
+    diff = mu_win[:, None] * mu_win[None, :] * np.conj(ext[sums])
+    np.subtract(lam_tab, diff, out=diff)
+    diff = np.abs(diff)
+    near = np.abs(sums - 2 * kf) <= kf
+    usable = near & lam_ok
+    resid = float(np.max(diff[usable])) if usable.any() else float("nan")
+    skipped = int((~usable).sum()) + int((2 * k + 1) ** 2 - (2 * kf + 1) ** 2)
+    r = errors = None
+    if kf == k and (bool(lam_ok.all()) or np.array_equal(lam_ok, near)):
+        r, errors = float(np.max(diff[lam_ok])), diff
+    return resid, int(usable.sum()), skipped, r, errors
+
+
+@st.composite
+def _final_table_grids(draw, shape):
+    """``_certified_grids`` and ``_kicked_grids`` grids (full windows and the
+    ``coboundary_of`` mask), as drawn, with one more masked off-axis pair (μ spans
+    the grid but no certificate holds), or cut by 1-7 steps on each side, so that K
+    is no multiple of the rescaled unit and μ stops short of it; a cut leaves K ≥ 4,
+    room for the two rescaled units of the smallest unit."""
+    family, grid = draw(st.one_of(_certified_grids(), _kicked_grids()))
+    k = grid.half_index_count
+    if shape == "holed":
+        index = st.integers(-k, k).filter(bool)
+        return family, _holed(grid, (draw(index), draw(index)))
+    if shape == "cut":
+        d = draw(st.integers(1, min(7, k - 4)))
+        return family, CocycleGrid(grid.step, grid.half_range - d * grid.step,
+                                   grid.values[d:-d, d:-d], grid.in_window[d:-d, d:-d])
+    return family, grid
+
+
+@pytest.mark.parametrize("shape", ["as-drawn", "holed", "cut"])
+@given(data=st.data())
+def test_property_final_table_matches_the_index_table(shape, data):
+    family, grid = data.draw(_final_table_grids(shape))
+    try:
+        res, errors = cocycle_module._stages(grid, round(math.log2(1.0 / grid.step)))
+    except ValueError:
+        assume(False)                            # no table to compare: the stages refused
+    resid, checked, skipped, r, ref_errors = _reference_final_table(grid, res.chain.values)
+    kf = res.stage_windows["final_half_index"]
+    event("kf < K" if kf < grid.half_index_count else "kf = K")
+    assert np.float64(res.achieved_residual).tobytes() == np.float64(resid).tobytes(), family
+    assert (res.pairs_checked, res.pairs_skipped) == (checked, skipped), family
+    if r is None:
+        assert res.precheck is None and errors is None, family
+        return
+    assert res.precheck.max_identity_residual == cocycle_module._bound(r), family
+    assert errors.tobytes() == ref_errors.tobytes(), family
+
+
+@pytest.mark.parametrize("entry", [1.0 + 3e-9, 1.0 - 3e-9, np.nan], ids=["above", "below", "nan"])
+def test_unimodularity_message_is_the_same_with_and_without_a_mask(entry):
+    """Pairs off the window are left out of the worst defect, so masking an
+    unrelated pair leaves the message as it is."""
+    vals = bilinear_cocycle(0.4, 0.25, 1.0).values.copy()
+    vals[6, 1] *= entry
+    win = np.ones(vals.shape, dtype=bool)
+    win[0, 8] = False
+    messages = []
+    for mask in (None, win):
+        with pytest.raises(ValueError, match="not unimodular") as err:
+            CocycleGrid(0.25, 1.0, vals, mask)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    want = "nan" if np.isnan(entry) else f"{abs(abs(vals[6, 1]) - 1.0):.3e}"
+    assert messages[0] == f"values are not unimodular (worst defect {want})"
 
 
 def _brute_touched(bad, k):

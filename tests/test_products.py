@@ -26,7 +26,7 @@ from kmslab import (
     verify_kms,
 )
 from kmslab.periodic import minimal_period
-from kmslab.products import UNITARY_TOL, _site_sum
+from kmslab.products import UNITARY_TOL, _kron_power, _power_eigensystem, _site_sum
 
 
 def test_product_state_is_equilibrium():
@@ -84,6 +84,48 @@ def test_site_sum_equals_the_kronecker_loop():
                 got = _site_sum(h, sites)
                 assert got.shape == (m ** sites,) * 2
                 assert np.array_equal(got, _reference_site_sum(h, sites))
+
+
+def _reference_power_eigensystem(w_site, u_site, sites):
+    """``_power_eigensystem`` as it was: each leg gathers u's columns as u[:, digit],
+    which comes back Fortran-ordered. Kept as the oracle."""
+    m = w_site.size
+    w = np.zeros(1)
+    for _ in range(sites):
+        w = (w[:, None] + w_site).ravel()
+    order = np.argsort(w, kind="stable")
+    u = np.ones((1, w.size), dtype=complex)
+    for j in range(sites):
+        digit = order // m ** (sites - 1 - j) % m
+        u = (u[:, None, :] * u_site[:, digit][None, :, :]).reshape(-1, w.size)
+    return w[order], u
+
+
+def _reference_kron_power(rho, sites):
+    """``_kron_power`` as it was: one broadcast multiply per leg. Kept as the oracle."""
+    m = rho.shape[0]
+    out = np.ones((1, 1), dtype=complex)
+    for _ in range(sites):
+        n = out.shape[0]
+        out = (out[:, None, :, None] * rho[None, :, None, :]).reshape(n * m, n * m)
+    return out
+
+
+def test_power_builders_equal_the_broadcast_builders():
+    rng = np.random.default_rng(4242)
+    for m in (2, 3, 4):
+        for h in _site_generators(m, rng):
+            w_site, u_site = np.linalg.eigh(ItpfiSpec(h).site_generator)
+            a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            rho = a @ a.conj().T
+            for sites in range(1, 11):
+                if m ** sites > 1024:
+                    break
+                w, u = _power_eigensystem(w_site, u_site, sites)
+                w_ref, u_ref = _reference_power_eigensystem(w_site, u_site, sites)
+                assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+                assert u.flags.c_contiguous
+                assert np.array_equal(_kron_power(rho, sites), _reference_kron_power(rho, sites))
 
 
 def test_valid_product_state_runs_no_eigenvalue_test(monkeypatch):
