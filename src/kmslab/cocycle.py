@@ -29,22 +29,30 @@ O(K³) scan ``check_cocycle`` runs. A failure beyond the allowed defect is an
 error on every route, and it takes precedence over a stage's own error — a
 near-(-1) value of λ¹, for one, since the principal phase branch would be
 meaningless there.
+
+At the K the grids here reach, the stages and the local refusal cost numpy calls
+more than arithmetic, so each does its table work in a fixed handful of array
+operations, whatever K and however many pairs are bad: stage 1 looks λ up once,
+stage 2 gathers its table of λ¹ from the grid and μ⁰, stage 3 reads λ¹ off that
+table, a development fills every segment with one product, and the local refusal
+takes the triples of all roles and bad pairs together.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import InternalFault
 
 BRANCH_MARGIN = 1e-6
 MODULUS_TOL = 1e-12
 DEFECT_FACTOR = 10.0
-#: entries per tile of the associativity scan in ``check_cocycle``
+#: entries per tile of the associativity scan in ``check_cocycle`` and of the final table
+#: of ``_stages``
 TILE_ENTRIES = 2 ** 15
 #: what one candidate triple of the local refusal weighs against a scan triple: it
 #: gathers four indices and four values, about four times a scan entry's temporaries,
@@ -62,7 +70,24 @@ def _axis_defect(values: np.ndarray, win: np.ndarray, k: int) -> float:
 
 
 def _half_index(step: float, half_range: float) -> int:
-    k = round(half_range / step)
+    """K = half_range/step, refusing sizes that give no finite K: a step or half-range
+    that is NaN, infinite, subnormal or an integer past the float range, a step that is
+    not positive, and a ratio that overflows. A half-range that is no positive multiple
+    of the step is refused last."""
+    for name, value in (("step", step), ("half_range", half_range)):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x) or 0.0 < abs(x) < sys.float_info.min:
+            raise ValueError(f"{name} must be a finite normal number, got {value}")
+    step, half_range = float(step), float(half_range)
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    ratio = half_range / step
+    if not math.isfinite(ratio):
+        raise ValueError(f"half_range/step overflows: {half_range}/{step}")
+    k = round(ratio)
     if k < 1 or abs(k * step - half_range) > 1e-9:
         raise ValueError("half_range must be a positive multiple of step")
     return k
@@ -78,24 +103,24 @@ class CocycleGrid:
     in_window: np.ndarray | None = None
 
     def __post_init__(self):
+        k = _half_index(self.step, self.half_range)
         self.step = float(self.step)
         self.half_range = float(self.half_range)
-        k = _half_index(self.step, self.half_range)
         self.half_index_count = k
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (2 * k + 1, 2 * k + 1):
             raise ValueError(f"values must be {(2 * k + 1, 2 * k + 1)}, got {vals.shape}")
         self.values = vals
         if self.in_window is None:
-            self.in_window = np.ones(vals.shape, dtype=bool)
+            self.in_window = win = np.ones(vals.shape, dtype=bool)
+            where = True                            # a full window reduces unmasked
         else:
-            self.in_window = np.asarray(self.in_window, dtype=bool)
-            if self.in_window.shape != vals.shape:
+            self.in_window = win = where = np.asarray(self.in_window, dtype=bool)
+            if win.shape != vals.shape:
                 raise ValueError("window mask shape mismatch")
-        win = self.in_window
         dev = np.abs(vals)
         np.subtract(dev, 1.0, out=dev)
-        bad = np.max(np.abs(dev, out=dev), where=win, initial=0.0)
+        bad = np.max(np.abs(dev, out=dev), where=where, initial=0.0)
         if not bad <= MODULUS_TOL:                  # NaN fails too
             raise ValueError(f"values are not unimodular (worst defect {bad:.3e})")
         norm_bad = _axis_defect(vals, win, k)
@@ -119,9 +144,9 @@ class Cochain:
     values: np.ndarray
 
     def __post_init__(self):
+        k = _half_index(self.step, self.half_range)
         self.step = float(self.step)
         self.half_range = float(self.half_range)
-        k = _half_index(self.step, self.half_range)
         self.half_index_count = k
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (2 * k + 1,):
@@ -263,25 +288,11 @@ def _grid_at(grid: CocycleGrid, i, j) -> np.ndarray:
     return np.where(ok, grid.values[ic, jc], np.nan)
 
 
-def _lam1_at(grid: CocycleGrid, mu0: np.ndarray, unit: int, i, j) -> np.ndarray:
-    """λ¹ = ∂μ⁰·λ with the first slot reduced to [0, unit) by its periodicity."""
-    k = grid.half_index_count
-    i = i % unit
-    return _cmul(_cmul(_cmul(_chain_at(mu0, i, k), _chain_at(mu0, j, k)),
-                       np.conj(_chain_at(mu0, i + j, k))), _grid_at(grid, i, j))
-
-
 def _segments(k: int, unit: int):
     """Index arrays (n·unit, o) for |n| ≤ k // unit, 0 ≤ o ≤ unit: row n + k // unit
     of a table built on them holds the lookups of segment n in ``_develop``."""
     top = k // unit
     return unit * np.arange(-top, top + 1)[:, None], np.arange(unit + 1)[None, :]
-
-
-def _filled(row: np.ndarray) -> int:
-    """Length of the prefix of ``row`` free of NaN."""
-    bad = np.flatnonzero(np.isnan(row))
-    return int(bad[0]) if bad.size else row.size
 
 
 def _develop(table: np.ndarray, k: int, unit: int) -> np.ndarray:
@@ -291,30 +302,50 @@ def _develop(table: np.ndarray, k: int, unit: int) -> np.ndarray:
     coordinates and ``table`` holds λ on ``_segments(k, unit)``, NaN where
     the lookup leaves the window. Entries past the first such lookup stay
     NaN and shrink the usable window; those before it stay filled.
+
+    Segment n > 0 fills (n·unit, n·unit + unit] from its anchor μ(n·unit), segment
+    −n fills [−n·unit, −n·unit + unit) from μ(−n·unit + unit). Only the anchors
+    depend on the segment before, so they are chained one scalar at a time, with the
+    roundings of the table products; every other entry is one product of its anchor
+    and its λ, taken over all segments at once. Each row's first NaN is found once.
     """
     mu = np.full(2 * k + 1, np.nan + 0j, dtype=complex)
     mu[k:k + unit + 1] = 1.0
     top = k // unit
-    # positive direction: segment n fills (n·unit, n·unit + unit] from μ(n·unit)
+    nan = np.isnan(table[:, 1:]).tolist()
+    filled = [row.index(True) if True in row else unit for row in nan]
+    ends = table[:, unit].tolist()
+    # positive direction: the anchor of segment n + 1 is the last entry of segment n,
+    # rounded as ``_cmul`` rounds it
+    anchors, rows = [], []
+    re, im = 1.0, 0.0
     for n in range(1, top + 1):
-        base = n * unit
-        lam = table[top + n, 1:min(unit, k - base) + 1]
-        m = _filled(lam)
-        mu[k + base + 1:k + base + 1 + m] = _cmul(mu[k + base], lam[:m])
-        if m < unit:
+        anchors.append(complex(re, im))
+        rows.append(top + n)
+        last = min(filled[top + n], k - n * unit)
+        if last < unit:
             break
-    # negative direction: segment −n fills [−n·unit, −n·unit + unit), starting
-    # from μ(−n·unit + unit)
+        z = ends[top + n]
+        re, im = re * z.real - im * z.imag, re * z.imag + im * z.real
+    up = len(rows)
+    # negative direction: μ(−n·unit) = μ(−n·unit + unit)·conj λ(−n·unit, unit)
+    first = mu[k]
     for n in range(1, top + 1):
-        base = -n * unit
-        lam = table[top - n]
-        if np.isnan(lam[unit]):
+        if nan[top - n][-1]:
             break
-        mu[k + base] = mu[k + base + unit] * np.conj(lam[unit])
-        m = _filled(lam[1:unit])
-        mu[k + base + 1:k + base + 1 + m] = _cmul(mu[k + base], lam[1:1 + m])
-        if m < unit - 1:
+        first = first * table[top - n, unit].conjugate()
+        anchors.append(first)
+        rows.append(top - n)
+        if filled[top - n] < unit - 1:
             break
+    prod = _cmul(np.array(anchors)[:, None], table[rows, 1:])
+    mu[k + unit + 1:k + up * unit + last + 1] = prod[:up].ravel()[:(up - 1) * unit + last]
+    down = len(rows) - up
+    if down:
+        block = mu[k - down * unit:k].reshape(down, unit)[::-1]      # row n - 1: segment -n
+        block[:, 0] = anchors[up:]
+        block[:, 1:] = prod[up:, :-1]
+        block[-1, 1 + min(filled[rows[-1]], unit - 1):] = np.nan
     return mu
 
 
@@ -333,6 +364,13 @@ def _extended(mu: np.ndarray, lam: np.ndarray, ok: np.ndarray) -> np.ndarray:
     up = mu[2 * k] * mu[k + 1:] * np.conj(np.where(ok[2 * k, k + 1:], lam[2 * k, k + 1:], 1.0))
     down = mu[0] * mu[:k] * np.conj(np.where(ok[0, :k], lam[0, :k], 1.0))
     return np.concatenate([down / np.abs(down), mu, up / np.abs(up)])
+
+
+def _hankel(x: np.ndarray, m: int) -> np.ndarray:
+    """The (m, m) view of a contiguous 1-D ``x`` whose row a is x[a:a + m], so entry
+    (a, b) reads x[a + b]: ``sliding_window_view(x, m)`` without its per-call cost.
+    Its rows overlap in memory, so it is for reading only."""
+    return np.ndarray((m, m), dtype=x.dtype, buffer=x, strides=(x.itemsize, x.itemsize))
 
 
 def _bound(r: float) -> float:
@@ -401,48 +439,64 @@ def _touched_triples(bad: np.ndarray, k: int):
     """The in-range triples (i, j, l) that read a pair of ``bad``, a (2K+1)² mask.
 
     Each role of a bad pair gives a line of triples, cut to an interval of f by
-    |i|, |j|, |l|, |i+j|, |j+l| ≤ K. Returns (count, chunks): ``count`` sums those
+    |i|, |j|, |l|, |i+j|, |j+l| ≤ K; the bounds of all roles and bad pairs are taken
+    at once, on (4, n_bad) arrays. Returns (count, chunks): ``count`` sums those
     intervals over the bad pairs and the roles, at least the number of triples;
-    ``chunks`` yields, for at most max(TILE_ENTRIES/``_CANDIDATE_COST``, 2K+1)
-    candidates at a time, the flat indices (s+K)(2K+1) + t+K of their four pairs, in
-    the order of ``_pairs``, and a mask of the candidates to keep: every triple is
-    kept once, under the first of its pairs that is bad.
+    ``chunks`` yields, for at most max(1, TILE_ENTRIES/``_CANDIDATE_COST``) candidates
+    at a time, taken across the lines of every role, a (4, m) array of the flat indices
+    (s+K)(2K+1) + t+K of their four pairs, in the order of ``_pairs``, and a mask of
+    the candidates to keep: every triple is kept once, under the first of its pairs
+    that is bad.
     """
     n = 2 * k + 1
-    a, b = np.nonzero(bad)
-    a, b = a - k, b - k
     bad = bad.ravel()
+    a, b = np.divmod(np.flatnonzero(bad), n)
+    a, b = a - k, b - k
     zero = np.zeros_like(a)
-    # (a, b) read in role r of ``_pairs`` fixes the triples base + f·step, f ∈ ℤ
-    roles = (((a, b, zero), (0, 0, 1)), ((a, zero, b), (-1, 1, 0)),
-             ((zero, a, b), (1, 0, 0)), ((a, zero, b), (0, 1, -1)))
-    lines = []
-    for base, step in roles:
-        lo, hi = np.full(a.size, -k), np.full(a.size, k)
-        # each bound |c + d·f| ≤ K, d ∈ {-1, 0, 1}, reads -K ≤ d·c + f ≤ K or |c| ≤ K
-        for c, d in zip(_range_forms(*base), _range_forms(*step)):
-            if d:
-                lo, hi = np.maximum(lo, -k - d * c), np.minimum(hi, k - d * c)
-            else:
-                hi = np.where(np.abs(c) <= k, hi, lo - 1)
-        flat = [(s + k) * n + t + k for s, t in _pairs(*base)]
-        slopes = [ds * n + dt for ds, dt in _pairs(*step)]
-        lines.append((lo, np.maximum(hi - lo + 1, 0), flat, slopes))
+    # (a, b) read in role r of ``_pairs`` fixes the triples base + f·step, f ∈ ℤ;
+    # row r of each array is role r
+    base = (np.array([a, a, zero, a]), np.array([b, zero, a, zero]),
+            np.array([zero, b, b, b]))
+    steps = ((0, 0, 1), (-1, 1, 0), (1, 0, 0), (0, 1, -1))
+    # each bound |c + d·f| ≤ K, d ∈ {-1, 0, 1}, reads -K - d·c ≤ f ≤ K - d·c, or |c| ≤ K
+    # when d = 0; every role has such a form, so f stays in [-K, K]
+    c = np.array(_range_forms(*base))
+    d = np.array([_range_forms(*st) for st in steps]).T[:, :, None]
+    dc = d * c
+    lo = -k - dc.min(axis=0)
+    length = np.maximum(k - dc.max(axis=0) - lo + 1, 0)
+    length[~((d != 0) | (np.abs(c) <= k)).all(axis=0)] = 0
+    # the lines in role-major order, candidate c of a line being its triple at
+    # f = lo + c - (the line's first candidate): the flat indices of its four pairs are
+    # origin + slopes·c, with slopes how far each moves per step of f
+    length = length.ravel()
+    ends = np.cumsum(length)
+    firsts = ends - length
+    count = int(ends[-1]) if ends.size else 0
+    slopes = np.repeat([[s * n + t for s, t in _pairs(*st)] for st in steps], a.size, axis=0).T
+    at_lo = [x + lo * y for x, y in zip(base, np.array(steps).T[:, :, None])]
+    origin = (np.array([s * n + t for s, t in _pairs(*at_lo)]).reshape(4, -1) + k * (n + 1)
+              - slopes * firsts)
+    role_firsts = firsts[::a.size].tolist() if a.size else []   # each role's first candidate
 
     def chunks():
-        per = max(1, TILE_ENTRIES // (_CANDIDATE_COST * n))
-        for role, (lo, length, flat, slopes) in enumerate(lines):
-            for p in range(0, a.size, per):
-                sl = slice(p, p + per)
-                m = length[sl]
-                f = np.repeat(lo[sl] - (np.cumsum(m) - m), m) + np.arange(int(m.sum()))
-                pairs = [np.repeat(q[sl], m) + d * f for q, d in zip(flat, slopes)]
-                first = np.ones(f.size, dtype=bool)
-                for q in pairs[:role]:
-                    first &= ~bad[q]
-                yield pairs, first
+        per = max(1, TILE_ENTRIES // _CANDIDATE_COST)
+        for c0 in range(0, count, per):
+            c1 = min(c0 + per, count)
+            # the lines holding candidates c0 .. c1 - 1, and how many each holds
+            l0, l1 = np.searchsorted(ends, (c0, c1 - 1), side="right")
+            lines = slice(l0, l1 + 1)
+            m = np.minimum(ends[lines], c1) - np.maximum(firsts[lines], c0)
+            pairs = np.repeat(slopes[:, lines], m, axis=1)
+            np.multiply(pairs, np.arange(c0, c1), out=pairs)
+            pairs += np.repeat(origin[:, lines], m, axis=1)
+            # a candidate of role r is kept when none of its pairs before r is bad
+            keep = np.ones(c1 - c0, dtype=bool)
+            for q, r0 in enumerate(role_firsts[1:]):
+                keep[max(r0 - c0, 0):] &= ~bad[pairs[q, max(r0 - c0, 0):]]
+            yield pairs, keep
 
-    return sum(int(length.sum()) for _, length, _, _ in lines), chunks()
+    return count, chunks()
 
 
 def _touched_maximum(grid: CocycleGrid, bad: np.ndarray) -> float | None:
@@ -457,12 +511,12 @@ def _touched_maximum(grid: CocycleGrid, bad: np.ndarray) -> float | None:
     v, win = grid.values.ravel(), grid.in_window.ravel()
     full = bool(win.all())
     worst = 0.0
-    for (p0, p1, p2, p3), keep in chunks:
+    for pairs, keep in chunks:
         if not full:
-            keep &= win[p0] & win[p1] & win[p2] & win[p3]
-        r = np.abs(np.multiply(v[p0], v[p1]) - np.multiply(v[p2], v[p3]))[keep]
-        if r.size:
-            worst = max(worst, float(r.max()))
+            keep &= win[pairs].all(axis=0)
+        p0, p1, p2, p3 = v[pairs]
+        r = np.abs(np.multiply(p0, p1) - np.multiply(p2, p3))
+        worst = float(np.max(r, where=keep, initial=worst))
     return worst
 
 
@@ -532,9 +586,12 @@ def _stages(grid: CocycleGrid, k_exp: int):
     and ``errors`` the table |λ − ∂μ̃| on [-K, K]² (meaningless on masked pairs);
     elsewhere both are None.
 
-    The final table reads conj μ̃(s + t) through a Hankel view whose rows are
-    windows of conj μ̃, so it takes O(K²) time with two (2K+1)²-sized arrays, one
-    complex and one real, besides boolean masks."""
+    Stage 1 is the only lookup of λ that can leave the window (``_grid_at``); stage 2's
+    table of λ¹ on [0, unit]² is plain gathers, and stage 3 gathers λ¹(i mod unit, j)
+    from it. The final table reads conj μ̃(s + t) through a Hankel view whose rows are
+    windows of conj μ̃, so it takes O(K²) time with one real (2K+1)² array and a complex
+    tile of at most max(TILE_ENTRIES, 2K+1) entries; the maxima over the pairs with
+    |s + t| ≤ kf and over all of them come from one segmented pass over it."""
     delta = grid.step
     k = grid.half_index_count
 
@@ -561,9 +618,13 @@ def _stages(grid: CocycleGrid, k_exp: int):
     mu0 = _develop(_grid_at(grid, *_segments(k, unit)), k, unit)
     v0 = ~np.isnan(mu0)
 
-    # stage 2: phase average of λ¹ over one period
+    # stage 2: phase average of λ¹ = ∂μ⁰·λ over one period. Its first slot is taken
+    # mod unit, so row unit of the table on [0, unit]² repeats row 0.
     a = np.arange(unit + 1)
-    table = _lam1_at(grid, mu0, unit, a[:, None], a[None, :])
+    a_mod = a % unit
+    table = _cmul(_cmul(_cmul(mu0[k + a_mod][:, None], mu0[k:k + unit + 1]),
+                        np.conj(mu0[k + a_mod[:, None] + a])),
+                  grid.values[k + a_mod, k:k + unit + 1])
     # The rescale took a unit with [0, unit]² in the window and 2·unit ≤ K, so
     # stage 1 filled μ⁰ on [0, 2·unit] and every λ¹ on the square is defined;
     # a NaN here is a fault of the stages, not of the grid.
@@ -583,11 +644,12 @@ def _stages(grid: CocycleGrid, k_exp: int):
     mu1 = _cmul(seg[o], powers[n - n[0]])
 
     # stage 3: halve coordinates (pure relabeling) and develop once more
-    # against λ² = conj(∂μ¹)·λ¹
+    # against λ² = conj(∂μ¹)·λ¹. Of the lookups only μ¹(i + j) can leave the grid;
+    # λ¹(i mod unit, j) is row 0 or row unit/2 of the stage-2 table.
     unit2 = unit // 2
     i, j = _segments(k, unit2)
-    lam2 = _cmul(_cmul(np.conj(_cmul(_chain_at(mu1, i, k), _chain_at(mu1, j, k))),
-                       _chain_at(mu1, i + j, k)), _lam1_at(grid, mu0, unit, i, j))
+    lam2 = _cmul(_cmul(np.conj(_cmul(mu1[k + i], mu1[k + j])), _chain_at(mu1, i + j, k)),
+                 table[i % unit, j])
     mu2 = _develop(lam2, k, unit2)
     v2 = ~np.isnan(mu2)
 
@@ -595,9 +657,8 @@ def _stages(grid: CocycleGrid, k_exp: int):
     mu_total = np.where(valid, np.conj(mu0) * mu1 * np.conj(mu2), np.nan + 0j)
 
     # largest symmetric window of valid entries around 0
-    kf = 0
-    while kf + 1 <= k and valid[k + kf + 1] and valid[k - kf - 1]:
-        kf += 1
+    gaps = np.flatnonzero(~(valid[k + 1:] & valid[k - 1::-1]))
+    kf = int(gaps[0]) if gaps.size else k
     mu_win = mu_total[k - kf:k + kf + 1]
     mu_win = mu_win / np.abs(mu_win)             # renormalize fp drift in modulus
     chain = Cochain(step=delta, half_range=kf * delta, values=mu_win)
@@ -609,21 +670,42 @@ def _stages(grid: CocycleGrid, k_exp: int):
     lam_ok = grid.in_window[k - kf:k + kf + 1, k - kf:k + kf + 1]
     # row s + kf of this Hankel view is conj μ̃ on [s - kf, s + kf]: column t + kf reads
     # conj μ̃(s + t)
-    conj_sum = sliding_window_view(np.conj(_extended(mu_win, lam_tab, lam_ok)), 2 * kf + 1)
-    diff = mu_win[:, None] * mu_win[None, :]
-    np.multiply(diff, conj_sum, out=diff)
-    np.subtract(lam_tab, diff, out=diff)
-    diff = np.abs(diff)
-    # |s + t| ≤ kf is a function of s + t too: the same view of one band
-    near = sliding_window_view(np.abs(np.arange(-2 * kf, 2 * kf + 1)) <= kf, 2 * kf + 1)
-    usable = near & lam_ok
-    checked = int(np.count_nonzero(usable))
-    resid = float(np.max(diff, where=usable, initial=-np.inf)) if checked else float("nan")
+    side = 2 * kf + 1
+    conj_sum = _hankel(np.conj(_extended(mu_win, lam_tab, lam_ok)), side)
+    # |λ − ∂μ̃| a tile of rows at a time, as the scan tiles its rows, so the complex
+    # products stay in cache
+    per = max(1, TILE_ENTRIES // side)
+    tile = np.empty((min(per, side), side), dtype=complex)
+    diff = np.empty((side, side))
+    for a0 in range(0, side, per):
+        t = tile[:min(per, side - a0)]
+        np.multiply(mu_win[a0:a0 + per, None], mu_win[None, :], out=t)
+        np.multiply(t, conj_sum[a0:a0 + per], out=t)
+        np.subtract(lam_tab[a0:a0 + per], t, out=t)
+        np.abs(t, out=diff[a0:a0 + per])
+    # Row a of the table holds the pairs with |s + t| ≤ kf in one stretch, columns
+    # max(kf - a, 0) to min(3kf - a, 2kf). Cut at those bounds, the flat table falls
+    # into the stretches (odd segments) and the pairs between them (even segments; an
+    # empty one reads the next pair, which changes no maximum), so one pass takes the
+    # maxima over both. Masked pairs count as -inf. The Cochain above refuses kf = 0,
+    # so the last cut, side² - kf, lies inside the table.
+    rows = np.arange(side)
+    cuts = np.zeros(2 * side + 1, dtype=np.intp)
+    cuts[1::2] = side * rows + np.maximum(kf - rows, 0)
+    cuts[2::2] = side * rows + np.minimum(3 * kf - rows, 2 * kf) + 1
+    near = side * side - kf * (kf + 1)                 # pairs with |s + t| ≤ kf
+    full = bool(lam_ok.all())
+    if full:
+        peaks, checked = np.maximum.reduceat(diff.ravel(), cuts), near
+    else:
+        peaks = np.maximum.reduceat(np.where(lam_ok, diff, -np.inf).ravel(), cuts)
+        checked = int(np.add.reduceat(lam_ok.ravel(), cuts, dtype=np.intp)[1::2].sum())
+    resid = float(peaks[1::2].max()) if checked else float("nan")
 
     precheck = errors = None
-    full = bool(lam_ok.all())
-    if kf == k and (full or np.array_equal(lam_ok, near)):
-        r = float(np.max(diff)) if full else resid          # else lam_ok is near
+    # a window is the mask {|s + t| ≤ kf} when it holds all of those pairs and no more
+    if kf == k and (full or checked == near == np.count_nonzero(lam_ok)):
+        r = float(peaks.max()) if full else resid          # else lam_ok is that mask
         precheck, errors = _certificate(grid, r, full), diff
 
     return TrivializationResult(

@@ -1490,6 +1490,24 @@ def test_refused_grid_exits_2_with_the_scans_residual(tmp_path, capsys):
                               f"exceeds the allowed defect {allowed:.3e}\n")
 
 
+@pytest.mark.parametrize("action", ["check", "trivialize"])
+@pytest.mark.parametrize("sizes,message", [
+    ({"step": 0.25, "half_range": math.inf}, "half_range must be a finite normal number, got inf"),
+    ({"step": 1e-320, "half_range": 1.0}, "step must be a finite normal number, got 1e-320"),
+    ({"step": math.nan, "half_range": 1.0}, "step must be a finite normal number, got nan"),
+    ({"step": 1e-300, "half_range": 1e300}, "half_range/step overflows: 1e+300/1e-300"),
+    ({"step": 0.25, "half_range": 10 ** 400},
+     f"half_range must be a finite normal number, got {10 ** 400}"),
+], ids=["infinite-half-range", "subnormal-step", "nan-step", "overflowing-ratio",
+        "integer-past-the-float-range"])
+def test_cocycle_bad_sizes_exit_2_naming_the_value(sizes, message, action, tmp_path, capsys):
+    """Sizes the schema lets through but that give no finite K are bad input (exit 2),
+    refused by value, not an OverflowError posing as a fault (exit 3)."""
+    path = _write(tmp_path / "grid.json", {**sizes, "values": np.zeros((9, 9)).tolist()})
+    assert main(["cocycle", action, "--in", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_refused_grid_at_k256_skips_the_scan(tmp_path, monkeypatch, capsys):
     path = _perturbed_grid_file(tmp_path, 2.0 ** -8, seed=8)
     monkeypatch.setattr(cocycle, "check_cocycle", _raise(AssertionError("scan ran")))

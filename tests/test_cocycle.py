@@ -1,6 +1,7 @@
 """Circle-valued 2-cocycles on a grid: checking, coboundaries, trivialization."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -774,6 +775,28 @@ def test_property_final_table_matches_the_index_table(shape, data):
     assert errors.tobytes() == ref_errors.tobytes(), family
 
 
+@pytest.mark.parametrize("tile", [1, 200])
+@pytest.mark.parametrize("make", [
+    lambda: bilinear_cocycle(0.4, 2.0 ** -4, 1.0),                    # full window
+    lambda: coboundary_of(_smooth_chain(2.0 ** -4, 1.0, seed=3)),     # the coboundary_of mask
+    _holed_grid,                                                      # holes, kf < K
+    lambda: bilinear_cocycle(0.4, 2.0 ** -4, 1.25),                   # K no multiple of the unit
+], ids=["full", "coboundary-mask", "holed", "cut"])
+def test_final_table_in_tiles_matches_the_index_table(make, tile, monkeypatch):
+    # tile=1: one row per tile; tile=200: 6 rows at kf = 16 and 4 at kf = 24, neither
+    # dividing 2kf+1, so the last tile is partial
+    monkeypatch.setattr(cocycle_module, "TILE_ENTRIES", tile)
+    grid = make()
+    res, errors = cocycle_module._stages(grid, round(math.log2(1.0 / grid.step)))
+    resid, checked, skipped, r, ref_errors = _reference_final_table(grid, res.chain.values)
+    assert np.float64(res.achieved_residual).tobytes() == np.float64(resid).tobytes()
+    assert (res.pairs_checked, res.pairs_skipped) == (checked, skipped)
+    assert (errors is None) == (r is None)
+    if r is not None:
+        assert res.precheck.max_identity_residual == cocycle_module._bound(r)
+        assert errors.tobytes() == ref_errors.tobytes()
+
+
 @pytest.mark.parametrize("entry", [1.0 + 3e-9, 1.0 - 3e-9, np.nan], ids=["above", "below", "nan"])
 def test_unimodularity_message_is_the_same_with_and_without_a_mask(entry):
     """Pairs off the window are left out of the worst defect, so masking an
@@ -799,6 +822,23 @@ def _brute_touched(bad, k):
             and any(bad[s + k, t + k] for s, t in cocycle_module._pairs(i, j, l))}
 
 
+def _kept_triples(chunks, k, cap=None):
+    """The (i, j, l) of every kept candidate, in order, after checking that each chunk
+    holds at most ``cap`` candidates and that its flat indices are the four pairs of
+    its triple in the order of ``_pairs``."""
+    n = 2 * k + 1
+    got = []
+    for pairs, keep in chunks:
+        assert cap is None or keep.size <= cap
+        flat = [np.asarray(q)[keep] for q in pairs]
+        i, j = (x - k for x in np.divmod(flat[0], n))
+        l = flat[2] % n - k
+        for q, (s, t) in zip(flat, cocycle_module._pairs(i, j, l)):
+            assert np.array_equal(q, (s + k) * n + t + k)
+        got += zip(i.tolist(), j.tolist(), l.tolist())
+    return got
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("k", range(1, 7))
 def test_touched_triples_match_brute_force(k, seed):
@@ -808,15 +848,160 @@ def test_touched_triples_match_brute_force(k, seed):
     # corner pairs: |a| = K, and |a + b| > K
     bad[[0, n - 1, n - 1], [rng.integers(n), n - 1, rng.integers(k + 1, n)]] = True
     count, chunks = cocycle_module._touched_triples(bad, k)
-    got = []
-    for pairs, keep in chunks:
-        flat = [q[keep] for q in pairs]
-        i, j = (x - k for x in np.divmod(flat[0], n))
-        l = flat[2] % n - k
-        for q, (s, t) in zip(flat, cocycle_module._pairs(i, j, l)):
-            assert np.array_equal(q, (s + k) * n + t + k)
-        got += zip(i.tolist(), j.tolist(), l.tolist())
+    got = _kept_triples(chunks, k)
     ref = _brute_touched(bad, k)
     assert len(got) == len(set(got))
     assert set(got) == ref
     assert count >= len(ref)
+
+
+def _per_role_touched(bad, k):
+    """``_touched_triples`` as it was first built: one role at a time, its interval bounds
+    one range form at a time and its candidates streamed per bad pair, at most
+    max(1, TILE_ENTRIES/(``_CANDIDATE_COST``·(2K+1))) pairs at a time. Kept as the oracle
+    of the stacked version."""
+    n = 2 * k + 1
+    a, b = np.nonzero(bad)
+    a, b = a - k, b - k
+    bad = bad.ravel()
+    zero = np.zeros_like(a)
+    roles = (((a, b, zero), (0, 0, 1)), ((a, zero, b), (-1, 1, 0)),
+             ((zero, a, b), (1, 0, 0)), ((a, zero, b), (0, 1, -1)))
+    lines = []
+    for base, step in roles:
+        lo, hi = np.full(a.size, -k), np.full(a.size, k)
+        for c, d in zip(cocycle_module._range_forms(*base), cocycle_module._range_forms(*step)):
+            if d:
+                lo, hi = np.maximum(lo, -k - d * c), np.minimum(hi, k - d * c)
+            else:
+                hi = np.where(np.abs(c) <= k, hi, lo - 1)
+        flat = [(s + k) * n + t + k for s, t in cocycle_module._pairs(*base)]
+        slopes = [ds * n + dt for ds, dt in cocycle_module._pairs(*step)]
+        lines.append((lo, np.maximum(hi - lo + 1, 0), flat, slopes))
+
+    def chunks():
+        per = max(1, cocycle_module.TILE_ENTRIES // (cocycle_module._CANDIDATE_COST * n))
+        for role, (lo, length, flat, slopes) in enumerate(lines):
+            for p in range(0, a.size, per):
+                sl = slice(p, p + per)
+                m = length[sl]
+                f = np.repeat(lo[sl] - (np.cumsum(m) - m), m) + np.arange(int(m.sum()))
+                pairs = [np.repeat(q[sl], m) + d * f for q, d in zip(flat, slopes)]
+                first = np.ones(f.size, dtype=bool)
+                for q in pairs[:role]:
+                    first &= ~bad[q]
+                yield pairs, first
+
+    return sum(int(length.sum()) for _, length, _, _ in lines), chunks()
+
+
+def _edge_mask(kind, k, rng):
+    """A (2K+1)² mask of bad pairs: on the axes s = 0 and t = 0, on the grid's edge
+    |s| = K or |t| = K (its corners included), or a few anywhere."""
+    n = 2 * k + 1
+    bad = np.zeros((n, n), dtype=bool)
+    if kind == "axes":
+        bad[k, rng.integers(0, n, 3)] = bad[rng.integers(0, n, 3), k] = True
+    elif kind == "edge":
+        bad[[0, n - 1], rng.integers(0, n, 2)] = bad[rng.integers(0, n, 2), [0, n - 1]] = True
+        bad[[0, 0, n - 1, n - 1], [0, n - 1, 0, n - 1]] = True
+    else:
+        bad[rng.integers(0, n, 4), rng.integers(0, n, 4)] = True
+    return bad
+
+
+@pytest.mark.parametrize("tile", [None, 1], ids=["default-chunks", "one-candidate-chunks"])
+@pytest.mark.parametrize("kind", ["axes", "edge", "anywhere"])
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_stacked_touched_triples_match_the_per_role_oracle(k, kind, tile, monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(cocycle_module, "TILE_ENTRIES", tile)
+    bad = _edge_mask(kind, k, np.random.default_rng(10 * k + len(kind)))
+    cap = max(1, cocycle_module.TILE_ENTRIES // cocycle_module._CANDIDATE_COST)
+    count, chunks = cocycle_module._touched_triples(bad, k)
+    ref_count, ref_chunks = _per_role_touched(bad, k)
+    got = _kept_triples(chunks, k, cap)
+    assert count == ref_count
+    assert Counter(got) == Counter(_kept_triples(ref_chunks, k))
+    assert Counter(got) == Counter(_brute_touched(bad, k))           # each triple once
+
+
+EDGE_KICKS = {
+    # pairs no stage reads, so each grid has exactly these bad pairs
+    "edge-row": [(16, -5)],
+    "edge-column": [(-7, -16)],
+    "corner": [(-16, 16)],
+    "next-to-the-axes": [(1, -1), (-1, 3)],
+}
+
+
+@pytest.mark.parametrize("tile", [None, 1], ids=["default-chunks", "one-candidate-chunks"])
+@pytest.mark.parametrize("name", sorted(EDGE_KICKS))
+def test_local_refusal_of_edge_pairs_matches_the_scan_first_order(name, tile, monkeypatch):
+    grid = _kicked(bilinear_cocycle(0.4, 2.0 ** -4, 1.0), EDGE_KICKS[name], 2.0)
+    message = _reference_scan_first(grid)[0]
+    if tile is not None:
+        monkeypatch.setattr(cocycle_module, "TILE_ENTRIES", tile)
+    scans = []
+    monkeypatch.setattr(cocycle_module, "check_cocycle",
+                        lambda g: scans.append(g) or check_cocycle(g))
+    with pytest.raises(ValueError, match="identity fails") as err:
+        trivialize(grid)
+    assert not scans                                     # refused locally
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make", [
+    _holed_grid,
+    lambda: coboundary_of(_smooth_chain(2.0 ** -5, 2.0, seed=21)),
+    lambda: bilinear_cocycle(0.4, 2.0 ** -6, 1.0),
+])
+def test_stages_look_up_the_grid_once(make, monkeypatch):
+    """Stage 1's segment table is the only lookup of λ that can leave the window; the
+    later stages read λ¹ off stage 2's table."""
+    grid = make()
+    calls = []
+    grid_at = cocycle_module._grid_at
+    monkeypatch.setattr(cocycle_module, "_grid_at",
+                        lambda g, i, j: calls.append((i, j)) or grid_at(g, i, j))
+    res, _ = cocycle_module._stages(grid, round(math.log2(1.0 / grid.step)))
+    assert len(calls) == 1
+    seg_i, seg_j = cocycle_module._segments(grid.half_index_count, res.stage_windows["unit"])
+    assert np.array_equal(calls[0][0], seg_i) and np.array_equal(calls[0][1], seg_j)
+
+
+@pytest.mark.parametrize("shape", ["as-drawn", "holed", "cut"])
+@given(data=st.data())
+def test_property_stages_match_the_closure_route(shape, data):
+    family, grid = data.draw(_final_table_grids(shape))
+    try:
+        res, _ = cocycle_module._stages(grid, round(math.log2(1.0 / grid.step)))
+    except ValueError:
+        assume(False)                            # no chains to compare: the stages refused
+    mu0, mu1, mu2, chain = _reference_stages(grid, res.stage_windows["unit"])
+    for name, ref in (("mu0", mu0), ("mu1", mu1), ("mu2", mu2)):
+        assert res.stage_chains[name].tobytes() == ref.tobytes(), (family, name)
+    assert res.chain.values.tobytes() == chain.tobytes(), family
+
+
+@pytest.mark.parametrize("step,half,message", [
+    (0.0, 1.0, "step must be positive, got 0.0"),
+    (-0.25, -1.0, "step must be positive, got -0.25"),
+    (1e-320, 1.0, "step must be a finite normal number, got 1e-320"),
+    (math.nan, 1.0, "step must be a finite normal number, got nan"),
+    (0.25, math.inf, "half_range must be a finite normal number, got inf"),
+    (0.25, -math.inf, "half_range must be a finite normal number, got -inf"),
+    (0.25, math.nan, "half_range must be a finite normal number, got nan"),
+    (0.25, 5e-324, "half_range must be a finite normal number, got 5e-324"),
+    (0.25, 10 ** 400, f"half_range must be a finite normal number, got {10 ** 400}"),
+    (1e-300, 1e300, "half_range/step overflows: 1e+300/1e-300"),
+], ids=["zero-step", "negative-step", "subnormal-step", "nan-step", "infinite-half-range",
+        "negative-infinite-half-range", "nan-half-range", "subnormal-half-range",
+        "integer-past-the-float-range", "overflowing-ratio"])
+def test_bad_sizes_are_refused_by_value(step, half, message):
+    for make in (lambda: CocycleGrid(step, half, np.ones((9, 9), dtype=complex)),
+                 lambda: Cochain(step, half, np.ones(9, dtype=complex)),
+                 lambda: bilinear_cocycle(0.4, step, half)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
