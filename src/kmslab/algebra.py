@@ -19,6 +19,11 @@ _EPS = float(np.finfo(float).eps)
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))      # math.exp overflows above it
 
 
+def _fro_norm(blocks) -> float:
+    """The Frobenius norm of a list of blocks."""
+    return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in blocks)))
+
+
 class InternalFault(RuntimeError):
     """A computation broke an invariant that holds for every valid input: a fault of
     the library, not of its input (CLI exit 3)."""
@@ -155,7 +160,7 @@ class AlgElement:
         return 1.0 if self.fro_norm() <= 1.0 - 1e-9 else max(1.0, self.norm())
 
     def fro_norm(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in self.blocks)))
+        return _fro_norm(self.blocks)
 
     def trace(self) -> complex:
         return complex(sum(np.trace(a) for a in self.blocks))

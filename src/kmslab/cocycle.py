@@ -30,12 +30,10 @@ error on every route, and it takes precedence over a stage's own error — a
 near-(-1) value of λ¹, for one, since the principal phase branch would be
 meaningless there.
 
-At the K the grids here reach, the stages and the local refusal cost numpy calls
-more than arithmetic, so each does its table work in a fixed handful of array
-operations, whatever K and however many pairs are bad: stage 1 looks λ up once,
-stage 2 gathers its table of λ¹ from the grid and μ⁰, stage 3 reads λ¹ off that
-table, a development fills every segment with one product, and the local refusal
-takes the triples of all roles and bad pairs together.
+At the K the grids here reach, the stages cost numpy calls more than arithmetic, so
+each does its table work in a fixed handful of array operations (see ``_stages``).
+The local refusal reads the four lines of triples through each bad pair, cut by the
+range test.
 """
 
 from __future__ import annotations
@@ -54,9 +52,8 @@ DEFECT_FACTOR = 10.0
 #: entries per tile of the associativity scan in ``check_cocycle`` and of the final table
 #: of ``_stages``
 TILE_ENTRIES = 2 ** 15
-#: what one candidate triple of the local refusal weighs against a scan triple: it
-#: gathers four indices and four values, about four times a scan entry's temporaries,
-#: and takes at least four times its time
+#: what one triple of the local refusal weighs against a scan triple: its line holds
+#: out-of-range triples too, and it gathers four values through four index arrays
 _CANDIDATE_COST = 4
 #: unit roundoff of IEEE double precision
 _U = 2.0 ** -53
@@ -438,85 +435,55 @@ def _range_forms(i, j, l):
 def _touched_triples(bad: np.ndarray, k: int):
     """The in-range triples (i, j, l) that read a pair of ``bad``, a (2K+1)² mask.
 
-    Each role of a bad pair gives a line of triples, cut to an interval of f by
-    |i|, |j|, |l|, |i+j|, |j+l| ≤ K; the bounds of all roles and bad pairs are taken
-    at once, on (4, n_bad) arrays. Returns (count, chunks): ``count`` sums those
-    intervals over the bad pairs and the roles, at least the number of triples;
-    ``chunks`` yields, for at most max(1, TILE_ENTRIES/``_CANDIDATE_COST``) candidates
-    at a time, taken across the lines of every role, a (4, m) array of the flat indices
-    (s+K)(2K+1) + t+K of their four pairs, in the order of ``_pairs``, and a mask of
-    the candidates to keep: every triple is kept once, under the first of its pairs
-    that is bad.
-    """
+    A bad pair (a, b) read in role r of ``_pairs`` fixes a line of triples over
+    f ∈ [-K, K]: (a, b, f), (f, a−f, b), (f, a, b) and (a, f, b−f). Returns
+    (count, chunks): ``count``, in closed form, is the number of in-range triples on
+    all the lines, a triple counting once per line it lies on; ``chunks`` yields them
+    as a (3, m) array of i, j and l rows, for the lines of
+    max(1, TILE_ENTRIES/(``_CANDIDATE_COST``·4(2K+1))) bad pairs at a time."""
     n = 2 * k + 1
-    bad = bad.ravel()
     a, b = np.divmod(np.flatnonzero(bad), n)
-    a, b = a - k, b - k
-    zero = np.zeros_like(a)
-    # (a, b) read in role r of ``_pairs`` fixes the triples base + f·step, f ∈ ℤ;
-    # row r of each array is role r
-    base = (np.array([a, a, zero, a]), np.array([b, zero, a, zero]),
-            np.array([zero, b, b, b]))
-    steps = ((0, 0, 1), (-1, 1, 0), (1, 0, 0), (0, 1, -1))
-    # each bound |c + d·f| ≤ K, d ∈ {-1, 0, 1}, reads -K - d·c ≤ f ≤ K - d·c, or |c| ≤ K
-    # when d = 0; every role has such a form, so f stays in [-K, K]
-    c = np.array(_range_forms(*base))
-    d = np.array([_range_forms(*st) for st in steps]).T[:, :, None]
-    dc = d * c
-    lo = -k - dc.min(axis=0)
-    length = np.maximum(k - dc.max(axis=0) - lo + 1, 0)
-    length[~((d != 0) | (np.abs(c) <= k)).all(axis=0)] = 0
-    # the lines in role-major order, candidate c of a line being its triple at
-    # f = lo + c - (the line's first candidate): the flat indices of its four pairs are
-    # origin + slopes·c, with slopes how far each moves per step of f
-    length = length.ravel()
-    ends = np.cumsum(length)
-    firsts = ends - length
-    count = int(ends[-1]) if ends.size else 0
-    slopes = np.repeat([[s * n + t for s, t in _pairs(*st)] for st in steps], a.size, axis=0).T
-    at_lo = [x + lo * y for x, y in zip(base, np.array(steps).T[:, :, None])]
-    origin = (np.array([s * n + t for s, t in _pairs(*at_lo)]).reshape(4, -1) + k * (n + 1)
-              - slopes * firsts)
-    role_firsts = firsts[::a.size].tolist() if a.size else []   # each role's first candidate
+    a, b = a[:, None] - k, b[:, None] - k
+    z = 0 * a
+    # roles' lengths: n − |b| and n − |a| if |a+b| ≤ K, n − the spread of 0, a, a+b and of 0, b, −a
+    count = int(np.sum((2 * n - np.abs(a) - np.abs(b)) * (np.abs(a + b) <= k) + 2 * n
+                       - np.ptp([z, a, a + b], axis=0) - np.ptp([z, b, -a], axis=0)))
+    # (i, j, l) of role r's line through bad pair p at f: origin[:, r, p] + moves[:, r, f]
+    origin = np.array([(a, z, z, a), (b, a, a, z), (z, b, b, b)])
+    moves = np.multiply.outer([(0, 1, 1, 0), (0, -1, 0, 1), (1, 0, 0, -1)], np.arange(-k, k + 1))
+    per = max(1, TILE_ENTRIES // (_CANDIDATE_COST * 4 * n))
 
     def chunks():
-        per = max(1, TILE_ENTRIES // _CANDIDATE_COST)
-        for c0 in range(0, count, per):
-            c1 = min(c0 + per, count)
-            # the lines holding candidates c0 .. c1 - 1, and how many each holds
-            l0, l1 = np.searchsorted(ends, (c0, c1 - 1), side="right")
-            lines = slice(l0, l1 + 1)
-            m = np.minimum(ends[lines], c1) - np.maximum(firsts[lines], c0)
-            pairs = np.repeat(slopes[:, lines], m, axis=1)
-            np.multiply(pairs, np.arange(c0, c1), out=pairs)
-            pairs += np.repeat(origin[:, lines], m, axis=1)
-            # a candidate of role r is kept when none of its pairs before r is bad
-            keep = np.ones(c1 - c0, dtype=bool)
-            for q, r0 in enumerate(role_firsts[1:]):
-                keep[max(r0 - c0, 0):] &= ~bad[pairs[q, max(r0 - c0, 0):]]
-            yield pairs, keep
+        for p in range(0, a.size, per):
+            lines = (origin[:, :, p:p + per] + moves[:, :, None]).reshape(3, -1)
+            reach = np.abs(lines[0])
+            for form in _range_forms(*lines)[1:]:
+                np.maximum(reach, np.abs(form), out=reach)
+            yield lines.take(np.flatnonzero(reach <= k), axis=1)
 
     return count, chunks()
 
 
 def _touched_maximum(grid: CocycleGrid, bad: np.ndarray) -> float | None:
     """The scan's maximum residual over the triples that read a pair of ``bad``, each
-    evaluated as the scan does; masked triples are skipped. None when the incidences
+    evaluated as the scan does; masked triples are skipped. None when the triples
     ``_touched_triples`` counts, each weighed at ``_CANDIDATE_COST`` scan triples, are
     not fewer than the scan's triples."""
     k = grid.half_index_count
     count, chunks = _touched_triples(bad, k)
     if _CANDIDATE_COST * count >= _in_range_triples(k):
         return None
+    n = 2 * k + 1
     v, win = grid.values.ravel(), grid.in_window.ravel()
     full = bool(win.all())
-    worst = 0.0
-    for pairs, keep in chunks:
+    worst, seen = 0.0, True
+    for triples in chunks:
+        pairs = [s * n + t + k * (n + 1) for s, t in _pairs(*triples)]     # flat indices
         if not full:
-            keep &= win[pairs].all(axis=0)
-        p0, p1, p2, p3 = v[pairs]
+            seen = np.logical_and.reduce([win[q] for q in pairs])
+        p0, p1, p2, p3 = (v[q] for q in pairs)
         r = np.abs(np.multiply(p0, p1) - np.multiply(p2, p3))
-        worst = float(np.max(r, where=keep, initial=worst))
+        worst = float(np.max(r, where=seen, initial=worst))
     return worst
 
 
@@ -544,9 +511,9 @@ def trivialize(grid: CocycleGrid) -> TrivializationResult:
     * scan: otherwise, and whenever the certificate window fails or the stages raise,
       ``check_cocycle`` scans every triple: a residual above the allowed defect is
       refused, then a stage's error is raised, and else the scan's report is the
-      precheck. The local check gives way to the scan when the (triple, bad pair)
-      incidences it would visit, at ``_CANDIDATE_COST`` scan triples each, are not
-      fewer than the scan's triples, and when M is within the allowed defect, so an
+      precheck. The local check gives way to the scan when the in-range triples on
+      its bad pairs' lines, at ``_CANDIDATE_COST`` scan triples each, are not fewer
+      than the scan's triples, and when M is within the allowed defect, so an
       accepted grid reports the measured maximum.
 
     Every route refuses a grid exactly when the scan-first order refuses it, with the
@@ -659,6 +626,8 @@ def _stages(grid: CocycleGrid, k_exp: int):
     # largest symmetric window of valid entries around 0
     gaps = np.flatnonzero(~(valid[k + 1:] & valid[k - 1::-1]))
     kf = int(gaps[0]) if gaps.size else k
+    if kf == 0:
+        raise ValueError("empty final window: a window hole next to 0 stops the stages")
     mu_win = mu_total[k - kf:k + kf + 1]
     mu_win = mu_win / np.abs(mu_win)             # renormalize fp drift in modulus
     chain = Cochain(step=delta, half_range=kf * delta, values=mu_win)
@@ -687,8 +656,8 @@ def _stages(grid: CocycleGrid, k_exp: int):
     # max(kf - a, 0) to min(3kf - a, 2kf). Cut at those bounds, the flat table falls
     # into the stretches (odd segments) and the pairs between them (even segments; an
     # empty one reads the next pair, which changes no maximum), so one pass takes the
-    # maxima over both. Masked pairs count as -inf. The Cochain above refuses kf = 0,
-    # so the last cut, side² - kf, lies inside the table.
+    # maxima over both. Masked pairs count as -inf. kf ≥ 1, so the last cut, side² - kf,
+    # lies inside the table.
     rows = np.arange(side)
     cuts = np.zeros(2 * side + 1, dtype=np.intp)
     cuts[1::2] = side * rows + np.maximum(kf - rows, 0)

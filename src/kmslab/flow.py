@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TOL, AlgElement, BlockAlgebra, Functional, InternalFault
+from .algebra import TOL, AlgElement, BlockAlgebra, Functional, InternalFault, _fro_norm
 
 #: refuse analytic continuation beyond this strip half-width; the entry
 #: factors reach e^{|Im z|·spread} and silently clamping would corrupt results
@@ -42,11 +42,6 @@ def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
         raise InternalFault(f"Gauss–Hermite rule of {nodes} nodes is not symmetric")
     x.flags.writeable = w.flags.writeable = False
     return x, w
-
-
-def _fro_norm(blocks) -> float:
-    """The Frobenius norm of a list of blocks, as ``AlgElement.fro_norm`` takes it."""
-    return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
 
 
 class AnalyticRangeError(ValueError):

@@ -822,18 +822,24 @@ def _brute_touched(bad, k):
             and any(bad[s + k, t + k] for s, t in cocycle_module._pairs(i, j, l))}
 
 
-def _kept_triples(chunks, k, cap=None):
-    """The (i, j, l) of every kept candidate, in order, after checking that each chunk
-    holds at most ``cap`` candidates and that its flat indices are the four pairs of
-    its triple in the order of ``_pairs``."""
+def _kept_triples(chunks):
+    """The (i, j, l) of every triple the chunks of ``_touched_triples`` hold, in order."""
+    got = []
+    for i, j, l in chunks:
+        got += zip(i.tolist(), j.tolist(), l.tolist())
+    return got
+
+
+def _oracle_triples(chunks, k):
+    """The (i, j, l) of every incidence ``_per_role_touched`` yields, its ``first`` masks
+    ignored, after checking that its flat indices are the four pairs of its triple in
+    the order of ``_pairs``."""
     n = 2 * k + 1
     got = []
-    for pairs, keep in chunks:
-        assert cap is None or keep.size <= cap
-        flat = [np.asarray(q)[keep] for q in pairs]
-        i, j = (x - k for x in np.divmod(flat[0], n))
-        l = flat[2] % n - k
-        for q, (s, t) in zip(flat, cocycle_module._pairs(i, j, l)):
+    for pairs, _ in chunks:
+        i, j = (x - k for x in np.divmod(pairs[0], n))
+        l = pairs[2] % n - k
+        for q, (s, t) in zip(pairs, cocycle_module._pairs(i, j, l)):
             assert np.array_equal(q, (s + k) * n + t + k)
         got += zip(i.tolist(), j.tolist(), l.tolist())
     return got
@@ -848,18 +854,17 @@ def test_touched_triples_match_brute_force(k, seed):
     # corner pairs: |a| = K, and |a + b| > K
     bad[[0, n - 1, n - 1], [rng.integers(n), n - 1, rng.integers(k + 1, n)]] = True
     count, chunks = cocycle_module._touched_triples(bad, k)
-    got = _kept_triples(chunks, k)
-    ref = _brute_touched(bad, k)
-    assert len(got) == len(set(got))
-    assert set(got) == ref
-    assert count >= len(ref)
+    got = _kept_triples(chunks)
+    assert set(got) == _brute_touched(bad, k)
+    assert count == len(got)
 
 
 def _per_role_touched(bad, k):
     """``_touched_triples`` as it was first built: one role at a time, its interval bounds
     one range form at a time and its candidates streamed per bad pair, at most
-    max(1, TILE_ENTRIES/(``_CANDIDATE_COST``·(2K+1))) pairs at a time. Kept as the oracle
-    of the stacked version."""
+    max(1, TILE_ENTRIES/(``_CANDIDATE_COST``·(2K+1))) pairs at a time, each triple kept
+    (``first``) under its first bad pair. Kept as an oracle of the four lines: its
+    incidences, kept or not, are their in-range triples."""
     n = 2 * k + 1
     a, b = np.nonzero(bad)
     a, b = a - k, b - k
@@ -917,13 +922,19 @@ def test_stacked_touched_triples_match_the_per_role_oracle(k, kind, tile, monkey
     if tile is not None:
         monkeypatch.setattr(cocycle_module, "TILE_ENTRIES", tile)
     bad = _edge_mask(kind, k, np.random.default_rng(10 * k + len(kind)))
+    n = 2 * k + 1
+    # a chunk holds the lines of `per` bad pairs: at most `cap` triples, or one pair's lines
+    per = max(1, cocycle_module.TILE_ENTRIES // (cocycle_module._CANDIDATE_COST * 4 * n))
     cap = max(1, cocycle_module.TILE_ENTRIES // cocycle_module._CANDIDATE_COST)
     count, chunks = cocycle_module._touched_triples(bad, k)
+    chunks = list(chunks)
+    assert len(chunks) == -(-int(bad.sum()) // per)
+    assert all(c.shape[1] <= cap or (per == 1 and c.shape[1] <= 4 * n) for c in chunks)
     ref_count, ref_chunks = _per_role_touched(bad, k)
-    got = _kept_triples(chunks, k, cap)
-    assert count == ref_count
-    assert Counter(got) == Counter(_kept_triples(ref_chunks, k))
-    assert Counter(got) == Counter(_brute_touched(bad, k))           # each triple once
+    got = _kept_triples(chunks)
+    assert count == ref_count == len(got)
+    assert Counter(got) == Counter(_oracle_triples(ref_chunks, k))
+    assert set(got) == _brute_touched(bad, k)
 
 
 EDGE_KICKS = {
@@ -949,6 +960,50 @@ def test_local_refusal_of_edge_pairs_matches_the_scan_first_order(name, tile, mo
         trivialize(grid)
     assert not scans                                     # refused locally
     assert str(err.value) == message
+
+
+MANY_BAD_PAIRS = {
+    # a smooth coboundary kicked on λ(unit, 3), which stage 1 reads: μ moves, and
+    # every pair whose error it moves loses the bound
+    "K32-full": (5, lambda step: _full_coboundary(step, 1.0, (0.3, 0.7, 1.1), (0.4, -0.3, 0.2),
+                                                   (0.5, 2.0, 4.0)), 180),
+    "K32-coboundary-mask": (5, lambda step: coboundary_of(_smooth_chain(step, 1.0, seed=0)), 133),
+    "K64-full": (6, lambda step: _full_coboundary(step, 1.0, (0.3, 0.7, 1.1), (0.4, -0.3, 0.2),
+                                                   (0.5, 2.0, 4.0)), 372),
+    "K64-coboundary-mask": (6, lambda step: coboundary_of(_smooth_chain(step, 1.0, seed=0)), 277),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_BAD_PAIRS))
+def test_local_refusal_of_many_bad_pairs_matches_the_scan_first_order(name, monkeypatch):
+    exponent, make, n_bad = MANY_BAD_PAIRS[name]
+    source = make(2.0 ** -exponent)
+    unit = cocycle_module._stages(source, exponent)[0].stage_windows["unit"]
+    grid = _kicked(source, [(unit, 3)], 2.0)
+    _, errors = cocycle_module._stages(grid, exponent)
+    theta = cocycle_module._radius(cocycle_module.DEFECT_FACTOR * grid.step)
+    assert np.count_nonzero((errors > theta) & grid.in_window) == n_bad
+    message = _reference_scan_first(grid)[0]
+    scans = []
+    monkeypatch.setattr(cocycle_module, "check_cocycle",
+                        lambda g: scans.append(g) or check_cocycle(g))
+    with pytest.raises(ValueError, match="identity fails") as err:
+        trivialize(grid)
+    assert not scans                                     # refused locally
+    assert str(err.value) == message
+
+
+def test_an_empty_final_window_is_refused_by_name():
+    """A hole at λ(-unit, 3), unit = 8, leaves μ⁰ undefined on [-5, -1], so μ has no
+    window beyond 0. A grid that also fails the identity is refused for that first."""
+    grid = _holed(bilinear_cocycle(0.4, 2.0 ** -4, 1.0), (-8, 3))
+    with pytest.raises(ValueError) as err:
+        trivialize(grid)
+    assert str(err.value) == "empty final window: a window hole next to 0 stops the stages"
+    kicked = _kicked(grid, [(5, -7)], 2.0)
+    with pytest.raises(ValueError, match="identity fails") as err:
+        trivialize(kicked)
+    assert str(err.value) == _reference_scan_first(kicked)[0]
 
 
 @pytest.mark.parametrize("make", [
