@@ -8,6 +8,7 @@ is the Hermitian eigendecomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -90,7 +91,7 @@ class BlockAlgebra:
 class AlgElement:
     """An element of a :class:`BlockAlgebra`, one complex matrix per block."""
 
-    __slots__ = ("algebra", "blocks")
+    __slots__ = ("algebra", "blocks", "_norm")
 
     def __init__(self, algebra: BlockAlgebra, blocks: Sequence[np.ndarray]):
         if len(blocks) != algebra.num_blocks:
@@ -104,6 +105,7 @@ class AlgElement:
             mats.append(m)
         self.algebra = algebra
         self.blocks = tuple(mats)
+        self._norm = None
 
     @classmethod
     def _adopt(cls, algebra: BlockAlgebra, blocks: Sequence[np.ndarray]) -> "AlgElement":
@@ -113,7 +115,7 @@ class AlgElement:
         for m in blocks:
             m.flags.writeable = False
         el = cls.__new__(cls)
-        el.algebra, el.blocks = algebra, tuple(blocks)
+        el.algebra, el.blocks, el._norm = algebra, tuple(blocks), None
         return el
 
     # -- arithmetic ---------------------------------------------------------
@@ -148,10 +150,14 @@ class AlgElement:
     # -- metrics and predicates ----------------------------------------------
 
     def norm(self) -> float:
-        """Operator norm (largest singular value over the blocks); an all-zero
-        block needs no SVD."""
-        return max(float(np.linalg.norm(a, 2)) if np.count_nonzero(a) else 0.0
-                   for a in self.blocks)
+        """Operator norm: the largest singular value over the blocks, from the
+        singular values that ``np.linalg.norm(a, 2)`` takes, so equal to it bit for
+        bit, NaN and ``LinAlgError`` included; an all-zero block needs no SVD. The
+        blocks are read-only, so the first value is kept on the element."""
+        if self._norm is None:
+            self._norm = max(float(np.linalg.svdvals(a).max())
+                             if np.count_nonzero(a) else 0.0 for a in self.blocks)
+        return self._norm
 
     def tol_scale(self) -> float:
         """max(1, ‖a‖₂), the scale of the package's relative tolerances. Since
@@ -296,27 +302,36 @@ def is_positive(a: AlgElement, tol: float = TOL) -> bool:
     return all(_psd_within(b, tol) for b in a.blocks)
 
 
-def _exchange_residual(d: np.ndarray, fac: np.ndarray) -> tuple[float, tuple[int, ...]]:
+def _exchange_sheets(d: np.ndarray, fac: np.ndarray) -> tuple[float, np.ndarray]:
     """max |δ_lm d_nk − fac_kl δ_nk d_lm| over all unit pairs a = E_kl, b = E_mn, for a
-    positive finite factor fac, and the first (k, l, m, n) in C order attaining it; a NaN
-    value makes the maximum NaN. This is ``verify_kms``'s route one on one eigenbasis block.
+    positive finite factor fac, and the three n×n sheets it is read from; a NaN value makes
+    the maximum NaN. This is ``verify_kms``'s route one on one eigenbasis block.
 
     Only three kinds of pair can be nonzero, and each kind is one n×n sheet in closed form:
     (k, l, l, k) gives |d_kk − fac_kl d_ll|; (k, l, l, n), n ≠ k, gives |d_nk|; (k, l, m, k),
     l ≠ m, gives |fac_kl d_lm|, which is largest at F_l = max_k fac_kl, since rounding is
-    monotone. The first k that attains the maximum is read off the sheets; only the tied
-    (l, m) of the third kind need a check across k. The pair within that k comes from the
-    n×n slice of a = E_k·. Memory stays O(n²)."""
+    monotone. Memory stays O(n²)."""
     n = d.shape[0]
-    off = ~np.eye(n, dtype=bool)
     dg = d.diagonal()
     # the three kinds, indexed [k, l], [k, n] and [l, m]
     sheets = np.abs(np.array((dg[:, None] - fac * dg, d.T, fac.max(axis=0)[:, None] * d)))
-    sheets[1:, ~off] = 0.0
-    best = sheets.max()                     # NaN if any value is NaN
+    sheets[1:, np.eye(n, dtype=bool)] = 0.0
+    return float(sheets.max()), sheets      # NaN if any value is NaN
+
+
+def _exchange_witness(d: np.ndarray, fac: np.ndarray, sheets: np.ndarray,
+                      best: float) -> tuple[int, ...]:
+    """The first (k, l, m, n) in C order at which the pair of :func:`_exchange_sheets`
+    attains its maximum ``best`` (a NaN when ``best`` is NaN), or (0, 0, 0, 0) when it is 0.
+
+    The first k that attains it is read off the sheets; only the tied (l, m) of the third
+    kind need a check across k. The pair within that k comes from the n×n slice of
+    a = E_k·. Memory stays O(n²)."""
     if best == 0:
-        return 0.0, (0, 0, 0, 0)
-    hit = np.isnan if np.isnan(best) else (lambda v: v == best)
+        return 0, 0, 0, 0
+    n = d.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    hit = np.isnan if math.isnan(best) else (lambda v: v == best)
     hits = hit(sheets)
     rows = hits[:2].any(axis=(0, 2))
     ls, ms = np.nonzero(hits[2])
@@ -330,7 +345,14 @@ def _exchange_residual(d: np.ndarray, fac: np.ndarray) -> tuple[float, tuple[int
     l, m = np.indices((n, n))
     pos = np.concatenate((((l * n + m) * n + k).ravel(), np.arange(n)))
     where = k * n ** 3 + int(pos[hit(np.concatenate((side.ravel(), col)))].min())
-    return float(best), tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
+    return tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
+
+
+def _exchange_residual(d: np.ndarray, fac: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Route one on one eigenbasis block: the maximum of :func:`_exchange_sheets` and
+    its witness from :func:`_exchange_witness`."""
+    best, sheets = _exchange_sheets(d, fac)
+    return best, _exchange_witness(d, fac, sheets, best)
 
 
 def _trace_residual(d: np.ndarray, same: np.ndarray | None = None) -> float:

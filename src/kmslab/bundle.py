@@ -594,7 +594,7 @@ def kms_bundle_fd(flow: InnerFlow, beta_grid) -> tuple[list[KmsSimplex], BundleC
     mats, traces = _boltzmann(flow, betas)
     verts = [m / t[:, None, None] for m, t in zip(mats, traces.T)]
     simplices = [_simplex_at(flow, b, [v[s] for v in verts]) for s, b in enumerate(betas)]
-    bound = 2.0 * flow.generator.norm()
+    bound = 2.0 * flow.generator.norm()     # kept on h if InnerFlow's tol_scale took it
     worst = 0.0
     if bound > 0:
         steps = np.diff(betas)[:, None]

@@ -88,6 +88,9 @@ class InnerFlow:
         self.generator = generator
         self.eigenvalues: list[np.ndarray] = []
         self.eigenvectors: list[np.ndarray] = []
+        #: (β.hex(), blocks, traces) of the last float β at which ``kms`` evaluated
+        #: the Boltzmann blocks, read-only; None until then
+        self._kept_boltzmann = None
         for h in generator.blocks:
             w, u = np.linalg.eigh(h)
             err = (u * w) @ u.conj().T
@@ -107,6 +110,7 @@ class InnerFlow:
         flow = cls.__new__(cls)
         flow.algebra, flow.generator = algebra, generator
         flow.eigenvalues, flow.eigenvectors = eigenvalues, eigenvectors
+        flow._kept_boltzmann = None
         return flow
 
     @property

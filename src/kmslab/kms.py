@@ -10,7 +10,10 @@ domination / lattice operations reduce to coefficient arithmetic.
 Every Boltzmann factor comes from one route, ``_boltzmann``, at one β or along a
 vector of them: e^{-β(h − c)} with c the extreme eigenvalue of all blocks, a shift
 that never changes a state but keeps the factors from overflowing. Coefficient
-vectors are only compared with vectors made under the same shift.
+vectors are only compared with vectors made under the same shift. At one float β
+the layers read it through ``_boltzmann_at``, which keeps the last β's blocks on
+the flow, so the states, the simplex and the coefficients at one (flow, β) share
+one evaluation.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (AlgElement, BlockAlgebra, Functional, Projection, _exchange_residual,
-                      is_trace)
+from .algebra import (AlgElement, BlockAlgebra, Functional, Projection, _exchange_sheets,
+                      _exchange_witness, is_trace)
 from .flow import InnerFlow
 
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
@@ -69,6 +72,21 @@ def _boltzmann(flow: InnerFlow, beta) -> tuple[list[np.ndarray], np.ndarray]:
     return mats, traces
 
 
+def _boltzmann_at(flow: InnerFlow, beta: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """``_boltzmann(flow, β)`` at one float β, kept read-only on the flow for the last
+    β it was asked for, keyed by β's exact bits (0.0 and −0.0 differ). A refused β
+    raises in ``_boltzmann`` and leaves what is kept as it was. The kept triple is
+    replaced whole, so threads alternating β on one flow each get their β's blocks."""
+    beta = float(beta)
+    key, kept = beta.hex(), flow._kept_boltzmann
+    if kept is None or kept[0] != key:
+        mats, traces = _boltzmann(flow, beta)
+        for a in (*mats, traces):
+            a.flags.writeable = False
+        kept = flow._kept_boltzmann = (key, tuple(mats), traces)
+    return kept[1], kept[2]
+
+
 @dataclass
 class KmsState:
     """A state satisfying the β-equilibrium condition for its flow."""
@@ -82,6 +100,14 @@ class KmsState:
             raise ValueError(f"not normalized (mass {self.functional.total_mass:.6g})")
         if self.functional.algebra != self.flow.algebra:
             raise ValueError("state and flow live on different algebras")
+
+    @classmethod
+    def _certified(cls, functional: Functional, beta: float, flow: InnerFlow) -> "KmsState":
+        """The state of a functional its caller has put through ``__post_init__``'s
+        checks, installed as given; nothing is checked here."""
+        state = cls.__new__(cls)
+        state.functional, state.beta, state.flow = functional, beta, flow
+        return state
 
     @property
     def algebra(self):
@@ -140,7 +166,7 @@ class KmsVerdict:
 def gibbs(flow: InnerFlow, beta: float) -> KmsState:
     """The normalized state e^{-βh}/Tr e^{-βh}, faithful for any finite β."""
     beta = float(beta)
-    mats, traces = _boltzmann(flow, beta)
+    mats, traces = _boltzmann_at(flow, beta)
     z = traces.sum()
     density = AlgElement(flow.algebra, [m / z for m in mats])
     return KmsState(Functional(flow.algebra, density), beta, flow)
@@ -153,8 +179,9 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
     Route one tests the exchange identity ω(ab) = ω(b σ_{iβ}(a)) on every
     pair of eigenbasis matrix units (the identity is sesquilinear, so a
     basis suffices), in closed form: O(n²) memory and no loop over the units
-    (see :func:`~kmslab.algebra._exchange_residual`). Route two tests
-    ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) on ``samples`` ≥ 0 seeded random
+    (see :func:`~kmslab.algebra._exchange_sheets`); the worst pair is searched
+    in the one block that reports it (:func:`~kmslab.algebra._exchange_witness`).
+    Route two tests ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) on ``samples`` ≥ 0 seeded random
     elements, stacked in chunks, as one basis map and two Gram forms per
     block (see :func:`_half_shift_residual`); for a small enough algebra and
     an integer seed the samples are read from a normal prefix kept for the
@@ -173,14 +200,19 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
     _check_exp_cap(beta, flow.spectral_spread)      # the factors e^{-β(λ_k-λ_l)} below
 
     # route one, per block in the eigenbasis: for units a=E_kl, b=E_mn the two
-    # sides are δ_lm·d[n,k] and e^{-β(λ_k-λ_l)}·δ_nk·d[l,m]; later blocks win
-    # ties, and the first NaN residual sticks
+    # sides are δ_lm·d[n,k] and e^{-β(λ_k-λ_l)}·δ_nk·d[l,m]. Every block gives its
+    # maximum; the witness is searched in one block only: a later block wins a tie,
+    # a NaN maximum sticks, and the last NaN block gives the witness
     residual_exchange = 0.0
     density = flow.to_eigenbasis(omega.density)
     for b, (w, dd) in enumerate(zip(flow.eigenvalues, density)):
-        val, (k, l, m, nn) = _exchange_residual(dd, np.exp(-beta * (w[:, None] - w[None, :])))
-        if val >= residual_exchange or np.isnan(val):
-            residual_exchange, worst = val, ((b, k, l), (b, m, nn))
+        fac = np.exp(-beta * (w[:, None] - w[None, :]))
+        val, sheets = _exchange_sheets(dd, fac)
+        if val >= residual_exchange or math.isnan(val):
+            residual_exchange, picked = val, (b, dd, fac, sheets)
+    b, dd, fac, sheets = picked
+    k, l, m, nn = _exchange_witness(dd, fac, sheets, residual_exchange)
+    worst = ((b, k, l), (b, m, nn))
 
     residual_half = _half_shift_residual(flow, density, beta, samples, seed)
     max_resid = float(np.max((residual_exchange, residual_half)))     # NaN propagates
@@ -276,7 +308,7 @@ def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | No
         phi = obj
         if flow is None or beta is None:
             raise ValueError("plain functionals need an explicit flow and β")
-    mats, traces = _boltzmann(flow, beta)
+    mats, traces = _boltzmann_at(flow, beta)
     scale = phi.density.tol_scale()
     gam = np.empty(len(mats))
     for i, (m, d) in enumerate(zip(mats, phi.density.blocks)):
@@ -292,7 +324,7 @@ def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | No
 def _from_coefficients(flow: InnerFlow, beta: float, gam: np.ndarray,
                        normalize: bool = False) -> Functional:
     """Σ_i γ_i e^{-β(h_i - c)}, γ first scaled to mass one if ``normalize``."""
-    mats, traces = _boltzmann(flow, beta)
+    mats, traces = _boltzmann_at(flow, beta)
     if normalize:
         mass = float(np.dot(gam, traces))
         if mass <= 0:
@@ -326,7 +358,7 @@ class KmsSimplex:
     def barycentric_of(self, psi: KmsState) -> np.ndarray:
         """Weights of ψ in this simplex (γ_i · Tr e^{-βh_i})."""
         gam = coefficients_of(psi)
-        _, traces = _boltzmann(self.flow, self.beta)
+        _, traces = _boltzmann_at(self.flow, self.beta)
         return gam * traces
 
 
@@ -335,20 +367,26 @@ def _simplex_at(flow: InnerFlow, beta: float, normalized: list[np.ndarray]) -> K
     blocks e^{-β(h_i - c)}/Tr e^{-β(h_i - c)} and is zero elsewhere.
 
     Vertex i adopts its block, complex as ``_boltzmann`` makes it, as given; every
-    other block is one read-only zero block per shape, shared by all the vertices."""
+    other block is one read-only zero block per shape, shared by all the vertices.
+    Each vertex is checked once, in order, by :class:`KmsState`'s mass test and
+    message on the trace of its one block: the zero blocks add exactly 0 to its
+    mass. It is then installed with ``KmsState._certified``."""
     zeros = {shape: np.zeros(shape, dtype=complex) for shape in {d.shape for d in normalized}}
     verts = []
     for i, d in enumerate(normalized):
+        mass = float(np.trace(d).real)
+        if not abs(mass - 1.0) <= 1e-8:
+            raise ValueError(f"not normalized (mass {mass:.6g})")
         blocks = [d if j == i else zeros[m.shape] for j, m in enumerate(normalized)]
         f = Functional(flow.algebra, AlgElement._adopt(flow.algebra, blocks), check=False)
-        verts.append(KmsState(f, beta, flow))
+        verts.append(KmsState._certified(f, beta, flow))
     return KmsSimplex(flow=flow, beta=beta, vertices=verts)
 
 
 def kms_simplex(flow: InnerFlow, beta: float) -> KmsSimplex:
     """Vertices: the per-block Gibbs states (all coefficients on one block)."""
     beta = float(beta)
-    mats, traces = _boltzmann(flow, beta)
+    mats, traces = _boltzmann_at(flow, beta)
     return _simplex_at(flow, beta, [m / t for m, t in zip(mats, traces)])
 
 

@@ -9,6 +9,7 @@ from kmslab import (
     AlgElement,
     BlockAlgebra,
     Functional,
+    InnerFlow,
     Projection,
     center_projections,
     commutant_basis,
@@ -67,6 +68,41 @@ def test_norm_submultiplicative():
         a = random_element(alg, RNG)
         b = random_element(alg, RNG)
         assert (a @ b).norm() <= a.norm() * b.norm() + 1e-10
+
+
+def _fresh_norm(blocks):
+    """The operator norm as np.linalg.norm computes it, block by block."""
+    return max(float(np.linalg.norm(a, 2)) for a in blocks)
+
+
+@given(dims=st.lists(st.integers(1, 12), min_size=1, max_size=3), seed=st.integers(0, 2 ** 16),
+       zero=st.integers(-1, 2), scale=st.sampled_from([1e-3, 0.5, 1.0, 7.0]))
+def test_kept_norm_equals_a_fresh_one(dims, seed, zero, scale):
+    alg = BlockAlgebra(tuple(dims))
+    a = random_element(alg, np.random.default_rng(seed), scale=scale)
+    if 0 <= zero < len(dims):                               # one all-zero block
+        a = alg.element([np.zeros_like(b) if i == zero else b for i, b in enumerate(a.blocks)])
+    want = _fresh_norm(a.blocks)
+    assert a.norm() == want and a.norm() == want            # computed, then kept
+    assert a.tol_scale() == max(1.0, want)
+    flow = InnerFlow(alg, 0.5 * (a + a.adjoint()))
+    assert flow.generator.norm() == AlgElement(alg, flow.generator.blocks).norm()
+
+
+def test_kept_norm_of_a_nan_block_is_nan_or_the_svd_error():
+    alg = BlockAlgebra((3, 2))
+    for pos in [(0, 0), (1, 2), (2, 2)]:
+        blocks = [np.eye(3, dtype=complex), np.ones((2, 2), dtype=complex)]
+        blocks[0][pos] = np.nan
+        a = alg.element(blocks)
+        try:
+            want = _fresh_norm(a.blocks)
+        except np.linalg.LinAlgError as error:
+            for _ in range(2):
+                with pytest.raises(np.linalg.LinAlgError, match=str(error)):
+                    a.norm()
+        else:
+            assert np.isnan(want) and np.isnan(a.norm()) and np.isnan(a.norm())
 
 
 def test_positivity_predicate():

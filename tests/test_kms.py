@@ -22,6 +22,7 @@ from kmslab import (
     from_trace,
     gibbs,
     is_positive,
+    kms_bundle_fd,
     kms_simplex,
     lattice_join,
     lattice_meet,
@@ -33,8 +34,8 @@ from kmslab import (
     trace_of,
     verify_kms,
 )
-from kmslab import kms
-from kmslab.algebra import random_state
+from kmslab import bundle, kms
+from kmslab.algebra import _exchange_residual, random_state
 from kmslab.kms import EXP_CAP
 
 RNG = np.random.default_rng(1123)
@@ -139,6 +140,37 @@ def test_route_one_matches_reference_route():
     assert verify_kms(tie, _trace_state(tie.algebra), 1.0, samples=1).worst_pair[0][0] == 2
     zero = Functional(tie.algebra, tie.algebra.zero())
     assert verify_kms(tie, zero, 1.0, samples=1).worst_pair == ((2, 0, 0), (2, 0, 0))
+
+
+def _route_one_nan_cases():
+    """(flow, functional, β, the block whose witness is reported) for densities with NaN
+    in some blocks of a (2, 2, 2) flow: a NaN spreads over its eigenbasis block, the NaN
+    maximum sticks against later finite blocks, larger ones too, and the last NaN block
+    gives the witness, at its first pair (0, 0, 0, 0)."""
+    flow = _diag_flow((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))
+    alg = flow.algebra
+    cases = []
+    for nan_blocks, big in [((0, 2), None), ((0,), None), ((1,), None), ((0, 1), 2),
+                            ((2,), 0), ((0,), 1)]:
+        blocks = [np.eye(2, dtype=complex) / 6 for _ in range(3)]
+        if big is not None:
+            blocks[big] = np.array([[5.0, 3.0], [3.0, 1e-3]], dtype=complex)
+        for b in nan_blocks:
+            blocks[b][0, 1] = np.nan
+        cases.append((flow, Functional(alg, alg.element(blocks), check=False), 1.0,
+                      nan_blocks[-1]))
+    return cases
+
+
+def test_route_one_nan_rule():
+    for flow, omega, beta, block in _route_one_nan_cases():
+        v = verify_kms(flow, omega, beta, samples=1)
+        assert math.isnan(v.residual_exchange) and not v.passed
+        assert v.worst_pair == ((block, 0, 0), (block, 0, 0))
+        # the reported block's own maximum and witness, as _exchange_residual gives them
+        w, dd = flow.eigenvalues[block], flow.to_eigenbasis(omega.density)[block]
+        val, pair = _exchange_residual(dd, np.exp(-beta * (w[:, None] - w[None, :])))
+        assert math.isnan(val) and pair == (0, 0, 0, 0)
 
 
 def _reference_route_two(flow, omega, beta, samples=100, seed=7):
@@ -766,3 +798,91 @@ def test_simplex_sweep_mass_test_fires_on_the_first_bad_vertex(monkeypatch, entr
     with pytest.raises(ValueError, match=r"not normalized \(mass 1\.25\)"):
         kms_simplex(flow, 0.5)
     assert simplex_sweep(flow, [0.0, 1.0]).tolist() == [[1, 2], [1, 2]]
+
+
+def test_bundle_mass_test_fires_on_the_first_bad_vertex(monkeypatch):
+    """The stacks of the sweep's test, patched where kms_bundle_fd reads them: the
+    grid's first bad vertex, by β then by block, raises KmsState's message."""
+    flow = _random_flow((2, 3), rng=np.random.default_rng(5))
+    real = kms._boltzmann
+
+    def leaky(flow, beta):
+        mats, traces = real(flow, beta)
+        betas = np.asarray(beta, dtype=float)
+        mats[1][betas == 0.5] *= 1.25
+        mats[0][betas == 1.5] *= 0.5
+        return mats, traces
+
+    monkeypatch.setattr(bundle, "_boltzmann", leaky)
+    with pytest.raises(ValueError, match=r"not normalized \(mass 1\.25\)"):
+        kms_bundle_fd(flow, [0.0, 0.25, 0.5, 1.0, 1.5])
+    with pytest.raises(ValueError, match=r"not normalized \(mass 0\.5\)"):
+        kms_bundle_fd(flow, [1.0, 1.5, 2.0])
+    _, cert = kms_bundle_fd(flow, [0.0, 1.0])
+    assert cert.ok and cert.vertex_counts == [2, 2]
+
+
+# -- the Boltzmann blocks kept per flow and β ------------------------------------
+
+def _outputs_at(flow, beta, psi=None, simplex=None):
+    """Every equilibrium output at (flow, β) that reads the kept blocks, as bytes; ψ and
+    the simplex may come from earlier calls, made when another β was kept."""
+    psi = gibbs(flow, beta) if psi is None else psi
+    simplex = kms_simplex(flow, beta) if simplex is None else simplex
+    tau = trace_of(psi)
+    back = from_trace(tau, flow, beta)
+    arrays = [*psi.density.blocks, simplex.barycentric_of(psi), *tau.density.blocks,
+              *back.density.blocks,
+              coefficients_of(psi.functional, flow, beta), coefficients_of(back)]
+    arrays += [b for v in simplex.vertices for b in v.density.blocks]
+    return [a.tobytes() for a in arrays]
+
+
+def test_kept_boltzmann_never_serves_another_beta():
+    rng = np.random.default_rng(3434)
+    alg = BlockAlgebra((2, 3, 1))
+    h = random_hermitian(alg, rng, scale=2.0)
+    flow = InnerFlow(alg, h)
+    assert flow._kept_boltzmann is None
+    betas = (1.3, -1.3, 0.0, -0.0)
+    want = {b.hex(): _outputs_at(InnerFlow(alg, h), b) for b in betas}
+    psis = {b.hex(): gibbs(flow, b) for b in betas}
+    simplices = {b.hex(): kms_simplex(flow, b) for b in betas}
+    for beta in (-0.0, 1.3, 0.0, -1.3, 1.3, -0.0, -1.3, 0.0):
+        kms_bundle_fd(flow, [beta - 0.5, beta, beta + 0.5])
+        assert _outputs_at(flow, beta, psis[beta.hex()], simplices[beta.hex()]) \
+            == want[beta.hex()]
+        assert flow._kept_boltzmann[0] == beta.hex()        # 0.0 and −0.0 are two keys
+        assert _outputs_at(flow, beta) == want[beta.hex()]
+    # the kept arrays are read-only, and a refused β keeps what was kept
+    kept = flow._kept_boltzmann
+    for a in (*kept[1], kept[2]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    for bad, message in ((math.nan, "β = nan is not finite"), (math.inf, "β = inf is not finite"),
+                         (1e6, f"exceeds {EXP_CAP:g}"), (-1e6, f"exceeds {EXP_CAP:g}")):
+        with pytest.raises(ValueError, match=message) as fresh_error:
+            gibbs(InnerFlow(alg, h), bad)
+        for call in (lambda: gibbs(flow, bad), lambda: kms_simplex(flow, bad),
+                     lambda: coefficients_of(psis[(0.0).hex()].functional, flow, bad)):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == str(fresh_error.value)
+            assert flow._kept_boltzmann is kept
+
+
+def test_threads_alternating_beta_on_one_flow_get_the_serial_bits():
+    rng = np.random.default_rng(3535)
+    alg = BlockAlgebra((4, 2))
+    h = random_hermitian(alg, rng)
+    betas = [0.9, -0.4, 2.0, 0.0]
+    serial = {b: _outputs_at(InnerFlow(alg, h), b) for b in betas}
+    flow = InnerFlow(alg, h)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [(b, pool.submit(_outputs_at, flow, b)) for b in betas * 6]
+            assert all(f.result(timeout=60) == serial[b] for b, f in futures)
+    finally:
+        sys.setswitchinterval(interval)
