@@ -194,9 +194,11 @@ class AlgElement:
 
 
 class Functional:
-    """A positive linear functional a ↦ Σ_i Tr(d_i a_i), stored by its density."""
+    """A positive linear functional a ↦ Σ_i Tr(d_i a_i), stored by its density.
+    ``_gns`` is where :func:`kmslab.modular.gns` keeps the GNS triple it built, with the
+    density element it was built from; None until then."""
 
-    __slots__ = ("algebra", "density")
+    __slots__ = ("algebra", "density", "_gns")
 
     def __init__(self, algebra: BlockAlgebra, density: AlgElement, check: bool = True):
         if density.algebra != algebra:
@@ -212,6 +214,7 @@ class Functional:
                 raise ValueError(f"density not positive semidefinite (min eigenvalue {lo:.3e})")
         self.algebra = algebra
         self.density = density
+        self._gns = None
 
     def value(self, a: AlgElement) -> complex:
         if a.algebra != self.algebra:

@@ -16,6 +16,11 @@ eigenvalue. They are compared — never merged — in the test-suite.
 
 In Λ coordinates π(A) = ⊕ M_n ⊗ 1, so π(A)′ = ⊕ 1 ⊗ M_n in closed form. The checks read this
 structure, meet no N above ``MAX_GNS_DIM``, and keep their SVD and dense routes as test oracles.
+
+Each object is built once per state: :func:`gns` keeps the triple on the functional, and
+:func:`modular_data` keeps each route's ``ModularData`` on the triple, all with read-only
+arrays. So ``verify_modular_flow`` after ``gns`` and ``modular_data(g)`` on the same state
+builds neither again.
 """
 
 from __future__ import annotations
@@ -32,9 +37,17 @@ from .kms import KmsState
 MAX_GNS_DIM = 144
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 class GnsTriple:
     """Hilbert space ℂ^N (N = Σ n_i²), representation, and cyclic vector. Each density
-    block's one ``eigh`` is kept in ``density_eigs``: faithfulness, d^{1/2} and d⁻¹ read it."""
+    block's one ``eigh`` is kept in ``density_eigs``: faithfulness, d^{1/2} and d⁻¹ read it.
+    ``density_eigs`` and ``sqrt_blocks`` are read-only, and :func:`modular_data` keeps each
+    route's result on the triple. A direct call builds a fresh triple; :func:`gns` keeps
+    one on the functional. The triple holds no reference to the functional."""
 
     def __init__(self, algebra: BlockAlgebra, state: Functional):
         if state.algebra != algebra:
@@ -42,13 +55,14 @@ class GnsTriple:
         self.dim = algebra.coord_dim
         if self.dim > MAX_GNS_DIM:
             raise ValueError(f"GNS dimension {self.dim} exceeds the desk-scale cap {MAX_GNS_DIM}")
-        self.density_eigs = [np.linalg.eigh(d) for d in state.density.blocks]
+        self.density_eigs = tuple(np.linalg.eigh(d) for d in state.density.blocks)
         if not all(w[0] > 1e-12 for w, _ in self.density_eigs):
             raise ValueError("density not strictly positive; the GNS inner product "
                              "would be degenerate (compress to the support first)")
         self.algebra = algebra
-        self.state = state
-        self.sqrt_blocks = [(u * np.sqrt(w)) @ u.conj().T for w, u in self.density_eigs]
+        self.sqrt_blocks = tuple((u * np.sqrt(w)) @ u.conj().T for w, u in self.density_eigs)
+        _read_only(*(a for eig in self.density_eigs for a in eig), *self.sqrt_blocks)
+        self._kept_modular = {}
         offs, off = [], 0
         for n in algebra.block_dims:
             offs.append(off)
@@ -86,7 +100,17 @@ class GnsTriple:
 
 
 def gns(algebra: BlockAlgebra, omega: Functional) -> GnsTriple:
-    return GnsTriple(algebra, omega)
+    """The GNS triple of ``omega``, kept on it (``omega._gns``) with the density element it
+    was built from. Later calls return it while ``omega.density`` is that very element and
+    the algebra is equal; otherwise a new triple is built and kept. A refusal raises as
+    :class:`GnsTriple` does and leaves what is kept as it was."""
+    kept = omega._gns
+    if (kept is not None and kept[0] is omega.density
+            and kept[1].algebra == algebra == omega.algebra):
+        return kept[1]
+    g = GnsTriple(algebra, omega)
+    omega._gns = (omega.density, g)
+    return g
 
 
 def _block_kron(g: GnsTriple, mats, eye_first: bool) -> np.ndarray:
@@ -144,11 +168,20 @@ class ModularData:
 
 
 def modular_data(g: GnsTriple, method: str = "polar") -> ModularData:
-    if method == "closed_form":
-        return _modular_closed_form(g)
-    if method != "polar":
+    """Δ and J of the triple's state by ``method`` ("polar" or "closed_form"). The first
+    call per route builds it and keeps it on the triple, with read-only arrays; later calls
+    return that object. An unknown method or a polar fault raises and keeps nothing."""
+    if method not in ("polar", "closed_form"):
         raise ValueError(f"unknown method {method!r}")
+    kept = g._kept_modular.get(method)
+    if kept is None:
+        md = _modular_closed_form(g) if method == "closed_form" else _modular_polar(g)
+        _read_only(md.log_eigenvalues, md.log_eigenvectors, md.conj_kernel)
+        kept = g._kept_modular.setdefault(method, md)
+    return kept
 
+
+def _modular_polar(g: GnsTriple) -> ModularData:
     L = g.basis_matrix()
     P = g.adjoint_permutation()
     # S Λ(a) = Λ(a*) pins the antilinear kernel: S v = M_s · conj(v), M_s = L P conj(L)⁻¹

@@ -1,10 +1,14 @@
 """GNS construction, the modular operator by two routes, and the commutant."""
 
 import dataclasses
+import gc
 import json
 import math
+import sys
 import time
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from kmslab import (
     verify_modular_flow,
 )
 from kmslab import algebra, modular
-from kmslab.algebra import InternalFault, commutant_basis
+from kmslab.algebra import Functional, InternalFault, commutant_basis
 from kmslab.cli import main
 from kmslab.kms import support_compression
 from kmslab.modular import (DEFAULT_T_SAMPLES, MAX_GNS_DIM, GnsTriple, ModularData,
@@ -812,3 +816,169 @@ def test_gns_cap_is_checked_before_any_modular_route(tmp_path, capsys, monkeypat
     assert f"GNS dimension 145 exceeds the desk-scale cap {MAX_GNS_DIM}" in \
         capsys.readouterr().err
     assert calls == []
+
+
+# -- one triple per state, one ModularData per triple and route --------------------------
+
+def _bits(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _triple_bits(g):
+    return _bits(*(a for eig in g.density_eigs for a in eig), *g.sqrt_blocks)
+
+
+def _md_bits(md):
+    return [md.method] + _bits(md.log_eigenvalues, md.log_eigenvectors, md.conj_kernel)
+
+
+def _fresh_copy(phi):
+    """A second functional whose density is an equal element, not the same one."""
+    return Functional(phi.algebra, phi.algebra.element(list(phi.density.blocks)))
+
+
+def test_gns_keeps_one_triple_per_functional():
+    alg = BlockAlgebra((2, 3))
+    phi = random_state(alg, np.random.default_rng(7700))
+    assert phi._gns is None
+    g = gns(alg, phi)
+    assert gns(alg, phi) is g and gns(BlockAlgebra((2, 3)), phi) is g
+    assert not hasattr(g, "state")
+    for a in (*(a for eig in g.density_eigs for a in eig), *g.sqrt_blocks):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # an equal density on another functional, or a direct call, gets its own triple
+    twin = _fresh_copy(phi)
+    assert twin.density is not phi.density
+    for other in (gns(alg, twin), GnsTriple(alg, phi)):
+        assert other is not g and _triple_bits(other) == _triple_bits(g)
+    assert gns(alg, phi) is g
+    # a new density element on the functional is a new state
+    phi.density = twin.density
+    assert gns(alg, phi) is not g and gns(alg, phi) is gns(alg, phi)
+
+
+def _refusals():
+    over = BlockAlgebra((12, 1))
+    big = gibbs(InnerFlow(over, random_hermitian(over, np.random.default_rng(7710))), 1.0)
+    small = BlockAlgebra((2, 2))
+    vertex = kms_simplex(InnerFlow(small, random_hermitian(small, np.random.default_rng(7711))),
+                         1.0).vertices[0]
+    phi = random_state(small, np.random.default_rng(7712))
+    gns(small, phi)                                     # a kept triple must survive a refusal
+    return [(over, big.functional, "GNS dimension 145 exceeds"),
+            (small, vertex.functional, "not strictly positive"),
+            (BlockAlgebra((4,)), phi, "different algebra")]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_refused_triples_raise_again_and_keep_nothing(case):
+    alg, omega, message = _refusals()[case]
+    kept = omega._gns
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message) as error:
+            gns(alg, omega)
+        errors.append(str(error.value))
+        assert omega._gns is kept
+    assert errors[0] == errors[1]
+    with pytest.raises(ValueError) as error:
+        GnsTriple(alg, omega)
+    assert str(error.value) == errors[0]
+
+
+def test_modular_data_keeps_one_object_per_route():
+    alg = BlockAlgebra((2, 1, 3))
+    phi = random_state(alg, np.random.default_rng(7720))
+    g = gns(alg, phi)
+    with pytest.raises(ValueError, match="unknown method 'svd'"):
+        modular_data(g, "svd")
+    assert g._kept_modular == {}
+    fresh = GnsTriple(alg, _fresh_copy(phi))
+    for method in ("polar", "closed_form"):
+        md = modular_data(g, method)
+        assert modular_data(g, method) is md and modular_data(gns(alg, phi), method) is md
+        for a in (md.log_eigenvalues, md.log_eigenvectors, md.conj_kernel):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        again = modular_data(fresh, method)
+        assert again is not md and _md_bits(again) == _md_bits(md)
+        assert commutant_gap(g, md) == commutant_gap(fresh, again)
+    assert modular_data(g) is modular_data(g, "polar")
+    assert modular_data(g, "closed_form") is not modular_data(g, "polar")
+
+
+def test_a_polar_fault_keeps_nothing(monkeypatch):
+    alg = BlockAlgebra((2, 2))
+    g = gns(alg, random_state(alg, np.random.default_rng(7730)))
+    svd = np.linalg.svd
+
+    def singular(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return u, np.where(np.arange(s.size) == s.size - 1, 0.0, s), vh
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", singular)
+        for _ in range(2):
+            with pytest.raises(InternalFault, match="non-positive or non-finite"):
+                modular_data(g)
+    assert g._kept_modular == {}
+    assert modular_data(g).method == "polar" and list(g._kept_modular) == ["polar"]
+
+
+def test_threads_building_one_state_get_the_serial_bits():
+    alg = BlockAlgebra((3, 2))
+    rng = np.random.default_rng(7740)
+    states = [random_state(alg, rng) for _ in range(4)]
+
+    def build(phi):
+        g = gns(alg, phi)
+        return _triple_bits(g) + _md_bits(modular_data(g, "polar"))
+
+    serial = [build(_fresh_copy(phi)) for phi in states]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [(i, pool.submit(build, states[i])) for i in range(4) for _ in range(4)]
+            assert all(f.result(timeout=60) == serial[i] for i, f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [build(phi) for phi in states] == serial
+
+
+def test_a_kept_triple_dies_with_its_functional():
+    alg = BlockAlgebra((2, 2))
+    phi = random_state(alg, np.random.default_rng(7750))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = gns(alg, phi)
+        modular_data(g)
+        modular_data(g, "closed_form")
+        alive = weakref.ref(g)
+        del g
+        assert alive() is not None
+        del phi                                  # reference counting alone frees the triple
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_verify_modular_flow_reads_the_kept_objects(monkeypatch):
+    flow, psi, g = _gibbs_setup((2, 3), beta=0.9, rng=np.random.default_rng(7760))
+    md = modular_data(g, "polar")
+    calls = []
+    init, solve = GnsTriple.__init__, np.linalg.solve
+    with monkeypatch.context() as m:
+        m.setattr(GnsTriple, "__init__", lambda *a, **k: calls.append("triple") or init(*a, **k))
+        m.setattr(np.linalg, "solve", lambda *a, **k: calls.append("solve") or solve(*a, **k))
+        rep = verify_modular_flow(flow, psi)
+        assert calls == []
+        fresh = KmsState(functional=_fresh_copy(psi.functional), beta=psi.beta, flow=flow)
+        want = verify_modular_flow(flow, fresh)
+        assert calls == ["triple", "solve"]
+    assert modular_data(g) is md and psi.functional._gns[1] is g
+    assert rep.passed and rep == want
+    assert rep.max_residual.hex() == want.max_residual.hex()
