@@ -25,6 +25,29 @@ def _fro_norm(blocks) -> float:
     return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in blocks)))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _keep(owner, slot: str, key, build):
+    """``build()``, stored on ``owner`` as the one pair ``(key, value)`` in attribute ``slot``
+    (None until then) and returned again while the key is equal: the one rule for results
+    kept on an object (Michie, "Memo functions and machine learning", Nature 218, 1968).
+    Kept arrays are read-only. The key names everything the value reads; ``==`` decides,
+    so an element in it compares by identity. A raising build keeps nothing. The pair is
+    replaced whole, so threads with different keys each get their own value. The value
+    holds no reference to its owner, so it dies with the owner by reference counting.
+    Results of arguments alone (``lru_cache``) or of a frozen object (``cached_property``)
+    need no key and stay on those rules."""
+    kept = getattr(owner, slot)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    value = build()
+    setattr(owner, slot, (key, value))
+    return value
+
+
 class InternalFault(RuntimeError):
     """A computation broke an invariant that holds for every valid input: a fault of
     the library, not of its input (CLI exit 3)."""
@@ -101,8 +124,7 @@ class AlgElement:
             m = np.array(blk, dtype=complex)
             if m.shape != (n, n):
                 raise ValueError(f"block of shape {m.shape}, expected {(n, n)}")
-            m.flags.writeable = False
-            mats.append(m)
+            mats.append(_read_only(m))
         self.algebra = algebra
         self.blocks = tuple(mats)
         self._norm = None
@@ -112,10 +134,8 @@ class AlgElement:
         """The element with these blocks, taken over as they are: for fresh complex
         arrays of the right shapes that no one else holds, or read-only arrays that
         elements may share. They are made read-only, but neither copied nor checked."""
-        for m in blocks:
-            m.flags.writeable = False
         el = cls.__new__(cls)
-        el.algebra, el.blocks, el._norm = algebra, tuple(blocks), None
+        el.algebra, el.blocks, el._norm = algebra, tuple(map(_read_only, blocks)), None
         return el
 
     # -- arithmetic ---------------------------------------------------------
@@ -153,11 +173,10 @@ class AlgElement:
         """Operator norm: the largest singular value over the blocks, from the
         singular values that ``np.linalg.norm(a, 2)`` takes, so equal to it bit for
         bit, NaN and ``LinAlgError`` included; an all-zero block needs no SVD. The
-        blocks are read-only, so the first value is kept on the element."""
-        if self._norm is None:
-            self._norm = max(float(np.linalg.svdvals(a).max())
-                             if np.count_nonzero(a) else 0.0 for a in self.blocks)
-        return self._norm
+        blocks are read-only, so the value is kept on the element by :func:`_keep`."""
+        return _keep(self, "_norm", (), lambda: max(float(np.linalg.svdvals(a).max())
+                                                    if np.count_nonzero(a) else 0.0
+                                                    for a in self.blocks))
 
     def tol_scale(self) -> float:
         """max(1, ‖a‖₂), the scale of the package's relative tolerances. Since
@@ -195,8 +214,7 @@ class AlgElement:
 
 class Functional:
     """A positive linear functional a ↦ Σ_i Tr(d_i a_i), stored by its density.
-    ``_gns`` is where :func:`kmslab.modular.gns` keeps the GNS triple it built, with the
-    density element it was built from; None until then."""
+    ``_gns`` is the slot where :func:`kmslab.modular.gns` keeps its triple by :func:`_keep`."""
 
     __slots__ = ("algebra", "density", "_gns")
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _LOG_FLOAT_MAX, InternalFault
+from .algebra import _LOG_FLOAT_MAX, InternalFault, _read_only
 from .flow import InnerFlow
 from .kms import KmsSimplex, _boltzmann, _simplex_at
 
@@ -67,14 +67,10 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class DimensionGroupSpec:
-    """A cone-preserving rational matrix with a strictly positive unit."""
+    """A cone-preserving rational matrix with a strictly positive unit. What it derives
+    is kept by ``cached_property``, not ``_keep``: a frozen spec has nothing to key on."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
     order_unit: tuple[Fraction, ...]

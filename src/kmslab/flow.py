@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TOL, AlgElement, BlockAlgebra, Functional, InternalFault, _fro_norm
+from .algebra import (TOL, AlgElement, BlockAlgebra, Functional, InternalFault, _fro_norm,
+                      _read_only)
 
 #: refuse analytic continuation beyond this strip half-width; the entry
 #: factors reach e^{|Im z|·spread} and silently clamping would corrupt results
@@ -31,7 +32,8 @@ QUAD_TOL = 1e-8
 
 @functools.lru_cache(maxsize=32)
 def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``hermgauss(nodes)``, computed once per node count and shared read-only.
+    """``hermgauss(nodes)``, computed once per node count and shared read-only. A
+    function of its argument alone, so a function-level cache, not a ``_keep``.
 
     The quadrature pairs node x with −x, so the rule must be exactly symmetric
     (Golub & Welsch): ascending nodes with x_k = −x_{K−1−k}, the upper half
@@ -40,8 +42,7 @@ def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     if not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
             and (x[(nodes + 1) // 2:] > 0).all()):
         raise InternalFault(f"Gauss–Hermite rule of {nodes} nodes is not symmetric")
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return _read_only(x), _read_only(w)
 
 
 class AnalyticRangeError(ValueError):
@@ -88,8 +89,7 @@ class InnerFlow:
         self.generator = generator
         self.eigenvalues: list[np.ndarray] = []
         self.eigenvectors: list[np.ndarray] = []
-        #: (β.hex(), blocks, traces) of the last float β at which ``kms`` evaluated
-        #: the Boltzmann blocks, read-only; None until then
+        #: the slot of ``kms._boltzmann_at``'s ``_keep``
         self._kept_boltzmann = None
         for h in generator.blocks:
             w, u = np.linalg.eigh(h)

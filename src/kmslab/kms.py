@@ -11,9 +11,8 @@ Every Boltzmann factor comes from one route, ``_boltzmann``, at one β or along 
 vector of them: e^{-β(h − c)} with c the extreme eigenvalue of all blocks, a shift
 that never changes a state but keeps the factors from overflowing. Coefficient
 vectors are only compared with vectors made under the same shift. At one float β
-the layers read it through ``_boltzmann_at``, which keeps the last β's blocks on
-the flow, so the states, the simplex and the coefficients at one (flow, β) share
-one evaluation.
+the layers read it through ``_boltzmann_at``, kept on the flow by
+:func:`~kmslab.algebra._keep`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (AlgElement, BlockAlgebra, Functional, Projection, _exchange_sheets,
-                      _exchange_witness, is_trace)
+                      _exchange_witness, _keep, _read_only, is_trace)
 from .flow import InnerFlow
 
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
@@ -73,18 +72,15 @@ def _boltzmann(flow: InnerFlow, beta) -> tuple[list[np.ndarray], np.ndarray]:
 
 
 def _boltzmann_at(flow: InnerFlow, beta: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """``_boltzmann(flow, β)`` at one float β, kept read-only on the flow for the last
-    β it was asked for, keyed by β's exact bits (0.0 and −0.0 differ). A refused β
-    raises in ``_boltzmann`` and leaves what is kept as it was. The kept triple is
-    replaced whole, so threads alternating β on one flow each get their β's blocks."""
+    """``_boltzmann(flow, β)`` at one float β, read-only, kept on the flow for the last
+    β by :func:`~kmslab.algebra._keep` with key ``β.hex()``."""
     beta = float(beta)
-    key, kept = beta.hex(), flow._kept_boltzmann
-    if kept is None or kept[0] != key:
+
+    def build():
         mats, traces = _boltzmann(flow, beta)
-        for a in (*mats, traces):
-            a.flags.writeable = False
-        kept = flow._kept_boltzmann = (key, tuple(mats), traces)
-    return kept[1], kept[2]
+        return tuple(map(_read_only, mats)), _read_only(traces)
+
+    return _keep(flow, "_kept_boltzmann", beta.hex(), build)
 
 
 @dataclass
@@ -281,6 +277,8 @@ def _seeded_normals(seed, count: int) -> np.ndarray | None:
     fresh draw bit for bit. The one kept prefix is replaced, as a whole (seed, prefix)
     pair drawn from a fresh generator, when the seed changes or a call needs more;
     it is never extended in place, so threads share no generator and need no lock.
+    It is not an :func:`~kmslab.algebra._keep`: it belongs to no object, and a longer
+    prefix replaces it while the key stays.
     """
     global _normal_prefix
     if not (isinstance(seed, (int, np.integer)) and seed >= 0
@@ -289,8 +287,7 @@ def _seeded_normals(seed, count: int) -> np.ndarray | None:
     key = operator.index(seed)
     kept = _normal_prefix
     if kept is None or kept[0] != key or kept[1].size < count:
-        prefix = np.random.default_rng(key).standard_normal(count)
-        prefix.flags.writeable = False
+        prefix = _read_only(np.random.default_rng(key).standard_normal(count))
         kept = _normal_prefix = (key, prefix)
     return kept[1][:count]
 

@@ -18,9 +18,8 @@ In Λ coordinates π(A) = ⊕ M_n ⊗ 1, so π(A)′ = ⊕ 1 ⊗ M_n in closed f
 structure, meet no N above ``MAX_GNS_DIM``, and keep their SVD and dense routes as test oracles.
 
 Each object is built once per state: :func:`gns` keeps the triple on the functional, and
-:func:`modular_data` keeps each route's ``ModularData`` on the triple, all with read-only
-arrays. So ``verify_modular_flow`` after ``gns`` and ``modular_data(g)`` on the same state
-builds neither again.
+:func:`modular_data` keeps each route's ``ModularData`` on the triple, by
+:func:`~kmslab.algebra._keep`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgElement, BlockAlgebra, Functional, InternalFault, Projection
+from .algebra import (AlgElement, BlockAlgebra, Functional, InternalFault, Projection, _keep,
+                      _read_only)
 from .flow import InnerFlow
 from .kms import KmsState
 
@@ -37,17 +37,12 @@ from .kms import KmsState
 MAX_GNS_DIM = 144
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 class GnsTriple:
     """Hilbert space ℂ^N (N = Σ n_i²), representation, and cyclic vector. Each density
     block's one ``eigh`` is kept in ``density_eigs``: faithfulness, d^{1/2} and d⁻¹ read it.
     ``density_eigs`` and ``sqrt_blocks`` are read-only, and :func:`modular_data` keeps each
-    route's result on the triple. A direct call builds a fresh triple; :func:`gns` keeps
-    one on the functional. The triple holds no reference to the functional."""
+    route's result in its slot, ``_kept_polar`` or ``_kept_closed_form``. A direct call
+    builds a fresh triple; :func:`gns` keeps one on the functional."""
 
     def __init__(self, algebra: BlockAlgebra, state: Functional):
         if state.algebra != algebra:
@@ -55,14 +50,15 @@ class GnsTriple:
         self.dim = algebra.coord_dim
         if self.dim > MAX_GNS_DIM:
             raise ValueError(f"GNS dimension {self.dim} exceeds the desk-scale cap {MAX_GNS_DIM}")
-        self.density_eigs = tuple(np.linalg.eigh(d) for d in state.density.blocks)
+        self.density_eigs = tuple(tuple(map(_read_only, np.linalg.eigh(d)))
+                                  for d in state.density.blocks)
         if not all(w[0] > 1e-12 for w, _ in self.density_eigs):
             raise ValueError("density not strictly positive; the GNS inner product "
                              "would be degenerate (compress to the support first)")
         self.algebra = algebra
-        self.sqrt_blocks = tuple((u * np.sqrt(w)) @ u.conj().T for w, u in self.density_eigs)
-        _read_only(*(a for eig in self.density_eigs for a in eig), *self.sqrt_blocks)
-        self._kept_modular = {}
+        self.sqrt_blocks = tuple(_read_only((u * np.sqrt(w)) @ u.conj().T)
+                                 for w, u in self.density_eigs)
+        self._kept_polar = self._kept_closed_form = None
         offs, off = [], 0
         for n in algebra.block_dims:
             offs.append(off)
@@ -100,17 +96,10 @@ class GnsTriple:
 
 
 def gns(algebra: BlockAlgebra, omega: Functional) -> GnsTriple:
-    """The GNS triple of ``omega``, kept on it (``omega._gns``) with the density element it
-    was built from. Later calls return it while ``omega.density`` is that very element and
-    the algebra is equal; otherwise a new triple is built and kept. A refusal raises as
-    :class:`GnsTriple` does and leaves what is kept as it was."""
-    kept = omega._gns
-    if (kept is not None and kept[0] is omega.density
-            and kept[1].algebra == algebra == omega.algebra):
-        return kept[1]
-    g = GnsTriple(algebra, omega)
-    omega._gns = (omega.density, g)
-    return g
+    """The GNS triple of ``omega``, kept on it by :func:`~kmslab.algebra._keep` with key
+    ``(omega.density, algebra)``: the density element by identity, the algebra by equality.
+    A refusal raises as :class:`GnsTriple` does."""
+    return _keep(omega, "_gns", (omega.density, algebra), lambda: GnsTriple(algebra, omega))
 
 
 def _block_kron(g: GnsTriple, mats, eye_first: bool) -> np.ndarray:
@@ -168,17 +157,13 @@ class ModularData:
 
 
 def modular_data(g: GnsTriple, method: str = "polar") -> ModularData:
-    """Δ and J of the triple's state by ``method`` ("polar" or "closed_form"). The first
-    call per route builds it and keeps it on the triple, with read-only arrays; later calls
-    return that object. An unknown method or a polar fault raises and keeps nothing."""
+    """Δ and J of the triple's state by ``method`` ("polar" or "closed_form"), with
+    read-only arrays, kept on the triple by :func:`~kmslab.algebra._keep` in one slot per
+    route. An unknown method or a polar fault raises."""
     if method not in ("polar", "closed_form"):
         raise ValueError(f"unknown method {method!r}")
-    kept = g._kept_modular.get(method)
-    if kept is None:
-        md = _modular_closed_form(g) if method == "closed_form" else _modular_polar(g)
-        _read_only(md.log_eigenvalues, md.log_eigenvectors, md.conj_kernel)
-        kept = g._kept_modular.setdefault(method, md)
-    return kept
+    route = _modular_polar if method == "polar" else _modular_closed_form
+    return _keep(g, f"_kept_{method}", (), lambda: route(g))
 
 
 def _modular_polar(g: GnsTriple) -> ModularData:
@@ -193,8 +178,9 @@ def _modular_polar(g: GnsTriple) -> ModularData:
     if not (np.all(np.isfinite(sv)) and sv[-1] > 0):
         raise InternalFault(f"polar route: S has a non-positive or non-finite singular "
                             f"value ({sv[-1]:.3e})")
-    return ModularData(log_eigenvalues=2.0 * np.log(sv), log_eigenvectors=vh.T,
-                       conj_kernel=u @ vh, method="polar")
+    return ModularData(log_eigenvalues=_read_only(2.0 * np.log(sv)),
+                       log_eigenvectors=_read_only(vh.T), conj_kernel=_read_only(u @ vh),
+                       method="polar")
 
 
 def _modular_closed_form(g: GnsTriple) -> ModularData:
@@ -208,8 +194,8 @@ def _modular_closed_form(g: GnsTriple) -> ModularData:
         log_w = np.log(w)
         lam[sl] = (log_w[:, None] - log_w[None, :]).ravel()
         vecs[sl, sl] = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(n * n, n * n)
-    return ModularData(log_eigenvalues=lam, log_eigenvectors=vecs,
-                       conj_kernel=g.adjoint_permutation().astype(complex),
+    return ModularData(log_eigenvalues=_read_only(lam), log_eigenvectors=_read_only(vecs),
+                       conj_kernel=_read_only(g.adjoint_permutation().astype(complex)),
                        method="closed_form")
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _EPS, _LOG_FLOAT_MAX, AlgElement, BlockAlgebra, Functional, Projection
+from .algebra import (_EPS, _LOG_FLOAT_MAX, AlgElement, BlockAlgebra, Functional, Projection,
+                      _read_only)
 from .flow import InnerFlow
 from .kms import KmsState, _boltzmann, _check_exp_cap, gibbs
 from .periodic import distinct_gaps, gap_group
@@ -41,8 +42,7 @@ class ItpfiSpec:
             raise ValueError("site generator must be a square matrix")
         if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(h)))):
             raise ValueError("site generator must be Hermitian")
-        h.flags.writeable = False
-        object.__setattr__(self, "site_generator", h)
+        object.__setattr__(self, "site_generator", _read_only(h))
 
     @property
     def site_dim(self) -> int:

@@ -805,16 +805,14 @@ def _reference_schema_defs(which: str) -> dict:
 
 
 def _reference_validate(doc, kind: str, which: str, path: str) -> None:
-    """The validation route the CLI used before it cached validators, verbatim:
-    the sub-schema re-checked against the metaschema on every call."""
-    import jsonschema
+    """The validation route the CLI used before it cached validators: what
+    ``jsonschema.validate`` does after its metaschema check, on the :func:`_oracle`
+    validator. The metaschema check is tested once per file by
+    ``test_broken_schema_file_fails_its_metaschema_check``."""
+    from jsonschema.exceptions import best_match
 
-    defs = _reference_schema_defs(which)
-    schema = dict(defs[kind])
-    schema["$defs"] = defs
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as e:
+    e = best_match(_oracle(which, kind).iter_errors(doc))
+    if e is not None:
         where = "/".join(str(p) for p in e.absolute_path) or "(root)"
         raise cli.CliInputError(f"{path}: field {where}: {e.message}") from e
 

@@ -856,7 +856,8 @@ def test_kept_boltzmann_never_serves_another_beta():
         assert _outputs_at(flow, beta) == want[beta.hex()]
     # the kept arrays are read-only, and a refused β keeps what was kept
     kept = flow._kept_boltzmann
-    for a in (*kept[1], kept[2]):
+    mats, traces = kept[1]
+    for a in (*mats, traces):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     for bad, message in ((math.nan, "β = nan is not finite"), (math.inf, "β = inf is not finite"),
@@ -869,20 +870,3 @@ def test_kept_boltzmann_never_serves_another_beta():
                 call()
             assert str(error.value) == str(fresh_error.value)
             assert flow._kept_boltzmann is kept
-
-
-def test_threads_alternating_beta_on_one_flow_get_the_serial_bits():
-    rng = np.random.default_rng(3535)
-    alg = BlockAlgebra((4, 2))
-    h = random_hermitian(alg, rng)
-    betas = [0.9, -0.4, 2.0, 0.0]
-    serial = {b: _outputs_at(InnerFlow(alg, h), b) for b in betas}
-    flow = InnerFlow(alg, h)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [(b, pool.submit(_outputs_at, flow, b)) for b in betas * 6]
-            assert all(f.result(timeout=60) == serial[b] for b, f in futures)
-    finally:
-        sys.setswitchinterval(interval)
