@@ -160,12 +160,17 @@ class KmsVerdict:
 
 
 def gibbs(flow: InnerFlow, beta: float) -> KmsState:
-    """The normalized state e^{-βh}/Tr e^{-βh}, faithful for any finite β."""
+    """The normalized state e^{-βh}/Tr e^{-βh}, faithful for any finite β.
+
+    Each block m/Z is u·diag(p)·u* with p > 0, made by ``_boltzmann``, so the density
+    is positive semidefinite by construction: its fresh blocks are adopted and the
+    ``Functional`` is built without input checks. ``KmsState`` still checks the mass.
+    ``tests/test_certified.py`` runs the checked constructors on its output."""
     beta = float(beta)
     mats, traces = _boltzmann_at(flow, beta)
     z = traces.sum()
-    density = AlgElement(flow.algebra, [m / z for m in mats])
-    return KmsState(Functional(flow.algebra, density), beta, flow)
+    density = AlgElement._adopt(flow.algebra, [m / z for m in mats])
+    return KmsState(Functional(flow.algebra, density, check=False), beta, flow)
 
 
 def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
@@ -345,7 +350,9 @@ class KmsSimplex:
 
     def mix(self, weights) -> KmsState:
         w = np.asarray(weights, dtype=float)
-        if w.size != len(self.vertices) or np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
+        # written so that a NaN weight fails them too
+        if (w.size != len(self.vertices) or not (w >= -1e-12).all()
+                or not abs(w.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be a probability vector over the vertices")
         density = self.flow.algebra.zero()
         for wi, v in zip(w, self.vertices):

@@ -170,9 +170,10 @@ def product_kms_state(spec: ItpfiSpec, beta: float, sites: int) -> KmsState:
     bounds its s-fold power against the checks ``InnerFlow`` applies to an
     eigensystem. The generator is built in full by :func:`_site_sum`, its flow
     installed from :func:`_power_eigensystem`, and the density is ρ^{⊗s}, the
-    Kronecker power of the site's Gibbs density ρ, which passes ``Functional``'s
-    full check on the site: a Kronecker product of positive semidefinite blocks
-    is positive semidefinite. ``KmsState`` checks the trace."""
+    Kronecker power of the site's Gibbs density ρ = u·diag(p)·u*/Z with p > 0,
+    which is positive semidefinite by construction; a Kronecker product of
+    positive semidefinite blocks is positive semidefinite. ``KmsState`` checks
+    the trace."""
     if sites < 1:
         raise ValueError("need at least one site")
     h, m = spec.site_generator, spec.site_dim

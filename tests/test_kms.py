@@ -580,6 +580,13 @@ def test_mix_rejects_bad_weights():
         s.mix([1.5, -0.5])
 
 
+def test_mix_refuses_nan_weights_by_name():
+    s = kms_simplex(_random_flow((2, 2)), 1.0)
+    for weights in ([math.nan, 1.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="weights must be a probability vector"):
+            s.mix(weights)
+
+
 def test_trace_pairing_roundtrip():
     rng = np.random.default_rng(123)
     flow = _random_flow((2, 3), rng=rng)
