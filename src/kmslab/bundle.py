@@ -568,33 +568,34 @@ def verify_scaling(mu: ScalingMeasure, test_sets) -> ScalingCheckReport:
 class BundleCertificate:
     all_nonempty: bool
     vertex_counts: list[int]
-    lipschitz_bound: float          # 2‖h‖, a rigorous derivative bound
-    max_step_deviation: float       # worst ‖ρ(β')-ρ(β)‖ / (bound·|β'-β|)
+    lipschitz_bound: float          # 2‖h‖₂ = 2·max|λ| over the flow's eigenvalues
+    max_step_deviation: float       # worst ‖ρ(β')-ρ(β)‖₂ / (bound·|β'-β|) over the vertices
     ok: bool
 
 
 def kms_bundle_fd(flow: InnerFlow, beta_grid) -> tuple[list[KmsSimplex], BundleCertificate]:
     """Equilibrium simplices over a β grid plus a properness certificate:
     every fiber nonempty with the expected vertex count, and vertex
-    densities moving no faster than the mean-value bound 2‖h‖ allows.
+    densities moving no faster than the mean-value bound 2‖h‖₂ allows.
 
-    The whole grid comes from one stack of Boltzmann blocks. Vertex i at β
-    differs from vertex i at the next β in block i only, so each block's step
-    deviations are one batched spectral norm over its stack of differences.
+    The whole grid comes from one stack of Boltzmann blocks. Vertex i at β is u·diag(p_β)·u*
+    on block i, p_β its normalized Boltzmann weights, so its step deviation is
+    max_k |p_β'(λ_k) − p_β(λ_k)| and ‖h‖₂ is max|λ|: no SVD is taken (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
     """
     betas = [float(b) for b in beta_grid]
     if len(betas) < 2:
         raise ValueError("need at least two grid points")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("grid must be strictly increasing")
-    mats, traces = _boltzmann(flow, betas)
+    mats, traces, weights = _boltzmann(flow, betas)
     verts = [m / t[:, None, None] for m, t in zip(mats, traces.T)]
     simplices = [_simplex_at(flow, b, [v[s] for v in verts]) for s, b in enumerate(betas)]
-    bound = 2.0 * flow.generator.norm()     # kept on h if InnerFlow's tol_scale took it
+    bound = 2.0 * flow.generator_norm
     worst = 0.0
     if bound > 0:
         steps = np.diff(betas)[:, None]
-        dists = np.stack([np.linalg.norm(v[:-1] - v[1:], 2, axis=(1, 2)) for v in verts], axis=1)
+        dists = np.stack([np.abs(p[:-1] - p[1:]).max(axis=1) for p in weights], axis=1)
         worst = float(np.max(dists / (bound * steps)))     # NaN propagates
     counts = [len(s.vertices) for s in simplices]
     expected = flow.algebra.num_blocks

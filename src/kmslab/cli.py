@@ -270,10 +270,16 @@ def _entry(v) -> complex:
     return complex(v)
 
 
-def _matrix(rows) -> np.ndarray:
+def _matrix(rows, where: str) -> np.ndarray:
+    """The square matrix of a JSON field, refused unless every entry is finite; ``where``
+    ("<file>: field <path>") names the field in that refusal."""
     mat = np.array([[_entry(v) for v in row] for row in rows], dtype=complex)
     if mat.shape[0] != mat.shape[1]:
         raise CliInputError(f"matrix must be square, got {mat.shape[0]}×{mat.shape[1]}")
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise CliInputError(f"{where}/{i}/{j}: non-finite entry {rows[i][j]!r}")
     return mat
 
 
@@ -284,7 +290,7 @@ def _emit_matrix(mat: np.ndarray) -> list:
 def _problem(path: str) -> tuple[BlockAlgebra, InnerFlow, float | None]:
     doc = _load(path, "problem")
     dims = tuple(doc["block_dims"])
-    mats = [_matrix(b) for b in doc["generator"]]
+    mats = [_matrix(b, f"{path}: field generator/{i}") for i, b in enumerate(doc["generator"])]
     if len(mats) != len(dims) or any(m.shape[0] != d for m, d in zip(mats, dims)):
         raise CliInputError(f"{path}: generator blocks do not match block_dims {dims}")
     alg = BlockAlgebra(dims)
@@ -294,7 +300,7 @@ def _problem(path: str) -> tuple[BlockAlgebra, InnerFlow, float | None]:
 
 def _element(path: str, alg: BlockAlgebra):
     doc = _load(path, "element")
-    mats = [_matrix(b) for b in doc["blocks"]]
+    mats = [_matrix(b, f"{path}: field blocks/{i}") for i, b in enumerate(doc["blocks"])]
     if tuple(m.shape[0] for m in mats) != alg.block_dims:
         raise CliInputError(f"{path}: blocks do not match algebra dims {alg.block_dims}")
     return alg.element(mats)
@@ -520,7 +526,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_factor_type(args) -> int:
     doc = _load(args.itpfi, "itpfi")
-    spec = ItpfiSpec(_matrix(doc["site_generator"]))
+    spec = ItpfiSpec(_matrix(doc["site_generator"], f"{args.itpfi}: field site_generator"))
     report = factor_type_itpfi(spec, _finite_beta(doc["beta"], f"{args.itpfi}: field beta"))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "factor-type", "tag": report.tag,
@@ -534,7 +540,7 @@ def _cmd_factor_type(args) -> int:
 
 def _cmd_gamma(args) -> int:
     doc = _load(args.itpfi, "itpfi")
-    spec = ItpfiSpec(_matrix(doc["site_generator"]))
+    spec = ItpfiSpec(_matrix(doc["site_generator"], f"{args.itpfi}: field site_generator"))
     report = gamma_invariant(spec, _finite_beta(doc["beta"], f"{args.itpfi}: field beta"))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "gamma",
@@ -547,8 +553,10 @@ def _cmd_matroid(args) -> int:
     if args.terms < 1:
         raise CliInputError(f"--terms must be at least 1, got {args.terms}")
     doc = _load(args.family, "matroid")
-    sites = [(_matrix(s["generator"]), _matrix(s["projection"]))
-             for s in doc.get("sites", [])]
+    where = f"{args.family}: field sites"
+    sites = [(_matrix(s["generator"], f"{where}/{k}/generator"),
+              _matrix(s["projection"], f"{where}/{k}/projection"))
+             for k, s in enumerate(doc.get("sites", []))]
     spec = MatroidSpec(kind=doc["kind"], sites=sites,
                        declared_tail=doc.get("declared_tail"))
     beta = _finite_beta(args.beta, "--beta")

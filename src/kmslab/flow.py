@@ -82,8 +82,11 @@ class InnerFlow:
     def __init__(self, algebra: BlockAlgebra, generator: AlgElement):
         if generator.algebra != algebra:
             raise ValueError("generator lives in a different algebra")
-        scale = generator.tol_scale()
-        if not generator.is_hermitian(TOL * scale):
+        if not all(np.isfinite(a).all() for a in generator.blocks):
+            raise ValueError("generator has non-finite entries")
+        # tol_scale() ≥ 1, so a value within tolerance at scale 1 passes at every scale:
+        # the scale, an SVD when ‖h‖_F ≥ 1, is taken only for a value that is not
+        if not (generator.is_hermitian(TOL) or generator.is_hermitian(TOL * generator.tol_scale())):
             raise ValueError("generator must be self-adjoint")
         self.algebra = algebra
         self.generator = generator
@@ -96,7 +99,7 @@ class InnerFlow:
             err = (u * w) @ u.conj().T
             err -= h
             resid = float(np.max(np.abs(err)))
-            if not resid <= 1e-10 * scale:
+            if not (resid <= 1e-10 or resid <= 1e-10 * generator.tol_scale()):
                 raise ValueError(f"eigendecomposition residual {resid:.3e} too large")
             self.eigenvalues.append(w)
             self.eigenvectors.append(u)
@@ -112,6 +115,11 @@ class InnerFlow:
         flow.eigenvalues, flow.eigenvectors = eigenvalues, eigenvectors
         flow._kept_boltzmann = None
         return flow
+
+    @property
+    def generator_norm(self) -> float:
+        """‖h‖₂ = max|λ| over the certified eigenvalues: h is Hermitian."""
+        return max(float(np.abs(w).max()) for w in self.eigenvalues)
 
     @property
     def spectral_spread(self) -> float:

@@ -49,12 +49,13 @@ def _check_exp_cap(beta: float, spread: float) -> None:
                          "Boltzmann weights are not representable")
 
 
-def _boltzmann(flow: InnerFlow, beta) -> tuple[list[np.ndarray], np.ndarray]:
-    """The shifted Boltzmann blocks e^{-β(h_i - c)} and their traces: n × n blocks and
-    B traces for a float β, (S, n, n) stacks and (S, B) traces for S values, slice s
-    equal bit for bit to the call at β_s. c is the lowest eigenvalue of all blocks
-    for β ≥ 0 and the highest otherwise; the first β, in order, that is not finite
-    or passes ``EXP_CAP`` over their spread is refused by :func:`_check_exp_cap`."""
+def _boltzmann(flow: InnerFlow, beta) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+    """The shifted Boltzmann blocks e^{-β(h_i - c)}, their traces and each block's weights
+    e^{-β(λ - c)}/Tr over its eigenvalues: n × n blocks, B traces and n weights per block
+    for a float β, (S, …) stacks of them for S values, slice s equal bit for bit to the
+    call at β_s. c is the lowest eigenvalue of all blocks for β ≥ 0 and the highest
+    otherwise; the first β, in order, that is not finite or passes ``EXP_CAP`` over their
+    spread is refused by :func:`_check_exp_cap`."""
     betas = np.asarray(beta, dtype=float)
     low, high = min(w[0] for w in flow.eigenvalues), max(w[-1] for w in flow.eigenvalues)
     spread = float(high - low)                          # each block's w ascends
@@ -63,21 +64,22 @@ def _boltzmann(flow: InnerFlow, beta) -> tuple[list[np.ndarray], np.ndarray]:
         _check_exp_cap(next(b for b in betas.ravel().tolist() if not abs(b) * spread <= EXP_CAP),
                        spread)
     shift = np.where(betas >= 0, low, high)[..., None]
-    mats, traces = [], np.empty(betas.shape + (len(flow.eigenvalues),))
+    mats, traces, weights = [], np.empty(betas.shape + (len(flow.eigenvalues),)), []
     for i, (w, u) in enumerate(zip(flow.eigenvalues, flow.eigenvectors)):
         e = np.exp(-betas[..., None] * (w - shift))
         mats.append((u * e[..., None, :]) @ u.conj().T)
         traces[..., i] = e.sum(axis=-1)
-    return mats, traces
+        weights.append(e / traces[..., i, None])
+    return mats, traces, weights
 
 
 def _boltzmann_at(flow: InnerFlow, beta: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """``_boltzmann(flow, β)`` at one float β, read-only, kept on the flow for the last
-    β by :func:`~kmslab.algebra._keep` with key ``β.hex()``."""
+    """``_boltzmann(flow, β)``'s blocks and traces at one float β (no caller reads its weights),
+    read-only, kept on the flow for the last β by :func:`~kmslab.algebra._keep`, key ``β.hex()``."""
     beta = float(beta)
 
     def build():
-        mats, traces = _boltzmann(flow, beta)
+        mats, traces, _ = _boltzmann(flow, beta)
         return tuple(map(_read_only, mats)), _read_only(traces)
 
     return _keep(flow, "_kept_boltzmann", beta.hex(), build)
@@ -407,7 +409,7 @@ def simplex_sweep(flow: InnerFlow, betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=float)
     per_chunk = max(1, _HALF_SHIFT_CHUNK_ENTRIES // flow.algebra.coord_dim)
     for start in range(0, len(betas), per_chunk):
-        mats, traces = _boltzmann(flow, betas[start:start + per_chunk])
+        mats, traces, _ = _boltzmann(flow, betas[start:start + per_chunk])
         # the trace of each normalized block m/t, from its diagonal alone
         mass = np.stack([(np.diagonal(m, axis1=1, axis2=2) / t[:, None]).sum(axis=1).real
                          for m, t in zip(mats, traces.T)], axis=1)
@@ -462,7 +464,7 @@ def _corner_structure(flow: InnerFlow, p: Projection):
     h = flow.generator
     comm = max(np.max(np.abs(hb @ pb - pb @ hb)) if hb.size else 0.0
                for hb, pb in zip(h.blocks, p.element.blocks))
-    if comm > 1e-9 * h.tol_scale():
+    if comm > 1e-9 * max(1.0, flow.generator_norm):
         raise ValueError(f"projection does not commute with the generator "
                          f"(residual {comm:.3e}); the corner flow is undefined")
     isometries, corner_dims, parents, h_blocks = [], [], [], []
@@ -552,7 +554,7 @@ def _cone_pair(phi, psi):
     if phi.flow.algebra != psi.flow.algebra or abs(phi.beta - psi.beta) > 1e-12:
         raise ValueError("cone elements belong to different flows or different β")
     hdiff = (phi.flow.generator - psi.flow.generator).norm()
-    if hdiff > 1e-10 * phi.flow.generator.tol_scale():
+    if hdiff > 1e-10 * max(1.0, phi.flow.generator_norm):
         raise ValueError("cone elements belong to different flows")
     return phi, psi
 

@@ -40,6 +40,8 @@ class ItpfiSpec:
         h = np.array(self.site_generator, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("site generator must be a square matrix")
+        if not np.isfinite(h).all():
+            raise ValueError("site generator has non-finite entries")
         if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(h)))):
             raise ValueError("site generator must be Hermitian")
         object.__setattr__(self, "site_generator", _read_only(h))
@@ -314,7 +316,7 @@ def _site_ratio_term(h: np.ndarray, p: np.ndarray, beta: float) -> float:
     """a_j = Tr(e^{-βh})/Tr(e^{-βh}p) − 1 for one site, h checked as a flow, p as a projection."""
     site = BlockAlgebra((len(h),))
     proj = Projection(AlgElement(site, [p])).element.blocks[0]
-    (boltz,), _ = _boltzmann(InnerFlow(site, AlgElement(site, [h])), beta)
+    (boltz,), _, _ = _boltzmann(InnerFlow(site, AlgElement(site, [h])), beta)
     num = float(np.real(np.trace(boltz)))
     den = float(np.real(np.trace(boltz @ proj)))
     if den <= 0:

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kmslab import (
-    AlgElement,
     BlockAlgebra,
     BundleCertificate,
     DimensionGroupSpec,
@@ -25,6 +24,8 @@ from kmslab import (
     scaling_measure,
     verify_scaling,
 )
+from kmslab import kms
+from kmslab.kms import EXP_CAP
 from kmslab.bundle import (FLOAT_ZERO_TOL, MAX_RANK, Atom, Interval, _class_vertex, _eigen_rows,
                            _integer_null, _integer_row, _rank_exact, _rational_eigenvalue)
 
@@ -606,28 +607,117 @@ def test_finite_dimensional_bundle_certificate():
     assert len(fibers) == 21
 
 
+_U = 2.0 ** -53                 # the unit roundoff of binary64
+
+
+def _gamma(k: int) -> float:
+    """γ_k = k·u/(1 − k·u) (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., §3.1)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _reference_weights(flow, beta: float) -> list[np.ndarray]:
+    """Each block's normalized Boltzmann weights e^{-β(λ − c)}/Σ e^{-β(λ − c)} at β, with
+    the shift c of kms._boltzmann."""
+    lams = np.concatenate(flow.eigenvalues)
+    shift = lams.min() if beta >= 0 else lams.max()
+    out = []
+    for w in flow.eigenvalues:
+        e = np.exp(-beta * (w - shift))
+        out.append(e / e.sum())
+    return out
+
+
 def _reference_kms_bundle_fd(flow, beta_grid):
-    """kms_bundle_fd before it ran on one Boltzmann stack, verbatim: one
-    kms_simplex per grid point and one AlgElement.norm() SVD per vertex pair."""
+    """kms_bundle_fd as a loop: one kms_simplex per grid point and one
+    AlgElement.norm() SVD per vertex pair. Also returns, per step and block, the
+    spectral and Frobenius norms of the vertex difference."""
     betas = [float(b) for b in beta_grid]
-    if len(betas) < 2:
-        raise ValueError("need at least two grid points")
-    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("grid must be strictly increasing")
     simplices = [kms_simplex(flow, b) for b in betas]
     bound = 2.0 * flow.generator.norm()
     worst = 0.0
+    spectral, frobenius = [], []
     for s1, s2, b1, b2 in zip(simplices, simplices[1:], betas, betas[1:]):
         step = b2 - b1
-        for v1, v2 in zip(s1.vertices, s2.vertices):
-            dist = (v1.density - v2.density).norm()
+        diffs = [v1.density - v2.density for v1, v2 in zip(s1.vertices, s2.vertices)]
+        spectral.append([d.norm() for d in diffs])
+        frobenius.append([d.fro_norm() for d in diffs])
+        for dist in spectral[-1]:
             worst = max(worst, dist / (bound * step)) if bound > 0 else worst
     counts = [len(s.vertices) for s in simplices]
     expected = flow.algebra.num_blocks
     ok = all(c == expected for c in counts) and worst <= 1.0 + 1e-9
-    return simplices, BundleCertificate(all_nonempty=all(c > 0 for c in counts),
-                                        vertex_counts=counts, lipschitz_bound=bound,
-                                        max_step_deviation=worst, ok=ok)
+    cert = BundleCertificate(all_nonempty=all(c > 0 for c in counts), vertex_counts=counts,
+                             lipschitz_bound=bound, max_step_deviation=worst, ok=ok)
+    return simplices, cert, np.array(spectral), np.array(frobenius)
+
+
+def _batched_svd_kms_bundle_fd(flow, beta_grid):
+    """kms_bundle_fd's certificate as one batched spectral norm per block over its
+    stack of vertex differences, and 2‖h‖₂ by SVD, with one vertex per block in every
+    fiber. Returns the vertex stacks, the certificate, and per step and block the
+    spectral and Frobenius norms."""
+    betas = [float(b) for b in beta_grid]
+    mats, traces, _ = kms._boltzmann(flow, betas)
+    verts = [m / t[:, None, None] for m, t in zip(mats, traces.T)]
+    bound = 2.0 * flow.generator.norm()
+    spectral = np.stack([np.linalg.norm(v[:-1] - v[1:], 2, axis=(1, 2)) for v in verts], axis=1)
+    frobenius = np.stack([np.linalg.norm(v[:-1] - v[1:], axis=(1, 2)) for v in verts], axis=1)
+    worst = float(np.max(spectral / (bound * np.diff(betas)[:, None]))) if bound > 0 else 0.0
+    counts = [flow.algebra.num_blocks] * len(betas)
+    cert = BundleCertificate(all_nonempty=True, vertex_counts=counts, lipschitz_bound=bound,
+                             max_step_deviation=worst, ok=worst <= 1.0 + 1e-9)
+    return verts, cert, spectral, frobenius
+
+
+def _assert_within_rounding(flow, betas, got, want, spectral, frobenius):
+    """The certificate ``got`` against an SVD oracle's ``want``: every field but the two
+    floats bit-equal, and those within a bound on rounding alone.
+
+    For a block of size n with computed eigensystem (Û, Λ), m = max|λ|, F² = ‖Û‖²_F and
+    η ≥ ‖ÛᴴÛ − I‖₂, and with g = γ_{2n+10}, which bounds √2·γ_{n+5}, the error of a
+    complex product of n terms scaled and divided once (Higham §3.6):
+
+    * ‖ÛΛÛᴴ‖₂ is within η·m of m. The flow certified max|fl(ÛΛÛᴴ − h)| ≤ 1e-10·tol_scale,
+      so ‖ÛΛÛᴴ − h‖₂ ≤ n·1e-10·tol_scale/(1 − u) + g·F²·m. The SVD is backward stable,
+      taken with p(n) = n² (LAPACK Users' Guide §4.9): its ‖h‖₂ is within γ_{n²}·‖h‖_F.
+    * Vertex i at β is fl(fl(Û·diag e)·Ûᴴ)/t, within g·F²·‖p‖∞ of Û·diag(p)·Ûᴴ, p = e/t;
+      ‖Û·diag(Δ)·Ûᴴ‖₂ is within η·‖Δ‖∞ of ‖Δ‖∞; the closed form's ‖Δ‖∞ is within
+      3u·(‖p‖∞ + ‖p′‖∞) of the exact one; the oracle's difference and SVD add
+      (2u + γ_{n²}) of the difference's Frobenius norm.
+    * Each normalized deviation D/(L·h) takes three roundings on either side.
+    """
+    assert (got.vertex_counts, got.ok, got.all_nonempty) == \
+        (want.vertex_counts, want.ok, want.all_nonempty)
+    scale = flow.generator.tol_scale()
+    weights = [_reference_weights(flow, b) for b in betas]
+    lip, dev = 0.0, []
+    for i, (n, w, u, h) in enumerate(zip(flow.algebra.block_dims, flow.eigenvalues,
+                                         flow.eigenvectors, flow.generator.blocks)):
+        g, g_svd = _gamma(2 * n + 10), _gamma(n * n + 2)
+        fro2 = np.linalg.norm(u) ** 2 * (1.0 + g_svd)
+        eta = np.linalg.norm(u.conj().T @ u - np.eye(n)) * (1.0 + g_svd) + g * fro2
+        m = float(np.abs(w).max())
+        resid = n * 1e-10 * scale / (1.0 - _U) + g * fro2 * m
+        lip = max(lip, 2.0 * (eta * m + resid + g_svd * np.linalg.norm(h) * (1.0 + g_svd)))
+        for s in range(len(betas) - 1):
+            p0, p1 = weights[s][i], weights[s + 1][i]
+            x = float(p0.max() + p1.max())
+            d = float(np.abs(p0 - p1).max())
+            dev.append((s, i, g * fro2 * x + (2.0 * _U + g_svd) * frobenius[s, i] * (1.0 + g_svd)
+                        + eta * (d + 3.0 * _U * x) + 3.0 * _U * x))
+    assert abs(got.lipschitz_bound - want.lipschitz_bound) <= lip
+    if want.lipschitz_bound == 0.0:
+        assert got.lipschitz_bound == 0.0 and got.max_step_deviation == 0.0 \
+            == want.max_step_deviation
+        return
+    slack = 0.0
+    for s, i, slack_d in dev:
+        x = got.lipschitz_bound * (betas[s + 1] - betas[s])
+        y = want.lipschitz_bound * (betas[s + 1] - betas[s])
+        slack = max(slack, slack_d / x + spectral[s, i] / y * lip / got.lipschitz_bound)
+    slack += 4.0 * _U * (got.max_step_deviation + want.max_step_deviation)
+    assert abs(got.max_step_deviation - want.max_step_deviation) <= slack
 
 
 @pytest.mark.parametrize("dims,scale,grid", [
@@ -641,29 +731,56 @@ def test_bundle_certificate_equals_the_loop_route(dims, scale, grid):
     alg = BlockAlgebra(dims)
     flow = InnerFlow(alg, random_hermitian(alg, np.random.default_rng(len(dims)), scale=scale))
     got_fibers, got = kms_bundle_fd(flow, grid)
-    want_fibers, want = _reference_kms_bundle_fd(flow, grid)
-    assert got == want
+    want_fibers, want, spectral, frobenius = _reference_kms_bundle_fd(flow, grid)
+    _assert_within_rounding(flow, [float(b) for b in grid], got, want, spectral, frobenius)
     assert [s.beta for s in got_fibers] == [s.beta for s in want_fibers]
     for s, w in zip(got_fibers, want_fibers):
         for v, u in zip(s.vertices, w.vertices):
             assert all(np.array_equal(a, b) for a, b in zip(v.density.blocks, u.density.blocks))
 
 
-def _reference_norm(self):
-    """AlgElement.norm as it was: an SVD of every nonempty block, zero or not."""
-    return max(float(np.linalg.norm(a, 2)) if a.size else 0.0 for a in self.blocks)
+def _assert_matches_the_batched_svd(flow, betas):
+    fibers, got = kms_bundle_fd(flow, betas)
+    verts, want, spectral, frobenius = _batched_svd_kms_bundle_fd(flow, betas)
+    _assert_within_rounding(flow, betas, got, want, spectral, frobenius)
+    for s, fiber in enumerate(fibers):
+        for i, v in enumerate(fiber.vertices):
+            assert np.array_equal(v.density.blocks[i], verts[i][s])
+            assert not any(b.any() for j, b in enumerate(v.density.blocks) if j != i)
+    return got
 
 
-def test_bundle_certificate_matches_the_svd_of_every_block(monkeypatch):
+def test_bundle_certificate_matches_the_svd_of_every_block(svd_calls):
+    """Against the batched SVD of every block's vertex differences; the certificate
+    itself takes no SVD."""
     rng = np.random.default_rng(2323)
     alg = BlockAlgebra((32, 8, 2))
     flow = InnerFlow(alg, random_hermitian(alg, rng, scale=2.0))
-    grid = np.linspace(-1.5, 2.0, 9)
-    _, got = kms_bundle_fd(flow, grid)
-    monkeypatch.setattr(AlgElement, "norm", _reference_norm)
-    _, want = kms_bundle_fd(flow, grid)
-    assert got == want
+    grid = list(np.linspace(-1.5, 2.0, 9))
+    kms_bundle_fd(flow, grid)
+    assert svd_calls == []
+    got = _assert_matches_the_batched_svd(flow, grid)
     assert got.ok and got.max_step_deviation > 0.0
+
+
+@given(dims=st.lists(st.integers(1, 32), min_size=1, max_size=3).map(
+           lambda d: tuple(min(n, cap) for n, cap in zip(d, (32, 8, 2)))),
+       first=st.floats(-1.0, 1.0),
+       log_steps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=5),
+       cap=st.just(0.0) | st.floats(1e-2, EXP_CAP),
+       seed=st.integers(0, 2 ** 16))
+def test_property_bundle_certificate_matches_the_svd_oracle(dims, first, log_steps, cap, seed):
+    """Dims up to (32, 8, 2), grid steps from 1 down to 1e-6, and h scaled so that the
+    grid's largest |β|·spread over all blocks is ``cap`` ≤ EXP_CAP (0: h = 0; with one
+    1×1 block, |β|·|λ|)."""
+    betas = (first + np.concatenate([[0.0], np.cumsum(10.0 ** np.asarray(log_steps))])).tolist()
+    assume(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])))
+    alg = BlockAlgebra(dims)
+    h = random_hermitian(alg, np.random.default_rng(seed))
+    lams = np.concatenate(InnerFlow(alg, h).eigenvalues)
+    spread = float(lams.max() - lams.min()) or float(np.abs(lams).max())    # one 1×1 block
+    h = (cap * (1.0 - 1e-9) / (max(map(abs, betas)) * spread)) * h
+    _assert_matches_the_batched_svd(InnerFlow(alg, h), betas)
 
 
 # -- self-similar measures ---------------------------------------------------------

@@ -241,6 +241,49 @@ def test_itpfi_commands_refuse_results_past_the_float_range(tmp_path, capsys, co
     assert not out.exists()
 
 
+PROBLEM_TEXT = '{"block_dims": [2], "generator": [[[0, 0], [0, %s]]], "beta": 1.0}'
+ELEMENT_TEXT = '{"blocks": [[[0, 1], [%s, 0]]]}'
+ITPFI_TEXT = '{"site_generator": [[0, 0], [0, %s]], "beta": 1.0}'
+
+
+@pytest.mark.parametrize("command,entry,field", [
+    ("gibbs", "NaN", "generator/0/1/1"),
+    ("verify", "NaN", "generator/0/1/1"),
+    ("simplex", "NaN", "generator/0/1/1"),
+    ("modular", "NaN", "generator/0/1/1"),
+    ("gibbs", "Infinity", "generator/0/1/1"),
+    ("fejer", "NaN", "blocks/0/1/0"),
+    ("decompose", "NaN", "blocks/0/1/0"),
+    ("factor-type", "NaN", "site_generator/1/1"),
+    ("gamma", "NaN", "site_generator/1/1"),
+], ids=["gibbs", "verify", "simplex", "modular", "gibbs-inf", "fejer", "decompose",
+        "factor-type", "gamma"])
+def test_commands_refuse_non_finite_matrix_entries_by_name(two_level, tmp_path, capsys,
+                                                           command, entry, field):
+    """These used to exit 3 ("LinAlgError: SVD did not converge" on a NaN generator, and
+    fejer on a NaN element), exit 2 as "generator must be self-adjoint" after a numpy
+    RuntimeWarning (an ∞ generator), or exit 0: decompose wrote nan rows, and
+    factor-type and gamma reported trivial_flow and zero."""
+    out = tmp_path / "o.out"
+    if field.startswith("site_generator"):
+        path = tmp_path / "site.json"
+        path.write_text(ITPFI_TEXT % entry)
+        argv = [command, "--itpfi", str(path)]
+    elif field.startswith("blocks"):
+        path = tmp_path / "e.json"
+        path.write_text(ELEMENT_TEXT % entry)
+        argv = [command, "--problem", two_level, "--element", str(path)]
+        argv += ["--order", "3"] if command == "fejer" else []
+    else:
+        path = tmp_path / "p.json"
+        path.write_text(PROBLEM_TEXT % entry)
+        argv = [command, "--problem", str(path)]
+    assert main(argv + ["--out", str(out)]) == 2
+    value = "nan" if entry == "NaN" else "inf"
+    assert capsys.readouterr().err == f"error: {path}: field {field}: non-finite entry {value}\n"
+    assert not out.exists()
+
+
 def test_simplex_single_beta(tmp_path):
     prob = _write(tmp_path / "p.json",
                   {"block_dims": [2, 3],
@@ -362,9 +405,9 @@ def test_sweep_mass_test_fires_like_the_thread_pool_route(monkeypatch, capsys, t
     real = kms._boltzmann
 
     def leaky(flow, beta):
-        mats, traces = real(flow, beta)
+        mats, traces, weights = real(flow, beta)
         mats[1][np.asarray(beta) == 0.5] *= 1.25
-        return mats, traces
+        return mats, traces, weights
 
     monkeypatch.setattr(kms, "_boltzmann", leaky)
     new, ref = _sweep_both_routes(monkeypatch, capsys, tmp_path, prob, "0:1:4")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kmslab import (BlockAlgebra, InnerFlow, InternalFault, gibbs, random_element,
                     random_hermitian)
+from kmslab.algebra import TOL
 from kmslab.flow import (_GH_CHUNK_ENTRIES, GH_NODES_DEFAULT, GH_NODES_MAX, AnalyticRangeError,
                          QuadratureError, _gauss_hermite)
 
@@ -26,6 +27,72 @@ def test_generator_must_be_hermitian():
     a = alg.element([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
     with pytest.raises(ValueError, match="self-adjoint"):
         InnerFlow(alg, a)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_generator_must_be_finite(bad):
+    """A NaN used to reach tol_scale's SVD (LinAlgError) and an ∞ the Hermitian test."""
+    alg = BlockAlgebra((1, 2))
+    blocks = [np.zeros((1, 1), dtype=complex), np.eye(2, dtype=complex)]
+    blocks[1][1, 1] = bad
+    with pytest.raises(ValueError, match="^generator has non-finite entries$"):
+        InnerFlow(alg, alg.element(blocks))
+
+
+def _reference_flow(alg, h):
+    """InnerFlow.__init__'s tests as they were run before the scale-1 tests: h.tol_scale()
+    first, then the Hermitian test and each block's eigendecomposition residual at that
+    scale. Returns the eigensystem, or the refusal's message."""
+    scale = h.tol_scale()
+    if not h.is_hermitian(TOL * scale):
+        return "generator must be self-adjoint"
+    ws, us = [], []
+    for blk in h.blocks:
+        w, u = np.linalg.eigh(blk)
+        err = (u * w) @ u.conj().T
+        err -= blk
+        resid = float(np.max(np.abs(err)))
+        if not resid <= 1e-10 * scale:
+            return f"eigendecomposition residual {resid:.3e} too large"
+        ws.append(w)
+        us.append(u)
+    return ws, us
+
+
+@pytest.mark.parametrize("norm", [0.5, 10.0, 1e6])
+@pytest.mark.parametrize("planted", [0.0, 0.05, 0.5, 2.0, 20.0])
+def test_flow_verdicts_equal_the_scale_first_route(norm, planted):
+    """‖h‖₂ = norm plus an anti-Hermitian part whose asymmetry max|h − h*| is
+    planted·TOL·max(1, norm): accepted or refused as the scale-first route does, with
+    its message, and with bit-equal eigensystems when accepted."""
+    rng = np.random.default_rng(int(planted * 100) + int(math.log10(norm) * 7) + 100)
+    alg = BlockAlgebra((5, 3, 1))
+    h = random_hermitian(alg, rng)
+    h = (norm / h.norm()) * h
+    k = random_element(alg, rng)
+    k = k - k.adjoint()
+    asym = max(float(np.abs(b - b.conj().T).max()) for b in k.blocks)
+    h = h + (planted * TOL * max(1.0, norm) / asym) * k
+    want = _reference_flow(alg, h)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as error:
+            InnerFlow(alg, h)
+        assert str(error.value) == want
+        return
+    flow = InnerFlow(alg, h)
+    for w, u, w_ref, u_ref in zip(flow.eigenvalues, flow.eigenvectors, *want):
+        assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+
+
+def test_hermitian_generator_builds_its_flow_without_an_svd(svd_calls):
+    """‖h‖_F > 1, so the scale-first route took an SVD for tol_scale."""
+    alg = BlockAlgebra((4, 2))
+    h = random_hermitian(alg, np.random.default_rng(3), scale=5.0)
+    assert h.fro_norm() > 1.0
+    flow = InnerFlow(alg, h)
+    assert svd_calls == []
+    assert flow.generator_norm == max(float(np.abs(w).max()) for w in flow.eigenvalues)
+    assert abs(flow.generator_norm - h.norm()) <= 1e-12 * h.norm()
 
 
 def test_group_law():

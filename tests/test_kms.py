@@ -718,15 +718,16 @@ def test_lattice_operations():
 # -- Boltzmann stacks over a β vector ------------------------------------------
 
 def _reference_shifted_boltzmann(eigenvalues, eigenvectors, beta: float):
-    """The one-β route with no stacking: one 2-D GEMM per block."""
+    """The one-β route with no stacking: one 2-D GEMM per block, and the weights e/Tr e."""
     lams = np.concatenate(eigenvalues)
     shift = lams.min() if beta >= 0 else lams.max()
-    mats, traces = [], []
+    mats, traces, weights = [], [], []
     for w, u in zip(eigenvalues, eigenvectors):
         e = np.exp(-beta * (w - shift))
         mats.append((u * e) @ u.conj().T)
         traces.append(float(e.sum()))
-    return mats, np.asarray(traces)
+        weights.append(e / traces[-1])
+    return mats, np.asarray(traces), weights
 
 
 @pytest.mark.parametrize("dims,steps", [((1,), 500), ((2, 3), 500), ((1, 2, 3, 4), 200),
@@ -735,23 +736,26 @@ def test_boltzmann_stack_equals_the_one_beta_route(dims, steps):
     rng = np.random.default_rng(sum(dims) + steps)
     flow = _random_flow(dims, scale=2.0, rng=rng)
     betas = np.concatenate([[0.0, -0.0, 1.0, -1.0], rng.uniform(-4.0, 4.0, steps - 4)])
-    mats, traces = kms._boltzmann(flow, betas)
+    mats, traces, weights = kms._boltzmann(flow, betas)
     assert [m.shape for m in mats] == [(steps, n, n) for n in dims]
     assert traces.shape == (steps, len(dims))
+    assert [p.shape for p in weights] == [(steps, n) for n in dims]
     for s, beta in enumerate(betas):
-        one, one_traces = kms._boltzmann(flow, float(beta))
-        want, want_traces = _reference_shifted_boltzmann(flow.eigenvalues, flow.eigenvectors,
-                                                         float(beta))
+        one, one_traces, one_weights = kms._boltzmann(flow, float(beta))
+        want, want_traces, want_weights = _reference_shifted_boltzmann(
+            flow.eigenvalues, flow.eigenvectors, float(beta))
         assert all(np.array_equal(m[s], o) and np.array_equal(o, w)
                    for m, o, w in zip(mats, one, want))
         assert np.array_equal(traces[s], one_traces) and np.array_equal(one_traces, want_traces)
+        assert all(np.array_equal(p[s], o) and np.array_equal(o, w)
+                   for p, o, w in zip(weights, one_weights, want_weights))
 
 
 @pytest.mark.parametrize("dims", [(1,), (3,), (2, 1, 4), (8, 8)])
 def test_gibbs_and_simplex_densities_equal_the_one_beta_route(dims):
     flow = _random_flow(dims, rng=np.random.default_rng(len(dims)))
     for beta in (-2.5, 0.0, 0.7):
-        mats, traces = _reference_shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, beta)
+        mats, traces, _ = _reference_shifted_boltzmann(flow.eigenvalues, flow.eigenvectors, beta)
         z = traces.sum()
         got = gibbs(flow, beta).density.blocks
         assert all(np.array_equal(g, m / z) for g, m in zip(got, mats))
@@ -790,11 +794,11 @@ def test_simplex_sweep_mass_test_fires_on_the_first_bad_vertex(monkeypatch, entr
     real = kms._boltzmann
 
     def leaky(flow, beta):
-        mats, traces = real(flow, beta)
+        mats, traces, weights = real(flow, beta)
         betas = np.asarray(beta, dtype=float)
         mats[1][betas == 0.5] *= 1.25
         mats[0][betas == 1.5] *= 0.5
-        return mats, traces
+        return mats, traces, weights
 
     monkeypatch.setattr(kms, "_boltzmann", leaky)
     monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
@@ -814,11 +818,11 @@ def test_bundle_mass_test_fires_on_the_first_bad_vertex(monkeypatch):
     real = kms._boltzmann
 
     def leaky(flow, beta):
-        mats, traces = real(flow, beta)
+        mats, traces, weights = real(flow, beta)
         betas = np.asarray(beta, dtype=float)
         mats[1][betas == 0.5] *= 1.25
         mats[0][betas == 1.5] *= 0.5
-        return mats, traces
+        return mats, traces, weights
 
     monkeypatch.setattr(bundle, "_boltzmann", leaky)
     with pytest.raises(ValueError, match=r"not normalized \(mass 1\.25\)"):

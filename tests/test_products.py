@@ -36,6 +36,13 @@ def test_product_state_is_equilibrium():
         assert verify_kms(psi.flow, psi, 1.0, tol=1e-9).passed
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_site_generator_must_be_finite(bad):
+    """A NaN used to pass the Hermitian test, which compares with >."""
+    with pytest.raises(ValueError, match="^site generator has non-finite entries$"):
+        ItpfiSpec(np.array([[0.0, 0.0], [0.0, bad]]))
+
+
 def test_product_dimension_guard():
     spec = ItpfiSpec(np.diag([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="desk-scale"):
