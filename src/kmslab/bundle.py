@@ -24,10 +24,16 @@ subinvariant too), so each vertex is the only one nonzero on its own class: the
 vertices are affinely independent and the fiber is a simplex of dimension one less
 than their number.
 
-When e^{-β} is (certifiably) a rational eigenvalue the null vectors come from
-fraction-free integer elimination and the vertices are exact fractions;
-otherwise from an SVD with a relative singular-value cut. Diagonal
-specifications admit a one-line support rule, the cross-check.
+Ordered by access, ρᵀ is block-triangular over its classes, so
+det(ρᵀ − s) = Π_α det(ρᵀ_αα − s), and α gives a vertex only where its own block
+ρᵀ_αα − s is singular (the rows of α in S_α reach only α, so c_α > 0 is null there).
+The exact lane decides class by class: ρ's singularity (s = 0), whether e^{-β} is
+(certifiably) a rational eigenvalue, and which classes need a null space at all. A
+class {a} is singular where ρ_aa = s, a larger one by fraction-free integer
+elimination of its own rows; the null vectors come from the same elimination on S_α
+and the vertices are exact fractions. Otherwise every class takes an SVD with a
+relative singular-value cut. Diagonal specifications admit a one-line support rule,
+the cross-check.
 
 The same file holds the degenerate one-point bundles (Dirac simplices on
 level sets), self-similar measures on the half-line with their scaling
@@ -89,10 +95,11 @@ class DimensionGroupSpec:
             raise ValueError("matrix must preserve the positive cone (no negative entries)")
         if any(u <= 0 for u in unit):
             raise ValueError("order unit must be strictly positive")
-        if _rank_exact(mat, r) < r:
-            raise ValueError("matrix is singular")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "order_unit", unit)
+        # det ρ is the product of det ρ_αα over the classes α
+        if any(_class_singular(self, alpha, Fraction(0)) for alpha, _ in self._classes):
+            raise ValueError("matrix is singular")
 
     @property
     def rank(self) -> int:
@@ -117,16 +124,25 @@ class DimensionGroupSpec:
         return lcm, np.array(cols, dtype=object)
 
     @functools.cached_property
-    def _access_sets(self) -> tuple[tuple[int, ...], ...]:
-        """S_α for each class α of ρᵀ's graph (i → j when ρ_ji > 0): the indices with
-        access to α, by a boolean transitive closure. Squaring k times reaches paths
-        of length up to 2^k, and none needs more than r − 1."""
+    def _classes(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """(α, S_α) for each class α of ρᵀ's graph (i → j when ρ_ji > 0), by increasing
+        S_α, the indices with access to α: a boolean transitive closure. Squaring k times
+        reaches paths of length up to 2^k, and none needs more than r − 1."""
         r = self.rank
-        reach = np.array([[x > 0 for x in row] for row in self.matrix]).T | np.eye(r, dtype=bool)
+        # the entries are never negative, so those that are true are the positive ones
+        reach = np.array(self.matrix, dtype=bool).T | np.eye(r, dtype=bool)
         for _ in range((r - 1).bit_length()):
             reach = reach @ reach
         # S_a = S_b exactly when a and b share a class
-        return tuple(sorted({tuple(np.flatnonzero(reach[:, a]).tolist()) for a in range(r)}))
+        classes = {}
+        for a in range(r):
+            classes.setdefault(tuple(np.flatnonzero(reach[:, a]).tolist()), []).append(a)
+        return tuple((tuple(alpha), sup) for sup, alpha in sorted(classes.items()))
+
+    @property
+    def _access_sets(self) -> tuple[tuple[int, ...], ...]:
+        """S_α for each class α, in the order of ``_classes``."""
+        return tuple(sup for _, sup in self._classes)
 
 
 # -- exact linear algebra: rationals become integers once --------------------------
@@ -176,11 +192,6 @@ def _integer_null(rows, dim: int) -> np.ndarray | None:
     return _primitive(x)
 
 
-def _rank_exact(rows, dim: int) -> int:
-    """Rank of rational rows over ℚ."""
-    return len(_echelon([_integer_row(r) for r in rows], dim))
-
-
 # -- fibers and the β-spectrum ----------------------------------------------------
 
 @dataclass
@@ -212,16 +223,24 @@ def _eigen_rows(spec: DimensionGroupSpec, s: Fraction, support) -> list[np.ndarr
     return [_primitive(row) for row in mat]
 
 
+def _class_singular(spec: DimensionGroupSpec, alpha: tuple[int, ...], s: Fraction) -> bool:
+    """Whether the class α's own block ρᵀ_αα − s·1 is singular, exactly: ρ_aa = s for
+    a class {a}, else by elimination of its rows."""
+    if len(alpha) == 1:
+        return spec.matrix[alpha[0]][alpha[0]] == s
+    return len(_echelon(_eigen_rows(spec, s, alpha), len(alpha))) < len(alpha)
+
+
 def _rational_eigenvalue(spec: DimensionGroupSpec, s_float: float) -> Fraction | None:
     """Promote a float eigenvalue candidate to an exact rational root of
-    det(ρᵀ − s) when that holds exactly."""
+    det(ρᵀ − s) = Π_α det(ρᵀ_αα − s) when that holds exactly: ρᵀ is block-triangular
+    over its classes once they are ordered by access."""
     if s_float <= 0:
         return None
-    r = spec.rank
     for cand in {Fraction(s_float).limit_denominator(cap) for cap in (10 ** 3, 10 ** 6)}:
         if abs(float(cand) - s_float) > 1e-9 * max(1.0, s_float):
             continue
-        if len(_echelon(_eigen_rows(spec, cand, range(r)), r)) < r:
+        if any(_class_singular(spec, alpha, cand) for alpha, _ in spec._classes):
             return cand
     return None
 
@@ -260,9 +279,12 @@ def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
         raise ValueError(f"beta = {float(beta):g}: the eigenvalue e^-β is beyond the float range")
     s_float = math.exp(-float(beta))
     s_exact = _rational_eigenvalue(spec, s_float)
-    s = s_float if s_exact is None else s_exact
-    verts = [v for v in (_class_vertex(spec, sup, s) for sup in spec._access_sets)
-             if v is not None]
+    if s_exact is None:
+        s, supports = s_float, spec._access_sets
+    else:   # a class gives a vertex only where its own block is singular (c_α > 0 is null there)
+        s = s_exact
+        supports = [sup for alpha, sup in spec._classes if _class_singular(spec, alpha, s)]
+    verts = [v for v in (_class_vertex(spec, sup, s) for sup in supports) if v is not None]
     verts_exact = None
     if s_exact is None:
         verts.sort(key=lambda v: tuple(np.round(v, 9)))
@@ -276,14 +298,20 @@ def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
 
 
 def _check_fiber(spec: DimensionGroupSpec, fiber: SimplexFiber, s: float):
-    m, u = spec.matrix_float, spec.unit_float
-    for v in fiber.vertices:
-        if np.any(v < -1e-10):
-            raise InternalFault("fiber vertex leaves the positive cone")
-        if np.max(np.abs(v @ m - s * v)) > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
-            raise InternalFault("fiber vertex is not a left eigenvector")
-        if abs(float(v @ u) - 1.0) > 1e-9:
-            raise InternalFault("fiber vertex is not normalized against the unit")
+    """The vertices, stacked, against the cone, vᵀρ = s·vᵀ and ⟨v, u⟩ = 1; the first
+    vertex that fails one raises the first check it fails."""
+    if not fiber.vertices:
+        return
+    v, m, u = np.array(fiber.vertices), spec.matrix_float, spec.unit_float
+    cone = (v < -1e-10).any(axis=1)
+    eigen = np.abs(v @ m - s * v).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(v).max(axis=1))
+    unit = np.abs(v @ u - 1.0) > 1e-9
+    bad = np.flatnonzero(cone | eigen | unit)
+    if bad.size:
+        i = bad[0]
+        raise InternalFault("fiber vertex " + ("leaves the positive cone" if cone[i] else
+                                               "is not a left eigenvector" if eigen[i] else
+                                               "is not normalized against the unit"))
 
 
 def _spectrum_fibers(spec: DimensionGroupSpec) -> list[SimplexFiber]:

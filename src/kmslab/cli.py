@@ -271,11 +271,16 @@ def _entry(v) -> complex:
 
 
 def _matrix(rows, where: str) -> np.ndarray:
-    """The square matrix of a JSON field, refused unless every entry is finite; ``where``
-    ("<file>: field <path>") names the field in that refusal."""
+    """The square matrix of a JSON field, refused unless its rows are of one length, it is
+    square and every entry is finite; ``where`` ("<file>: field <path>") names the field
+    in each refusal."""
+    ragged = next((i for i, row in enumerate(rows) if len(row) != len(rows[0])), None)
+    if ragged is not None:
+        raise CliInputError(f"{where}/{ragged}: row has {len(rows[ragged])} entries, "
+                            f"row 0 has {len(rows[0])}")
+    if len(rows) != len(rows[0]):
+        raise CliInputError(f"{where}: matrix must be square, got {len(rows)}×{len(rows[0])}")
     mat = np.array([[_entry(v) for v in row] for row in rows], dtype=complex)
-    if mat.shape[0] != mat.shape[1]:
-        raise CliInputError(f"matrix must be square, got {mat.shape[0]}×{mat.shape[1]}")
     bad = np.argwhere(~np.isfinite(mat))
     if bad.size:
         i, j = bad[0].tolist()
@@ -458,10 +463,10 @@ def _cmd_simplex(args) -> int:
         betas = _beta_range(args.beta_range)
         # rows ascend in β, whichever way the range runs
         rows = sorted(zip(betas.tolist(), *simplex_sweep(flow, betas).T.tolist()))
+        # what csv.writer writes for these rows: floats by repr, ints, no quoting
         with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["beta", "dimension", "vertex_count"])
-            w.writerows(rows)
+            fh.write("beta,dimension,vertex_count\n"
+                     + "".join(f"{b!r},{d},{c}\n" for b, d, c in rows))
         if args.plot:
             emit_plot(args.plot, [r[0] for r in rows],
                       {"dimension": [r[1] for r in rows],

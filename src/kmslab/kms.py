@@ -7,12 +7,12 @@ against the exchange identity ω(ab) = ω(b σ_{iβ}(a)) in closed form, the
 state space is the simplex over the central coefficients, and corners /
 domination / lattice operations reduce to coefficient arithmetic.
 
-Every Boltzmann factor comes from one route, ``_boltzmann``, at one β or along a
-vector of them: e^{-β(h − c)} with c the extreme eigenvalue of all blocks, a shift
-that never changes a state but keeps the factors from overflowing. Coefficient
-vectors are only compared with vectors made under the same shift. At one float β
-the layers read it through ``_boltzmann_at``, kept on the flow by
-:func:`~kmslab.algebra._keep`.
+Every Boltzmann factor comes from one route, ``_boltzmann_factors``, at one β or along
+a vector of them: e^{-β(λ − c)} over h's eigenvalues with c the extreme eigenvalue of all
+blocks, a shift that never changes a state but keeps the factors from overflowing.
+``_boltzmann`` makes the blocks e^{-β(h − c)} from them. Coefficient vectors are only
+compared with vectors made under the same shift. At one float β the layers read the
+blocks through ``_boltzmann_at``, kept on the flow by :func:`~kmslab.algebra._keep`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .flow import InnerFlow
 
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
 EXP_CAP = 700.0
-#: entries per chunk of ``verify_kms``'s route-two samples and of ``simplex_sweep``'s
-#: Boltzmann stacks (memory stays O(chunk + n²), plus the kept normal prefix below)
+#: entries per chunk of ``verify_kms``'s route-two samples, and density entries per chunk
+#: of ``simplex_sweep``'s β (memory stays O(chunk + n²), plus the kept normal prefix below)
 _HALF_SHIFT_CHUNK_ENTRIES = 2 ** 15
 #: route two keeps, for the last integer seed it read, the longest prefix of
 #: ``default_rng(seed)``'s normal stream a call has needed, up to
@@ -49,11 +49,12 @@ def _check_exp_cap(beta: float, spread: float) -> None:
                          "Boltzmann weights are not representable")
 
 
-def _boltzmann(flow: InnerFlow, beta) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """The shifted Boltzmann blocks e^{-β(h_i - c)}, their traces and each block's weights
-    e^{-β(λ - c)}/Tr over its eigenvalues: n × n blocks, B traces and n weights per block
-    for a float β, (S, …) stacks of them for S values, slice s equal bit for bit to the
-    call at β_s. c is the lowest eigenvalue of all blocks for β ≥ 0 and the highest
+def _boltzmann_factors(flow: InnerFlow,
+                       beta) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+    """The shifted Boltzmann factors e^{-β(λ - c)} over each block's eigenvalues, their
+    sums (the traces) and the weights e^{-β(λ - c)}/Tr: n factors, B traces and n weights
+    per block for a float β, (S, …) stacks of them for S values, slice s equal bit for bit
+    to the call at β_s. c is the lowest eigenvalue of all blocks for β ≥ 0 and the highest
     otherwise; the first β, in order, that is not finite or passes ``EXP_CAP`` over their
     spread is refused by :func:`_check_exp_cap`."""
     betas = np.asarray(beta, dtype=float)
@@ -64,12 +65,21 @@ def _boltzmann(flow: InnerFlow, beta) -> tuple[list[np.ndarray], np.ndarray, lis
         _check_exp_cap(next(b for b in betas.ravel().tolist() if not abs(b) * spread <= EXP_CAP),
                        spread)
     shift = np.where(betas >= 0, low, high)[..., None]
-    mats, traces, weights = [], np.empty(betas.shape + (len(flow.eigenvalues),)), []
-    for i, (w, u) in enumerate(zip(flow.eigenvalues, flow.eigenvectors)):
+    factors, traces, weights = [], np.empty(betas.shape + (len(flow.eigenvalues),)), []
+    for i, w in enumerate(flow.eigenvalues):
         e = np.exp(-betas[..., None] * (w - shift))
-        mats.append((u * e[..., None, :]) @ u.conj().T)
+        factors.append(e)
         traces[..., i] = e.sum(axis=-1)
         weights.append(e / traces[..., i, None])
+    return factors, traces, weights
+
+
+def _boltzmann(flow: InnerFlow, beta) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+    """The shifted Boltzmann blocks e^{-β(h_i - c)} = u·diag(e)·u*, with the traces and
+    weights of :func:`_boltzmann_factors`: n × n blocks for a float β, (S, n, n) stacks
+    for S values."""
+    factors, traces, weights = _boltzmann_factors(flow, beta)
+    mats = [(u * e[..., None, :]) @ u.conj().T for e, u in zip(factors, flow.eigenvectors)]
     return mats, traces, weights
 
 
@@ -398,21 +408,23 @@ def kms_simplex(flow: InnerFlow, beta: float) -> KmsSimplex:
 
 def simplex_sweep(flow: InnerFlow, betas) -> np.ndarray:
     """(dimension, vertex count) of the β-equilibrium simplex at each β, in the
-    given order, as an (S, 2) integer array; no per-β object is built.
+    given order, as an (S, 2) integer array; no per-β object and no block is built.
 
     It makes :func:`kms_simplex`'s checks: the first β in order that is not
     finite or passes ``EXP_CAP`` is refused, and so is the first vertex (by β,
     then by block) whose normalized block fails :class:`KmsState`'s mass test.
-    β is taken in chunks of at most ``_HALF_SHIFT_CHUNK_ENTRIES`` density
-    entries, so memory stays O(chunk) however long the sweep.
+    That mass, Tr(u·diag(p)·u*), is read off the weights p of
+    :func:`_boltzmann_factors` as Σ_j p_j·‖u_j‖², with the squared norms of the block's
+    eigenvector columns taken once: O(S·n) per block. β is taken in chunks of
+    ``_HALF_SHIFT_CHUNK_ENTRIES`` // N values, N the algebra's density entries, so memory
+    stays O(chunk) however long the sweep.
     """
     betas = np.asarray(betas, dtype=float)
     per_chunk = max(1, _HALF_SHIFT_CHUNK_ENTRIES // flow.algebra.coord_dim)
+    norms = [np.vecdot(u, u, axis=0).real for u in flow.eigenvectors]
     for start in range(0, len(betas), per_chunk):
-        mats, traces, _ = _boltzmann(flow, betas[start:start + per_chunk])
-        # the trace of each normalized block m/t, from its diagonal alone
-        mass = np.stack([(np.diagonal(m, axis1=1, axis2=2) / t[:, None]).sum(axis=1).real
-                         for m, t in zip(mats, traces.T)], axis=1)
+        _, _, weights = _boltzmann_factors(flow, betas[start:start + per_chunk])
+        mass = np.stack([p @ q for p, q in zip(weights, norms)], axis=1)
         bad = ~(np.abs(mass - 1.0) <= 1e-8)
         if bad.any():
             raise ValueError(f"not normalized (mass {mass.flat[bad.argmax()]:.6g})")

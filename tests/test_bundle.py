@@ -1,6 +1,7 @@
 """Dimension-group fibers, point bundles, and self-similar measures."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,8 @@ from kmslab import (
 )
 from kmslab import kms
 from kmslab.kms import EXP_CAP
-from kmslab.bundle import (FLOAT_ZERO_TOL, MAX_RANK, Atom, Interval, _class_vertex, _eigen_rows,
-                           _integer_null, _integer_row, _rank_exact, _rational_eigenvalue)
+from kmslab.bundle import (FLOAT_ZERO_TOL, MAX_RANK, Atom, Interval, _class_vertex, _echelon,
+                           _eigen_rows, _integer_null, _integer_row, _rational_eigenvalue)
 
 F = Fraction
 
@@ -334,7 +335,7 @@ def test_integer_rank_matches_reference_rank():
             k = F(int(rng.integers(1, 9)), big)                                 # scaled row
             rows.append([k * x for x in rows[int(rng.integers(0, len(rows)))]])
         ref = _reference_rank_exact([tuple(F(x) for x in r) for r in rows], dim)
-        assert _rank_exact(rows, dim) == ref
+        assert len(_echelon([_integer_row(r) for r in rows], dim)) == ref
         full += ref == dim
         deficient += ref < dim and len(rows) >= dim
         corank_one += _assert_null_vector(rows, dim, ref)
@@ -444,17 +445,28 @@ _VALUES = [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 2), F(2)]
 
 
 @st.composite
-def _general_specs(draw):
-    """Specs of rank 1–8 with entries anywhere: nonzero on a drawn permutation, so ρ is
-    seldom singular, and elsewhere zero with a drawn weight. Zero diagonal entries,
-    classes of several indices and access between classes all occur."""
-    r = draw(st.integers(1, 8))
+def _general_matrices(draw, max_rank=8, sparse=False, grouped=False):
+    """Matrices ρ of rank 1–``max_rank``, with a unit, with entries anywhere: nonzero on a
+    drawn permutation unless ``sparse``, so ρ is seldom singular, and elsewhere zero with
+    a drawn weight. Zero diagonal entries, classes of several indices and access between
+    classes all occur. ``grouped`` draws a group 0–3 per index and zeroes ρ_ij where i's
+    group is above j's: ρ is then block-triangular over the groups, each a union of
+    classes, so there are more classes of several indices."""
+    r = draw(st.integers(1, max_rank))
     perm = draw(st.permutations(range(r)))
     entry = st.sampled_from([F(0)] * draw(st.integers(1, 8)) + _VALUES)
-    m = [[draw(st.sampled_from(_VALUES) if j == perm[i] else entry) for j in range(r)]
-         for i in range(r)]
-    assume(_rank_exact(m, r) == r)
-    unit = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    on_perm = entry if sparse else st.sampled_from(_VALUES)
+    m = [[draw(on_perm if j == perm[i] else entry) for j in range(r)] for i in range(r)]
+    if grouped:
+        g = draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+        m = [[x if g[i] <= g[j] else F(0) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    return m, draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+
+
+@st.composite
+def _general_specs(draw):
+    m, unit = draw(_general_matrices())
+    assume(_reference_rank_exact(m, len(m)) == len(m))
     return DimensionGroupSpec(matrix=m, order_unit=unit)
 
 
@@ -490,6 +502,23 @@ def test_property_fibers_of_general_specs_match_reference_sweeps(spec):
         if ref:
             want.append(-math.log(s) + 0.0)
     assert beta_spectrum(spec) == sorted(want)
+
+
+@given(st.booleans().flatmap(lambda sparse: _general_matrices(
+    MAX_RANK if os.environ.get("HYPOTHESIS_PROFILE") == "long" else 8, sparse, grouped=True)))
+def test_property_class_blocks_decide_singularity_and_eigenvalues(case):
+    """Singular or not: ρ is refused as singular exactly when its rank is below r, and
+    the eigenvalue promotion, which reads each class's own block, equals the elimination
+    of all of ρᵀ − s at every positive candidate."""
+    m, unit = case
+    r = len(m)
+    if _reference_rank_exact(m, r) < r:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            DimensionGroupSpec(matrix=m, order_unit=unit)
+        return
+    spec = DimensionGroupSpec(matrix=m, order_unit=unit)
+    for s in _positive_eigenvalues(spec):
+        assert _rational_eigenvalue(spec, s) == _reference_rational_eigenvalue(spec, s)
 
 
 def test_equal_radii_with_access_give_one_vertex():

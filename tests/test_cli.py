@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import io
 import json
 import math
 import subprocess
@@ -284,6 +285,20 @@ def test_commands_refuse_non_finite_matrix_entries_by_name(two_level, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("generator,message", [
+    ([[[0, 0], [0]]], "field generator/0/1: row has 1 entries, row 0 has 2"),
+    ([[[0, 0, 0], [0, 0, 0]]], "field generator/0: matrix must be square, got 2×3"),
+], ids=["ragged", "non-square"])
+def test_gibbs_refuses_a_malformed_generator_by_name(tmp_path, capsys, generator, message):
+    """These used to exit 2 with numpy's "inhomogeneous shape" message, or with "matrix
+    must be square, got 2×3", neither naming the file or the field."""
+    path = _write(tmp_path / "p.json", {"block_dims": [2], "generator": generator, "beta": 1.0})
+    out = tmp_path / "g.json"
+    assert main(["gibbs", "--problem", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
 def test_simplex_single_beta(tmp_path):
     prob = _write(tmp_path / "p.json",
                   {"block_dims": [2, 3],
@@ -401,19 +416,39 @@ def test_sweep_refuses_past_the_cap_like_the_thread_pool_route(monkeypatch, caps
 
 
 def test_sweep_mass_test_fires_like_the_thread_pool_route(monkeypatch, capsys, tmp_path):
+    """Block 1's eigenvector columns scaled by √1.25, which both routes read: the batched
+    sweep in its column norms, the reference in the blocks it builds."""
     prob = _hermitian_problem(tmp_path / "p.json", (2, 3), 7)
-    real = kms._boltzmann
+    real = cli._problem
 
-    def leaky(flow, beta):
-        mats, traces, weights = real(flow, beta)
-        mats[1][np.asarray(beta) == 0.5] *= 1.25
-        return mats, traces, weights
+    def leaky(path):
+        alg, flow, beta = real(path)
+        flow.eigenvectors[1] = flow.eigenvectors[1] * math.sqrt(1.25)
+        return alg, flow, beta
 
-    monkeypatch.setattr(kms, "_boltzmann", leaky)
+    monkeypatch.setattr(cli, "_problem", leaky)
     new, ref = _sweep_both_routes(monkeypatch, capsys, tmp_path, prob, "0:1:4")
     assert new == ref
     code, streams, _ = new
     assert code == 2 and "not normalized (mass 1.25)" in streams.err
+
+
+@pytest.mark.parametrize("beta_range", ["-3:2:7", "2:-3:7", "-0:-1:4", "1e-300:-1e-300:6",
+                                        "-5e-324:5e-324:3", "1e300:-1e300:5", "-1e300:1e300:4"])
+def test_sweep_table_bytes_equal_the_csv_writers(tmp_path, beta_range):
+    """The rows joined by hand are the bytes csv.writer wrote for them, at negative,
+    tiny (subnormal) and large β, in both directions; spread 0 admits every finite β."""
+    prob = _hermitian_problem(tmp_path / "p.json", (2, 1), 3, degenerate=True)
+    out = tmp_path / "s.csv"
+    assert main(["simplex", "--problem", prob, f"--beta-range={beta_range}",
+                 "--out", str(out)]) == 0
+    betas = cli._beta_range(beta_range)
+    rows = sorted(zip(betas.tolist(), *kms.simplex_sweep(cli._problem(prob)[1], betas).T.tolist()))
+    want = io.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(["beta", "dimension", "vertex_count"])
+    w.writerows(rows)
+    assert out.read_bytes() == want.getvalue().encode()
 
 
 def test_sweep_starts_no_thread(two_level, tmp_path, monkeypatch):

@@ -788,19 +788,22 @@ def test_simplex_sweep_refuses_the_first_beta_past_the_cap():
 
 @pytest.mark.parametrize("entries", [1, 2 ** 15])
 def test_simplex_sweep_mass_test_fires_on_the_first_bad_vertex(monkeypatch, entries):
-    """Stacks patched so that block 1 at β = 0.5 and block 0 at β = 1.5 lose mass:
-    the sweep raises KmsState's message for the first of them in sweep order."""
+    """Factors and weights patched, with the traces kept, so that block 1 at β = 0.5 and
+    block 0 at β = 1.5 lose mass: the sweep, which reads the weights, raises KmsState's
+    message for the first of them in sweep order, and kms_simplex, which reads the
+    blocks made from the factors, raises it too."""
     flow = _random_flow((2, 3), rng=np.random.default_rng(5))
-    real = kms._boltzmann
+    real = kms._boltzmann_factors
 
     def leaky(flow, beta):
-        mats, traces, weights = real(flow, beta)
+        factors, traces, weights = real(flow, beta)
         betas = np.asarray(beta, dtype=float)
-        mats[1][betas == 0.5] *= 1.25
-        mats[0][betas == 1.5] *= 0.5
-        return mats, traces, weights
+        for block, at, by in ((1, 0.5, 1.25), (0, 1.5, 0.5)):
+            factors[block][betas == at] *= by
+            weights[block][betas == at] *= by
+        return factors, traces, weights
 
-    monkeypatch.setattr(kms, "_boltzmann", leaky)
+    monkeypatch.setattr(kms, "_boltzmann_factors", leaky)
     monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
     with pytest.raises(ValueError, match=r"not normalized \(mass 1\.25\)"):
         simplex_sweep(flow, [0.0, 0.25, 0.5, 1.0, 1.5])
@@ -812,8 +815,9 @@ def test_simplex_sweep_mass_test_fires_on_the_first_bad_vertex(monkeypatch, entr
 
 
 def test_bundle_mass_test_fires_on_the_first_bad_vertex(monkeypatch):
-    """The stacks of the sweep's test, patched where kms_bundle_fd reads them: the
-    grid's first bad vertex, by β then by block, raises KmsState's message."""
+    """Blocks of block 1 at β = 0.5 and block 0 at β = 1.5 scaled where kms_bundle_fd
+    reads them: the grid's first bad vertex, by β then by block, raises KmsState's
+    message."""
     flow = _random_flow((2, 3), rng=np.random.default_rng(5))
     real = kms._boltzmann
 
