@@ -224,11 +224,11 @@ class Functional:
         if check:
             if not all(np.isfinite(a).all() for a in density.blocks):
                 raise ValueError("density has non-finite entries")
-            scale = density.tol_scale()
+            spectra, scale = _hermitian_spectra(density)
             if not density.is_hermitian(1e-8 * scale):
                 raise ValueError("density not self-adjoint")
-            if not all(_psd_within(a, 1e-8 * scale) for a in density.blocks):
-                lo = min(_min_eig(a) for a in density.blocks)
+            lo = min(w[0] for w in spectra)
+            if lo < -1e-8 * scale:
                 raise ValueError(f"density not positive semidefinite (min eigenvalue {lo:.3e})")
         self.algebra = algebra
         self.density = density
@@ -291,36 +291,22 @@ def _min_eig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
 
 
-def _psd_within(a: np.ndarray, tol: float) -> bool:
-    """λ_min of a's Hermitian part H is ≥ −tol.
-
-    A Cholesky factorization R*R of 2H + tol·1 = a + a* + tol·1 (twice H shifted
-    by tol/2, with no rounding in the doubling) settles it without the spectrum:
-    once it completes, R*R = 2H + tol·1 + E with ‖E‖₂ ≤ γ_{n+1}·‖|R*||R|‖_F ≤
-    γ_{n+1}·‖R‖_F² (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., Thm 10.3), so λ_min(H) ≥ −3tol/4 when that bound is at most tol/2.
-    Otherwise the eigenvalue test ``_min_eig(a) ≥ −tol`` decides; a non-finite R
-    fails the bound."""
-    n = a.shape[0]
-    if n == 0:
-        return True
-    twice = np.add(a, a.conj().T, order="C")
-    twice.ravel()[::n + 1] += tol                   # a view: twice is C-contiguous
-    try:
-        r = np.linalg.cholesky(twice)
-    except np.linalg.LinAlgError:
-        return bool(_min_eig(a) >= -tol)
-    # γ_{n+1} ≈ (n+1)·eps/2 taken 4 times over, for complex arithmetic
-    return bool(2 * (n + 1) * _EPS * np.vdot(r, r).real <= tol / 2.0 or _min_eig(a) >= -tol)
+def _hermitian_spectra(a: AlgElement) -> tuple[list[np.ndarray], float]:
+    """The eigenvalues of each block's Hermitian part (a + a*)/2, ascending, and the
+    scale max(1, max|λ|) read off them: the one eigendecomposition behind both the
+    Hermitian test's scale and the positivity test."""
+    spectra = [np.linalg.eigvalsh((b + b.conj().T) / 2.0) for b in a.blocks]
+    return spectra, max(1.0, *(float(np.abs(w).max()) for w in spectra))
 
 
 def is_positive(a: AlgElement, tol: float = TOL) -> bool:
-    """Positivity up to ``tol``: λ_min ≥ −tol in every block, shown by a shifted
-    Cholesky factorization and, where that fails, by the eigenvalue test (see
-    :func:`_psd_within`). Non-Hermitian input is an error, not False."""
-    if not a.is_hermitian(tol * a.tol_scale()):
+    """Positivity up to ``tol``: λ_min ≥ −tol in every block, with the Hermitian test
+    scaled by the same eigenvalues (see :func:`_hermitian_spectra`). Non-Hermitian
+    input is an error, not False."""
+    spectra, scale = _hermitian_spectra(a)
+    if not a.is_hermitian(tol * scale):
         raise ValueError("not self-adjoint")
-    return all(_psd_within(b, tol) for b in a.blocks)
+    return all(w[0] >= -tol for w in spectra)
 
 
 def _exchange_sheets(d: np.ndarray, fac: np.ndarray) -> tuple[float, np.ndarray]:

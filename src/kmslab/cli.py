@@ -38,8 +38,8 @@ from . import __version__
 from .algebra import BlockAlgebra, Functional
 from .flow import InnerFlow
 from .kms import gibbs, kms_simplex, simplex_sweep, verify_kms
-from .modular import (DEFAULT_T_SAMPLES, _flow_residual, gns, modular_data,
-                      center_dimension, commutant_gap)
+from .modular import (center_dimension, commutant_gap, gns, modular_data,
+                      verify_modular_flow)
 from .periodic import PeriodicFlow, cuntz_trace, gauge_kms_beta
 from .products import ItpfiSpec, MatroidSpec, SpectrumFamily, factor_type_itpfi, \
     gamma_invariant, matroid_bounded, trace_class_window
@@ -311,18 +311,18 @@ def _element(path: str, alg: BlockAlgebra):
     return alg.element(mats)
 
 
-def _finite_beta(value, where: str) -> float:
-    beta = float(value)
-    if not math.isfinite(beta):
-        raise CliInputError(f"{where} must be finite, got {beta!r}")
-    return beta
+def _finite(value, where: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise CliInputError(f"{where} must be finite, got {x!r}")
+    return x
 
 
 def _need_beta(beta_flag, beta_file, path) -> float:
     if beta_flag is not None:
-        return _finite_beta(beta_flag, "--beta")
+        return _finite(beta_flag, "--beta")
     if beta_file is not None:
-        return _finite_beta(beta_file, f"{path}: field beta")
+        return _finite(beta_file, f"{path}: field beta")
     raise CliInputError(f"no β given: pass --beta or put a beta field in {path}")
 
 
@@ -437,6 +437,7 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = _finite(args.tol, "--tol")
     alg, flow, beta_file = _problem(args.problem)
     beta = _need_beta(args.beta, beta_file, args.problem)
     if args.state:
@@ -444,7 +445,7 @@ def _cmd_verify(args) -> int:
         omega = Functional(alg, dens)
     else:
         omega = gibbs(flow, beta).functional
-    verdict = verify_kms(flow, omega, beta, tol=args.tol, seed=args.seed)
+    verdict = verify_kms(flow, omega, beta, tol=tol, seed=args.seed)
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "verify",
         "passed": verdict.passed, "max_residual": verdict.max_residual,
@@ -483,6 +484,7 @@ def _cmd_simplex(args) -> int:
 
 
 def _cmd_modular(args) -> int:
+    tol = _finite(args.tol, "--tol")
     alg, flow, beta_file = _problem(args.problem)
     beta = _need_beta(args.beta, beta_file, args.problem)
     state = gibbs(flow, beta)
@@ -490,9 +492,9 @@ def _cmd_modular(args) -> int:
     md_polar = modular_data(triple, method="polar")
     md_closed = modular_data(triple, method="closed_form")
     route_gap = float(np.max(np.abs(md_polar.log_delta - md_closed.log_delta)))
-    flow_residual = _flow_residual(triple, md_polar, flow, state.beta, DEFAULT_T_SAMPLES)
+    flow_residual = verify_modular_flow(flow, state).max_residual
     dim_alg, dim_comm, gap = commutant_gap(triple, md_polar)
-    passed = flow_residual <= args.tol and gap <= args.tol and route_gap <= args.tol
+    passed = flow_residual <= tol and gap <= tol and route_gap <= tol
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "modular", "passed": passed,
         "delta_eigenvalues": sorted(np.exp(md_polar.log_eigenvalues).tolist()),
@@ -532,7 +534,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_factor_type(args) -> int:
     doc = _load(args.itpfi, "itpfi")
     spec = ItpfiSpec(_matrix(doc["site_generator"], f"{args.itpfi}: field site_generator"))
-    report = factor_type_itpfi(spec, _finite_beta(doc["beta"], f"{args.itpfi}: field beta"))
+    report = factor_type_itpfi(spec, _finite(doc["beta"], f"{args.itpfi}: field beta"))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "factor-type", "tag": report.tag,
         "lambda_value": report.lambda_value, "kappa": report.kappa,
@@ -546,7 +548,7 @@ def _cmd_factor_type(args) -> int:
 def _cmd_gamma(args) -> int:
     doc = _load(args.itpfi, "itpfi")
     spec = ItpfiSpec(_matrix(doc["site_generator"], f"{args.itpfi}: field site_generator"))
-    report = gamma_invariant(spec, _finite_beta(doc["beta"], f"{args.itpfi}: field beta"))
+    report = gamma_invariant(spec, _finite(doc["beta"], f"{args.itpfi}: field beta"))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "gamma",
         "kind": report.kind, "generator": report.generator,
@@ -564,7 +566,7 @@ def _cmd_matroid(args) -> int:
              for k, s in enumerate(doc.get("sites", []))]
     spec = MatroidSpec(kind=doc["kind"], sites=sites,
                        declared_tail=doc.get("declared_tail"))
-    beta = _finite_beta(args.beta, "--beta")
+    beta = _finite(args.beta, "--beta")
     try:
         verdict = matroid_bounded(spec, beta, prefix_terms=args.terms)
     except ValueError as e:     # an explicit site's refusal; a LinAlgError stays a fault
@@ -640,7 +642,7 @@ def _cmd_bundle(args) -> int:
 def _cmd_point_bundle(args) -> int:
     doc = _load(args.points, "points")
     spec = PointBundleSpec.from_pairs([(p["label"], p["level"]) for p in doc["points"]])
-    level = _finite_beta(args.level, "--level")
+    level = _finite(args.level, "--level")
     fiber = bundle_from_points(spec, level)
     members = [spec.labels[int(np.argmax(v))] for v in fiber.vertices]
     _write_json(args.out, {
@@ -652,6 +654,7 @@ def _cmd_point_bundle(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    tol = _finite(args.tol, "--tol")
     doc = _load(args.measure, "measure")
     kwargs = {}
     for key in ("lam_exact", "base_exact", "x_exact"):
@@ -662,7 +665,7 @@ def _cmd_measure(args) -> int:
     lam = float(doc["lam"])
     sets = [tuple(s) for s in doc.get("sets", [])] or [(1.0, lam), (1.0 / lam, 1.0)]
     report = verify_scaling(mu, sets)
-    passed = report.max_residual <= args.tol
+    passed = report.max_residual <= tol
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "measure", "kind": mu.kind,
         "alpha": mu.alpha if mu.kind == "density" else None,
@@ -682,6 +685,8 @@ def _grid_from_doc(doc) -> CocycleGrid:
 
 
 def _cmd_cocycle(args) -> int:
+    if args.tol is not None:
+        _finite(args.tol, "--tol")
     doc = _load(args.infile, "cocycle_grid")
     grid = _grid_from_doc(doc)
     if args.action == "check":
@@ -741,7 +746,7 @@ def _word(text: str) -> tuple[int, ...]:
 def _cmd_cuntz(args) -> int:
     a, b = _word(args.word_a), _word(args.word_b)
     value = cuntz_trace(args.m, a, b)
-    beta = (gauge_kms_beta(args.m, _finite_beta(args.rho, "--rho"))
+    beta = (gauge_kms_beta(args.m, _finite(args.rho, "--rho"))
             if args.rho is not None else None)
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "cuntz", "m": args.m,

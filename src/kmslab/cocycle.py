@@ -370,21 +370,11 @@ def _hankel(x: np.ndarray, m: int) -> np.ndarray:
     return np.ndarray((m, m), dtype=x.dtype, buffer=x, strides=(x.itemsize, x.itemsize))
 
 
-def _bound(r: float) -> float:
+def _bound(r):
     """The most the scan reads on a triple whose four pairs each have |λ − ∂μ̃| ≤ r,
-    as derived in ``_certificate``; it rounds monotonically in r."""
+    as derived in ``_certificate``; it rounds monotonically in r. An array of errors
+    takes the same float operations entry by entry."""
     return 4.0 * (1.0 + MODULUS_TOL) * r + 96.0 * _U
-
-
-def _radius(allowed: float) -> float:
-    """The largest float θ with ``_bound(θ) ≤ allowed``: a triple whose four pairs are
-    each within θ is within the allowed defect. θ < 0 when not even exact pairs are."""
-    theta = (allowed - 96.0 * _U) / (4.0 * (1.0 + MODULUS_TOL))
-    while _bound(theta) > allowed:
-        theta = math.nextafter(theta, -math.inf)
-    while _bound(math.nextafter(theta, math.inf)) <= allowed:
-        theta = math.nextafter(theta, math.inf)
-    return theta
 
 
 def _certificate(grid: CocycleGrid, r: float, full: bool) -> CocycleReport:
@@ -503,11 +493,11 @@ def trivialize(grid: CocycleGrid) -> TrivializationResult:
     * certificate: the bound 4·r + c·u of :func:`_certificate`, r the largest error,
       is at most the allowed defect ``DEFECT_FACTOR``·δ, and the precheck is certified
       in O(K²), with ``precheck.route == "certificate"``;
-    * local refusal: any triple whose four pairs each have error ≤ θ, the largest θ
-      whose bound is within the allowed defect, is within it too. So only the triples
-      reading a bad pair (error > θ) can fail, and they are evaluated as the scan
-      evaluates them; if their maximum M exceeds the allowed defect, M is the scan's
-      maximum and the grid is refused with it;
+    * local refusal: a pair is bad when the bound of its error exceeds the allowed
+      defect. The bound is monotone, so a triple whose four pairs are not bad is within
+      the allowed defect, and only the triples reading a bad pair can fail; they are
+      evaluated as the scan evaluates them, and if their maximum M exceeds the allowed
+      defect, M is the scan's maximum and the grid is refused with it;
     * scan: otherwise, and whenever the certificate window fails or the stages raise,
       ``check_cocycle`` scans every triple: a residual above the allowed defect is
       refused, then a stage's error is raised, and else the scan's report is the
@@ -535,7 +525,7 @@ def trivialize(grid: CocycleGrid) -> TrivializationResult:
         if result.precheck is not None:
             if result.precheck.max_identity_residual <= allowed:
                 return result
-            worst = _touched_maximum(grid, (errors > _radius(allowed)) & grid.in_window)
+            worst = _touched_maximum(grid, (_bound(errors) > allowed) & grid.in_window)
             if worst is not None and worst > allowed:
                 raise _identity_failure(worst, allowed)
     pre = check_cocycle(grid)

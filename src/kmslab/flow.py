@@ -84,25 +84,23 @@ class InnerFlow:
             raise ValueError("generator lives in a different algebra")
         if not all(np.isfinite(a).all() for a in generator.blocks):
             raise ValueError("generator has non-finite entries")
-        # tol_scale() ≥ 1, so a value within tolerance at scale 1 passes at every scale:
-        # the scale, an SVD when ‖h‖_F ≥ 1, is taken only for a value that is not
-        if not (generator.is_hermitian(TOL) or generator.is_hermitian(TOL * generator.tol_scale())):
-            raise ValueError("generator must be self-adjoint")
         self.algebra = algebra
         self.generator = generator
-        self.eigenvalues: list[np.ndarray] = []
-        self.eigenvectors: list[np.ndarray] = []
+        eigen = [np.linalg.eigh(h) for h in generator.blocks]
+        self.eigenvalues: list[np.ndarray] = [w for w, _ in eigen]
+        self.eigenvectors: list[np.ndarray] = [u for _, u in eigen]
         #: the slot of ``kms._boltzmann_at``'s ``_keep``
         self._kept_boltzmann = None
-        for h in generator.blocks:
-            w, u = np.linalg.eigh(h)
+        # both tests scale by max(1, max|λ|), read off the eigensystem they certify
+        scale = max(1.0, self.generator_norm)
+        if not generator.is_hermitian(TOL * scale):
+            raise ValueError("generator must be self-adjoint")
+        for h, (w, u) in zip(generator.blocks, eigen):
             err = (u * w) @ u.conj().T
             err -= h
             resid = float(np.max(np.abs(err)))
-            if not (resid <= 1e-10 or resid <= 1e-10 * generator.tol_scale()):
+            if not resid <= 1e-10 * scale:
                 raise ValueError(f"eigendecomposition residual {resid:.3e} too large")
-            self.eigenvalues.append(w)
-            self.eigenvectors.append(u)
 
     @classmethod
     def _certified(cls, algebra: BlockAlgebra, generator: AlgElement,

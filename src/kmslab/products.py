@@ -420,20 +420,6 @@ class SpectrumFamily:
         elif self.kind != "zero":
             raise ValueError(f"unknown family {self.kind!r}")
 
-    def eigenvalue(self, n: int) -> float:
-        """a_n, 1-indexed."""
-        if n < 1:
-            raise ValueError("eigenvalues are 1-indexed")
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "power":
-            return math.log(n) / self.r
-        if self.kind == "power_log":
-            return math.log(n * math.log(n + 2) ** 2) / self.r
-        if self.kind == "negated":
-            return -self.inner.eigenvalue(n)
-        return self.values[n - 1] if n <= len(self.values) else float("nan")
-
 
 @dataclass(frozen=True)
 class WindowInterval:

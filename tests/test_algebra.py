@@ -19,7 +19,6 @@ from kmslab import (
     random_hermitian,
     random_state,
 )
-from kmslab import algebra
 from kmslab.algebra import TOL, _exchange_residual, _min_eig, _trace_residual
 
 RNG = np.random.default_rng(20260816)
@@ -192,10 +191,35 @@ def test_density_check_matches_two_scale_reference(monkeypatch):
     for d in _density_check_cases():
         svds.clear()
         got = _refusal(lambda x: Functional(x.algebra, x), d)
-        assert len(svds) == (0 if d.fro_norm() <= 1.0 - 1e-9 else 1)
+        assert svds == []
         assert got == _refusal(_reference_density_check, d)
         outcomes.add(got.split(" (")[0] if got else got)
     assert outcomes == {None, "density not self-adjoint", "density not positive semidefinite"}
+
+
+def test_checks_take_no_svd_and_no_cholesky(svd_calls, monkeypatch):
+    """At ‖d‖_F > 1 and ‖h‖_F > 1, where the scale used to come from an SVD and a
+    density's positivity from a Cholesky factorization, acceptances and refusals alike
+    read everything off one eigendecomposition per block."""
+    choleskys = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda *args, **kw: choleskys.append(1) or cholesky(*args, **kw))
+    alg = BlockAlgebra((4, 2))
+    rng = np.random.default_rng(5)
+    d = 3.0 * random_state(alg, rng).density
+    h = random_hermitian(alg, rng, scale=5.0)
+    assert d.fro_norm() > 1.0 and h.fro_norm() > 1.0
+    Functional(alg, d)
+    InnerFlow(alg, h)
+    assert is_positive(d)
+    skew = alg.element([np.triu(np.ones((n, n)), 1) for n in alg.block_dims])
+    for check, x, message in [(Functional, d + skew, "self-adjoint"),
+                              (Functional, d - 2.0 * alg.identity(), "positive semidefinite"),
+                              (InnerFlow, h + skew, "self-adjoint")]:
+        with pytest.raises(ValueError, match=message):
+            check(alg, x)
+    assert svd_calls == [] and choleskys == []
 
 
 def _reference_is_positive(a, tol=TOL):
@@ -251,24 +275,6 @@ def test_positivity_matches_the_eigenvalue_test_at_every_planted_eigenvalue():
 def test_property_positivity_matches_the_eigenvalue_test(dims, planted, nudge, top, deficiency,
                                                          relative, seed):
     _assert_positivity_matches(dims, planted, nudge, top, deficiency, relative, seed)
-
-
-def test_eigenvalue_test_runs_only_where_cholesky_cannot_settle(monkeypatch):
-    calls = []
-    min_eig = algebra._min_eig
-    monkeypatch.setattr(algebra, "_min_eig", lambda a: calls.append(a.shape[0]) or min_eig(a))
-    alg = BlockAlgebra((64, 2))
-    rng = np.random.default_rng(4)
-    assert is_positive(random_state(alg, rng).density) and calls == []
-    # Cholesky completes, but its error bound 2(n+1)·eps·‖R‖_F² exceeds tol/4
-    assert is_positive(1e7 * alg.identity()) and calls == [64, 2]
-    calls.clear()
-    bad = alg.element([np.eye(64), np.diag([1.0, -2e-9])])
-    assert not is_positive(bad) and calls == [2]
-    calls.clear()
-    with pytest.raises(ValueError, match=r"min eigenvalue -1\.000e-07"):
-        Functional(alg, 1e-1 * alg.element([np.eye(64), np.diag([1.0, -1e-6])]))
-    assert calls == [2, 64, 2]
 
 
 def test_tol_scale_is_one_or_the_operator_norm():

@@ -197,6 +197,27 @@ def test_cuntz_and_point_bundle_refuse_non_finite_flags(tmp_path, capsys, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["verify", "modular", "measure", "cocycle-check",
+                                     "cocycle-trivialize"])
+def test_non_finite_tol_is_an_input_error(two_level, tmp_path, capsys, command, value):
+    """A NaN bound used to fail every check (exit 1) and ∞ pass every one, and
+    `verify` wrote the bound as a bare NaN or Infinity."""
+    out = tmp_path / "o.json"
+    argv = {
+        "verify": ["verify", "--problem", two_level, "--out", str(out)],
+        "modular": ["modular", "--problem", two_level, "--out", str(out)],
+        "measure": ["measure", "--out", str(out), "--measure",
+                    _write(tmp_path / "mu.json", {"lam": 2.0, "beta": -1.0, "kind": "density"})],
+        "cocycle-check": ["cocycle", "check", "--in", _grid_file(tmp_path), "--report", str(out)],
+        "cocycle-trivialize": ["cocycle", "trivialize", "--in", _grid_file(tmp_path),
+                               "--report", str(out)],
+    }[command]
+    assert main([*argv, f"--tol={value}"]) == 2
+    assert capsys.readouterr().err == f"error: --tol must be finite, got {value}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("terms", ["0", "-3"])
 def test_matroid_refuses_a_term_count_below_one(tmp_path, capsys, terms):
     """It used to exit 0 and write the count as given, with an empty product."""

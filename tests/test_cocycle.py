@@ -577,7 +577,7 @@ ROUTE_CASES = {
                            "local", True, True),
     "refused-under-mask": (lambda: _kicked(coboundary_of(_smooth_chain(2.0 ** -4, 1.0, seed=3)),
                                            [(5, -9)], 2.0), "local", True, True),
-    # four pairs off by 0.3 of the allowed defect, each beyond θ, add up at one triple
+    # four pairs off by 0.3 of the allowed defect, each bad, add up at one triple
     "refused-four-at-one": (lambda: _off_stage_defects(
         bilinear_cocycle(0.4, 2.0 ** -4, 1.0), 0.3 * cocycle_module.DEFECT_FACTOR * 2.0 ** -4,
         FOUR_AT_ONE), "local", True, True),
@@ -981,8 +981,8 @@ def test_local_refusal_of_many_bad_pairs_matches_the_scan_first_order(name, monk
     unit = cocycle_module._stages(source, exponent)[0].stage_windows["unit"]
     grid = _kicked(source, [(unit, 3)], 2.0)
     _, errors = cocycle_module._stages(grid, exponent)
-    theta = cocycle_module._radius(cocycle_module.DEFECT_FACTOR * grid.step)
-    assert np.count_nonzero((errors > theta) & grid.in_window) == n_bad
+    allowed = cocycle_module.DEFECT_FACTOR * grid.step
+    assert np.count_nonzero((cocycle_module._bound(errors) > allowed) & grid.in_window) == n_bad
     message = _reference_scan_first(grid)[0]
     scans = []
     monkeypatch.setattr(cocycle_module, "check_cocycle",

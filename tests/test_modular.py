@@ -771,18 +771,14 @@ def test_cli_modular_builds_one_triple(tmp_path, monkeypatch, dims):
     prob = _write_problem(tmp_path / "p.json", flow, 0.7)
     calls = []
 
-    def counted_gns(alg, omega):
-        calls.append("gns")
-        return gns(alg, omega)
-
-    def counted_md(g, method="polar"):
-        calls.append(method)
-        return modular_data(g, method)
+    def counted(name, build):
+        return lambda *args: calls.append(name) or build(*args)
 
     with monkeypatch.context() as m:
-        for mod in (modular, kmslab.cli):
-            m.setattr(mod, "gns", counted_gns)
-            m.setattr(mod, "modular_data", counted_md)
+        m.setattr(modular, "GnsTriple", counted("gns", GnsTriple))
+        m.setattr(modular, "_modular_polar", counted("polar", modular._modular_polar))
+        m.setattr(modular, "_modular_closed_form",
+                  counted("closed_form", modular._modular_closed_form))
         out = tmp_path / "m.json"
         assert main(["modular", "--problem", prob, "--out", str(out)]) == 0
     assert sorted(calls) == ["closed_form", "gns", "polar"]

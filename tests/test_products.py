@@ -192,17 +192,6 @@ def test_product_state_diagonalizes_only_the_site(monkeypatch):
     assert psi.density.blocks[0].shape == (256, 256)
 
 
-def test_product_state_factorizes_only_the_site(monkeypatch):
-    shapes = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a, *args, **kw: shapes.append(np.shape(a))
-                        or cholesky(a, *args, **kw))
-    spec = ItpfiSpec(np.array([[0.0, 0.5], [0.5, 1.0]]))
-    psi = product_kms_state(spec, 0.8, 8)
-    assert shapes == []
-    assert psi.density.blocks[0].shape == (256, 256)
-
-
 def test_product_state_peaks_below_five_dense_arrays():
     spec = ItpfiSpec(np.array([[0.0, 0.5], [0.5, 1.0]]))
     dim = 2 ** 10
