@@ -301,8 +301,10 @@ def _hermitian_spectra(a: AlgElement) -> tuple[list[np.ndarray], float]:
 
 def is_positive(a: AlgElement, tol: float = TOL) -> bool:
     """Positivity up to ``tol``: λ_min ≥ −tol in every block, with the Hermitian test
-    scaled by the same eigenvalues (see :func:`_hermitian_spectra`). Non-Hermitian
-    input is an error, not False."""
+    scaled by the same eigenvalues (see :func:`_hermitian_spectra`). Non-finite or
+    non-Hermitian input is an error, not False."""
+    if not all(np.isfinite(b).all() for b in a.blocks):
+        raise ValueError("element has non-finite entries")
     spectra, scale = _hermitian_spectra(a)
     if not a.is_hermitian(tol * scale):
         raise ValueError("not self-adjoint")

@@ -13,10 +13,10 @@ byte-deterministic for fixed inputs and seed; a ``--beta-range`` sweep runs
 in one thread as stacked array operations, and its rows are sorted by β
 before emission.
 
-Every document read or written is validated against its schema kind. A
-predicate compiled once per process from the kind's definition accepts the
-document; it accepts only what ``jsonschema`` accepts, and what it refuses
-goes to ``jsonschema``, which decides and writes every diagnostic.
+Every document read or written is validated against its schema kind by the
+kind's definition, compiled once per process: it decides as jsonschema 4.26.0
+does under Draft 2020-12 and words every refusal as jsonschema's ``best_match``
+picks it. jsonschema itself is never imported; it is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numbers
 import os
 import re
 import sys
+from collections.abc import Mapping, Sequence
 from importlib import resources
 
 import numpy as np
@@ -66,22 +67,51 @@ def _schema(which: str) -> dict:
     return json.loads(text)
 
 
-# The exact Python types a compiled predicate takes as each JSON type: a subset of
-# what jsonschema takes (it also counts numpy scalars as numbers and 2.0 as an integer).
+# The exact Python types a compiled check takes as each JSON type: a subset of what
+# jsonschema's Draft 2020-12 type checker takes (_JSON_IS), which also counts numpy
+# scalars as numbers and 2.0 as an integer, and no bool as a number.
 _EXACT = {"number": frozenset({int, float}), "integer": frozenset({int}),
           "string": frozenset({str}), "boolean": frozenset({bool}),
           "null": frozenset({type(None)}), "array": frozenset({list}),
           "object": frozenset({dict})}
 _IS = {name: (lambda x, exact=exact: type(x) in exact) for name, exact in _EXACT.items()}
 _EXACT_OF = {_IS[name]: exact for name, exact in _EXACT.items()}
-# keywords that look only at one JSON type, and what jsonschema counts as that type
-# (bool is a numbers.Number, so a bool checked against a bound is refused, never passed)
-_APPLIES_TO = {"array": list, "object": dict, "number": numbers.Number, "string": str}
+_JSON_IS = {"array": lambda x: isinstance(x, list), "object": lambda x: isinstance(x, dict),
+            "string": lambda x: isinstance(x, str), "boolean": lambda x: isinstance(x, bool),
+            "null": lambda x: x is None,
+            "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+            "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                                  or isinstance(x, float) and x.is_integer())}
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_KEYWORDS = frozenset({"type", "$ref", "items", "minItems", "maxItems", "required",
-                       "properties", "additionalProperties", "allOf", "anyOf", "enum",
-                       "const", "minimum", "exclusiveMinimum", "pattern",
-                       "description"})            # an annotation: nothing to check
+
+
+class _Refusal:
+    """What ``best_match`` reads of a jsonschema ``ValidationError``: the message, the
+    path below its parent's, the keyword, whether the instance has the type its schema
+    names, and, for an ``anyOf``, the refusals of every option."""
+
+    __slots__ = ("message", "path", "keyword", "typed", "context")
+
+    def __init__(self, message: str, context: list = ()):
+        self.message, self.context = message, context
+        self.path, self.keyword, self.typed = (), None, False
+
+
+def _at(key, refusals):
+    """A child's refusals, their paths put under ``key``."""
+    for refusal in refusals:
+        refusal.path = (key,) + refusal.path
+    return refusals
+
+
+def _if(ok, message):
+    """A keyword's one refusal, ``message(x)``, where ``ok(x)`` fails."""
+    return lambda x: () if ok(x) else [_Refusal(message(x))]
+
+
+def _one(applies: str | None, ok, message):
+    """A keyword whose check is jsonschema's own test, with one refusal where it fails."""
+    return applies, ok, _if(ok, message)
 
 
 def _every(checks: list):
@@ -98,18 +128,146 @@ def _every(checks: list):
 
 
 def _values(values: list):
-    """``enum``/``const``: equal value of the same type (jsonschema has True ≠ 1).
-    An array or object value never matches, so jsonschema decides those."""
+    """``enum``/``const``'s check: equal value of the same type (True ≠ 1). An array or
+    object value never matches, so the refusals decide those."""
     keys = {(type(v), v) for v in values if type(v) in _SCALARS}
     return lambda x: type(x) in _SCALARS and (type(x), x) in keys
 
 
-def _compile(defs: dict, kind: str):
-    """A predicate for ``defs[kind]`` that accepts only documents jsonschema accepts.
+def _equal(one, two) -> bool:
+    """jsonschema's ``_utils.equal``: ``==``, but True ≠ 1 and False ≠ 0, also inside
+    arrays and objects."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, Sequence) and isinstance(two, Sequence):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, Mapping) and isinstance(two, Mapping):
+        return len(one) == len(two) and all(k in two and _equal(v, two[k])
+                                            for k, v in one.items())
+    if one is True or one is False or two is True or two is False:
+        return False                                # one is not two
+    return one == two
 
-    It may refuse documents jsonschema accepts (an integer given as 2.0, numpy
-    scalars, NaN against a bound); the caller then asks jsonschema. A keyword
-    outside ``_KEYWORDS``, or a form of one that is not compiled, raises
+
+def _type(names, schema, sub):
+    names = [names] if isinstance(names, str) else names
+    exact = frozenset().union(*(_EXACT[t] for t in names))
+    listed = ", ".join(map(repr, names))
+    return (None, _IS[names[0]] if len(names) == 1 else lambda x: type(x) in exact,
+            _if(lambda x: any(_JSON_IS[t](x) for t in names),
+                lambda x: f"{x!r} is not of type {listed}"))
+
+
+def _items(item, schema, sub):
+    if not isinstance(item, dict):
+        raise NotImplementedError("only a schema is compiled as items")
+    check, refusals = sub(item)
+    if check in _EXACT_OF:                          # a bare type: one C-level pass
+        types = _EXACT_OF[check]
+        fast = lambda x: types.issuperset(map(type, x))
+    else:
+        fast = lambda x: all(map(check, x))
+    return "array", fast, lambda x: [r for i, v in enumerate(x) for r in _at(i, refusals(v))]
+
+
+def _properties(props, schema, sub):
+    nodes = {k: sub(v) for k, v in props.items()}
+    checks = {k: check for k, (check, _) in nodes.items()}
+
+    def fields(x):
+        for k, v in x.items():
+            check = checks.get(k)
+            if check is not None and not check(v):
+                return False
+        return True
+    return "object", fields, lambda x: [r for k, (_, refusals) in nodes.items() if k in x
+                                        for r in _at(k, refusals(x[k]))]
+
+
+def _closed(extra, schema, sub):
+    if extra is not False:
+        raise NotImplementedError("only additionalProperties: false is compiled")
+    names = frozenset(schema.get("properties", ()))
+
+    def message(x):
+        extras = sorted({k for k in x if k not in names}, key=str)
+        return (f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+    return "object", names.issuperset, _if(names.issuperset, message)
+
+
+def _all_of(subs, schema, sub):
+    nodes = [sub(s) for s in subs]
+    return (None, _every([check for check, _ in nodes]),
+            lambda x: [r for _, refusals in nodes for r in refusals(x)])
+
+
+def _any_of(options, schema, sub):
+    nodes = [sub(s) for s in options]
+
+    def some(x):
+        for check, _ in nodes:
+            if check(x):
+                return True
+        return False
+
+    def refusals(x):
+        context = []
+        for _, option in nodes:
+            found = option(x)
+            if not found:
+                return ()
+            context += found
+        return [_Refusal(f"{x!r} is not valid under any of the given schemas", context)]
+    return None, some, refusals
+
+
+# Each keyword compiles, given its value, its schema and ``sub`` (which compiles a
+# subschema, or the $defs entry a "$ref" names), to the JSON type it looks at (None: any),
+# its fast check, and the refusals jsonschema 4.26.0 yields for it, both to be called on
+# that type only. A check may refuse what jsonschema accepts, but never the reverse.
+_KEYWORDS = {
+    "type": _type, "items": _items, "properties": _properties,
+    "additionalProperties": _closed, "allOf": _all_of, "anyOf": _any_of,
+    "$ref": lambda target, schema, sub: (None, *sub(target)),
+    "minItems": lambda n, schema, sub: _one(
+        "array", lambda x: len(x) >= n,
+        lambda x: f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}"),
+    "maxItems": lambda n, schema, sub: _one(
+        "array", lambda x: len(x) <= n,
+        lambda x: f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}"),
+    "required": lambda names, schema, sub: (
+        "object", frozenset(names).issubset,
+        lambda x: [_Refusal(f"{k!r} is a required property") for k in names if k not in x]),
+    "enum": lambda values, schema, sub: (
+        None, _values(values), _if(lambda x: any(_equal(v, x) for v in values),
+                                   lambda x: f"{x!r} is not one of {values!r}")),
+    "const": lambda value, schema, sub: (
+        None, _values([value]), _if(lambda x: _equal(x, value),
+                                    lambda x: f"{value!r} was expected")),
+    "minimum": lambda least, schema, sub: _one(
+        "number", lambda x: not x < least,
+        lambda x: f"{x!r} is less than the minimum of {least!r}"),
+    "exclusiveMinimum": lambda below, schema, sub: _one(
+        "number", lambda x: not x <= below,
+        lambda x: f"{x!r} is less than or equal to the minimum of {below!r}"),
+    "pattern": lambda pattern, schema, sub: _one(
+        "string", lambda x, search=re.compile(pattern).search: search(x) is not None,
+        lambda x: f"{x!r} does not match {pattern!r}"),
+    "description": None,                            # an annotation: nothing to check
+}
+
+
+def _compile(defs: dict, kind: str):
+    """The check and the refusals of ``defs[kind]``, as jsonschema 4.26.0 validates it
+    under Draft 2020-12.
+
+    The check accepts only documents jsonschema accepts; it may refuse some that
+    jsonschema accepts (an integer given as 2.0, numpy scalars). The refusals are
+    exactly jsonschema's errors, in its order: none for a document it accepts. A
+    keyword outside ``_KEYWORDS``, or a form of one that is not compiled, raises
     ``NotImplementedError`` here, so no check is ever dropped silently.
     """
     done: dict = {}
@@ -122,126 +280,81 @@ def _compile(defs: dict, kind: str):
             done[name] = None                       # under compilation
             done[name] = node(defs[name])
         if done[name] is None:                      # a recursive reference
-            return lambda x: done[name](x)
+            return (lambda x: done[name][0](x)), (lambda x: done[name][1](x))
         return done[name]
 
+    def sub(schema):
+        return ref(schema) if isinstance(schema, str) else node(schema)
+
     def node(schema: dict):
-        unknown = sorted(schema.keys() - _KEYWORDS)
+        unknown = sorted(schema.keys() - _KEYWORDS.keys())
         if unknown:
             raise NotImplementedError(f"schema keyword(s) {unknown} have no compiled check")
-        checks, only = [], None
-        if "type" in schema:
-            names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
-            only = names[0] if len(names) == 1 else None
-            exact = frozenset().union(*(_EXACT[t] for t in names))
-            checks.append(_IS[only] if only else lambda x: type(x) in exact)
-        groups = {"array": [], "object": [], "number": [], "string": []}
-
-        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-        if lo > 0 or hi < math.inf:
-            groups["array"].append(lambda x: lo <= len(x) <= hi)
-        if "items" in schema:
-            if not isinstance(schema["items"], dict):
-                raise NotImplementedError("only a schema is compiled as items")
-            item = node(schema["items"])
-            if item in _EXACT_OF:                   # a bare type: one C-level pass
-                types = _EXACT_OF[item]
-                groups["array"].append(lambda x: types.issuperset(map(type, x)))
+        parts = [(k, *_KEYWORDS[k](v, schema, sub)) for k, v in schema.items() if _KEYWORDS[k]]
+        names = schema.get("type", ())
+        names = [names] if isinstance(names, str) else names
+        only = names[0] if len(names) == 1 else None
+        checks, groups = [], {}
+        for _, applies, check, _ in parts:
+            if applies is None:
+                checks.append(check)
             else:
-                groups["array"].append(lambda x: all(map(item, x)))
-
-        required = tuple(schema.get("required", ()))
-        props = {k: node(v) for k, v in schema.get("properties", {}).items()}
-        if schema.get("additionalProperties", False) is not False:
-            raise NotImplementedError("only additionalProperties: false is compiled")
-        closed = "additionalProperties" in schema
-        if required or props or closed:
-            def fields(x):
-                for k in required:
-                    if k not in x:
-                        return False
-                for k, v in x.items():
-                    check = props.get(k)
-                    if check is None:
-                        if closed:
-                            return False
-                    elif not check(v):
-                        return False
-                return True
-            groups["object"].append(fields)
-
-        if "minimum" in schema:
-            least = schema["minimum"]
-            groups["number"].append(lambda x: x >= least)
-        if "exclusiveMinimum" in schema:
-            below = schema["exclusiveMinimum"]
-            groups["number"].append(lambda x: x > below)
-        if "pattern" in schema:
-            search = re.compile(schema["pattern"]).search
-            groups["string"].append(lambda x: search(x) is not None)
-
+                groups.setdefault(applies, []).append(check)
         for applies, group in groups.items():
-            if not group:
-                continue
-            check = _every(group)
             if only is not None and _EXACT[only] <= _EXACT[applies]:
-                checks.append(check)                # the type check above guards it
+                checks += group                     # the type check guards them
             else:
-                checks.append(lambda x, check=check, exact=_EXACT[applies],
-                              maybe=_APPLIES_TO[applies]:
-                              check(x) if type(x) in exact else not isinstance(x, maybe))
-        if "enum" in schema:
-            checks.append(_values(schema["enum"]))
-        if "const" in schema:
-            checks.append(_values([schema["const"]]))
-        if "allOf" in schema:
-            checks.append(_every([node(s) for s in schema["allOf"]]))
-        if "anyOf" in schema:
-            options = [node(s) for s in schema["anyOf"]]
+                checks.append(lambda x, check=_every(group), exact=_EXACT[applies],
+                              maybe=_JSON_IS[applies]:
+                              check(x) if type(x) in exact else not maybe(x))
+        check = _every(checks) if checks else (lambda x: True)
 
-            def some(x):
-                for option in options:
-                    if option(x):
-                        return True
-                return False
-            checks.append(some)
-        if "$ref" in schema:
-            checks.append(ref(schema["$ref"]))
-        return _every(checks) if checks else (lambda x: True)
+        def refusals(x):
+            if check(x):                            # sound: jsonschema accepts it too
+                return ()
+            found, typed = [], any(_JSON_IS[t](x) for t in names)
+            for keyword, applies, _, refuse in parts:
+                if applies is None or _JSON_IS[applies](x):
+                    for refusal in refuse(x):
+                        if refusal.keyword is None:
+                            refusal.keyword, refusal.typed = keyword, typed
+                        found.append(refusal)
+            return found
+        return check, refusals
 
     return ref(f"#/$defs/{kind}")
 
 
 @functools.lru_cache(maxsize=None)
-def _predicate(which: str, kind: str):
-    """The compiled predicate of one kind."""
+def _compiled(which: str, kind: str):
+    """The compiled check and refusals of one kind."""
     return _compile(_schema(which)["$defs"], kind)
 
 
-@functools.lru_cache(maxsize=None)
-def _validator(which: str, kind: str):
-    """The jsonschema validator of one kind, imported and built only once a document
-    is refused. It checks the kind's definition, carrying every ``$defs`` entry of the
-    file; it declares no ``$schema``, so it takes the default class, 2020-12."""
-    import jsonschema
-
-    defs = _schema(which)["$defs"]
-    schema = dict(defs[kind])
-    schema["$defs"] = defs
-    return jsonschema.validators.validator_for(schema)(schema)
+def _relevance(refusal: _Refusal):
+    """jsonschema's ``relevance`` key, by which ``best_match`` ranks errors: the path's
+    length and the path, whether the keyword is not the weak ``anyOf``, and whether
+    the instance is not of the type its schema names (no keyword is strong)."""
+    return -len(refusal.path), refusal.path, refusal.keyword != "anyOf", not refusal.typed
 
 
 def _validate(doc, kind: str, which: str, path: str) -> None:
-    """Accept what the compiled predicate accepts; jsonschema decides the rest and
-    writes every diagnostic."""
-    if _predicate(which, kind)(doc):
+    """Accept what the compiled schema accepts; refuse the rest with the diagnostic
+    jsonschema's ``best_match`` picks: the most relevant refusal, then, while one
+    refusal in its context is strictly least relevant, that one."""
+    found = _compiled(which, kind)[1](doc)
+    if not found:
         return
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_validator(which, kind).iter_errors(doc))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
-        raise CliInputError(f"{path}: field {where}: {error.message}") from error
+    best = max(found, key=_relevance)
+    where = best.path
+    while best.context:
+        least = sorted(best.context, key=_relevance)[:2]
+        if len(least) == 2 and _relevance(least[0]) == _relevance(least[1]):
+            break
+        best = least[0]
+        where += best.path
+    raise CliInputError(f"{path}: field {'/'.join(map(str, where)) or '(root)'}: "
+                        f"{best.message}")
 
 
 def _load(path: str, kind: str) -> dict:

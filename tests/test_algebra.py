@@ -111,6 +111,14 @@ def test_positivity_predicate():
     assert not is_positive(-(a.adjoint() @ a) - 0.01 * alg.identity())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_positivity_refuses_non_finite_entries_by_name(bad):
+    alg = BlockAlgebra((2, 1))
+    a = alg.element([np.diag([bad, 1.0]).astype(complex), np.eye(1, dtype=complex)])
+    with pytest.raises(ValueError, match="element has non-finite entries"):
+        is_positive(a)
+
+
 def test_hermitian_check():
     alg = BlockAlgebra((2,))
     h = random_hermitian(alg, RNG)

@@ -904,9 +904,9 @@ def _reference_schema_defs(which: str) -> dict:
 
 
 def _reference_validate(doc, kind: str, which: str, path: str) -> None:
-    """The validation route the CLI used before it cached validators: what
-    ``jsonschema.validate`` does after its metaschema check, on the :func:`_oracle`
-    validator. The metaschema check is tested once per file by
+    """The oracle of ``cli._validate``: what ``jsonschema.validate`` does after its
+    metaschema check, on the :func:`_oracle` validator, with the diagnostic worded as
+    the CLI words it. The metaschema check is tested once per file by
     ``test_broken_schema_file_fails_its_metaschema_check``."""
     from jsonschema.exceptions import best_match
 
@@ -1009,7 +1009,7 @@ def test_validation_diagnostics_match_the_reference_route(which, kind):
 
 @pytest.fixture
 def fresh_schema_caches():
-    caches = (cli._schema, cli._predicate, cli._validator)
+    caches = (cli._schema, cli._compiled)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -1064,7 +1064,9 @@ def test_the_cli_never_runs_the_metaschema_check(fresh_schema_caches, monkeypatc
     assert "field generator" in capsys.readouterr().err
 
 
-def test_jsonschema_is_imported_only_to_write_a_diagnostic(tmp_path):
+def test_no_kmslab_process_imports_jsonschema(tmp_path):
+    """Neither an accepted document, nor a refused one, nor one that only jsonschema's
+    type rules accept (an integer given as 2.0) loads jsonschema."""
     import os
     from pathlib import Path
 
@@ -1073,16 +1075,33 @@ def test_jsonschema_is_imported_only_to_write_a_diagnostic(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     prob = _write(tmp_path / "p.json", TWO_LEVEL)
     bad = _write(tmp_path / "bad.json", {"block_dims": [2], "generator": "not-a-matrix"})
+    float_dims = _write(tmp_path / "float_dims.json", dict(TWO_LEVEL, block_dims=[2.0]))
     script = ("import sys; from kmslab.cli import main; "
               "code = main(sys.argv[1:]); print(code, 'jsonschema' in sys.modules)")
     out = str(tmp_path / "o.json")
     seen = []
-    for problem in (prob, bad):
+    for problem in (prob, bad, float_dims):
         r = subprocess.run([sys.executable, "-c", script, "gibbs", "--problem", problem,
                             "--beta", "1", "--out", out], env=env, capture_output=True,
                            text=True)
         seen.append(r.stdout.split())
-    assert seen == [["0", "False"], ["2", "True"]]
+    assert seen == [["0", "False"], ["2", "False"], ["0", "False"]]
+
+
+def test_no_module_in_the_package_imports_jsonschema():
+    """jsonschema is the tests' oracle, never a dependency of the package."""
+    import ast
+    from pathlib import Path
+
+    package = Path(cli.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "jsonschema"]
+    assert found == []
 
 
 # -- compiled schema predicates: sound, defined for every kind, and taken ------------
@@ -1104,7 +1123,7 @@ def _oracle(which: str, kind: str):
 
 
 def _accepts(which: str, kind: str):
-    return cli._predicate(which, kind)
+    return cli._compiled(which, kind)[0]
 
 
 # valid documents of the kinds that neither VALID_DOCS nor a CLI run covers
@@ -1275,22 +1294,63 @@ def _sound(which, kind, doc) -> bool:
     return True
 
 
+def _node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @pytest.mark.parametrize("which,kind", _all_kinds())
 def test_compiled_predicate_is_sound_at_every_node(cli_documents, which, kind):
-    """Each malformed variant, and each node of each valid document (the end items of
-    each list) replaced by each tricky value: whatever the predicate accepts,
-    jsonschema accepts."""
+    """Each malformed variant, each object of each valid document given several extra
+    fields at once, and each node (the end items of each list) replaced by each tricky
+    value: whatever the predicate accepts, jsonschema accepts, and ``_validate`` gives
+    the reference route's verdict, exception type and message."""
     accepted = refused = 0
     for doc in _base_docs(cli_documents[0])[(which, kind)]:
         variants = [v for vs in _malformed(doc).values() for v in vs]
         variants += [_put(doc, path, value) for path in _paths(doc, ends_only=True)
                      for value in TRICKY]
+        variants += [_put(doc, path, {**node, "zz": 1, "bogus": [], "aa": None})
+                     for path in _paths(doc, ends_only=True)
+                     if isinstance(node := _node_at(doc, path), dict)]
         for variant in variants:
             if _sound(which, kind, variant):
                 accepted += 1
             else:
                 refused += 1
+            assert (_outcome(cli._validate, variant, kind, which)
+                    == _outcome(_reference_validate, variant, kind, which)), variant
     assert accepted >= 1 and refused >= 1
+
+
+# values for the enum and const rules: True ≠ 1 and False ≠ 0, also inside arrays and
+# objects, while 1 == 1.0
+EQUALITY_DEFS = {"enum": {"enum": [1, False, None, "1", [1, 0.0], {"a": True}]},
+                 "const_one": {"const": 1}, "const_true": {"const": True},
+                 "const_array": {"const": [True, 0]},
+                 "nested": {"type": "array", "items": {"enum": [0, "x"]}}}
+
+
+@pytest.mark.parametrize("kind", sorted(EQUALITY_DEFS))
+def test_enum_and_const_refusals_match_jsonschema(kind):
+    from jsonschema import Draft202012Validator
+
+    check, refusals = cli._compile(EQUALITY_DEFS, kind)
+    oracle = Draft202012Validator(EQUALITY_DEFS[kind])
+    values = TRICKY + [[1, 0], [1, False], [True, 0], [1.0, -0.0], {"a": 1}, {"a": True},
+                       [0, "x", 0.0, False]]
+
+    def outcome(fn):
+        try:
+            return fn()
+        except Exception as e:                  # noqa: BLE001  (compared, not handled)
+            return type(e), str(e)
+
+    for value in values:
+        want = outcome(lambda: [(tuple(e.path), e.message) for e in oracle.iter_errors(value)])
+        assert outcome(lambda: [(r.path, r.message) for r in refusals(value)]) == want, value
+        assert not check(value) or want == [], value
 
 
 def _property_names():
@@ -1336,6 +1396,8 @@ def test_property_compiled_predicate_is_sound(cli_documents, which, kind, data):
     variants = [v for doc in docs for vs in _malformed(doc).values() for v in vs]
     doc = data.draw(st.sampled_from(variants) | _mutant(docs) | _JSON_TREES)
     _sound(which, kind, doc)
+    assert _outcome(cli._validate, doc, kind, which) == _outcome(_reference_validate, doc,
+                                                                 kind, which)
 
 
 def _patched_schema_files(monkeypatch, which, edit):
