@@ -222,11 +222,8 @@ class Functional:
         if density.algebra != algebra:
             raise ValueError("density lives in a different algebra")
         if check:
-            if not all(np.isfinite(a).all() for a in density.blocks):
-                raise ValueError("density has non-finite entries")
-            spectra, scale = _hermitian_spectra(density)
-            if not density.is_hermitian(1e-8 * scale):
-                raise ValueError("density not self-adjoint")
+            _, spectra, scale = _hermitian_part(density, "density", 1e-8,
+                                                "density not self-adjoint")
             lo = min(w[0] for w in spectra)
             if lo < -1e-8 * scale:
                 raise ValueError(f"density not positive semidefinite (min eigenvalue {lo:.3e})")
@@ -245,11 +242,9 @@ class Functional:
     def total_mass(self) -> float:
         return float(np.real(self.density.trace()))
 
-    def is_state(self, tol: float = TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
-
     def is_faithful(self) -> bool:
-        return all(_min_eig(d) > 1e-12 for d in self.density.blocks)
+        return all(np.linalg.eigvalsh((d + d.conj().T) / 2.0)[0] > 1e-12
+                   for d in self.density.blocks)
 
     def scaled(self, c: float) -> "Functional":
         return Functional(self.algebra, c * self.density, check=False)
@@ -266,9 +261,7 @@ class Projection:
 
     def __post_init__(self):
         p = self.element
-        scale = p.tol_scale()
-        if not p.is_hermitian(1e-8 * scale):
-            raise ValueError("projection not self-adjoint")
+        _, _, scale = _hermitian_part(p, "projection", 1e-8, "projection not self-adjoint")
         resid = max(np.max(np.abs(a @ a - a)) if a.size else 0.0 for a in p.blocks)
         if resid > 1e-8 * scale:
             raise ValueError(f"p² ≠ p (residual {resid:.3e})")
@@ -285,29 +278,32 @@ class Projection:
         return all(r >= 1 for r in self.block_ranks())
 
 
-def _min_eig(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
-
-
-def _hermitian_spectra(a: AlgElement) -> tuple[list[np.ndarray], float]:
-    """The eigenvalues of each block's Hermitian part (a + a*)/2, ascending, and the
-    scale max(1, max|λ|) read off them: the one eigendecomposition behind both the
-    Hermitian test's scale and the positivity test."""
-    spectra = [np.linalg.eigvalsh((b + b.conj().T) / 2.0) for b in a.blocks]
-    return spectra, max(1.0, *(float(np.abs(w).max()) for w in spectra))
+def _hermitian_part(a: AlgElement, name: str, tol: float, refusal: str,
+                    vectors: bool = False) -> tuple[list[np.ndarray], list, float]:
+    """The one self-adjointness check of the package: a's blocks are refused if any entry
+    is not finite ("<name> has non-finite entries"); each block's Hermitian part
+    (b + b*)/2, b itself when b is exactly Hermitian, is decomposed once, by ``eigh`` if ``vectors`` (pairs (w, u)), else by
+    ``eigvalsh`` (w), eigenvalues ascending; the scale max(1, max|λ|) is read off that
+    decomposition; and an asymmetry max|b − b*| above tol·scale is refused with
+    ``refusal``. Returns the Hermitian parts, their decompositions and the scale."""
+    if not all(np.isfinite(b).all() for b in a.blocks):
+        raise ValueError(f"{name} has non-finite entries")
+    parts = []
+    for b in a.blocks:
+        bh = b.conj().T                 # b + b* overflows for entries past 8.9e307
+        parts.append(b if (b == bh).all() else (b + bh) / 2.0)
+    decomps = [np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h) for h in parts]
+    scale = max(1.0, *(float(np.abs(d[0] if vectors else d).max()) for d in decomps))
+    if not a.is_hermitian(tol * scale):
+        raise ValueError(refusal)
+    return parts, decomps, scale
 
 
 def is_positive(a: AlgElement, tol: float = TOL) -> bool:
-    """Positivity up to ``tol``: λ_min ≥ −tol in every block, with the Hermitian test
-    scaled by the same eigenvalues (see :func:`_hermitian_spectra`). Non-finite or
-    non-Hermitian input is an error, not False."""
-    if not all(np.isfinite(b).all() for b in a.blocks):
-        raise ValueError("element has non-finite entries")
-    spectra, scale = _hermitian_spectra(a)
-    if not a.is_hermitian(tol * scale):
-        raise ValueError("not self-adjoint")
+    """Positivity up to ``tol``: λ_min ≥ −tol in every block, after the self-adjointness
+    check of :func:`_hermitian_part` at the same tol. Non-finite or non-Hermitian input
+    is an error, not False."""
+    _, spectra, _ = _hermitian_part(a, "element", tol, "not self-adjoint")
     return all(w[0] >= -tol for w in spectra)
 
 
@@ -355,13 +351,6 @@ def _exchange_witness(d: np.ndarray, fac: np.ndarray, sheets: np.ndarray,
     pos = np.concatenate((((l * n + m) * n + k).ravel(), np.arange(n)))
     where = k * n ** 3 + int(pos[hit(np.concatenate((side.ravel(), col)))].min())
     return tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
-
-
-def _exchange_residual(d: np.ndarray, fac: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Route one on one eigenbasis block: the maximum of :func:`_exchange_sheets` and
-    its witness from :func:`_exchange_witness`."""
-    best, sheets = _exchange_sheets(d, fac)
-    return best, _exchange_witness(d, fac, sheets, best)
 
 
 def _trace_residual(d: np.ndarray, same: np.ndarray | None = None) -> float:

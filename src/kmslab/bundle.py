@@ -153,15 +153,6 @@ def _primitive(v: np.ndarray) -> np.ndarray:
     return v // g if g > 1 else v
 
 
-def _integer_row(xs) -> np.ndarray:
-    """A rational row (ints, Fractions or exact floats) scaled by the lcm of its
-    denominators: a primitive integer row on the same hyperplane."""
-    ratios = [x.as_integer_ratio() if isinstance(x, float)
-              else (int(x.numerator), int(x.denominator)) for x in xs]
-    lcm = math.lcm(*(d for _, d in ratios))
-    return _primitive(np.array([n * (lcm // d) for n, d in ratios], dtype=object))
-
-
 def _echelon(rows, dim: int) -> list[tuple[int, np.ndarray]]:
     """Fraction-free elimination of integer rows over ℚ, combined rows made primitive:
     the pivot rows with their pivot columns, each row zero left of its column.

@@ -36,7 +36,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .algebra import BlockAlgebra, Functional
+from .algebra import BlockAlgebra, Functional, InternalFault
 from .flow import InnerFlow
 from .kms import gibbs, kms_simplex, simplex_sweep, verify_kms
 from .modular import (center_dimension, commutant_gap, gns, modular_data,
@@ -338,10 +338,10 @@ def _relevance(refusal: _Refusal):
     return -len(refusal.path), refusal.path, refusal.keyword != "anyOf", not refusal.typed
 
 
-def _validate(doc, kind: str, which: str, path: str) -> None:
-    """Accept what the compiled schema accepts; refuse the rest with the diagnostic
-    jsonschema's ``best_match`` picks: the most relevant refusal, then, while one
-    refusal in its context is strictly least relevant, that one."""
+def _validate(doc, kind: str, which: str, path: str, error: type = CliInputError) -> None:
+    """Accept what the compiled schema accepts; refuse the rest, as ``error``, with the
+    diagnostic jsonschema's ``best_match`` picks: the most relevant refusal, then, while
+    one refusal in its context is strictly least relevant, that one."""
     found = _compiled(which, kind)[1](doc)
     if not found:
         return
@@ -353,8 +353,7 @@ def _validate(doc, kind: str, which: str, path: str) -> None:
             break
         best = least[0]
         where += best.path
-    raise CliInputError(f"{path}: field {'/'.join(map(str, where)) or '(root)'}: "
-                        f"{best.message}")
+    raise error(f"{path}: field {'/'.join(map(str, where)) or '(root)'}: {best.message}")
 
 
 def _load(path: str, kind: str) -> dict:
@@ -370,8 +369,9 @@ def _load(path: str, kind: str) -> dict:
 
 
 def _write_json(path: str, payload: dict, kind: str | None = None) -> None:
+    """Write ``payload``; one its schema refuses was built wrong here, an internal fault."""
     if kind is not None:
-        _validate(payload, kind, "outputs", path)
+        _validate(payload, kind, "outputs", path, InternalFault)
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -607,7 +607,7 @@ def _cmd_modular(args) -> int:
     route_gap = float(np.max(np.abs(md_polar.log_delta - md_closed.log_delta)))
     flow_residual = verify_modular_flow(flow, state).max_residual
     dim_alg, dim_comm, gap = commutant_gap(triple, md_polar)
-    passed = flow_residual <= tol and gap <= tol and route_gap <= tol
+    passed = dim_comm == dim_alg and flow_residual <= tol and gap <= tol and route_gap <= tol
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "modular", "passed": passed,
         "delta_eigenvalues": sorted(np.exp(md_polar.log_eigenvalues).tolist()),

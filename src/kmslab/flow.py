@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (TOL, AlgElement, BlockAlgebra, Functional, InternalFault, _fro_norm,
-                      _read_only)
+                      _hermitian_part, _read_only)
 
 #: refuse analytic continuation beyond this strip half-width; the entry
 #: factors reach e^{|Im z|·spread} and silently clamping would corrupt results
@@ -82,25 +82,22 @@ class InnerFlow:
     def __init__(self, algebra: BlockAlgebra, generator: AlgElement):
         if generator.algebra != algebra:
             raise ValueError("generator lives in a different algebra")
-        if not all(np.isfinite(a).all() for a in generator.blocks):
-            raise ValueError("generator has non-finite entries")
-        self.algebra = algebra
-        self.generator = generator
-        eigen = [np.linalg.eigh(h) for h in generator.blocks]
-        self.eigenvalues: list[np.ndarray] = [w for w, _ in eigen]
-        self.eigenvectors: list[np.ndarray] = [u for _, u in eigen]
-        #: the slot of ``kms._boltzmann_at``'s ``_keep``
-        self._kept_boltzmann = None
-        # both tests scale by max(1, max|λ|), read off the eigensystem they certify
-        scale = max(1.0, self.generator_norm)
-        if not generator.is_hermitian(TOL * scale):
-            raise ValueError("generator must be self-adjoint")
-        for h, (w, u) in zip(generator.blocks, eigen):
+        # the eigensystem is that of the Hermitian part; TOL alone decides self-adjointness,
+        # and the residual, taken against the same part, catches only a faulty eigh
+        parts, eigen, scale = _hermitian_part(generator, "generator", TOL,
+                                              "generator must be self-adjoint", vectors=True)
+        for h, (w, u) in zip(parts, eigen):
             err = (u * w) @ u.conj().T
             err -= h
             resid = float(np.max(np.abs(err)))
             if not resid <= 1e-10 * scale:
                 raise ValueError(f"eigendecomposition residual {resid:.3e} too large")
+        self.algebra = algebra
+        self.generator = generator
+        self.eigenvalues: list[np.ndarray] = [w for w, _ in eigen]
+        self.eigenvectors: list[np.ndarray] = [u for _, u in eigen]
+        #: the slot of ``kms._boltzmann_at``'s ``_keep``
+        self._kept_boltzmann = None
 
     @classmethod
     def _certified(cls, algebra: BlockAlgebra, generator: AlgElement,
@@ -116,7 +113,8 @@ class InnerFlow:
 
     @property
     def generator_norm(self) -> float:
-        """‖h‖₂ = max|λ| over the certified eigenvalues: h is Hermitian."""
+        """max|λ| over the certified eigenvalues: ‖(h + h*)/2‖₂, which is ‖h‖₂ when h is
+        exactly Hermitian."""
         return max(float(np.abs(w).max()) for w in self.eigenvalues)
 
     @property

@@ -95,6 +95,14 @@ def _boltzmann_at(flow: InnerFlow, beta: float) -> tuple[tuple[np.ndarray, ...],
     return _keep(flow, "_kept_boltzmann", beta.hex(), build)
 
 
+def _check_mass(mass) -> None:
+    """:class:`KmsState`'s mass test on one float mass or an array of masses: each must
+    be within 1e-8 of 1, so a NaN fails, and the first that is not, in C order, is quoted."""
+    ok = abs(mass - 1.0) <= 1e-8
+    if ok is not True and not np.all(ok):          # a float that passes takes no array call
+        raise ValueError(f"not normalized (mass {np.ravel(mass)[np.argmin(ok)]:.6g})")
+
+
 @dataclass
 class KmsState:
     """A state satisfying the β-equilibrium condition for its flow."""
@@ -104,8 +112,7 @@ class KmsState:
     flow: InnerFlow
 
     def __post_init__(self):
-        if not self.functional.is_state(1e-8):
-            raise ValueError(f"not normalized (mass {self.functional.total_mass:.6g})")
+        _check_mass(self.functional.total_mass)
         if self.functional.algebra != self.flow.algebra:
             raise ValueError("state and flow live on different algebras")
 
@@ -384,15 +391,13 @@ def _simplex_at(flow: InnerFlow, beta: float, normalized: list[np.ndarray]) -> K
 
     Vertex i adopts its block, complex as ``_boltzmann`` makes it, as given; every
     other block is one read-only zero block per shape, shared by all the vertices.
-    Each vertex is checked once, in order, by :class:`KmsState`'s mass test and
-    message on the trace of its one block: the zero blocks add exactly 0 to its
-    mass. It is then installed with ``KmsState._certified``."""
+    Each vertex is checked once, in order, by :class:`KmsState`'s mass test on the trace
+    of its one block: the zero blocks add exactly 0 to its mass. It is then installed
+    with ``KmsState._certified``."""
     zeros = {shape: np.zeros(shape, dtype=complex) for shape in {d.shape for d in normalized}}
     verts = []
     for i, d in enumerate(normalized):
-        mass = float(np.trace(d).real)
-        if not abs(mass - 1.0) <= 1e-8:
-            raise ValueError(f"not normalized (mass {mass:.6g})")
+        _check_mass(float(np.trace(d).real))
         blocks = [d if j == i else zeros[m.shape] for j, m in enumerate(normalized)]
         f = Functional(flow.algebra, AlgElement._adopt(flow.algebra, blocks), check=False)
         verts.append(KmsState._certified(f, beta, flow))
@@ -424,10 +429,7 @@ def simplex_sweep(flow: InnerFlow, betas) -> np.ndarray:
     norms = [np.vecdot(u, u, axis=0).real for u in flow.eigenvectors]
     for start in range(0, len(betas), per_chunk):
         _, _, weights = _boltzmann_factors(flow, betas[start:start + per_chunk])
-        mass = np.stack([p @ q for p, q in zip(weights, norms)], axis=1)
-        bad = ~(np.abs(mass - 1.0) <= 1e-8)
-        if bad.any():
-            raise ValueError(f"not normalized (mass {mass.flat[bad.argmax()]:.6g})")
+        _check_mass(np.stack([p @ q for p, q in zip(weights, norms)], axis=1))
     blocks = flow.algebra.num_blocks
     return np.tile((blocks - 1, blocks), (len(betas), 1))
 

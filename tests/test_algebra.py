@@ -1,10 +1,14 @@
 """Finite-dimensional block algebra arithmetic and structure maps."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kmslab
 from kmslab import (
     AlgElement,
     BlockAlgebra,
@@ -19,7 +23,7 @@ from kmslab import (
     random_hermitian,
     random_state,
 )
-from kmslab.algebra import TOL, _exchange_residual, _min_eig, _trace_residual
+from kmslab.algebra import TOL, _exchange_sheets, _exchange_witness, _trace_residual
 
 RNG = np.random.default_rng(20260816)
 
@@ -144,6 +148,11 @@ def test_functional_rejects_bad_density():
     bad = alg.element([np.array([[1.0, 0.0], [0.0, -0.5]], dtype=complex)])
     with pytest.raises(ValueError, match="positive semidefinite"):
         Functional(alg, bad)
+
+
+def _min_eig(a):
+    """The least eigenvalue of a block's Hermitian part."""
+    return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
 
 
 def _reference_density_check(density):
@@ -369,6 +378,13 @@ def test_trace_predicate_matches_reference_route():
                 assert is_trace(phi, tol) == all(r <= tol for r in want)
 
 
+def _exchange_residual(d, fac):
+    """Route one on one eigenbasis block: the maximum of ``_exchange_sheets`` and its
+    witness from ``_exchange_witness``."""
+    best, sheets = _exchange_sheets(d, fac)
+    return best, _exchange_witness(d, fac, sheets, best)
+
+
 def _exchange_oracle(d, fac, mask):
     """The full exchange tensor with a factor and a mask, and its argmax."""
     n = d.shape[0]
@@ -508,6 +524,59 @@ def test_projection_validation_and_ranks():
     assert not Projection(q).is_full()
     with pytest.raises(ValueError):
         Projection(alg.element([np.diag([0.5, 0.0]).astype(complex), np.eye(3, dtype=complex)]))
+
+
+def test_projection_takes_its_scale_without_an_svd(svd_calls):
+    """A projection of rank ≥ 1 has ‖p‖_F ≥ 1, where tol_scale took an SVD; the scale is
+    read off the eigenvalues of its Hermitian part, refusals included."""
+    alg = BlockAlgebra((2, 3))
+    q, _ = np.linalg.qr(RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)))
+    e = alg.element([np.eye(2), q[:, :2] @ q[:, :2].conj().T])
+    assert Projection(e).block_ranks() == (2, 2)
+    skew = alg.element([np.zeros((2, 2)), np.triu(np.full((3, 3), 1e-6), 1)])
+    with pytest.raises(ValueError, match="^projection not self-adjoint$"):
+        Projection(e + skew)
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_refuses_non_finite_entries_by_name(bad):
+    alg = BlockAlgebra((2, 1))
+    e = alg.element([np.diag([bad, 1.0]).astype(complex), np.eye(1, dtype=complex)])
+    with pytest.raises(ValueError, match="^projection has non-finite entries$"):
+        Projection(e)
+
+
+def _calls(tree, attr):
+    """The enclosing function's name of every call ``….attr(…)`` in the tree."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == attr):
+                found.append(owner)
+            visit(child, owner)
+    visit(tree, None)
+    return found
+
+
+def test_self_adjointness_is_checked_in_one_place():
+    """In the package, ``.is_hermitian(`` is called only by ``_hermitian_part``, which
+    also holds the one per-block non-finite test of algebra.py and flow.py; the helpers
+    it replaced are gone."""
+    package = Path(kmslab.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
+    assert [f for tree in trees.values() for f in _calls(tree, "is_hermitian")] == \
+        ["_hermitian_part"]
+    assert _calls(trees["algebra.py"], "isfinite") + _calls(trees["flow.py"], "isfinite") == \
+        ["_hermitian_part"]
+    defined = {n.name for tree in trees.values() for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"_hermitian_spectra", "_min_eig"}
 
 
 def test_center_projections_block_algebra():

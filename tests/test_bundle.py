@@ -28,9 +28,18 @@ from kmslab import (
 from kmslab import kms
 from kmslab.kms import EXP_CAP
 from kmslab.bundle import (FLOAT_ZERO_TOL, MAX_RANK, Atom, Interval, _class_vertex, _echelon,
-                           _eigen_rows, _integer_null, _integer_row, _rational_eigenvalue)
+                           _eigen_rows, _integer_null, _primitive, _rational_eigenvalue)
 
 F = Fraction
+
+
+def _integer_row(xs):
+    """A rational row (ints, Fractions or exact floats) scaled by the lcm of its
+    denominators: a primitive integer row on the same hyperplane."""
+    ratios = [x.as_integer_ratio() if isinstance(x, float)
+              else (int(x.numerator), int(x.denominator)) for x in xs]
+    lcm = math.lcm(*(d for _, d in ratios))
+    return _primitive(np.array([n * (lcm // d) for n, d in ratios], dtype=object))
 
 
 def _diag_spec(entries, unit=None):

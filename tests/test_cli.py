@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, schemas, determinism, diagnostics."""
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -517,6 +518,17 @@ def test_modular_tol_bounds_the_commutant_gap(two_level, tmp_path, monkeypatch):
     assert doc["commutant_gap"] == 1e-9
     assert main(["modular", "--problem", two_level, "--tol", "1e-10", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["passed"] is False
+
+
+def test_modular_fails_when_j_pi_j_and_pi_differ_in_dimension(two_level, tmp_path,
+                                                              monkeypatch, capsys):
+    """As in verify_commutant_theorem, dim Jπ(A)J = dim π(A) is part of the verdict: a
+    gap within --tol does not pass a commutant of the wrong dimension."""
+    monkeypatch.setattr(cli, "commutant_gap", lambda g, md: (g.dim, g.dim - 1, 1.0))
+    out = tmp_path / "modular.json"
+    assert main(["modular", "--problem", two_level, "--tol", "1", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["passed"] is False
+    assert capsys.readouterr().out.startswith("[FAIL] modular:")
 
 
 def test_fejer_weights(two_level, tmp_path):
@@ -1039,14 +1051,9 @@ def test_broken_schema_file_fails_its_metaschema_check(fresh_schema_caches):
             _check_schema(broken)
 
 
-def test_the_cli_never_runs_the_metaschema_check(fresh_schema_caches, monkeypatch,
-                                                 tmp_path, capsys):
-    from jsonschema import Draft202012Validator
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("metaschema check run")
-
-    monkeypatch.setattr(Draft202012Validator, "check_schema", refuse)
+def test_the_cli_never_runs_the_metaschema_check(fresh_schema_caches, tmp_path, capsys):
+    """Each schema file is read, and each kind compiled, once per process: over ten calls
+    neither cache misses twice on one key."""
     prob = _write(tmp_path / "p.json", TWO_LEVEL)
     dg = _write(tmp_path / "dg.json", Q6_DG)
     fam = _write(tmp_path / "w.json", {"kind": "power", "r": 2.0})
@@ -1059,6 +1066,9 @@ def test_the_cli_never_runs_the_metaschema_check(fresh_schema_caches, monkeypatc
              ["cuntz", "--m", "2", "--a", "1", "--b", "1", "--out", out]] * 2
     for argv in calls:
         assert main(argv) == 0
+    # two files; problem, dimension_group and window_family in, five commands' kinds out
+    infos = [cache.cache_info() for cache in (cli._schema, cli._compiled)]
+    assert [(info.misses, info.currsize) for info in infos] == [(2, 2), (8, 8)]
     # documents are still validated on every read, and a refusal still has its diagnostic
     assert main(["gibbs", "--problem", bad, "--beta", "1", "--out", out]) == 2
     assert "field generator" in capsys.readouterr().err
@@ -1142,10 +1152,10 @@ PART_DOCS = {
 @pytest.fixture(scope="module")
 def cli_documents(tmp_path_factory):
     """Every JSON document that one run of each JSON-writing command reads or writes,
-    as (which, kind, doc), and the documents jsonschema was asked about meanwhile."""
+    as (which, kind, doc) from its file, and every document the runs validated, as
+    (which, kind, doc) as ``cli._validate`` was given it."""
     import contextlib
     import io
-    from jsonschema import Draft202012Validator
 
     d = tmp_path_factory.mktemp("cli_documents")
     step, half = 0.25, 1.0
@@ -1192,22 +1202,22 @@ def cli_documents(tmp_path_factory):
               "--report", p("cocycle_report.out")], "cocycle_report"),
             (["cuntz", "--m", "2", "--a", "1,2", "--b", "1,2", "--rho", "1.5",
               "--out", p("cuntz.out")], "cuntz")]
-    asked = []
-    real = Draft202012Validator.iter_errors
+    validated = []
+    real = cli._validate
 
-    def spy(self, instance, *args, **kwargs):
-        asked.append(instance)
-        return real(self, instance, *args, **kwargs)
+    def spy(doc, kind, which, *args):
+        validated.append((which, kind, doc))
+        return real(doc, kind, which, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Draft202012Validator, "iter_errors", spy)
+        mp.setattr(cli, "_validate", spy)
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [main(argv) for argv, _ in runs]
     assert codes == [0] * len(runs)
     docs = [("inputs", kind, doc) for kind, doc in inputs.values()]
     docs += [("outputs", kind, json.loads((d / f"{kind}.out").read_text()))
              for kind in [kind for _, kind in runs] + ["cochain"]]
-    return docs, asked
+    return docs, validated
 
 
 def _base_docs(cli_docs):
@@ -1235,10 +1245,13 @@ def test_compiled_predicates_accept_every_valid_document(cli_documents):
 
 
 def test_the_cli_never_asks_jsonschema_about_a_valid_document(cli_documents):
-    """Every file the commands read or write went by the compiled predicate alone."""
-    docs, asked = cli_documents
-    assert len(docs) == 26
-    assert asked == []
+    """Every file the commands read or write, and every document they validated as it
+    was built, passes the compiled check alone: none takes the refusal walk, which
+    would let a numpy scalar through by jsonschema's type rules."""
+    docs, validated = cli_documents
+    assert len(docs) == 26 and len(validated) >= 26
+    assert [(which, kind) for which, kind, doc in docs + validated
+            if not cli._compiled(which, kind)[0](doc)] == []
 
 
 def _paths(node, path=(), ends_only=False):
@@ -1565,6 +1578,20 @@ def test_a_precondition_still_exits_2(two_level, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "gibbs", _raise(ValueError("bad beta")))
     assert main(["gibbs", "--problem", two_level, "--out", str(tmp_path / "o.json")]) == 2
     assert capsys.readouterr().err == "error: bad beta\n"
+
+
+def test_an_output_the_schema_refuses_is_an_internal_fault(two_level, tmp_path, monkeypatch,
+                                                           capsys):
+    """A payload the program built wrong is its own fault (exit 3), with the schema's
+    diagnostic, not bad input (exit 2); no file is written."""
+    real = cli.verify_kms
+    monkeypatch.setattr(cli, "verify_kms", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), passed=np.bool_(True)))
+    out = tmp_path / "o.json"
+    assert main(["verify", "--problem", two_level, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: internal fault: InternalFault: {out}: field "
+                                       "passed: np.True_ is not of type 'boolean'\n")
+    assert not out.exists()
 
 
 def test_trivialize_window_guard_is_an_internal_fault(tmp_path, monkeypatch, capsys):

@@ -40,17 +40,19 @@ def test_generator_must_be_finite(bad):
 
 
 def _reference_flow(alg, h):
-    """InnerFlow.__init__'s tests as they were run before the scale-1 tests: h.tol_scale()
-    first, then the Hermitian test and each block's eigendecomposition residual at that
+    """InnerFlow.__init__'s rule, scale first: the asymmetry max|h − h*| against
+    TOL·max(1, ‖(h + h*)/2‖₂), the norm from an SVD; then each block's Hermitian part
+    decomposed by eigh, and its residual against that part at 1e-10 times the same
     scale. Returns the eigensystem, or the refusal's message."""
-    scale = h.tol_scale()
-    if not h.is_hermitian(TOL * scale):
+    parts = [(b + b.conj().T) / 2.0 for b in h.blocks]
+    scale = max(1.0, *(float(np.linalg.norm(p, 2)) for p in parts))
+    if max(float(np.abs(b - b.conj().T).max()) for b in h.blocks) > TOL * scale:
         return "generator must be self-adjoint"
     ws, us = [], []
-    for blk in h.blocks:
-        w, u = np.linalg.eigh(blk)
+    for part in parts:
+        w, u = np.linalg.eigh(part)
         err = (u * w) @ u.conj().T
-        err -= blk
+        err -= part
         resid = float(np.max(np.abs(err)))
         if not resid <= 1e-10 * scale:
             return f"eigendecomposition residual {resid:.3e} too large"
@@ -63,8 +65,9 @@ def _reference_flow(alg, h):
 @pytest.mark.parametrize("planted", [0.0, 0.05, 0.5, 2.0, 20.0])
 def test_flow_verdicts_equal_the_scale_first_route(norm, planted):
     """‖h‖₂ = norm plus an anti-Hermitian part whose asymmetry max|h − h*| is
-    planted·TOL·max(1, norm): accepted or refused as the scale-first route does, with
-    its message, and with bit-equal eigensystems when accepted."""
+    planted·TOL·max(1, norm): accepted below TOL·scale and refused above it as
+    not self-adjoint, as the scale-first route decides, with bit-equal eigensystems
+    when accepted. The residual test no longer refuses asymmetries TOL allows."""
     rng = np.random.default_rng(int(planted * 100) + int(math.log10(norm) * 7) + 100)
     alg = BlockAlgebra((5, 3, 1))
     h = random_hermitian(alg, rng)
@@ -74,6 +77,7 @@ def test_flow_verdicts_equal_the_scale_first_route(norm, planted):
     asym = max(float(np.abs(b - b.conj().T).max()) for b in k.blocks)
     h = h + (planted * TOL * max(1.0, norm) / asym) * k
     want = _reference_flow(alg, h)
+    assert (want == "generator must be self-adjoint") if planted > 1.0 else type(want) is tuple
     if isinstance(want, str):
         with pytest.raises(ValueError) as error:
             InnerFlow(alg, h)
@@ -82,6 +86,39 @@ def test_flow_verdicts_equal_the_scale_first_route(norm, planted):
     flow = InnerFlow(alg, h)
     for w, u, w_ref, u_ref in zip(flow.eigenvalues, flow.eigenvectors, *want):
         assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+
+
+def test_exactly_hermitian_generators_keep_the_raw_eigensystem():
+    """An exactly Hermitian h is its own Hermitian part, so the flow's eigensystem is
+    eigh(h)'s, also where h + h* would overflow with a RuntimeWarning, which the suite's
+    warning filter makes an error."""
+    rng = np.random.default_rng(64)
+    huge = BlockAlgebra((2,)).element([np.array([[1e308, 6e307 - 2e307j],
+                                                 [6e307 + 2e307j, -1e308]])])
+    for dims in [(1,), (2, 7), (16, 3), (64,), (2,)]:
+        alg = BlockAlgebra(dims)
+        h = huge if dims == (2,) else random_hermitian(alg, rng, scale=3.0)
+        flow = InnerFlow(alg, h)
+        for blk, w, u in zip(h.blocks, flow.eigenvalues, flow.eigenvectors):
+            w_raw, u_raw = np.linalg.eigh(blk)
+            assert np.array_equal(w, w_raw) and np.array_equal(u, u_raw)
+
+
+def test_a_faulty_eigh_is_refused_by_the_residual_test(monkeypatch):
+    """The residual is taken against the Hermitian part eigh decomposed, so only a faulty
+    eigh fails it: eigenvalues shifted by 1e-9·scale are refused with the residual."""
+    alg = BlockAlgebra((4, 2))
+    h = random_hermitian(alg, np.random.default_rng(12), scale=5.0)
+    InnerFlow(alg, h)
+    real = np.linalg.eigh
+
+    def faulty(a, *args, **kwargs):
+        w, u = real(a, *args, **kwargs)
+        return w + 1e-9 * max(1.0, float(np.abs(w).max())), u
+
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
+    with pytest.raises(ValueError, match=r"^eigendecomposition residual \S+ too large$"):
+        InnerFlow(alg, h)
 
 
 def test_hermitian_generator_builds_its_flow_without_an_svd(svd_calls):

@@ -35,7 +35,7 @@ from kmslab import (
     verify_kms,
 )
 from kmslab import bundle, kms
-from kmslab.algebra import _exchange_residual, random_state
+from kmslab.algebra import _exchange_sheets, _exchange_witness, random_state
 from kmslab.kms import EXP_CAP
 
 RNG = np.random.default_rng(1123)
@@ -167,9 +167,11 @@ def test_route_one_nan_rule():
         v = verify_kms(flow, omega, beta, samples=1)
         assert math.isnan(v.residual_exchange) and not v.passed
         assert v.worst_pair == ((block, 0, 0), (block, 0, 0))
-        # the reported block's own maximum and witness, as _exchange_residual gives them
+        # the reported block's own maximum and witness
         w, dd = flow.eigenvalues[block], flow.to_eigenbasis(omega.density)[block]
-        val, pair = _exchange_residual(dd, np.exp(-beta * (w[:, None] - w[None, :])))
+        fac = np.exp(-beta * (w[:, None] - w[None, :]))
+        val, sheets = _exchange_sheets(dd, fac)
+        pair = _exchange_witness(dd, fac, sheets, val)
         assert math.isnan(val) and pair == (0, 0, 0, 0)
 
 
