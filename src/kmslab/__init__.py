@@ -26,7 +26,6 @@ from .flow import (
     AnalyticRangeError,
     InnerFlow,
     QuadratureError,
-    StripCheckReport,
 )
 from .kms import (
     CornerRestriction,

@@ -242,10 +242,6 @@ class Functional:
     def total_mass(self) -> float:
         return float(np.real(self.density.trace()))
 
-    def is_faithful(self) -> bool:
-        return all(np.linalg.eigvalsh((d + d.conj().T) / 2.0)[0] > 1e-12
-                   for d in self.density.blocks)
-
     def scaled(self, c: float) -> "Functional":
         return Functional(self.algebra, c * self.density, check=False)
 

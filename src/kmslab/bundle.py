@@ -66,6 +66,8 @@ def _as_fraction(x) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"{x!r} has a zero denominator") from None
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{x!r} is not finite")
         fr = Fraction(x).limit_denominator(10 ** 9)
         if abs(float(fr) - x) > 1e-12 * max(1.0, abs(x)):
             raise ValueError(f"{x!r} is not recognizably rational; pass a Fraction or string")
@@ -97,6 +99,10 @@ class DimensionGroupSpec:
             raise ValueError("order unit must be strictly positive")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "order_unit", unit)
+        try:                            # the float lane reads every entry as a float
+            self.matrix_float, self.unit_float
+        except OverflowError:
+            raise ValueError("an entry of ρ or of the unit is beyond the float range") from None
         # det ρ is the product of det ρ_αα over the classes α
         if any(_class_singular(self, alpha, Fraction(0)) for alpha, _ in self._classes):
             raise ValueError("matrix is singular")
@@ -284,7 +290,7 @@ def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
         verts = [np.array([float(x) for x in v]) for v in verts_exact]
     fiber = SimplexFiber(beta=float(beta), vertices=verts, dimension=len(verts) - 1,
                          exact=s_exact is not None, vertices_exact=verts_exact)
-    _check_fiber(spec, fiber, s_float)
+    _check_fiber(spec, fiber, float(s))
     return fiber
 
 

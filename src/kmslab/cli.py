@@ -368,10 +368,17 @@ def _load(path: str, kind: str) -> dict:
     return doc
 
 
-def _write_json(path: str, payload: dict, kind: str | None = None) -> None:
+def _load_finite(path: str, kind: str) -> dict:
+    """:func:`_load`, refusing the document's first number that is not finite by its field."""
+    doc = _load(path, kind)
+    for key, value in doc.items():
+        _finite_numbers(value, f"{path}: field {key}")
+    return doc
+
+
+def _write_json(path: str, payload: dict, kind: str) -> None:
     """Write ``payload``; one its schema refuses was built wrong here, an internal fault."""
-    if kind is not None:
-        _validate(payload, kind, "outputs", path, InternalFault)
+    _validate(payload, kind, "outputs", path, InternalFault)
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -393,7 +400,11 @@ def _matrix(rows, where: str) -> np.ndarray:
                             f"row 0 has {len(rows[0])}")
     if len(rows) != len(rows[0]):
         raise CliInputError(f"{where}: matrix must be square, got {len(rows)}×{len(rows[0])}")
-    mat = np.array([[_entry(v) for v in row] for row in rows], dtype=complex)
+    try:
+        mat = np.array([[_entry(v) for v in row] for row in rows], dtype=complex)
+    except OverflowError:                       # an entry that no float holds
+        _finite_numbers(rows, where)
+        raise
     bad = np.argwhere(~np.isfinite(mat))
     if bad.size:
         i, j = bad[0].tolist()
@@ -425,10 +436,26 @@ def _element(path: str, alg: BlockAlgebra):
 
 
 def _finite(value, where: str) -> float:
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise CliInputError(f"{where} is beyond the float range") from None
     if not math.isfinite(x):
         raise CliInputError(f"{where} must be finite, got {x!r}")
     return x
+
+
+def _finite_numbers(value, where: str) -> None:
+    """Refuse, as :func:`_finite` words it, the first number in a JSON value that is NaN,
+    ±∞ or beyond the float range; ``where`` ("<file>: field <path>") gains its path."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _finite_numbers(v, f"{where}/{key}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _finite_numbers(v, f"{where}/{i}")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        _finite(value, where)
 
 
 def _need_beta(beta_flag, beta_file, path) -> float:
@@ -708,7 +735,7 @@ def _family_from_doc(doc) -> SpectrumFamily:
 
 
 def _cmd_window(args) -> int:
-    doc = _load(args.family, "window_family")
+    doc = _load_finite(args.family, "window_family")
     interval = trace_class_window(_family_from_doc(doc))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "window",
@@ -721,7 +748,7 @@ def _cmd_window(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
-    doc = _load(args.dg, "dimension_group")
+    doc = _load_finite(args.dg, "dimension_group")
     rho, unit = doc["rho"], doc["unit"]
     if "rank" in doc and doc["rank"] != len(rho):
         raise CliInputError(f"{args.dg}: declared rank {doc['rank']} != matrix size {len(rho)}")
@@ -753,7 +780,7 @@ def _cmd_bundle(args) -> int:
 
 
 def _cmd_point_bundle(args) -> int:
-    doc = _load(args.points, "points")
+    doc = _load_finite(args.points, "points")
     spec = PointBundleSpec.from_pairs([(p["label"], p["level"]) for p in doc["points"]])
     level = _finite(args.level, "--level")
     fiber = bundle_from_points(spec, level)
@@ -768,7 +795,7 @@ def _cmd_point_bundle(args) -> int:
 
 def _cmd_measure(args) -> int:
     tol = _finite(args.tol, "--tol")
-    doc = _load(args.measure, "measure")
+    doc = _load_finite(args.measure, "measure")
     kwargs = {}
     for key in ("lam_exact", "base_exact", "x_exact"):
         if key in doc:
@@ -801,7 +828,11 @@ def _cmd_cocycle(args) -> int:
     if args.tol is not None:
         _finite(args.tol, "--tol")
     doc = _load(args.infile, "cocycle_grid")
-    grid = _grid_from_doc(doc)
+    try:
+        grid = _grid_from_doc(doc)
+    except OverflowError:                       # a phase that no float holds
+        _finite_numbers(doc["values"], f"{args.infile}: field values")
+        raise
     if args.action == "check":
         report = check_cocycle(grid)
         passed = args.tol is None or report.max_identity_residual <= args.tol
@@ -859,8 +890,11 @@ def _word(text: str) -> tuple[int, ...]:
 def _cmd_cuntz(args) -> int:
     a, b = _word(args.word_a), _word(args.word_b)
     value = cuntz_trace(args.m, a, b)
-    beta = (gauge_kms_beta(args.m, _finite(args.rho, "--rho"))
-            if args.rho is not None else None)
+    rho = None if args.rho is None else _finite(args.rho, "--rho")
+    try:
+        beta = None if rho is None else gauge_kms_beta(args.m, rho)
+    except ValueError as e:
+        raise CliInputError(f"--rho: {e}") from None
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "cuntz", "m": args.m,
         "word_a": list(a), "word_b": list(b), "value": str(value),

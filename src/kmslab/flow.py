@@ -10,12 +10,11 @@ tests; neither is derived from the other.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (TOL, AlgElement, BlockAlgebra, Functional, InternalFault, _fro_norm,
-                      _hermitian_part, _read_only)
+from .algebra import (TOL, AlgElement, BlockAlgebra, InternalFault, _fro_norm, _hermitian_part,
+                      _read_only)
 
 #: refuse analytic continuation beyond this strip half-width; the entry
 #: factors reach e^{|Im z|·spread} and silently clamping would corrupt results
@@ -60,20 +59,6 @@ def _check_strip(z: complex) -> complex:
 
 class QuadratureError(RuntimeError):
     """Gauss–Hermite sum failed its self-consistency estimate."""
-
-
-@dataclass
-class StripCheckReport:
-    """Boundary residuals of z ↦ ω(b σ_z(a)) on the closed strip of height β."""
-
-    beta: float
-    max_residual_lower: float
-    max_residual_upper: float
-    samples: int
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.max_residual_lower, self.max_residual_upper)
 
 
 class InnerFlow:
@@ -248,27 +233,3 @@ class InnerFlow:
             fac.T[upper] = g
             out.append(fac * blk)
         return out
-
-    # -- strip boundary check --------------------------------------------------
-
-    def strip_check(self, omega: Functional, a: AlgElement, b: AlgElement,
-                    beta: float) -> StripCheckReport:
-        """Compare f(z) = ω(b σ_z(a)) against its stated boundary values at
-        Re z ∈ {−2, −0.75, 0, 0.75, 2}.
-
-        The references use σ_t(a) = U a U* with the dense U = ``unitary(t)``,
-        not the entrywise route that ``continue_analytic`` takes: on Im z = 0
-        the reference is ω(b σ_t(a)), on Im z = β it is ω(σ_t(a) b). Both
-        residual maxima are reported.
-        """
-        ts = (-2.0, -0.75, 0.0, 0.75, 2.0)
-        lower = upper = 0.0
-        for t in ts:
-            x = self.unitary(t)
-            a_t = x @ a @ x.adjoint()
-            f_low = omega(b @ self.continue_analytic(a, t))
-            lower = max(lower, abs(f_low - omega(b @ a_t)))
-            f_up = omega(b @ self.continue_analytic(a, t + 1j * beta))
-            upper = max(upper, abs(f_up - omega(a_t @ b)))
-        return StripCheckReport(beta=float(beta), max_residual_lower=lower,
-                                max_residual_upper=upper, samples=len(ts))

@@ -151,10 +151,6 @@ class ModularData:
     def apply_j(self, v: np.ndarray) -> np.ndarray:
         return self.conj_kernel @ np.conj(v)
 
-    def conjugate_operator(self, x: np.ndarray) -> np.ndarray:
-        """JxJ as a complex-linear matrix."""
-        return self.conj_kernel @ np.conj(x) @ np.conj(self.conj_kernel)
-
 
 def modular_data(g: GnsTriple, method: str = "polar") -> ModularData:
     """Δ and J of the triple's state by ``method`` ("polar" or "closed_form"), with

@@ -267,4 +267,7 @@ def gauge_kms_beta(m: int, rho: float) -> float:
     if rho == 0.0:
         raise ValueError("gauge flow scaled by ρ = 0 is trivial: the scaling "
                          "equation e^{βρ} = m has no solution")
-    return math.log(m) / rho
+    beta = math.log(m) / rho
+    if not math.isfinite(beta):
+        raise ValueError(f"β = log {m} / ρ at ρ = {rho!r} is beyond the float range")
+    return beta

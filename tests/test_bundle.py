@@ -151,6 +151,32 @@ def test_fiber_simplex_refuses_a_beta_past_the_float_range():
     assert fiber_simplex(_diag_spec([1, F(1, 2)]), -709.0).is_empty
 
 
+@pytest.mark.parametrize("entry", [math.inf, math.nan, 10 ** 400, f"{10 ** 400}/3"],
+                         ids=["inf", "nan", "integer", "string"])
+def test_spec_refuses_an_entry_whose_float_is_not_finite(entry):
+    """An ∞ used to escape as an OverflowError and a NaN as Fraction's "cannot convert NaN
+    to integer ratio"; a rational past the float range was accepted and raised an
+    OverflowError from the float lane."""
+    for matrix, unit in (([[entry]], [1]), ([[2]], [entry])):
+        with pytest.raises(ValueError, match="is not finite|is beyond the float range"):
+            DimensionGroupSpec(matrix=matrix, order_unit=unit)
+
+
+@pytest.mark.parametrize("rho,count", [
+    ([[1e7]], 1), ([[1e9]], 1), ([[1e10]], 1), ([[1e11]], 1), ([["1000000000"]], 1),
+    ([[20000000, 1], [0, 3]], 2),
+], ids=["1e7", "1e9", "1e10", "1e11", "string-1e9", "triangular-2e7"])
+def test_exact_lane_vertices_are_checked_at_their_own_eigenvalue(rho, count):
+    """These valid specs used to raise InternalFault ("fiber vertex is not a left
+    eigenvector"): the exact lane's vertices were checked against e^{-β}, which the
+    round trip through β = −log s had moved about ε·s off the exact eigenvalue, past the
+    check's absolute 1e−9."""
+    spec = DimensionGroupSpec(matrix=rho, order_unit=[1] * len(rho))
+    betas = beta_spectrum(spec)
+    assert len(betas) == count
+    assert all(fiber_simplex(spec, b).exact for b in betas)
+
+
 def test_float_lane_fiber_matches_support_rule():
     """Denominators above 10⁶ keep e^{-β} off the exact lane; the float lane
     must still find every vertex e_i/u_i of the support rule."""

@@ -307,6 +307,74 @@ def test_commands_refuse_non_finite_matrix_entries_by_name(two_level, tmp_path, 
     assert not out.exists()
 
 
+BIG = 10 ** 400        # an integer that no float holds
+NAN = math.nan
+SITE = [[0, 0], [0, 0.693]]
+
+
+@pytest.mark.parametrize("command,doc,field,refusal", [
+    ("gibbs", {"block_dims": [1], "generator": [[[0]]], "beta": BIG}, "beta", "beyond"),
+    ("gibbs", {"block_dims": [2], "generator": [[[0, 0], [0, BIG]]], "beta": 1},
+     "generator/0/1/1", "beyond"),
+    ("factor-type", {"site_generator": SITE, "beta": BIG}, "beta", "beyond"),
+    ("factor-type", {"site_generator": [[0, 0], [0, BIG]], "beta": 1}, "site_generator/1/1",
+     "beyond"),
+    ("gamma", {"site_generator": SITE, "beta": BIG}, "beta", "beyond"),
+    ("gamma", {"site_generator": [[0, 0], [0, [BIG, 0]]], "beta": 1},
+     "site_generator/1/1/0", "beyond"),
+    ("measure", {"lam": BIG, "beta": -1, "kind": "density"}, "lam", "beyond"),
+    ("measure", {"lam": 2, "beta": -1, "kind": "atomic", "window": BIG}, "window", "beyond"),
+    ("point-bundle", {"points": [{"label": "a", "level": BIG}]}, "points/0/level", "beyond"),
+    ("window", {"kind": "power", "r": BIG}, "r", "beyond"),
+    ("cocycle", {"step": 1, "half_range": 1, "values": [[0, 0, 0], [0, BIG, 0], [0, 0, 0]]},
+     "values/1/1", "beyond"),
+    ("bundle", {"rho": [[BIG]], "unit": [1]}, "rho/0/0", "beyond"),
+    ("bundle", {"rho": [[2]], "unit": [math.inf]}, "unit/0", "inf"),
+    ("measure", {"lam": 2, "beta": -1, "kind": "atomic", "x": NAN}, "x", "nan"),
+    ("measure", {"lam": 2, "beta": NAN, "kind": "atomic"}, "beta", "nan"),
+    ("measure", {"lam": NAN, "beta": -1, "kind": "density"}, "lam", "nan"),
+    ("window", {"kind": "power", "r": NAN}, "r", "nan"),
+    ("window", {"kind": "negated", "inner": {"kind": "explicit_prefix", "values": [1, NAN]}},
+     "inner/values/1", "nan"),
+    ("point-bundle", {"points": [{"label": "a", "level": 0}, {"label": "b", "level": NAN}]},
+     "points/1/level", "nan"),
+    ("bundle", {"rho": [[NAN]], "unit": [1]}, "rho/0/0", "nan"),
+], ids=["gibbs-beta", "gibbs-generator", "factor-type-beta", "factor-type-site",
+        "gamma-beta", "gamma-site-pair", "measure-lam", "measure-window", "point-level",
+        "window-r", "cocycle-values", "bundle-rho", "bundle-unit-inf", "measure-x-nan",
+        "measure-beta-nan", "measure-lam-nan", "window-r-nan", "window-values-nan",
+        "point-level-nan", "bundle-rho-nan"])
+def test_document_numbers_no_float_holds_are_refused_by_field(tmp_path, capsys, command, doc,
+                                                              field, refusal):
+    """A number past the float range used to exit 3 ("internal fault: OverflowError"), as
+    did `"unit": [Infinity]`. NaN ran on: `measure` passed (exit 0) at an atomic x or β of
+    NaN and refused λ = NaN without naming it, `window` wrote `"lower": NaN`, a point at
+    level NaN joined no level set, and `"rho": [[NaN]]` was refused naming no file."""
+    path = _write(tmp_path / "in.json", doc)
+    out = tmp_path / "o.out"
+    flag = {"gibbs": "--problem", "factor-type": "--itpfi", "gamma": "--itpfi",
+            "measure": "--measure", "point-bundle": "--points", "window": "--family",
+            "bundle": "--dg"}
+    argv = (["cocycle", "check", "--in", path, "--report", str(out)] if command == "cocycle"
+            else [command, flag[command], path, "--out", str(out)])
+    argv += ["--level", "0"] if command == "point-bundle" else []
+    assert main(argv) == 2
+    tail = "is beyond the float range" if refusal == "beyond" else f"must be finite, got {refusal}"
+    assert capsys.readouterr().err == f"error: {path}: field {field} {tail}\n"
+    assert not out.exists()
+
+
+def test_cuntz_refuses_a_gauge_beta_past_the_float_range(tmp_path, capsys):
+    """β = log m / ρ overflows at ρ = 1e-320; it used to exit 0 writing `"gauge_beta":
+    Infinity`."""
+    out = tmp_path / "c.json"
+    assert main(["cuntz", "--m", "2", "--a", "1", "--b", "1", "--rho", "1e-320",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: --rho: β = log 2 / ρ at ρ = 1e-320 is beyond the float range\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("generator,message", [
     ([[[0, 0], [0]]], "field generator/0/1: row has 1 entries, row 0 has 2"),
     ([[[0, 0, 0], [0, 0, 0]]], "field generator/0: matrix must be square, got 2×3"),

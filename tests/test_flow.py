@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kmslab import (BlockAlgebra, InnerFlow, InternalFault, gibbs, random_element,
-                    random_hermitian)
+                    random_hermitian, verify_kms)
 from kmslab.algebra import TOL
 from kmslab.flow import (_GH_CHUNK_ENTRIES, GH_NODES_DEFAULT, GH_NODES_MAX, AnalyticRangeError,
                          QuadratureError, _gauss_hermite)
@@ -499,14 +499,29 @@ def test_quadrature_gives_up_with_a_finite_estimate():
     assert math.isfinite(est)
 
 
+def _strip_residuals(flow, omega, a, b, beta):
+    """The KMS condition as the book states it, on the strip 0 ≤ Im z ≤ β: the largest
+    boundary residuals (lower, upper) of f(z) = ω(b σ_z(a)) at Re z ∈ {−2, −0.75, 0,
+    0.75, 2}. The references take σ_t(a) = U a U* with the dense U = ``unitary(t)``,
+    not the entrywise route of ``continue_analytic``: on Im z = 0 the reference is
+    ω(b σ_t(a)), on Im z = β it is ω(σ_t(a) b). The oracle for ``verify_kms``'s verdict."""
+    lower = upper = 0.0
+    for t in (-2.0, -0.75, 0.0, 0.75, 2.0):
+        x = flow.unitary(t)
+        a_t = x @ a @ x.adjoint()
+        lower = max(lower, abs(omega(b @ flow.continue_analytic(a, t)) - omega(b @ a_t)))
+        upper = max(upper, abs(omega(b @ flow.continue_analytic(a, t + 1j * beta))
+                               - omega(a_t @ b)))
+    return lower, upper
+
+
 def test_strip_check_accepts_equilibrium():
     flow = _flow((3,), scale=1.0)
     beta = 1.4
     omega = gibbs(flow, beta).functional
     a = random_element(flow.algebra, RNG)
     b = random_element(flow.algebra, RNG)
-    rep = flow.strip_check(omega, a, b, beta)
-    assert rep.max_residual < 1e-9
+    assert max(_strip_residuals(flow, omega, a, b, beta)) < 1e-9
 
 
 def test_strip_check_flags_wrong_temperature():
@@ -514,8 +529,7 @@ def test_strip_check_flags_wrong_temperature():
     omega = gibbs(flow, 1.0).functional
     a = random_element(flow.algebra, RNG)
     b = random_element(flow.algebra, RNG)
-    rep = flow.strip_check(omega, a, b, beta=2.0)
-    assert rep.max_residual > 1e-4
+    assert max(_strip_residuals(flow, omega, a, b, beta=2.0)) > 1e-4
 
 
 def test_strip_check_lower_boundary_is_independent_of_entrywise_route(monkeypatch):
@@ -530,8 +544,25 @@ def test_strip_check_lower_boundary_is_independent_of_entrywise_route(monkeypatc
         return entrywise(self, x, lambda d: factor(1.1 * d))
 
     monkeypatch.setattr(InnerFlow, "_entrywise", skewed)
-    rep = flow.strip_check(omega, a, b, beta)
-    assert rep.max_residual_lower > 1e-3
+    lower, _ = _strip_residuals(flow, omega, a, b, beta)
+    assert lower > 1e-3
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (1, 2, 2)])
+def test_strip_oracle_and_verify_kms_agree(dims):
+    """The strip form and ``verify_kms``'s two routes give one verdict at tol 1e-8: the
+    Gibbs state at β passes both, and fails both at 2β; the tracial state fails both
+    at β ≠ 0."""
+    flow = _flow(dims, scale=1.0)
+    beta = 1.4
+    a = random_element(flow.algebra, RNG)
+    b = random_element(flow.algebra, RNG)
+    cases = [(gibbs(flow, beta).functional, beta, True),
+             (gibbs(flow, beta).functional, 2.0 * beta, False),
+             (gibbs(flow, 0.0).functional, beta, False)]
+    for omega, at, equilibrium in cases:
+        assert (max(_strip_residuals(flow, omega, a, b, at)) <= 1e-8) is equilibrium
+        assert verify_kms(flow, omega, at).passed is equilibrium
 
 
 def test_spectral_spread():

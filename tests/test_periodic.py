@@ -503,3 +503,10 @@ def test_gauge_beta():
     assert abs(gauge_kms_beta(4, 1.0) - 2.0 * math.log(2.0)) < 1e-12
     with pytest.raises(ValueError, match="trivial"):
         gauge_kms_beta(2, 0.0)
+
+
+def test_gauge_beta_refuses_a_beta_past_the_float_range():
+    """log m / ρ used to come back as inf, which ``kmslab cuntz`` wrote as a bare Infinity."""
+    with pytest.raises(ValueError, match=r"^β = log 2 / ρ at ρ = 1e-320 is beyond the float"):
+        gauge_kms_beta(2, 1e-320)
+    assert gauge_kms_beta(2, 1e-300) == math.log(2.0) / 1e-300
