@@ -101,8 +101,8 @@ class DimensionGroupSpec:
         object.__setattr__(self, "order_unit", unit)
         try:                            # the float lane reads every entry as a float
             self.matrix_float, self.unit_float
-        except OverflowError:
-            raise ValueError("an entry of ρ or of the unit is beyond the float range") from None
+        except OverflowError as e:
+            raise ValueError("an entry of ρ or of the unit is beyond the float range") from e
         # det ρ is the product of det ρ_αα over the classes α
         if any(_class_singular(self, alpha, Fraction(0)) for alpha, _ in self._classes):
             raise ValueError("matrix is singular")
@@ -274,7 +274,12 @@ def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
     for each class of ρᵀ's graph that gives one (see the module docstring)."""
     if -float(beta) > _LOG_FLOAT_MAX:
         raise ValueError(f"beta = {float(beta):g}: the eigenvalue e^-β is beyond the float range")
-    s_float = math.exp(-float(beta))
+    return _fiber_at(spec, float(beta), math.exp(-float(beta)))
+
+
+def _fiber_at(spec: DimensionGroupSpec, beta: float, s_float: float) -> SimplexFiber:
+    """:func:`fiber_simplex` over β, computed at the eigenvalue s_float = e^{-β} as given,
+    so an eigenvalue of ρᵀ is not moved off by a round trip through its logarithm."""
     s_exact = _rational_eigenvalue(spec, s_float)
     if s_exact is None:
         s, supports = s_float, spec._access_sets
@@ -288,7 +293,7 @@ def fiber_simplex(spec: DimensionGroupSpec, beta: float) -> SimplexFiber:
     else:
         verts_exact = sorted(tuple(v) for v in verts)
         verts = [np.array([float(x) for x in v]) for v in verts_exact]
-    fiber = SimplexFiber(beta=float(beta), vertices=verts, dimension=len(verts) - 1,
+    fiber = SimplexFiber(beta=beta, vertices=verts, dimension=len(verts) - 1,
                          exact=s_exact is not None, vertices_exact=verts_exact)
     _check_fiber(spec, fiber, float(s))
     return fiber
@@ -322,7 +327,7 @@ def _spectrum_fibers(spec: DimensionGroupSpec) -> list[SimplexFiber]:
         if any(abs(s.real - c) <= 1e-9 * scale for c in cands):
             continue
         cands.append(float(s.real))
-    fibers = [fiber_simplex(spec, -math.log(s) + 0.0) for s in cands]   # + 0.0: no -0.0 at s = 1
+    fibers = [_fiber_at(spec, -math.log(s) + 0.0, s) for s in cands]   # + 0.0: no -0.0 at s = 1
     return sorted((f for f in fibers if not f.is_empty), key=lambda f: f.beta)
 
 

@@ -44,9 +44,9 @@ from .modular import (center_dimension, commutant_gap, gns, modular_data,
 from .periodic import PeriodicFlow, cuntz_trace, gauge_kms_beta
 from .products import ItpfiSpec, MatroidSpec, SpectrumFamily, factor_type_itpfi, \
     gamma_invariant, matroid_bounded, trace_class_window
-from .bundle import (DimensionGroupSpec, PointBundleSpec, _spectrum_fibers, bundle_from_points,
-                     scaling_measure, verify_scaling)
-from .cocycle import Cochain, CocycleGrid, check_cocycle, trivialize
+from .bundle import (DimensionGroupSpec, PointBundleSpec, _as_fraction, _spectrum_fibers,
+                     bundle_from_points, scaling_measure, verify_scaling)
+from .cocycle import Cochain, CocycleGrid, _half_index, check_cocycle, trivialize
 
 SCHEMA_VERSION = "1"
 #: most --beta-range steps one sweep takes (about 1 s at block dims (16, 16) on a 2-vCPU guest)
@@ -458,6 +458,35 @@ def _finite_numbers(value, where: str) -> None:
         _finite(value, where)
 
 
+def _leaves(value, where: str):
+    """(path, leaf) for each leaf of a JSON list or scalar, in document order; ``where``
+    ("<file>: field <path>") gains each leaf's path."""
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{where}/{i}")
+    else:
+        yield where, value
+
+
+def _rational_at_fault(fields: dict, path: str, refusal: ValueError) -> None:
+    """After a spec refused, name the rational entry behind ``refusal`` by its field: the
+    first entry of ``fields`` (name → JSON value, in the order the spec reads them) that
+    refuses as a fraction, when it refuses in the refusal's own words, or whose float is
+    past the float range, when the refusal was raised from an ``OverflowError``. Returns
+    when no entry is at fault. Run on the refusal path only."""
+    overflow = isinstance(refusal.__cause__, OverflowError)
+    for name, value in fields.items():
+        for at, x in _leaves(value, f"{path}: field {name}"):
+            try:
+                fraction = _as_fraction(x)
+            except ValueError as e:
+                if str(e) != str(refusal):
+                    return
+                raise CliInputError(f"{at}: {e}") from None
+            if overflow:
+                _finite(fraction, at)
+
+
 def _need_beta(beta_flag, beta_file, path) -> float:
     if beta_flag is not None:
         return _finite(beta_flag, "--beta")
@@ -752,7 +781,11 @@ def _cmd_bundle(args) -> int:
     rho, unit = doc["rho"], doc["unit"]
     if "rank" in doc and doc["rank"] != len(rho):
         raise CliInputError(f"{args.dg}: declared rank {doc['rank']} != matrix size {len(rho)}")
-    spec = DimensionGroupSpec(matrix=rho, order_unit=unit)
+    try:
+        spec = DimensionGroupSpec(matrix=rho, order_unit=unit)
+    except ValueError as e:
+        _rational_at_fault({"rho": rho, "unit": unit}, args.dg, e)
+        raise
     fibers = _spectrum_fibers(spec)
     betas = [f.beta for f in fibers]
     with open(args.out, "w", newline="") as fh:
@@ -800,8 +833,12 @@ def _cmd_measure(args) -> int:
     for key in ("lam_exact", "base_exact", "x_exact"):
         if key in doc:
             kwargs[key] = doc[key]
-    mu = scaling_measure(doc["lam"], doc["beta"], kind=doc["kind"],
-                         x=doc.get("x", 1.0), window=doc.get("window", 8), **kwargs)
+    try:
+        mu = scaling_measure(doc["lam"], doc["beta"], kind=doc["kind"],
+                             x=doc.get("x", 1.0), window=doc.get("window", 8), **kwargs)
+    except ValueError as e:
+        _rational_at_fault(kwargs, args.measure, e)
+        raise
     lam = float(doc["lam"])
     sets = [tuple(s) for s in doc.get("sets", [])] or [(1.0, lam), (1.0 / lam, 1.0)]
     report = verify_scaling(mu, sets)
@@ -820,8 +857,25 @@ def _cmd_measure(args) -> int:
 
 def _grid_from_doc(doc) -> CocycleGrid:
     phases = np.array(doc["values"], dtype=float)
-    return CocycleGrid(step=doc["step"], half_range=doc["half_range"],
-                       values=np.exp(1j * phases))
+    with np.errstate(invalid="ignore"):         # a NaN or ±∞ phase is refused by its field
+        values = np.exp(1j * phases)
+    return CocycleGrid(step=doc["step"], half_range=doc["half_range"], values=values)
+
+
+def _phase_at_fault(doc, path: str) -> None:
+    """After ``CocycleGrid`` refused the grid of ``doc``, refuse its first NaN or ±∞ phase
+    by its field when the sizes and the shape passed, so that the phase is what failed
+    (e^{i·NaN} is not unimodular); one array test finds it, with no walk over the phases.
+    Returns when no phase is at fault."""
+    try:
+        k = _half_index(doc["step"], doc["half_range"])
+        phases = np.array(doc["values"], dtype=float)
+    except ValueError:                          # the sizes or ragged rows: that refusal stands
+        return
+    bad = np.argwhere(~np.isfinite(phases))
+    if phases.shape == (2 * k + 1, 2 * k + 1) and bad.size:
+        i, j = bad[0].tolist()
+        _finite(phases[i, j], f"{path}: field values/{i}/{j}")
 
 
 def _cmd_cocycle(args) -> int:
@@ -832,6 +886,9 @@ def _cmd_cocycle(args) -> int:
         grid = _grid_from_doc(doc)
     except OverflowError:                       # a phase that no float holds
         _finite_numbers(doc["values"], f"{args.infile}: field values")
+        raise
+    except ValueError:
+        _phase_at_fault(doc, args.infile)
         raise
     if args.action == "check":
         report = check_cocycle(grid)

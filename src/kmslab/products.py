@@ -3,9 +3,10 @@
 Finite powers of a single site are certified from the site: its eigensystem is
 checked once, and bounds propagated to the s-fold power stand in for checks on
 the full arrays, so nothing of the product's size is multiplied or factorized.
-The generator is added leg by leg into one matrix (with a hard size guard), the
-flow is read off the site eigensystem, and the Gibbs density is the Kronecker
-power of the site's (Araki–Woods); everything asymptotic — the
+The Gibbs density is the Kronecker power of the site's (Araki–Woods), built
+with a hard size guard; the flow holds the sums of the site eigenvalues, and its
+dim×dim generator (added leg by leg into one matrix) and eigenvectors (the
+tensor power of the site's) are built on first read. Everything asymptotic — the
 spectral difference group, the factor type and its Γ-style invariant,
 boundedness of matroid-type site families, trace-class windows — is decided by
 closed-form tail analysis of the declared family, never by truncating a
@@ -14,6 +15,7 @@ divergent sum and eyeballing it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,29 +72,36 @@ def _site_sum(h_site: np.ndarray, sites: int) -> np.ndarray:
     return total
 
 
-def _power_eigensystem(w_site: np.ndarray, u_site: np.ndarray,
-                       sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of :func:`_site_sum`, from the site's.
+def _power_spectrum(w_site: np.ndarray, sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) of :func:`_site_sum`, from the site's, and the stable
+    ``argsort`` order that sorts them, in O(dim).
 
     Write a product index as the base-m number (c_0 … c_{s−1}), c_0 most
     significant. Eigenvalue c of a Kronecker sum is w_{c_0} + … + w_{c_{s−1}},
-    summed in leg order, and entry (I, c) of u^{⊗s} is u_{I_0 c_0}·…·u_{I_{s−1} c_{s−1}},
-    multiplied in leg order. The sums are sorted first; then leg j's factor is one
-    gather of u's columns by digit j of the sorted column indices, so u^{⊗s} is
-    built in its final order, with no unsorted copy. ``np.take`` returns that
-    gather in C order (``u[:, digit]`` would not), so every leg multiplies rows
-    that are contiguous in memory.
-    """
-    m = w_site.size
+    summed in leg order."""
     w = np.zeros(1)
     for _ in range(sites):
         w = (w[:, None] + w_site).ravel()
     order = np.argsort(w, kind="stable")
-    u = np.ones((1, w.size), dtype=complex)
+    return w[order], order
+
+
+def _power_vectors(u_site: np.ndarray, order: np.ndarray, sites: int) -> np.ndarray:
+    """u^{⊗s} with its columns in ``order`` (from :func:`_power_spectrum`): the
+    eigenvectors of :func:`_site_sum`.
+
+    Entry (I, c) of u^{⊗s} is u_{I_0 c_0}·…·u_{I_{s−1} c_{s−1}}, multiplied in leg
+    order, so leg j's factor is one gather of u's columns by digit j of the sorted
+    column indices, and u^{⊗s} is built in its final order, with no unsorted copy.
+    ``np.take`` returns that gather in C order (``u[:, digit]`` would not), so every
+    leg multiplies rows that are contiguous in memory.
+    """
+    m = u_site.shape[0]
+    u = np.ones((1, order.size), dtype=complex)
     for j in range(sites):
         digit = order // m ** (sites - 1 - j) % m
-        u = (u[:, None, :] * np.take(u_site, digit, axis=1)[None, :, :]).reshape(-1, w.size)
-    return w[order], u
+        u = (u[:, None, :] * np.take(u_site, digit, axis=1)[None, :, :]).reshape(-1, order.size)
+    return u
 
 
 def _kron_power(rho: np.ndarray, sites: int) -> np.ndarray:
@@ -119,9 +128,9 @@ def _gamma(k: int) -> float:
 
 def _certify_power(h: np.ndarray, w: np.ndarray, u: np.ndarray, sites: int) -> None:
     """Refuse a site eigensystem (w, u) of h unless its s-fold power, as
-    :func:`_power_eigensystem` and :func:`_site_sum` build it, is unitary to
-    ``UNITARY_TOL`` and reproduces the product generator to 1e-10·max(1, max|λ|),
-    where max|λ| = s·max|w| over the product spectrum.
+    :func:`_power_spectrum`, :func:`_power_vectors` and :func:`_site_sum` build it,
+    is unitary to ``UNITARY_TOL`` and reproduces the product generator to
+    1e-10·max(1, max|λ|), where max|λ| = s·max|w| over the product spectrum.
 
     Both bounds are in the operator norm, from the site alone. With
     ε = ‖u*u − 1‖₂ (also ‖uu* − 1‖₂, u being square), r = ‖(u·w)u* − h‖₂ and
@@ -164,18 +173,41 @@ def _certify_power(h: np.ndarray, w: np.ndarray, u: np.ndarray, sites: int) -> N
                          f"exceeds {bound:.3e}")
 
 
+class _PowerFlow(InnerFlow):
+    """The flow of h⊗1⊗… + … on m^s dimensions, from a site eigensystem that
+    :func:`_certify_power` has passed. It holds the product's eigenvalues, which
+    ``spectral_spread``, ``minimal_period`` and the ``EXP_CAP`` checks read; the dim×dim
+    generator and eigenvectors are built on first read, once, read-only, by
+    ``cached_property``: results of an object that nothing changes (``algebra._keep``)."""
+
+    def __init__(self, algebra: BlockAlgebra, h_site: np.ndarray, u_site: np.ndarray,
+                 eigenvalues: np.ndarray, order: np.ndarray, sites: int):
+        self.algebra, self.eigenvalues, self._kept_boltzmann = algebra, [eigenvalues], None
+        self._site = (h_site, u_site, order, sites)
+
+    @functools.cached_property
+    def generator(self) -> AlgElement:
+        h, _, _, sites = self._site
+        return AlgElement._adopt(self.algebra, [_site_sum(h, sites)])
+
+    @functools.cached_property
+    def eigenvectors(self) -> list[np.ndarray]:
+        _, u, order, sites = self._site
+        return [_read_only(_power_vectors(u, order, sites))]
+
+
 def product_kms_state(spec: ItpfiSpec, beta: float, sites: int) -> KmsState:
     """Gibbs state of h⊗1⊗… + … on m^sites dimensions (guarded at 4096).
 
     Certified from the site, with nothing of size dim×dim multiplied or
     factorized. The site eigensystem is the only ``eigh``; :func:`_certify_power`
     bounds its s-fold power against the checks ``InnerFlow`` applies to an
-    eigensystem. The generator is built in full by :func:`_site_sum`, its flow
-    installed from :func:`_power_eigensystem`, and the density is ρ^{⊗s}, the
-    Kronecker power of the site's Gibbs density ρ = u·diag(p)·u*/Z with p > 0,
-    which is positive semidefinite by construction; a Kronecker product of
-    positive semidefinite blocks is positive semidefinite. ``KmsState`` checks
-    the trace."""
+    eigensystem. The flow holds the eigenvalues of :func:`_power_spectrum`; its
+    dim×dim generator (:func:`_site_sum`) and eigenvectors (:func:`_power_vectors`)
+    are built on first read. The density is ρ^{⊗s}, the Kronecker power of the
+    site's Gibbs density ρ = u·diag(p)·u*/Z with p > 0, which is positive
+    semidefinite by construction; a Kronecker product of positive semidefinite
+    blocks is positive semidefinite. ``KmsState`` checks the trace."""
     if sites < 1:
         raise ValueError("need at least one site")
     h, m = spec.site_generator, spec.site_dim
@@ -189,8 +221,7 @@ def product_kms_state(spec: ItpfiSpec, beta: float, sites: int) -> KmsState:
     site_alg, alg = BlockAlgebra((m,)), BlockAlgebra((dim,))
     site = gibbs(InnerFlow._certified(site_alg, AlgElement(site_alg, [h]), [w_site], [u_site]),
                  beta)
-    w, u = _power_eigensystem(w_site, u_site, sites)
-    flow = InnerFlow._certified(alg, AlgElement._adopt(alg, [_site_sum(h, sites)]), [w], [u])
+    flow = _PowerFlow(alg, h, u_site, *_power_spectrum(w_site, sites), sites)
     density = AlgElement._adopt(alg, [_kron_power(site.density.blocks[0], sites)])
     return KmsState(Functional(alg, density, check=False), float(beta), flow)
 

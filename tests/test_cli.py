@@ -364,6 +364,89 @@ def test_document_numbers_no_float_holds_are_refused_by_field(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,doc,located", [
+    ("bundle", {"rho": [["1/0"]], "unit": [1]}, "rho/0/0: '1/0' has a zero denominator"),
+    ("bundle", {"rho": [[1, 0], [0, "1/0"]], "unit": [1, 1]},
+     "rho/1/1: '1/0' has a zero denominator"),
+    ("bundle", {"rho": [[1]], "unit": ["3/0"]}, "unit/0: '3/0' has a zero denominator"),
+    ("bundle", {"rho": [[1, 0], [0, str(BIG)]], "unit": [1, 1]},
+     "rho/1/1 is beyond the float range"),
+    ("bundle", {"rho": [[1]], "unit": [str(BIG)]}, "unit/0 is beyond the float range"),
+    ("measure", {"lam": 2.0, "beta": -1.0, "kind": "atomic", "lam_exact": "1/0"},
+     "lam_exact: '1/0' has a zero denominator"),
+    ("measure", {"lam": 2.0, "beta": -1.0, "kind": "atomic", "lam_exact": "2",
+                 "x_exact": "1/0"}, "x_exact: '1/0' has a zero denominator"),
+], ids=["rho-zero-denominator", "rho-diagonal", "unit-zero-denominator", "rho-string-past-float",
+        "unit-string-past-float", "lam-exact", "x-exact"])
+def test_bundle_and_measure_refusals_name_the_field(tmp_path, capsys, command, doc, located):
+    """Refusals raised while a spec reads its rationals used to name neither the file nor
+    the field ("error: '1/0' has a zero denominator", "error: an entry of ρ or of the unit
+    is beyond the float range")."""
+    path = _write(tmp_path / "in.json", doc)
+    out = tmp_path / "o.out"
+    flag = "--dg" if command == "bundle" else "--measure"
+    assert main([command, flag, path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: field {located}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("bundle", {"rho": [[-1, 0], [0, str(BIG)]], "unit": [1, 1]},
+     "matrix must preserve the positive cone (no negative entries)"),
+    ("bundle", {"rho": [[1, str(BIG)]], "unit": [1]}, "matrix must be square"),
+    ("measure", {"lam": 0.5, "beta": -1.0, "kind": "atomic", "lam_exact": "2/0"},
+     "need λ > 1 (substitute λ → 1/λ, β → -β to normalize)"),
+], ids=["cone-before-float", "square-before-float", "lam-before-lam-exact"])
+def test_a_refusal_that_no_entry_caused_keeps_its_words(tmp_path, capsys, command, doc,
+                                                        message):
+    """A spec's earlier refusal stands even when an entry would be refused later."""
+    path = _write(tmp_path / "in.json", doc)
+    flag = "--dg" if command == "bundle" else "--measure"
+    assert main([command, flag, path, "--out", str(tmp_path / "o.out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", [1e12, 1e15, 1e20, "1000000000000"])
+def test_bundle_finds_the_fiber_of_a_large_exact_eigenvalue(tmp_path, capsys, value):
+    """From 1e12 the round trip s → −log s → e^{−β} moved s off the entry, and the
+    bundle printed "0 fiber(s)"."""
+    path = _write(tmp_path / "dg.json", {"rho": [[value]], "unit": [1]})
+    js = tmp_path / "b.json"
+    assert main(["bundle", "--dg", path, "--out", str(tmp_path / "b.csv"),
+                 "--json", str(js)]) == 0
+    beta = -math.log(float(value))
+    assert capsys.readouterr().out == f"1 fiber(s) at beta = {beta:.6g}\n"
+    doc = json.loads(js.read_text())
+    assert (doc["betas"], doc["vertex_counts"], doc["exact"]) == ([beta], [1], [True])
+
+
+@pytest.mark.parametrize("action", ["check", "trivialize"])
+@pytest.mark.parametrize("bad,at", [(math.nan, (2, 2)), (math.inf, (0, 3)), (-math.inf, (4, 1))],
+                         ids=["nan", "inf", "minus-inf"])
+def test_cocycle_refuses_a_non_finite_phase_by_field(tmp_path, capsys, action, bad, at):
+    """A NaN or ±∞ phase used to read "values are not unimodular (worst defect nan)"."""
+    phases = np.zeros((5, 5))
+    phases[at] = bad
+    phases[4, 4] = math.nan                     # only the first one is named
+    path = _write(tmp_path / "grid.json", {"step": 0.5, "half_range": 1.0,
+                                           "values": phases.tolist()})
+    assert main(["cocycle", action, "--in", path]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: field values/{at[0]}/{at[1]} must be finite, got {bad!r}\n"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"step": math.nan, "half_range": 1.0, "values": [[math.nan]]},
+     "step must be a finite normal number, got nan"),
+    ({"step": 0.5, "half_range": 1.0, "values": [[math.nan]]},
+     "values must be (5, 5), got (1, 1)"),
+], ids=["sizes", "shape"])
+def test_cocycle_size_refusals_come_before_a_non_finite_phase(tmp_path, capsys, doc, message):
+    path = _write(tmp_path / "grid.json", doc)
+    assert main(["cocycle", "check", "--in", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cuntz_refuses_a_gauge_beta_past_the_float_range(tmp_path, capsys):
     """β = log m / ρ overflows at ρ = 1e-320; it used to exit 0 writing `"gauge_beta":
     Infinity`."""

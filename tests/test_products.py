@@ -1,7 +1,10 @@
 """Infinite-product invariants, site-family boundedness, trace-class windows."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +29,8 @@ from kmslab import (
     verify_kms,
 )
 from kmslab.periodic import minimal_period
-from kmslab.products import UNITARY_TOL, _kron_power, _power_eigensystem, _site_sum
+from kmslab.products import (UNITARY_TOL, _kron_power, _power_spectrum, _power_vectors,
+                             _site_sum)
 
 
 def test_product_state_is_equilibrium():
@@ -94,7 +98,7 @@ def test_site_sum_equals_the_kronecker_loop():
 
 
 def _reference_power_eigensystem(w_site, u_site, sites):
-    """``_power_eigensystem`` as it was: each leg gathers u's columns as u[:, digit],
+    """The product eigensystem as it was first built: each leg gathers u's columns as u[:, digit],
     which comes back Fortran-ordered. Kept as the oracle."""
     m = w_site.size
     w = np.zeros(1)
@@ -128,7 +132,8 @@ def test_power_builders_equal_the_broadcast_builders():
             for sites in range(1, 11):
                 if m ** sites > 1024:
                     break
-                w, u = _power_eigensystem(w_site, u_site, sites)
+                w, order = _power_spectrum(w_site, sites)
+                u = _power_vectors(u_site, order, sites)
                 w_ref, u_ref = _reference_power_eigensystem(w_site, u_site, sites)
                 assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
                 assert u.flags.c_contiguous
@@ -203,6 +208,82 @@ def test_product_state_peaks_below_five_dense_arrays():
         tracemalloc.stop()
     assert psi.density.blocks[0].shape == (dim, dim)
     assert peak <= 5 * 16 * dim * dim
+
+
+def test_product_state_peaks_at_its_density():
+    """The flow's dim² arrays wait for a read: the peak is ρ^{⊗s} and the
+    quarter-size power it is built from, 1.25 dim² complex arrays."""
+    spec = ItpfiSpec(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    dim = 2 ** 10
+    tracemalloc.start()
+    try:
+        psi = product_kms_state(spec, 0.8, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.density.blocks[0].shape == (dim, dim)
+    assert peak <= 1.5 * 16 * dim * dim
+
+
+def test_lazy_flow_arrays_equal_the_reference_builders():
+    rng = np.random.default_rng(5353)
+    for m, top in ((2, 8), (3, 5)):
+        for h in _site_generators(m, rng):
+            spec = ItpfiSpec(h)
+            w_site, u_site = np.linalg.eigh(spec.site_generator)
+            for sites in range(1, top + 1):
+                flow = product_kms_state(spec, 0.7, sites).flow
+                w_ref, u_ref = _reference_power_eigensystem(w_site, u_site, sites)
+                assert np.array_equal(flow.eigenvalues[0], w_ref)
+                assert np.array_equal(flow.eigenvectors[0], u_ref)
+                assert np.array_equal(flow.generator.blocks[0],
+                                      _reference_site_sum(spec.site_generator, sites))
+
+
+def test_lazy_flow_arrays_are_built_once_on_first_read(monkeypatch):
+    import kmslab.products as products
+
+    calls = []
+    for name in ("_site_sum", "_power_vectors"):
+        build = getattr(products, name)
+        monkeypatch.setattr(products, name, lambda *a, _b=build, _n=name: calls.append(_n)
+                            or _b(*a))
+    spec = ItpfiSpec(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]]))
+    flow = product_kms_state(spec, 0.5, 6).flow
+    assert calls == []
+    gen, vecs = flow.generator, flow.eigenvectors
+    assert flow.generator is gen and flow.eigenvectors is vecs
+    assert flow.generator.blocks[0] is gen.blocks[0] and flow.eigenvectors[0] is vecs[0]
+    assert sorted(calls) == ["_power_vectors", "_site_sum"]
+    assert not gen.blocks[0].flags.writeable and not vecs[0].flags.writeable
+    with pytest.raises(ValueError):
+        vecs[0][0, 0] = 0.0
+
+
+def test_threads_reading_a_fresh_flow_get_the_same_bits():
+    spec = ItpfiSpec(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]]))
+    serial = product_kms_state(spec, 0.5, 8).flow
+    want = (serial.generator.blocks[0].tobytes(), serial.eigenvectors[0].tobytes())
+    for _ in range(3):
+        flow = product_kms_state(spec, 0.5, 8).flow
+        barrier = threading.Barrier(4, timeout=60)
+
+        def read(first):
+            barrier.wait()
+            if first == "generator":
+                gen, vecs = flow.generator, flow.eigenvectors
+            else:
+                vecs, gen = flow.eigenvectors, flow.generator
+            return gen.blocks[0].tobytes(), vecs[0].tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(read, ["generator", "eigenvectors"] * 2, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 4
 
 
 def _patch_site_eigh(monkeypatch, edit):
