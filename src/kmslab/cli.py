@@ -8,7 +8,8 @@ exception that is neither a ``ValueError`` nor an ``OSError`` (``InternalFault``
 ``OverflowError``, a failed assertion, …), reported as ``error: internal
 fault: …``, never posing as 1 or 2.
 All numeric JSON output uses Python's shortest round-trip float formatting,
-so values survive a parse/serialize cycle bit-for-bit. Outputs are
+so values survive a parse/serialize cycle bit-for-bit; it is strict JSON, and a
+payload holding a NaN or ±∞ is an internal fault that writes no file. Outputs are
 byte-deterministic for fixed inputs and seed; a ``--beta-range`` sweep runs
 in one thread as stacked array operations, and its rows are sorted by β
 before emission.
@@ -377,11 +378,21 @@ def _load_finite(path: str, kind: str) -> dict:
 
 
 def _write_json(path: str, payload: dict, kind: str) -> None:
-    """Write ``payload``; one its schema refuses was built wrong here, an internal fault."""
+    """Write ``payload`` as strict JSON. One that its schema refuses, or that holds a NaN
+    or ±∞ (named by its first such field), was built wrong here: an internal fault, and
+    no file is opened."""
     _validate(payload, kind, "outputs", path, InternalFault)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:                          # a NaN or ±∞ the program put there
+        for key, value in payload.items():
+            try:
+                _finite_numbers(value, f"{path}: field {key}")
+            except CliInputError as e:
+                raise InternalFault(str(e)) from None
+        raise
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _entry(v) -> complex:

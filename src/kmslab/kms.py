@@ -202,8 +202,8 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
     (see :func:`~kmslab.algebra._exchange_sheets`); the worst pair is searched
     in the one block that reports it (:func:`~kmslab.algebra._exchange_witness`).
     Route two tests ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) on ``samples`` ≥ 0 seeded random
-    elements, stacked in chunks, as one basis map and two Gram forms per
-    block (see :func:`_half_shift_residual`); for a small enough algebra and
+    elements, read as eigenbasis coordinates and stacked in chunks, as one GEMM
+    per block (see :func:`_half_shift_residual`); for a small enough algebra and
     an integer seed the samples are read from a normal prefix kept for the
     last such seed, and equal a fresh draw bit for bit. The verdict passes only when
     the larger of the two maxima is within ``tol``; a NaN in either maximum
@@ -246,24 +246,24 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
     """max over samples of |ω(a*a) − ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*)|, ω given by its
     eigenbasis density blocks D̂.
 
-    The samples are those of ``random_element`` drawn one after another from
-    ``default_rng(seed)`` and scaled to unit Frobenius norm: an (S, 2N) stack of
-    normals holds, per sample and block, n² real parts then n² imaginary parts.
-    When :func:`_seeded_normals` keeps that stack, the chunks are views of it;
-    otherwise each chunk is drawn from a fresh generator in turn.
-    With e = e^{β(λ−c)/2}, c the block's mid-spectrum, σ_{-iβ/2}(a) is
-    u·diag(e)·u*·X·u* for the basis map X = a·u·diag(1/e). So with
-    D′ = diag(e)·D̂·diag(e) and P = u·D′·u*, made once per call, the two sides are
-    ⟨X, X·D′⟩ and ⟨Xᵀ, Xᵀ·Pᵀ⟩: per chunk of samples and block, three GEMMs, one
-    transpose copy and three ``vecdot`` reductions. The scaling 1/(2n) of the
-    draws is applied to the per-sample sums, and memory stays O(chunk + n²), plus
-    one kept prefix of at most ``_NORMAL_PREFIX_CAP`` doubles.
+    The samples are ``random_element``'s draws taken one after another from
+    ``default_rng(seed)`` and scaled to unit Frobenius norm, read as coordinates Â in
+    the flow's eigenbasis: the sample is a = u·Â·u*. Rotating a complex Gaussian by a
+    unitary leaves its law unchanged, so this checks as much as drawing a itself. An
+    (S, 2N) stack of normals holds, per sample and block, n² real parts then n²
+    imaginary parts. When :func:`_seeded_normals` keeps that stack, the chunks are
+    views of it; otherwise each chunk is drawn from a fresh generator in turn.
+    With e = e^{β(λ−c)/2}, c the block's mid-spectrum, σ_{-iβ/2}(a) has eigenbasis
+    coordinates Â∘F for F_kl = e_k/e_l. So with C = (Â∘F)* the two sides are
+    ⟨Â, Â·D̂⟩ and ⟨C, C·D̂⟩: per chunk of samples and block, one GEMM of the stacked
+    [Â; C] against D̂ and one ``vecdot`` reduction. The scaling 1/(2n) of the draws
+    is applied to the per-sample sums, and memory stays O(chunk + n²), plus one kept
+    prefix of at most ``_NORMAL_PREFIX_CAP`` doubles.
     """
-    forms = []
-    for w, u, dd in zip(flow.eigenvalues, flow.eigenvectors, density):
+    fts = []                                    # Fᵀ per block: C = conj(Âᵀ)∘Fᵀ
+    for w in flow.eigenvalues:
         e = np.exp(0.5 * beta * (w - 0.5 * (w[0] + w[-1])))
-        dp = e[:, None] * dd * e
-        forms.append((u / e, dp, (u @ dp @ u.conj().T).T))
+        fts.append((e / e[:, None]).astype(complex))
     width = 2 * flow.algebra.coord_dim
     stored = _seeded_normals(seed, samples * width)
     if stored is None:
@@ -276,16 +276,17 @@ def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float
         s = min(per_chunk, samples - start)
         draws = rng.standard_normal((s, width)) if stored is None else stored[start:start + s]
         diff, norm2, off = np.zeros(s, dtype=complex), np.zeros(s), 0
-        for n, (ue, dp, pt) in zip(flow.algebra.block_dims, forms):
+        for n, dd, ft in zip(flow.algebra.block_dims, density, fts):
             z = draws[:, off:off + 2 * n * n]
             off += 2 * n * n
-            a = np.empty((s, n * n), dtype=complex)
-            a.real, a.imag = z[:, :n * n], z[:, n * n:]
-            x = a.reshape(s * n, n) @ ue
-            xt = x.reshape(s, n, n).transpose(0, 2, 1).reshape(s * n, n)       # a copy
-            lhs = np.vecdot(x.reshape(s, n * n), (x @ dp).reshape(s, n * n))
-            rhs = np.vecdot(xt.reshape(s, n * n), (xt @ pt).reshape(s, n * n))
-            diff += (lhs - rhs) / (2 * n)
+            ac = np.empty((2 * s, n, n), dtype=complex)         # [Â; C]
+            ac[:s].real = z[:, :n * n].reshape(s, n, n)
+            ac[:s].imag = z[:, n * n:].reshape(s, n, n)
+            np.conjugate(ac[:s].transpose(0, 2, 1), out=ac[s:])
+            ac[s:] *= ft
+            sides = np.vecdot(ac.reshape(2 * s, n * n),
+                              (ac.reshape(2 * s * n, n) @ dd).reshape(2 * s, n * n))
+            diff += (sides[:s] - sides[s:]) / (2 * n)
             norm2 += np.vecdot(z, z) / (2 * n)
         scaled = np.abs(diff) / np.maximum(norm2, 1e-60)       # a scaled to ‖a‖_F = 1
         residual = float(np.max((residual, scaled.max())))      # NaN propagates

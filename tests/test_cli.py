@@ -1057,6 +1057,29 @@ def test_thread_cap_does_not_change_results(two_level, tmp_path):
     assert outs[0] == outs[1]
 
 
+
+def test_blas_thread_count_does_not_change_verify(tmp_path):
+    """``kmslab verify`` at one and at two OpenBLAS threads, set in the child's
+    environment only: byte-equal stdout and output at n = 64, and the same exit code and
+    verdict at n = 128, where threaded GEMMs may move a residual in its last digits."""
+    import os
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = {}
+    for n in (64, 128):
+        prob = _hermitian_problem(tmp_path / f"p{n}.json", (n,), seed=n)
+        for threads in ("1", "2"):
+            out = tmp_path / f"v{n}-{threads}.json"
+            r = subprocess.run([sys.executable, "-m", "kmslab.cli", "verify", "--problem", prob,
+                                "--beta", "0.2", "--out", str(out)], capture_output=True,
+                               env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+            runs[n, threads] = (r.returncode, r.stdout, out.read_bytes())
+    assert runs[64, "1"] == runs[64, "2"] and runs[64, "1"][0] == 0
+    (code1, _, doc1), (code2, _, doc2) = runs[128, "1"], runs[128, "2"]
+    assert code1 == code2 == 0 and json.loads(doc1)["passed"] is json.loads(doc2)["passed"] is True
+
 # -- schema validation: each file checked once, every document validated ------------
 
 def _reference_schema_defs(which: str) -> dict:
@@ -1742,6 +1765,19 @@ def test_an_output_the_schema_refuses_is_an_internal_fault(two_level, tmp_path, 
     assert main(["verify", "--problem", two_level, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (f"error: internal fault: InternalFault: {out}: field "
                                        "passed: np.True_ is not of type 'boolean'\n")
+    assert not out.exists()
+
+
+def test_a_non_finite_output_is_an_internal_fault(two_level, tmp_path, monkeypatch, capsys):
+    """A NaN the program put in a payload is its own fault (exit 3), named by its field,
+    and no file is written: not a bare ``NaN`` that strict JSON readers refuse."""
+    real = cli.verify_kms
+    monkeypatch.setattr(cli, "verify_kms", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), residual_half_shift=math.nan))
+    out = tmp_path / "o.json"
+    assert main(["verify", "--problem", two_level, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: internal fault: InternalFault: {out}: field "
+                                       "residual_half_shift must be finite, got nan\n")
     assert not out.exists()
 
 

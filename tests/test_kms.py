@@ -180,7 +180,7 @@ def _reference_route_two(flow, omega, beta, samples=100, seed=7):
     rng = np.random.default_rng(seed)
     residual_half = 0.0
     for _ in range(samples):
-        a = random_element(flow.algebra, rng)
+        a = flow.from_eigenbasis(random_element(flow.algebra, rng).blocks)
         a = (1.0 / max(a.fro_norm(), 1e-30)) * a
         g = flow.continue_analytic(a, -0.5j * beta)
         lhs = omega(a.adjoint() @ a)
