@@ -17,7 +17,9 @@ before emission.
 Every document read or written is validated against its schema kind by the
 kind's definition, compiled once per process: it decides as jsonschema 4.26.0
 does under Draft 2020-12 and words every refusal as jsonschema's ``best_match``
-picks it. jsonschema itself is never imported; it is the tests' oracle.
+picks it. jsonschema itself is never imported; it is the tests' oracle. Each input
+kind then has one reader that converts every field once, in the order of the library's
+own checks, and refuses a field by its path; the README lists each reader's order.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from .cocycle import Cochain, CocycleGrid, _half_index, check_cocycle, trivializ
 SCHEMA_VERSION = "1"
 #: most --beta-range steps one sweep takes (about 1 s at block dims (16, 16) on a 2-vCPU guest)
 MAX_SWEEP_STEPS = 100_000
+#: most --terms a matroid prefix sums (seven-adic or factorial: about 0.12 s on a 2-vCPU guest)
+MAX_MATROID_TERMS = 100_000
 
 
 class CliInputError(ValueError):
@@ -401,15 +405,20 @@ def _entry(v) -> complex:
     return complex(v)
 
 
-def _matrix(rows, where: str) -> np.ndarray:
-    """The square matrix of a JSON field, refused unless its rows are of one length, it is
-    square and every entry is finite; ``where`` ("<file>: field <path>") names the field
-    in each refusal."""
+def _rows(rows: list, where: str) -> list:
+    """``rows``, refused unless they are of one length; ``where`` names the field."""
     ragged = next((i for i, row in enumerate(rows) if len(row) != len(rows[0])), None)
     if ragged is not None:
         raise CliInputError(f"{where}/{ragged}: row has {len(rows[ragged])} entries, "
                             f"row 0 has {len(rows[0])}")
-    if len(rows) != len(rows[0]):
+    return rows
+
+
+def _matrix(rows, where: str) -> np.ndarray:
+    """The square matrix of a JSON field, refused unless its rows are of one length, it is
+    square and every entry is finite; ``where`` ("<file>: field <path>") names the field
+    in each refusal."""
+    if len(_rows(rows, where)) != len(rows[0]):
         raise CliInputError(f"{where}: matrix must be square, got {len(rows)}×{len(rows[0])}")
     try:
         mat = np.array([[_entry(v) for v in row] for row in rows], dtype=complex)
@@ -465,37 +474,19 @@ def _finite_numbers(value, where: str) -> None:
     elif isinstance(value, list):
         for i, v in enumerate(value):
             _finite_numbers(v, f"{where}/{i}")
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
         _finite(value, where)
 
 
-def _leaves(value, where: str):
-    """(path, leaf) for each leaf of a JSON list or scalar, in document order; ``where``
-    ("<file>: field <path>") gains each leaf's path."""
+def _rational(value, where: str):
+    """A rational JSON value (a number or a ``"p/q"`` string), or a list of them, as
+    ``Fraction``s; an entry no fraction reads is refused by its field below ``where``."""
     if isinstance(value, list):
-        for i, v in enumerate(value):
-            yield from _leaves(v, f"{where}/{i}")
-    else:
-        yield where, value
-
-
-def _rational_at_fault(fields: dict, path: str, refusal: ValueError) -> None:
-    """After a spec refused, name the rational entry behind ``refusal`` by its field: the
-    first entry of ``fields`` (name → JSON value, in the order the spec reads them) that
-    refuses as a fraction, when it refuses in the refusal's own words, or whose float is
-    past the float range, when the refusal was raised from an ``OverflowError``. Returns
-    when no entry is at fault. Run on the refusal path only."""
-    overflow = isinstance(refusal.__cause__, OverflowError)
-    for name, value in fields.items():
-        for at, x in _leaves(value, f"{path}: field {name}"):
-            try:
-                fraction = _as_fraction(x)
-            except ValueError as e:
-                if str(e) != str(refusal):
-                    return
-                raise CliInputError(f"{at}: {e}") from None
-            if overflow:
-                _finite(fraction, at)
+        return [_rational(v, f"{where}/{i}") for i, v in enumerate(value)]
+    try:
+        return _as_fraction(value)
+    except ValueError as e:
+        raise CliInputError(f"{where}: {e}") from None
 
 
 def _need_beta(beta_flag, beta_file, path) -> float:
@@ -690,6 +681,7 @@ def _cmd_fejer(args) -> int:
     alg, flow, _ = _problem(args.problem)
     a = _element(args.element, alg)
     periodic = PeriodicFlow(flow)
+    _finite(args.order, "--order")
     mean = periodic.fejer_mean(a, args.order)
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "fejer", "order": args.order,
@@ -711,10 +703,15 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _itpfi(path: str) -> tuple[ItpfiSpec, float]:
+    """The site spec and β of a site-family file: the site generator, then β."""
+    doc = _load(path, "itpfi")
+    spec = ItpfiSpec(_matrix(doc["site_generator"], f"{path}: field site_generator"))
+    return spec, _finite(doc["beta"], f"{path}: field beta")
+
+
 def _cmd_factor_type(args) -> int:
-    doc = _load(args.itpfi, "itpfi")
-    spec = ItpfiSpec(_matrix(doc["site_generator"], f"{args.itpfi}: field site_generator"))
-    report = factor_type_itpfi(spec, _finite(doc["beta"], f"{args.itpfi}: field beta"))
+    report = factor_type_itpfi(*_itpfi(args.itpfi))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "factor-type", "tag": report.tag,
         "lambda_value": report.lambda_value, "kappa": report.kappa,
@@ -726,9 +723,7 @@ def _cmd_factor_type(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    doc = _load(args.itpfi, "itpfi")
-    spec = ItpfiSpec(_matrix(doc["site_generator"], f"{args.itpfi}: field site_generator"))
-    report = gamma_invariant(spec, _finite(doc["beta"], f"{args.itpfi}: field beta"))
+    report = gamma_invariant(*_itpfi(args.itpfi))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "gamma",
         "kind": report.kind, "generator": report.generator,
@@ -739,6 +734,9 @@ def _cmd_gamma(args) -> int:
 def _cmd_matroid(args) -> int:
     if args.terms < 1:
         raise CliInputError(f"--terms must be at least 1, got {args.terms}")
+    if args.terms > MAX_MATROID_TERMS:
+        raise CliInputError(f"--terms asks for {args.terms} terms, "
+                            f"above the cap {MAX_MATROID_TERMS}")
     doc = _load(args.family, "matroid")
     where = f"{args.family}: field sites"
     sites = [(_matrix(s["generator"], f"{where}/{k}/generator"),
@@ -766,7 +764,8 @@ def _cmd_matroid(args) -> int:
 def _family_from_doc(doc) -> SpectrumFamily:
     kind = doc["kind"]
     if kind == "negated":
-        return SpectrumFamily(kind="negated", inner=_family_from_doc(doc["inner"]))
+        inner = _family_from_doc(doc["inner"]) if "inner" in doc else None
+        return SpectrumFamily(kind="negated", inner=inner)
     if kind == "explicit_prefix":
         return SpectrumFamily(kind="explicit_prefix", values=tuple(doc.get("values", ())))
     if kind == "zero":
@@ -787,17 +786,26 @@ def _cmd_window(args) -> int:
     return 0
 
 
-def _cmd_bundle(args) -> int:
-    doc = _load_finite(args.dg, "dimension_group")
-    rho, unit = doc["rho"], doc["unit"]
-    if "rank" in doc and doc["rank"] != len(rho):
-        raise CliInputError(f"{args.dg}: declared rank {doc['rank']} != matrix size {len(rho)}")
+def _dimension_group(path: str) -> DimensionGroupSpec:
+    """The spec of a dimension-group file, its ρ and unit entries read as fractions; an
+    entry no float holds, refused by the spec's float lane after its other checks, by field."""
+    doc = _load_finite(path, "dimension_group")
+    rank = len(doc["rho"])
+    if doc.get("rank", rank) != rank:
+        raise CliInputError(f"{path}: declared rank {doc['rank']} != matrix size {rank}")
+    rho = _rational(doc["rho"], f"{path}: field rho")
+    unit = _rational(doc["unit"], f"{path}: field unit")
     try:
-        spec = DimensionGroupSpec(matrix=rho, order_unit=unit)
+        return DimensionGroupSpec(matrix=rho, order_unit=unit)
     except ValueError as e:
-        _rational_at_fault({"rho": rho, "unit": unit}, args.dg, e)
+        if isinstance(e.__cause__, OverflowError):
+            _finite_numbers(rho, f"{path}: field rho")
+            _finite_numbers(unit, f"{path}: field unit")
         raise
-    fibers = _spectrum_fibers(spec)
+
+
+def _cmd_bundle(args) -> int:
+    fibers = _spectrum_fibers(_dimension_group(args.dg))
     betas = [f.beta for f in fibers]
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -840,16 +848,12 @@ def _cmd_point_bundle(args) -> int:
 def _cmd_measure(args) -> int:
     tol = _finite(args.tol, "--tol")
     doc = _load_finite(args.measure, "measure")
-    kwargs = {}
-    for key in ("lam_exact", "base_exact", "x_exact"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    try:
-        mu = scaling_measure(doc["lam"], doc["beta"], kind=doc["kind"],
-                             x=doc.get("x", 1.0), window=doc.get("window", 8), **kwargs)
-    except ValueError as e:
-        _rational_at_fault(kwargs, args.measure, e)
-        raise
+    fields = {"lam": doc["lam"], "beta": doc["beta"], "kind": doc["kind"],
+              "x": doc.get("x", 1.0), "window": doc.get("window", 8)}
+    scaling_measure(**fields)                   # its refusals come before an exact field's
+    exact = {key: _rational(doc[key], f"{args.measure}: field {key}")
+             for key in ("lam_exact", "base_exact", "x_exact") if key in doc}
+    mu = scaling_measure(**fields, **exact)
     lam = float(doc["lam"])
     sets = [tuple(s) for s in doc.get("sets", [])] or [(1.0, lam), (1.0 / lam, 1.0)]
     report = verify_scaling(mu, sets)
@@ -866,41 +870,34 @@ def _cmd_measure(args) -> int:
     return 0 if passed else 1
 
 
-def _grid_from_doc(doc) -> CocycleGrid:
-    phases = np.array(doc["values"], dtype=float)
-    with np.errstate(invalid="ignore"):         # a NaN or ±∞ phase is refused by its field
+def _cocycle_grid(path: str) -> CocycleGrid:
+    """The grid of a cocycle file, its phases read as e^{iθ}. The sizes are refused first,
+    then ragged rows, then a phase that no float holds; a NaN or ±∞ phase is named by its
+    field only on a table of the grid's shape, which ``CocycleGrid`` refuses otherwise."""
+    doc = _load(path, "cocycle_grid")
+    k = _half_index(doc["step"], doc["half_range"])
+    where = f"{path}: field values"
+    rows = _rows(doc["values"], where)
+    try:
+        phases = np.array(rows, dtype=float)
+    except OverflowError:                       # an integer that no float holds
+        for i, j in np.ndindex(len(rows), len(rows[0])):
+            if isinstance(rows[i][j], int):
+                _finite(rows[i][j], f"{where}/{i}/{j}")
+        raise
+    bad = np.argwhere(~np.isfinite(phases))
+    if bad.size and phases.shape == (2 * k + 1, 2 * k + 1):
+        i, j = bad[0].tolist()
+        _finite(phases[i, j], f"{where}/{i}/{j}")
+    with np.errstate(invalid="ignore"):         # CocycleGrid refuses the table's shape
         values = np.exp(1j * phases)
     return CocycleGrid(step=doc["step"], half_range=doc["half_range"], values=values)
-
-
-def _phase_at_fault(doc, path: str) -> None:
-    """After ``CocycleGrid`` refused the grid of ``doc``, refuse its first NaN or ±∞ phase
-    by its field when the sizes and the shape passed, so that the phase is what failed
-    (e^{i·NaN} is not unimodular); one array test finds it, with no walk over the phases.
-    Returns when no phase is at fault."""
-    try:
-        k = _half_index(doc["step"], doc["half_range"])
-        phases = np.array(doc["values"], dtype=float)
-    except ValueError:                          # the sizes or ragged rows: that refusal stands
-        return
-    bad = np.argwhere(~np.isfinite(phases))
-    if phases.shape == (2 * k + 1, 2 * k + 1) and bad.size:
-        i, j = bad[0].tolist()
-        _finite(phases[i, j], f"{path}: field values/{i}/{j}")
 
 
 def _cmd_cocycle(args) -> int:
     if args.tol is not None:
         _finite(args.tol, "--tol")
-    doc = _load(args.infile, "cocycle_grid")
-    try:
-        grid = _grid_from_doc(doc)
-    except OverflowError:                       # a phase that no float holds
-        _finite_numbers(doc["values"], f"{args.infile}: field values")
-        raise
-    except ValueError:
-        _phase_at_fault(doc, args.infile)
-        raise
+    grid = _cocycle_grid(args.infile)
     if args.action == "check":
         report = check_cocycle(grid)
         passed = args.tol is None or report.max_identity_residual <= args.tol

@@ -3,9 +3,11 @@
 import csv
 import dataclasses
 import functools
+import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -445,6 +447,147 @@ def test_cocycle_size_refusals_come_before_a_non_finite_phase(tmp_path, capsys, 
     path = _write(tmp_path / "grid.json", doc)
     assert main(["cocycle", "check", "--in", path]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cocycle_sizes_are_refused_before_a_phase_no_float_holds(tmp_path, capsys):
+    """The phase used to be named even when the step was NaN."""
+    path = _write(tmp_path / "grid.json", {"step": math.nan, "half_range": 1.0, "values": [[BIG]]})
+    assert main(["cocycle", "check", "--in", path]) == 2
+    assert capsys.readouterr().err == "error: step must be a finite normal number, got nan\n"
+
+
+def test_cocycle_refuses_ragged_rows_by_row(tmp_path, capsys):
+    """numpy's "inhomogeneous shape" refusal used to name neither the file nor the field."""
+    path = _write(tmp_path / "grid.json", {"step": 1, "half_range": 1,
+                                           "values": [[0, 0, 0], [0, 0], [0, 0, 0]]})
+    assert main(["cocycle", "check", "--in", path]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: field values/1: row has 2 entries, row 0 has 3\n"
+
+
+def test_negated_window_family_without_inner_is_bad_input(tmp_path, capsys):
+    """The schema accepts it; it used to exit 3 ("internal fault: KeyError: 'inner'")."""
+    path = _write(tmp_path / "w.json", {"kind": "negated"})
+    out = tmp_path / "w.out"
+    assert main(["window", "--family", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: negated family needs an inner family\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"lam": 2.0, "beta": -1.0, "kind": "density", "lam_exact": "1/0"}, "lam_exact"),
+    ({"lam": 2.0, "beta": 0.0, "kind": "atomic", "base_exact": "1/0"}, "base_exact"),
+    ({"lam": 2.0, "beta": -1.0, "kind": "density", "lam_exact": 2, "x_exact": "1/0"}, "x_exact"),
+], ids=["density", "atomic-at-beta-0", "density-second-field"])
+def test_measure_refuses_a_malformed_exact_field_of_every_measure(tmp_path, capsys, doc, field):
+    """A density, or an atomic measure at β = 0, ignored its exact fields and exited 0."""
+    path = _write(tmp_path / "mu.json", doc)
+    out = tmp_path / "m.out"
+    assert main(["measure", "--measure", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: field {field}: '1/0' has a zero denominator\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order,message", [(str(BIG), "--order is beyond the float range"),
+                                           ("-1", "order must be ≥ 0")], ids=["big", "negative"])
+def test_fejer_refuses_an_order_past_the_float_range(two_level, tmp_path, capsys, order, message):
+    """An order of 401 digits used to exit 3 (an OverflowError in ``fejer_mean``)."""
+    element = _write(tmp_path / "e.json", {"blocks": [[[0.0, 1.0], [0.0, 0.0]]]})
+    out = tmp_path / "f.out"
+    assert main(["fejer", "--problem", two_level, "--element", element, f"--order={order}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_matroid_refuses_a_term_count_above_the_cap(tmp_path, capsys):
+    """At about 1.9 µs a term, 10⁹ terms ran for half an hour and 10⁴⁰⁰ never ended."""
+    fam = _write(tmp_path / "fam.json", {"kind": "seven_adic"})
+    out = tmp_path / "m.out"
+    cap = cli.MAX_MATROID_TERMS
+    assert main(["matroid", "--family", fam, "--beta", "2", f"--terms={cap + 1}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --terms asks for {cap + 1} terms, above the cap {cap}\n"
+    assert not out.exists()
+
+
+# One small valid document per input kind, with the subcommand that reads it from {doc};
+# the table below breaks each of its leaves and keys.
+READERS = {
+    "problem": ({"block_dims": [2], "generator": [[[0.0, 0.5], [0.5, [1.0, 0.0]]]], "beta": 1.0},
+                ["gibbs", "--problem", "{doc}", "--out", "{out}"]),
+    "element": ({"block_dims": [2], "blocks": [[[0.0, 1.0], [0.0, [0.0, 0.5]]]]},
+                ["fejer", "--problem", "{problem}", "--element", "{doc}", "--order", "2",
+                 "--out", "{out}"]),
+    "itpfi": ({"site_generator": [[0.0, 0.0], [0.0, 0.7]], "beta": 1.0},
+              ["factor-type", "--itpfi", "{doc}", "--out", "{out}"]),
+    "matroid": ({"kind": "explicit", "declared_tail": "seven_adic",
+                 "sites": [{"generator": [[0.0, 0.0], [0.0, 1.0]],
+                            "projection": [[1.0, 0.0], [0.0, 0.0]]}]},
+                ["matroid", "--family", "{doc}", "--beta", "2", "--terms", "3", "--out", "{out}"]),
+    "window_family": ({"kind": "negated", "r": 2.0, "values": [1.0],
+                       "inner": {"kind": "power_log", "r": 2.0}},
+                      ["window", "--family", "{doc}", "--out", "{out}"]),
+    "dimension_group": ({"rank": 2, "rho": [[2, 0], ["1/3", "1/2"]], "unit": [1, "1/2"]},
+                        ["bundle", "--dg", "{doc}", "--out", "{out}", "--json", "{out}.json"]),
+    "points": ({"points": [{"label": "a", "level": 0.0}, {"label": "b", "level": 1.0}]},
+               ["point-bundle", "--points", "{doc}", "--level", "1", "--out", "{out}"]),
+    "measure": ({"lam": 2.0, "beta": -math.log(2.0), "kind": "atomic", "x": 1.0, "window": 3,
+                 "lam_exact": "2", "base_exact": 0.5, "x_exact": 1, "sets": [[1.0, 2.0]]},
+                ["measure", "--measure", "{doc}", "--out", "{out}"]),
+    "cocycle_grid": ({"step": 0.5, "half_range": 0.5,
+                      "values": [[0.1, 0.0, 0.2], [0.0, 0.0, 0.0], [0.2, 0.0, 0.1]]},
+                     ["cocycle", "check", "--in", "{doc}", "--report", "{out}"]),
+}
+
+
+def _broken(doc, at=()):
+    """(path, value) for each leaf of ``doc`` set to NaN, ±∞, an integer no float holds or
+    "1/0", and (path, None) for each key dropped."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            if isinstance(doc, dict):
+                yield at + (key,), None
+            yield from _broken(value, at + (key,))
+    else:
+        for value in (math.nan, math.inf, -math.inf, BIG, "1/0"):
+            yield at, value
+
+
+def test_every_input_kind_the_cli_reads_has_a_broken_document_table():
+    """A kind that ``cli.py`` loads and the table below lacks fails here."""
+    loaded = set(re.findall(r'_load(?:_finite)?\([^,()]+, "(\w+)"\)', inspect.getsource(cli)))
+    assert loaded == set(READERS)
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+def test_a_broken_document_is_never_an_internal_fault(tmp_path, capsys, kind):
+    """Each input kind, with each leaf broken or each key dropped, exits 0, 1 or 2, and an
+    exit 2 prints exactly one error line. A negated window family without ``inner`` used
+    to exit 3."""
+    valid, argv = READERS[kind]
+    path = tmp_path / f"{kind}.json"
+    argv = [a.format(doc=path, out=tmp_path / "o.out",
+                     problem=_write(tmp_path / "problem.json", TWO_LEVEL)) for a in argv]
+    _write(path, valid)
+    assert main(argv) in (0, 1)
+    faults, variants = [], list(_broken(valid))
+    for at, value in variants:
+        doc = json.loads(json.dumps(valid))
+        parent = functools.reduce(lambda node, key: node[key], at[:-1], doc)
+        if value is None:
+            del parent[at[-1]]
+        else:
+            parent[at[-1]] = value
+        _write(path, doc)
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or code == 2 and not (err.startswith("error: ")
+                                                       and err.count("\n") == 1):
+            faults.append((at, value, code, err))
+    assert len(variants) >= 20 and faults == []
 
 
 def test_cuntz_refuses_a_gauge_beta_past_the_float_range(tmp_path, capsys):
@@ -1856,7 +1999,7 @@ def test_refused_grid_exits_2_with_the_scans_residual(tmp_path, capsys):
     path = _perturbed_grid_file(tmp_path, 2.0 ** -6, seed=7)
     assert main(["cocycle", "trivialize", "--in", path]) == 2
     out, err = capsys.readouterr()
-    grid = cli._grid_from_doc(json.loads((tmp_path / "grid.json").read_text()))
+    grid = cli._cocycle_grid(path)
     residual = cocycle.check_cocycle(grid).max_identity_residual
     allowed = cocycle.DEFECT_FACTOR * grid.step
     assert (out, err) == ("", f"error: cocycle identity fails: residual {residual:.3e} "
