@@ -32,7 +32,8 @@ flow2 = InnerFlow(alg2, alg2.element([np.diag([0.0, 1.0]).astype(complex)]))
 tau = Functional(alg2, 0.5 * alg2.identity())
 bad = verify_kms(flow2, tau, 1.0)
 print("trace at beta=1 passes?", bad.passed,
-      "  residual", bad.max_residual, " vs (e-1)/2 =", (np.e - 1) / 2)
+      "  exchange residual", bad.residual_exchange, " vs (e-1)/2 =", (np.e - 1) / 2)
+print("half-shift defect in", [bad.residual_half_shift_lower, bad.residual_half_shift])
 print("worst exchange pair:", bad.worst_pair)
 
 # ---- several blocks: the simplex has one vertex per block -------------------

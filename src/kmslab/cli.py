@@ -417,18 +417,22 @@ def _rows(rows: list, where: str) -> list:
 def _matrix(rows, where: str) -> np.ndarray:
     """The square matrix of a JSON field, refused unless its rows are of one length, it is
     square and every entry is finite; ``where`` ("<file>: field <path>") names the field
-    in each refusal."""
+    in each refusal. The first bad entry in row order is refused, a NaN or ±∞ (a pair's
+    part too) as a non-finite entry, a number that no float holds as :func:`_finite`
+    words it."""
     if len(_rows(rows, where)) != len(rows[0]):
         raise CliInputError(f"{where}: matrix must be square, got {len(rows)}×{len(rows[0])}")
     try:
         mat = np.array([[_entry(v) for v in row] for row in rows], dtype=complex)
     except OverflowError:                       # an entry that no float holds
-        _finite_numbers(rows, where)
-        raise
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise CliInputError(f"{where}/{i}/{j}: non-finite entry {rows[i][j]!r}")
+        mat = None
+    if mat is None or not np.isfinite(mat).all():
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if any(isinstance(x, float) and not math.isfinite(x)
+                       for x in (v if isinstance(v, list) else [v])):
+                    raise CliInputError(f"{where}/{i}/{j}: non-finite entry {v!r}")
+                _finite_numbers(v, f"{where}/{i}/{j}")
     return mat
 
 
@@ -616,12 +620,13 @@ def _cmd_verify(args) -> int:
         omega = Functional(alg, dens)
     else:
         omega = gibbs(flow, beta).functional
-    verdict = verify_kms(flow, omega, beta, tol=tol, seed=args.seed)
+    verdict = verify_kms(flow, omega, beta, tol=tol)
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION, "command": "verify",
         "passed": verdict.passed, "max_residual": verdict.max_residual,
         "residual_exchange": verdict.residual_exchange,
         "residual_half_shift": verdict.residual_half_shift,
+        "residual_half_shift_lower": verdict.residual_half_shift_lower,
         "beta": verdict.beta, "tol": verdict.tol,
         "worst_pair": list(verdict.worst_pair) if verdict.worst_pair else None,
     }, kind="verify")
@@ -995,7 +1000,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="density to test (default: the Gibbs state)")
     p.add_argument("--beta", type=float)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = add("simplex", help="equilibrium simplex at one β or over a sweep")

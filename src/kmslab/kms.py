@@ -3,7 +3,8 @@
 For σ_t = Ad e^{ith} on a block algebra, the β-equilibrium functionals
 are exactly the densities Σ_i γ_i e^{-βh_i} with γ_i ≥ 0, one coefficient
 per block. That normal form drives everything here: verification works
-against the exchange identity ω(ab) = ω(b σ_{iβ}(a)) in closed form, the
+against the exchange identity ω(ab) = ω(b σ_{iβ}(a)) on matrix units and brackets
+the half-shift identity's defect over every element, both in closed form; the
 state space is the simplex over the central coefficients, and corners /
 domination / lattice operations reduce to coefficient arithmetic.
 
@@ -18,7 +19,6 @@ blocks through ``_boltzmann_at``, kept on the flow by :func:`~kmslab.algebra._ke
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +29,8 @@ from .flow import InnerFlow
 
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
 EXP_CAP = 700.0
-#: entries per chunk of ``verify_kms``'s route-two samples, and density entries per chunk
-#: of ``simplex_sweep``'s β (memory stays O(chunk + n²), plus the kept normal prefix below)
-_HALF_SHIFT_CHUNK_ENTRIES = 2 ** 15
-#: route two keeps, for the last integer seed it read, the longest prefix of
-#: ``default_rng(seed)``'s normal stream a call has needed, up to
-#: ``_NORMAL_PREFIX_CAP`` doubles (2 MiB); a call that needs more draws in chunks
-_NORMAL_PREFIX_CAP = 2 ** 18
-_normal_prefix: tuple[int, np.ndarray] | None = None      # (seed, read-only prefix)
+#: density entries per chunk of ``simplex_sweep``'s β: memory stays O(chunk) per sweep
+_SWEEP_CHUNK_ENTRIES = 2 ** 15
 
 
 def _check_exp_cap(beta: float, spread: float) -> None:
@@ -162,20 +156,23 @@ class KmsWeight:
 
 @dataclass
 class KmsVerdict:
-    """Outcome of verify_kms: both routes' residuals, and the worst witness."""
+    """Outcome of verify_kms: route one's residual, route two's bracket
+    ``residual_half_shift_lower`` ≤ ‖M‖ ≤ ``residual_half_shift``, and the worst witness."""
 
     passed: bool
     max_residual: float
     worst_pair: tuple | None
     residual_exchange: float
     residual_half_shift: float
+    residual_half_shift_lower: float
     beta: float
     tol: float
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
         return (f"[{tag}] β={self.beta:g}: exchange residual {self.residual_exchange:.3e}, "
-                f"half-shift residual {self.residual_half_shift:.3e} (tol {self.tol:.1e})")
+                f"half-shift residual in [{self.residual_half_shift_lower:.3e}, "
+                f"{self.residual_half_shift:.3e}] (tol {self.tol:.1e})")
 
 
 def gibbs(flow: InnerFlow, beta: float) -> KmsState:
@@ -193,7 +190,7 @@ def gibbs(flow: InnerFlow, beta: float) -> KmsState:
 
 
 def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
-               tol: float = 1e-8, samples: int = 100, seed: int = 7) -> KmsVerdict:
+               tol: float = 1e-8) -> KmsVerdict:
     """Check the β-equilibrium condition along two independent routes.
 
     Route one tests the exchange identity ω(ab) = ω(b σ_{iβ}(a)) on every
@@ -201,17 +198,17 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
     basis suffices), in closed form: O(n²) memory and no loop over the units
     (see :func:`~kmslab.algebra._exchange_sheets`); the worst pair is searched
     in the one block that reports it (:func:`~kmslab.algebra._exchange_witness`).
-    Route two tests ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) on ``samples`` ≥ 0 seeded random
-    elements, read as eigenbasis coordinates and stacked in chunks, as one GEMM
-    per block (see :func:`_half_shift_residual`); for a small enough algebra and
-    an integer seed the samples are read from a normal prefix kept for the
-    last such seed, and equal a fresh draw bit for bit. The verdict passes only when
-    the larger of the two maxima is within ``tol``; a NaN in either maximum
-    makes it NaN and fails. The worst matrix-unit pair is reported as a
-    witness.
+    Route two tests ω(a*a) = ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) for every a at once: its
+    defect at a is the form ⟨Â, M(Â)⟩ in a's eigenbasis coordinates Â, and the norm of
+    its operator M is bracketed in closed form, L ≤ ‖M‖ ≤ U, in O(n²) per block once
+    the eigenbasis density exists (see :func:`_half_shift_bracket`); the verdict
+    reports U as ``residual_half_shift`` and L as ``residual_half_shift_lower``. It
+    passes only when the larger of route one's maximum and U is within ``tol``, so a
+    pass certifies |ω(a*a) − ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*)| ≤ ``tol``·‖a‖²_F for every
+    a; for a Hermitian density, L > ``tol`` certifies that some a breaks it. A NaN in
+    either route makes the verdict's maximum NaN and fails it. The worst matrix-unit
+    pair is reported as a witness.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples}")
     beta = float(beta)
     if isinstance(omega, (KmsState, KmsWeight)):
         omega = omega.functional
@@ -222,99 +219,55 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
     # route one, per block in the eigenbasis: for units a=E_kl, b=E_mn the two
     # sides are δ_lm·d[n,k] and e^{-β(λ_k-λ_l)}·δ_nk·d[l,m]. Every block gives its
     # maximum; the witness is searched in one block only: a later block wins a tie,
-    # a NaN maximum sticks, and the last NaN block gives the witness
-    residual_exchange = 0.0
+    # a NaN maximum sticks, and the last NaN block gives the witness. Route two's
+    # bracket reads route one's sheet of diagonal defects
+    residual_exchange, brackets = 0.0, []
     density = flow.to_eigenbasis(omega.density)
     for b, (w, dd) in enumerate(zip(flow.eigenvalues, density)):
         fac = np.exp(-beta * (w[:, None] - w[None, :]))
         val, sheets = _exchange_sheets(dd, fac)
         if val >= residual_exchange or math.isnan(val):
             residual_exchange, picked = val, (b, dd, fac, sheets)
+        brackets.append(_half_shift_bracket(w, dd, beta, sheets[0].T))
     b, dd, fac, sheets = picked
     k, l, m, nn = _exchange_witness(dd, fac, sheets, residual_exchange)
     worst = ((b, k, l), (b, m, nn))
 
-    residual_half = _half_shift_residual(flow, density, beta, samples, seed)
-    max_resid = float(np.max((residual_exchange, residual_half)))     # NaN propagates
+    lower, upper = (float(v) for v in np.max(brackets, axis=0))      # NaN propagates
+    max_resid = float(np.max((residual_exchange, upper)))
     return KmsVerdict(passed=bool(max_resid <= tol), max_residual=max_resid,
                       worst_pair=worst, residual_exchange=residual_exchange,
-                      residual_half_shift=residual_half, beta=beta, tol=tol)
+                      residual_half_shift=upper, residual_half_shift_lower=lower,
+                      beta=beta, tol=tol)
 
 
-def _half_shift_residual(flow: InnerFlow, density: list[np.ndarray], beta: float,
-                         samples: int, seed: int) -> float:
-    """max over samples of |ω(a*a) − ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*)|, ω given by its
-    eigenbasis density blocks D̂.
+def _half_shift_bracket(w: np.ndarray, d: np.ndarray, beta: float,
+                        defect: np.ndarray) -> tuple[float, float]:
+    """(L, U) with L ≤ ‖M‖ ≤ U, for the operator M of route two's defect on one block:
+    eigenvalues w, eigenbasis density d, and ``defect`` = |d_ll − F_kl²·d_kk| indexed
+    [k, l] (route one's first sheet, transposed). A NaN or ∞ in d makes both NaN.
 
-    The samples are ``random_element``'s draws taken one after another from
-    ``default_rng(seed)`` and scaled to unit Frobenius norm, read as coordinates Â in
-    the flow's eigenbasis: the sample is a = u·Â·u*. Rotating a complex Gaussian by a
-    unitary leaves its law unchanged, so this checks as much as drawing a itself. An
-    (S, 2N) stack of normals holds, per sample and block, n² real parts then n²
-    imaginary parts. When :func:`_seeded_normals` keeps that stack, the chunks are
-    views of it; otherwise each chunk is drawn from a fresh generator in turn.
-    With e = e^{β(λ−c)/2}, c the block's mid-spectrum, σ_{-iβ/2}(a) has eigenbasis
-    coordinates Â∘F for F_kl = e_k/e_l. So with C = (Â∘F)* the two sides are
-    ⟨Â, Â·D̂⟩ and ⟨C, C·D̂⟩: per chunk of samples and block, one GEMM of the stacked
-    [Â; C] against D̂ and one ``vecdot`` reduction. The scaling 1/(2n) of the draws
-    is applied to the per-sample sums, and memory stays O(chunk + n²), plus one kept
-    prefix of at most ``_NORMAL_PREFIX_CAP`` doubles.
+    With e = e^{β(λ−c)/2}, c the block's mid-spectrum, and F_kl = e_k/e_l, the defect
+    ω(a*a) − ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*) at a = u·Â·u* is ⟨Â, M(Â)⟩ for
+    M(Â) = Â·d − F∘(d·(F∘Â)). M maps the unit E_kl into row k and column l:
+    ‖M(E_kl)‖² = Σ_{j≠l}|d_lj|² + (e_k/e_l²)²·Σ_{m≠k}(e_m|d_mk|)² + defect_kl². So
+    L = max ‖M(E_kl)‖ and U = ‖M‖_F = (Σ ‖M(E_kl)‖²)^{1/2}, in O(n²) time and memory.
+    No factor past e^{|β|·spread} is formed: the sums of squares are taken of entries
+    scaled by max|d|, and the unit norms are squared only after scaling by the largest.
     """
-    fts = []                                    # Fᵀ per block: C = conj(Âᵀ)∘Fᵀ
-    for w in flow.eigenvalues:
-        e = np.exp(0.5 * beta * (w - 0.5 * (w[0] + w[-1])))
-        fts.append((e / e[:, None]).astype(complex))
-    width = 2 * flow.algebra.coord_dim
-    stored = _seeded_normals(seed, samples * width)
-    if stored is None:
-        rng = np.random.default_rng(seed)
-    else:
-        stored = stored.reshape(samples, width)
-    residual = 0.0
-    per_chunk = max(1, _HALF_SHIFT_CHUNK_ENTRIES // width)
-    for start in range(0, samples, per_chunk):
-        s = min(per_chunk, samples - start)
-        draws = rng.standard_normal((s, width)) if stored is None else stored[start:start + s]
-        diff, norm2, off = np.zeros(s, dtype=complex), np.zeros(s), 0
-        for n, dd, ft in zip(flow.algebra.block_dims, density, fts):
-            z = draws[:, off:off + 2 * n * n]
-            off += 2 * n * n
-            ac = np.empty((2 * s, n, n), dtype=complex)         # [Â; C]
-            ac[:s].real = z[:, :n * n].reshape(s, n, n)
-            ac[:s].imag = z[:, n * n:].reshape(s, n, n)
-            np.conjugate(ac[:s].transpose(0, 2, 1), out=ac[s:])
-            ac[s:] *= ft
-            sides = np.vecdot(ac.reshape(2 * s, n * n),
-                              (ac.reshape(2 * s * n, n) @ dd).reshape(2 * s, n * n))
-            diff += (sides[:s] - sides[s:]) / (2 * n)
-            norm2 += np.vecdot(z, z) / (2 * n)
-        scaled = np.abs(diff) / np.maximum(norm2, 1e-60)       # a scaled to ‖a‖_F = 1
-        residual = float(np.max((residual, scaled.max())))      # NaN propagates
-    return residual
-
-
-def _seeded_normals(seed, count: int) -> np.ndarray | None:
-    """The first ``count`` normals of ``default_rng(seed)``, as a read-only view of the
-    kept prefix, or None unless the seed is a non-negative integer and
-    0 < count ≤ ``_NORMAL_PREFIX_CAP``.
-
-    The stream does not depend on how it is split into draws, so the view equals a
-    fresh draw bit for bit. The one kept prefix is replaced, as a whole (seed, prefix)
-    pair drawn from a fresh generator, when the seed changes or a call needs more;
-    it is never extended in place, so threads share no generator and need no lock.
-    It is not an :func:`~kmslab.algebra._keep`: it belongs to no object, and a longer
-    prefix replaces it while the key stays.
-    """
-    global _normal_prefix
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0
-            and 0 < count <= _NORMAL_PREFIX_CAP):
-        return None
-    key = operator.index(seed)
-    kept = _normal_prefix
-    if kept is None or kept[0] != key or kept[1].size < count:
-        prefix = _read_only(np.random.default_rng(key).standard_normal(count))
-        kept = _normal_prefix = (key, prefix)
-    return kept[1][:count]
+    scale = float(np.max(np.abs(d)))
+    if not 0.0 < scale < math.inf:              # a zero block, or an entry NaN or ∞
+        return (0.0, 0.0) if scale == 0.0 else (math.nan, math.nan)
+    e = np.exp(0.5 * beta * (w - 0.5 * (w[0] + w[-1])))
+    off = np.abs(d / scale) ** 2
+    np.fill_diagonal(off, 0.0)
+    rows = scale * np.sqrt(off.sum(axis=1))                     # [l]: row l off the diagonal
+    cols = scale * np.sqrt(((e * e)[:, None] * off).sum(axis=0))    # [k]: e∘column k
+    units = np.hypot(np.hypot(rows, (e * cols)[:, None] / (e * e)), defect)   # [k, l]
+    top = float(np.max(units))
+    if top == 0.0:
+        return 0.0, 0.0
+    return top, top * float(np.sqrt(np.sum((units / top) ** 2)))
 
 
 def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | None = None,
@@ -422,11 +375,11 @@ def simplex_sweep(flow: InnerFlow, betas) -> np.ndarray:
     That mass, Tr(u·diag(p)·u*), is read off the weights p of
     :func:`_boltzmann_factors` as Σ_j p_j·‖u_j‖², with the squared norms of the block's
     eigenvector columns taken once: O(S·n) per block. β is taken in chunks of
-    ``_HALF_SHIFT_CHUNK_ENTRIES`` // N values, N the algebra's density entries, so memory
+    ``_SWEEP_CHUNK_ENTRIES`` // N values, N the algebra's density entries, so memory
     stays O(chunk) however long the sweep.
     """
     betas = np.asarray(betas, dtype=float)
-    per_chunk = max(1, _HALF_SHIFT_CHUNK_ENTRIES // flow.algebra.coord_dim)
+    per_chunk = max(1, _SWEEP_CHUNK_ENTRIES // flow.algebra.coord_dim)
     norms = [np.vecdot(u, u, axis=0).real for u in flow.eigenvectors]
     for start in range(0, len(betas), per_chunk):
         _, _, weights = _boltzmann_factors(flow, betas[start:start + per_chunk])

@@ -110,8 +110,9 @@ def test_criterion_02_gibbs_verification_and_wrong_pairing():
     tau = Functional(alg, 0.5 * alg.identity())
     bad = verify_kms(flow, tau, 1.0, tol=1e-9)
     assert not bad.passed
-    defect = abs(bad.max_residual - (math.e - 1.0) / 2.0)
-    assert defect <= 1e-9
+    defect = max(abs(bad.residual_exchange - (math.e - 1.0) / 2.0),
+                 abs(bad.residual_half_shift_lower - (math.e - 1.0) / 2.0))
+    assert defect <= 1e-9 and bad.max_residual == bad.residual_half_shift
     _line(2, "equilibrium verification",
           f"150 gibbs checks, worst residual {worst:.2e}; wrong pairing fails "
           f"with residual within {defect:.1e} of (e-1)/2")

@@ -84,7 +84,13 @@ def test_verify_trace_fails_with_exact_defect(two_level, tmp_path, capsys):
     assert code == 1
     doc = json.loads(out.read_text())
     assert doc["passed"] is False
-    assert abs(doc["max_residual"] - (math.e - 1.0) / 2.0) < 1e-9
+    # route one and route two's lower bound meet the defect (e−1)/2 of E_10; the upper
+    # bound, which the verdict reads, is ‖M‖_F over E_10 and E_01
+    defect, low = (math.e - 1.0) / 2.0, (1.0 - math.exp(-1.0)) / 2.0
+    assert abs(doc["residual_exchange"] - defect) < 1e-9
+    assert abs(doc["residual_half_shift_lower"] - defect) < 1e-9
+    assert abs(doc["residual_half_shift"] - math.hypot(defect, low)) < 1e-9
+    assert doc["max_residual"] == doc["residual_half_shift"]
     assert "fail" in capsys.readouterr().out.lower()
 
 
@@ -118,23 +124,6 @@ def test_verify_refuses_a_non_finite_state(two_level, tmp_path, capsys):
     code = main(["verify", "--problem", two_level, "--state", str(state), "--out", str(out)])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_verify_seeds_with_and_without_kept_normals(two_level, tmp_path, monkeypatch, capsys):
-    """A cold and a warm kept prefix of route two's normals write the same bytes, and
-    a negative seed is refused as bad input, as default_rng refuses it."""
-    monkeypatch.setattr(kms, "_normal_prefix", None)
-    outs = [tmp_path / f"v{i}.json" for i in range(2)]
-    for out in outs:
-        assert main(["verify", "--problem", two_level, "--seed", "3", "--out", str(out)]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    assert kms._normal_prefix[0] == 3
-    capsys.readouterr()
-    out = tmp_path / "bad.json"
-    assert main(["verify", "--problem", two_level, "--seed=-1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "non-negative" in err[0]
     assert not out.exists()
 
 
@@ -312,6 +301,23 @@ def test_commands_refuse_non_finite_matrix_entries_by_name(two_level, tmp_path, 
 BIG = 10 ** 400        # an integer that no float holds
 NAN = math.nan
 SITE = [[0, 0], [0, 0.693]]
+
+
+@pytest.mark.parametrize("generator,message", [
+    ([[NAN, 0], [0, 1]], "generator/0/0/0: non-finite entry nan"),
+    ([[NAN, 0], [0, BIG]], "generator/0/0/0: non-finite entry nan"),
+    ([[0, [1, NAN]], [BIG, 0]], "generator/0/0/1: non-finite entry [1, nan]"),
+    ([[0, 0], [[0, BIG], NAN]], "generator/0/1/0/1 is beyond the float range"),
+], ids=["nan", "nan-then-big", "nan-pair-then-big", "big-then-nan"])
+def test_matrix_words_its_first_bad_entry_one_way(tmp_path, capsys, generator, message):
+    """The first bad entry in row order is named, a NaN worded the same way whether or not
+    a later entry is past the float range: `[[NaN, 0], [0, 10**400]]` used to be refused as
+    "field generator/0/0/0 must be finite, got nan"."""
+    path = _write(tmp_path / "p.json", {"block_dims": [2], "generator": [generator], "beta": 1})
+    out = tmp_path / "o.json"
+    assert main(["gibbs", "--problem", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: field {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,doc,field,refusal", [
@@ -1268,7 +1274,8 @@ VALID_DOCS = {
                            "blocks": [[[[0.7, 0.0], [0.0, 0.1]], [[0.0, -0.1], [0.3, 0.0]]]]},
     ("outputs", "verify"): {"schema_version": "1", "command": "verify", "passed": True,
                             "max_residual": 1e-16, "residual_exchange": 1e-16,
-                            "residual_half_shift": 0.0, "beta": 1.0, "tol": 1e-8,
+                            "residual_half_shift": 0.0, "residual_half_shift_lower": 0.0,
+                            "beta": 1.0, "tol": 1e-8,
                             "worst_pair": [0, 1]},
     ("outputs", "bundle"): {"schema_version": "1", "command": "bundle", "betas": [0.0, 1.25],
                             "dimensions": [0, 2], "vertex_counts": [1, 3],
@@ -1780,8 +1787,7 @@ def test_cached_parser_calls_match_fresh_processes(tmp_path, monkeypatch, capsys
     inputs = {"p.json": TWO_LEVEL, "fam.json": {"kind": "seven_adic"},
               "grid.json": _grid_doc(step, half, np.ones_like(vals)),
               "bad_grid.json": _grid_doc(step, half, vals)}
-    calls = [["verify", "--problem", "p.json", "--tol", "1e-3", "--seed", "5",
-              "--out", "v1.json"],
+    calls = [["verify", "--problem", "p.json", "--tol", "1e-3", "--out", "v1.json"],
              ["verify", "--problem", "p.json", "--out", "v2.json"],
              ["gibbs", "--problem", "p.json"],                  # argparse: no --out
              ["--version"],

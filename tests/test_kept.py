@@ -46,6 +46,7 @@ def _simplex(flows, phi, f, beta):
 def _verify(flows, phi, f, beta):
     verdict = verify_kms(flows[f], phi, beta)
     return [verdict.residual_exchange.hex(), verdict.residual_half_shift.hex(),
+            verdict.residual_half_shift_lower.hex(),
             verdict.worst_pair]
 
 

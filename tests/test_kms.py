@@ -1,13 +1,12 @@
 """Equilibrium states: the exchange condition, the simplex, corners, the cone."""
 
 import math
-import sys
+import os
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmslab import (
@@ -68,7 +67,13 @@ def test_trace_fails_exchange_with_known_defect():
     flow = InnerFlow(alg, alg.element([np.diag([0.0, 1.0]).astype(complex)]))
     v = verify_kms(flow, _trace_state(alg), beta=1.0, tol=1e-9)
     assert not v.passed
-    assert abs(v.max_residual - (math.e - 1.0) / 2.0) < 1e-12
+    # route two's M is diagonal in the units, (1 − F_kl²)/2 on E_kl: its norm, the lower
+    # bound, meets route one's defect, and the upper bound is ‖M‖_F over E_10 and E_01
+    defect = (math.e - 1.0) / 2.0
+    assert abs(v.residual_exchange - defect) < 1e-12
+    assert abs(v.residual_half_shift_lower - defect) < 1e-12
+    assert abs(v.residual_half_shift - math.hypot(defect, (1.0 - math.exp(-1.0)) / 2.0)) < 1e-12
+    assert v.max_residual == v.residual_half_shift
     assert v.worst_pair in (((0, 0, 1), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)))
 
 
@@ -131,15 +136,15 @@ def test_route_one_matches_reference_route():
     cases = _route_one_cases()
     for flow, omega, beta in cases:
         want_val, want_pair = _reference_route_one(flow, omega, beta)
-        v = verify_kms(flow, omega, beta, samples=1)
+        v = verify_kms(flow, omega, beta)
         assert (v.residual_exchange, v.worst_pair) == (want_val, want_pair), \
             (flow.algebra.block_dims, beta)
         assert type(v.residual_exchange) is float
     # the tie cases really exercise the later-block rule
     tie = _diag_flow((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-    assert verify_kms(tie, _trace_state(tie.algebra), 1.0, samples=1).worst_pair[0][0] == 2
+    assert verify_kms(tie, _trace_state(tie.algebra), 1.0).worst_pair[0][0] == 2
     zero = Functional(tie.algebra, tie.algebra.zero())
-    assert verify_kms(tie, zero, 1.0, samples=1).worst_pair == ((2, 0, 0), (2, 0, 0))
+    assert verify_kms(tie, zero, 1.0).worst_pair == ((2, 0, 0), (2, 0, 0))
 
 
 def _route_one_nan_cases():
@@ -164,7 +169,7 @@ def _route_one_nan_cases():
 
 def test_route_one_nan_rule():
     for flow, omega, beta, block in _route_one_nan_cases():
-        v = verify_kms(flow, omega, beta, samples=1)
+        v = verify_kms(flow, omega, beta)
         assert math.isnan(v.residual_exchange) and not v.passed
         assert v.worst_pair == ((block, 0, 0), (block, 0, 0))
         # the reported block's own maximum and witness
@@ -176,7 +181,8 @@ def test_route_one_nan_rule():
 
 
 def _reference_route_two(flow, omega, beta, samples=100, seed=7):
-    """verify_kms's route two as the per-sample loop over AlgElements, kept as the oracle."""
+    """Route two's defect as the per-sample loop over AlgElements, in the original basis:
+    a lower bound on ‖M‖ (see ``_reference_half_shift_norm``), kept as an oracle."""
     rng = np.random.default_rng(seed)
     residual_half = 0.0
     for _ in range(samples):
@@ -189,167 +195,70 @@ def _reference_route_two(flow, omega, beta, samples=100, seed=7):
     return residual_half
 
 
-def _assert_route_two_matches(flow, omega, beta, samples=100, tol=1e-8):
-    want = _reference_route_two(flow, omega, beta, samples)
-    v = verify_kms(flow, omega, beta, tol=tol, samples=samples)
-    # both routes round entries of size up to e^{|β|·spread/2}, so that is how
-    # far apart two correct routes' rounding may put them
-    cond = math.exp(0.5 * abs(beta) * flow.spectral_spread)
-    assert abs(v.residual_half_shift - want) <= 1e-12 * max(1.0, want) * cond, \
-        (flow.algebra.block_dims, beta, v.residual_half_shift, want)
-    assert v.passed == (max(v.residual_exchange, want) <= tol)
-    assert type(v.residual_half_shift) is float and type(v.max_residual) is float
+def _reference_half_shift_norm(flow, omega, beta):
+    """max over blocks of ‖M‖, M(Â) = Â·D̂ − F∘(D̂·(F∘Â)) the operator whose form is route
+    two's defect: the dense n²×n² M assembled from its unit images M(E_kl), and its exact
+    norm, the root of the largest eigenvalue of M*M (``eigvalsh``)."""
+    norm = 0.0
+    for w, d in zip(flow.eigenvalues, flow.to_eigenbasis(omega.density)):
+        n = w.size
+        e = np.exp(0.5 * beta * (w - 0.5 * (w[0] + w[-1])))
+        f = e[:, None] / e[None, :]
+        images = []
+        for k, l in np.ndindex(n, n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[k, l] = 1.0
+            images.append((unit @ d - f * (d @ (f * unit))).ravel())
+        m = np.array(images).T
+        norm = max(norm, math.sqrt(max(float(np.linalg.eigvalsh(m.conj().T @ m)[-1]), 0.0)))
+    return norm
+
+
+def _half_shift_rounding(flow, omega, beta):
+    """How far two correct evaluations of ‖M‖ may sit apart: M's entries reach
+    e^{|β|·spread}·max|D̂|, each rounded, and a norm sums n² of them."""
+    dims = flow.algebra.block_dims
+    scale = max(float(np.max(np.abs(d))) for d in flow.to_eigenbasis(omega.density))
+    return 8 * max(dims) ** 2 * np.finfo(float).eps * math.exp(
+        abs(beta) * flow.spectral_spread) * scale
+
+
+def _assert_route_two_brackets(flow, omega, beta, tol=1e-8, samples=30):
+    """L ≤ ‖M‖ ≤ U and the sampled loop ≤ U, up to rounding, and the verdict's rule."""
+    v = verify_kms(flow, omega, beta, tol=tol)
+    exact = _reference_half_shift_norm(flow, omega, beta)
+    slack = _half_shift_rounding(flow, omega, beta)
+    low, high = v.residual_half_shift_lower, v.residual_half_shift
+    where = (flow.algebra.block_dims, beta, low, exact, high)
+    assert low <= exact + slack and exact <= high + slack, where
+    assert _reference_route_two(flow, omega, beta, samples) <= high + slack, where
+    assert v.passed == (max(v.residual_exchange, high) <= tol)
+    assert v.max_residual == max(v.residual_exchange, high)
+    assert all(type(x) is float for x in (low, high, v.max_residual))
 
 
 def test_route_two_matches_reference_loop():
+    """Route two's bracket holds the dense ‖M‖ and bounds the sampled loop, on Gibbs,
+    tracial, random, zero, non-Hermitian, degenerate and multi-block inputs."""
     for flow, omega, beta in _route_one_cases():
-        _assert_route_two_matches(flow, omega, beta, samples=30)
+        _assert_route_two_brackets(flow, omega, beta)
 
 
-@pytest.fixture
-def no_kept_prefix(monkeypatch):
-    """Route two's kept normal prefix emptied for this test, and put back after it."""
-    monkeypatch.setattr(kms, "_normal_prefix", None)
-
-
-def _spy_generators(monkeypatch):
-    """The seeds of every ``default_rng`` made from now on: each draws normals."""
-    seeds, default_rng = [], np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed)
-                        or default_rng(seed))
-    return seeds
-
-
-def test_route_two_draws_the_same_samples_in_any_chunking(monkeypatch, no_kept_prefix):
-    # (16,) and (3, 20) take several chunks at the default size; one sample
-    # per chunk and one chunk for all must see the very same samples, drawn
-    # chunk by chunk (cap 0) or read from the kept prefix
-    rng = np.random.default_rng(77)
-    chunk, cap = kms._HALF_SHIFT_CHUNK_ENTRIES, kms._NORMAL_PREFIX_CAP
-    flows = {}
-    for dims in [(16,), (3, 20)]:
-        flow = flows[dims] = _random_flow(dims, rng=rng)
-        states = [gibbs(flow, -1.1).functional, random_state(flow.algebra, rng)]
-        for kept in (0, cap):
-            monkeypatch.setattr(kms, "_NORMAL_PREFIX_CAP", kept)
-            kms._normal_prefix = None
-            for entries in (chunk, 1, 2 ** 40):
-                monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
-                for omega in states:
-                    _assert_route_two_matches(flow, omega, -1.1)
-                    assert (kms._normal_prefix is None) == (kept == 0)
-    monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", chunk)
-    # the kept prefix gives them bit for bit: cold, warm from a wider or a narrower
-    # call, and for two seeds interleaved, against no store at all (cap 0)
-    flows = {(4,): _random_flow((4,), rng=rng), **flows}        # narrowest first
-    states = {dims: random_state(flow.algebra, rng) for dims, flow in flows.items()}
-
-    def residuals(order):
-        return {(dims, seed): verify_kms(flows[dims], states[dims], -1.1,
-                                         seed=seed).residual_half_shift.hex()
-                for dims, seed in order}
-
-    interleaved = [(dims, seed) for dims in flows for seed in (7, 11)]
-    monkeypatch.setattr(kms, "_NORMAL_PREFIX_CAP", 0)
-    kms._normal_prefix = None
-    fresh = residuals(interleaved)
-    assert kms._normal_prefix is None
-    monkeypatch.setattr(kms, "_NORMAL_PREFIX_CAP", cap)
-    drawn = _spy_generators(monkeypatch)
-    assert residuals(interleaved) == fresh              # cold at every change of seed
-    assert drawn == [7, 11] * 3
-    seed, prefix = kms._normal_prefix
-    assert seed == 11 and prefix.size == 100 * 2 * flows[(3, 20)].algebra.coord_dim
-    with pytest.raises(ValueError, match="read-only"):
-        prefix[0] = 0.0
-    drawn.clear()
-    widest_first = [(dims, 11) for dims in reversed(flows)]
-    assert residuals(widest_first) == {k: fresh[k] for k in widest_first}
-    assert drawn == []                                  # warm from wider or the same
-    kms._normal_prefix = None
-    narrowest_first = [(dims, 7) for dims in flows]
-    assert residuals(narrowest_first) == {k: fresh[k] for k in narrowest_first}
-    assert drawn == [7, 7, 7]                           # warm from narrower: redrawn
-
-
-def test_kept_prefix_is_a_read_only_fresh_draw(no_kept_prefix):
-    want = np.random.default_rng(7).standard_normal(1000)
-    for count in (10, 1000, 3, 1000):
-        got = kms._seeded_normals(7, count)
-        assert got.tobytes() == want[:count].tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            got[0] = 0.0
-    kept = kms._normal_prefix
-    assert kept[0] == 7 and kept[1].size == 1000
-    for refused in ((7, 0), (7, kms._NORMAL_PREFIX_CAP + 1), (-1, 10), (None, 10),
-                    ([1, 2], 10), (7.0, 10)):
-        assert kms._seeded_normals(*refused) is None
-    assert kms._normal_prefix is kept
-
-
-def test_route_two_seeds_keep_their_meaning(monkeypatch, no_kept_prefix):
-    flow = _random_flow((3, 2), rng=np.random.default_rng(78))
-    omega = random_state(flow.algebra, np.random.default_rng(79))
-    drawn = _spy_generators(monkeypatch)
-    # a numpy integer is its int: one prefix, drawn once
-    plain = verify_kms(flow, omega, 0.8, seed=7)
-    assert verify_kms(flow, omega, 0.8, seed=np.int64(7)) == plain
-    assert kms._normal_prefix[0] == 7 and drawn == [7]
-    # no seed is fresh entropy on every call, and nothing is kept for it
-    first, second = (verify_kms(flow, omega, 0.8, seed=None) for _ in range(2))
-    assert first.residual_half_shift != second.residual_half_shift
-    # a sequence seeds default_rng as before
-    v = verify_kms(flow, omega, 0.8, seed=[1, 2])
-    want = _reference_route_two(flow, omega, 0.8, seed=[1, 2])
-    assert abs(v.residual_half_shift - want) <= 1e-12 * max(1.0, want)
-    assert kms._normal_prefix[0] == 7
-    # a negative seed is refused by default_rng, as before
-    with pytest.raises(ValueError, match="non-negative"):
-        verify_kms(flow, omega, 0.8, seed=-1)
-    # another integer seed takes the one kept prefix over
-    verify_kms(flow, omega, 0.8, seed=3)
-    assert kms._normal_prefix[0] == 3
-
-
-def test_verify_refuses_negative_samples(monkeypatch):
-    # samples=-5 used to pass with route two skipped
-    flow = _diag_flow((0.0, 1.0))
-    drawn = _spy_generators(monkeypatch)
-    with pytest.raises(ValueError, match="samples must be non-negative, got -5"):
-        verify_kms(flow, gibbs(flow, 1.0), 1.0, samples=-5)
-    assert drawn == []
-    assert verify_kms(flow, gibbs(flow, 1.0), 1.0, samples=0).residual_half_shift == 0.0
-
-
-def test_route_two_threads_see_the_serial_samples(monkeypatch, no_kept_prefix):
-    """Threads sharing the kept prefix, over widths on both sides of the cap and
-    several seeds, get the residuals of a serial run without it."""
-    rng = np.random.default_rng(80)
-    flows = [_random_flow(dims, rng=rng) for dims in [(2,), (8,), (16,), (3, 20), (40,)]]
-    assert 100 * 2 * flows[-1].algebra.coord_dim > kms._NORMAL_PREFIX_CAP
-    jobs = [(flow, random_state(flow.algebra, rng), seed)
-            for flow in flows for seed in (7, 11, 0, 3, 5)]
-
-    def half_shift(job):
-        flow, omega, seed = job
-        return verify_kms(flow, omega, 0.6, seed=seed).residual_half_shift.hex()
-
-    cap = kms._NORMAL_PREFIX_CAP
-    monkeypatch.setattr(kms, "_NORMAL_PREFIX_CAP", 0)
-    serial = [half_shift(job) for job in jobs]
-    monkeypatch.setattr(kms, "_NORMAL_PREFIX_CAP", cap)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            kms._normal_prefix = None
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(half_shift, job) for job in jobs]
-                assert [f.result(timeout=60) for f in futures] == serial
-            seed, prefix = kms._normal_prefix
-            assert seed in (7, 11, 0, 3, 5) and not prefix.flags.writeable
-    finally:
-        sys.setswitchinterval(interval)
+def test_route_two_sees_a_localized_fault():
+    """One off-diagonal pair of a Gibbs density moved by 1e-6 at n = 24: route two reads
+    at least half of ‖M‖, where 100 samples read about 1/60 of it."""
+    rng = np.random.default_rng(24)
+    flow = _random_flow((24,), rng=rng)
+    alg = flow.algebra
+    d = gibbs(flow, 1.0).density.blocks[0].copy()
+    d[0, 1] += 1e-6
+    d[1, 0] += 1e-6
+    omega = Functional(alg, alg.element([d]))
+    exact = _reference_half_shift_norm(flow, omega, 1.0)
+    v = verify_kms(flow, omega, 1.0)
+    assert v.residual_half_shift >= 0.5 * exact
+    assert 0.5 * exact <= v.residual_half_shift_lower <= exact * (1 + 1e-9)
+    assert not v.passed and v.residual_half_shift_lower > v.tol
 
 
 def _unitary(rng, n):
@@ -380,9 +289,41 @@ def _equilibrium_problems(draw):
     return flow, omega, beta
 
 
-@given(_equilibrium_problems())
+@st.composite
+def _bracket_problems(draw):
+    """Blocks of shape (n,), (n, m) or (1, …) with n ≤ 8, β of either sign at
+    |β|·spread ≤ 16, and a Gibbs, random, tracial or 1e-6-perturbed Gibbs state."""
+    sizes = st.integers(1, 8)
+    shape = draw(st.sampled_from(["(n,)", "(n, m)", "(1, …)"]))
+    dims = {"(n,)": lambda: (draw(sizes),), "(n, m)": lambda: (draw(sizes), draw(sizes)),
+            "(1, …)": lambda: (1, *draw(st.lists(sizes, min_size=0, max_size=2)))}[shape]()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    flow = _random_flow(dims, rng=rng)
+    alg = flow.algebra
+    spread = flow.spectral_spread
+    beta = draw(st.sampled_from([-1.0, 1.0])) * (draw(st.floats(0.0, 16.0)) / spread
+                                                 if spread > 0 else 1.0)
+    kind = draw(st.sampled_from(["gibbs", "random", "tracial", "perturbed"]))
+    if kind == "gibbs":
+        return flow, gibbs(flow, beta).functional, beta
+    if kind == "random":
+        return flow, random_state(alg, rng), beta
+    if kind == "tracial":
+        return flow, _trace_state(alg), beta
+    blocks = [b.copy() for b in gibbs(flow, beta).density.blocks]
+    b = int(rng.integers(len(dims)))
+    k, l = rng.integers(dims[b], size=2)
+    blocks[b][k, l] += 1e-6
+    blocks[b][l, k] += 1e-6
+    return flow, Functional(alg, alg.element(blocks), check=False), beta
+
+
+@settings(max_examples=200 if os.environ.get("HYPOTHESIS_PROFILE") == "long" else 6)
+@given(_bracket_problems())
 def test_property_route_two_matches_reference_loop(problem):
-    _assert_route_two_matches(*problem)
+    """L ≤ ‖M‖ ≤ U against the dense norm, and the sampled loop ≤ U, up to the
+    rounding of ``_half_shift_rounding``."""
+    _assert_route_two_brackets(*problem)
 
 
 @given(_equilibrium_problems(), st.sampled_from(["as drawn", "zero", "non-hermitian", "rounded"]),
@@ -402,16 +343,17 @@ def test_property_route_one_matches_reference_route(problem, swap, seed):
         blocks = [(rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))) / 4.0
                   for n in dims]
         omega = Functional(alg, alg.element(blocks), check=False)
-    v = verify_kms(flow, omega, beta, samples=1)
+    v = verify_kms(flow, omega, beta)
     assert (v.residual_exchange, v.worst_pair) == _reference_route_one(flow, omega, beta)
 
 
 @pytest.mark.parametrize("dims, beta", [((2,), 1.0), ((6,), -1.0), ((3, 2), 2.0),
                                         ((6, 1), -3.0)])
 def test_route_two_near_the_exp_cap(dims, beta):
-    """|β|·spread = 690: the tracial state's residual, near e^690, stays finite and
-    agrees with the per-sample loop, on a diagonal and on a generic generator, and a
-    Gibbs state on the diagonal one (whose eigenbasis is exact) still passes."""
+    """|β|·spread = 690: the tracial state's bracket, near e^690, stays finite and bounds
+    the per-sample loop, and its exchange defect is route one's, on a diagonal and on a
+    generic generator; a Gibbs state on the diagonal one (whose eigenbasis is exact)
+    still passes."""
     rng = np.random.default_rng(sum(dims))
     alg = BlockAlgebra(dims)
     # the first block spans [−1, 1]: every other block lies inside it
@@ -421,15 +363,21 @@ def test_route_two_near_the_exp_cap(dims, beta):
     diag = InnerFlow(alg, alg.element([np.diag(scale * w).astype(complex) for w in eigs]))
     q = [_unitary(rng, n) for n in dims]
     generic = InnerFlow(alg, alg.element([(u * (scale * w)) @ u.conj().T for u, w in zip(q, eigs)]))
+    tau = _trace_state(alg)
     for flow in (diag, generic):
         assert abs(abs(beta) * flow.spectral_spread - 690.0) < 1e-9
-        want = _reference_route_two(flow, _trace_state(alg), beta, samples=30)
-        v = verify_kms(flow, _trace_state(alg), beta, samples=30)
-        assert math.isfinite(v.residual_half_shift) and not v.passed
-        # the bound of _assert_route_two_matches, divided through: its product overflows
-        cond = math.exp(0.5 * abs(beta) * flow.spectral_spread)
-        assert abs(v.residual_half_shift - want) / max(1.0, want) <= 1e-12 * cond
-    assert verify_kms(diag, gibbs(diag, beta), beta, samples=30).passed
+        v = verify_kms(flow, tau, beta)
+        low, high = v.residual_half_shift_lower, v.residual_half_shift
+        assert math.isfinite(low) and math.isfinite(high) and not v.passed
+        assert v.residual_exchange == _reference_route_one(flow, tau, beta)[0]
+        # the tracial exchange defect (e^690 − 1)/D, which route two's lower bound meets
+        defect = math.expm1(690.0) / alg.rep_dim
+        assert abs(v.residual_exchange - defect) <= 1e-9 * defect
+        assert defect * (1 - 1e-9) <= low <= high
+        # the bound of _assert_route_two_brackets, divided through: its product overflows
+        want = _reference_route_two(flow, tau, beta, samples=30)
+        assert want / high <= 1.0 + 1e-12 * math.exp(0.5 * abs(beta) * flow.spectral_spread)
+    assert verify_kms(diag, gibbs(diag, beta), beta).passed
 
 
 def test_nan_density_fails_verification():
@@ -441,10 +389,16 @@ def test_nan_density_fails_verification():
     assert not v.passed
     assert np.isnan(v.max_residual)
     assert np.isnan(v.residual_exchange) and np.isnan(v.residual_half_shift)
-    # either route's NaN alone reaches the verdict
-    only_one = verify_kms(flow, nan, 1.0, samples=0)
-    assert only_one.residual_half_shift == 0.0 and not only_one.passed
-    assert np.isnan(kms._half_shift_residual(flow, flow.to_eigenbasis(nan.density), 1.0, 5, 7))
+    assert np.isnan(v.residual_half_shift_lower)
+    # route two alone: a NaN block makes both bounds NaN, whatever route one's sheet says
+    (w,), (d,) = flow.eigenvalues, flow.to_eigenbasis(nan.density)
+    assert all(map(math.isnan, kms._half_shift_bracket(w, d, 1.0, np.zeros((2, 2)))))
+    # and a NaN in a later block reaches the verdict past a finite one
+    two = _diag_flow((0.0, 1.0), (0.0, 2.0))
+    blocks = [np.diag([0.3, 0.2]).astype(complex), np.array([[0.25, np.nan], [np.nan, 0.25]])]
+    v = verify_kms(two, Functional(two.algebra, two.algebra.element(blocks), check=False), 1.0)
+    assert np.isnan(v.residual_half_shift) and np.isnan(v.residual_half_shift_lower)
+    assert not v.passed
 
 
 def test_verify_refuses_beta_beyond_exp_cap():
@@ -457,7 +411,7 @@ def test_verify_refuses_beta_beyond_exp_cap():
         verify_kms(flow, _trace_state(flow.algebra), -70.5)
     # the cap is on the spread within a block, which is all the exchange uses
     wide = _diag_flow((0.0, 1.0), (50.0, 51.0))
-    assert not verify_kms(wide, _trace_state(wide.algebra), 60.0, samples=1).passed
+    assert not verify_kms(wide, _trace_state(wide.algebra), 60.0).passed
 
 
 def test_verify_runs_past_half_the_strip_cap():
@@ -488,7 +442,7 @@ def test_non_finite_beta_is_refused(beta):
         gibbs(_diag_flow((2.0,)), beta)
 
 
-def test_verify_memory_stays_quadratic(no_kept_prefix):
+def test_verify_memory_stays_quadratic():
     flow = _random_flow((64,), rng=np.random.default_rng(64))
     psi = gibbs(flow, 0.5)
     tracemalloc.start()
@@ -499,8 +453,6 @@ def test_verify_memory_stays_quadratic(no_kept_prefix):
         tracemalloc.stop()
     assert v.passed
     assert peak <= 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
-    # 100 samples of 2·64² draws are past the cap: drawn in chunks, none kept
-    assert kms._normal_prefix is None
 
 
 def test_trace_is_equilibrium_at_beta_zero():
@@ -773,7 +725,7 @@ def test_simplex_sweep_counts_vertices_in_any_chunking(monkeypatch):
     got = simplex_sweep(flow, betas)
     assert got.tolist() == [[2, 3]] * 37
     for entries in (1, 14, 15, 100):       # coord_dim is 14: chunks of 1, 1, 1 and 7 β
-        monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(kms, "_SWEEP_CHUNK_ENTRIES", entries)
         assert np.array_equal(simplex_sweep(flow, betas), got)
     assert simplex_sweep(flow, []).shape == (0, 2)
 
@@ -807,7 +759,7 @@ def test_simplex_sweep_mass_test_fires_on_the_first_bad_vertex(monkeypatch, entr
         return factors, traces, weights
 
     monkeypatch.setattr(kms, "_boltzmann_factors", leaky)
-    monkeypatch.setattr(kms, "_HALF_SHIFT_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(kms, "_SWEEP_CHUNK_ENTRIES", entries)
     with pytest.raises(ValueError, match=r"not normalized \(mass 1\.25\)"):
         simplex_sweep(flow, [0.0, 0.25, 0.5, 1.0, 1.5])
     with pytest.raises(ValueError, match=r"not normalized \(mass 0\.5\)"):
