@@ -4,12 +4,20 @@ Everything downstream works over ``M_{n_1} ⊕ … ⊕ M_{n_m}``: elements are
 stored block-diagonally (never densified unless a representation demands
 it), positive functionals are densities, and the only spectral primitive
 is the Hermitian eigendecomposition.
+
+The package's records (algebras, states, verdicts, reports, specs) derive from
+:class:`_Record` or :class:`_FrozenRecord`: the fields are the class's annotations in
+order, and one shared ``__init__``, ``__repr__`` and ``__eq__`` serve every record, so a
+new record class costs no generated code at import. ``__post_init__`` is a record's
+input check, run after its fields are bound. A record built on every call writes its own
+``__init__``, which is a third of the shared one's cost: :class:`BlockAlgebra` (with its
+``__eq__`` and ``__hash__``, compared on every call too), and ``KmsState``, ``KmsVerdict``
+and ``KmsSimplex`` in :mod:`kmslab.kms`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,17 +61,122 @@ class InternalFault(RuntimeError):
     the library, not of its input (CLI exit 3)."""
 
 
-@dataclass(frozen=True)
-class BlockAlgebra:
+class _Fresh:
+    """The default of a record field that each instance gets a new one of: ``factory()``."""
+
+    __slots__ = ("factory",)
+
+    def __init__(self, factory):
+        self.factory = factory
+
+
+class _Record:
+    """A record: its fields are its class's own annotated names in order, read once per
+    class with their defaults (a :class:`_Fresh` default is made per instance).
+    ``__init__`` binds positional arguments, then keyword arguments, then defaults; a
+    missing, unknown or doubled argument is a ``TypeError``; then ``__post_init__``, the
+    class's check, runs if it has one. Records print as ``Name(a=1, b=2)`` and are equal
+    when of the same class with equal field tuples. A mutable record is unhashable."""
+
+    __hash__ = None
+    _fields: tuple[str, ...] = ()
+    _names: frozenset = frozenset()
+    _defaults: dict = {}
+    _check = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._names = frozenset(cls._fields)
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+        for name, default in cls._defaults.items():
+            if isinstance(default, _Fresh):
+                delattr(cls, name)
+        cls._check = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if not args and kwargs.keys() == cls._names:
+            values = kwargs
+        elif not kwargs and len(args) == len(cls._fields):
+            values = dict(zip(cls._fields, args))
+        else:
+            values = cls._bind(args, kwargs)
+        self.__dict__.update(values)    # the instance dict: cheap to fill, a little slower to read
+        if cls._check is not None:
+            cls._check(self)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> dict:
+        """Each field's value: the positional arguments, then the keyword arguments, then
+        the defaults, or the ``TypeError`` a Python signature would raise."""
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}.__init__() takes {len(cls._fields) + 1} positional "
+                            f"arguments but {len(args) + 1} were given")
+        values = dict(zip(cls._fields, args))
+        for key in kwargs:
+            if key in values:
+                raise TypeError(f"{name}.__init__() got multiple values for argument {key!r}")
+            if key not in cls._names:
+                raise TypeError(f"{name}.__init__() got an unexpected keyword argument {key!r}")
+        values.update(kwargs)
+        for key, default in cls._defaults.items():
+            if key not in values:
+                values[key] = default.factory() if isinstance(default, _Fresh) else default
+        missing = [key for key in cls._fields if key not in values]
+        if missing:
+            raise TypeError(f"{name}.__init__() missing {len(missing)} required "
+                            f"argument{'s' * (len(missing) > 1)}: " + ", ".join(map(repr, missing)))
+        return values
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once: assignment and deletion raise
+    ``AttributeError``, and the record hashes its field tuple. ``__post_init__`` may
+    still normalize a field through ``object.__setattr__``; ``cached_property`` keeps
+    its values in the instance dict."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class BlockAlgebra(_FrozenRecord):
     """A direct sum of full matrix algebras, identified by its block sizes."""
 
     block_dims: tuple[int, ...]
 
-    def __post_init__(self):
-        dims = tuple(int(n) for n in self.block_dims)
+    def __init__(self, block_dims):
+        dims = tuple(int(n) for n in block_dims)
         if len(dims) < 1 or any(n < 1 for n in dims):
             raise ValueError("block dims must be a nonempty list of positive integers")
-        object.__setattr__(self, "block_dims", dims)
+        object.__setattr__(self, "block_dims", dims)    # not by __dict__: reads stay fast
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.block_dims == other.block_dims
+
+    def __hash__(self):
+        return hash((self.block_dims,))
 
     @property
     def num_blocks(self) -> int:
@@ -249,8 +362,7 @@ class Functional:
         return f"Functional(dims={self.algebra.block_dims}, mass={self.total_mass:.6g})"
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(_FrozenRecord):
     """An AlgElement p with p = p* = p², validated at construction."""
 
     element: AlgElement

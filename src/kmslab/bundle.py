@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _LOG_FLOAT_MAX, InternalFault, _read_only
+from .algebra import _LOG_FLOAT_MAX, InternalFault, _FrozenRecord, _read_only, _Record
 from .flow import InnerFlow
 from .kms import KmsSimplex, _boltzmann, _simplex_at
 
@@ -75,8 +74,7 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
-@dataclass(frozen=True)
-class DimensionGroupSpec:
+class DimensionGroupSpec(_FrozenRecord):
     """A cone-preserving rational matrix with a strictly positive unit. What it derives
     is kept by ``cached_property``, not ``_keep``: a frozen spec has nothing to key on."""
 
@@ -191,8 +189,7 @@ def _integer_null(rows, dim: int) -> np.ndarray | None:
 
 # -- fibers and the β-spectrum ----------------------------------------------------
 
-@dataclass
-class SimplexFiber:
+class SimplexFiber(_Record):
     """Vertex description of one fiber; exact vertices when available."""
 
     beta: float
@@ -357,8 +354,7 @@ def diagonal_fiber(spec: DimensionGroupSpec, s: Fraction) -> list[tuple[Fraction
 
 # -- one-point bundles over a finite level map ------------------------------------
 
-@dataclass(frozen=True)
-class PointBundleSpec:
+class PointBundleSpec(_FrozenRecord):
     """Finitely many abstract points with a real level attached to each."""
 
     labels: tuple
@@ -390,13 +386,11 @@ def bundle_from_points(spec: PointBundleSpec, t: float) -> SimplexFiber:
 
 # -- self-similar measures on the half-line ----------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_FrozenRecord):
     point: float
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_FrozenRecord):
     lo: float
     hi: float
 
@@ -422,8 +416,7 @@ def scale_set(b, factor: float):
     return Interval(b.lo * factor, b.hi * factor)
 
 
-@dataclass(frozen=True)
-class ScalingMeasure:
+class ScalingMeasure(_FrozenRecord):
     """A measure on [0, ∞) with μ(λB) = e^{-β} μ(B).
 
     kinds: "density" t^α dt with α = -β/log λ - 1 (needs β ≤ 0);
@@ -562,8 +555,7 @@ def scaling_measure(lam: float, beta: float, kind: str = "density", x: float = 1
     raise ValueError(f"unknown kind {kind!r}")
 
 
-@dataclass
-class ScalingCheckReport:
+class ScalingCheckReport(_Record):
     max_residual: float
     checked: int
     out_of_window: int
@@ -594,8 +586,7 @@ def verify_scaling(mu: ScalingMeasure, test_sets) -> ScalingCheckReport:
 
 # -- brute finite-dimensional bundle over a β grid ----------------------------------
 
-@dataclass
-class BundleCertificate:
+class BundleCertificate(_Record):
     all_nonempty: bool
     vertex_counts: list[int]
     lipschitz_bound: float          # 2‖h‖₂ = 2·max|λ| over the flow's eigenvalues

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import InternalFault
+from .algebra import InternalFault, _Fresh, _Record
 
 BRANCH_MARGIN = 1e-6
 MODULUS_TOL = 1e-12
@@ -90,8 +89,7 @@ def _half_index(step: float, half_range: float) -> int:
     return k
 
 
-@dataclass
-class CocycleGrid:
+class CocycleGrid(_Record):
     """Unimodular λ on the index square [-K, K]², K = half_range/step."""
 
     step: float
@@ -132,8 +130,7 @@ class CocycleGrid:
         return complex(self.values[i + k, j + k])
 
 
-@dataclass
-class Cochain:
+class Cochain(_Record):
     """Unimodular μ on [-R, R] ∩ δℤ with μ(0) = 1."""
 
     step: float
@@ -155,8 +152,7 @@ class Cochain:
             raise ValueError("cochain must satisfy μ(0) = 1")
 
 
-@dataclass
-class CocycleReport:
+class CocycleReport(_Record):
     """Associativity check of a grid. On the ``"scan"`` route the identity residual is
     the measured maximum; on ``"certificate"`` it is an upper bound (``trivialize``)."""
 
@@ -247,16 +243,15 @@ def coboundary_of(chain: Cochain) -> CocycleGrid:
 
 # -- trivialization ---------------------------------------------------------------
 
-@dataclass
-class TrivializationResult:
+class TrivializationResult(_Record):
     chain: Cochain
     achieved_residual: float
     pairs_checked: int
     pairs_skipped: int
     rescale_exponent: int
     precheck: CocycleReport
-    stage_windows: dict = field(default_factory=dict)
-    stage_chains: dict = field(default_factory=dict)
+    stage_windows: dict = _Fresh(dict)
+    stage_chains: dict = _Fresh(dict)
 
 
 def _cmul(a, b) -> np.ndarray:

@@ -19,12 +19,11 @@ blocks through ``_boltzmann_at``, kept on the flow by :func:`~kmslab.algebra._ke
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (AlgElement, BlockAlgebra, Functional, Projection, _exchange_sheets,
-                      _exchange_witness, _keep, _read_only, is_trace)
+                      _exchange_witness, _keep, _read_only, _Record, is_trace)
 from .flow import InnerFlow
 
 #: |β|·(spectral spread) beyond which e^{-βh} is not representable
@@ -97,13 +96,16 @@ def _check_mass(mass) -> None:
         raise ValueError(f"not normalized (mass {np.ravel(mass)[np.argmin(ok)]:.6g})")
 
 
-@dataclass
-class KmsState:
+class KmsState(_Record):
     """A state satisfying the β-equilibrium condition for its flow."""
 
     functional: Functional
     beta: float
     flow: InnerFlow
+
+    def __init__(self, functional: Functional, beta: float, flow: InnerFlow):
+        self.functional, self.beta, self.flow = functional, beta, flow
+        self.__post_init__()
 
     def __post_init__(self):
         _check_mass(self.functional.total_mass)
@@ -135,8 +137,7 @@ class KmsState:
         return coefficients_of(self)
 
 
-@dataclass
-class KmsWeight:
+class KmsWeight(_Record):
     """An unnormalized element of the β-equilibrium cone (e.g. a lattice
     join or meet of states); normalize() recovers a state when mass > 0."""
 
@@ -154,8 +155,7 @@ class KmsWeight:
         return KmsState(self.functional.scaled(1.0 / m), self.beta, self.flow)
 
 
-@dataclass
-class KmsVerdict:
+class KmsVerdict(_Record):
     """Outcome of verify_kms: route one's residual, route two's bracket
     ``residual_half_shift_lower`` ≤ ‖M‖ ≤ ``residual_half_shift``, and the worst witness."""
 
@@ -167,6 +167,12 @@ class KmsVerdict:
     residual_half_shift_lower: float
     beta: float
     tol: float
+
+    def __init__(self, passed, max_residual, worst_pair, residual_exchange, residual_half_shift,
+                 residual_half_shift_lower, beta, tol):
+        self.passed, self.max_residual, self.worst_pair = passed, max_residual, worst_pair
+        self.residual_exchange, self.residual_half_shift = residual_exchange, residual_half_shift
+        self.residual_half_shift_lower, self.beta, self.tol = residual_half_shift_lower, beta, tol
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -309,13 +315,16 @@ def _from_coefficients(flow: InnerFlow, beta: float, gam: np.ndarray,
                       check=False)
 
 
-@dataclass
-class KmsSimplex:
+class KmsSimplex(_Record):
     """The full β-equilibrium state space: a simplex with one vertex per block."""
 
     flow: InnerFlow
     beta: float
-    vertices: list[KmsState] = field(default_factory=list)
+    vertices: list[KmsState]
+
+    def __init__(self, flow: InnerFlow, beta: float, vertices: list[KmsState] | None = None):
+        self.flow, self.beta = flow, beta
+        self.vertices = [] if vertices is None else vertices
 
     @property
     def dimension(self) -> int:
@@ -418,8 +427,7 @@ def from_trace(tau: Functional, flow: InnerFlow, beta: float) -> KmsState:
 
 # -- corners -------------------------------------------------------------------
 
-@dataclass
-class CornerRestriction:
+class CornerRestriction(_Record):
     """A state cut down to pAp, with its lost normalization."""
 
     state: KmsState

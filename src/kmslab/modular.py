@@ -24,12 +24,10 @@ Each object is built once per state: :func:`gns` keeps the triple on the functio
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import (AlgElement, BlockAlgebra, Functional, InternalFault, Projection, _keep,
-                      _read_only)
+                      _read_only, _Record)
 from .flow import InnerFlow
 from .kms import KmsState
 
@@ -118,8 +116,7 @@ def _block_kron(g: GnsTriple, mats, eye_first: bool) -> np.ndarray:
     return out
 
 
-@dataclass
-class ModularData:
+class ModularData(_Record):
     """The eigensystem log Δ = V·diag(λ)·V* (``log_eigenvalues`` λ, ``log_eigenvectors`` V)
     and J (as J v = conj_kernel · conj v). Δ, Δ^z and log Δ are formed from it on demand.
     The polar route's λ are 2 log σ in descending order, the closed form's are unsorted."""
@@ -195,8 +192,7 @@ def _modular_closed_form(g: GnsTriple) -> ModularData:
                        method="closed_form")
 
 
-@dataclass
-class ModularFlowReport:
+class ModularFlowReport(_Record):
     passed: bool
     max_residual: float
     beta: float

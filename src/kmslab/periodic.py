@@ -142,7 +142,7 @@ class PeriodicFlow:
     def occupied_degrees(self) -> list[int]:
         ks = set()
         for d in self.degrees:
-            ks.update(int(k) for k in np.unique(d))
+            ks.update(d.ravel().tolist())
         return sorted(ks)
 
     # -- degree components, two routes ---------------------------------------

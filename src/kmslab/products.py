@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (_EPS, _LOG_FLOAT_MAX, AlgElement, BlockAlgebra, Functional, Projection,
-                      _read_only)
+                      _Fresh, _FrozenRecord, _read_only, _Record)
 from .flow import InnerFlow
 from .kms import KmsState, _boltzmann, _check_exp_cap, gibbs
 from .periodic import distinct_gaps, gap_group
@@ -32,8 +31,7 @@ MAX_PRODUCT_DIM = 4096
 UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ItpfiSpec:
+class ItpfiSpec(_FrozenRecord):
     """One site of an infinite tensor product: a Hermitian site generator."""
 
     site_generator: np.ndarray
@@ -228,8 +226,7 @@ def product_kms_state(spec: ItpfiSpec, beta: float, sites: int) -> KmsState:
 
 # -- the difference group of the site spectrum ----------------------------------
 
-@dataclass
-class DifferenceGroupReport:
+class DifferenceGroupReport(_Record):
     """Closure type of the group generated by the site eigenvalue gaps."""
 
     kind: str                           # "trivial" | "cyclic" | "dense"
@@ -259,8 +256,7 @@ def difference_group(h) -> DifferenceGroupReport:
     return DifferenceGroupReport(kind=kind, kappa=kappa or None, witness=witness)
 
 
-@dataclass
-class FactorTypeReport:
+class FactorTypeReport(_Record):
     tag: str                            # "trivial_flow" | "beta_zero" | "III_1" | "III_lambda"
     lambda_value: float | None = None
     kappa: float | None = None
@@ -291,8 +287,7 @@ def factor_type_itpfi(spec: ItpfiSpec, beta: float) -> FactorTypeReport:
                             kappa=report.kappa, group=report)
 
 
-@dataclass
-class GammaReport:
+class GammaReport(_Record):
     kind: str                           # "zero" | "cyclic" | "full_line"
     generator: float | None = None      # positive generator when cyclic
 
@@ -313,8 +308,7 @@ def gamma_invariant(spec: ItpfiSpec, beta: float) -> GammaReport:
 
 # -- matroid-type site families: boundedness of Σ (trace ratio − 1) -------------
 
-@dataclass
-class MatroidSpec:
+class MatroidSpec(_Record):
     """A site family given either by name or as an explicit finite prefix.
 
     ``kind`` is "seven_adic", "factorial", or "explicit"; explicit specs
@@ -323,7 +317,7 @@ class MatroidSpec:
     """
 
     kind: str
-    sites: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    sites: list[tuple[np.ndarray, np.ndarray]] = _Fresh(list)
     declared_tail: str | None = None
 
     def __post_init__(self):
@@ -335,8 +329,7 @@ class MatroidSpec:
             raise ValueError(f"unknown tail family {self.declared_tail!r}")
 
 
-@dataclass
-class MatroidVerdict:
+class MatroidVerdict(_Record):
     kind: str                           # "bounded" | "unbounded" | "inconclusive"
     log_partial_product: float
     terms: int
@@ -424,8 +417,7 @@ def matroid_bounded(spec: MatroidSpec, beta: float, prefix_terms: int = 24) -> M
 
 # -- trace-class windows for declared spectrum families --------------------------
 
-@dataclass(frozen=True)
-class SpectrumFamily:
+class SpectrumFamily(_FrozenRecord):
     """A declared eigenvalue family a_1 ≤ a_2 ≤ …, closed under negation.
 
     kinds: "zero" (all zeros), "power" (a_n = (1/r)·log n, r > 0),
@@ -452,8 +444,7 @@ class SpectrumFamily:
             raise ValueError(f"unknown family {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class WindowInterval:
+class WindowInterval(_FrozenRecord):
     """The set of β with Σ e^{-β a_n} < ∞: empty, ℝ, or a half-line."""
 
     empty: bool = False

@@ -1,7 +1,6 @@
 """Command-line surface: exit codes, schemas, determinism, diagnostics."""
 
 import csv
-import dataclasses
 import functools
 import inspect
 import io
@@ -1908,8 +1907,13 @@ def test_an_output_the_schema_refuses_is_an_internal_fault(two_level, tmp_path, 
     """A payload the program built wrong is its own fault (exit 3), with the schema's
     diagnostic, not bad input (exit 2); no file is written."""
     real = cli.verify_kms
-    monkeypatch.setattr(cli, "verify_kms", lambda *args, **kwargs: dataclasses.replace(
-        real(*args, **kwargs), passed=np.bool_(True)))
+
+    def forged(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        verdict.passed = np.bool_(True)
+        return verdict
+
+    monkeypatch.setattr(cli, "verify_kms", forged)
     out = tmp_path / "o.json"
     assert main(["verify", "--problem", two_level, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (f"error: internal fault: InternalFault: {out}: field "
@@ -1921,8 +1925,13 @@ def test_a_non_finite_output_is_an_internal_fault(two_level, tmp_path, monkeypat
     """A NaN the program put in a payload is its own fault (exit 3), named by its field,
     and no file is written: not a bare ``NaN`` that strict JSON readers refuse."""
     real = cli.verify_kms
-    monkeypatch.setattr(cli, "verify_kms", lambda *args, **kwargs: dataclasses.replace(
-        real(*args, **kwargs), residual_half_shift=math.nan))
+
+    def forged(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        verdict.residual_half_shift = math.nan
+        return verdict
+
+    monkeypatch.setattr(cli, "verify_kms", forged)
     out = tmp_path / "o.json"
     assert main(["verify", "--problem", two_level, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (f"error: internal fault: InternalFault: {out}: field "
