@@ -44,13 +44,15 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import _LOG_FLOAT_MAX, InternalFault, _FrozenRecord, _read_only, _Record
 from .flow import InnerFlow
-from .kms import KmsSimplex, _boltzmann, _simplex_at
+from .kms import (KmsSimplex, _boltzmann_factors, _check_vertex_masses, _column_norms,
+                  _simplex_at)
 
 MAX_RANK = 12
 FLOAT_ZERO_TOL = 1e-11
@@ -594,33 +596,61 @@ class BundleCertificate(_Record):
     ok: bool
 
 
-def kms_bundle_fd(flow: InnerFlow, beta_grid) -> tuple[list[KmsSimplex], BundleCertificate]:
+class _BundleFibers(Sequence):
+    """:func:`kms_bundle_fd`'s fibers, read-only: fiber s is built on its first read, by
+    :func:`~kmslab.kms._simplex_at` from the call's Boltzmann factors e_s and traces t_s,
+    vertex i's block being (u_i·diag(e_s))·u_i*/t_s — the block :func:`kms_simplex` makes
+    at β_s, bit for bit — and kept here; nothing is kept on the flow. Threads that read one
+    fiber first at once may each build it; the builds are equal, and one of them is kept."""
+
+    def __init__(self, flow: InnerFlow, betas: list[float], factors: list[np.ndarray],
+                 traces: np.ndarray):
+        self._flow, self._betas, self._factors, self._traces = flow, betas, factors, traces
+        self._built = [None] * len(betas)
+
+    def __len__(self) -> int:
+        return len(self._betas)
+
+    def __getitem__(self, s):
+        if isinstance(s, slice):
+            return [self[i] for i in range(*s.indices(len(self)))]
+        fiber = self._built[s]                  # an index out of range raises here
+        if fiber is None:
+            flow = self._flow
+            blocks = [(u * e[s]) @ u.conj().T / t
+                      for u, e, t in zip(flow.eigenvectors, self._factors, self._traces[s])]
+            fiber = self._built[s] = _simplex_at(flow, self._betas[s], blocks)
+        return fiber
+
+
+def kms_bundle_fd(flow: InnerFlow, beta_grid) -> tuple[Sequence[KmsSimplex], BundleCertificate]:
     """Equilibrium simplices over a β grid plus a properness certificate:
     every fiber nonempty with the expected vertex count, and vertex
     densities moving no faster than the mean-value bound 2‖h‖₂ allows.
 
-    The whole grid comes from one stack of Boltzmann blocks. Vertex i at β is u·diag(p_β)·u*
-    on block i, p_β its normalized Boltzmann weights, so its step deviation is
-    max_k |p_β'(λ_k) − p_β(λ_k)| and ‖h‖₂ is max|λ|: no SVD is taken (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
+    The call reads only the (S, n) Boltzmann weights of :func:`_boltzmann_factors`; it
+    builds no block and no state. Vertex i at β is u·diag(p_β)·u* on block i, p_β its
+    normalized Boltzmann weights, so its mass is Σ_j p_j·‖u_j‖² (tested by β, then by
+    block, as :func:`~kmslab.kms.simplex_sweep` does), its step deviation is
+    max_k |p_β'(λ_k) − p_β(λ_k)|, and ‖h‖₂ is max|λ|: no SVD is taken (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 3). Every fiber has B vertices,
+    one per block. The fibers come back as a read-only sequence whose fiber s is built
+    when it is first read, equal bit for bit to ``kms_simplex(flow, β_s)``.
     """
     betas = [float(b) for b in beta_grid]
     if len(betas) < 2:
         raise ValueError("need at least two grid points")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("grid must be strictly increasing")
-    mats, traces, weights = _boltzmann(flow, betas)
-    verts = [m / t[:, None, None] for m, t in zip(mats, traces.T)]
-    simplices = [_simplex_at(flow, b, [v[s] for v in verts]) for s, b in enumerate(betas)]
+    factors, traces, weights = _boltzmann_factors(flow, betas)
+    _check_vertex_masses(weights, _column_norms(flow))
     bound = 2.0 * flow.generator_norm
     worst = 0.0
     if bound > 0:
         steps = np.diff(betas)[:, None]
         dists = np.stack([np.abs(p[:-1] - p[1:]).max(axis=1) for p in weights], axis=1)
         worst = float(np.max(dists / (bound * steps)))     # NaN propagates
-    counts = [len(s.vertices) for s in simplices]
-    expected = flow.algebra.num_blocks
-    ok = all(c == expected for c in counts) and worst <= 1.0 + 1e-9
-    return simplices, BundleCertificate(all_nonempty=all(c > 0 for c in counts),
-                                        vertex_counts=counts, lipschitz_bound=bound,
-                                        max_step_deviation=worst, ok=ok)
+    counts = [flow.algebra.num_blocks] * len(betas)
+    return _BundleFibers(flow, betas, factors, traces), BundleCertificate(
+        all_nonempty=True, vertex_counts=counts, lipschitz_bound=bound,
+        max_step_deviation=worst, ok=worst <= 1.0 + 1e-9)

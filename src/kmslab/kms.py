@@ -96,6 +96,19 @@ def _check_mass(mass) -> None:
         raise ValueError(f"not normalized (mass {np.ravel(mass)[np.argmin(ok)]:.6g})")
 
 
+def _column_norms(flow: InnerFlow) -> list[np.ndarray]:
+    """The squared norms ‖u_j‖² of each block's eigenvector columns."""
+    return [np.vecdot(u, u, axis=0).real for u in flow.eigenvectors]
+
+
+def _check_vertex_masses(weights: list[np.ndarray], norms: list[np.ndarray]) -> None:
+    """:func:`_check_mass` on every vertex of an (S, …) stack of :func:`_boltzmann_factors`
+    weights p, in (β, block) order. Vertex i's mass Tr(u·diag(p)·u*) is read as
+    Σ_j p_j·‖u_j‖², the weights against the ``norms`` of :func:`_column_norms`: O(S·n) per
+    block, and no block is built."""
+    _check_mass(np.stack([p @ q for p, q in zip(weights, norms)], axis=1))
+
+
 class KmsState(_Record):
     """A state satisfying the β-equilibrium condition for its flow."""
 
@@ -157,7 +170,11 @@ class KmsWeight(_Record):
 
 class KmsVerdict(_Record):
     """Outcome of verify_kms: route one's residual, route two's bracket
-    ``residual_half_shift_lower`` ≤ ‖M‖ ≤ ``residual_half_shift``, and the worst witness."""
+    ``residual_half_shift_lower`` ≤ ‖M‖ ≤ ``residual_half_shift``, and the worst witness.
+
+    ``worst_pair`` is ((b, k, l), (b, m, n)), the first worst matrix-unit pair of route
+    one. The constructor takes it as a value; a verdict of :func:`verify_kms` keeps the
+    chosen block's search instead and runs it once, on the first read of ``worst_pair``."""
 
     passed: bool
     max_residual: float
@@ -173,6 +190,26 @@ class KmsVerdict(_Record):
         self.passed, self.max_residual, self.worst_pair = passed, max_residual, worst_pair
         self.residual_exchange, self.residual_half_shift = residual_exchange, residual_half_shift
         self.residual_half_shift_lower, self.beta, self.tol = residual_half_shift_lower, beta, tol
+
+    @classmethod
+    def _searched_on_read(cls, search: tuple, **fields) -> "KmsVerdict":
+        """The verdict with every field but ``worst_pair``, which is searched for on its
+        first read: ``search`` is block b's (b, d̂, F, sheets, maximum) of
+        :func:`~kmslab.algebra._exchange_witness`."""
+        verdict = cls.__new__(cls)
+        verdict.__dict__.update(fields, _search=search)
+        return verdict
+
+    def __getattr__(self, name):
+        # called only for a name the instance does not hold: here a worst pair left unread
+        search = self.__dict__.get("_search") if name == "worst_pair" else None
+        if search is None:
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        b, dd, fac, sheets, best = search
+        k, l, m, n = _exchange_witness(dd, fac, sheets, best)
+        self.worst_pair = ((b, k, l), (b, m, n))
+        self.__dict__.pop("_search", None)
+        return self.worst_pair
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -213,7 +250,8 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
     pass certifies |ω(a*a) − ω(σ_{-iβ/2}(a) σ_{-iβ/2}(a)*)| ≤ ``tol``·‖a‖²_F for every
     a; for a Hermitian density, L > ``tol`` certifies that some a breaks it. A NaN in
     either route makes the verdict's maximum NaN and fails it. The worst matrix-unit
-    pair is reported as a witness.
+    pair is reported as a witness, searched for when the verdict's ``worst_pair`` is
+    first read: the verdict keeps the chosen block's density, factors, sheets and maximum.
     """
     beta = float(beta)
     if isinstance(omega, (KmsState, KmsWeight)):
@@ -235,16 +273,13 @@ def verify_kms(flow: InnerFlow, omega: Functional, beta: float,
         if val >= residual_exchange or math.isnan(val):
             residual_exchange, picked = val, (b, dd, fac, sheets)
         brackets.append(_half_shift_bracket(w, dd, beta, sheets[0].T))
-    b, dd, fac, sheets = picked
-    k, l, m, nn = _exchange_witness(dd, fac, sheets, residual_exchange)
-    worst = ((b, k, l), (b, m, nn))
 
     lower, upper = (float(v) for v in np.max(brackets, axis=0))      # NaN propagates
     max_resid = float(np.max((residual_exchange, upper)))
-    return KmsVerdict(passed=bool(max_resid <= tol), max_residual=max_resid,
-                      worst_pair=worst, residual_exchange=residual_exchange,
-                      residual_half_shift=upper, residual_half_shift_lower=lower,
-                      beta=beta, tol=tol)
+    return KmsVerdict._searched_on_read(
+        (*picked, residual_exchange), passed=bool(max_resid <= tol), max_residual=max_resid,
+        residual_exchange=residual_exchange, residual_half_shift=upper,
+        residual_half_shift_lower=lower, beta=beta, tol=tol)
 
 
 def _half_shift_bracket(w: np.ndarray, d: np.ndarray, beta: float,
@@ -281,7 +316,8 @@ def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | No
     """Central coefficients γ with density = Σ γ_i e^{-β(h_i - c)}.
 
     Raises if some block is farther than 1e-8·max(1, ‖density‖) (entrywise) from
-    that form — i.e. the functional is not in the β-equilibrium cone of the flow.
+    that form — i.e. the functional is not in the β-equilibrium cone of the flow —
+    and if a plain functional lives on another algebra than the flow.
     """
     if isinstance(obj, (KmsState, KmsWeight)):
         flow, beta, phi = obj.flow, obj.beta, obj.functional
@@ -289,6 +325,8 @@ def coefficients_of(obj: KmsState | KmsWeight | Functional, flow: InnerFlow | No
         phi = obj
         if flow is None or beta is None:
             raise ValueError("plain functionals need an explicit flow and β")
+        if phi.algebra != flow.algebra:
+            raise ValueError("state and flow live on different algebras")
     mats, traces = _boltzmann_at(flow, beta)
     scale = phi.density.tol_scale()
     gam = np.empty(len(mats))
@@ -316,7 +354,10 @@ def _from_coefficients(flow: InnerFlow, beta: float, gam: np.ndarray,
 
 
 class KmsSimplex(_Record):
-    """The full β-equilibrium state space: a simplex with one vertex per block."""
+    """The full β-equilibrium state space: a simplex with one vertex per block.
+
+    Vertex i lives on block i: its density is zero on every other block. :meth:`mix`
+    reads only block i of vertex i."""
 
     flow: InnerFlow
     beta: float
@@ -331,19 +372,26 @@ class KmsSimplex(_Record):
         return len(self.vertices) - 1
 
     def mix(self, weights) -> KmsState:
+        """The state Σ_i w_i·(vertex i) for a probability vector w over the vertices.
+
+        Since vertex i lives on block i, block i of the mix is w_i·(block i of vertex i):
+        B blocks are scaled and none is added. This equals the sum of the scaled vertices
+        up to the sign of zero entries (that sum adds +0 to each −0)."""
         w = np.asarray(weights, dtype=float)
         # written so that a NaN weight fails them too
         if (w.size != len(self.vertices) or not (w >= -1e-12).all()
                 or not abs(w.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be a probability vector over the vertices")
-        density = self.flow.algebra.zero()
-        for wi, v in zip(w, self.vertices):
-            density = density + float(wi) * v.density
-        return KmsState(Functional(self.flow.algebra, density, check=False), self.beta, self.flow)
+        alg = self.flow.algebra
+        density = AlgElement._adopt(alg, [float(wi) * v.density.blocks[i]
+                                          for i, (wi, v) in enumerate(zip(w, self.vertices))])
+        return KmsState(Functional(alg, density, check=False), self.beta, self.flow)
 
     def barycentric_of(self, psi: KmsState) -> np.ndarray:
-        """Weights of ψ in this simplex (γ_i · Tr e^{-βh_i})."""
-        gam = coefficients_of(psi)
+        """Weights of ψ in this simplex (γ_i · Tr e^{-βh_i}), with ψ's coefficients read
+        against this simplex's flow and β: a state of another β or another flow whose
+        density is outside this simplex's cone is refused by :func:`coefficients_of`."""
+        gam = coefficients_of(psi.functional, self.flow, self.beta)
         _, traces = _boltzmann_at(self.flow, self.beta)
         return gam * traces
 
@@ -389,10 +437,10 @@ def simplex_sweep(flow: InnerFlow, betas) -> np.ndarray:
     """
     betas = np.asarray(betas, dtype=float)
     per_chunk = max(1, _SWEEP_CHUNK_ENTRIES // flow.algebra.coord_dim)
-    norms = [np.vecdot(u, u, axis=0).real for u in flow.eigenvectors]
+    norms = _column_norms(flow)
     for start in range(0, len(betas), per_chunk):
         _, _, weights = _boltzmann_factors(flow, betas[start:start + per_chunk])
-        _check_mass(np.stack([p @ q for p, q in zip(weights, norms)], axis=1))
+        _check_vertex_masses(weights, norms)
     blocks = flow.algebra.num_blocks
     return np.tile((blocks - 1, blocks), (len(betas), 1))
 

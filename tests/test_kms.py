@@ -541,6 +541,49 @@ def test_mix_refuses_nan_weights_by_name():
             s.mix(weights)
 
 
+def _reference_mix(simplex, weights):
+    """The mix as the sum of every scaled vertex over all blocks: the oracle for
+    KmsSimplex.mix, which scales block i of vertex i alone."""
+    density = simplex.flow.algebra.zero()
+    for wi, v in zip(np.asarray(weights, dtype=float), simplex.vertices):
+        density = density + float(wi) * v.density
+    return density
+
+
+@pytest.mark.parametrize("dims, weights", [
+    ((3,), [1.0]),
+    ((2, 3, 1, 4), [0.1, 0.2, 0.3, 0.4]),
+    ((2, 3, 1, 4), [0.5, 0.0, 0.25, 0.25]),                    # a zero weight
+    ((2, 3, 1, 4), [0.5, -1e-13, 0.25, 0.25 + 1e-13]),         # a weight of −1e−13
+])
+def test_mix_equals_the_sum_of_the_scaled_vertices(dims, weights):
+    flow = _random_flow(dims, rng=np.random.default_rng(len(dims)))
+    for beta in (-1.1, 0.0, 0.7):
+        s = kms_simplex(flow, beta)
+        got, want = s.mix(weights), _reference_mix(s, weights)
+        assert (got.beta, got.flow) == (beta, flow)
+        assert all(np.array_equal(a, b) for a, b in zip(got.density.blocks, want.blocks))
+
+
+def test_barycentric_of_refuses_a_state_of_another_beta_or_flow():
+    """ψ's coefficients are read against the simplex's own flow and β: a Gibbs state of
+    another β, or of another flow on the same algebra, is outside the simplex's cone,
+    and a state on another algebra is refused, even one that matches block 0."""
+    rng = np.random.default_rng(2024)
+    flow, other = _random_flow((2, 3), rng=rng), _random_flow((2, 3), rng=rng)
+    s = kms_simplex(flow, 1.0)
+    for psi in (gibbs(flow, 2.0), gibbs(other, 1.0)):
+        with pytest.raises(ValueError, match="outside the equilibrium cone"):
+            s.barycentric_of(psi)
+    small = BlockAlgebra((2,))
+    head = InnerFlow(small, small.element([flow.generator.blocks[0]]))
+    with pytest.raises(ValueError, match="different algebras"):
+        s.barycentric_of(gibbs(head, 1.0))
+    psi = s.mix([0.25, 0.75])
+    _, traces = kms._boltzmann_at(flow, 1.0)
+    assert np.array_equal(s.barycentric_of(psi), coefficients_of(psi) * traces)
+
+
 def test_trace_pairing_roundtrip():
     rng = np.random.default_rng(123)
     flow = _random_flow((2, 3), rng=rng)
@@ -770,26 +813,74 @@ def test_simplex_sweep_mass_test_fires_on_the_first_bad_vertex(monkeypatch, entr
 
 
 def test_bundle_mass_test_fires_on_the_first_bad_vertex(monkeypatch):
-    """Blocks of block 1 at β = 0.5 and block 0 at β = 1.5 scaled where kms_bundle_fd
-    reads them: the grid's first bad vertex, by β then by block, raises KmsState's
-    message."""
+    """Factors and weights of block 1 at β = 0.5 and block 0 at β = 1.5 scaled where
+    kms_bundle_fd reads them, with the traces kept: the grid's first bad vertex, by β
+    then by block, raises KmsState's message."""
     flow = _random_flow((2, 3), rng=np.random.default_rng(5))
-    real = kms._boltzmann
+    real = kms._boltzmann_factors
 
     def leaky(flow, beta):
-        mats, traces, weights = real(flow, beta)
+        factors, traces, weights = real(flow, beta)
         betas = np.asarray(beta, dtype=float)
-        mats[1][betas == 0.5] *= 1.25
-        mats[0][betas == 1.5] *= 0.5
-        return mats, traces, weights
+        for block, at, by in ((1, 0.5, 1.25), (0, 1.5, 0.5)):
+            factors[block][betas == at] *= by
+            weights[block][betas == at] *= by
+        return factors, traces, weights
 
-    monkeypatch.setattr(bundle, "_boltzmann", leaky)
+    monkeypatch.setattr(bundle, "_boltzmann_factors", leaky)
     with pytest.raises(ValueError, match=r"not normalized \(mass 1\.25\)"):
         kms_bundle_fd(flow, [0.0, 0.25, 0.5, 1.0, 1.5])
     with pytest.raises(ValueError, match=r"not normalized \(mass 0\.5\)"):
         kms_bundle_fd(flow, [1.0, 1.5, 2.0])
     _, cert = kms_bundle_fd(flow, [0.0, 1.0])
     assert cert.ok and cert.vertex_counts == [2, 2]
+
+
+def test_bundle_builds_each_fiber_when_it_is_read(monkeypatch):
+    """kms_bundle_fd builds no state; reading fiber s builds its B vertices once, bit
+    for bit kms_simplex's at β_s."""
+    flow = _random_flow((2, 3, 1, 4), rng=np.random.default_rng(6))
+    built = []
+    real = kms.KmsState._certified.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(kms.KmsState, "_certified", classmethod(counted))
+    grid = [-0.5, 0.0, 0.25, 1.5]
+    fibers, cert = kms_bundle_fd(flow, grid)
+    assert built == [] and len(fibers) == 4 and cert.vertex_counts == [4] * 4
+    for s in (2, -1):
+        vertices = fibers[s].vertices
+        assert len(built) == 4
+        assert fibers[s].vertices is vertices and len(built) == 4       # built once
+        want = kms_simplex(flow, grid[s])
+        assert fibers[s].beta == want.beta
+        for v, u in zip(vertices, want.vertices):
+            assert [a.tobytes() for a in v.density.blocks] == \
+                [b.tobytes() for b in u.density.blocks]
+        del built[:]
+    assert fibers[-1] is fibers[3] and [f.beta for f in fibers[:2]] == grid[:2]
+    with pytest.raises(IndexError):
+        fibers[4]
+
+
+def test_verify_kms_searches_its_witness_on_the_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _exchange_witness(*args)
+
+    monkeypatch.setattr(kms, "_exchange_witness", counted)
+    flow = _random_flow((2, 3), rng=np.random.default_rng(8))
+    v = verify_kms(flow, _trace_state(flow.algebra), 1.0)
+    assert calls == [] and not v.passed
+    first = v.worst_pair
+    assert v.worst_pair is first and len(calls) == 1
+    want = _reference_route_one(flow, _trace_state(flow.algebra), 1.0)
+    assert (v.residual_exchange, first) == want
 
 
 # -- the Boltzmann blocks kept per flow and β ------------------------------------
